@@ -132,8 +132,7 @@ class InverseBraiding(BraidingProvider):
         self.base = base
 
     def braid(self, h: Space, k: Space) -> LegOperator:
-        c = self.base.braid(k, h)
-        return LegOperator(LegSignature((h, k), (k, h)), np.linalg.inv(c.matrix))
+        return self.base.braid_inverse(k, h)
 
     def supports(self, h: Space, k: Space) -> bool:
         return self.base.supports(k, h)

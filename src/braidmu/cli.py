@@ -9,7 +9,6 @@ import argparse
 import hashlib
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -18,8 +17,9 @@ from . import __version__
 from .braiding import UnsupportedPairError
 from .dsl import ParseError, run_statements
 from .examples_io import (Bundle, SchemaError, graded_category, identity_control,
-                          kac_takesaki, load_bundle, save_bundle)
+                          kac_takesaki, load_bundle, save_bundle, write_atomic)
 from .groups import cyclic, symmetric
+from .multunitary import check_record, full_certificate
 from .solver import DegreePreservingConstraint, SearchProblem, search
 from .tensor import LegError
 
@@ -34,18 +34,6 @@ def _sha256(path: str) -> str:
 def _canonical_report(tree) -> str:
     from .examples_io import _canonical_json
     return _canonical_json(tree) + "\n"
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _report(input_path: str | None, checks: list[dict], tol: float,
@@ -64,20 +52,14 @@ def _report(input_path: str | None, checks: list[dict], tol: float,
     return report
 
 
-def _check(name: str, kind: str, value, tol=None, expected=None, elapsed=0.0) -> dict:
-    if kind == "residual":
-        ok = bool(value < tol) if value == value else False  # NaN never passes
-    elif kind == "rank":
-        ok = bool(value == expected)
-    else:
-        ok = bool(value)
-    entry = {"name": name, "kind": kind, "value": value, "pass": ok,
-             "wall_time_s": round(elapsed, 6)}
-    if tol is not None:
-        entry["tol"] = tol
-    if expected is not None:
-        entry["expected"] = expected
-    return entry
+def _write_report(path: str, text: str) -> bool:
+    """Write a report file; on failure print the error and return False."""
+    try:
+        write_atomic(path, text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_generate(args) -> int:
@@ -147,50 +129,10 @@ def cmd_analyze(args) -> int:
     except (SchemaError, LegError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    def timed(fn):
-        start = time.perf_counter()
-        value = fn()
-        return value, time.perf_counter() - start
-
-    from . import multunitary as mun
-    from .braiding import check_hexagons
-    from .spans import DecompositionError
-
-    checks = []
-    unit, dt = timed(mu.unitarity_residual)
-    checks.append(_check("unitarity", "residual", unit, args.tol, elapsed=dt))
-    pent, dt = timed(lambda: mun.pentagon_residual(mu))
-    checks.append(_check("pentagon", "residual", pent, args.tol, elapsed=dt))
-    try:
-        hexres, dt = timed(lambda: check_hexagons(mu.braiding, [mu.space])["max_residual"])
-    except UnsupportedPairError:
-        hexres, dt = float("nan"), 0.0
-    checks.append(_check("braiding-hexagon", "residual", hexres, args.tol, elapsed=dt))
-    route, dt = timed(lambda: mun.routing_agreement(mu))
-    checks.append(_check("routing-agreement", "residual", route, args.tol, elapsed=dt))
-    r, dt = timed(lambda: mun.classify_regularity(mu))
-    checks.append(_check("rank-c", "rank", r.rank_c, expected=r.full, elapsed=dt))
-    checks.append(_check("rank-d", "rank", r.rank_d, expected=r.full))
-    checks.append(_check("commutant-dim", "rank", r.commutant_dim, expected=1))
-    checks.append(_check("regular", "flag", r.regular))
-    checks.append(_check("bi-regular", "flag", r.bi_regular))
-    checks.append(_check("dual-consistent", "flag", r.dual_consistent))
-    (pr, pl), dt = timed(lambda: mun.podles_conditions(mu, "op", args.tol))
-    checks.append(_check("podles-right", "flag", pr, elapsed=dt))
-    checks.append(_check("podles-left", "flag", pl))
-    try:
-        co, dt = timed(lambda: mun.coassociativity_residual(mu, "op", args.tol))
-    except DecompositionError:
-        co, dt = float("inf"), 0.0
-    checks.append(_check("coassociativity", "residual", co, args.tol, elapsed=dt))
-    (mo, se), dt = timed(lambda: mun.multiplier_checks(mu, "op", args.tol))
-    checks.append(_check("multiplier", "flag", mo, elapsed=dt))
-    checks.append(_check("sandwich-span", "flag", se))
-    report = _report(args.file, checks, args.tol)
+    report = _report(args.file, full_certificate(mu, args.tol).checks(), args.tol)
     text = _canonical_report(report)
-    if args.report:
-        _write_atomic(args.report, text)
+    if args.report and not _write_report(args.report, text):
+        return 2
     print(text, end="")
     return 0 if report["pass"] else 1
 
@@ -236,16 +178,16 @@ def cmd_search(args) -> int:
     for idx, res in enumerate(results):
         name = f"F_{idx:03d}"
         bundle.operators[name] = res.mu.op
-        checks.append(_check(f"{name}-pentagon ({res.label}, restart {res.restart})",
-                             "residual", res.residual, args.target_residual))
+        checks.append(check_record(f"{name}-pentagon ({res.label}, restart {res.restart})",
+                                   "residual", res.residual, args.target_residual))
     save_bundle(bundle, args.output)
-    checks.append(_check("count", "rank", len(results), expected=len(results),
-                         elapsed=elapsed))
+    checks.append(check_record("count", "rank", len(results), expected=len(results),
+                               elapsed=elapsed))
     report = _report(None, checks, args.target_residual, seed=args.seed)
     report["count"] = len(results)
     text = _canonical_report(report)
-    if args.report:
-        _write_atomic(args.report, text)
+    if args.report and not _write_report(args.report, text):
+        return 2
     print(text, end="")
     return 0
 
@@ -271,14 +213,22 @@ def cmd_eval(args) -> int:
     checks = []
     for res in results:
         value = res.residual if res.residual is not None else 0.0
-        checks.append(_check(res.statement.text, "residual", value, args.tol))
+        checks.append(check_record(res.statement.text, "residual", value, args.tol))
         status = "pass" if res.passed else "FAIL"
         print(f"[{status}] line {res.statement.line}: {res.statement.text} "
               f"(residual {value:.3e})")
     report = _report(args.statements, checks, args.tol)
-    if args.report:
-        _write_atomic(args.report, _canonical_report(report))
+    if args.report and not _write_report(args.report, _canonical_report(report)):
+        return 2
     return 0 if report["pass"] else 1
+
+
+def positive_int(text: str) -> int:
+    """argparse type for integers >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -303,8 +253,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("search", help="search for braided multiplicative unitaries")
     p.add_argument("--category", default="super", choices=["flip", "super", "phase"])
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--modulus", type=int, default=3)
+    p.add_argument("--dim", type=positive_int, default=2)
+    p.add_argument("--modulus", type=positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=200)

@@ -287,8 +287,6 @@ def parse_statement_file(text: str) -> tuple[list[str], list[Statement]]:
         if line.startswith("context:"):
             context_ids = line[len("context:"):].split()
             continue
-        if line.startswith("use:"):
-            continue
         parser = _Parser(_tokenize(line, lineno), lineno)
         lhs, rhs = parser.parse_statement()
         statements.append(Statement(lhs, rhs, line, lineno))

@@ -30,7 +30,8 @@ from .yd import YDModule
 
 __all__ = [
     "SchemaError", "Bundle", "kac_takesaki", "graded_category", "group_yd_module",
-    "identity_control", "bundle_to_json", "bundle_from_json", "save_bundle", "load_bundle",
+    "identity_control", "bundle_to_json", "bundle_from_json", "write_atomic", "save_bundle",
+    "load_bundle",
 ]
 
 SCHEMA_VERSION = 1
@@ -59,7 +60,7 @@ class Bundle:
         if self.braiding_kind == "flip":
             return FlipBraiding()
         if self.braiding_kind == "phase":
-            return PhaseBraiding(self.braiding_modulus or 1)
+            return PhaseBraiding(self.braiding_modulus)
         if self.braiding_kind == "explicit":
             table = ExplicitBraiding()
             for op in self.braiding_pairs:
@@ -292,9 +293,11 @@ def bundle_from_json(text: str) -> Bundle:
         raise SchemaError("/braiding/kind", f"unknown braiding kind {kind!r}")
     bundle.braiding_kind = kind
     if kind == "phase":
-        if "modulus" not in braiding:
-            raise SchemaError("/braiding/modulus", "phase braiding needs a modulus")
-        bundle.braiding_modulus = int(braiding["modulus"])
+        modulus = braiding.get("modulus")
+        if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
+            raise SchemaError("/braiding/modulus",
+                              f"phase braiding needs an integer modulus >= 1, got {modulus!r}")
+        bundle.braiding_modulus = modulus
     if kind == "explicit":
         for idx, pair in enumerate(braiding.get("pairs", [])):
             path = f"/braiding/pairs/{idx}"
@@ -331,11 +334,9 @@ def bundle_from_json(text: str) -> Bundle:
     return bundle
 
 
-def save_bundle(bundle: Bundle, path: str) -> None:
-    """Atomic write: serialize to a temporary file, then rename into place."""
-    text = bundle_to_json(bundle)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def write_atomic(path: str, text: str) -> None:
+    """Write to a temporary file in the target directory, then rename into place."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -343,6 +344,11 @@ def save_bundle(bundle: Bundle, path: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_bundle(bundle: Bundle, path: str) -> None:
+    """Serialize canonically and write atomically."""
+    write_atomic(path, bundle_to_json(bundle))
 
 
 def load_bundle(path: str) -> Bundle:

@@ -3,7 +3,9 @@ regularity classification, comultiplications, and bialgebra certificates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,15 +13,15 @@ from . import spans
 from .spans import (Conjugation, CrossedProductExtension, OperatorSpan,
                     crossed_injections, crossed_product, equals,
                     is_relative_multiplier, kernel_of_linear_map, span_from_slices)
-from .tensor import (LegError, LegOperator, Space, adjoint, apply_distant,
-                     compose, embed_adjacent, identity, tensor)
+from .tensor import (LegError, LegOperator, Space, adjoint, apply_distant, compose,
+                     identity, tensor)
 
 __all__ = [
     "MultUnitary", "RegularityReport", "BialgebraCertificate", "Certificate",
     "pentagon_residual", "right_slice_span", "left_slice_span", "regularity_span",
     "opposite_regularity_span", "dual", "commutant_dimension", "classify_regularity",
     "comultiply", "podles_conditions", "coassociativity_residual", "multiplier_checks",
-    "routing_agreement", "full_certificate",
+    "routing_agreement", "full_certificate", "pentagon_defect", "check_record",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -49,22 +51,22 @@ class MultUnitary:
                          np.linalg.norm(m @ m.conj().T - eye)))
 
 
-def _pentagon_sides(m: MultUnitary) -> tuple[np.ndarray, np.ndarray]:
-    ctx = (m.space,) * 3
-    f12 = embed_adjacent(m.op, ctx, 1).matrix
-    f23 = embed_adjacent(m.op, ctx, 2).matrix
-    c = m.braiding.braid(m.space, m.space)
-    c12 = embed_adjacent(c, ctx, 1).matrix
-    cinv12 = np.linalg.inv(c12)
-    lhs = f23 @ f12
-    rhs = f12 @ c12 @ f23 @ cinv12 @ f23
-    return lhs, rhs
+def _cinv(m: MultUnitary) -> LegOperator:
+    return m.braiding.braid_inverse(m.space, m.space)
+
+
+def pentagon_defect(f: np.ndarray, c: np.ndarray, cinv: np.ndarray) -> np.ndarray:
+    """F23 F12 - F12 c12 F23 cinv12 F23 on three legs, from the matrices of F,
+    the braiding c and its inverse on L (x) L."""
+    eye = np.eye(math.isqrt(f.shape[0]))
+    f12, f23 = np.kron(f, eye), np.kron(eye, f)
+    return f23 @ f12 - f12 @ np.kron(c, eye) @ f23 @ np.kron(cinv, eye) @ f23
 
 
 def pentagon_residual(m: MultUnitary) -> float:
     """Hilbert-Schmidt norm of F23 F12 - F12 c12 F23 cinv12 F23 on three legs."""
-    lhs, rhs = _pentagon_sides(m)
-    return float(np.linalg.norm(lhs - rhs))
+    c = m.braiding.braid(m.space, m.space).matrix
+    return float(np.linalg.norm(pentagon_defect(m.op.matrix, c, _cinv(m).matrix)))
 
 
 def right_slice_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
@@ -75,10 +77,6 @@ def right_slice_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> Opera
 def left_slice_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
     """Span of left-leg slices of F; the function-algebra counterpart."""
     return span_from_slices(m.op, "left", cutoff)
-
-
-def _cinv(m: MultUnitary) -> LegOperator:
-    return m.braiding.braid_inverse(m.space, m.space)
 
 
 def regularity_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
@@ -107,7 +105,7 @@ def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> in
     n = m.space.dim
     f = m.op.matrix
     c = m.braiding.braid(m.space, m.space).matrix
-    cinv = np.linalg.inv(c)
+    cinv = _cinv(m).matrix
     eye = np.eye(n)
     cols = []
     for i in range(n):
@@ -269,9 +267,36 @@ class BialgebraCertificate:
     span_equality_ok: bool
 
 
+def check_record(name: str, kind: str, value, tol=None, expected=None,
+                 elapsed: float = 0.0) -> dict:
+    """One entry of a report's check list.
+
+    kind "residual" passes below ``tol`` (NaN never passes), "rank" when the
+    value equals ``expected``, and "flag" when the value is true.
+    """
+    if kind == "residual":
+        ok = bool(value < tol) if value == value else False
+    elif kind == "rank":
+        ok = bool(value == expected)
+    else:
+        ok = bool(value)
+    entry = {"name": name, "kind": kind, "value": value, "pass": ok,
+             "wall_time_s": round(elapsed, 6)}
+    if tol is not None:
+        entry["tol"] = tol
+    if expected is not None:
+        entry["expected"] = expected
+    return entry
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """Aggregated numerical evidence for one multiplicative unitary."""
+    """Aggregated numerical evidence for one multiplicative unitary.
+
+    ``wall_times`` maps a check name to the seconds spent computing it; a
+    step that yields several checks charges its time to the first of them.
+    Timings take no part in equality.
+    """
 
     unitarity_residual: float
     pentagon_residual: float
@@ -280,6 +305,7 @@ class Certificate:
     regularity: RegularityReport
     bialgebra: BialgebraCertificate
     tolerance: float
+    wall_times: dict = field(compare=False)
 
     @property
     def pentagon_ok(self) -> bool:
@@ -296,15 +322,31 @@ class Certificate:
 
     @property
     def all_passed(self) -> bool:
-        r, b = self.regularity, self.bialgebra
-        return (self.gates_passed
-                and self.braiding_hexagon_residual < 1e-9
-                and self.routing_agreement_residual < 1e-9
-                and r.regular and r.bi_regular and r.trivial_commutant
-                and r.dual_consistent
-                and b.podles_right and b.podles_left
-                and b.coassoc_residual < self.tolerance
-                and b.multiplier_ok and b.span_equality_ok)
+        return all(c["pass"] for c in self.checks())
+
+    def checks(self) -> list[dict]:
+        """Every check as a :func:`check_record`, in report order; residual
+        checks all compare against ``tolerance``."""
+        r, b, tol = self.regularity, self.bialgebra, self.tolerance
+        rows = [
+            ("unitarity", "residual", self.unitarity_residual, tol, None),
+            ("pentagon", "residual", self.pentagon_residual, tol, None),
+            ("braiding-hexagon", "residual", self.braiding_hexagon_residual, tol, None),
+            ("routing-agreement", "residual", self.routing_agreement_residual, tol, None),
+            ("rank-c", "rank", r.rank_c, None, r.full),
+            ("rank-d", "rank", r.rank_d, None, r.full),
+            ("commutant-dim", "rank", r.commutant_dim, None, 1),
+            ("regular", "flag", r.regular, None, None),
+            ("bi-regular", "flag", r.bi_regular, None, None),
+            ("dual-consistent", "flag", r.dual_consistent, None, None),
+            ("podles-right", "flag", b.podles_right, None, None),
+            ("podles-left", "flag", b.podles_left, None, None),
+            ("coassociativity", "residual", b.coassoc_residual, tol, None),
+            ("multiplier", "flag", b.multiplier_ok, None, None),
+            ("sandwich-span", "flag", b.span_equality_ok, None, None),
+        ]
+        return [check_record(name, kind, value, t, expected, self.wall_times.get(name, 0.0))
+                for name, kind, value, t, expected in rows]
 
     def to_dict(self) -> dict:
         r, b = self.regularity, self.bialgebra
@@ -351,25 +393,36 @@ def full_certificate(m: MultUnitary, tol: float = DEFAULT_TOL) -> Certificate:
     """
     from .braiding import UnsupportedPairError, check_hexagons
 
-    regularity = classify_regularity(m)
-    pr, pl = podles_conditions(m, "op", tol)
-    mo, se = multiplier_checks(m, "op", tol)
-    try:
-        cr = coassociativity_residual(m, "op", tol)
-    except spans.DecompositionError:
-        # comultiplied elements escaped the crossed product, so the bialgebra
-        # structure does not close; record the failure instead of raising
-        cr = float("inf")
-    bialgebra = BialgebraCertificate(pr, pl, cr, mo, se)
-    try:
-        hex_res = check_hexagons(m.braiding, [m.space])["max_residual"]
-    except UnsupportedPairError:
-        hex_res = float("nan")
+    wall_times = {}
+
+    def timed(name, fn, failure=(), fallback=None):
+        start = time.perf_counter()
+        try:
+            value = fn()
+        except failure:
+            value = fallback
+        wall_times[name] = time.perf_counter() - start
+        return value
+
+    unitarity = timed("unitarity", m.unitarity_residual)
+    pentagon = timed("pentagon", lambda: pentagon_residual(m))
+    hexagon = timed("braiding-hexagon",
+                    lambda: check_hexagons(m.braiding, [m.space])["max_residual"],
+                    UnsupportedPairError, float("nan"))
+    routing = timed("routing-agreement", lambda: routing_agreement(m))
+    regularity = timed("rank-c", lambda: classify_regularity(m))
+    pr, pl = timed("podles-right", lambda: podles_conditions(m, "op", tol))
+    # comultiplied elements that escape the crossed product mean the bialgebra
+    # structure does not close; record the failure instead of raising
+    cr = timed("coassociativity", lambda: coassociativity_residual(m, "op", tol),
+               spans.DecompositionError, float("inf"))
+    mo, se = timed("multiplier", lambda: multiplier_checks(m, "op", tol))
     return Certificate(
-        unitarity_residual=m.unitarity_residual(),
-        pentagon_residual=pentagon_residual(m),
-        braiding_hexagon_residual=hex_res,
-        routing_agreement_residual=routing_agreement(m),
+        unitarity_residual=unitarity,
+        pentagon_residual=pentagon,
+        braiding_hexagon_residual=hexagon,
+        routing_agreement_residual=routing,
         regularity=regularity,
-        bialgebra=bialgebra,
-        tolerance=tol)
+        bialgebra=BialgebraCertificate(pr, pl, cr, mo, se),
+        tolerance=tol,
+        wall_times=wall_times)

@@ -64,6 +64,19 @@ def fixed_vector_identity_residual(mu: MultUnitary, e: Vector) -> float:
     return float(max(r1, r2))
 
 
+def _construction(w_mu: MultUnitary, module: YDModule, f_mu: MultUnitary,
+                  w_route: str, f_route: str) -> LegOperator:
+    """W13 U23 V*34 F24 V34 on legs (K, L, K, L), W and F routed as given."""
+    ctx = (w_mu.space, module.space, w_mu.space, module.space)
+    amb = w_mu.braiding
+    v34 = embed_adjacent(module.rep, ctx, 3)
+    f24 = apply_distant(f_mu.op, ctx, (2, 4), f_route, amb)
+    vstar34 = embed_adjacent(adjoint(module.rep), ctx, 3)
+    u23 = embed_adjacent(module.corep, ctx, 2)
+    w13 = apply_distant(w_mu.op, ctx, (1, 3), w_route, amb)
+    return compose(w13, compose(u23, compose(vstar34, compose(f24, v34))))
+
+
 def semidirect_product(w_mu: MultUnitary, module: YDModule,
                        f_mu: MultUnitary) -> MultUnitary:
     """The multiplicative unitary on K (x) L built from W, a module (U, V) over
@@ -74,20 +87,11 @@ def semidirect_product(w_mu: MultUnitary, module: YDModule,
     W at (1,3) routed over leg 2.  The Pentagon postcondition in the ambient
     category is enforced; failure signals a transcription or input mismatch.
     """
-    k, lc = w_mu.space, module.space
-    if f_mu.space != lc:
+    if f_mu.space != module.space:
         raise ValueError("F must live on the module space")
-    ctx = (k, lc, k, lc)
-    amb = w_mu.braiding
-    v34 = embed_adjacent(module.rep, ctx, 3)
-    f24 = apply_distant(f_mu.op, ctx, (2, 4), "under", amb)
-    vstar34 = embed_adjacent(adjoint(module.rep), ctx, 3)
-    u23 = embed_adjacent(module.corep, ctx, 2)
-    w13 = apply_distant(w_mu.op, ctx, (1, 3), "over", amb)
-    total = compose(w13, compose(u23, compose(vstar34, compose(f24, v34))))
-    kl = tensor_space(k, lc)
-    op = total.with_legs((kl, kl), (kl, kl))
-    out = MultUnitary(kl, op, amb)
+    kl = tensor_space(w_mu.space, module.space)
+    op = _construction(w_mu, module, f_mu, "over", "under").with_legs((kl, kl), (kl, kl))
+    out = MultUnitary(kl, op, w_mu.braiding)
     res = pentagon_residual(out)
     if res > PENTAGON_GATE:
         raise SemidirectError(
@@ -102,18 +106,9 @@ def routing_agreement_residual(w_mu: MultUnitary, module: YDModule,
     W, U, V and F are category morphisms, so swapping over and under at both
     braided sites must not change the matrix.
     """
-    k, lc = w_mu.space, module.space
-    ctx = (k, lc, k, lc)
-    amb = w_mu.braiding
-    v34 = embed_adjacent(module.rep, ctx, 3)
-    vstar34 = embed_adjacent(adjoint(module.rep), ctx, 3)
-    u23 = embed_adjacent(module.corep, ctx, 2)
-    mats = []
-    for f_route, w_route in (("under", "over"), ("over", "under")):
-        f24 = apply_distant(f_mu.op, ctx, (2, 4), f_route, amb)
-        w13 = apply_distant(w_mu.op, ctx, (1, 3), w_route, amb)
-        mats.append(compose(w13, compose(u23, compose(vstar34, compose(f24, v34)))).matrix)
-    return float(np.linalg.norm(mats[0] - mats[1]))
+    default = _construction(w_mu, module, f_mu, "over", "under")
+    swapped = _construction(w_mu, module, f_mu, "under", "over")
+    return float(np.linalg.norm(default.matrix - swapped.matrix))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
 from . import spans
-from .multunitary import MultUnitary, full_certificate, pentagon_residual
+from .multunitary import MultUnitary, full_certificate, pentagon_defect, pentagon_residual
 from .tensor import LegOperator, LegSignature, Space, tensor_space
 
 __all__ = [
@@ -115,14 +115,8 @@ class SearchProblem:
         vecs = np.array([b.reshape(-1) for b in kept])
         real = np.hstack([vecs.real, vecs.imag])
         u, s, vh = np.linalg.svd(real, full_matrices=False)
-        keep = s > spans.RANK_CUTOFF * s[0] if s.size and s[0] > 0 else []
-        out = []
-        for i in range(len(s)):
-            if not keep[i]:
-                continue
-            v = vh[i, :dim * dim] + 1j * vh[i, dim * dim:]
-            out.append(v.reshape(dim, dim))
-        return out
+        return [(v[:dim * dim] + 1j * v[dim * dim:]).reshape(dim, dim)
+                for v in vh[:spans.numerical_rank(s)]]
 
     @property
     def param_count(self) -> int:
@@ -138,37 +132,27 @@ class SearchProblem:
     def unitary(self, params: np.ndarray) -> np.ndarray:
         return expm(1j * self.hermitian(params))
 
-    def _pentagon_pieces(self):
-        l = self.space
-        n = l.dim
-        c = self.braiding.braid(l, l).matrix
-        eye = np.eye(n)
-        return n, np.kron(c, eye), np.kron(np.linalg.inv(c), eye)
-
-
-def _defect(problem: SearchProblem, f: np.ndarray) -> np.ndarray:
-    n, c12, cinv12 = problem._pentagon_pieces()
-    eye = np.eye(n)
-    f12 = np.kron(f, eye)
-    f23 = np.kron(eye, f)
-    return f23 @ f12 - f12 @ c12 @ f23 @ cinv12 @ f23
-
 
 def residual_objective(problem: SearchProblem, params: np.ndarray) -> float:
     """Squared Hilbert-Schmidt norm of the Pentagon defect."""
-    p = _defect(problem, problem.unitary(params))
+    l = problem.space
+    p = pentagon_defect(problem.unitary(params), problem.braiding.braid(l, l).matrix,
+                        problem.braiding.braid_inverse(l, l).matrix)
     return float(np.vdot(p, p).real)
 
 
 def gradient(problem: SearchProblem, params: np.ndarray) -> np.ndarray:
     """Exact gradient of the objective via the Frechet derivative of expm."""
-    n, c12, cinv12 = problem._pentagon_pieces()
-    eye = np.eye(n)
+    l = problem.space
+    c = problem.braiding.braid(l, l).matrix
+    cinv = problem.braiding.braid_inverse(l, l).matrix
+    eye = np.eye(l.dim)
+    c12, cinv12 = np.kron(c, eye), np.kron(cinv, eye)
     h = problem.hermitian(params)
     f = expm(1j * h)
     f12 = np.kron(f, eye)
     f23 = np.kron(eye, f)
-    p = _defect(problem, f)
+    p = pentagon_defect(f, c, cinv)
     g = np.zeros(problem.param_count)
     for a, b in enumerate(problem._param_basis):
         df = expm_frechet(1j * h, 1j * b, compute_expm=False)

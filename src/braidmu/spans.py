@@ -19,7 +19,8 @@ from .tensor import (LegError, LegOperator, LegSignature, Space, adjoint, compos
 __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
     "equals", "projector_distance", "product_span", "adjoint_span", "is_algebra",
-    "is_star_closed", "is_nondegenerate", "null_space", "kernel_of_linear_map",
+    "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
+    "kernel_of_linear_map",
     "crossed_injections", "crossed_product", "crossed_product_commutes",
     "is_relative_multiplier", "Conjugation", "identity_conjugation",
     "CrossedProductExtension", "DecompositionError", "extend_on_crossed_product",
@@ -68,6 +69,28 @@ def _unvec(v: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...]
     return LegOperator(sig, v.reshape(sig.cod_dim, sig.dom_dim))
 
 
+def numerical_rank(s: np.ndarray, cutoff: float = RANK_CUTOFF,
+                   scale: float | None = None) -> int:
+    """Number of singular values above ``cutoff`` times the anchor.
+
+    ``s`` is sorted descending, as numpy's SVD returns it.  The anchor is
+    ``s[0]``, or ``max(s[0], scale)`` when a scale is given; a spectrum with
+    no positive anchor has rank zero.
+    """
+    if not s.size:
+        return 0
+    anchor = max(s[0], scale) if scale is not None else s[0]
+    return int(np.sum(s > cutoff * anchor)) if anchor > 0 else 0
+
+
+def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...],
+              cutoff: float) -> OperatorSpan:
+    """Orthonormal span of the rows (vectorized operators) by a rank-revealing SVD."""
+    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    basis = tuple(_unvec(v, domain, codomain) for v in vh[:numerical_rank(s, cutoff)])
+    return OperatorSpan(domain, codomain, basis)
+
+
 def span_of(operators: Sequence[LegOperator], cutoff: float = RANK_CUTOFF) -> OperatorSpan:
     """Orthonormalize a list of operators with a rank-revealing SVD."""
     ops = list(operators)
@@ -77,14 +100,7 @@ def span_of(operators: Sequence[LegOperator], cutoff: float = RANK_CUTOFF) -> Op
     for op in ops:
         if op.domain != domain or op.codomain != codomain:
             raise LegError("span_of: mixed signatures")
-    a = np.array([_vec(op) for op in ops])
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size and s[0] > 0:
-        keep = s > cutoff * s[0]
-    else:
-        keep = np.zeros(s.shape, dtype=bool)
-    basis = tuple(_unvec(vh[i], domain, codomain) for i in range(len(s)) if keep[i])
-    return OperatorSpan(domain, codomain, basis)
+    return _row_span(np.array([_vec(op) for op in ops]), domain, codomain, cutoff)
 
 
 def span_from_slices(x: LegOperator, side: str, cutoff: float = RANK_CUTOFF) -> OperatorSpan:
@@ -106,10 +122,7 @@ def span_from_slices(x: LegOperator, side: str, cutoff: float = RANK_CUTOFF) -> 
         domain, codomain = (d2,), (c2,)
     else:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    u, s, vh = np.linalg.svd(slices, full_matrices=False)
-    keep = s > cutoff * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-    basis = tuple(_unvec(vh[i], domain, codomain) for i in range(len(s)) if keep[i])
-    return OperatorSpan(domain, codomain, basis)
+    return _row_span(slices, domain, codomain, cutoff)
 
 
 def contains(span: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
@@ -200,8 +213,7 @@ def is_nondegenerate(s: OperatorSpan, tol: float = 1e-9) -> bool:
         return False
     cols = np.hstack([b.matrix for b in s.basis])
     sv = np.linalg.svd(cols, compute_uv=False)
-    rank = int(np.sum(sv > max(tol, RANK_CUTOFF) * sv[0])) if sv[0] > 0 else 0
-    return rank == total_dim(s.codomain)
+    return numerical_rank(sv, max(tol, RANK_CUTOFF)) == total_dim(s.codomain)
 
 
 def null_space(t: np.ndarray, cutoff: float = RANK_CUTOFF,
@@ -215,11 +227,9 @@ def null_space(t: np.ndarray, cutoff: float = RANK_CUTOFF,
     if t.size == 0 or not np.any(t):
         return np.eye(t.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(t, full_matrices=True)
-    anchor = max(s[0], scale) if scale is not None else s[0]
-    rank = int(np.sum(s > cutoff * anchor))
     # t maps conj(vh[j]) to s_j u_j, so the kernel is spanned by the
     # conjugated trailing right-singular rows
-    return vh[rank:].conj()
+    return vh[numerical_rank(s, cutoff, scale):].conj()
 
 
 def kernel_of_linear_map(t: np.ndarray, domain: Sequence[Space], codomain: Sequence[Space],
@@ -243,6 +253,9 @@ def crossed_injections(variant: str, provider, legs1: Sequence[Space],
     variant "hbt":  a |-> c_{H2,H1} (1 (x) a) c_{H2,H1}^{-1},  b |-> 1 (x) b
     variant "habt": a |-> c_{H1,H2}^{-1} (1 (x) a) c_{H1,H2},  b |-> 1 (x) b
     variant "bt":   a |-> a (x) 1,  b |-> c_{H1,H2}^{-1} (b (x) 1) c_{H1,H2}
+
+    Each c^{-1} is the block braiding of ``provider.inverse()``; expanding it
+    through the hexagon identities makes it the inverse of the block braiding c.
     """
     from .braiding import braid_tensor
 
@@ -251,17 +264,17 @@ def crossed_injections(variant: str, provider, legs1: Sequence[Space],
 
     if variant == "hbt":
         c = braid_tensor(provider, legs2, legs1)  # H2 (x) H1 -> H1 (x) H2
-        cinv = LegOperator(LegSignature(c.codomain, c.domain), np.linalg.inv(c.matrix))
+        cinv = braid_tensor(provider.inverse(), legs1, legs2)
         alpha = lambda a: compose(compose(c, tensor(id2, a)), cinv)
         beta = lambda b: tensor(id1, b)
     elif variant == "habt":
         c = braid_tensor(provider, legs1, legs2)  # H1 (x) H2 -> H2 (x) H1
-        cinv = LegOperator(LegSignature(c.codomain, c.domain), np.linalg.inv(c.matrix))
+        cinv = braid_tensor(provider.inverse(), legs2, legs1)
         alpha = lambda a: compose(compose(cinv, tensor(id2, a)), c)
         beta = lambda b: tensor(id1, b)
     elif variant == "bt":
         c = braid_tensor(provider, legs1, legs2)
-        cinv = LegOperator(LegSignature(c.codomain, c.domain), np.linalg.inv(c.matrix))
+        cinv = braid_tensor(provider.inverse(), legs2, legs1)
         alpha = lambda a: tensor(a, id2)
         beta = lambda b: compose(compose(cinv, tensor(b, id1)), c)
     else:

@@ -17,7 +17,6 @@ __all__ = [
     "LegError", "Space", "LegSignature", "LegOperator", "Vector",
     "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
     "embed_adjacent", "apply_distant", "extract_distant", "is_unitary",
-    "hs_norm", "hs_inner",
 ]
 
 
@@ -182,8 +181,7 @@ def _move_crossing(braiding, a: Space, m: Space, route: str) -> LegOperator:
     # Route "over" is pinned by the Pentagon right-hand side c12 F23 cinv12:
     # the first conjugator there is the inverse braiding.
     if route == "over":
-        c = braiding.braid(m, a)
-        return LegOperator(LegSignature((a, m), (m, a)), np.linalg.inv(c.matrix))
+        return braiding.braid_inverse(m, a)
     if route == "under":
         return braiding.braid(a, m)
     raise ValueError(f"route must be 'over' or 'under', got {route!r}")
@@ -195,8 +193,7 @@ def _back_crossing(braiding, m: Space, a: Space, route: str) -> LegOperator:
     if route == "over":
         return braiding.braid(m, a)
     if route == "under":
-        c = braiding.braid(a, m)
-        return LegOperator(LegSignature((m, a), (a, m)), np.linalg.inv(c.matrix))
+        return braiding.braid_inverse(a, m)
     raise ValueError(f"route must be 'over' or 'under', got {route!r}")
 
 
@@ -296,12 +293,3 @@ def is_unitary(x: LegOperator, tol: float = 1e-9) -> bool:
     return (np.linalg.norm(m.conj().T @ m - eye) < tol
             and np.linalg.norm(m @ m.conj().T - eye) < tol)
 
-
-def hs_norm(x: LegOperator | np.ndarray) -> float:
-    m = x.matrix if isinstance(x, LegOperator) else x
-    return float(np.linalg.norm(m))
-
-
-def hs_inner(x: LegOperator, y: LegOperator) -> complex:
-    """trace(x* y), the Hilbert-Schmidt pairing."""
-    return complex(np.vdot(x.matrix, y.matrix))

@@ -60,6 +60,18 @@ def test_inverse_provider_round_trip():
     np.testing.assert_allclose(got, expected)
 
 
+def test_inverse_braiding_is_the_base_braid_inverse():
+    g2, g3 = Space("G", 2, (0, 1)), Space("T", 3, (0, 1, 2))
+    table = bm.ExplicitBraiding()
+    table.register(bm.PhaseBraiding(3).braid(g3, g2))
+    for base, (h, k) in ((bm.FlipBraiding(), (H2, K3)), (bm.PhaseBraiding(3), (g2, g3)),
+                         (table, (g2, g3))):
+        got = bm.InverseBraiding(base).braid(h, k)
+        expected = base.braid_inverse(k, h)
+        assert got.signature == expected.signature == LegSignature((h, k), (k, h))
+        np.testing.assert_array_equal(got.matrix, expected.matrix)
+
+
 def test_hexagons_flip_exact():
     report = bm.check_hexagons(bm.FlipBraiding(), [H2, K3])
     assert report["max_residual"] == 0.0

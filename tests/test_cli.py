@@ -172,3 +172,56 @@ def test_reports_are_self_contained(tmp_path):
         else:
             assert check["pass"] == bool(check["value"])
     assert tree["pass"] == all(c["pass"] for c in tree["checks"])
+
+
+def _without_times(checks):
+    return [{k: v for k, v in c.items() if k != "wall_time_s"} for c in checks]
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-6"])
+@pytest.mark.parametrize("kind", ["kac-takesaki", "identity"])
+def test_analyze_report_is_the_certificate_check_list(tmp_path, kind, tol):
+    out = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    extra, name = (["--n", "3"], "W") if kind == "kac-takesaki" else (["--dim", "2"], "F")
+    assert run(["generate", kind, *extra, "-o", str(out)]) == 0
+    code = run(["analyze", str(out), "--object", name, "--tol", tol, "--report", str(report)])
+    tree = read_json(str(report))
+    cert = bm.full_certificate(bm.load_bundle(str(out)).mult_unitary(name), float(tol))
+    # json.dumps writes NaN for the identity control's unsupported hexagon on both sides
+    assert json.dumps(_without_times(tree["checks"])) == json.dumps(_without_times(cert.checks()))
+    assert tree["pass"] == cert.all_passed
+    assert code == (0 if cert.all_passed else 1)
+
+
+def test_report_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    bundle = tmp_path / "w.json"
+    stmt = tmp_path / "s.stmt"
+    stmt.write_text("context: L L\nW[1,2] == W[1,2]\n")
+    run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(bundle)])
+    missing = str(tmp_path / "missing" / "r.json")
+    for argv in (["analyze", str(bundle)],
+                 ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2",
+                  "-o", str(tmp_path / "found.json")],
+                 ["eval", str(stmt), str(bundle)]):
+        capsys.readouterr()
+        assert run(argv + ["--report", missing]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("flags", [["--dim", "0"], ["--category", "phase", "--modulus", "0"]])
+def test_search_rejects_nonpositive_sizes_as_usage_errors(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", *flags, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_eval_rejects_use_lines(tmp_path, capsys):
+    data = tmp_path / "yd.json"
+    run(["generate", "group-yd", "-o", str(data)])
+    stmt = tmp_path / "use.stmt"
+    stmt.write_text("context: L L\nuse: W\nW[1,2] == W[1,2]\n")
+    assert run(["eval", str(stmt), str(data)]) == 2
+    assert "line 2" in capsys.readouterr().err

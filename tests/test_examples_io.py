@@ -156,6 +156,14 @@ def test_unknown_braiding_kind_is_a_schema_error():
     assert "/braiding/kind" in str(err.value)
 
 
+@pytest.mark.parametrize("modulus", ["0", "-2", "2.5", '"3"', "true", "null"])
+def test_phase_modulus_must_be_a_positive_integer(modulus):
+    with pytest.raises(SchemaError) as err:
+        bm.bundle_from_json('{"version":1,"spaces":{},"braiding":{"kind":"phase",'
+                            f'"modulus":{modulus}}},"operators":{{}},"groups":{{}}}}')
+    assert err.value.path == "/braiding/modulus"
+
+
 def test_version_mismatch_is_reported():
     with pytest.raises(SchemaError) as err:
         bm.bundle_from_json('{"version":7,"spaces":{},"braiding":{"kind":"flip"},'

@@ -6,6 +6,8 @@ import pytest
 import braidmu as bm
 from braidmu import spans
 from braidmu import LegOperator, LegSignature, Space
+from braidmu.braiding import braid_tensor
+from braidmu.tensor import total_dim
 
 from conftest import random_unitary
 
@@ -254,3 +256,46 @@ def test_cstar_closure_ladder(z2, z3):
         assert spans._subset_residual(
             [bm.compose(bm.adjoint(a), b) for a in c.basis for b in c.basis], c) < 1e-9
         assert spans.is_star_closed(c, 1e-9)
+
+
+def _oracle_injections(variant, provider, legs1, legs2):
+    """crossed_injections with c^{-1} taken as np.linalg.inv of the block braiding."""
+    id1, id2 = np.eye(total_dim(legs1)), np.eye(total_dim(legs2))
+    if variant == "hbt":
+        c = braid_tensor(provider, legs2, legs1).matrix
+        return (lambda a: c @ np.kron(id2, a) @ np.linalg.inv(c),
+                lambda b: np.kron(id1, b))
+    c = braid_tensor(provider, legs1, legs2).matrix
+    cinv = np.linalg.inv(c)
+    if variant == "habt":
+        return lambda a: cinv @ np.kron(id2, a) @ c, lambda b: np.kron(id1, b)
+    return lambda a: np.kron(a, id2), lambda b: cinv @ np.kron(b, id1) @ c
+
+
+def _z3_yd_table():
+    omega = np.exp(2j * np.pi / 3)
+    module, mu = bm.group_yd_module(bm.cyclic(3), [0, 1, 2],
+                                    [np.diag(omega ** (g * np.arange(3))) for g in range(3)])
+    return bm.yd_braiding_provider([module], mu, include_tensors=False), module.space
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
+def test_crossed_injections_match_the_inverted_block_braiding(kind):
+    if kind == "yd":
+        provider, h = _z3_yd_table()
+        k = h
+    else:
+        h, k = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+        provider = bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)
+    rng = np.random.default_rng(5)
+    for legs1, legs2 in (((h, k), (k,)), ((h,), (k, h))):
+        d1, d2 = total_dim(legs1), total_dim(legs2)
+        a = rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1))
+        b = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+        for variant in ("hbt", "habt", "bt"):
+            alpha, beta = spans.crossed_injections(variant, provider, legs1, legs2)
+            oracle_alpha, oracle_beta = _oracle_injections(variant, provider, legs1, legs2)
+            np.testing.assert_allclose(alpha(leg_op(a, legs1)).matrix, oracle_alpha(a),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(beta(leg_op(b, legs2)).matrix, oracle_beta(b),
+                                       rtol=0, atol=1e-12)
