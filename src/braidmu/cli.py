@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -62,7 +63,21 @@ def _write_report(path: str, text: str) -> bool:
     return True
 
 
+def _missing_directory(*paths: str | None) -> bool:
+    """Print an error and return True if a path's parent directory is missing."""
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            print(f"error: no such directory: {directory}", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_generate(args) -> int:
+    if _missing_directory(args.output):
+        return 2
     bundle = Bundle()
     if args.kind == "kac-takesaki":
         if args.group.lower() == "zn":
@@ -138,6 +153,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # checked before the restarts run, so a bad path wastes no search
+    if _missing_directory(args.output, args.report):
+        return 2
     if args.category == "flip":
         space_grading = None
         from .braiding import FlipBraiding
@@ -231,6 +249,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for finite floats > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="braidmu",
                                      description=__doc__.splitlines()[0])
@@ -256,9 +282,9 @@ def main(argv=None) -> int:
     p.add_argument("--dim", type=positive_int, default=2)
     p.add_argument("--modulus", type=positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--target-residual", type=float, default=1e-8)
+    p.add_argument("--restarts", type=positive_int, default=8)
+    p.add_argument("--max-iter", type=positive_int, default=200)
+    p.add_argument("--target-residual", type=positive_float, default=1e-8)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_search)

@@ -3,6 +3,13 @@
 Candidates are parametrized as exp(i H) with H Hermitian in a constrained
 subspace, so every iterate sits exactly on the unitary manifold and the
 Pentagon residual is the only acceptance quantity.
+
+The exponential and its Frechet derivative both come from one ``eigh`` of H,
+and the gradient runs in reverse mode: one adjoint Frechet derivative per
+call, whatever the number of parameters.  Nothing here calls ``scipy.linalg``:
+numpy and scipy link separate OpenBLAS builds, each with its own thread pool,
+and alternating between two pools on the same cores costs milliseconds per
+switch, more than a whole small gradient.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 from scipy.optimize import minimize
 
 from . import spans
@@ -88,14 +94,18 @@ class SearchProblem:
     target_residual: float = 1e-8
 
     def __post_init__(self):
+        # (param_count, n^2, n^2): stacked Hermitian generators of H
         self._param_basis = self._feasible_basis()
+        l = self.space
+        self._c = self.braiding.braid(l, l).matrix
+        self._cinv = self.braiding.braid_inverse(l, l).matrix
 
-    def _feasible_basis(self) -> list[np.ndarray]:
+    def _feasible_basis(self) -> np.ndarray:
         square = tensor_space(self.space, self.space)
         dim = square.dim
         basis = _hermitian_basis(dim)
         if not self.constraints:
-            return basis
+            return np.array(basis)
         kept = basis
         for c in self.constraints:
             if isinstance(c, DegreePreservingConstraint):
@@ -115,55 +125,77 @@ class SearchProblem:
         vecs = np.array([b.reshape(-1) for b in kept])
         real = np.hstack([vecs.real, vecs.imag])
         u, s, vh = np.linalg.svd(real, full_matrices=False)
-        return [(v[:dim * dim] + 1j * v[dim * dim:]).reshape(dim, dim)
-                for v in vh[:spans.numerical_rank(s)]]
+        vh = vh[:spans.numerical_rank(s)]
+        return (vh[:, :dim * dim] + 1j * vh[:, dim * dim:]).reshape(-1, dim, dim)
 
     @property
     def param_count(self) -> int:
         return len(self._param_basis)
 
     def hermitian(self, params: np.ndarray) -> np.ndarray:
-        dim = self.space.dim ** 2
-        h = np.zeros((dim, dim), dtype=complex)
-        for t, b in zip(params, self._param_basis):
-            h = h + t * b
+        h = np.tensordot(params, self._param_basis, axes=1)
         return (h + h.conj().T) / 2
 
     def unitary(self, params: np.ndarray) -> np.ndarray:
-        return expm(1j * self.hermitian(params))
+        return _exp_i(*np.linalg.eigh(self.hermitian(params)))
+
+
+def _exp_i(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(iH) for H = V diag(lam) V*."""
+    return (v * np.exp(1j * lam)) @ v.conj().T
+
+
+def expm_frechet(lam: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Frechet derivative of H -> exp(iH) at H = V diag(lam) V*, in direction E.
+
+    Daleckii-Krein: L(E) = V [(V* E V) o Phi] V*, where Phi_jk is the divided
+    difference of exp(ix) at lam_j, lam_k, written as
+    i exp(i(lam_j + lam_k)/2) sinc((lam_j - lam_k)/2pi) so that repeated
+    eigenvalues need no special case.  Since conj(Phi(lam)) = -Phi(-lam), the
+    adjoint map G -> V [(V* G V) o conj(Phi)] V* is -expm_frechet(-lam, v, G).
+    """
+    phi = 1j * np.exp(0.5j * (lam[:, None] + lam[None, :])) \
+        * np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
+    vh = v.conj().T
+    return v @ ((vh @ e @ v) * phi) @ vh
 
 
 def residual_objective(problem: SearchProblem, params: np.ndarray) -> float:
     """Squared Hilbert-Schmidt norm of the Pentagon defect."""
-    l = problem.space
-    p = pentagon_defect(problem.unitary(params), problem.braiding.braid(l, l).matrix,
-                        problem.braiding.braid_inverse(l, l).matrix)
+    p = pentagon_defect(problem.unitary(params), problem._c, problem._cinv)
     return float(np.vdot(p, p).real)
 
 
 def gradient(problem: SearchProblem, params: np.ndarray) -> np.ndarray:
-    """Exact gradient of the objective via the Frechet derivative of expm."""
-    l = problem.space
-    c = problem.braiding.braid(l, l).matrix
-    cinv = problem.braiding.braid_inverse(l, l).matrix
-    eye = np.eye(l.dim)
-    c12, cinv12 = np.kron(c, eye), np.kron(cinv, eye)
-    h = problem.hermitian(params)
-    f = expm(1j * h)
-    f12 = np.kron(f, eye)
-    f23 = np.kron(eye, f)
+    """Exact gradient of the objective in reverse mode.
+
+    The defect P is pulled back to G = dObj/dF (dObj = 2 Re <G, dF>), then
+    through one adjoint Frechet derivative of exp to K = dObj/dH, whose
+    Hilbert-Schmidt products with the parameter basis are the partials.
+    """
+    lam, v = np.linalg.eigh(problem.hermitian(params))
+    f = _exp_i(lam, v)
+    c, cinv = problem._c, problem._cinv
     p = pentagon_defect(f, c, cinv)
-    g = np.zeros(problem.param_count)
-    for a, b in enumerate(problem._param_basis):
-        df = expm_frechet(1j * h, 1j * b, compute_expm=False)
-        d12 = np.kron(df, eye)
-        d23 = np.kron(eye, df)
-        dp = (d23 @ f12 + f23 @ d12
-              - d12 @ c12 @ f23 @ cinv12 @ f23
-              - f12 @ c12 @ d23 @ cinv12 @ f23
-              - f12 @ c12 @ f23 @ cinv12 @ d23)
-        g[a] = 2.0 * np.vdot(p, dp).real
-    return g
+    n = problem.space.dim
+    eye = np.eye(n)
+    f12, f23 = np.kron(f, eye), np.kron(eye, f)
+    c12, cinv12 = np.kron(c, eye), np.kron(cinv, eye)
+    # P = F23 F12 - F12 c12 F23 cinv12 F23; each term X dF Y of dP pulls
+    # back to X* P Y* on the slot (12 or 23) that dF occupies
+    braided = c12 @ f23 @ cinv12
+    m12 = f23.conj().T @ p - p @ (braided @ f23).conj().T
+    m23 = (p @ f12.conj().T
+           - (f12 @ c12).conj().T @ p @ (cinv12 @ f23).conj().T
+           - (f12 @ braided).conj().T @ p)
+    # <M, dF (x) 1> and <M, 1 (x) dF> pair dF with M traced over leg 3 or leg 1
+    nn = n * n
+    g = (np.trace(m12.reshape(nn, n, nn, n), axis1=1, axis2=3)
+         + np.trace(m23.reshape(n, nn, n, nn), axis1=0, axis2=2))
+    k = -expm_frechet(-lam, v, g)
+    # 2 Re <K, B_a> for every basis element at once
+    return 2.0 * (problem._param_basis.reshape(problem.param_count, -1)
+                  @ k.conj().reshape(-1)).real
 
 
 def scalar_orbit_distance(f: np.ndarray) -> float:

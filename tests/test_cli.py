@@ -124,6 +124,16 @@ def test_search_with_zero_target_is_exit_zero(tmp_path):
         assert bm.pentagon_residual(bundle.mult_unitary(name)) < 1e-300
 
 
+def test_search_at_dimension_four(tmp_path):
+    out = tmp_path / "d4.json"
+    assert run(["search", "--category", "flip", "--dim", "4", "--restarts", "1",
+                "--max-iter", "1", "-o", str(out)]) == 0
+    bundle = bm.load_bundle(str(out))
+    assert bundle.spaces["L"].dim == 4
+    for name in bundle.operators:
+        assert bm.pentagon_residual(bundle.mult_unitary(name)) < 1e-8
+
+
 def corpus_path(name):
     import importlib.resources as resources
     return str(resources.files("braidmu") / "corpus" / name)
@@ -225,3 +235,31 @@ def test_eval_rejects_use_lines(tmp_path, capsys):
     stmt.write_text("context: L L\nuse: W\nW[1,2] == W[1,2]\n")
     assert run(["eval", str(stmt), str(data)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--restarts", "-1"], "must be at least 1"),
+    (["--max-iter", "-3"], "must be at least 1"),
+    (["--target-residual", "nan"], "must be a positive finite number"),
+    (["--target-residual", "-1"], "must be a positive finite number"),
+])
+def test_search_rejects_meaningless_budgets_as_usage_errors(tmp_path, capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", *flags, "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "kac-takesaki", "--group", "Zn", "--n", "2"],
+    ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2"],
+], ids=["generate", "search"])
+def test_output_into_a_missing_directory_is_an_input_error(tmp_path, capsys, argv, monkeypatch):
+    import braidmu.cli as cli
+    searched = []
+    monkeypatch.setattr(cli, "search", lambda problem: searched.append(problem) or [])
+    assert run(argv + ["-o", str(tmp_path / "missing" / "x.json")]) == 2
+    assert "error: no such directory" in capsys.readouterr().err
+    assert not searched  # checked before any restart runs
+    assert not (tmp_path / "missing").exists()

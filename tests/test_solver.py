@@ -1,8 +1,12 @@
 import numpy as np
-from scipy.linalg import logm
+import pytest
+from scipy.linalg import expm, logm
+from scipy.linalg import expm_frechet as scipy_expm_frechet
 
 import braidmu as bm
 from braidmu import Space
+from braidmu.multunitary import pentagon_defect
+from braidmu.solver import expm_frechet
 
 from conftest import random_unitary
 
@@ -28,6 +32,99 @@ def params_of(problem, unitary):
     h = (h + h.conj().T) / 2
     return np.array([np.vdot(b.reshape(-1), h.reshape(-1)).real
                      for b in problem._param_basis])
+
+
+def forward_mode_gradient(problem, params):
+    """Oracle: one scipy Frechet derivative and five dense products per parameter."""
+    l = problem.space
+    c = problem.braiding.braid(l, l).matrix
+    cinv = problem.braiding.braid_inverse(l, l).matrix
+    eye = np.eye(l.dim)
+    c12, cinv12 = np.kron(c, eye), np.kron(cinv, eye)
+    h = problem.hermitian(params)
+    f = expm(1j * h)
+    f12 = np.kron(f, eye)
+    f23 = np.kron(eye, f)
+    p = pentagon_defect(f, c, cinv)
+    g = np.zeros(problem.param_count)
+    for a, b in enumerate(problem._param_basis):
+        df = scipy_expm_frechet(1j * h, 1j * b, compute_expm=False)
+        d12 = np.kron(df, eye)
+        d23 = np.kron(eye, df)
+        dp = (d23 @ f12 + f23 @ d12
+              - d12 @ c12 @ f23 @ cinv12 @ f23
+              - f12 @ c12 @ d23 @ cinv12 @ f23
+              - f12 @ c12 @ f23 @ cinv12 @ d23)
+        g[a] = 2.0 * np.vdot(p, dp).real
+    return g
+
+
+def oracle_problems():
+    sz = np.diag([1.0, -1.0])
+    return {
+        "flip d=2": lambda: flip_problem(),
+        "flip d=3": lambda: flip_problem(dim=3),
+        "super d=2": lambda: super_problem(),
+        "super d=4": lambda: bm.SearchProblem(
+            space=Space("L", 4, (0, 1, 0, 1)), braiding=bm.PhaseBraiding(2),
+            constraints=(bm.DegreePreservingConstraint(2),)),
+        "phase m=3 d=3": lambda: bm.SearchProblem(
+            space=Space("L", 3, (0, 1, 2)), braiding=bm.PhaseBraiding(3),
+            constraints=(bm.DegreePreservingConstraint(3),)),
+        "flip d=2 commutant": lambda: flip_problem(
+            constraints=(bm.CommutantConstraint([np.kron(sz, sz)]),)),
+    }
+
+
+def random_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("name", list(oracle_problems()))
+def test_gradient_matches_the_forward_mode_oracle(name):
+    problem = oracle_problems()[name]()
+    rng = np.random.default_rng(13)
+    for scale in (0.0, 1e-3, 1.0):
+        theta = scale * rng.normal(size=problem.param_count)
+        oracle = forward_mode_gradient(problem, theta)
+        # relative, plus a roundoff floor for theta = 0 (the identity, an
+        # exact solution), where both gradients vanish up to rounding
+        err = np.linalg.norm(bm.gradient(problem, theta) - oracle)
+        assert err <= 1e-12 * np.linalg.norm(oracle) + 1e-14, (scale, err)
+
+
+@pytest.mark.parametrize("name", list(oracle_problems()))
+def test_unitary_matches_scipy_expm(name):
+    problem = oracle_problems()[name]()
+    rng = np.random.default_rng(14)
+    for scale in (0.0, 1e-3, 1.0, 3.0):
+        theta = scale * rng.normal(size=problem.param_count)
+        reference = expm(1j * problem.hermitian(theta))
+        assert np.abs(problem.unitary(theta) - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("h", [np.zeros((4, 4)), np.diag([1.0, 1.0, 2.0, 2.0])],
+                         ids=["zero", "repeated"])
+def test_spectral_frechet_matches_scipy_at_degenerate_spectra(h):
+    rng = np.random.default_rng(15)
+    lam, v = np.linalg.eigh(h)
+    for _ in range(3):
+        e = random_hermitian(4, rng)
+        reference = scipy_expm_frechet(1j * h, 1j * e, compute_expm=False)
+        assert np.abs(expm_frechet(lam, v, e) - reference).max() <= 1e-12
+
+
+def test_spectral_frechet_adjoint_identity():
+    # <G, L(E)> = <L*(G), E> with L*(G) = -expm_frechet(-lam, V, G)
+    rng = np.random.default_rng(16)
+    for dim in (4, 9):
+        lam, v = np.linalg.eigh(random_hermitian(dim, rng))
+        e = random_hermitian(dim, rng)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        lhs = np.vdot(g, expm_frechet(lam, v, e))
+        rhs = np.vdot(-expm_frechet(-lam, v, g), e)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_objective_vanishes_at_known_solutions(z2):
