@@ -167,21 +167,19 @@ def check_hexagons(provider: BraidingProvider, spaces: Sequence[Space]) -> dict:
 
     The left-hand sides braid genuine product spaces, so a provider must
     supply (or derive) braidings for them; this is what keeps the check
-    meaningful for explicit tables.
+    meaningful for explicit tables.  The right-hand sides are the block
+    crossings of :func:`braid_tensor`, the one place multi-leg crossings
+    are built.
     """
     worst = 0.0
     count = 0
     for u in spaces:
         for v in spaces:
             for w in spaces:
-                vw = tensor_space(v, w)
-                lhs1 = provider.braid(u, vw)
-                rhs1 = compose(embed_adjacent(provider.braid(u, w), (v, u, w), 2),
-                               tensor(provider.braid(u, v), identity((w,))))
-                uv = tensor_space(u, v)
-                lhs2 = provider.braid(uv, w)
-                rhs2 = compose(tensor(provider.braid(u, w), identity((v,))),
-                               embed_adjacent(provider.braid(v, w), (u, v, w), 2))
+                lhs1 = provider.braid(u, tensor_space(v, w))
+                rhs1 = braid_tensor(provider, (u,), (v, w))
+                lhs2 = provider.braid(tensor_space(u, v), w)
+                rhs2 = braid_tensor(provider, (u, v), (w,))
                 worst = max(worst,
                             float(np.linalg.norm(lhs1.matrix - rhs1.matrix)),
                             float(np.linalg.norm(lhs2.matrix - rhs2.matrix)))

@@ -222,13 +222,23 @@ def _matrix_tree(m: np.ndarray) -> list:
 
 def _matrix_from_tree(tree, path: str) -> np.ndarray:
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in tree]
-    except (TypeError, IndexError):
-        raise SchemaError(path, "matrix entries must be [re, im] pairs") from None
-    m = np.array(rows, dtype=complex)
+        m = np.array([[complex(entry[0], entry[1]) for entry in row] for row in tree],
+                     dtype=complex)
+    except (TypeError, IndexError, KeyError, ValueError):
+        raise SchemaError(path, "matrix must be equal-length rows of [re, im] pairs") from None
     if m.ndim != 2:
         raise SchemaError(path, "matrix must be two-dimensional")
+    if not np.isfinite(m).all():
+        raise SchemaError(path, "matrix entries must be finite")
     return m
+
+
+def _expect(node, kind: type, path: str):
+    """The node itself, when it is a JSON object (``dict``) or array (``list``)."""
+    if not isinstance(node, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise SchemaError(path, f"expected {expected}, got {type(node).__name__}")
+    return node
 
 
 def bundle_to_json(bundle: Bundle) -> str:
@@ -277,7 +287,7 @@ def bundle_from_json(text: str) -> Bundle:
         raise SchemaError("/version", f"unsupported version {version!r}, "
                                       f"expected {SCHEMA_VERSION}")
     bundle = Bundle()
-    for sid, entry in tree.get("spaces", {}).items():
+    for sid, entry in _expect(tree.get("spaces", {}), dict, "/spaces").items():
         path = f"/spaces/{sid}"
         if not isinstance(entry, dict) or "dim" not in entry:
             raise SchemaError(path, "expected an object with a 'dim' field")
@@ -285,9 +295,9 @@ def bundle_from_json(text: str) -> Bundle:
         try:
             bundle.spaces[sid] = Space(sid, int(entry["dim"]),
                                        tuple(grading) if grading is not None else None)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(path, str(exc)) from None
-    braiding = tree.get("braiding", {"kind": "flip"})
+    braiding = _expect(tree.get("braiding", {"kind": "flip"}), dict, "/braiding")
     kind = braiding.get("kind")
     if kind not in ("flip", "phase", "explicit"):
         raise SchemaError("/braiding/kind", f"unknown braiding kind {kind!r}")
@@ -299,37 +309,41 @@ def bundle_from_json(text: str) -> Bundle:
                               f"phase braiding needs an integer modulus >= 1, got {modulus!r}")
         bundle.braiding_modulus = modulus
     if kind == "explicit":
-        for idx, pair in enumerate(braiding.get("pairs", [])):
+        for idx, pair in enumerate(_expect(braiding.get("pairs", []), list, "/braiding/pairs")):
             path = f"/braiding/pairs/{idx}"
+            _expect(pair, dict, path)
             try:
                 first = bundle.spaces[pair["first"]]
                 second = bundle.spaces[pair["second"]]
-            except KeyError as exc:
+            except (KeyError, TypeError) as exc:
                 raise SchemaError(path, f"unknown space {exc}") from None
-            m = _matrix_from_tree(pair["matrix"], path + "/matrix")
+            m = _matrix_from_tree(pair.get("matrix"), path + "/matrix")
             sig = LegSignature((first, second), (second, first))
             try:
                 bundle.braiding_pairs.append(LegOperator(sig, m))
             except ValueError as exc:
                 raise SchemaError(path, str(exc)) from None
-    for name, entry in tree.get("operators", {}).items():
+    for name, entry in _expect(tree.get("operators", {}), dict, "/operators").items():
         path = f"/operators/{name}"
+        _expect(entry, dict, path)
         try:
-            domain = tuple(bundle.spaces[s] for s in entry["domain"])
-            codomain = tuple(bundle.spaces[s] for s in entry["codomain"])
-        except KeyError as exc:
+            domain = tuple(bundle.spaces[s]
+                           for s in _expect(entry.get("domain"), list, path + "/domain"))
+            codomain = tuple(bundle.spaces[s]
+                             for s in _expect(entry.get("codomain"), list, path + "/codomain"))
+        except (KeyError, TypeError) as exc:  # TypeError: an unhashable leg id
             raise SchemaError(path, f"unknown space {exc}") from None
-        m = _matrix_from_tree(entry["matrix"], path + "/matrix")
+        m = _matrix_from_tree(entry.get("matrix"), path + "/matrix")
         try:
             bundle.operators[name] = LegOperator(LegSignature(domain, codomain), m)
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from None
-    for name, entry in tree.get("groups", {}).items():
+    for name, entry in _expect(tree.get("groups", {}), dict, "/groups").items():
         path = f"/groups/{name}"
         try:
             bundle.groups[name] = FiniteGroup(name, tuple(tuple(r) for r in entry["table"]),
                                               int(entry.get("identity", 0)))
-        except (GroupTableError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # GroupTableError is a ValueError
             raise SchemaError(path, str(exc)) from None
     return bundle
 

@@ -348,24 +348,21 @@ class CrossedProductExtension:
     """Evaluates (f x g) on a crossed product by decompose-and-map.
 
     Elements are decomposed over a spanning subset of the generator products
-    inj1(a_i) inj2(b_j), picked greedily in a deterministic order; each
-    selected product is mapped to inj1'(f(a_i)) inj2'(g(b_j)) on the target
-    legs.  Well-definedness is the caller's duty to check, e.g. by comparing
-    forward and reverse selection orders.
+    inj1(a_i) inj2(b_j), picked greedily once in forward and once in reverse
+    order; each selected product is mapped to inj1'(f(a_i)) inj2'(g(b_j)) on
+    the target legs.  :meth:`apply` evaluates both decompositions and raises
+    :class:`DecompositionError` when they disagree, i.e. when the extension
+    is not well defined on the element.
     """
 
     def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
                  f: Conjugation | None, g: Conjugation | None,
-                 order: str = "forward", cutoff: float = RANK_CUTOFF):
+                 cutoff: float = RANK_CUTOFF):
         alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
         t1 = f.target if f is not None else s1.domain
         t2 = g.target if g is not None else s2.domain
         alpha2, beta2 = crossed_injections(variant, provider, t1, t2)
         pairs = [(i, j) for i in range(s1.rank) for j in range(s2.rank)]
-        if order == "reverse":
-            pairs = pairs[::-1]
-        elif order != "forward":
-            raise ValueError("order must be 'forward' or 'reverse'")
 
         # injected images are reused across many pairs; conjugate each factor once
         src_a = [alpha(a) for a in s1.basis]
@@ -373,58 +370,57 @@ class CrossedProductExtension:
         tgt_a = [alpha2(f.apply(a) if f is not None else a) for a in s1.basis]
         tgt_b = [beta2(g.apply(b) if g is not None else b) for b in s2.basis]
 
-        src_vecs, mapped, q_rows = [], [], []
-        for (i, j) in pairs:
-            v = _vec(compose(src_a[i], src_b[j]))
-            n = np.linalg.norm(v)
-            if n == 0:
-                continue
-            r = v.copy()
-            for q in q_rows:
-                r -= q * (q.conj() @ r)
-            if np.linalg.norm(r) <= cutoff * n:
-                continue
-            q_rows.append(r / np.linalg.norm(r))
-            src_vecs.append(v)
-            mapped.append(compose(tgt_a[i], tgt_b[j]))
-        if not src_vecs:
-            raise DecompositionError("crossed product has no nonzero generators")
+        mapped = {}  # shared by both selections
+        self._decompositions = []
+        for order in (pairs, pairs[::-1]):
+            src_vecs, selected, q_rows = [], [], []
+            for (i, j) in order:
+                v = _vec(compose(src_a[i], src_b[j]))
+                n = np.linalg.norm(v)
+                if n == 0:
+                    continue
+                r = v.copy()
+                for q in q_rows:
+                    r -= q * (q.conj() @ r)
+                if np.linalg.norm(r) <= cutoff * n:
+                    continue
+                q_rows.append(r / np.linalg.norm(r))
+                src_vecs.append(v)
+                if (i, j) not in mapped:
+                    mapped[(i, j)] = compose(tgt_a[i], tgt_b[j])
+                selected.append(mapped[(i, j)])
+            if not src_vecs:
+                raise DecompositionError("crossed product has no nonzero generators")
+            v = np.array(src_vecs).T                        # ambient x r
+            q, r = np.linalg.qr(v)                          # thin QR for least squares
+            self._decompositions.append((v, q, r, selected))
         self.source_domain = s1.domain + s2.domain
         self.target_domain = t1 + t2
-        self._v = np.array(src_vecs).T                      # ambient x r
-        self._q, self._r = np.linalg.qr(self._v)            # thin QR for least squares
-        self._mapped = mapped
 
     def apply(self, x: LegOperator, tol: float = 1e-9) -> LegOperator:
         if x.domain != self.source_domain or x.codomain != self.source_domain:
             raise LegError("element signature does not match the crossed product")
         vx = _vec(x)
-        coeffs = np.linalg.solve(self._r, self._q.conj().T @ vx)
-        residual = np.linalg.norm(self._v @ coeffs - vx)
         scale = max(np.linalg.norm(vx), 1.0)
-        if residual > tol * scale:
+        values = []
+        for v, q, r, mapped in self._decompositions:
+            coeffs = np.linalg.solve(r, q.conj().T @ vx)
+            residual = np.linalg.norm(v @ coeffs - vx)
+            if residual > tol * scale:
+                raise DecompositionError(
+                    f"element lies outside the crossed product (residual {residual:.3e})")
+            values.append(sum(c * m.matrix for c, m in zip(coeffs, mapped)))
+        forward, reverse = values
+        dev = float(np.linalg.norm(forward - reverse))
+        if dev > tol * max(np.linalg.norm(forward), 1.0):
             raise DecompositionError(
-                f"element lies outside the crossed product (residual {residual:.3e})")
-        out = sum(c * m.matrix for c, m in zip(coeffs, self._mapped))
-        sig = LegSignature(self.target_domain, self.target_domain)
-        return LegOperator(sig, out)
+                f"extension value depends on the decomposition (deviation {dev:.3e})")
+        return LegOperator(LegSignature(self.target_domain, self.target_domain), forward)
 
 
 def extend_on_crossed_product(f: Conjugation | None, g: Conjugation | None,
                               s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
                               x: LegOperator, tol: float = 1e-9) -> LegOperator:
-    """Apply (f x g) to an element of the crossed product of s1 and s2.
-
-    The result is computed from two independent decompositions (forward and
-    reverse generator order); a mismatch beyond tol means the extension is
-    not well defined on this input and raises :class:`DecompositionError`.
-    """
-    fwd = CrossedProductExtension(s1, s2, provider, variant, f, g, "forward")
-    rev = CrossedProductExtension(s1, s2, provider, variant, f, g, "reverse")
-    y1 = fwd.apply(x, tol)
-    y2 = rev.apply(x, tol)
-    dev = float(np.linalg.norm(y1.matrix - y2.matrix))
-    if dev > tol * max(np.linalg.norm(y1.matrix), 1.0):
-        raise DecompositionError(
-            f"extension value depends on the decomposition (deviation {dev:.3e})")
-    return y1
+    """Apply (f x g) to an element of the crossed product of s1 and s2,
+    cross-checked over two decompositions by :class:`CrossedProductExtension`."""
+    return CrossedProductExtension(s1, s2, provider, variant, f, g).apply(x, tol)

@@ -169,44 +169,39 @@ def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegO
     return LegOperator(sig, m)
 
 
-def _adjacent_swap(spaces: list[Space], p: int, crossing: LegOperator) -> np.ndarray:
-    """Matrix of a crossing at legs (p, p+1), 1-based, inside the current context."""
-    if crossing.domain != (spaces[p - 1], spaces[p]):
-        raise LegError("crossing does not match the legs it is applied to")
-    return embed_adjacent(crossing, tuple(spaces), p).matrix
+def _route_providers(braiding, route: str):
+    """The providers of the move crossing and of the back crossing of a route.
 
-
-def _move_crossing(braiding, a: Space, m: Space, route: str) -> LegOperator:
-    # The unitary a (x) m -> m (x) a used to slide leg a rightwards past leg m.
-    # Route "over" is pinned by the Pentagon right-hand side c12 F23 cinv12:
-    # the first conjugator there is the inverse braiding.
+    Route "over" is pinned by the Pentagon right-hand side c12 F23 cinv12: the
+    first conjugator there is the inverse braiding, so leg i slides right
+    with the inverse provider and comes back with the braiding itself.
+    """
     if route == "over":
-        return braiding.braid_inverse(m, a)
+        return braiding.inverse(), braiding
     if route == "under":
-        return braiding.braid(a, m)
+        return braiding, braiding.inverse()
     raise ValueError(f"route must be 'over' or 'under', got {route!r}")
 
 
-def _back_crossing(braiding, m: Space, a: Space, route: str) -> LegOperator:
-    # The unitary m (x) a -> a (x) m undoing the move above (with a possibly replaced
-    # by the codomain space of the applied operator).
-    if route == "over":
-        return braiding.braid(m, a)
-    if route == "under":
-        return braiding.braid_inverse(a, m)
-    raise ValueError(f"route must be 'over' or 'under', got {route!r}")
+def _embedded_crossing(provider, left: tuple[Space, ...], right: tuple[Space, ...],
+                       context: tuple[Space, ...], start: int) -> LegOperator:
+    """The block crossing of legs ``left`` past legs ``right``, embedded at ``start``."""
+    from .braiding import braid_tensor  # braiding builds on this module
+
+    return embed_adjacent(braid_tensor(provider, left, right), context, start)
 
 
 def apply_distant(x: LegOperator, context: Sequence[Space], positions: tuple[int, int],
                   route: str = "over", braiding=None) -> LegOperator:
     """Apply a two-leg operator at non-adjacent legs (i, k) of the context.
 
-    Each intermediate leg is braided past leg i in sequence, x is applied on
-    the now-adjacent legs, and the braidings are undone.  With adjacent
-    positions this reduces to :func:`embed_adjacent` with no braiding at all.
+    Leg i is braided past the intermediate legs as one block crossing, x is
+    applied on the now-adjacent legs, and its first codomain leg is braided
+    back.  With adjacent positions this reduces to :func:`embed_adjacent`
+    with no braiding at all.
     """
     i, k = positions
-    context = list(context)
+    context = tuple(context)
     n = len(context)
     if not (1 <= i < k <= n):
         raise LegError(f"positions {positions} out of range for a {n}-leg context")
@@ -219,33 +214,16 @@ def apply_distant(x: LegOperator, context: Sequence[Space], positions: tuple[int
             f"operator legs ({a.id}, {b.id}) do not match context legs "
             f"({context[i - 1].id}, {context[k - 1].id}) at positions {positions}")
     if k == i + 1:
-        out = embed_adjacent(x, tuple(context), i)
-        return out
+        return embed_adjacent(x, context, i)
     if braiding is None:
         raise LegError("apply_distant with intermediate legs needs a braiding")
-
-    a2, b2 = x.codomain
-    spaces = list(context)
-    move = np.eye(total_dim(spaces), dtype=complex)
-    for p in range(i, k - 1):
-        m = spaces[p]  # leg p+1, 0-based index p
-        cr = _move_crossing(braiding, spaces[p - 1], m, route)
-        move = _adjacent_swap(spaces, p, cr) @ move
-        spaces[p - 1], spaces[p] = spaces[p], spaces[p - 1]
-    # x now acts on adjacent legs (k-1, k) of the permuted context
-    mid = embed_adjacent(x, tuple(spaces), k - 1)
-    spaces[k - 2], spaces[k - 1] = a2, b2
-    back = np.eye(total_dim(spaces), dtype=complex)
-    for p in range(k - 2, i - 1, -1):
-        m = spaces[p - 1]
-        cr = _back_crossing(braiding, m, a2, route)
-        back = back @ _adjacent_swap(spaces, p, cr)
-        # _adjacent_swap checks legs before the swap, so update afterwards
-        spaces[p - 1], spaces[p] = spaces[p], spaces[p - 1]
-    out_context = list(context)
-    out_context[i - 1], out_context[k - 1] = a2, b2
-    sig = LegSignature(tuple(context), tuple(out_context))
-    return LegOperator(sig, back @ mid.matrix @ move)
+    forth, back = _route_providers(braiding, route)
+    mids = context[i:k - 1]
+    move = _embedded_crossing(forth, context[i - 1:i], mids, context, i)
+    mid = embed_adjacent(x, move.codomain, k - 1)
+    undo = _embedded_crossing(back, mids, x.codomain[:1], mid.codomain, i)
+    return LegOperator(LegSignature(context, undo.codomain),
+                       undo.matrix @ mid.matrix @ move.matrix)
 
 
 def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[int, int],
@@ -262,20 +240,18 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
     if y.domain != context or y.codomain != context:
         raise LegError("extract_distant expects an endomorphism of the full context")
     a, b = context[i - 1], context[k - 1]
-    if k > i + 1 and braiding is None:
-        raise LegError("extract_distant with intermediate legs needs a braiding")
-    # apply_distant(z) = Q* E(z) Q with the same unitary Q for every z, so the
-    # least-squares problem is a partial trace of Q y Q*.
-    spaces = list(context)
-    move = np.eye(total_dim(spaces), dtype=complex)
-    for p in range(i, k - 1):
-        cr = _move_crossing(braiding, spaces[p - 1], spaces[p], route)
-        move = _adjacent_swap(spaces, p, cr) @ move
-        spaces[p - 1], spaces[p] = spaces[p], spaces[p - 1]
-    yp = move @ y.matrix @ move.conj().T
-    d_left = total_dim(spaces[:k - 2])
+    yp = y.matrix
+    if k > i + 1:
+        if braiding is None:
+            raise LegError("extract_distant with intermediate legs needs a braiding")
+        # apply_distant(z) = Q* E(z) Q with the same unitary Q for every z, so
+        # the least-squares problem is a partial trace of Q y Q*.
+        forth, _ = _route_providers(braiding, route)
+        move = _embedded_crossing(forth, context[i - 1:i], context[i:k - 1], context, i).matrix
+        yp = move @ yp @ move.conj().T
+    d_left = total_dim(context[:i - 1] + context[i:k - 1])
     d_mid = a.dim * b.dim
-    d_right = total_dim(spaces[k:])
+    d_right = total_dim(context[k:])
     t = yp.reshape(d_left, d_mid, d_right, d_left, d_mid, d_right)
     z = np.einsum("aibajb->ij", t) / (d_left * d_right)
     zop = LegOperator(LegSignature((a, b), (a, b)), z)
@@ -284,12 +260,15 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
     return zop, residual
 
 
+def _unitarity_residual(m: np.ndarray) -> float:
+    """max(||m*m - 1||, ||mm* - 1||) in the Hilbert-Schmidt norm, for a square m."""
+    eye = np.eye(m.shape[0])
+    return float(max(np.linalg.norm(m.conj().T @ m - eye),
+                     np.linalg.norm(m @ m.conj().T - eye)))
+
+
 def is_unitary(x: LegOperator, tol: float = 1e-9) -> bool:
     """True when x*x and xx* are the identity within tol (Hilbert-Schmidt norm)."""
     if x.signature.dom_dim != x.signature.cod_dim:
         raise LegError("is_unitary needs a square total dimension")
-    m = x.matrix
-    eye = np.eye(m.shape[0])
-    return (np.linalg.norm(m.conj().T @ m - eye) < tol
-            and np.linalg.norm(m @ m.conj().T - eye) < tol)
-
+    return _unitarity_residual(x.matrix) < tol

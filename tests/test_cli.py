@@ -263,3 +263,36 @@ def test_output_into_a_missing_directory_is_an_input_error(tmp_path, capsys, arg
     assert "error: no such directory" in capsys.readouterr().err
     assert not searched  # checked before any restart runs
     assert not (tmp_path / "missing").exists()
+
+
+def _analyze_edited_bundle(tmp_path, capsys, edit):
+    """Exit code and stderr of analyze on a Z2 bundle whose JSON tree ``edit`` changed."""
+    path = tmp_path / "w.json"
+    run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(path)])
+    tree = read_json(str(path))
+    edit(tree)
+    path.write_text(json.dumps(tree))
+    capsys.readouterr()
+    return run(["analyze", str(path)]), capsys.readouterr().err
+
+
+def test_analyze_rejects_spaces_that_are_not_an_object(tmp_path, capsys):
+    code, err = _analyze_edited_bundle(tmp_path, capsys, lambda tree: tree.update(spaces=[]))
+    assert code == 2
+    assert "/spaces: expected an object, got list" in err
+
+
+def test_analyze_rejects_a_non_finite_matrix_entry(tmp_path, capsys):
+    def edit(tree):
+        tree["operators"]["W"]["matrix"][0][0] = [float("nan"), 0.0]
+    code, err = _analyze_edited_bundle(tmp_path, capsys, edit)
+    assert code == 2
+    assert "/operators/W/matrix: matrix entries must be finite" in err
+
+
+def test_analyze_rejects_a_domain_that_is_not_a_list(tmp_path, capsys):
+    def edit(tree):
+        tree["operators"]["W"]["domain"] = "LL"
+    code, err = _analyze_edited_bundle(tmp_path, capsys, edit)
+    assert code == 2
+    assert "/operators/W/domain: expected a list, got str" in err

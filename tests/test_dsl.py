@@ -154,6 +154,28 @@ def test_run_statements_pass_and_fail(z2):
     assert not results[0].passed and results[0].residual > 0.1
 
 
+def test_distant_atom_routes_across_two_legs(z3):
+    text = statement_file("W[1,4] == cinv[3,4].W[1,3].c[3,4]", "L L L L")
+    (res,) = bm.dsl.run_statements(text, {"W": z3.op}, {"L": z3.space}, z3.braiding)
+    assert res.passed and res.residual < 1e-12
+
+
+def test_distant_atom_routes_across_two_legs_in_a_braided_category():
+    # a generic degree-preserving W under the phase braiding with m = 3; moving
+    # the long leg one strand further conjugates with the crossing of its route
+    l = bm.Space("L", 3, (0, 1, 2))
+    deg = np.array(l.grading)
+    mask = (deg[:, None, None, None] + deg[None, :, None, None]
+            - deg[None, None, :, None] - deg[None, None, None, :]) % 3 == 0
+    rng = np.random.default_rng(5)
+    m = ((rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)) * mask).reshape(9, 9)
+    text = statement_file("W[1,4]@over == cinv[3,4].W[1,3]@over.c[3,4]\n"
+                          "W[1,4]@under == c[3,4].W[1,3]@under.cinv[3,4]", "L L L L")
+    for res in bm.dsl.run_statements(text, {"W": leg_op(m, [l, l])}, {"L": l},
+                                     bm.PhaseBraiding(3)):
+        assert res.passed and res.residual < 1e-12, res.statement.text
+
+
 def test_run_statements_requires_context(z2):
     with pytest.raises(dsl.ParseError):
         bm.dsl.run_statements("W[1,2] == W[1,2]\n", {"W": z2.op},

@@ -199,3 +199,20 @@ def test_floats_serialize_with_17_significant_digits():
     assert float(_fmt_float(x)) == x
     assert _fmt_float(2.0) == "2.0"
     assert _fmt_float(float("nan")) == "NaN"
+
+
+@pytest.mark.parametrize("text, path", [
+    ('{"version":1,"spaces":{"L":{"dim":2,"grading":5}}}', "/spaces/L"),
+    ('{"version":1,"braiding":{"kind":"explicit","pairs":{"a":1}}}', "/braiding/pairs"),
+    ('{"version":1,"spaces":{"L":{"dim":1}},"braiding":{"kind":"explicit",'
+     '"pairs":[{"first":"L","second":"L"}]}}', "/braiding/pairs/0/matrix"),
+    ('{"version":1,"groups":{"g":{"table":[[0]],"identity":"x"}}}', "/groups/g"),
+    ('{"version":1,"spaces":{"L":{"dim":2}},"operators":{"W":{"domain":["L"],'
+     '"codomain":["L"],"matrix":[[[1,0]],[[1,0],[0,0]]]}}}', "/operators/W/matrix"),
+    ('{"version":1,"operators":{"W":[]}}', "/operators/W"),
+    ('{"version":1,"operators":{"W":{"domain":[[1]],"codomain":[]}}}', "/operators/W"),
+])
+def test_malformed_nodes_are_schema_errors(text, path):
+    with pytest.raises(SchemaError) as err:
+        bm.bundle_from_json(text)
+    assert err.value.path == path

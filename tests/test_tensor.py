@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
+from braidmu.tensor import total_dim
 
 from conftest import random_unitary
 
@@ -125,9 +126,11 @@ def test_apply_distant_flip_is_a_permutation_conjugation():
 
 
 def test_apply_distant_identity_is_identity():
-    ident = bm.identity((L2, L2))
-    out = bm.apply_distant(ident, (L2, L2, L2), (1, 3), "over", bm.FlipBraiding())
-    np.testing.assert_allclose(out.matrix, np.eye(8), atol=1e-15)
+    for ctx, (i, k) in (((L2, L2, L2), (1, 3)), ((L2, L3, L2, L3), (1, 4))):
+        ident = bm.identity((ctx[i - 1], ctx[k - 1]))
+        for route in ("over", "under"):
+            out = bm.apply_distant(ident, ctx, (i, k), route, bm.FlipBraiding())
+            np.testing.assert_allclose(out.matrix, np.eye(total_dim(ctx)), atol=1e-15)
 
 
 def test_apply_distant_adjacent_equals_embed_bit_identical():
@@ -225,6 +228,71 @@ def test_apply_distant_with_space_changing_operator():
     vb = np.zeros(3); vb[2] = 1
     image = out.matrix @ np.kron(va, np.kron(vm, vb))
     np.testing.assert_allclose(image, np.kron(vb, np.kron(vm, va)), atol=1e-14)
+
+
+def routed_oracle(x, context, positions, route, braiding):
+    """apply_distant one crossing at a time: leg i slides right past each
+    intermediate leg, x acts, then its first codomain leg slides back left,
+    crossing the nearest intermediate leg first.  Returns the matrix and the
+    codomain legs."""
+    i, k = positions
+    spaces = list(context)
+    move = np.eye(total_dim(spaces))
+    for p in range(i, k - 1):
+        a, m = spaces[p - 1], spaces[p]
+        c = braiding.braid_inverse(m, a) if route == "over" else braiding.braid(a, m)
+        move = bm.embed_adjacent(c, tuple(spaces), p).matrix @ move
+        spaces[p - 1:p + 1] = [m, a]
+    mid = bm.embed_adjacent(x, tuple(spaces), k - 1)
+    spaces = list(mid.codomain)
+    back = np.eye(total_dim(spaces))
+    for p in range(k - 2, i - 1, -1):
+        m, a2 = spaces[p - 1], spaces[p]
+        c = braiding.braid(m, a2) if route == "over" else braiding.braid_inverse(a2, m)
+        back = bm.embed_adjacent(c, tuple(spaces), p).matrix @ back
+        spaces[p - 1:p + 1] = [a2, m]
+    return back @ mid.matrix @ move, tuple(spaces)
+
+
+def _routing_category(kind):
+    """A braiding and two spaces of different dimensions it braids."""
+    if kind == "yd":
+        omega = np.exp(2j * np.pi / 3)
+        group = bm.cyclic(3)
+        p, mu = bm.group_yd_module(group, [0, 1, 2],
+                                   [np.diag(omega ** (g * np.arange(3))) for g in range(3)],
+                                   space_id="P")
+        q, _ = bm.group_yd_module(group, [1, 2], [np.diag(omega ** (g * np.array([0, 2])))
+                                                 for g in range(3)], mu=mu, space_id="Q")
+        return bm.yd_braiding_provider([p, q], mu, include_tensors=False), p.space, q.space
+    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+    return (bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)), a, b
+
+
+@pytest.mark.parametrize("route", ["over", "under"])
+@pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
+def test_routing_matches_the_per_crossing_oracle(kind, route):
+    braiding, a, b = _routing_category(kind)
+    rng = np.random.default_rng(11)
+    # 1, 2 and 3 intermediate legs, with idle legs before and after
+    for context, positions in (((a, b, b), (1, 3)),
+                               ((b, a, b, a, b), (2, 5)),
+                               ((a, b, a, b, b, a), (1, 5))):
+        i, k = positions
+        dom = (context[i - 1], context[k - 1])
+        for cod in (dom, dom[::-1]):  # the second one changes the spaces
+            d, c = total_dim(dom), total_dim(cod)
+            x = leg_op(rng.normal(size=(c, d)) + 1j * rng.normal(size=(c, d)), dom, cod)
+            expected, legs = routed_oracle(x, context, positions, route, braiding)
+            got = bm.apply_distant(x, context, positions, route, braiding)
+            assert got.domain == context and got.codomain == legs
+            np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=1e-12)
+            if cod != dom:
+                continue
+            y = leg_op(expected, context)
+            z, residual = bm.extract_distant(y, context, positions, route, braiding)
+            assert residual < 1e-12
+            np.testing.assert_allclose(z.matrix, x.matrix, rtol=0, atol=1e-12)
 
 
 def test_extract_distant_identity():

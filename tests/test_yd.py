@@ -102,6 +102,18 @@ def test_tensor_modules_pass_their_residuals(super_module):
     assert bm.yd_residual(square, mu) < 1e-10
 
 
+def test_tensor_yd_checks_against_the_callers_tolerance(super_module):
+    # a corep perturbed at the 1e-8 level misses the default 1e-9 but is well
+    # inside 1e-5; the tensor module must be judged at the tolerance passed in
+    mod, mu = super_module
+    u = mod.corep.matrix + 3e-8 * np.ones_like(mod.corep.matrix)
+    noisy = bm.YDModule(mod.space, LegOperator(mod.corep.signature, u), mod.rep)
+    square = bm.tensor_yd(noisy, noisy, mu, tol=1e-5)
+    assert 1e-9 < bm.corep_residual(square.as_corep(), mu) < 1e-5
+    with pytest.raises(ValueError, match="corep"):
+        bm.tensor_yd(noisy, noisy, mu)
+
+
 def test_rep_tensor_orderings_agree(super_module):
     # the module-category square routes the second factor under and applies
     # the first factor first; naturality makes it equal the plain ordering
