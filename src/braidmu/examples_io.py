@@ -72,7 +72,11 @@ class Bundle:
         op = self.operators[name]
         if len(op.domain) != 2 or op.domain[0] != op.domain[1]:
             raise SchemaError(f"/operators/{name}", "not a two-leg endomorphism of L (x) L")
-        return MultUnitary(op.domain[0], op, self.provider())
+        space, provider = op.domain[0], self.provider()
+        if not provider.supports(space, space):
+            raise SchemaError("/braiding", f"{self.braiding_kind} braiding does not cover "
+                                           f"({space.id}, {space.id})")
+        return MultUnitary(space, op, provider)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,12 @@ def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> in
 
     Dimension one means only scalars qualify, which is exactly a trivial
     commutant for the regularity span.
+
+    The map is tall (n^4 x n^2), so :func:`spans.null_space` takes its kernel
+    from a thin SVD: vh is then n^2 x n^2, already the whole right-singular
+    basis, and the n^4 x n^4 left factor is never built.  Only a wide map,
+    with fewer rows than columns (such as the solver's constraints), needs
+    the full vh, since its kernel is larger than its singular spectrum.
     """
     n = m.space.dim
     f = m.op.matrix

@@ -226,7 +226,10 @@ def null_space(t: np.ndarray, cutoff: float = RANK_CUTOFF,
     t = np.asarray(t, dtype=complex)
     if t.size == 0 or not np.any(t):
         return np.eye(t.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(t, full_matrices=True)
+    # with rows >= cols the thin vh is already square, so it holds every
+    # kernel vector and the rows x rows u is never formed; a wide map has
+    # more kernel vectors than singular values and needs the full vh
+    _, s, vh = np.linalg.svd(t, full_matrices=t.shape[0] < t.shape[1])
     # t maps conj(vh[j]) to s_j u_j, so the kernel is spanned by the
     # conjugated trailing right-singular rows
     return vh[numerical_rank(s, cutoff, scale):].conj()
@@ -344,15 +347,28 @@ def identity_conjugation(legs: Sequence[Space]) -> Conjugation:
     return Conjugation(identity(tuple(legs)), "left")
 
 
+def _padded_product(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.ndarray:
+    """conj (1 (x) pad), or (pad (x) 1) conj when ``pad_first``, as one reshape-matmul."""
+    if pad_first:
+        return (pad @ conj.reshape(pad.shape[1], -1)).reshape(conj.shape)
+    return (conj.reshape(-1, pad.shape[0]) @ pad).reshape(conj.shape)
+
+
 class CrossedProductExtension:
     """Evaluates (f x g) on a crossed product by decompose-and-map.
 
     Elements are decomposed over a spanning subset of the generator products
     inj1(a_i) inj2(b_j), picked greedily once in forward and once in reverse
-    order; each selected product is mapped to inj1'(f(a_i)) inj2'(g(b_j)) on
-    the target legs.  :meth:`apply` evaluates both decompositions and raises
+    order; each selected product maps to inj1'(f(a_i)) inj2'(g(b_j)) on the
+    target legs.  :meth:`apply` evaluates both decompositions and raises
     :class:`DecompositionError` when they disagree, i.e. when the extension
     is not well defined on the element.
+
+    One injection of every variant is an identity padding (1 (x) b, or a (x) 1
+    for "bt") and the other a conjugation.  Both injections and f, g are
+    linear, so the mapped products are never formed: the coefficients of one
+    conjugated factor fold into a single padded operator, which is mapped and
+    multiplied in once.
     """
 
     def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
@@ -362,20 +378,26 @@ class CrossedProductExtension:
         t1 = f.target if f is not None else s1.domain
         t2 = g.target if g is not None else s2.domain
         alpha2, beta2 = crossed_injections(variant, provider, t1, t2)
-        pairs = [(i, j) for i in range(s1.rank) for j in range(s2.rank)]
+        self._pad_first = variant == "bt"
+        if self._pad_first:  # a (x) 1 pads, b is conjugated
+            conj_basis, conj_inj, conj_inj2, conj_map = s2.basis, beta, beta2, g
+            pad, self._pad_map = s1, f
+        else:                # 1 (x) b pads, a is conjugated
+            conj_basis, conj_inj, conj_inj2, conj_map = s1.basis, alpha, alpha2, f
+            pad, self._pad_map = s2, g
+        self._pad_legs = pad.domain
+        self._pad = [b.matrix for b in pad.basis]
+        src_conj = [conj_inj(x).matrix for x in conj_basis]
+        # selected generators as (conjugated, padded) index pairs, in the
+        # (i, j) order of inj1(a_i) inj2(b_j)
+        pairs = [(j, i) if self._pad_first else (i, j)
+                 for i in range(s1.rank) for j in range(s2.rank)]
 
-        # injected images are reused across many pairs; conjugate each factor once
-        src_a = [alpha(a) for a in s1.basis]
-        src_b = [beta(b) for b in s2.basis]
-        tgt_a = [alpha2(f.apply(a) if f is not None else a) for a in s1.basis]
-        tgt_b = [beta2(g.apply(b) if g is not None else b) for b in s2.basis]
-
-        mapped = {}  # shared by both selections
         self._decompositions = []
         for order in (pairs, pairs[::-1]):
             src_vecs, selected, q_rows = [], [], []
-            for (i, j) in order:
-                v = _vec(compose(src_a[i], src_b[j]))
+            for (k, l) in order:
+                v = _padded_product(src_conj[k], self._pad[l], self._pad_first).reshape(-1)
                 n = np.linalg.norm(v)
                 if n == 0:
                     continue
@@ -386,16 +408,29 @@ class CrossedProductExtension:
                     continue
                 q_rows.append(r / np.linalg.norm(r))
                 src_vecs.append(v)
-                if (i, j) not in mapped:
-                    mapped[(i, j)] = compose(tgt_a[i], tgt_b[j])
-                selected.append(mapped[(i, j)])
+                selected.append((k, l))
             if not src_vecs:
                 raise DecompositionError("crossed product has no nonzero generators")
             v = np.array(src_vecs).T                        # ambient x r
             q, r = np.linalg.qr(v)                          # thin QR for least squares
             self._decompositions.append((v, q, r, selected))
+        self._tgt_conj = [conj_inj2(conj_map.apply(x) if conj_map is not None else x).matrix
+                          for x in conj_basis]
         self.source_domain = s1.domain + s2.domain
         self.target_domain = t1 + t2
+
+    def _mapped_sum(self, coeffs: np.ndarray, selected: list) -> np.ndarray:
+        """Sum of coeff * mapped generator, one padded product per conjugated factor."""
+        folded = {}
+        for c, (k, l) in zip(coeffs, selected):
+            folded[k] = folded.get(k, 0) + c * self._pad[l]
+        total = 0
+        for k, m in folded.items():
+            if self._pad_map is not None:
+                m = self._pad_map.apply(
+                    LegOperator(LegSignature(self._pad_legs, self._pad_legs), m)).matrix
+            total = total + _padded_product(self._tgt_conj[k], m, self._pad_first)
+        return total
 
     def apply(self, x: LegOperator, tol: float = 1e-9) -> LegOperator:
         if x.domain != self.source_domain or x.codomain != self.source_domain:
@@ -403,13 +438,13 @@ class CrossedProductExtension:
         vx = _vec(x)
         scale = max(np.linalg.norm(vx), 1.0)
         values = []
-        for v, q, r, mapped in self._decompositions:
+        for v, q, r, selected in self._decompositions:
             coeffs = np.linalg.solve(r, q.conj().T @ vx)
             residual = np.linalg.norm(v @ coeffs - vx)
             if residual > tol * scale:
                 raise DecompositionError(
                     f"element lies outside the crossed product (residual {residual:.3e})")
-            values.append(sum(c * m.matrix for c, m in zip(coeffs, mapped)))
+            values.append(self._mapped_sum(coeffs, selected))
         forward, reverse = values
         dev = float(np.linalg.norm(forward - reverse))
         if dev > tol * max(np.linalg.norm(forward), 1.0):

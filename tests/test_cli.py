@@ -296,3 +296,12 @@ def test_analyze_rejects_a_domain_that_is_not_a_list(tmp_path, capsys):
     code, err = _analyze_edited_bundle(tmp_path, capsys, edit)
     assert code == 2
     assert "/operators/W/domain: expected a list, got str" in err
+
+
+def test_analyze_rejects_a_braiding_that_does_not_cover_the_space(tmp_path, capsys):
+    # the phase braiding needs gradings, and the Kac-Takesaki space has none
+    def edit(tree):
+        tree["braiding"] = {"kind": "phase", "modulus": 2}
+    code, err = _analyze_edited_bundle(tmp_path, capsys, edit)
+    assert code == 2
+    assert "/braiding: phase braiding does not cover (L, L)" in err

@@ -299,3 +299,91 @@ def test_crossed_injections_match_the_inverted_block_braiding(kind):
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(beta(leg_op(b, legs2)).matrix, oracle_beta(b),
                                        rtol=0, atol=1e-12)
+
+
+def _full_svd_null_space(t, cutoff=spans.RANK_CUTOFF, scale=None):
+    """The dense null space: full SVD, kernel from the square vh."""
+    t = np.asarray(t, dtype=complex)
+    if t.size == 0 or not np.any(t):
+        return np.eye(t.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(t, full_matrices=True)
+    return vh[spans.numerical_rank(s, cutoff, scale):].conj()
+
+
+def _low_rank(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+    right = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+    return left @ right
+
+
+@pytest.mark.parametrize("t, scale, kernel_dim", [
+    (_low_rank(12, 5, 5, 1), None, 0),                    # tall, full column rank
+    (_low_rank(12, 5, 3, 2), None, 2),                    # tall, rank-deficient
+    (_low_rank(6, 6, 4, 3), None, 2),                     # square
+    (_low_rank(3, 7, 3, 4), None, 4),                     # wide: more kernel than rows
+    (_low_rank(2, 9, 1, 5), 1.0, 8),                      # wide, rank one
+    (np.zeros((5, 4)), None, 4),                          # all zero
+    (1e-13 * _low_rank(8, 4, 4, 6), 1.0, 4),              # noise only, unit anchor
+], ids=["tall", "tall-deficient", "square", "wide", "wide-rank-one", "zero", "noise"])
+def test_null_space_matches_the_full_svd(t, scale, kernel_dim):
+    kernel = spans.null_space(t, scale=scale)
+    oracle = _full_svd_null_space(t, scale=scale)
+    assert kernel.shape == oracle.shape == (kernel_dim, t.shape[1])
+    # the kernels agree as subspaces: compare their orthogonal projectors
+    np.testing.assert_allclose(kernel.T @ kernel.conj(), oracle.T @ oracle.conj(),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kernel @ kernel.conj().T, np.eye(kernel_dim), rtol=0, atol=1e-12)
+    if scale is None:
+        assert np.linalg.norm(t @ kernel.T) < 1e-12 * max(np.linalg.norm(t), 1.0)
+
+
+def _mapped_product_extension(s1, s2, provider, variant, f, g, x):
+    """(f x g)(x) with every generator mapped as a dense product inj1'(f a) inj2'(g b)."""
+    alpha, beta = spans.crossed_injections(variant, provider, s1.domain, s2.domain)
+    t1 = f.target if f is not None else s1.domain
+    t2 = g.target if g is not None else s2.domain
+    alpha2, beta2 = spans.crossed_injections(variant, provider, t1, t2)
+    gens, mapped = [], []
+    for a in s1.basis:
+        for b in s2.basis:
+            gens.append(bm.compose(alpha(a), beta(b)).matrix.reshape(-1))
+            fa = f.apply(a) if f is not None else a
+            gb = g.apply(b) if g is not None else b
+            mapped.append(bm.compose(alpha2(fa), beta2(gb)).matrix)
+    gens = np.array(gens).T
+    # the test spans give independent generators, so the decomposition is unique
+    assert np.linalg.matrix_rank(gens) == len(mapped)
+    coeffs = np.linalg.lstsq(gens, x.matrix.reshape(-1), rcond=None)[0]
+    return sum(c * m for c, m in zip(coeffs, mapped))
+
+
+def _random_span(legs, count, seed):
+    rng = np.random.default_rng(seed)
+    d = total_dim(legs)
+    return spans.span_of([leg_op(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), legs)
+                          for _ in range(count)])
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase3"])
+@pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])
+@pytest.mark.parametrize("f_on", [False, True])
+@pytest.mark.parametrize("g_on", [False, True])
+def test_extension_matches_the_mapped_product_oracle(kind, variant, f_on, g_on):
+    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+    c, t = Space("C", 2, (0, 2)), Space("T", 4, (0, 1, 2, 0))
+    provider = bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)
+    s1, s2 = _random_span((a,), 2, 31), _random_span((b,), 2, 32)
+    # f changes the space: (C, A) onto a single leg T; g keeps B and adds C on the right
+    f = spans.Conjugation(leg_op(random_unitary(4, 33), [c, a], [t]), "left") if f_on else None
+    g = spans.Conjugation(leg_op(random_unitary(6, 34), [b, c]), "right") if g_on else None
+    alpha, beta = spans.crossed_injections(variant, provider, s1.domain, s2.domain)
+    rng = np.random.default_rng(35)
+    x = sum(complex(*rng.normal(size=2)) * bm.compose(alpha(p), beta(q)).matrix
+            for p in s1.basis for q in s2.basis)
+    x = leg_op(x, [a, b])
+    ext = spans.CrossedProductExtension(s1, s2, provider, variant, f, g)
+    value = ext.apply(x)
+    expected = _mapped_product_extension(s1, s2, provider, variant, f, g, x)
+    assert value.domain == value.codomain == (t if f_on else a,) + ((b, c) if g_on else (b,))
+    np.testing.assert_allclose(value.matrix, expected, rtol=0, atol=1e-12)

@@ -373,3 +373,27 @@ def test_adjoint_reverses_products(seed):
     lhs = bm.adjoint(bm.compose(a, b))
     rhs = bm.compose(bm.adjoint(b), bm.adjoint(a))
     np.testing.assert_allclose(lhs.matrix, rhs.matrix, atol=1e-12)
+
+
+def test_extract_distant_builds_each_crossing_once(monkeypatch):
+    # one move and one back crossing; the residual reuses both
+    from braidmu import braiding
+    real, depth, calls = braiding.braid_tensor, [0], []
+
+    def counting(provider, left, right):
+        if not depth[0]:  # count top-level crossings, not the hexagon recursion
+            calls.append((tuple(left), tuple(right)))
+        depth[0] += 1
+        try:
+            return real(provider, left, right)
+        finally:
+            depth[0] -= 1
+
+    ctx = (L2, L3, L3, L2)
+    x = leg_op(random_unitary(4, 9), [L2, L2])
+    placed = bm.apply_distant(x, ctx, (1, 4), "over", bm.FlipBraiding())
+    monkeypatch.setattr(braiding, "braid_tensor", counting)
+    z, residual = bm.extract_distant(placed, ctx, (1, 4), "over", bm.FlipBraiding())
+    assert calls == [((L2,), (L3, L3)), ((L3, L3), (L2,))]
+    assert residual < 1e-12
+    np.testing.assert_allclose(z.matrix, x.matrix, atol=1e-12)
