@@ -1,6 +1,6 @@
 """Braided multiplicative unitaries at finite dimension.
 
-Dense leg calculus, braiding providers, operator-span certificates,
+Leg calculus, braiding providers, operator-span certificates,
 Yetter-Drinfeld braidings, semi-direct products, a Pentagon-residual search,
 and a small leg-notation language.
 """
@@ -8,8 +8,8 @@ and a small leg-notation language.
 __version__ = "0.1.0"
 
 from .tensor import (LegError, LegOperator, LegSignature, Space, Vector, adjoint,
-                     apply_distant, compose, embed_adjacent, extract_distant, identity,
-                     is_unitary, tensor, tensor_space)
+                     apply_distant, apply_on_legs, compose, embed_adjacent, extract_distant,
+                     identity, is_unitary, tensor, tensor_space)
 from .braiding import (BraidingProvider, BraidingRegularityReport, ExplicitBraiding,
                        FlipBraiding, InverseBraiding, PhaseBraiding, UnsupportedPairError,
                        braiding_regularity, check_hexagons, check_naturality)

@@ -1,4 +1,4 @@
-"""A small textual leg-notation language compiled to dense leg operations.
+"""A small textual leg-notation language compiled to leg-local steps.
 
 Grammar (EBNF):
 
@@ -12,6 +12,11 @@ term B is applied first.  The reserved names "c" and "cinv" braid adjacent
 legs; any other name resolves through the bindings.  Two-leg atoms on
 non-adjacent legs are routed with the annotated route (default "over").
 
+An expression compiles to the steps of :func:`braidmu.tensor.leg_product`:
+each atom is one step on its legs, or the three steps of a routed atom, and
+"^*" reverses the steps of its operand and takes the adjoint of each.  The
+steps act on one running matrix, so no padded factor is ever multiplied.
+
 Statement files are UTF-8 with one statement per line, "#" comments, and a
 header line "context: <space-id> ...".
 """
@@ -23,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (LegError, LegOperator, Space, adjoint, apply_distant,
-                     compose, embed_adjacent, identity)
+from .tensor import (LegError, LegOperator, Space, Step, adjoint, leg_product,
+                     legs_after, route_steps)
 
 __all__ = [
     "ParseError", "Atom", "Adj", "Seq", "Statement", "parse", "format_expr",
@@ -216,8 +221,8 @@ def format_expr(expr: Expr) -> str:
 # evaluation
 
 
-def _atom_operator(atom: Atom, bindings: dict[str, LegOperator],
-                   context: tuple[Space, ...], braiding) -> LegOperator:
+def _atom_steps(atom: Atom, bindings: dict[str, LegOperator],
+                context: tuple[Space, ...], braiding) -> list[Step]:
     if atom.name in RESERVED:
         if len(atom.legs) != 2 or atom.legs[1] != atom.legs[0] + 1:
             raise LegError(f"{atom.name} braids adjacent legs only, got {atom.legs}")
@@ -229,7 +234,7 @@ def _atom_operator(atom: Atom, bindings: dict[str, LegOperator],
             op = braiding.braid(a, b)
         else:
             op = braiding.braid_inverse(b, a)  # inverse of c_{B,A}, mapping A (x) B -> B (x) A
-        return embed_adjacent(op, context, i)
+        return [(op, i)]
     if atom.name not in bindings:
         raise LegError(f"unknown operator name {atom.name!r}")
     op = bindings[atom.name]
@@ -241,10 +246,30 @@ def _atom_operator(atom: Atom, bindings: dict[str, LegOperator],
         raise LegError(f"leg index out of range in {atom.name}{list(legs)}")
     contiguous = all(legs[j + 1] == legs[j] + 1 for j in range(k - 1))
     if contiguous:
-        return embed_adjacent(op, context, legs[0])
+        return [(op, legs[0])]
     if k == 2 and legs[0] < legs[1]:
-        return apply_distant(op, context, (legs[0], legs[1]), atom.route or "over", braiding)
+        return route_steps(op, context, (legs[0], legs[1]), atom.route or "over", braiding)
     raise LegError(f"unsupported leg pattern {list(legs)} for {atom.name}")
+
+
+def _steps(expr: Expr, bindings: dict[str, LegOperator], context: tuple[Space, ...],
+           braiding) -> tuple[list[Step], tuple[Space, ...]]:
+    """The steps of expr in the order they act, and the context they leave."""
+    if isinstance(expr, Seq):
+        steps: list[Step] = []
+        for term in reversed(expr.terms):
+            more, context = _steps(term, bindings, context, braiding)
+            steps += more
+        return steps, context
+    if isinstance(expr, Adj):
+        inner, out = _steps(expr.inner, bindings, context, braiding)
+        if out != context:
+            raise LegError("adjoint of a context-changing expression is not supported")
+        return [(adjoint(op), start) for op, start in reversed(inner)], context
+    steps = _atom_steps(expr, bindings, context, braiding)
+    for op, start in steps:
+        context = legs_after(op, context, start)
+    return steps, context
 
 
 def evaluate(expr: Expr, bindings: dict[str, LegOperator], context: Sequence[Space],
@@ -255,18 +280,7 @@ def evaluate(expr: Expr, bindings: dict[str, LegOperator], context: Sequence[Spa
     introduced by braiding atoms.
     """
     context = tuple(context)
-    if isinstance(expr, Seq):
-        current = identity(context)
-        for term in reversed(expr.terms):
-            step = evaluate(term, bindings, current.codomain, braiding)
-            current = compose(step, current)
-        return current
-    if isinstance(expr, Adj):
-        inner = evaluate(expr.inner, bindings, context, braiding)
-        if inner.domain != inner.codomain:
-            raise LegError("adjoint of a context-changing expression is not supported")
-        return adjoint(inner)
-    return _atom_operator(expr, bindings, context, braiding)
+    return leg_product(_steps(expr, bindings, context, braiding)[0], context)
 
 
 @dataclass(frozen=True)
@@ -311,6 +325,10 @@ def run_statements(text: str, bindings: dict[str, LegOperator],
             results.append(StatementResult(stmt, None, True))
             continue
         rhs = evaluate(stmt.rhs, bindings, context, braiding)
+        if lhs.codomain != rhs.codomain:
+            raise LegError(
+                f"line {stmt.line}: the two sides of '==' end on different legs, "
+                f"{[s.id for s in lhs.codomain]} and {[s.id for s in rhs.codomain]}")
         residual = float(np.linalg.norm(lhs.matrix - rhs.matrix))
         results.append(StatementResult(stmt, residual, residual < tol))
     return results

@@ -9,8 +9,8 @@ import numpy as np
 from . import spans
 from .multunitary import MultUnitary, classify_regularity, pentagon_residual, regularity_span
 from .spans import equals, projector_distance, span_of
-from .tensor import (LegOperator, LegSignature, Vector, adjoint, apply_distant,
-                     compose, embed_adjacent, tensor_space)
+from .tensor import (LegOperator, LegSignature, Vector, adjoint, leg_product,
+                     route_steps, tensor_space)
 from .yd import YDModule
 
 __all__ = [
@@ -69,12 +69,10 @@ def _construction(w_mu: MultUnitary, module: YDModule, f_mu: MultUnitary,
     """W13 U23 V*34 F24 V34 on legs (K, L, K, L), W and F routed as given."""
     ctx = (w_mu.space, module.space, w_mu.space, module.space)
     amb = w_mu.braiding
-    v34 = embed_adjacent(module.rep, ctx, 3)
-    f24 = apply_distant(f_mu.op, ctx, (2, 4), f_route, amb)
-    vstar34 = embed_adjacent(adjoint(module.rep), ctx, 3)
-    u23 = embed_adjacent(module.corep, ctx, 2)
-    w13 = apply_distant(w_mu.op, ctx, (1, 3), w_route, amb)
-    return compose(w13, compose(u23, compose(vstar34, compose(f24, v34))))
+    f24 = route_steps(f_mu.op, ctx, (2, 4), f_route, amb)
+    w13 = route_steps(w_mu.op, ctx, (1, 3), w_route, amb)
+    return leg_product([(module.rep, 3), *f24, (adjoint(module.rep), 3),
+                        (module.corep, 2), *w13], ctx)
 
 
 def semidirect_product(w_mu: MultUnitary, module: YDModule,

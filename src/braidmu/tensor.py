@@ -1,9 +1,17 @@
-"""Dense leg calculus for operators on tensor products of finite-dimensional spaces.
+"""Leg calculus for operators on tensor products of finite-dimensional spaces.
 
 Operators carry an ordered list of domain legs and codomain legs.  The
 multi-index convention is fixed once and for all: the FIRST leg is the most
 significant index, for rows and columns alike, so tensoring two operators is
 exactly ``numpy.kron``.
+
+A factor on a few legs of a longer context acts matrix-free:
+:func:`apply_on_legs` left-multiplies by 1 (x) op (x) 1 with one reshape and
+one matmul and never forms the padded matrix.  A leg-notation product is a
+list of steps ``(op, start)``, run by :func:`leg_product`; a factor on distant
+legs is the three steps of :func:`route_steps`.  :func:`embed_adjacent` and
+:func:`compose` give the same products densely, and the tests keep them as
+the oracle.
 """
 
 from __future__ import annotations
@@ -14,9 +22,10 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "LegError", "Space", "LegSignature", "LegOperator", "Vector",
+    "LegError", "Space", "LegSignature", "LegOperator", "Vector", "Step",
     "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
-    "embed_adjacent", "apply_distant", "extract_distant", "is_unitary",
+    "embed_adjacent", "apply_on_legs", "legs_after", "leg_product", "route_steps",
+    "apply_distant", "extract_distant", "is_unitary",
 ]
 
 
@@ -148,9 +157,9 @@ def adjoint(x: LegOperator) -> LegOperator:
     return LegOperator(LegSignature(x.codomain, x.domain), x.matrix.conj().T)
 
 
-def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegOperator:
-    """Embed x on the contiguous legs ``start .. start+k-1`` (1-based) of the context."""
-    context = tuple(context)
+def _placed(x: LegOperator, context: tuple[Space, ...], start: int
+            ) -> tuple[tuple[Space, ...], tuple[Space, ...]]:
+    """The context legs before and after x placed on legs ``start ..`` (1-based)."""
     k = len(x.domain)
     if start < 1 or start + k - 1 > len(context):
         raise LegError(f"cannot embed a {k}-leg operator at position {start} "
@@ -159,7 +168,13 @@ def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegO
         raise LegError(
             f"domain legs {[s.id for s in x.domain]} do not match context legs "
             f"{[s.id for s in context[start - 1:start - 1 + k]]} at position {start}")
-    pre, post = context[:start - 1], context[start - 1 + k:]
+    return context[:start - 1], context[start - 1 + k:]
+
+
+def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegOperator:
+    """Embed x on the contiguous legs ``start .. start+k-1`` (1-based) of the context."""
+    context = tuple(context)
+    pre, post = _placed(x, context, start)
     m = x.matrix
     if pre:
         m = np.kron(np.eye(total_dim(pre)), m)
@@ -167,6 +182,53 @@ def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegO
         m = np.kron(m, np.eye(total_dim(post)))
     sig = LegSignature(context, pre + x.codomain + post)
     return LegOperator(sig, m)
+
+
+def legs_after(op: LegOperator, context: Sequence[Space], start: int) -> tuple[Space, ...]:
+    """The context once op has acted on its legs ``start ..`` (1-based)."""
+    pre, post = _placed(op, tuple(context), start)
+    return pre + op.codomain + post
+
+
+def apply_on_legs(op: LegOperator, x: np.ndarray, context: Sequence[Space],
+                  start: int) -> np.ndarray:
+    """(1 (x) op (x) 1) @ x, with op on the legs ``start ..`` (1-based) of the rows of x.
+
+    The rows of x carry the legs ``context``; its columns may be anything.  x
+    is viewed as (pre, op's domain, post * columns) blocks and multiplied by
+    op in one matmul, so the padded matrix is never formed.  The rows of the
+    result carry :func:`legs_after`.
+    """
+    context = tuple(context)
+    pre, post = _placed(op, context, start)
+    if x.ndim != 2 or x.shape[0] != total_dim(context):
+        raise LegError(f"a matrix of shape {x.shape} has no rows on a context of "
+                       f"total dimension {total_dim(context)}")
+    cols = x.shape[1]
+    out = np.matmul(op.matrix, x.reshape(total_dim(pre), op.matrix.shape[1],
+                                         total_dim(post) * cols))
+    return out.reshape(-1, cols)
+
+
+Step = tuple[LegOperator, int]
+
+
+def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
+    """The product of leg-local steps on the context, the first step applied first.
+
+    A step ``(op, start)`` acts on the legs ``start ..`` of the context as the
+    earlier steps left it.  The first step's padded matrix starts the product
+    (written once, never multiplied); every later step acts on it by
+    :func:`apply_on_legs`.
+    """
+    context = tuple(context)
+    (op, start), *rest = steps
+    first = embed_adjacent(op, context, start)
+    m, legs = first.matrix, first.codomain
+    for op, start in rest:
+        m = apply_on_legs(op, m, legs, start)
+        legs = legs_after(op, legs, start)
+    return LegOperator(LegSignature(context, legs), m)
 
 
 def _route_providers(braiding, route: str):
@@ -183,22 +245,37 @@ def _route_providers(braiding, route: str):
     raise ValueError(f"route must be 'over' or 'under', got {route!r}")
 
 
-def _embedded_crossing(provider, left: tuple[Space, ...], right: tuple[Space, ...],
-                       context: tuple[Space, ...], start: int) -> LegOperator:
-    """The block crossing of legs ``left`` past legs ``right``, embedded at ``start``."""
+def _route_crossings(context: tuple[Space, ...], positions: tuple[int, int],
+                     out_legs: tuple[Space, ...], route: str, braiding
+                     ) -> tuple[LegOperator, LegOperator]:
+    """The move and back crossings of a route between legs (i, k), i + 1 < k.
+
+    Both act from leg i: move braids leg i past the intermediate legs; back
+    braids the first of ``out_legs`` (the codomain of the routed operator)
+    back past them.
+    """
     from .braiding import braid_tensor  # braiding builds on this module
 
-    return embed_adjacent(braid_tensor(provider, left, right), context, start)
+    i, k = positions
+    forth, undo = _route_providers(braiding, route)
+    mids = context[i:k - 1]
+    return (braid_tensor(forth, context[i - 1:i], mids),
+            braid_tensor(undo, mids, tuple(out_legs[:1])))
 
 
-def apply_distant(x: LegOperator, context: Sequence[Space], positions: tuple[int, int],
-                  route: str = "over", braiding=None) -> LegOperator:
-    """Apply a two-leg operator at non-adjacent legs (i, k) of the context.
+def _routed(x: LegOperator, i: int, k: int, move: LegOperator,
+            back: LegOperator) -> list[Step]:
+    """move, then x on the legs (k - 1, k) that move brings together, then back."""
+    return [(move, i), (x, k - 1), (back, i)]
 
-    Leg i is braided past the intermediate legs as one block crossing, x is
-    applied on the now-adjacent legs, and its first codomain leg is braided
-    back.  With adjacent positions this reduces to :func:`embed_adjacent`
-    with no braiding at all.
+
+def route_steps(x: LegOperator, context: Sequence[Space], positions: tuple[int, int],
+                route: str = "over", braiding=None) -> list[Step]:
+    """The steps of a two-leg operator applied at legs (i, k), i < k, of the context.
+
+    Adjacent legs take the one step ``(x, i)``.  Otherwise leg i is braided
+    past the intermediate legs as one block crossing, x acts on the
+    now-adjacent legs, and its first codomain leg is braided back.
     """
     i, k = positions
     context = tuple(context)
@@ -214,36 +291,21 @@ def apply_distant(x: LegOperator, context: Sequence[Space], positions: tuple[int
             f"operator legs ({a.id}, {b.id}) do not match context legs "
             f"({context[i - 1].id}, {context[k - 1].id}) at positions {positions}")
     if k == i + 1:
-        return embed_adjacent(x, context, i)
+        return [(x, i)]
     if braiding is None:
         raise LegError("apply_distant with intermediate legs needs a braiding")
     move, back = _route_crossings(context, positions, x.codomain, route, braiding)
-    return _apply_routed(x, k, move, back)
+    return _routed(x, i, k, move, back)
 
 
-def _route_crossings(context: tuple[Space, ...], positions: tuple[int, int],
-                     out_legs: tuple[Space, ...], route: str, braiding
-                     ) -> tuple[LegOperator, LegOperator]:
-    """The embedded move and back crossings of a route between legs (i, k), i + 1 < k.
+def apply_distant(x: LegOperator, context: Sequence[Space], positions: tuple[int, int],
+                  route: str = "over", braiding=None) -> LegOperator:
+    """Apply a two-leg operator at non-adjacent legs (i, k) of the context.
 
-    move braids leg i past the intermediate legs; back braids the first of
-    ``out_legs`` (the codomain of the routed operator) back past them.
+    The product of :func:`route_steps`; with adjacent positions this is
+    :func:`embed_adjacent` with no braiding at all.
     """
-    i, k = positions
-    forth, undo = _route_providers(braiding, route)
-    mids = context[i:k - 1]
-    move = _embedded_crossing(forth, context[i - 1:i], mids, context, i)
-    mid_legs = move.codomain[:k - 2] + tuple(out_legs) + move.codomain[k:]
-    back = _embedded_crossing(undo, mids, tuple(out_legs[:1]), mid_legs, i)
-    return move, back
-
-
-def _apply_routed(x: LegOperator, k: int, move: LegOperator,
-                  back: LegOperator) -> LegOperator:
-    """back . E(x) . move, with x embedded at the legs (k - 1, k) that move brings together."""
-    mid = embed_adjacent(x, move.codomain, k - 1)
-    return LegOperator(LegSignature(move.domain, back.codomain),
-                       back.matrix @ mid.matrix @ move.matrix)
+    return leg_product(route_steps(x, context, positions, route, braiding), context)
 
 
 def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[int, int],
@@ -266,9 +328,10 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
         if braiding is None:
             raise LegError("extract_distant with intermediate legs needs a braiding")
         # apply_distant(z) = Q* E(z) Q with the same unitary Q for every z, so
-        # the least-squares problem is a partial trace of Q y Q*.
+        # the least-squares problem is a partial trace of Q y Q* = Q (Q y*)*
         move, back = _route_crossings(context, positions, (a, b), route, braiding)
-        yp = move.matrix @ yp @ move.matrix.conj().T
+        yp = apply_on_legs(move, yp, context, i)
+        yp = apply_on_legs(move, yp.conj().T, context, i).conj().T
     d_left = total_dim(context[:i - 1] + context[i:k - 1])
     d_mid = a.dim * b.dim
     d_right = total_dim(context[k:])
@@ -277,7 +340,7 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
     zop = LegOperator(LegSignature((a, b), (a, b)), z)
     # the residual goes through the crossings themselves, not their unitarity:
     # explicit braiding tables are not validated as unitary
-    fit = _apply_routed(zop, k, move, back) if routed else embed_adjacent(zop, context, i)
+    fit = leg_product(_routed(zop, i, k, move, back) if routed else [(zop, i)], context)
     return zop, float(np.linalg.norm(y.matrix - fit.matrix))
 
 

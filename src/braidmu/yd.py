@@ -17,8 +17,8 @@ from . import spans
 from .braiding import BraidingRegularityReport, ExplicitBraiding, braiding_regularity
 from .multunitary import MultUnitary, commutant_dimension
 from .spans import OperatorSpan, span_from_slices
-from .tensor import (LegOperator, LegSignature, Space, apply_distant, compose,
-                     embed_adjacent, extract_distant, is_unitary, tensor_space)
+from .tensor import (LegOperator, Space, Step, adjoint, compose, extract_distant,
+                     is_unitary, leg_product, route_steps, tensor_space)
 
 __all__ = [
     "Corep", "Rep", "YDModule", "ExtractionError", "corep_residual", "rep_residual",
@@ -58,35 +58,37 @@ class YDModule:
         return Rep(self.space, self.rep)
 
 
+def _distance(lhs: list[Step], rhs: list[Step], ctx: tuple[Space, ...]) -> float:
+    """Hilbert-Schmidt distance of two leg products on the same context."""
+    return float(np.linalg.norm(leg_product(lhs, ctx).matrix - leg_product(rhs, ctx).matrix))
+
+
 def corep_residual(corep: Corep, mu: MultUnitary) -> float:
     """|| F23 U12 - U12 U13 F23 || on H (x) L (x) L, the over route on U13."""
     h, l = corep.space, mu.space
     ctx = (h, l, l)
-    u12 = embed_adjacent(corep.op, ctx, 1).matrix
-    f23 = embed_adjacent(mu.op, ctx, 2).matrix
-    u13 = apply_distant(corep.op, ctx, (1, 3), "over", mu.braiding).matrix
-    return float(np.linalg.norm(f23 @ u12 - u12 @ u13 @ f23))
+    u13 = route_steps(corep.op, ctx, (1, 3), "over", mu.braiding)
+    return _distance([(corep.op, 1), (mu.op, 2)],
+                     [(mu.op, 2), *u13, (corep.op, 1)], ctx)
 
 
 def rep_residual(rep: Rep, mu: MultUnitary) -> float:
     """|| V23 F12 - F12 V13 V23 || on L (x) L (x) H, the over route on V13."""
     h, l = rep.space, mu.space
     ctx = (l, l, h)
-    v23 = embed_adjacent(rep.op, ctx, 2).matrix
-    f12 = embed_adjacent(mu.op, ctx, 1).matrix
-    v13 = apply_distant(rep.op, ctx, (1, 3), "over", mu.braiding).matrix
-    return float(np.linalg.norm(v23 @ f12 - f12 @ v13 @ v23))
+    v13 = route_steps(rep.op, ctx, (1, 3), "over", mu.braiding)
+    return _distance([(mu.op, 1), (rep.op, 2)],
+                     [(rep.op, 2), *v13, (mu.op, 1)], ctx)
 
 
 def yd_residual(module: YDModule, mu: MultUnitary) -> float:
     """|| V12 F13-over U23 - U23 F13-under V12 || on L (x) H (x) L."""
     h, l = module.space, mu.space
     ctx = (l, h, l)
-    v12 = embed_adjacent(module.rep, ctx, 1).matrix
-    u23 = embed_adjacent(module.corep, ctx, 2).matrix
-    f_over = apply_distant(mu.op, ctx, (1, 3), "over", mu.braiding).matrix
-    f_under = apply_distant(mu.op, ctx, (1, 3), "under", mu.braiding).matrix
-    return float(np.linalg.norm(v12 @ f_over @ u23 - u23 @ f_under @ v12))
+    f_over = route_steps(mu.op, ctx, (1, 3), "over", mu.braiding)
+    f_under = route_steps(mu.op, ctx, (1, 3), "under", mu.braiding)
+    return _distance([(module.corep, 2), *f_over, (module.rep, 1)],
+                     [(module.rep, 1), *f_under, (module.corep, 2)], ctx)
 
 
 def _regroup_first_two(op: LegOperator, h12: Space) -> LegOperator:
@@ -99,10 +101,9 @@ def tensor_corep(c1: Corep, c2: Corep, mu: MultUnitary, tol: float = 1e-9) -> Co
     """Corep on H1 (x) H2: U1 at legs (1,3) over the middle, then U2 at (2,3)."""
     l = mu.space
     ctx = (c1.space, c2.space, l)
-    u2 = embed_adjacent(c2.op, ctx, 2)
-    u1 = apply_distant(c1.op, ctx, (1, 3), "over", mu.braiding)
+    u1 = route_steps(c1.op, ctx, (1, 3), "over", mu.braiding)
     h12 = tensor_space(c1.space, c2.space)
-    out = Corep(h12, _regroup_first_two(compose(u1, u2), h12))
+    out = Corep(h12, _regroup_first_two(leg_product([(c2.op, 2), *u1], ctx), h12))
     res = corep_residual(out, mu)
     if res > tol:
         raise ValueError(f"tensor corep fails its residual: {res:.3e}")
@@ -113,10 +114,9 @@ def tensor_rep(r1: Rep, r2: Rep, mu: MultUnitary, tol: float = 1e-9) -> Rep:
     """Rep on H1 (x) H2: V2 at legs (1,3) over the middle, then V1 at (1,2)."""
     l = mu.space
     ctx = (l, r1.space, r2.space)
-    v2 = apply_distant(r2.op, ctx, (1, 3), "over", mu.braiding)
-    v1 = embed_adjacent(r1.op, ctx, 1)
+    v2 = route_steps(r2.op, ctx, (1, 3), "over", mu.braiding)
     h12 = tensor_space(r1.space, r2.space)
-    out = Rep(h12, compose(v1, v2).with_legs((l, h12), (l, h12)))
+    out = Rep(h12, leg_product([*v2, (r1.op, 1)], ctx).with_legs((l, h12), (l, h12)))
     res = rep_residual(out, mu)
     if res > tol:
         raise ValueError(f"tensor rep fails its residual: {res:.3e}")
@@ -129,10 +129,9 @@ def _yd_tensor_rep(r1: Rep, r2: Rep, mu: MultUnitary) -> Rep:
     # asserted in the tests rather than assumed here.
     l = mu.space
     ctx = (l, r1.space, r2.space)
-    v1 = embed_adjacent(r1.op, ctx, 1)
-    v2 = apply_distant(r2.op, ctx, (1, 3), "under", mu.braiding)
+    v2 = route_steps(r2.op, ctx, (1, 3), "under", mu.braiding)
     h12 = tensor_space(r1.space, r2.space)
-    out = compose(v2, v1)
+    out = leg_product([(r1.op, 1), *v2], ctx)
     return Rep(h12, out.with_legs((l, h12), (l, h12)))
 
 
@@ -150,20 +149,22 @@ def tensor_yd(m1: YDModule, m2: YDModule, mu: MultUnitary,
     return out
 
 
-def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary,
-                    tol: float = 1e-9) -> LegOperator:
+def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary, tol: float = 1e-9, *,
+                    commutant_dim: int | None = None) -> LegOperator:
     """The unique unitary on H (x) K whose (1,3)-embedding is U*12 V23 U12 V*23.
 
     Requires a trivial commutant (dimension one); a violation is reported as
-    a warning since the extraction itself may still succeed.
+    a warning since the extraction itself may still succeed.  A caller that
+    pairs many modules over one mu passes ``commutant_dimension(mu)`` as
+    ``commutant_dim``; it is computed here when omitted.
     """
-    h, k, l = corep.space, rep.space, mu.space
-    ctx = (h, l, k)
-    u12 = embed_adjacent(corep.op, ctx, 1).matrix
-    v23 = embed_adjacent(rep.op, ctx, 2).matrix
-    r = u12.conj().T @ v23 @ u12 @ v23.conj().T
-    rop = LegOperator(LegSignature(ctx, ctx), r)
-    if commutant_dimension(mu) != 1:
+    h, k = corep.space, rep.space
+    ctx = (h, mu.space, k)
+    u, v = corep.op, rep.op
+    rop = leg_product([(adjoint(v), 2), (u, 1), (v, 2), (adjoint(u), 1)], ctx)
+    if commutant_dim is None:
+        commutant_dim = commutant_dimension(mu)
+    if commutant_dim != 1:
         warnings.warn("pairing_unitary: the commutant is not trivial, the "
                       "factorization may not be unique", stacklevel=2)
     z, residual = extract_distant(rop, ctx, (1, 3), "over", mu.braiding)
@@ -175,12 +176,14 @@ def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary,
     return z
 
 
-def yd_braiding(m1: YDModule, m2: YDModule, mu: MultUnitary,
-                tol: float = 1e-9) -> LegOperator:
+def yd_braiding(m1: YDModule, m2: YDModule, mu: MultUnitary, tol: float = 1e-9, *,
+                commutant_dim: int | None = None) -> LegOperator:
     """The module-category braiding H (x) K -> K (x) H: inverse ambient braiding
-    composed with the rep-corep pairing."""
+    composed with the rep-corep pairing (``commutant_dim`` as in
+    :func:`pairing_unitary`)."""
     h, k = m1.space, m2.space
-    pairing = pairing_unitary(m2.as_rep(), m1.as_corep(), mu, tol)
+    pairing = pairing_unitary(m2.as_rep(), m1.as_corep(), mu, tol,
+                              commutant_dim=commutant_dim)
     cinv = mu.braiding.braid_inverse(k, h)  # H (x) K -> K (x) H
     return compose(cinv, pairing)
 
@@ -190,7 +193,8 @@ def yd_braiding_provider(modules: list[YDModule], mu: MultUnitary,
     """Explicit braiding table over the given modules (and their pairwise tensors).
 
     Including tensor modules makes the hexagon identities checkable against
-    genuinely independent pairings.
+    genuinely independent pairings.  The commutant of mu is computed once
+    for all the pairings.
     """
     objects = list(modules)
     if include_tensors:
@@ -199,11 +203,12 @@ def yd_braiding_provider(modules: list[YDModule], mu: MultUnitary,
                 objects.append(tensor_yd(a, b, mu, tol))
     provider = ExplicitBraiding()
     base_ids = {m.space.id for m in modules}
+    commutant_dim = commutant_dimension(mu)
     for a in objects:
         for b in objects:
             if a.space.id not in base_ids and b.space.id not in base_ids:
                 continue  # tensor-tensor pairs are not needed for hexagon checks
-            provider.register(yd_braiding(a, b, mu, tol))
+            provider.register(yd_braiding(a, b, mu, tol, commutant_dim=commutant_dim))
     return provider
 
 

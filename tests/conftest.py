@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import braidmu as bm
+from braidmu import LegOperator, LegSignature, Space, dsl
+from braidmu.tensor import total_dim
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
 
@@ -51,3 +53,69 @@ def random_unitary(n, seed):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def routed_oracle(x, context, positions, route, braiding):
+    """apply_distant one crossing at a time: leg i slides right past each
+    intermediate leg, x acts, then its first codomain leg slides back left,
+    crossing the nearest intermediate leg first.  Returns the matrix and the
+    codomain legs."""
+    i, k = positions
+    spaces = list(context)
+    move = np.eye(total_dim(spaces))
+    for p in range(i, k - 1):
+        a, m = spaces[p - 1], spaces[p]
+        c = braiding.braid_inverse(m, a) if route == "over" else braiding.braid(a, m)
+        move = bm.embed_adjacent(c, tuple(spaces), p).matrix @ move
+        spaces[p - 1:p + 1] = [m, a]
+    mid = bm.embed_adjacent(x, tuple(spaces), k - 1)
+    spaces = list(mid.codomain)
+    back = np.eye(total_dim(spaces))
+    for p in range(k - 2, i - 1, -1):
+        m, a2 = spaces[p - 1], spaces[p]
+        c = braiding.braid(m, a2) if route == "over" else braiding.braid_inverse(a2, m)
+        back = bm.embed_adjacent(c, tuple(spaces), p).matrix @ back
+        spaces[p - 1:p + 1] = [a2, m]
+    return back @ mid.matrix @ move, tuple(spaces)
+
+
+def routing_category(kind):
+    """A braiding and two spaces of different dimensions it braids."""
+    if kind == "yd":
+        omega = np.exp(2j * np.pi / 3)
+        group = bm.cyclic(3)
+        p, mu = bm.group_yd_module(group, [0, 1, 2],
+                                   [np.diag(omega ** (g * np.arange(3))) for g in range(3)],
+                                   space_id="P")
+        q, _ = bm.group_yd_module(group, [1, 2], [np.diag(omega ** (g * np.array([0, 2])))
+                                                 for g in range(3)], mu=mu, space_id="Q")
+        return bm.yd_braiding_provider([p, q], mu, include_tensors=False), p.space, q.space
+    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+    return (bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)), a, b
+
+
+def dense_evaluate(expr, bindings, context, braiding):
+    """dsl.evaluate the dense way: every factor padded to the running context by
+    embed_adjacent (routed atoms one crossing at a time) and multiplied onto
+    an identity seed with compose."""
+    context = tuple(context)
+    if isinstance(expr, dsl.Seq):
+        current = bm.identity(context)
+        for term in reversed(expr.terms):
+            current = bm.compose(dense_evaluate(term, bindings, current.codomain, braiding),
+                                 current)
+        return current
+    if isinstance(expr, dsl.Adj):
+        inner = dense_evaluate(expr.inner, bindings, context, braiding)
+        assert inner.domain == inner.codomain
+        return bm.adjoint(inner)
+    legs = expr.legs
+    if expr.name in ("c", "cinv"):
+        a, b = context[legs[0] - 1], context[legs[0]]
+        op = braiding.braid(a, b) if expr.name == "c" else braiding.braid_inverse(b, a)
+        return bm.embed_adjacent(op, context, legs[0])
+    op = bindings[expr.name]
+    if all(legs[j + 1] == legs[j] + 1 for j in range(len(legs) - 1)):
+        return bm.embed_adjacent(op, context, legs[0])
+    matrix, codomain = routed_oracle(op, context, legs, expr.route or "over", braiding)
+    return LegOperator(LegSignature(context, codomain), matrix)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import braidmu as bm
@@ -305,3 +306,46 @@ def test_analyze_rejects_a_braiding_that_does_not_cover_the_space(tmp_path, caps
     code, err = _analyze_edited_bundle(tmp_path, capsys, edit)
     assert code == 2
     assert "/braiding: phase braiding does not cover (L, L)" in err
+
+
+def _z3_module_bundle(path):
+    omega = np.exp(2j * np.pi / 3)
+    module, mu = bm.group_yd_module(bm.cyclic(3), [0, 1, 2],
+                                    [np.diag(omega ** (g * np.arange(3))) for g in range(3)])
+    bundle = bm.Bundle()
+    bundle.spaces.update({mu.space.id: mu.space, module.space.id: module.space})
+    bundle.operators.update(W=mu.op, U=module.corep, V=module.rep)
+    bundle.groups["Z3"] = bm.cyclic(3)
+    bm.save_bundle(bundle, str(path))
+
+
+def test_eval_rejects_sides_that_end_on_different_legs(tmp_path, capsys):
+    # c maps H (x) L to L (x) H while U keeps H (x) L: the matrices have the
+    # same shape but their rows carry different legs, so there is no residual
+    data = tmp_path / "z3.json"
+    _z3_module_bundle(data)
+    stmt = tmp_path / "legs.stmt"
+    stmt.write_text("context: H L\nc[1,2] == U[1,2]\n")
+    capsys.readouterr()
+    assert run(["eval", str(stmt), str(data)]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == ("error: line 2: the two sides of '==' end on different legs, "
+                       "['L', 'H'] and ['H', 'L']\n")
+
+
+@pytest.mark.parametrize("context, statement, message", [
+    ("H L", "c[1,2]^* == c[1,2]^*", "adjoint of a context-changing expression is not supported"),
+    ("L L", "Q[1,2] == W[1,2]", "unknown operator name 'Q'"),
+    ("L L L", "W[1,4] == W[1,2]", "leg index out of range in W[1, 4]"),
+    ("L L L", "W[2,1] == W[1,2]", "unsupported leg pattern [2, 1] for W"),
+    ("L L L", "c[1,3] == W[1,3]", "c braids adjacent legs only, got (1, 3)"),
+])
+def test_eval_leg_errors_keep_their_messages(tmp_path, capsys, context, statement, message):
+    data = tmp_path / "z3.json"
+    _z3_module_bundle(data)
+    stmt = tmp_path / "bad.stmt"
+    stmt.write_text(f"context: {context}\n{statement}\n")
+    capsys.readouterr()
+    assert run(["eval", str(stmt), str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

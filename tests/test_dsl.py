@@ -7,7 +7,7 @@ import braidmu as bm
 from braidmu import dsl
 from braidmu import LegOperator, LegSignature
 
-from conftest import random_unitary
+from conftest import dense_evaluate, random_unitary, routing_category
 
 
 def leg_op(matrix, dom, cod=None):
@@ -198,3 +198,97 @@ def test_corpus_files_evaluate_against_builtins(super_module):
             assert res.passed, (name, res.statement.text, res.residual)
             checked += 1
     assert checked == 5
+
+
+CATEGORIES = ["flip", "phase3", "yd"]
+
+
+def _category(kind):
+    """A braiding, its spaces L and H, and unitary bindings W, U, V, a on them."""
+    braiding, l, h = routing_category(kind)
+    bindings = {"W": leg_op(random_unitary(l.dim ** 2, 41), [l, l]),
+                "U": leg_op(random_unitary(h.dim * l.dim, 42), [h, l]),
+                "V": leg_op(random_unitary(l.dim * h.dim, 43), [l, h]),
+                "a": leg_op(random_unitary(l.dim, 44), [l])}
+    return braiding, {"L": l, "H": h}, bindings
+
+
+def _assert_matches_the_dense_oracle(expr, bindings, context, braiding):
+    got = dsl.evaluate(expr, bindings, context, braiding)
+    want = dense_evaluate(expr, bindings, context, braiding)
+    assert got.signature == want.signature
+    np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", CATEGORIES)
+def test_corpus_statements_match_the_dense_oracle(kind):
+    import importlib.resources as resources
+
+    braiding, spaces, bindings = _category(kind)
+    corpus = resources.files("braidmu") / "corpus"
+    for name in ("corep", "goodness", "pentagon", "rep", "yd"):
+        ids, statements = dsl.parse_statement_file((corpus / f"{name}.stmt").read_text())
+        context = tuple(spaces[i] for i in ids)
+        for stmt in statements:
+            for side in (stmt.lhs, stmt.rhs):
+                _assert_matches_the_dense_oracle(side, bindings, context, braiding)
+
+
+@pytest.mark.parametrize("route", ["over", "under"])
+@pytest.mark.parametrize("kind", CATEGORIES)
+def test_routed_atoms_match_the_dense_oracle(kind, route):
+    braiding, a, b = routing_category(kind)
+    rng = np.random.default_rng(17)
+    # 1, 2 and 3 intermediate legs, with idle legs before and after
+    for context, (i, k) in (((a, b, b), (1, 3)),
+                            ((b, a, b, a, b), (2, 5)),
+                            ((a, b, a, b, b, a), (1, 5))):
+        dom = (context[i - 1], context[k - 1])
+        for cod in (dom, dom[::-1]):  # the second one changes the spaces
+            d, c = dom[0].dim * dom[1].dim, cod[0].dim * cod[1].dim
+            x = leg_op(rng.normal(size=(c, d)) + 1j * rng.normal(size=(c, d)), dom, cod)
+            expr = dsl.parse(f"X[{i},{k}]@{route}")
+            _assert_matches_the_dense_oracle(expr, {"X": x}, context, braiding)
+
+
+@pytest.mark.parametrize("kind", CATEGORIES)
+@pytest.mark.parametrize("ids, text", [
+    # adjoints of routed atoms and of sequences
+    ("L H L", "(V[1,2].W[1,3]@over)^*"),
+    ("L H L", "W[1,3]@under^*"),
+    ("L H L", "U[2,3]^*.(W[1,3]@over.U[2,3])^*.V[1,2]"),
+    # c and cinv change the context midway
+    ("H L", "V[1,2].c[1,2].U[1,2]"),
+    ("H L", "(cinv[1,2].V[1,2].c[1,2])^*"),
+    ("H L L", "W[1,3]@over.c[1,2]"),
+    ("H L L", "U[1,3]@under.cinv[1,2].W[1,3]@over.c[1,2]"),
+])
+def test_adjoints_and_context_changes_match_the_dense_oracle(kind, ids, text):
+    braiding, spaces, bindings = _category(kind)
+    context = tuple(spaces[i] for i in ids.split())
+    _assert_matches_the_dense_oracle(dsl.parse(text), bindings, context, braiding)
+
+
+def test_evaluate_pads_only_the_first_step(monkeypatch, z2):
+    # the steps act on one running matrix: no identity seed, no composed
+    # full-context products, and the only padded matrix is the product's start
+    import importlib
+
+    braiding = importlib.import_module("braidmu.braiding")
+    tensor = importlib.import_module("braidmu.tensor")  # braidmu.tensor is the function
+
+    def forbidden(*args):
+        raise AssertionError("dense product on the evaluate path")
+
+    for module in (tensor, braiding):
+        monkeypatch.setattr(module, "compose", forbidden)
+        monkeypatch.setattr(module, "identity", forbidden)
+    real, padded = tensor.embed_adjacent, []
+    monkeypatch.setattr(tensor, "embed_adjacent",
+                        lambda x, context, start: padded.append(x) or real(x, context, start))
+    ctx = (z2.space,) * 3
+    for text in ("W[2,3].W[1,2]", PENTAGON_RHS, "W[1,3]@under.W[1,2]^*"):
+        padded.clear()
+        out = dsl.evaluate(dsl.parse(text), {"W": z2.op}, ctx, z2.braiding)
+        assert out.domain == out.codomain == ctx
+        assert len(padded) == 1

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
-from braidmu.tensor import total_dim
+from braidmu.tensor import leg_product, legs_after, total_dim
 
-from conftest import random_unitary
+from conftest import random_unitary, routed_oracle, routing_category
 
 L2 = Space("L", 2)
 L3 = Space("M", 3)
@@ -230,49 +230,10 @@ def test_apply_distant_with_space_changing_operator():
     np.testing.assert_allclose(image, np.kron(vb, np.kron(vm, va)), atol=1e-14)
 
 
-def routed_oracle(x, context, positions, route, braiding):
-    """apply_distant one crossing at a time: leg i slides right past each
-    intermediate leg, x acts, then its first codomain leg slides back left,
-    crossing the nearest intermediate leg first.  Returns the matrix and the
-    codomain legs."""
-    i, k = positions
-    spaces = list(context)
-    move = np.eye(total_dim(spaces))
-    for p in range(i, k - 1):
-        a, m = spaces[p - 1], spaces[p]
-        c = braiding.braid_inverse(m, a) if route == "over" else braiding.braid(a, m)
-        move = bm.embed_adjacent(c, tuple(spaces), p).matrix @ move
-        spaces[p - 1:p + 1] = [m, a]
-    mid = bm.embed_adjacent(x, tuple(spaces), k - 1)
-    spaces = list(mid.codomain)
-    back = np.eye(total_dim(spaces))
-    for p in range(k - 2, i - 1, -1):
-        m, a2 = spaces[p - 1], spaces[p]
-        c = braiding.braid(m, a2) if route == "over" else braiding.braid_inverse(a2, m)
-        back = bm.embed_adjacent(c, tuple(spaces), p).matrix @ back
-        spaces[p - 1:p + 1] = [a2, m]
-    return back @ mid.matrix @ move, tuple(spaces)
-
-
-def _routing_category(kind):
-    """A braiding and two spaces of different dimensions it braids."""
-    if kind == "yd":
-        omega = np.exp(2j * np.pi / 3)
-        group = bm.cyclic(3)
-        p, mu = bm.group_yd_module(group, [0, 1, 2],
-                                   [np.diag(omega ** (g * np.arange(3))) for g in range(3)],
-                                   space_id="P")
-        q, _ = bm.group_yd_module(group, [1, 2], [np.diag(omega ** (g * np.array([0, 2])))
-                                                 for g in range(3)], mu=mu, space_id="Q")
-        return bm.yd_braiding_provider([p, q], mu, include_tensors=False), p.space, q.space
-    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
-    return (bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)), a, b
-
-
 @pytest.mark.parametrize("route", ["over", "under"])
 @pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
 def test_routing_matches_the_per_crossing_oracle(kind, route):
-    braiding, a, b = _routing_category(kind)
+    braiding, a, b = routing_category(kind)
     rng = np.random.default_rng(11)
     # 1, 2 and 3 intermediate legs, with idle legs before and after
     for context, positions in (((a, b, b), (1, 3)),
@@ -397,3 +358,52 @@ def test_extract_distant_builds_each_crossing_once(monkeypatch):
     assert calls == [((L2,), (L3, L3)), ((L3, L3), (L2,))]
     assert residual < 1e-12
     np.testing.assert_allclose(z.matrix, x.matrix, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 3),
+       st.integers(0, 2 ** 31 - 1))
+def test_apply_on_legs_matches_the_embedded_product(dims, k, out_dims, cols, seed):
+    # every start position, with codomain legs that differ from the domain legs
+    rng = np.random.default_rng(seed)
+    context = tuple(Space(f"s{j}", d) for j, d in enumerate(dims))
+    k = min(k, len(context))
+    cod_legs = tuple(Space(f"t{j}", d) for j, d in enumerate(out_dims))
+    for start in range(1, len(context) - k + 2):
+        dom = context[start - 1:start - 1 + k]
+        for cod in (dom, cod_legs):
+            c, d = total_dim(cod), total_dim(dom)
+            op = leg_op(rng.normal(size=(c, d)) + 1j * rng.normal(size=(c, d)), dom, cod)
+            x = rng.normal(size=(total_dim(context), cols))
+            dense = bm.embed_adjacent(op, context, start)
+            got = bm.apply_on_legs(op, x, context, start)
+            np.testing.assert_allclose(got, dense.matrix @ x, rtol=0, atol=1e-12)
+            assert legs_after(op, context, start) == dense.codomain
+
+
+def test_apply_on_legs_rejects_misplaced_operators():
+    w = leg_op(W_Z2, [L2, L2])
+    with pytest.raises(LegError, match="cannot embed a 2-leg operator at position 3"):
+        bm.apply_on_legs(w, np.eye(8), (L2, L2, L2), 3)
+    with pytest.raises(LegError, match="do not match context legs"):
+        bm.apply_on_legs(w, np.eye(12), (L2, L3, L2), 1)
+    with pytest.raises(LegError, match="no rows"):
+        bm.apply_on_legs(w, np.eye(4), (L2, L2, L2), 1)
+
+
+def test_leg_product_matches_the_composed_embeddings():
+    # a space-changing step in the middle moves the legs the later steps act on
+    a, b = Space("A", 2), Space("B", 3)
+    flip = bm.FlipBraiding()
+    u = leg_op(random_unitary(6, 31), [a, b])
+    v = leg_op(random_unitary(6, 32), [b, a])
+    w = leg_op(random_unitary(4, 33), [a, a])
+    context = (a, b, a)
+    steps = [(u, 1), (flip.braid(a, b), 1), (v, 1), (w, 2)]
+    dense = bm.identity(context)
+    for op, start in steps:
+        dense = bm.compose(bm.embed_adjacent(op, dense.codomain, start), dense)
+    got = leg_product(steps, context)
+    assert got.signature == dense.signature == LegSignature((a, b, a), (b, a, a))
+    np.testing.assert_allclose(got.matrix, dense.matrix, rtol=0, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space
 
-from conftest import random_unitary
+from conftest import random_unitary, routed_oracle, routing_category
 
 
 def leg_op(matrix, dom, cod=None):
@@ -260,3 +260,48 @@ def test_residual_routes_agree_for_symmetric_braidings(super_module):
     over = bm.apply_distant(mu.op, ctx, (1, 3), "over", mu.braiding)
     under = bm.apply_distant(mu.op, ctx, (1, 3), "under", mu.braiding)
     assert np.linalg.norm(over.matrix - under.matrix) < 1e-12
+
+
+def test_provider_computes_the_commutant_once(monkeypatch, super_module):
+    from braidmu import yd
+
+    mod, mu = super_module
+    real, calls = yd.commutant_dimension, []
+    monkeypatch.setattr(yd, "commutant_dimension", lambda m: calls.append(m) or real(m))
+    provider = bm.yd_braiding_provider([mod], mu)  # the module and its tensor square
+    assert len(calls) == 1 and len(list(provider.pairs())) == 3
+    bm.pairing_unitary(mod.as_rep(), mod.as_corep(), mu)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
+def test_residuals_match_the_dense_oracle(kind):
+    # random unitaries satisfy none of the identities, so every residual is
+    # a nonzero number that the dense transcription must reproduce
+    braiding, l, h = routing_category(kind)
+    w = leg_op(random_unitary(l.dim ** 2, 51), [l, l])
+    u = leg_op(random_unitary(h.dim * l.dim, 52), [h, l])
+    v = leg_op(random_unitary(l.dim * h.dim, 53), [l, h])
+    mu = bm.MultUnitary(l, w, braiding)
+
+    def at(x, ctx, start):
+        return bm.embed_adjacent(x, ctx, start).matrix
+
+    def routed(x, ctx, route):
+        return routed_oracle(x, ctx, (1, 3), route, braiding)[0]
+
+    ctx = (h, l, l)
+    corep = np.linalg.norm(at(w, ctx, 2) @ at(u, ctx, 1)
+                           - at(u, ctx, 1) @ routed(u, ctx, "over") @ at(w, ctx, 2))
+    ctx = (l, l, h)
+    rep = np.linalg.norm(at(v, ctx, 2) @ at(w, ctx, 1)
+                         - at(w, ctx, 1) @ routed(v, ctx, "over") @ at(v, ctx, 2))
+    ctx = (l, h, l)
+    yd = np.linalg.norm(at(v, ctx, 1) @ routed(w, ctx, "over") @ at(u, ctx, 2)
+                        - at(u, ctx, 2) @ routed(w, ctx, "under") @ at(v, ctx, 1))
+    module = bm.YDModule(h, u, v)
+    for got, want in ((bm.corep_residual(module.as_corep(), mu), corep),
+                      (bm.rep_residual(module.as_rep(), mu), rep),
+                      (bm.yd_residual(module, mu), yd)):
+        assert want > 0.1
+        assert abs(got - want) < 1e-12
