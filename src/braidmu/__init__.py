@@ -14,10 +14,9 @@ from .braiding import (BraidingProvider, BraidingRegularityReport, ExplicitBraid
                        FlipBraiding, InverseBraiding, PhaseBraiding, UnsupportedPairError,
                        braiding_regularity, check_hexagons, check_naturality)
 from .spans import (Conjugation, DecompositionError, OperatorSpan, adjoint_span, contains,
-                    crossed_product, crossed_product_commutes, equals,
-                    extend_on_crossed_product, is_algebra, is_nondegenerate,
+                    crossed_product, equals, is_algebra, is_nondegenerate,
                     is_relative_multiplier, is_star_closed, kernel_of_linear_map,
-                    product_span, projector_distance, span_from_slices, span_of)
+                    projector_distance, span_from_slices, span_of)
 from .multunitary import (BialgebraCertificate, Certificate, MultUnitary, RegularityReport,
                           classify_regularity, coassociativity_residual, commutant_dimension,
                           comultiply, dual, full_certificate, left_slice_span,

@@ -1,9 +1,10 @@
 """Braiding providers for concrete categories, plus axiom and regularity checks.
 
 A provider assigns to every supported ordered pair of spaces (H, K) a unitary
-c_{H,K}: H (x) K -> K (x) H.  Hexagon checks compare the provider's braiding of
-a genuine tensor-product space against the pairwise composition, so they are
-non-vacuous for every provider kind.
+c_{H,K}: H (x) K -> K (x) H.  A braiding of leg blocks is the list of adjacent
+crossings of :func:`braid_steps`, multiplied by :func:`braidmu.tensor.leg_product`.
+Hexagon checks compare the provider's braiding of a genuine tensor-product
+space against that product, so they are non-vacuous for every provider kind.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import (LegOperator, LegSignature, Space, compose, embed_adjacent,
-                     identity, tensor, tensor_space)
+from .tensor import (LegOperator, LegSignature, Space, Step, identity, leg_product,
+                     tensor_space)
 from . import spans
 
 __all__ = [
     "UnsupportedPairError", "BraidingProvider", "FlipBraiding", "PhaseBraiding",
-    "ExplicitBraiding", "InverseBraiding", "braid_tensor", "check_hexagons",
+    "ExplicitBraiding", "InverseBraiding", "braid_steps", "braid_tensor", "check_hexagons",
     "check_naturality", "braiding_regularity", "BraidingRegularityReport",
 ]
 
@@ -141,25 +142,27 @@ class InverseBraiding(BraidingProvider):
         return self.base
 
 
+def braid_steps(provider: BraidingProvider, left: Sequence[Space],
+                right: Sequence[Space]) -> list[Step]:
+    """The adjacent crossings of the braiding of leg blocks, as leg_product steps.
+
+    This is the hexagon expansion c_{X (x) Y, Z} = (c_{X,Z} (x) id)(id (x) c_{Y,Z})
+    and c_{X, Y (x) Z} = (id (x) c_{X,Z})(c_{X,Y} (x) id) unrolled: the last
+    left leg crosses first, taking the right legs in order, then the leg
+    before it.  Left leg i crosses right leg j at position i + j - 1.
+    """
+    left, right = tuple(left), tuple(right)
+    return [(provider.braid(left[i - 1], right[j - 1]), i + j - 1)
+            for i in range(len(left), 0, -1) for j in range(1, len(right) + 1)]
+
+
 def braid_tensor(provider: BraidingProvider, left: Sequence[Space],
                  right: Sequence[Space]) -> LegOperator:
-    """Braiding of leg blocks, expanded through the hexagon identities."""
+    """Braiding of leg blocks: the product of :func:`braid_steps`."""
     left, right = tuple(left), tuple(right)
     if not left or not right:
         return identity(left + right)
-    if len(left) == 1 and len(right) == 1:
-        return provider.braid(left[0], right[0])
-    if len(left) > 1:
-        # c_{X (x) Y, Z} = (c_{X,Z} (x) id_Y) (id_X (x) c_{Y,Z})
-        x, y = left[:1], left[1:]
-        first = tensor(identity(x), braid_tensor(provider, y, right))
-        second = embed_adjacent(braid_tensor(provider, x, right), first.codomain, 1)
-        return compose(second, first)
-    # c_{X, Y (x) Z} = (id_Y (x) c_{X,Z}) (c_{X,Y} (x) id_Z)
-    y, z = right[:1], right[1:]
-    first = tensor(braid_tensor(provider, left, y), identity(z))
-    second = embed_adjacent(braid_tensor(provider, left, z), first.codomain, 2)
-    return compose(second, first)
+    return leg_product(braid_steps(provider, left, right), left + right)
 
 
 def check_hexagons(provider: BraidingProvider, spaces: Sequence[Space]) -> dict:
@@ -168,8 +171,7 @@ def check_hexagons(provider: BraidingProvider, spaces: Sequence[Space]) -> dict:
     The left-hand sides braid genuine product spaces, so a provider must
     supply (or derive) braidings for them; this is what keeps the check
     meaningful for explicit tables.  The right-hand sides are the block
-    crossings of :func:`braid_tensor`, the one place multi-leg crossings
-    are built.
+    crossings of :func:`braid_tensor`.
     """
     worst = 0.0
     count = 0
@@ -189,13 +191,15 @@ def check_hexagons(provider: BraidingProvider, spaces: Sequence[Space]) -> dict:
 
 def check_naturality(provider: BraidingProvider, morphisms: Sequence[LegOperator]) -> dict:
     """Max residual of c (f (x) g) = (g (x) f) c over all pairs from the list."""
+    if any(len(f.domain) != 1 or len(f.codomain) != 1 for f in morphisms):
+        raise ValueError("naturality check expects single-leg morphisms")
     worst = 0.0
     for f in morphisms:
         for g in morphisms:
-            if len(f.domain) != 1 or len(g.domain) != 1:
-                raise ValueError("naturality check expects single-leg morphisms")
-            lhs = compose(provider.braid(f.codomain[0], g.codomain[0]), tensor(f, g))
-            rhs = compose(tensor(g, f), provider.braid(f.domain[0], g.domain[0]))
+            legs = f.domain + g.domain
+            lhs = leg_product([(f, 1), (g, 2),
+                               (provider.braid(f.codomain[0], g.codomain[0]), 1)], legs)
+            rhs = leg_product([(provider.braid(*legs), 1), (g, 1), (f, 2)], legs)
             worst = max(worst, float(np.linalg.norm(lhs.matrix - rhs.matrix)))
     return {"max_residual": worst, "pairs": len(morphisms) ** 2}
 

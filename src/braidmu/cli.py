@@ -22,7 +22,7 @@ from .examples_io import (Bundle, SchemaError, graded_category, identity_control
 from .groups import cyclic, symmetric
 from .multunitary import check_record, full_certificate
 from .solver import DegreePreservingConstraint, SearchProblem, search
-from .tensor import LegError
+from .tensor import LegError, Space
 
 
 def _sha256(path: str) -> str:
@@ -156,42 +156,21 @@ def cmd_search(args) -> int:
     # checked before the restarts run, so a bad path wastes no search
     if _missing_directory(args.output, args.report):
         return 2
-    if args.category == "flip":
-        space_grading = None
-        from .braiding import FlipBraiding
-        from .tensor import Space
-        space = Space("L", args.dim, None)
-        provider = FlipBraiding()
-        constraints = ()
-    elif args.category == "super":
-        from .tensor import Space
-        space = Space("L", args.dim, tuple(i % 2 for i in range(args.dim)))
-        from .braiding import PhaseBraiding
-        provider = PhaseBraiding(2)
-        constraints = (DegreePreservingConstraint(2),)
-    elif args.category == "phase":
-        from .tensor import Space
-        space = Space("L", args.dim, tuple(i % args.modulus for i in range(args.dim)))
-        from .braiding import PhaseBraiding
-        provider = PhaseBraiding(args.modulus)
-        constraints = (DegreePreservingConstraint(args.modulus),)
-    else:
-        print(f"error: unknown category {args.category!r}", file=sys.stderr)
-        return 2
-    problem = SearchProblem(space=space, braiding=provider, constraints=constraints,
+    # argparse restricts --category to these three
+    modulus = {"flip": None, "super": 2, "phase": args.modulus}[args.category]
+    grading = None if modulus is None else tuple(i % modulus for i in range(args.dim))
+    space = Space("L", args.dim, grading)
+    bundle = Bundle(spaces={space.id: space},
+                    braiding_kind="flip" if modulus is None else "phase",
+                    braiding_modulus=modulus)
+    constraints = () if modulus is None else (DegreePreservingConstraint(modulus),)
+    problem = SearchProblem(space=space, braiding=bundle.provider(), constraints=constraints,
                             seed=args.seed, restarts=args.restarts,
                             max_iter=args.max_iter, target_residual=args.target_residual)
     start = time.perf_counter()
     results = search(problem)
     elapsed = time.perf_counter() - start
 
-    bundle = Bundle()
-    bundle.spaces[space.id] = space
-    if args.category == "flip":
-        bundle.braiding_kind = "flip"
-    else:
-        bundle.braiding_kind = "phase"
-        bundle.braiding_modulus = 2 if args.category == "super" else args.modulus
     checks = []
     for idx, res in enumerate(results):
         name = f"F_{idx:03d}"

@@ -226,8 +226,7 @@ def _matrix_tree(m: np.ndarray) -> list:
 
 def _matrix_from_tree(tree, path: str) -> np.ndarray:
     try:
-        m = np.array([[complex(entry[0], entry[1]) for entry in row] for row in tree],
-                     dtype=complex)
+        m = np.array([[complex(re, im) for re, im in row] for row in tree], dtype=complex)
     except (TypeError, IndexError, KeyError, ValueError):
         raise SchemaError(path, "matrix must be equal-length rows of [re, im] pairs") from None
     if m.ndim != 2:

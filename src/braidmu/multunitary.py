@@ -13,8 +13,8 @@ from . import spans
 from .spans import (Conjugation, CrossedProductExtension, OperatorSpan,
                     crossed_injections, crossed_product, equals,
                     is_relative_multiplier, kernel_of_linear_map, span_from_slices)
-from .tensor import (LegError, LegOperator, Space, _unitarity_residual, adjoint,
-                     apply_distant, compose, identity, tensor)
+from .tensor import (LegError, LegOperator, LegSignature, Space, _unitarity_residual,
+                     adjoint, apply_distant, compose, leg_product)
 
 __all__ = [
     "MultUnitary", "RegularityReport", "BialgebraCertificate", "Certificate",
@@ -97,7 +97,8 @@ def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> in
     """Dimension of {a : F (a (x) 1) F* = c (a (x) 1) c^{-1}}.
 
     Dimension one means only scalars qualify, which is exactly a trivial
-    commutant for the regularity span.
+    commutant for the regularity span.  The map's column for a matrix unit e
+    is ``comultiply(m, e, "right")`` minus the leg product c (e (x) 1) c^{-1}.
 
     The map is tall (n^4 x n^2), so :func:`spans.null_space` takes its kernel
     from a thin SVD: vh is then n^2 x n^2, already the whole right-singular
@@ -106,18 +107,17 @@ def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> in
     the full vh, since its kernel is larger than its singular spectrum.
     """
     n = m.space.dim
-    f = m.op.matrix
-    c = m.braiding.braid(m.space, m.space).matrix
-    cinv = _cinv(m).matrix
-    eye = np.eye(n)
+    c = m.braiding.braid(m.space, m.space)
+    cinv = _cinv(m)
     cols = []
     for i in range(n):
         for j in range(n):
             e = np.zeros((n, n), dtype=complex)
             e[i, j] = 1.0
-            lhs = f @ np.kron(e, eye) @ f.conj().T
-            rhs = c @ np.kron(e, eye) @ cinv
-            cols.append((lhs - rhs).reshape(-1))
+            unit = LegOperator(LegSignature((m.space,), (m.space,)), e)
+            lhs = comultiply(m, unit, "right")
+            rhs = leg_product([(cinv, 1), (unit, 1), (c, 1)], c.domain)
+            cols.append((lhs.matrix - rhs.matrix).reshape(-1))
     t = np.array(cols).T
     # the map is built from unit-scale conjugations, so anchor the cutoff there
     kernel = kernel_of_linear_map(t, (m.space,), (m.space,), cutoff, scale=1.0)
@@ -163,15 +163,17 @@ def comultiply(m: MultUnitary, a: LegOperator, variant: str = "op") -> LegOperat
     """
     if a.domain != (m.space,) or a.codomain != (m.space,):
         raise LegError("comultiply expects an endomorphism of L")
-    one = identity((m.space,))
+    f, fstar = m.op, adjoint(m.op)
     if variant == "op":
-        return compose(compose(adjoint(m.op), tensor(one, a)), m.op)
-    if variant == "std":
+        steps = [(f, 1), (a, 2), (fstar, 1)]
+    elif variant == "std":
         c = m.braiding.braid(m.space, m.space)
-        return compose(compose(c, comultiply(m, a, "op")), _cinv(m))
-    if variant == "right":
-        return compose(compose(m.op, tensor(a, one)), adjoint(m.op))
-    raise ValueError(f"unknown comultiplication variant {variant!r}")
+        steps = [(_cinv(m), 1), (f, 1), (a, 2), (fstar, 1), (c, 1)]
+    elif variant == "right":
+        steps = [(fstar, 1), (a, 1), (f, 1)]
+    else:
+        raise ValueError(f"unknown comultiplication variant {variant!r}")
+    return leg_product(steps, f.domain)
 
 
 def _bialgebra_data(m: MultUnitary, variant: str):

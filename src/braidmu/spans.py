@@ -14,16 +14,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .tensor import (LegError, LegOperator, LegSignature, Space, adjoint, compose,
-                     identity, tensor, total_dim)
+                     leg_product, total_dim)
 
 __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
-    "equals", "projector_distance", "product_span", "adjoint_span", "is_algebra",
+    "equals", "projector_distance", "adjoint_span", "is_algebra",
     "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
-    "kernel_of_linear_map",
-    "crossed_injections", "crossed_product", "crossed_product_commutes",
-    "is_relative_multiplier", "Conjugation", "identity_conjugation",
-    "CrossedProductExtension", "DecompositionError", "extend_on_crossed_product",
+    "kernel_of_linear_map", "crossed_injections", "crossed_product",
+    "is_relative_multiplier", "Conjugation", "CrossedProductExtension",
+    "DecompositionError",
 ]
 
 RANK_CUTOFF = 1e-9
@@ -128,14 +127,7 @@ def span_from_slices(x: LegOperator, side: str, cutoff: float = RANK_CUTOFF) -> 
 def contains(span: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
     if x.domain != span.domain or x.codomain != span.codomain:
         raise LegError("contains: signature mismatch")
-    v = _vec(x)
-    scale = float(np.linalg.norm(v))
-    if scale == 0:
-        return True
-    b = span.stack()
-    # rows of b are vdot-orthonormal, so the projector is v |-> b.T (conj(b) v)
-    residual = v - b.T @ (b.conj() @ v)
-    return float(np.linalg.norm(residual)) < tol * scale
+    return _subset_residual([x], span) < tol
 
 
 def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
@@ -162,17 +154,6 @@ def equals(s1: OperatorSpan, s2: OperatorSpan, tol: float = 1e-9) -> bool:
     return s1.rank == s2.rank and projector_distance(s1, s2) < tol
 
 
-def product_span(s1: OperatorSpan, s2: OperatorSpan,
-                 cutoff: float = RANK_CUTOFF) -> OperatorSpan:
-    """Span of all pairwise products (first factor applied after the second)."""
-    if s2.codomain != s1.domain:
-        raise LegError("product_span: signatures not composable")
-    if not s1.basis or not s2.basis:
-        return OperatorSpan(s2.domain, s1.codomain, ())
-    products = [compose(a, b) for a in s1.basis for b in s2.basis]
-    return span_of(products, cutoff)
-
-
 def adjoint_span(s: OperatorSpan, cutoff: float = RANK_CUTOFF) -> OperatorSpan:
     if not s.basis:
         return OperatorSpan(s.codomain, s.domain, ())
@@ -180,6 +161,7 @@ def adjoint_span(s: OperatorSpan, cutoff: float = RANK_CUTOFF) -> OperatorSpan:
 
 
 def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> float:
+    """Largest relative distance of a candidate from the span (zero ones skipped)."""
     b = span.stack()
     vecs = [_vec(op) for op in candidates]
     norms = [float(np.linalg.norm(v)) for v in vecs]
@@ -189,6 +171,7 @@ def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> f
         if n <= RANK_CUTOFF * scale:
             # numerically zero at the working scale; trivially contained
             continue
+        # rows of b are vdot-orthonormal, so the projector is v |-> b.T (conj(b) v)
         worst = max(worst, float(np.linalg.norm(v - b.T @ (b.conj() @ v))) / n)
     return worst
 
@@ -257,29 +240,33 @@ def crossed_injections(variant: str, provider, legs1: Sequence[Space],
     variant "habt": a |-> c_{H1,H2}^{-1} (1 (x) a) c_{H1,H2},  b |-> 1 (x) b
     variant "bt":   a |-> a (x) 1,  b |-> c_{H1,H2}^{-1} (b (x) 1) c_{H1,H2}
 
-    Each c^{-1} is the block braiding of ``provider.inverse()``; expanding it
-    through the hexagon identities makes it the inverse of the block braiding c.
+    Each injection is one :func:`braidmu.tensor.leg_product`: the padded
+    element alone, or the block crossings of :func:`braidmu.braiding.braid_steps`
+    around it.  Each c^{-1} is the block braiding of ``provider.inverse()``;
+    expanding it through the hexagon identities makes it the inverse of the
+    block braiding c.
     """
-    from .braiding import braid_tensor
+    from .braiding import braid_steps
 
     legs1, legs2 = tuple(legs1), tuple(legs2)
-    id1, id2 = identity(legs1), identity(legs2)
+    context = legs1 + legs2
+
+    def inject(start: int, before: Sequence = (), after: Sequence = ()) -> Callable:
+        """x on the legs ``start ..``, between the crossings before and after."""
+        return lambda x: leg_product([*before, (x, start), *after], context)
 
     if variant == "hbt":
-        c = braid_tensor(provider, legs2, legs1)  # H2 (x) H1 -> H1 (x) H2
-        cinv = braid_tensor(provider.inverse(), legs1, legs2)
-        alpha = lambda a: compose(compose(c, tensor(id2, a)), cinv)
-        beta = lambda b: tensor(id1, b)
+        alpha = inject(len(legs2) + 1, braid_steps(provider.inverse(), legs1, legs2),
+                       braid_steps(provider, legs2, legs1))
+        beta = inject(len(legs1) + 1)
     elif variant == "habt":
-        c = braid_tensor(provider, legs1, legs2)  # H1 (x) H2 -> H2 (x) H1
-        cinv = braid_tensor(provider.inverse(), legs2, legs1)
-        alpha = lambda a: compose(compose(cinv, tensor(id2, a)), c)
-        beta = lambda b: tensor(id1, b)
+        alpha = inject(len(legs2) + 1, braid_steps(provider, legs1, legs2),
+                       braid_steps(provider.inverse(), legs2, legs1))
+        beta = inject(len(legs1) + 1)
     elif variant == "bt":
-        c = braid_tensor(provider, legs1, legs2)
-        cinv = braid_tensor(provider.inverse(), legs2, legs1)
-        alpha = lambda a: tensor(a, id2)
-        beta = lambda b: compose(compose(cinv, tensor(b, id1)), c)
+        alpha = inject(1)
+        beta = inject(1, braid_steps(provider, legs1, legs2),
+                      braid_steps(provider.inverse(), legs2, legs1))
     else:
         raise ValueError(f"unknown crossed product variant {variant!r}")
     return alpha, beta
@@ -291,15 +278,6 @@ def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
     alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
     products = [compose(alpha(a), beta(b)) for a in s1.basis for b in s2.basis]
     return span_of(products, cutoff)
-
-
-def crossed_product_commutes(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
-                             tol: float = 1e-9) -> bool:
-    """Span of alpha-then-beta products equals the span of beta-then-alpha products."""
-    alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
-    ab = span_of([compose(alpha(a), beta(b)) for a in s1.basis for b in s2.basis])
-    ba = span_of([compose(beta(b), alpha(a)) for a in s1.basis for b in s2.basis])
-    return equals(ab, ba, tol)
 
 
 def is_relative_multiplier(s: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
@@ -334,17 +312,8 @@ class Conjugation:
         return self.v.codomain
 
     def apply(self, a: LegOperator) -> LegOperator:
-        if self.side == "left":
-            aux = self.v.domain[:-len(a.domain)] if len(a.domain) else self.v.domain
-            inner = tensor(identity(aux), a) if aux else a
-        else:
-            aux = self.v.domain[len(a.domain):]
-            inner = tensor(a, identity(aux)) if aux else a
-        return compose(compose(self.v, inner), adjoint(self.v))
-
-
-def identity_conjugation(legs: Sequence[Space]) -> Conjugation:
-    return Conjugation(identity(tuple(legs)), "left")
+        start = len(self.v.domain) - len(a.domain) + 1 if self.side == "left" else 1
+        return leg_product([(adjoint(self.v), 1), (a, start), (self.v, 1)], self.v.codomain)
 
 
 def _padded_product(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.ndarray:
@@ -451,11 +420,3 @@ class CrossedProductExtension:
             raise DecompositionError(
                 f"extension value depends on the decomposition (deviation {dev:.3e})")
         return LegOperator(LegSignature(self.target_domain, self.target_domain), forward)
-
-
-def extend_on_crossed_product(f: Conjugation | None, g: Conjugation | None,
-                              s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
-                              x: LegOperator, tol: float = 1e-9) -> LegOperator:
-    """Apply (f x g) to an element of the crossed product of s1 and s2,
-    cross-checked over two decompositions by :class:`CrossedProductExtension`."""
-    return CrossedProductExtension(s1, s2, provider, variant, f, g).apply(x, tol)

@@ -8,10 +8,13 @@ exactly ``numpy.kron``.
 A factor on a few legs of a longer context acts matrix-free:
 :func:`apply_on_legs` left-multiplies by 1 (x) op (x) 1 with one reshape and
 one matmul and never forms the padded matrix.  A leg-notation product is a
-list of steps ``(op, start)``, run by :func:`leg_product`; a factor on distant
-legs is the three steps of :func:`route_steps`.  :func:`embed_adjacent` and
-:func:`compose` give the same products densely, and the tests keep them as
-the oracle.
+list of steps ``(op, start)``, run by :func:`leg_product`; this is the one
+way a factor is padded and multiplied, for the DSL, the block crossings of
+:func:`braidmu.braiding.braid_steps`, crossed-product injections,
+conjugations and comultiplications alike.  A factor on distant legs is the
+steps of :func:`route_steps`: the move crossings, the factor, the back
+crossings.  :func:`embed_adjacent` and :func:`compose` give the same
+products densely, and the tests keep them as the oracle.
 """
 
 from __future__ import annotations
@@ -213,6 +216,18 @@ def apply_on_legs(op: LegOperator, x: np.ndarray, context: Sequence[Space],
 Step = tuple[LegOperator, int]
 
 
+def _run_steps(steps: Sequence[Step], x: np.ndarray, context: tuple[Space, ...]
+               ) -> tuple[np.ndarray, tuple[Space, ...]]:
+    """Apply the steps in order to the rows of x, which carry the legs ``context``.
+
+    Returns the product and the legs its rows carry.
+    """
+    for op, start in steps:
+        x = apply_on_legs(op, x, context, start)
+        context = legs_after(op, context, start)
+    return x, context
+
+
 def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
     """The product of leg-local steps on the context, the first step applied first.
 
@@ -224,10 +239,7 @@ def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
     context = tuple(context)
     (op, start), *rest = steps
     first = embed_adjacent(op, context, start)
-    m, legs = first.matrix, first.codomain
-    for op, start in rest:
-        m = apply_on_legs(op, m, legs, start)
-        legs = legs_after(op, legs, start)
+    m, legs = _run_steps(rest, first.matrix, first.codomain)
     return LegOperator(LegSignature(context, legs), m)
 
 
@@ -247,26 +259,35 @@ def _route_providers(braiding, route: str):
 
 def _route_crossings(context: tuple[Space, ...], positions: tuple[int, int],
                      out_legs: tuple[Space, ...], route: str, braiding
-                     ) -> tuple[LegOperator, LegOperator]:
+                     ) -> tuple[list[Step], list[Step]]:
     """The move and back crossings of a route between legs (i, k), i + 1 < k.
 
-    Both act from leg i: move braids leg i past the intermediate legs; back
-    braids the first of ``out_legs`` (the codomain of the routed operator)
-    back past them.
+    Both are :func:`braidmu.braiding.braid_steps` lists shifted to leg i:
+    move braids leg i past the intermediate legs; back braids the first of
+    ``out_legs`` (the codomain of the routed operator) back past them.
     """
-    from .braiding import braid_tensor  # braiding builds on this module
+    from .braiding import braid_steps  # braiding builds on this module
 
     i, k = positions
     forth, undo = _route_providers(braiding, route)
     mids = context[i:k - 1]
-    return (braid_tensor(forth, context[i - 1:i], mids),
-            braid_tensor(undo, mids, tuple(out_legs[:1])))
+
+    def from_leg_i(steps: list[Step]) -> list[Step]:
+        return [(op, start + i - 1) for op, start in steps]
+
+    return (from_leg_i(braid_steps(forth, context[i - 1:i], mids)),
+            from_leg_i(braid_steps(undo, mids, tuple(out_legs[:1]))))
 
 
-def _routed(x: LegOperator, i: int, k: int, move: LegOperator,
-            back: LegOperator) -> list[Step]:
+def _routed(x: LegOperator, k: int, move: list[Step], back: list[Step]) -> list[Step]:
     """move, then x on the legs (k - 1, k) that move brings together, then back."""
-    return [(move, i), (x, k - 1), (back, i)]
+    return [*move, (x, k - 1), *back]
+
+
+def _check_positions(positions: tuple[int, int], n: int) -> None:
+    i, k = positions
+    if not (1 <= i < k <= n):
+        raise LegError(f"positions {positions} out of range for a {n}-leg context")
 
 
 def route_steps(x: LegOperator, context: Sequence[Space], positions: tuple[int, int],
@@ -274,14 +295,12 @@ def route_steps(x: LegOperator, context: Sequence[Space], positions: tuple[int, 
     """The steps of a two-leg operator applied at legs (i, k), i < k, of the context.
 
     Adjacent legs take the one step ``(x, i)``.  Otherwise leg i is braided
-    past the intermediate legs as one block crossing, x acts on the
-    now-adjacent legs, and its first codomain leg is braided back.
+    past the intermediate legs, one adjacent crossing at a time, x acts on
+    the now-adjacent legs, and its first codomain leg is braided back.
     """
     i, k = positions
     context = tuple(context)
-    n = len(context)
-    if not (1 <= i < k <= n):
-        raise LegError(f"positions {positions} out of range for a {n}-leg context")
+    _check_positions(positions, len(context))
     if len(x.domain) != 2 or len(x.codomain) != 2:
         raise LegError("apply_distant needs an operator with exactly two domain "
                        "and two codomain legs")
@@ -295,7 +314,7 @@ def route_steps(x: LegOperator, context: Sequence[Space], positions: tuple[int, 
     if braiding is None:
         raise LegError("apply_distant with intermediate legs needs a braiding")
     move, back = _route_crossings(context, positions, x.codomain, route, braiding)
-    return _routed(x, i, k, move, back)
+    return _routed(x, k, move, back)
 
 
 def apply_distant(x: LegOperator, context: Sequence[Space], positions: tuple[int, int],
@@ -319,6 +338,7 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
     """
     i, k = positions
     context = tuple(context)
+    _check_positions(positions, len(context))
     if y.domain != context or y.codomain != context:
         raise LegError("extract_distant expects an endomorphism of the full context")
     a, b = context[i - 1], context[k - 1]
@@ -330,8 +350,8 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
         # apply_distant(z) = Q* E(z) Q with the same unitary Q for every z, so
         # the least-squares problem is a partial trace of Q y Q* = Q (Q y*)*
         move, back = _route_crossings(context, positions, (a, b), route, braiding)
-        yp = apply_on_legs(move, yp, context, i)
-        yp = apply_on_legs(move, yp.conj().T, context, i).conj().T
+        yp = _run_steps(move, yp, context)[0]
+        yp = _run_steps(move, yp.conj().T, context)[0].conj().T
     d_left = total_dim(context[:i - 1] + context[i:k - 1])
     d_mid = a.dim * b.dim
     d_right = total_dim(context[k:])
@@ -340,7 +360,7 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
     zop = LegOperator(LegSignature((a, b), (a, b)), z)
     # the residual goes through the crossings themselves, not their unitarity:
     # explicit braiding tables are not validated as unitary
-    fit = leg_product(_routed(zop, i, k, move, back) if routed else [(zop, i)], context)
+    fit = leg_product(_routed(zop, k, move, back) if routed else [(zop, i)], context)
     return zop, float(np.linalg.norm(y.matrix - fit.matrix))
 
 

@@ -79,6 +79,26 @@ def routed_oracle(x, context, positions, route, braiding):
     return back @ mid.matrix @ move, tuple(spaces)
 
 
+def dense_braid_tensor(provider, left, right):
+    """Braiding of leg blocks, expanded through the hexagon identities."""
+    left, right = tuple(left), tuple(right)
+    if not left or not right:
+        return bm.identity(left + right)
+    if len(left) == 1 and len(right) == 1:
+        return provider.braid(left[0], right[0])
+    if len(left) > 1:
+        # c_{X (x) Y, Z} = (c_{X,Z} (x) id_Y) (id_X (x) c_{Y,Z})
+        x, y = left[:1], left[1:]
+        first = bm.tensor(bm.identity(x), dense_braid_tensor(provider, y, right))
+        second = bm.embed_adjacent(dense_braid_tensor(provider, x, right), first.codomain, 1)
+        return bm.compose(second, first)
+    # c_{X, Y (x) Z} = (id_Y (x) c_{X,Z}) (c_{X,Y} (x) id_Z)
+    y, z = right[:1], right[1:]
+    first = bm.tensor(dense_braid_tensor(provider, left, y), bm.identity(z))
+    second = bm.embed_adjacent(dense_braid_tensor(provider, left, z), first.codomain, 2)
+    return bm.compose(second, first)
+
+
 def routing_category(kind):
     """A braiding and two spaces of different dimensions it braids."""
     if kind == "yd":

@@ -3,6 +3,9 @@ import pytest
 
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space, UnsupportedPairError
+from braidmu.braiding import braid_steps, braid_tensor
+
+from conftest import dense_braid_tensor, routing_category
 
 H2 = Space("H", 2)
 K3 = Space("K", 3)
@@ -176,3 +179,45 @@ def test_built_ins_report_bi_regular():
     for h in graded:
         for k in graded:
             assert bm.braiding_regularity(bm.PhaseBraiding(3), h, k).bi_regular
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
+def test_braid_tensor_matches_the_recursive_oracle(kind):
+    provider, a, b = routing_category(kind)
+    blocks = [(a,), (b, a), (a, b, b)]
+    for left in blocks:
+        for right in [blk[::-1] for blk in blocks]:
+            got = braid_tensor(provider, left, right)
+            expected = dense_braid_tensor(provider, left, right)
+            assert got.signature == expected.signature == LegSignature(left + right,
+                                                                       right + left)
+            np.testing.assert_allclose(got.matrix, expected.matrix, rtol=0, atol=1e-12)
+
+
+def test_braid_steps_cross_the_last_left_leg_first():
+    a, b, c, d, e = (Space(name, 2) for name in "ABCDE")
+    steps = braid_steps(bm.FlipBraiding(), (a, b), (c, d, e))
+    assert [(op.domain, start) for op, start in steps] == [
+        ((b, c), 2), ((b, d), 3), ((b, e), 4), ((a, c), 1), ((a, d), 2), ((a, e), 3)]
+
+
+def test_naturality_matches_the_kron_transcription():
+    # random maps, one of them space-changing, so the residuals are far from zero
+    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+    provider = bm.PhaseBraiding(3)
+    rng = np.random.default_rng(3)
+    morphisms = [LegOperator(LegSignature((dom,), (cod,)),
+                             rng.normal(size=(cod.dim, dom.dim))
+                             + 1j * rng.normal(size=(cod.dim, dom.dim)))
+                 for dom, cod in ((a, a), (b, b), (a, b))]
+    worst = 0.0
+    for f in morphisms:
+        for g in morphisms:
+            c_out = provider.braid(f.codomain[0], g.codomain[0]).matrix
+            c_in = provider.braid(f.domain[0], g.domain[0]).matrix
+            worst = max(worst, np.linalg.norm(c_out @ np.kron(f.matrix, g.matrix)
+                                              - np.kron(g.matrix, f.matrix) @ c_in))
+    report = bm.check_naturality(provider, morphisms)
+    assert report["pairs"] == 9
+    assert worst > 1.0
+    assert abs(report["max_residual"] - worst) < 1e-12

@@ -291,6 +291,16 @@ def test_analyze_rejects_a_non_finite_matrix_entry(tmp_path, capsys):
     assert "/operators/W/matrix: matrix entries must be finite" in err
 
 
+@pytest.mark.parametrize("entry", [[1, 0, 5], "10", None, [1]],
+                         ids=["three-numbers", "string", "null", "one-number"])
+def test_analyze_rejects_a_matrix_entry_that_is_not_a_pair(tmp_path, capsys, entry):
+    def edit(tree):
+        tree["operators"]["W"]["matrix"][0][0] = entry
+    code, err = _analyze_edited_bundle(tmp_path, capsys, edit)
+    assert code == 2
+    assert "/operators/W/matrix: matrix must be equal-length rows of [re, im] pairs" in err
+
+
 def test_analyze_rejects_a_domain_that_is_not_a_list(tmp_path, capsys):
     def edit(tree):
         tree["operators"]["W"]["domain"] = "LL"

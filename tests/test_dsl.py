@@ -280,8 +280,8 @@ def test_evaluate_pads_only_the_first_step(monkeypatch, z2):
     def forbidden(*args):
         raise AssertionError("dense product on the evaluate path")
 
+    monkeypatch.setattr(tensor, "compose", forbidden)
     for module in (tensor, braiding):
-        monkeypatch.setattr(module, "compose", forbidden)
         monkeypatch.setattr(module, "identity", forbidden)
     real, padded = tensor.embed_adjacent, []
     monkeypatch.setattr(tensor, "embed_adjacent",

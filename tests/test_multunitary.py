@@ -243,3 +243,73 @@ def test_slice_algebra_properties(z2, z3, s3):
         c = bm.regularity_span(mu)
         if spans.equals(spans.adjoint_span(c), c, 1e-9):
             assert spans.is_star_closed(hat)
+
+
+def _comultiply_oracle(m, a, variant):
+    f, one = m.op.matrix, np.eye(m.space.dim)
+    c = m.braiding.braid(m.space, m.space).matrix
+    if variant == "op":
+        return f.conj().T @ np.kron(one, a) @ f
+    if variant == "std":
+        return c @ f.conj().T @ np.kron(one, a) @ f @ np.linalg.inv(c)
+    return f @ np.kron(a, one) @ f.conj().T
+
+
+@pytest.mark.parametrize("variant", ["op", "std", "right"])
+def test_comultiply_matches_the_kron_transcription(variant):
+    space = Space("L", 3, (0, 1, 2))
+    m = bm.MultUnitary(space, leg_op(random_unitary(9, 21), [space, space]),
+                       bm.PhaseBraiding(3))
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    got = bm.comultiply(m, leg_op(a, [space]), variant)
+    assert got.signature == LegSignature((space, space), (space, space))
+    np.testing.assert_allclose(got.matrix, _comultiply_oracle(m, a, variant),
+                               rtol=0, atol=1e-12)
+
+
+def _commutant_oracle(m):
+    """The kernel dimension of a |-> F (a (x) 1) F* - c (a (x) 1) c^{-1}, in kron."""
+    n = m.space.dim
+    f = m.op.matrix
+    c = m.braiding.braid(m.space, m.space).matrix
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            pad = np.kron(e, np.eye(n))
+            cols.append((f @ pad @ f.conj().T - c @ pad @ np.linalg.inv(c)).reshape(-1))
+    return spans.null_space(np.array(cols).T, scale=1.0).shape[0]
+
+
+def test_commutant_dimension_matches_the_kron_transcription(z3):
+    # F = c (u (x) 1) under the flip leaves exactly the commutant of u = diag(1, 1, -1)
+    l3 = Space("L", 3)
+    flip = bm.FlipBraiding()
+    u = np.kron(np.diag([1.0, 1.0, -1.0]), np.eye(3))
+    swapped = bm.MultUnitary(l3, leg_op(flip.braid(l3, l3).matrix @ u, [l3, l3]), flip)
+    graded = Space("L", 3, (0, 1, 2))
+    rand = bm.MultUnitary(graded, leg_op(random_unitary(9, 23), [graded, graded]),
+                          bm.PhaseBraiding(3))
+    for m, expected in ((z3, 1), (bm.identity_control(2), 4), (swapped, 5), (rand, 1)):
+        assert bm.commutant_dimension(m) == _commutant_oracle(m) == expected
+
+
+def test_certificate_and_hexagons_pad_only_by_leg_products(monkeypatch, z3):
+    # braiding, spans and multunitary pad every factor through leg_product
+    import importlib
+
+    def forbidden(*args):
+        raise AssertionError("identity padding outside leg_product")
+
+    omega = np.exp(2j * np.pi / 3)
+    module, mu = bm.group_yd_module(bm.cyclic(3), [0, 1, 2],
+                                    [np.diag(omega ** (g * np.arange(3))) for g in range(3)])
+    provider = bm.yd_braiding_provider([module], mu)
+    for name in ("braiding", "spans", "multunitary"):
+        namespace = importlib.import_module(f"braidmu.{name}")
+        for attr in ("tensor", "identity"):
+            monkeypatch.setattr(namespace, attr, forbidden, raising=False)
+    assert bm.full_certificate(z3).all_passed
+    assert bm.check_hexagons(provider, [module.space])["max_residual"] < 1e-11

@@ -6,10 +6,9 @@ import pytest
 import braidmu as bm
 from braidmu import spans
 from braidmu import LegOperator, LegSignature, Space
-from braidmu.braiding import braid_tensor
 from braidmu.tensor import total_dim
 
-from conftest import random_unitary
+from conftest import dense_braid_tensor, random_unitary
 
 L2 = Space("L", 2)
 
@@ -102,19 +101,10 @@ def test_gram_residual_of_produced_bases(z2, z3):
             assert spans.span_from_slices(mu.op, side).gram_residual() < 1e-10
 
 
-def test_product_and_adjoint_spans(z2):
-    hat = spans.span_from_slices(z2.op, "right")
-    prod = spans.product_span(hat, hat)
-    assert spans.equals(prod, hat, 1e-9)
+def test_adjoint_span_of_a_star_closed_span_is_itself(z2):
     c = spans.span_from_slices(bm.compose(bm.FlipBraiding().braid(L2, L2), z2.op),
                                "right")
     assert spans.equals(spans.adjoint_span(c), c, 1e-9)
-
-
-def test_product_span_with_scalars_is_identity_map():
-    s = spans.span_of([leg_op(np.diag([1.0, 0]), [L2]), leg_op(np.diag([0, 1.0]), [L2])])
-    scalars = spans.span_of([leg_op(np.eye(2), [L2])])
-    assert spans.equals(spans.product_span(scalars, s), s, 1e-9)
 
 
 def test_algebra_star_nondegenerate_flags(z2):
@@ -205,19 +195,6 @@ def test_scalar_crossed_product_injects_second_factor(z2):
     assert spans.equals(cp, expected, 1e-9)
 
 
-def test_crossed_product_commutation(z2):
-    diag = spans.span_from_slices(z2.op, "right")
-    scalars = spans.span_of([leg_op(np.eye(2), [L2])])
-    assert spans.crossed_product_commutes(diag, diag, bm.FlipBraiding(), "hbt")
-    assert spans.crossed_product_commutes(scalars, diag, bm.FlipBraiding(), "habt")
-    # control: a corrupted (non-braiding) conjugator breaks the identity
-    broken = bm.ExplicitBraiding()
-    broken.register(leg_op(random_unitary(4, 13), [L2, L2]))
-    e12 = spans.span_of([leg_op(np.array([[0, 1], [0, 0]], dtype=complex), [L2])])
-    e21 = spans.span_of([leg_op(np.array([[0, 0], [1, 0]], dtype=complex), [L2])])
-    assert not spans.crossed_product_commutes(e12, e21, broken, "hbt")
-
-
 def test_relative_multiplier_membership(z2):
     diag = spans.span_from_slices(z2.op, "right")
     hat_dual = spans.span_from_slices(bm.dual(z2).op, "right")
@@ -233,18 +210,16 @@ def test_extension_with_identity_conjugators_is_identity(z2):
     diag = spans.span_from_slices(z2.op, "right")
     cp = spans.crossed_product(diag, diag, bm.FlipBraiding(), "habt")
     x = cp.basis[1]
-    for ident in (None, spans.identity_conjugation((L2,))):
-        y = spans.extend_on_crossed_product(ident, ident, diag, diag,
-                                            bm.FlipBraiding(), "habt", x)
-        np.testing.assert_allclose(y.matrix, x.matrix, atol=1e-10)
+    ext = spans.CrossedProductExtension(diag, diag, bm.FlipBraiding(), "habt", None, None)
+    np.testing.assert_allclose(ext.apply(x).matrix, x.matrix, atol=1e-10)
 
 
 def test_extension_rejects_elements_outside_the_span(z2):
     diag = spans.span_from_slices(z2.op, "right")
     outside = leg_op(bm.FlipBraiding().braid(L2, L2).matrix, [L2, L2])
+    ext = spans.CrossedProductExtension(diag, diag, bm.FlipBraiding(), "habt", None, None)
     with pytest.raises(spans.DecompositionError):
-        spans.extend_on_crossed_product(None, None, diag, diag,
-                                        bm.FlipBraiding(), "habt", outside)
+        ext.apply(outside)
 
 
 def test_cstar_closure_ladder(z2, z3):
@@ -259,13 +234,14 @@ def test_cstar_closure_ladder(z2, z3):
 
 
 def _oracle_injections(variant, provider, legs1, legs2):
-    """crossed_injections with c^{-1} taken as np.linalg.inv of the block braiding."""
+    """crossed_injections with c^{-1} taken as np.linalg.inv of the recursive block
+    braiding, so that the oracle shares no crossing list with the code under test."""
     id1, id2 = np.eye(total_dim(legs1)), np.eye(total_dim(legs2))
     if variant == "hbt":
-        c = braid_tensor(provider, legs2, legs1).matrix
+        c = dense_braid_tensor(provider, legs2, legs1).matrix
         return (lambda a: c @ np.kron(id2, a) @ np.linalg.inv(c),
                 lambda b: np.kron(id1, b))
-    c = braid_tensor(provider, legs1, legs2).matrix
+    c = dense_braid_tensor(provider, legs1, legs2).matrix
     cinv = np.linalg.inv(c)
     if variant == "habt":
         return lambda a: cinv @ np.kron(id2, a) @ c, lambda b: np.kron(id1, b)
@@ -299,6 +275,27 @@ def test_crossed_injections_match_the_inverted_block_braiding(kind):
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(beta(leg_op(b, legs2)).matrix, oracle_beta(b),
                                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_conjugation_matches_the_kron_transcription(side):
+    # V an isometry (7 > 6) or a unitary onto one target leg, and a unitary
+    # with no aux legs at all
+    a, b = Space("A", 2), Space("B", 3)
+    source, aux = (b,), (a,)
+    legs = aux + source if side == "left" else source + aux
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for target, v in ((Space("T", 7), random_unitary(7, 12)[:, :6]),
+                      (Space("U", 6), random_unitary(6, 13))):
+        conj = spans.Conjugation(leg_op(v, legs, [target]), side)
+        padded = np.kron(np.eye(2), x) if side == "left" else np.kron(x, np.eye(2))
+        got = conj.apply(leg_op(x, source))
+        assert got.signature == LegSignature((target,), (target,))
+        np.testing.assert_allclose(got.matrix, v @ padded @ v.conj().T, rtol=0, atol=1e-12)
+    v = random_unitary(3, 14)
+    got = spans.Conjugation(leg_op(v, source), side).apply(leg_op(x, source))
+    np.testing.assert_allclose(got.matrix, v @ x @ v.conj().T, rtol=0, atol=1e-12)
 
 
 def _full_svd_null_space(t, cutoff=spans.RANK_CUTOFF, scale=None):

@@ -339,25 +339,27 @@ def test_adjoint_reverses_products(seed):
 def test_extract_distant_builds_each_crossing_once(monkeypatch):
     # one move and one back crossing; the residual reuses both
     from braidmu import braiding
-    real, depth, calls = braiding.braid_tensor, [0], []
+    real, calls = braiding.braid_steps, []
 
     def counting(provider, left, right):
-        if not depth[0]:  # count top-level crossings, not the hexagon recursion
-            calls.append((tuple(left), tuple(right)))
-        depth[0] += 1
-        try:
-            return real(provider, left, right)
-        finally:
-            depth[0] -= 1
+        calls.append((tuple(left), tuple(right)))
+        return real(provider, left, right)
 
     ctx = (L2, L3, L3, L2)
     x = leg_op(random_unitary(4, 9), [L2, L2])
     placed = bm.apply_distant(x, ctx, (1, 4), "over", bm.FlipBraiding())
-    monkeypatch.setattr(braiding, "braid_tensor", counting)
+    monkeypatch.setattr(braiding, "braid_steps", counting)
     z, residual = bm.extract_distant(placed, ctx, (1, 4), "over", bm.FlipBraiding())
     assert calls == [((L2,), (L3, L3)), ((L3, L3), (L2,))]
     assert residual < 1e-12
     np.testing.assert_allclose(z.matrix, x.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("positions", [(3, 1), (1, 1), (2, 4)])
+def test_extract_distant_rejects_positions_out_of_range(positions):
+    ctx = (L2, L2, L2)
+    with pytest.raises(LegError, match=r"positions .* out of range for a 3-leg context"):
+        bm.extract_distant(bm.identity(ctx), ctx, positions, "over", bm.FlipBraiding())
 
 
 @settings(max_examples=30, deadline=None)
