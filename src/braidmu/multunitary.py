@@ -103,8 +103,9 @@ def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> in
     The map is tall (n^4 x n^2), so :func:`spans.null_space` takes its kernel
     from a thin SVD: vh is then n^2 x n^2, already the whole right-singular
     basis, and the n^4 x n^4 left factor is never built.  Only a wide map,
-    with fewer rows than columns (such as the solver's constraints), needs
-    the full vh, since its kernel is larger than its singular spectrum.
+    with fewer rows than columns (such as the solver's constraints), needs a
+    full square factor, since its kernel is larger than its singular
+    spectrum; it takes that from the SVD of its tall conjugate transpose.
     """
     n = m.space.dim
     c = m.braiding.braid(m.space, m.space)
@@ -203,8 +204,9 @@ def podles_conditions(m: MultUnitary, variant: str = "op",
     alpha, beta = crossed_injections(cp_variant, m.braiding, alg.domain, alg.domain)
     target = crossed_product(alg, alg, m.braiding, cp_variant)
     deltas = [comultiply(m, a, variant) for a in alg.basis]
-    left = spans.span_of([compose(d, alpha(b)) for d in deltas for b in alg.basis])
-    right = spans.span_of([compose(d, beta(b)) for d in deltas for b in alg.basis])
+    alphas, betas = [alpha(b) for b in alg.basis], [beta(b) for b in alg.basis]
+    left = spans.span_of([compose(d, x) for d in deltas for x in alphas])
+    right = spans.span_of([compose(d, y) for d in deltas for y in betas])
     return equals(left, target, tol), equals(right, target, tol)
 
 
@@ -245,8 +247,9 @@ def multiplier_checks(m: MultUnitary, variant: str = "op",
     alpha, beta = crossed_injections(cp_variant, m.braiding, s1.domain, s2.domain)
     cp = crossed_product(s1, s2, m.braiding, cp_variant)
     first = is_relative_multiplier(cp, m.op, tol)
-    sandwich = spans.span_of([compose(compose(alpha(a), m.op), beta(b))
-                              for a in s1.basis for b in s2.basis])
+    lefts = [compose(alpha(a), m.op) for a in s1.basis]
+    betas = [beta(b) for b in s2.basis]
+    sandwich = spans.span_of([compose(x, y) for x in lefts for y in betas])
     second = equals(sandwich, cp, tol)
     return first, second
 
@@ -404,12 +407,15 @@ def full_certificate(m: MultUnitary, tol: float = DEFAULT_TOL) -> Certificate:
                     UnsupportedPairError, float("nan"))
     routing = timed("routing-agreement", lambda: routing_agreement(m))
     regularity = timed("rank-c", lambda: classify_regularity(m))
-    pr, pl = timed("podles-right", lambda: podles_conditions(m, "op", tol))
-    # comultiplied elements that escape the crossed product mean the bialgebra
-    # structure does not close; record the failure instead of raising
+    # an empty crossed product (a zero slice algebra), or comultiplied elements
+    # that escape it, mean the bialgebra structure does not close; record the
+    # failure instead of raising
+    pr, pl = timed("podles-right", lambda: podles_conditions(m, "op", tol),
+                   spans.DecompositionError, (False, False))
     cr = timed("coassociativity", lambda: coassociativity_residual(m, "op", tol),
                spans.DecompositionError, float("inf"))
-    mo, se = timed("multiplier", lambda: multiplier_checks(m, "op", tol))
+    mo, se = timed("multiplier", lambda: multiplier_checks(m, "op", tol),
+                   spans.DecompositionError, (False, False))
     return Certificate(
         unitarity_residual=unitarity,
         pentagon_residual=pentagon,

@@ -3,7 +3,10 @@
 Spans are stored as orthonormal bases of vectorized operators (row-major
 vectorization, matching the leg convention).  The numerical rank cutoff is
 relative: all spans here come from exact algebraic structures, so the
-singular spectrum is sharply bimodal.
+singular spectrum is sharply bimodal.  Every SVD that needs no wide factor
+runs on the tall side of its matrix, the conjugate transpose of a wide one:
+the singular values are the same, and LAPACK factors the tall orientation
+several times faster.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ __all__ = [
 ]
 
 RANK_CUTOFF = 1e-9
+# rows per GEMM call of the crossed-product extension: with OpenBLAS, one call
+# over a whole 32768-row target block (KT Z8) raised peak RSS by 8 MB, and
+# 4096-row calls by nothing measurable
+_GEMM_ROWS = 4096
 
 
 class DecompositionError(ValueError):
@@ -82,11 +89,29 @@ def numerical_rank(s: np.ndarray, cutoff: float = RANK_CUTOFF,
     return int(np.sum(s > cutoff * anchor)) if anchor > 0 else 0
 
 
+def _tall(m: np.ndarray) -> np.ndarray:
+    """m, or its conjugate transpose when m is wide: the same singular values.
+
+    A 64 x 4096 complex SVD took 2.8 times as long as the SVD of its
+    conjugate transpose on a 2-core VM with OpenBLAS.
+    """
+    return m.conj().T if m.shape[0] < m.shape[1] else m
+
+
 def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...],
               cutoff: float) -> OperatorSpan:
-    """Orthonormal span of the rows (vectorized operators) by a rank-revealing SVD."""
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    basis = tuple(_unvec(v, domain, codomain) for v in vh[:numerical_rank(s, cutoff)])
+    """Orthonormal span of the rows (vectorized operators) by a rank-revealing SVD.
+
+    Fewer rows than columns: the SVD runs on rows^H = V S U^H, whose leading
+    left singular vectors are the conjugated right singular rows of ``rows``.
+    """
+    if rows.shape[0] < rows.shape[1]:
+        u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
+        kept = u[:, :numerical_rank(s, cutoff)].conj().T
+    else:
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        kept = vh[:numerical_rank(s, cutoff)]
+    basis = tuple(_unvec(v, domain, codomain) for v in kept)
     return OperatorSpan(domain, codomain, basis)
 
 
@@ -145,8 +170,8 @@ def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
     b1, b2 = s1.stack(), s2.stack()
     r12 = b1 - (b1 @ b2.conj().T) @ b2
     r21 = b2 - (b2 @ b1.conj().T) @ b1
-    n12 = np.linalg.svd(r12, compute_uv=False)[0] if r12.size else 0.0
-    n21 = np.linalg.svd(r21, compute_uv=False)[0] if r21.size else 0.0
+    n12 = np.linalg.svd(_tall(r12), compute_uv=False)[0] if r12.size else 0.0
+    n21 = np.linalg.svd(_tall(r21), compute_uv=False)[0] if r21.size else 0.0
     return float(max(n12, n21))
 
 
@@ -162,18 +187,19 @@ def adjoint_span(s: OperatorSpan, cutoff: float = RANK_CUTOFF) -> OperatorSpan:
 
 def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> float:
     """Largest relative distance of a candidate from the span (zero ones skipped)."""
+    if not candidates:
+        return 0.0
     b = span.stack()
-    vecs = [_vec(op) for op in candidates]
-    norms = [float(np.linalg.norm(v)) for v in vecs]
-    scale = max(norms, default=0.0)
-    worst = 0.0
-    for v, n in zip(vecs, norms):
-        if n <= RANK_CUTOFF * scale:
-            # numerically zero at the working scale; trivially contained
-            continue
-        # rows of b are vdot-orthonormal, so the projector is v |-> b.T (conj(b) v)
-        worst = max(worst, float(np.linalg.norm(v - b.T @ (b.conj() @ v))) / n)
-    return worst
+    v = np.array([_vec(op) for op in candidates])
+    norms = np.linalg.norm(v, axis=1)
+    # numerically zero candidates at the working scale are trivially contained
+    live = norms > RANK_CUTOFF * norms.max()
+    if not live.any():
+        return 0.0
+    v, norms = v[live], norms[live]
+    # rows of b are vdot-orthonormal, so the projection of the rows of v is (v b^H) b
+    residual = v - (v @ b.conj().T) @ b
+    return float(np.max(np.linalg.norm(residual, axis=1) / norms))
 
 
 def is_algebra(s: OperatorSpan, tol: float = 1e-9) -> bool:
@@ -195,7 +221,7 @@ def is_nondegenerate(s: OperatorSpan, tol: float = 1e-9) -> bool:
     if not s.basis:
         return False
     cols = np.hstack([b.matrix for b in s.basis])
-    sv = np.linalg.svd(cols, compute_uv=False)
+    sv = np.linalg.svd(_tall(cols), compute_uv=False)
     return numerical_rank(sv, max(tol, RANK_CUTOFF)) == total_dim(s.codomain)
 
 
@@ -209,12 +235,16 @@ def null_space(t: np.ndarray, cutoff: float = RANK_CUTOFF,
     t = np.asarray(t, dtype=complex)
     if t.size == 0 or not np.any(t):
         return np.eye(t.shape[1], dtype=complex)
+    if t.shape[0] < t.shape[1]:
+        # a wide map has more kernel vectors than singular values, so the SVD
+        # of its tall conjugate transpose t^H = U S Vh keeps the square U:
+        # t maps U[:, j] to s_j Vh^H[:, j], zero for every j past the rank
+        u, s, _ = np.linalg.svd(t.conj().T, full_matrices=True)
+        return u[:, numerical_rank(s, cutoff, scale):].T
     # with rows >= cols the thin vh is already square, so it holds every
-    # kernel vector and the rows x rows u is never formed; a wide map has
-    # more kernel vectors than singular values and needs the full vh
-    _, s, vh = np.linalg.svd(t, full_matrices=t.shape[0] < t.shape[1])
-    # t maps conj(vh[j]) to s_j u_j, so the kernel is spanned by the
-    # conjugated trailing right-singular rows
+    # kernel vector and the rows x rows u is never formed; t maps conj(vh[j])
+    # to s_j u_j, so the kernel is spanned by the conjugated trailing rows
+    _, s, vh = np.linalg.svd(t, full_matrices=False)
     return vh[numerical_rank(s, cutoff, scale):].conj()
 
 
@@ -272,12 +302,40 @@ def crossed_injections(variant: str, provider, legs1: Sequence[Space],
     return alpha, beta
 
 
+def _generator_stack(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.ndarray:
+    """Every padded product as a row of vectorized operators, by one broadcast matmul.
+
+    ``conj`` stacks the conjugated factors T_k and ``pad`` the padding basis
+    b_l.  The rows hold T_k (1 (x) b_l) in (k, l) order, or (b_l (x) 1) T_k in
+    (l, k) order when ``pad_first``: the (i, j) order of inj1(a_i) inj2(b_j)
+    either way.
+    """
+    rc, n, p = len(conj), conj.shape[-1], pad.shape[-1]
+    if pad_first:
+        products = np.matmul(pad[:, None], conj.reshape(1, rc, p, -1))
+    else:
+        products = np.matmul(conj.reshape(rc, 1, -1, p), pad[None])
+    return products.reshape(-1, n * n)
+
+
 def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
                     cutoff: float = RANK_CUTOFF) -> OperatorSpan:
-    """Orthonormal span of all products inj1(a) inj2(b) over the two bases."""
+    """Orthonormal span of all products inj1(a) inj2(b) over the two bases.
+
+    One injection of every variant pads (1 (x) b, or a (x) 1 for "bt"), so the
+    products are the padded products of :func:`_generator_stack`.
+    """
     alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
-    products = [compose(alpha(a), beta(b)) for a in s1.basis for b in s2.basis]
-    return span_of(products, cutoff)
+    if not (s1.rank and s2.rank):
+        raise DecompositionError("crossed product has no nonzero generators")
+    pad_first = variant == "bt"
+    if pad_first:
+        conj, pad = [beta(b).matrix for b in s2.basis], s1
+    else:
+        conj, pad = [alpha(a).matrix for a in s1.basis], s2
+    gens = _generator_stack(np.array(conj), np.array([b.matrix for b in pad.basis]), pad_first)
+    legs = s1.domain + s2.domain
+    return _row_span(gens, legs, legs, cutoff)
 
 
 def is_relative_multiplier(s: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
@@ -316,28 +374,82 @@ class Conjugation:
         return leg_product([(adjoint(self.v), 1), (a, start), (self.v, 1)], self.v.codomain)
 
 
-def _padded_product(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.ndarray:
-    """conj (1 (x) pad), or (pad (x) 1) conj when ``pad_first``, as one reshape-matmul."""
-    if pad_first:
-        return (pad @ conj.reshape(pad.shape[1], -1)).reshape(conj.shape)
-    return (conj.reshape(-1, pad.shape[0]) @ pad).reshape(conj.shape)
+def _independent_columns(v: np.ndarray, cutoff: float
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the columns of v independent of the columns before them, and their thin QR.
+
+    One Householder QR of v gives each column's distance from the span of the
+    columns before it as |R_jj|.  Column j is kept when that exceeds ``cutoff``
+    times its norm; an exactly zero column never is.  When every column is
+    kept that QR is returned, otherwise the QR of the kept columns.  This is
+    the greedy Gram-Schmidt selection whenever each dropped column is
+    dependent to working precision, as the generators of an exact crossed
+    product are.
+    """
+    q, r = np.linalg.qr(v)
+    norms = np.linalg.norm(v, axis=0)
+    keep = np.flatnonzero((np.abs(np.diagonal(r)) > cutoff * norms) & (norms > 0))
+    if 0 < keep.size < v.shape[1]:
+        q, r = np.linalg.qr(v[:, keep])
+    return keep, q, r
+
+
+def _decompositions(gens: np.ndarray, cutoff: float) -> list[tuple]:
+    """The forward and the reverse selection over the generator rows.
+
+    Each is (v, q, r, rows): the selected generators as columns, their thin
+    QR and their row indices.  The forward columns are a view of the stack,
+    so only the reverse order is copied.
+    """
+    decompositions = []
+    forward = np.arange(len(gens))
+    for order, v in ((forward, gens.T), (forward[::-1], np.ascontiguousarray(gens[::-1]).T)):
+        keep, q, r = _independent_columns(v, cutoff)
+        if not keep.size:
+            raise DecompositionError("crossed product has no nonzero generators")
+        decompositions.append((v if keep.size == len(order) else v[:, keep], q, r,
+                               order[keep]))
+    return decompositions
+
+
+def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: bool) -> np.ndarray:
+    """The matrix of V with its domain legs ordered (aux, pad), or (pad, aux) when
+    ``pad_first``, so that the pad sits where the padded product contracts it."""
+    legs, n = conj.v.domain, len(pad_legs)
+    if (legs[len(legs) - n:] if conj.side == "left" else legs[:n]) != pad_legs:
+        raise LegError("the conjugation's domain does not hold the padding legs "
+                       f"on its {conj.side} side")
+    v = conj.v.matrix
+    p = total_dim(pad_legs)
+    if (conj.side == "left") == pad_first:      # swap the aux and pad legs
+        split = (-1, p) if conj.side == "left" else (p, -1)
+        v = v.reshape(v.shape[0], *split).transpose(0, 2, 1).reshape(v.shape[0], -1)
+    return v
 
 
 class CrossedProductExtension:
     """Evaluates (f x g) on a crossed product by decompose-and-map.
 
-    Elements are decomposed over a spanning subset of the generator products
-    inj1(a_i) inj2(b_j), picked greedily once in forward and once in reverse
-    order; each selected product maps to inj1'(f(a_i)) inj2'(g(b_j)) on the
-    target legs.  :meth:`apply` evaluates both decompositions and raises
+    One injection of every variant is an identity padding (1 (x) b, or a (x) 1
+    for "bt") and the other a conjugation, so each generator inj1(a_i) inj2(b_j)
+    is a product T_k (1 (x) b_l) of a conjugated factor and a padding.  All of
+    them come from one broadcast matmul.  Elements are decomposed over a
+    spanning subset of the generators, selected by one QR of the generator
+    stack in forward and once in reverse order (:func:`_independent_columns`);
+    each selected generator maps to inj1'(f(a_i)) inj2'(g(b_j)) on the target
+    legs.  :meth:`apply` evaluates both decompositions and raises
     :class:`DecompositionError` when they disagree, i.e. when the extension
     is not well defined on the element.
 
-    One injection of every variant is an identity padding (1 (x) b, or a (x) 1
-    for "bt") and the other a conjugation.  Both injections and f, g are
-    linear, so the mapped products are never formed: the coefficients of one
-    conjugated factor fold into a single padded operator, which is mapped and
-    multiplied in once.
+    Both injections and f, g are linear, so the mapped generators are never
+    formed.  The coefficients of one conjugated factor fold into a single
+    pad m_k = sum_l c_kl b_l, and the mapped conjugated factors T_k sit side
+    by side in one dense block, so sum_k T_k (1 (x) m_k) for both
+    decompositions is one GEMM of the block with the stacked folded pads, run
+    in row blocks to bound the BLAS workspace.  A pad-side conjugation
+    m |-> V (1 (x) m) V* comes out of the sum: the block holds T_k (1 (x) V)
+    and the sum is multiplied by 1 (x) V* once, so the GEMM contracts over the
+    pad and not over its conjugated image.
     """
 
     def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
@@ -350,72 +462,81 @@ class CrossedProductExtension:
         self._pad_first = variant == "bt"
         if self._pad_first:  # a (x) 1 pads, b is conjugated
             conj_basis, conj_inj, conj_inj2, conj_map = s2.basis, beta, beta2, g
-            pad, self._pad_map = s1, f
+            pad, pad_map = s1, f
         else:                # 1 (x) b pads, a is conjugated
             conj_basis, conj_inj, conj_inj2, conj_map = s1.basis, alpha, alpha2, f
-            pad, self._pad_map = s2, g
-        self._pad_legs = pad.domain
-        self._pad = [b.matrix for b in pad.basis]
-        src_conj = [conj_inj(x).matrix for x in conj_basis]
-        # selected generators as (conjugated, padded) index pairs, in the
-        # (i, j) order of inj1(a_i) inj2(b_j)
-        pairs = [(j, i) if self._pad_first else (i, j)
-                 for i in range(s1.rank) for j in range(s2.rank)]
+            pad, pad_map = s2, g
+        if not (s1.rank and s2.rank):
+            raise DecompositionError("crossed product has no nonzero generators")
+        self._pad = np.array([b.matrix for b in pad.basis])
+        rc, (rp, p, _) = len(conj_basis), self._pad.shape
+        self._decompositions = _decompositions(
+            _generator_stack(np.array([conj_inj(x).matrix for x in conj_basis]),
+                             self._pad, self._pad_first), cutoff)
+        # the (conjugated, padded) factor index of every generator row
+        outer, inner = np.divmod(np.arange(rc * rp), rc if self._pad_first else rp)
+        self._factor = (inner, outer) if self._pad_first else (outer, inner)
 
-        self._decompositions = []
-        for order in (pairs, pairs[::-1]):
-            src_vecs, selected, q_rows = [], [], []
-            for (k, l) in order:
-                v = _padded_product(src_conj[k], self._pad[l], self._pad_first).reshape(-1)
-                n = np.linalg.norm(v)
-                if n == 0:
-                    continue
-                r = v.copy()
-                for q in q_rows:
-                    r -= q * (q.conj() @ r)
-                if np.linalg.norm(r) <= cutoff * n:
-                    continue
-                q_rows.append(r / np.linalg.norm(r))
-                src_vecs.append(v)
-                selected.append((k, l))
-            if not src_vecs:
-                raise DecompositionError("crossed product has no nonzero generators")
-            v = np.array(src_vecs).T                        # ambient x r
-            q, r = np.linalg.qr(v)                          # thin QR for least squares
-            self._decompositions.append((v, q, r, selected))
-        self._tgt_conj = [conj_inj2(conj_map.apply(x) if conj_map is not None else x).matrix
-                          for x in conj_basis]
+        self._v = (_pad_isometry(pad_map, pad.domain, self._pad_first)
+                   if pad_map is not None else None)
         self.source_domain = s1.domain + s2.domain
         self.target_domain = t1 + t2
+        self._dim = total_dim(self.target_domain)
+        image = self._v.shape[0] if self._v is not None else p
+        width = self._v.shape[1] if self._v is not None else p
+        rows = self._dim * (self._dim // image) * (width // p)
+        # column block k holds T_k (1 (x) V), reshaped so the pad is its last
+        # axis; pad first, the transpose of (V* (x) 1) T_k with the pad leading
+        self._target = np.empty((rows, rc * p), dtype=complex)
+        for k, x in enumerate(conj_basis):
+            t = conj_inj2(conj_map.apply(x) if conj_map is not None else x).matrix
+            if self._pad_first:
+                if self._v is not None:
+                    t = self._v.conj().T @ t.reshape(image, -1)
+                self._target[:, k * p:(k + 1) * p] = t.reshape(p, rows).T
+            else:
+                if self._v is not None:
+                    t = t.reshape(-1, image) @ self._v
+                self._target[:, k * p:(k + 1) * p] = t.reshape(rows, p)
 
-    def _mapped_sum(self, coeffs: np.ndarray, selected: list) -> np.ndarray:
-        """Sum of coeff * mapped generator, one padded product per conjugated factor."""
-        folded = {}
-        for c, (k, l) in zip(coeffs, selected):
-            folded[k] = folded.get(k, 0) + c * self._pad[l]
-        total = 0
-        for k, m in folded.items():
-            if self._pad_map is not None:
-                m = self._pad_map.apply(
-                    LegOperator(LegSignature(self._pad_legs, self._pad_legs), m)).matrix
-            total = total + _padded_product(self._tgt_conj[k], m, self._pad_first)
-        return total
+    def _unfold(self, half: np.ndarray) -> np.ndarray:
+        """The mapped element, in a new array, from its (rows, pad) slice of the
+        GEMM output, with V put back."""
+        if self._pad_first:
+            y = half.T.reshape(-1, self._dim)       # sum_k (m_k (x) 1) (V* (x) 1) T_k
+            if self._v is not None:
+                y = self._v @ y.reshape(self._v.shape[1], -1)
+        else:
+            y = half.reshape(self._dim, -1)         # sum_k T_k (1 (x) V) (1 (x) m_k)
+            y = y.copy() if self._v is None else y.reshape(-1, self._v.shape[1]) @ self._v.conj().T
+        return y.reshape(self._dim, self._dim)
 
     def apply(self, x: LegOperator, tol: float = 1e-9) -> LegOperator:
         if x.domain != self.source_domain or x.codomain != self.source_domain:
             raise LegError("element signature does not match the crossed product")
         vx = _vec(x)
         scale = max(np.linalg.norm(vx), 1.0)
-        values = []
-        for v, q, r, selected in self._decompositions:
+        rp, p, _ = self._pad.shape
+        rc = self._target.shape[1] // p
+        folds = []
+        for v, q, r, picked in self._decompositions:
             coeffs = np.linalg.solve(r, q.conj().T @ vx)
             residual = np.linalg.norm(v @ coeffs - vx)
             if residual > tol * scale:
                 raise DecompositionError(
                     f"element lies outside the crossed product (residual {residual:.3e})")
-            values.append(self._mapped_sum(coeffs, selected))
-        forward, reverse = values
-        dev = float(np.linalg.norm(forward - reverse))
+            c = np.zeros((rc, rp), dtype=complex)
+            c[self._factor[0][picked], self._factor[1][picked]] = coeffs
+            m = (c @ self._pad.reshape(rp, -1)).reshape(rc, p, p)   # folded pads m_k
+            folds.append((m.transpose(0, 2, 1) if self._pad_first else m).reshape(rc * p, p))
+        # one GEMM of the block with both decompositions' folded pads
+        rhs = np.stack(folds)
+        out = np.empty((2, len(self._target), p), dtype=complex)
+        for i in range(0, out.shape[1], _GEMM_ROWS):
+            np.matmul(self._target[i:i + _GEMM_ROWS], rhs, out=out[:, i:i + _GEMM_ROWS])
+        forward, reverse = self._unfold(out[0]), self._unfold(out[1])
+        reverse -= forward
+        dev = float(np.linalg.norm(reverse))
         if dev > tol * max(np.linalg.norm(forward), 1.0):
             raise DecompositionError(
                 f"extension value depends on the decomposition (deviation {dev:.3e})")

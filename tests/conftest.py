@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import braidmu as bm
-from braidmu import LegOperator, LegSignature, Space, dsl
+from braidmu import LegOperator, LegSignature, Space, dsl, spans
 from braidmu.tensor import total_dim
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
@@ -139,3 +139,37 @@ def dense_evaluate(expr, bindings, context, braiding):
         return bm.embed_adjacent(op, context, legs[0])
     matrix, codomain = routed_oracle(op, context, legs, expr.route or "over", braiding)
     return LegOperator(LegSignature(context, codomain), matrix)
+
+
+def greedy_selection(v, cutoff):
+    """The columns of v that the crossed-product extension once selected: a greedy
+    Gram-Schmidt pass in column order, keeping a nonzero column when its residual
+    against the columns kept so far exceeds ``cutoff`` times its norm."""
+    q_rows, selected = [], []
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        n = np.linalg.norm(col)
+        if n == 0:
+            continue
+        r = col.copy()
+        for q in q_rows:
+            r -= q * (q.conj() @ r)
+        if np.linalg.norm(r) <= cutoff * n:
+            continue
+        q_rows.append(r / np.linalg.norm(r))
+        selected.append(j)
+    return selected
+
+
+def loop_subset_residual(candidates, span):
+    """spans._subset_residual one candidate at a time, as it was first written."""
+    b = span.stack()
+    vecs = [op.matrix.reshape(-1) for op in candidates]
+    norms = [float(np.linalg.norm(v)) for v in vecs]
+    scale = max(norms, default=0.0)
+    worst = 0.0
+    for v, n in zip(vecs, norms):
+        if n <= spans.RANK_CUTOFF * scale:
+            continue
+        worst = max(worst, float(np.linalg.norm(v - b.T @ (b.conj() @ v))) / n)
+    return worst

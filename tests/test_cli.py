@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -359,3 +362,42 @@ def test_eval_leg_errors_keep_their_messages(tmp_path, capsys, context, statemen
     capsys.readouterr()
     assert run(["eval", str(stmt), str(data)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _analyze_in_a_process(tmp_path, matrix):
+    """Exit code, stderr and report of ``braidmu analyze``, run as its own process,
+    on a Z2 bundle whose W is replaced by ``matrix``."""
+    path, report = tmp_path / "w.json", tmp_path / "r.json"
+    run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(path)])
+    bundle = bm.load_bundle(str(path))
+    bundle.operators["W"] = bm.LegOperator(bundle.operators["W"].signature, matrix)
+    bm.save_bundle(bundle, str(path))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bm.__file__)))
+    done = subprocess.run([sys.executable, "-m", "braidmu.cli", "analyze", str(path),
+                           "--report", str(report)], capture_output=True, text=True, env=env)
+    checks = {c["name"]: c for c in read_json(str(report))["checks"]}
+    return done.returncode, done.stderr, checks
+
+
+def test_analyze_of_a_zero_matrix_fails_its_checks_without_a_traceback(tmp_path):
+    # the slice algebras are zero, so every crossed product is empty
+    code, err, checks = _analyze_in_a_process(tmp_path, np.zeros((4, 4), dtype=complex))
+    assert code == 1
+    assert "Traceback" not in err
+    for name in ("unitarity", "podles-right", "podles-left", "coassociativity",
+                 "multiplier", "sandwich-span"):
+        assert checks[name]["pass"] is False, name
+
+
+def test_analyze_of_a_rank_one_matrix_keeps_its_report(tmp_path):
+    w = np.zeros((4, 4), dtype=complex)
+    w[0, 0] = 1.0
+    code, err, checks = _analyze_in_a_process(tmp_path, w)
+    assert code == 1
+    assert "Traceback" not in err
+    assert {name: c["value"] for name, c in checks.items()} == {
+        "unitarity": pytest.approx(np.sqrt(3)), "pentagon": 0.0, "braiding-hexagon": 0.0,
+        "routing-agreement": 0.0, "rank-c": 1, "rank-d": 1, "commutant-dim": 0,
+        "regular": False, "bi-regular": False, "dual-consistent": True,
+        "podles-right": True, "podles-left": True, "coassociativity": 0.0,
+        "multiplier": True, "sandwich-span": True}

@@ -8,7 +8,9 @@ from braidmu import spans
 from braidmu import LegOperator, LegSignature, Space
 from braidmu.tensor import total_dim
 
-from conftest import dense_braid_tensor, random_unitary
+from braidmu import multunitary
+from conftest import (dense_braid_tensor, greedy_selection, loop_subset_residual,
+                      random_unitary)
 
 L2 = Space("L", 2)
 
@@ -222,6 +224,19 @@ def test_extension_rejects_elements_outside_the_span(z2):
         ext.apply(outside)
 
 
+def test_extension_compares_its_two_decompositions(z2):
+    # relabel the reverse decomposition's generators, so that its mapped value
+    # differs from the forward one while both still reproduce the element
+    diag = spans.span_from_slices(z2.op, "right")
+    ext = spans.CrossedProductExtension(diag, diag, bm.FlipBraiding(), "habt", None, None)
+    x = spans.crossed_product(diag, diag, bm.FlipBraiding(), "habt").basis[1]
+    np.testing.assert_allclose(ext.apply(x).matrix, x.matrix, atol=1e-10)
+    v, q, r, rows = ext._decompositions[1]
+    ext._decompositions[1] = (v, q, r, rows[::-1])
+    with pytest.raises(spans.DecompositionError, match="depends on the decomposition"):
+        ext.apply(x)
+
+
 def test_cstar_closure_ladder(z2, z3):
     # a closed span with S S* in S and S* S in S is star closed
     for mu in (z2, z3):
@@ -384,3 +399,158 @@ def test_extension_matches_the_mapped_product_oracle(kind, variant, f_on, g_on):
     expected = _mapped_product_extension(s1, s2, provider, variant, f, g, x)
     assert value.domain == value.codomain == (t if f_on else a,) + ((b, c) if g_on else (b,))
     np.testing.assert_allclose(value.matrix, expected, rtol=0, atol=1e-12)
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_qr_selection_keeps_the_greedy_gram_schmidt_columns(reverse):
+    b = _complex_normal(np.random.default_rng(41), 40, 6).T
+    v = np.array([b[0], np.zeros(40), b[1], b[0], 2.5j * b[1], b[2],
+                  b[0] + b[2] + 1e-3 * b[3],         # dependent at 1e-3: kept
+                  b[1] - b[2] + 1e-13 * b[4],        # dependent at 1e-13: dropped
+                  b[4],
+                  1e-12 * b[5]]).T                   # tiny but independent: kept
+    if reverse:
+        v = v[:, ::-1]
+    keep, q, r = spans._independent_columns(v, spans.RANK_CUTOFF)
+    assert list(keep) == greedy_selection(v, spans.RANK_CUTOFF)
+    assert list(keep) == ([0, 1, 2, 3, 4, 6] if reverse else [0, 2, 5, 6, 8, 9])
+    np.testing.assert_allclose(q @ r, v[:, keep], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(len(keep)), rtol=0, atol=1e-12)
+
+
+def test_qr_selection_reuses_the_qr_when_every_column_is_kept():
+    v = _complex_normal(np.random.default_rng(42), 30, 6)
+    keep, q, r = spans._independent_columns(v, spans.RANK_CUTOFF)
+    assert list(keep) == list(range(6))
+    q0, r0 = np.linalg.qr(v)
+    assert np.array_equal(q, q0) and np.array_equal(r, r0)
+
+
+@pytest.mark.parametrize("group", ["z3", "s3"])
+@pytest.mark.parametrize("variant", ["op", "right"])
+def test_extension_selects_the_greedy_generators(group, variant, request):
+    m = request.getfixturevalue(group)
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    alpha, beta = spans.crossed_injections(cp_variant, m.braiding, alg.domain, alg.domain)
+    gens = np.array([bm.compose(alpha(a), beta(b)).matrix.reshape(-1)
+                     for a in alg.basis for b in alg.basis]).T
+    backwards = np.arange(gens.shape[1])[::-1]
+    for f, g in ((conj, None), (None, conj)):
+        ext = spans.CrossedProductExtension(alg, alg, m.braiding, cp_variant, f, g)
+        forward, reverse = (picked for *_, picked in ext._decompositions)
+        assert list(forward) == greedy_selection(gens, spans.RANK_CUTOFF)
+        assert list(reverse) == list(backwards[greedy_selection(gens[:, backwards],
+                                                                spans.RANK_CUTOFF)])
+
+
+def _wide_svd_row_span(rows, cutoff=spans.RANK_CUTOFF):
+    """The row span from the SVD of the rows as given, whatever their orientation."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[:spans.numerical_rank(s, cutoff)]
+
+
+def _wide_svd_projector_distance(b1, b2):
+    r12 = b1 - (b1 @ b2.conj().T) @ b2
+    r21 = b2 - (b2 @ b1.conj().T) @ b1
+    return max(np.linalg.svd(r12, compute_uv=False)[0], np.linalg.svd(r21, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("legs, count, rank", [
+    ((Space("A", 5), Space("B", 8)), 6, 6),       # wide
+    ((Space("A", 5), Space("B", 8)), 8, 3),       # wide, rank-deficient
+    ((Space("A", 2), Space("B", 3)), 40, 6),      # tall
+    ((Space("A", 2), Space("B", 3)), 40, 2),      # tall, rank-deficient
+    ((Space("A", 3), Space("B", 3)), 9, 5),       # square, rank-deficient
+], ids=["wide", "wide-deficient", "tall", "tall-deficient", "square"])
+def test_row_span_and_distance_match_the_wide_svd_oracle(legs, count, rank):
+    (dom, cod), rng = legs, np.random.default_rng(43)
+    ambient = dom.dim * cod.dim
+    rows = _complex_normal(rng, count, rank) @ _complex_normal(rng, rank, ambient)
+    span = spans._row_span(rows, (dom,), (cod,), spans.RANK_CUTOFF)
+    oracle = _wide_svd_row_span(rows)
+    got = span.stack()
+    assert span.rank == len(oracle) == rank
+    np.testing.assert_allclose(got.T @ got.conj(), oracle.T @ oracle.conj(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got @ got.conj().T, np.eye(rank), rtol=0, atol=1e-12)
+    # a span 1e-6 away and an unrelated one of the same rank
+    for shift in (1e-6, 1.0):
+        moved = rows + shift * _complex_normal(rng, count, ambient)
+        other = spans._row_span(_wide_svd_row_span(moved)[:rank], (dom,), (cod,),
+                                spans.RANK_CUTOFF)
+        assert abs(spans.projector_distance(span, other)
+                   - _wide_svd_projector_distance(oracle, other.stack())) < 1e-12
+
+
+def test_subset_residual_matches_the_per_candidate_loop():
+    a = Space("A", 4)
+    rng = np.random.default_rng(44)
+    span = _random_span((a,), 5, 45)
+    members = [leg_op(sum(complex(*rng.normal(size=2)) * x.matrix for x in span.basis), [a])
+               for _ in range(3)]
+    others = [leg_op(_complex_normal(rng, 4, 4), [a]) for _ in range(2)]
+    zeros = [leg_op(np.zeros((4, 4)), [a]), leg_op(1e-12 * _complex_normal(rng, 4, 4), [a])]
+    for candidates in (members, members + zeros, others + zeros + members, zeros, [zeros[1]],
+                       []):
+        got = spans._subset_residual(candidates, span)
+        expected = loop_subset_residual(candidates, span)
+        assert abs(got - expected) <= 1e-15 * max(expected, 1.0)
+    assert spans._subset_residual(members + zeros, span) < 1e-14
+    assert spans._subset_residual(others + members, span) > 0.1
+
+
+def _conjugation_onto(source, side, isometry, seed):
+    """A Conjugation of a one-leg span with one aux leg C, onto a new target leg:
+    an isometry into one more dimension, or a unitary."""
+    aux = Space("C", 2, (0, 2))
+    legs = [aux, source] if side == "left" else [source, aux]
+    d = 2 * source.dim
+    width = d + 1 if isometry else d
+    target = Space(f"T{seed}", width, tuple(j % 3 for j in range(width)))
+    return spans.Conjugation(leg_op(random_unitary(width, seed)[:, :d], legs, [target]), side)
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase3"])
+@pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("isometry", [False, True], ids=["unitary", "isometry"])
+def test_extension_pulls_out_the_pad_side_conjugation(kind, variant, side, isometry):
+    # f and g both map, so the padded factor (b for hbt/habt, a for bt) is conjugated
+    # on the given side, by a square or a space-changing V
+    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+    provider = bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)
+    s1, s2 = _random_span((a,), 2, 51), _random_span((b,), 3, 52)
+    f = _conjugation_onto(a, side, isometry, 53)
+    g = _conjugation_onto(b, side, isometry, 54)
+    alpha, beta = spans.crossed_injections(variant, provider, s1.domain, s2.domain)
+    rng = np.random.default_rng(55)
+    x = leg_op(sum(complex(*rng.normal(size=2)) * bm.compose(alpha(p), beta(q)).matrix
+                   for p in s1.basis for q in s2.basis), [a, b])
+    for maps in ((f, g), (None, g), (f, None)):
+        value = spans.CrossedProductExtension(s1, s2, provider, variant, *maps).apply(x)
+        expected = _mapped_product_extension(s1, s2, provider, variant, *maps, x)
+        np.testing.assert_allclose(value.matrix, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+def test_extension_matches_the_oracle_on_the_certified_configuration(z3, variant):
+    # coassociativity extends the crossed product by the comultiplication's
+    # conjugation on either factor: F* on the left ("op"), F on the right ("right")
+    alg, cp_variant, conj = multunitary._bialgebra_data(z3, variant)
+    for f, g in ((conj, None), (None, conj)):
+        ext = spans.CrossedProductExtension(alg, alg, z3.braiding, cp_variant, f, g)
+        for a in alg.basis:
+            d = bm.comultiply(z3, a, variant)
+            expected = _mapped_product_extension(alg, alg, z3.braiding, cp_variant, f, g, d)
+            np.testing.assert_allclose(ext.apply(d).matrix, expected, rtol=0, atol=1e-12)
+
+
+def test_extension_rejects_a_conjugation_that_does_not_hold_the_pad():
+    a, b = Space("A", 2), Space("B", 3)
+    s1, s2 = _random_span((a,), 2, 56), _random_span((b,), 2, 57)
+    g = _conjugation_onto(a, "left", False, 58)     # holds A, but pads B
+    with pytest.raises(bm.LegError, match="padding legs"):
+        spans.CrossedProductExtension(s1, s2, bm.FlipBraiding(), "habt", None, g)
