@@ -103,9 +103,8 @@ def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> in
     The map is tall (n^4 x n^2), so :func:`spans.null_space` takes its kernel
     from a thin SVD: vh is then n^2 x n^2, already the whole right-singular
     basis, and the n^4 x n^4 left factor is never built.  Only a wide map,
-    with fewer rows than columns (such as the solver's constraints), needs a
-    full square factor, since its kernel is larger than its singular
-    spectrum; it takes that from the SVD of its tall conjugate transpose.
+    with fewer rows than columns (such as the solver's constraints), needs
+    the full vh, since its kernel is larger than its singular spectrum.
     """
     n = m.space.dim
     c = m.braiding.braid(m.space, m.space)

@@ -6,7 +6,8 @@ relative: all spans here come from exact algebraic structures, so the
 singular spectrum is sharply bimodal.  Every SVD that needs no wide factor
 runs on the tall side of its matrix, the conjugate transpose of a wide one:
 the singular values are the same, and LAPACK factors the tall orientation
-several times faster.
+several times faster.  Only the kernel of a wide map, which needs the full
+right factor, is taken from the wide orientation.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ __all__ = [
 ]
 
 RANK_CUTOFF = 1e-9
-# rows per GEMM call of the crossed-product extension: with OpenBLAS, one call
-# over a whole 32768-row target block (KT Z8) raised peak RSS by 8 MB, and
-# 4096-row calls by nothing measurable
+# rows per GEMM call of the crossed-product extension: with OpenBLAS on two
+# threads, one call over the whole 32768-row target block of KT Z8 raised the
+# certify benchmark's peak RSS from 216 to 248 MB (this code, the row count
+# alone changed, the output array the same; three runs each)
 _GEMM_ROWS = 4096
 
 
@@ -196,10 +198,12 @@ def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> f
     live = norms > RANK_CUTOFF * norms.max()
     if not live.any():
         return 0.0
-    v, norms = v[live], norms[live]
-    # rows of b are vdot-orthonormal, so the projection of the rows of v is (v b^H) b
-    residual = v - (v @ b.conj().T) @ b
-    return float(np.max(np.linalg.norm(residual, axis=1) / norms))
+    if not live.all():
+        v, norms = v[live], norms[live]
+    # rows of b are vdot-orthonormal, so the projection of the rows of v is
+    # (v b^H) b; v is a fresh stack, so it takes the residual in place
+    v -= (v @ b.conj().T) @ b
+    return float(np.max(np.linalg.norm(v, axis=1) / norms))
 
 
 def is_algebra(s: OperatorSpan, tol: float = 1e-9) -> bool:
@@ -235,16 +239,12 @@ def null_space(t: np.ndarray, cutoff: float = RANK_CUTOFF,
     t = np.asarray(t, dtype=complex)
     if t.size == 0 or not np.any(t):
         return np.eye(t.shape[1], dtype=complex)
-    if t.shape[0] < t.shape[1]:
-        # a wide map has more kernel vectors than singular values, so the SVD
-        # of its tall conjugate transpose t^H = U S Vh keeps the square U:
-        # t maps U[:, j] to s_j Vh^H[:, j], zero for every j past the rank
-        u, s, _ = np.linalg.svd(t.conj().T, full_matrices=True)
-        return u[:, numerical_rank(s, cutoff, scale):].T
     # with rows >= cols the thin vh is already square, so it holds every
-    # kernel vector and the rows x rows u is never formed; t maps conj(vh[j])
-    # to s_j u_j, so the kernel is spanned by the conjugated trailing rows
-    _, s, vh = np.linalg.svd(t, full_matrices=False)
+    # kernel vector and the rows x rows u is never formed; a wide map has
+    # more kernel vectors than singular values and needs the full vh
+    _, s, vh = np.linalg.svd(t, full_matrices=t.shape[0] < t.shape[1])
+    # t maps conj(vh[j]) to s_j u_j, so the kernel is spanned by the
+    # conjugated trailing right-singular rows
     return vh[numerical_rank(s, cutoff, scale):].conj()
 
 
@@ -381,10 +381,19 @@ def _independent_columns(v: np.ndarray, cutoff: float
     One Householder QR of v gives each column's distance from the span of the
     columns before it as |R_jj|.  Column j is kept when that exceeds ``cutoff``
     times its norm; an exactly zero column never is.  When every column is
-    kept that QR is returned, otherwise the QR of the kept columns.  This is
-    the greedy Gram-Schmidt selection whenever each dropped column is
-    dependent to working precision, as the generators of an exact crossed
-    product are.
+    kept that QR is returned, otherwise the QR of the kept columns.
+
+    Unlike a greedy Gram-Schmidt pass, which measures each column against
+    the kept columns only, R_jj measures it against every column before it,
+    dropped ones included.  A dropped column that is only nearly dependent
+    (residual between rounding and the cutoff) thus puts its residual
+    direction into Q, and a later column loses its component along that
+    direction: a later column nearly dependent itself, independent only
+    along that direction, can be dropped where the greedy pass keeps it.
+    The generators of an exact crossed product are dependent to rounding,
+    where both selections agree; if they ever differed, :meth:`apply` would
+    find the element outside the kept span and raise, not return a wrong
+    value.
     """
     q, r = np.linalg.qr(v)
     norms = np.linalg.norm(v, axis=0)

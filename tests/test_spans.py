@@ -412,12 +412,15 @@ def test_qr_selection_keeps_the_greedy_gram_schmidt_columns(reverse):
                   b[0] + b[2] + 1e-3 * b[3],         # dependent at 1e-3: kept
                   b[1] - b[2] + 1e-13 * b[4],        # dependent at 1e-13: dropped
                   b[4],
+                  # dependent at 1e-10, just under the cutoff: dropped, yet its
+                  # residual direction, b[5]'s, enters the QR before the next column
+                  b[0] - b[2] + 1e-10 * b[5],
                   1e-12 * b[5]]).T                   # tiny but independent: kept
     if reverse:
         v = v[:, ::-1]
     keep, q, r = spans._independent_columns(v, spans.RANK_CUTOFF)
     assert list(keep) == greedy_selection(v, spans.RANK_CUTOFF)
-    assert list(keep) == ([0, 1, 2, 3, 4, 6] if reverse else [0, 2, 5, 6, 8, 9])
+    assert list(keep) == ([0, 1, 2, 3, 4, 5] if reverse else [0, 2, 5, 6, 8, 10])
     np.testing.assert_allclose(q @ r, v[:, keep], rtol=0, atol=1e-12)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(len(keep)), rtol=0, atol=1e-12)
 
