@@ -1,7 +1,10 @@
 """Braiding providers for concrete categories, plus axiom and regularity checks.
 
 A provider assigns to every supported ordered pair of spaces (H, K) a unitary
-c_{H,K}: H (x) K -> K (x) H.  A braiding of leg blocks is the list of adjacent
+c_{H,K}: H (x) K -> K (x) H.  The flip and phase braidings, and their
+inverse providers, return :class:`~braidmu.tensor.Crossing` values: a
+permutation with phases, which the leg calculus applies as an axis swap;
+explicit tables stay dense.  A braiding of leg blocks is the list of adjacent
 crossings of :func:`braid_steps`, multiplied by :func:`braidmu.tensor.leg_product`.
 Hexagon checks compare the provider's braiding of a genuine tensor-product
 space against that product, so they are non-vacuous for every provider kind.
@@ -14,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import (LegOperator, LegSignature, Space, Step, identity, leg_product,
-                     tensor_space)
+from .tensor import (Crossing, LegOperator, LegSignature, Space, Step, crossing, identity,
+                     leg_product, tensor_space)
 from . import spans
 
 __all__ = [
@@ -29,14 +32,6 @@ class UnsupportedPairError(KeyError):
     """The provider has no braiding for the requested pair of spaces."""
 
 
-def _swap_matrix(h: Space, k: Space, phases: np.ndarray | None = None) -> np.ndarray:
-    m = np.zeros((k.dim * h.dim, h.dim * k.dim), dtype=complex)
-    for i in range(h.dim):
-        for j in range(k.dim):
-            m[j * h.dim + i, i * k.dim + j] = 1.0 if phases is None else phases[i, j]
-    return m
-
-
 class BraidingProvider:
     """Base class; subclasses implement :meth:`braid` and :meth:`supports`."""
 
@@ -47,8 +42,14 @@ class BraidingProvider:
         raise NotImplementedError
 
     def braid_inverse(self, h: Space, k: Space) -> LegOperator:
-        """c_{H,K}^{-1}: K (x) H -> H (x) K."""
+        """c_{H,K}^{-1}: K (x) H -> H (x) K.
+
+        A :class:`~braidmu.tensor.Crossing` is inverted in closed form (swap
+        back, conjugate the phases); any other braiding by ``np.linalg.inv``.
+        """
         c = self.braid(h, k)
+        if isinstance(c, Crossing):
+            return c.adjoint()
         return LegOperator(LegSignature(c.codomain, c.domain), np.linalg.inv(c.matrix))
 
     def inverse(self) -> "BraidingProvider":
@@ -61,8 +62,8 @@ class FlipBraiding(BraidingProvider):
 
     kind = "flip"
 
-    def braid(self, h: Space, k: Space) -> LegOperator:
-        return LegOperator(LegSignature((h, k), (k, h)), _swap_matrix(h, k))
+    def braid(self, h: Space, k: Space) -> Crossing:
+        return crossing(h, k)
 
     def supports(self, h: Space, k: Space) -> bool:
         return True
@@ -82,11 +83,11 @@ class PhaseBraiding(BraidingProvider):
         self.modulus = int(modulus)
         self.q = np.exp(2j * np.pi / self.modulus)
 
-    def braid(self, h: Space, k: Space) -> LegOperator:
+    def braid(self, h: Space, k: Space) -> Crossing:
         if not self.supports(h, k):
             raise UnsupportedPairError(f"phase braiding needs gradings on ({h.id}, {k.id})")
         phases = np.array([[self.q ** (dh * dk) for dk in k.grading] for dh in h.grading])
-        return LegOperator(LegSignature((h, k), (k, h)), _swap_matrix(h, k, phases))
+        return crossing(h, k, phases)
 
     def supports(self, h: Space, k: Space) -> bool:
         return h.grading is not None and k.grading is not None
@@ -109,6 +110,9 @@ class ExplicitBraiding(BraidingProvider):
         if op.codomain != (k, h):
             raise ValueError(f"braiding entry for ({h.id}, {k.id}) must have codomain "
                              f"({k.id}, {h.id})")
+        if isinstance(op, Crossing):
+            # a table holds dense matrices, even one taken from a flip or phase braiding
+            op = LegOperator(op.signature, op.matrix)
         self._table[key or (h.id, k.id)] = op
 
     def braid(self, h: Space, k: Space) -> LegOperator:

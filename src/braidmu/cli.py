@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("analyze", help="run the full certificate on a bundle operator")
     p.add_argument("file")
     p.add_argument("--object", default="W")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=positive_float, default=1e-9)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_analyze)
 
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="evaluate a statement file against a bundle")
     p.add_argument("statements")
     p.add_argument("data")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=positive_float, default=1e-9)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -11,11 +11,15 @@ The JSON schema (version 1):
      "groups": {name: {"order": n, "identity": i, "table": [[..], ..]}}}
 
 Matrices are row-major with the first leg most significant; floats are
-emitted with 17 significant digits so serialization is canonical.
+emitted with 17 significant digits so serialization is canonical.  The
+writer emits strict JSON: a non-finite float is refused, and strings escape
+every control character.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -174,10 +178,8 @@ def identity_control(dim: int, space_id: str = "L") -> MultUnitary:
 
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize the non-finite float {x!r}: JSON has no such value")
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
@@ -201,7 +203,8 @@ def _emit(node, out: list[str]) -> None:
             _emit(item, out)
         out.append("]")
     elif isinstance(node, str):
-        out.append('"' + node.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        # backslash, quote and every character below U+0020 are escaped
+        out.append(json.dumps(node, ensure_ascii=False))
     elif isinstance(node, (bool, np.bool_)):
         out.append("true" if node else "false")
     elif isinstance(node, (int, np.integer)):
@@ -277,8 +280,6 @@ def bundle_to_json(bundle: Bundle) -> str:
 
 
 def bundle_from_json(text: str) -> Bundle:
-    import json
-
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:

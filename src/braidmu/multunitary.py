@@ -52,18 +52,24 @@ def _cinv(m: MultUnitary) -> LegOperator:
     return m.braiding.braid_inverse(m.space, m.space)
 
 
-def pentagon_defect(f: np.ndarray, c: np.ndarray, cinv: np.ndarray) -> np.ndarray:
-    """F23 F12 - F12 c12 F23 cinv12 F23 on three legs, from the matrices of F,
-    the braiding c and its inverse on L (x) L."""
-    eye = np.eye(math.isqrt(f.shape[0]))
-    f12, f23 = np.kron(f, eye), np.kron(eye, f)
-    return f23 @ f12 - f12 @ np.kron(c, eye) @ f23 @ np.kron(cinv, eye) @ f23
+def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator) -> np.ndarray:
+    """F23 F12 - F12 c12 F23 cinv12 F23 on L (x) L (x) L, from F, the braiding c
+    and its inverse on L (x) L.
+
+    Both sides are leg products: each F acts by one reshape-matmul on two of
+    the three legs, and a flip or phase crossing by an axis swap, so no
+    n^3 x n^3 product is formed.
+    """
+    legs = f.domain + f.domain[1:]
+    lhs = leg_product([(f, 1), (f, 2)], legs)
+    rhs = leg_product([(f, 2), (cinv, 1), (f, 2), (c, 1), (f, 1)], legs)
+    return lhs.matrix - rhs.matrix
 
 
 def pentagon_residual(m: MultUnitary) -> float:
     """Hilbert-Schmidt norm of F23 F12 - F12 c12 F23 cinv12 F23 on three legs."""
-    c = m.braiding.braid(m.space, m.space).matrix
-    return float(np.linalg.norm(pentagon_defect(m.op.matrix, c, _cinv(m).matrix)))
+    c = m.braiding.braid(m.space, m.space)
+    return float(np.linalg.norm(pentagon_defect(m.op, c, _cinv(m))))
 
 
 def right_slice_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
@@ -267,7 +273,10 @@ def check_record(name: str, kind: str, value, tol=None, expected=None,
     """One entry of a report's check list.
 
     kind "residual" passes below ``tol`` (NaN never passes), "rank" when the
-    value equals ``expected``, and "flag" when the value is true.
+    value equals ``expected``, and "flag" when the value is true.  JSON has
+    no infinity or NaN, so a non-finite value is recorded as ``None`` with
+    ``"nonfinite"`` naming it ("inf", "-inf" or "nan"); ``pass`` is decided
+    on the value itself.
     """
     if kind == "residual":
         ok = bool(value < tol) if value == value else False
@@ -277,6 +286,8 @@ def check_record(name: str, kind: str, value, tol=None, expected=None,
         ok = bool(value)
     entry = {"name": name, "kind": kind, "value": value, "pass": ok,
              "wall_time_s": round(elapsed, 6)}
+    if isinstance(value, float) and not math.isfinite(value):
+        entry["value"], entry["nonfinite"] = None, str(value)
     if tol is not None:
         entry["tol"] = tol
     if expected is not None:

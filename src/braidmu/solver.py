@@ -97,8 +97,13 @@ class SearchProblem:
         # (param_count, n^2, n^2): stacked Hermitian generators of H
         self._param_basis = self._feasible_basis()
         l = self.space
-        self._c = self.braiding.braid(l, l).matrix
-        self._cinv = self.braiding.braid_inverse(l, l).matrix
+        self._sig = LegSignature((l, l), (l, l))
+        self._c = self.braiding.braid(l, l)
+        self._cinv = self.braiding.braid_inverse(l, l)
+        # the gradient's dense c12 and cinv12 on three legs
+        eye = np.eye(l.dim)
+        self._c12 = np.kron(self._c.matrix, eye)
+        self._cinv12 = np.kron(self._cinv.matrix, eye)
 
     def _feasible_basis(self) -> np.ndarray:
         square = tensor_space(self.space, self.space)
@@ -139,6 +144,10 @@ class SearchProblem:
     def unitary(self, params: np.ndarray) -> np.ndarray:
         return _exp_i(*np.linalg.eigh(self.hermitian(params)))
 
+    def defect(self, f: np.ndarray) -> np.ndarray:
+        """The Pentagon defect of the candidate matrix f."""
+        return pentagon_defect(LegOperator(self._sig, f), self._c, self._cinv)
+
 
 def _exp_i(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(iH) for H = V diag(lam) V*."""
@@ -162,7 +171,7 @@ def expm_frechet(lam: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def residual_objective(problem: SearchProblem, params: np.ndarray) -> float:
     """Squared Hilbert-Schmidt norm of the Pentagon defect."""
-    p = pentagon_defect(problem.unitary(params), problem._c, problem._cinv)
+    p = problem.defect(problem.unitary(params))
     return float(np.vdot(p, p).real)
 
 
@@ -175,12 +184,11 @@ def gradient(problem: SearchProblem, params: np.ndarray) -> np.ndarray:
     """
     lam, v = np.linalg.eigh(problem.hermitian(params))
     f = _exp_i(lam, v)
-    c, cinv = problem._c, problem._cinv
-    p = pentagon_defect(f, c, cinv)
+    p = problem.defect(f)
     n = problem.space.dim
     eye = np.eye(n)
     f12, f23 = np.kron(f, eye), np.kron(eye, f)
-    c12, cinv12 = np.kron(c, eye), np.kron(cinv, eye)
+    c12, cinv12 = problem._c12, problem._cinv12
     # P = F23 F12 - F12 c12 F23 cinv12 F23; each term X dF Y of dP pulls
     # back to X* P Y* on the slot (12 or 23) that dF occupies
     braided = c12 @ f23 @ cinv12

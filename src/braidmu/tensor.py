@@ -7,13 +7,15 @@ exactly ``numpy.kron``.
 
 A factor on a few legs of a longer context acts matrix-free:
 :func:`apply_on_legs` left-multiplies by 1 (x) op (x) 1 with one reshape and
-one matmul and never forms the padded matrix.  A leg-notation product is a
-list of steps ``(op, start)``, run by :func:`leg_product`; this is the one
-way a factor is padded and multiplied, for the DSL, the block crossings of
-:func:`braidmu.braiding.braid_steps`, crossed-product injections,
-conjugations and comultiplications alike.  A factor on distant legs is the
-steps of :func:`route_steps`: the move crossings, the factor, the back
-crossings.  :func:`embed_adjacent` and :func:`compose` give the same
+one matmul and never forms the padded matrix.  A :class:`Crossing`, a
+permutation with phases such as a flip or phase braiding, acts with no
+matmul at all: an axis swap of the rows times its phase table.  A
+leg-notation product is a list of steps ``(op, start)``, run by
+:func:`leg_product`; this is the one way a factor is padded and multiplied,
+for the DSL, the block crossings of :func:`braidmu.braiding.braid_steps`,
+crossed-product injections, conjugations, comultiplications and the
+Pentagon alike.  A factor on distant legs is the steps of
+:func:`route_steps`: the move crossings, the factor, the back crossings.  :func:`embed_adjacent` and :func:`compose` give the same
 products densely, and the tests keep them as the oracle.
 """
 
@@ -25,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "LegError", "Space", "LegSignature", "LegOperator", "Vector", "Step",
-    "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
+    "LegError", "Space", "LegSignature", "LegOperator", "Crossing", "crossing", "Vector",
+    "Step", "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
     "embed_adjacent", "apply_on_legs", "legs_after", "leg_product", "route_steps",
     "apply_distant", "extract_distant", "is_unitary",
 ]
@@ -124,6 +126,65 @@ class LegOperator:
 
 
 @dataclass(frozen=True)
+class Crossing(LegOperator):
+    """A crossing H (x) K -> K (x) H that sends e_i (x) e_j to phases[i, j] e_j (x) e_i.
+
+    ``phases`` is the dim H x dim K table of unimodular phases, or None for
+    the flip.  ``matrix`` is the dense value; :func:`apply_on_legs` acts by
+    an axis swap and a phase multiply instead.  Build one with
+    :func:`crossing`.
+    """
+
+    phases: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.domain) != 2 or self.codomain != self.domain[::-1]:
+            raise LegError("a crossing maps legs (H, K) to (K, H)")
+        if self.phases is not None:
+            p = _shaped(self.phases, *self.domain).copy()
+            if np.abs(np.abs(p) - 1.0).max() > 1e-12:
+                raise LegError("crossing phases must have modulus one")
+            p.setflags(write=False)
+            object.__setattr__(self, "phases", p)
+
+    def adjoint(self) -> "Crossing":
+        """The adjoint, which is the inverse: swap back and conjugate the phases."""
+        h, k = self.domain
+        return crossing(k, h, None if self.phases is None else self.phases.conj().T)
+
+
+def crossing(h: Space, k: Space, phases: np.ndarray | None = None) -> Crossing:
+    """The :class:`Crossing` H (x) K -> K (x) H with the given phase table."""
+    if phases is not None:
+        phases = _shaped(phases, h, k)
+    i, j = np.divmod(np.arange(h.dim * k.dim), k.dim)
+    m = np.zeros((k.dim * h.dim, h.dim * k.dim), dtype=complex)
+    m[j * h.dim + i, i * k.dim + j] = 1.0 if phases is None else phases[i, j]
+    return Crossing(LegSignature((h, k), (k, h)), m, phases)
+
+
+def _shaped(phases, h: Space, k: Space) -> np.ndarray:
+    p = np.asarray(phases, dtype=complex)
+    if p.shape != (h.dim, k.dim):
+        raise LegError(f"phase table of shape {p.shape} does not match the legs")
+    return p
+
+
+def _cross(c: Crossing, x: np.ndarray, pre: int, rest: int) -> np.ndarray:
+    """(1 (x) c (x) 1) @ x for x viewed as (pre, H, K, rest): the axis swap to
+    (pre, K, H, rest) times the phases, one pass over x."""
+    h, k = (s.dim for s in c.domain)
+    swapped = x.reshape(pre, h, k, rest).transpose(0, 2, 1, 3)
+    out = np.empty((pre, k, h, rest), dtype=complex)
+    if c.phases is None:
+        out[...] = swapped
+    else:
+        np.multiply(swapped, c.phases.T[:, :, None], out=out)
+    return out
+
+
+@dataclass(frozen=True)
 class Vector:
     space: Space
     entries: np.ndarray
@@ -175,14 +236,20 @@ def _placed(x: LegOperator, context: tuple[Space, ...], start: int
 
 
 def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegOperator:
-    """Embed x on the contiguous legs ``start .. start+k-1`` (1-based) of the context."""
+    """Embed x on the contiguous legs ``start .. start+k-1`` (1-based) of the context.
+
+    The padded matrix 1 (x) x (x) 1 is written into zeros block by block,
+    which gives ``np.kron``'s entries without its multiplications.
+    """
     context = tuple(context)
     pre, post = _placed(x, context, start)
     m = x.matrix
-    if pre:
-        m = np.kron(np.eye(total_dim(pre)), m)
-    if post:
-        m = np.kron(m, np.eye(total_dim(post)))
+    if pre or post:
+        (a, b), p, q = m.shape, total_dim(pre), total_dim(post)
+        padded = np.zeros((p, a, q, p, b, q), dtype=complex)
+        i, j = np.arange(p)[:, None], np.arange(q)
+        padded[i, :, j, i, :, j] = m
+        m = padded.reshape(p * a * q, p * b * q)
     sig = LegSignature(context, pre + x.codomain + post)
     return LegOperator(sig, m)
 
@@ -199,7 +266,8 @@ def apply_on_legs(op: LegOperator, x: np.ndarray, context: Sequence[Space],
 
     The rows of x carry the legs ``context``; its columns may be anything.  x
     is viewed as (pre, op's domain, post * columns) blocks and multiplied by
-    op in one matmul, so the padded matrix is never formed.  The rows of the
+    op in one matmul, so the padded matrix is never formed; a
+    :class:`Crossing` swaps the two axes of its legs instead.  The rows of the
     result carry :func:`legs_after`.
     """
     context = tuple(context)
@@ -208,8 +276,11 @@ def apply_on_legs(op: LegOperator, x: np.ndarray, context: Sequence[Space],
         raise LegError(f"a matrix of shape {x.shape} has no rows on a context of "
                        f"total dimension {total_dim(context)}")
     cols = x.shape[1]
-    out = np.matmul(op.matrix, x.reshape(total_dim(pre), op.matrix.shape[1],
-                                         total_dim(post) * cols))
+    if isinstance(op, Crossing):
+        out = _cross(op, x, total_dim(pre), total_dim(post) * cols)
+    else:
+        out = np.matmul(op.matrix, x.reshape(total_dim(pre), op.matrix.shape[1],
+                                             total_dim(post) * cols))
     return out.reshape(-1, cols)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ def random_unitary(n, seed):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_pentagon_defect(f, c, cinv):
+    """F23 F12 - F12 c12 F23 cinv12 F23 from the matrices of F, c and c^{-1} on
+    L (x) L: every factor padded by kron and multiplied as an n^3 x n^3 matrix."""
+    eye = np.eye(math.isqrt(f.shape[0]))
+    f12, f23 = np.kron(f, eye), np.kron(eye, f)
+    return f23 @ f12 - f12 @ np.kron(c, eye) @ f23 @ np.kron(cinv, eye) @ f23
 
 
 def routed_oracle(x, context, positions, route, braiding):

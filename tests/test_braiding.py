@@ -221,3 +221,55 @@ def test_naturality_matches_the_kron_transcription():
     assert report["pairs"] == 9
     assert worst > 1.0
     assert abs(report["max_residual"] - worst) < 1e-12
+
+
+GRADED = [Space("A", 1, (2,)), Space("B", 2, (0, 1)), Space("C", 3, (0, 1, 2)),
+          Space("D", 3, (2, 2, 1))]
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase", "flip inverse", "phase inverse"])
+def test_braid_inverse_is_the_closed_form_of_np_linalg_inv(kind):
+    base = bm.FlipBraiding() if kind.startswith("flip") else bm.PhaseBraiding(3)
+    provider = base.inverse() if kind.endswith("inverse") else base
+    for h in GRADED:
+        for k in GRADED:
+            c, cinv = provider.braid(h, k), provider.braid_inverse(h, k)
+            assert isinstance(cinv, bm.Crossing)
+            assert cinv.signature == LegSignature((k, h), (h, k))
+            expected = np.linalg.inv(c.matrix)
+            if kind.startswith("flip"):
+                np.testing.assert_array_equal(cinv.matrix, expected)
+            else:
+                np.testing.assert_allclose(cinv.matrix, expected, rtol=0, atol=1e-15)
+            # the inverse of the inverse is the crossing itself, bit for bit
+            np.testing.assert_array_equal(cinv.adjoint().matrix, c.matrix)
+
+
+def test_inverse_provider_crossings_are_the_base_crossings_reversed():
+    for base in (bm.FlipBraiding(), bm.PhaseBraiding(3)):
+        inv = base.inverse()
+        for h in GRADED:
+            for k in GRADED:
+                np.testing.assert_array_equal(inv.braid_inverse(h, k).matrix,
+                                              base.braid(k, h).matrix)
+
+
+def test_phase_crossing_matrix_is_the_swap_with_phases():
+    q = np.exp(2j * np.pi / 3)
+    h, k = GRADED[1], GRADED[3]
+    c = bm.PhaseBraiding(3).braid(h, k)
+    m = np.zeros((6, 6), dtype=complex)
+    for i in range(h.dim):
+        for j in range(k.dim):
+            m[j * h.dim + i, i * k.dim + j] = q ** (h.grading[i] * k.grading[j])
+    np.testing.assert_array_equal(c.matrix, m)
+    np.testing.assert_array_equal(c.phases, [[q ** (a * b) for b in k.grading]
+                                             for a in h.grading])
+
+
+def test_explicit_table_entries_are_dense():
+    table = bm.ExplicitBraiding()
+    table.register(bm.FlipBraiding().braid(H2, K3))
+    entry = table.braid(H2, K3)
+    assert not isinstance(entry, bm.Crossing)
+    np.testing.assert_array_equal(entry.matrix, bm.FlipBraiding().braid(H2, K3).matrix)

@@ -14,9 +14,14 @@ def run(args):
     return main(args)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_json(path):
+    """A report, read by a parser that rejects NaN and Infinity."""
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=_reject_constant)
 
 
 def test_generate_and_analyze_kac_takesaki(tmp_path):
@@ -202,7 +207,7 @@ def test_analyze_report_is_the_certificate_check_list(tmp_path, kind, tol):
     code = run(["analyze", str(out), "--object", name, "--tol", tol, "--report", str(report)])
     tree = read_json(str(report))
     cert = bm.full_certificate(bm.load_bundle(str(out)).mult_unitary(name), float(tol))
-    # json.dumps writes NaN for the identity control's unsupported hexagon on both sides
+    # the identity control's unsupported hexagon is NaN, a null value on both sides
     assert json.dumps(_without_times(tree["checks"])) == json.dumps(_without_times(cert.checks()))
     assert tree["pass"] == cert.all_passed
     assert code == (0 if cert.all_passed else 1)
@@ -387,6 +392,9 @@ def test_analyze_of_a_zero_matrix_fails_its_checks_without_a_traceback(tmp_path)
     for name in ("unitarity", "podles-right", "podles-left", "coassociativity",
                  "multiplier", "sandwich-span"):
         assert checks[name]["pass"] is False, name
+    # the extension raised, so coassociativity is infinite: a null value that says so
+    assert checks["coassociativity"]["value"] is None
+    assert checks["coassociativity"]["nonfinite"] == "inf"
 
 
 def test_analyze_of_a_rank_one_matrix_keeps_its_report(tmp_path):
@@ -401,3 +409,37 @@ def test_analyze_of_a_rank_one_matrix_keeps_its_report(tmp_path):
         "regular": False, "bi-regular": False, "dual-consistent": True,
         "podles-right": True, "podles-left": True, "coassociativity": 0.0,
         "multiplier": True, "sandwich-span": True}
+
+
+def test_eval_report_escapes_control_characters(tmp_path):
+    bundle, stmt, report = tmp_path / "kt2.json", tmp_path / "tab.stmt", tmp_path / "r.json"
+    assert run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(bundle)]) == 0
+    stmt.write_text("context: L L\nW[1,2]\t== W[1,2]\n")
+    assert run(["eval", str(stmt), str(bundle), "--report", str(report)]) == 0
+    (check,) = read_json(str(report))["checks"]
+    assert check["name"] == "W[1,2]\t== W[1,2]"
+    assert check["pass"] is True
+
+
+def test_identity_control_reports_its_nan_hexagon_as_null(tmp_path):
+    bundle, report = tmp_path / "id.json", tmp_path / "r.json"
+    assert run(["generate", "identity", "--dim", "2", "-o", str(bundle)]) == 0
+    assert run(["analyze", str(bundle), "--object", "F", "--report", str(report)]) == 1
+    checks = {c["name"]: c for c in read_json(str(report))["checks"]}
+    hexagon = checks["braiding-hexagon"]
+    assert (hexagon["value"], hexagon["nonfinite"], hexagon["pass"]) == (None, "nan", False)
+    assert "nonfinite" not in checks["pentagon"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+@pytest.mark.parametrize("command", ["analyze", "eval"])
+def test_a_tolerance_that_is_not_positive_and_finite_is_a_usage_error(tmp_path, capsys,
+                                                                       command, tol):
+    bundle, stmt = tmp_path / "kt2.json", tmp_path / "s.stmt"
+    assert run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(bundle)]) == 0
+    stmt.write_text("context: L L\nW[1,2] == W[1,2]\n")
+    files = [str(bundle)] if command == "analyze" else [str(stmt), str(bundle)]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *files, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

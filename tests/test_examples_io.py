@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,13 @@ def test_floats_serialize_with_17_significant_digits():
     assert _fmt_float(x) == format(x, ".17g")
     assert float(_fmt_float(x)) == x
     assert _fmt_float(2.0) == "2.0"
-    assert _fmt_float(float("nan")) == "NaN"
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_are_refused(x):
+    from braidmu.examples_io import _canonical_json
+    with pytest.raises(ValueError, match="non-finite"):
+        _canonical_json({"value": [1.0, x]})
 
 
 @pytest.mark.parametrize("text, path", [
@@ -216,3 +224,14 @@ def test_malformed_nodes_are_schema_errors(text, path):
     with pytest.raises(SchemaError) as err:
         bm.bundle_from_json(text)
     assert err.value.path == path
+
+
+def test_canonical_json_escapes_every_control_character():
+    from braidmu.examples_io import _canonical_json
+    text = "".join(chr(i) for i in range(0x20)) + 'tab\there "quote" back\\slash é ∞'
+    tree = {text: [text, {"k": text}], "plain": 'a"b\\c'}
+    out = _canonical_json(tree)
+    assert all(ord(ch) >= 0x20 for ch in out)
+    assert json.loads(out) == tree
+    # quotes and backslashes are written as before
+    assert _canonical_json({"a\\b": 'x"y'}) == '{"a\\\\b":"x\\"y"}'

@@ -1,11 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import braidmu as bm
 from braidmu import spans
 from braidmu import LegOperator, LegSignature, Space
+from braidmu.multunitary import pentagon_defect
 
-from conftest import random_unitary
+from conftest import dense_pentagon_defect, random_unitary, routing_category
 
 
 def leg_op(matrix, dom, cod=None):
@@ -313,3 +316,83 @@ def test_certificate_and_hexagons_pad_only_by_leg_products(monkeypatch, z3):
             monkeypatch.setattr(namespace, attr, forbidden, raising=False)
     assert bm.full_certificate(z3).all_passed
     assert bm.check_hexagons(provider, [module.space])["max_residual"] < 1e-11
+
+
+# ---------------------------------------------------------------- matrix-free Pentagon
+
+
+def _search_hits(category, dim, **kw):
+    space = Space("L", dim, None if category == "flip" else tuple(i % 2 for i in range(dim)))
+    braiding = bm.FlipBraiding() if category == "flip" else bm.PhaseBraiding(2)
+    constraints = () if category == "flip" else (bm.DegreePreservingConstraint(2),)
+    problem = bm.SearchProblem(space=space, braiding=braiding, constraints=constraints,
+                               seed=7, **kw)
+    return [hit.mu for hit in bm.search(problem)]
+
+
+def _pentagon_cases():
+    l2, l3, g3 = Space("L", 2), Space("L", 3), Space("G", 3, (0, 1, 2))
+
+    def yd_table():
+        yd, p, _ = routing_category("yd")
+        return [bm.MultUnitary(p, leg_op(random_unitary(9, 6), (p, p)), yd)]
+
+    def dense_table():
+        table = bm.ExplicitBraiding()
+        table.register(leg_op(random_unitary(9, 3), (l3, l3)))
+        return [bm.MultUnitary(l3, leg_op(random_unitary(9, 7), (l3, l3)), table)]
+
+    return {
+        "flip KT Z3": lambda: [bm.kac_takesaki(bm.cyclic(3))],
+        "flip random F": lambda: [
+            bm.MultUnitary(l3, leg_op(random_unitary(9, 1), (l3, l3)), bm.FlipBraiding())],
+        "flip inverse random F": lambda: [bm.MultUnitary(
+            l2, leg_op(random_unitary(4, 2), (l2, l2)), bm.FlipBraiding().inverse())],
+        "phase m=3 random F": lambda: [
+            bm.MultUnitary(g3, leg_op(random_unitary(9, 4), (g3, g3)), bm.PhaseBraiding(3))],
+        "phase m=3 inverse random F": lambda: [bm.MultUnitary(
+            g3, leg_op(random_unitary(9, 5), (g3, g3)), bm.PhaseBraiding(3).inverse())],
+        "Z3 YD table random F": yd_table,
+        "random dense c and F": dense_table,
+        "search hits d=2": lambda: (_search_hits("flip", 2, restarts=3)
+                                    + _search_hits("super", 2, restarts=3)),
+        "search hits d=3": lambda: _search_hits("flip", 3, restarts=2, max_iter=20),
+    }
+
+
+PENTAGON_CASES = _pentagon_cases()
+
+
+@pytest.mark.parametrize("name", sorted(PENTAGON_CASES))
+def test_pentagon_defect_matches_the_dense_oracle(name):
+    cases = PENTAGON_CASES[name]()
+    assert cases
+    for m in cases:
+        c = m.braiding.braid(m.space, m.space)
+        cinv = m.braiding.braid_inverse(m.space, m.space)
+        got = pentagon_defect(m.op, c, cinv)
+        want = dense_pentagon_defect(m.op.matrix, c.matrix, cinv.matrix)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert bm.pentagon_residual(m) == pytest.approx(float(np.linalg.norm(want)), abs=1e-12)
+
+
+@pytest.mark.parametrize("name, swaps", [("flip random F", 2), ("phase m=3 random F", 2),
+                                         ("Z3 YD table random F", 0)])
+def test_pentagon_crossings_take_the_crossing_path(monkeypatch, name, swaps):
+    """Flip and phase crossings reach the axis swap, a table's crossings the
+    matmul; no n^3 x n^3 product and no kron are formed."""
+    (m,) = PENTAGON_CASES[name]()
+    c, cinv = m.braiding.braid(m.space, m.space), m.braiding.braid_inverse(m.space, m.space)
+    tensor_module = importlib.import_module("braidmu.tensor")
+    calls = []
+    real_cross = tensor_module._cross
+    monkeypatch.setattr(tensor_module, "_cross",
+                        lambda *args: calls.append(args[0]) or real_cross(*args))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense product in the Pentagon")
+
+    monkeypatch.setattr(tensor_module, "compose", forbidden)
+    monkeypatch.setattr(np, "kron", forbidden)
+    pentagon_defect(m.op, c, cinv)
+    assert len(calls) == swaps

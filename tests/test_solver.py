@@ -5,10 +5,9 @@ from scipy.linalg import expm_frechet as scipy_expm_frechet
 
 import braidmu as bm
 from braidmu import Space
-from braidmu.multunitary import pentagon_defect
 from braidmu.solver import expm_frechet
 
-from conftest import random_unitary
+from conftest import dense_pentagon_defect, random_unitary
 
 
 def flip_problem(dim=2, **kw):
@@ -45,7 +44,7 @@ def forward_mode_gradient(problem, params):
     f = expm(1j * h)
     f12 = np.kron(f, eye)
     f23 = np.kron(eye, f)
-    p = pentagon_defect(f, c, cinv)
+    p = dense_pentagon_defect(f, c, cinv)
     g = np.zeros(problem.param_count)
     for a, b in enumerate(problem._param_basis):
         df = scipy_expm_frechet(1j * h, 1j * b, compute_expm=False)
@@ -285,3 +284,19 @@ def test_scalar_orbit_distance():
     assert scalar_orbit_distance(np.exp(0.7j) * np.eye(4)) < 1e-12
     w = bm.kac_takesaki(bm.cyclic(2)).op.matrix
     assert scalar_orbit_distance(w) > 0.5
+
+
+@pytest.mark.parametrize("name", ["flip d=2", "super d=2"])
+def test_gradient_builds_no_braiding_kron(monkeypatch, name):
+    """c12 and cinv12 are built once per problem; a gradient call pads only F."""
+    problem = oracle_problems()[name]()
+    eye = np.eye(problem.space.dim)
+    np.testing.assert_array_equal(problem._c12, np.kron(problem._c.matrix, eye))
+    np.testing.assert_array_equal(problem._cinv12, np.kron(problem._cinv.matrix, eye))
+    padded = []
+    real_kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda a, b: padded.append(a.shape) or real_kron(a, b))
+    theta = np.random.default_rng(3).normal(size=problem.param_count)
+    bm.gradient(problem, theta)
+    n = problem.space.dim
+    assert padded == [(n * n, n * n), (n, n)]

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,3 +411,79 @@ def test_leg_product_matches_the_composed_embeddings():
     got = leg_product(steps, context)
     assert got.signature == dense.signature == LegSignature((a, b, a), (b, a, a))
     np.testing.assert_allclose(got.matrix, dense.matrix, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- crossings
+
+
+def crossing_provider(kind):
+    """Flip, phase m=3, or the inverse provider of either."""
+    base = bm.FlipBraiding() if kind.startswith("flip") else bm.PhaseBraiding(3)
+    return base.inverse() if kind.endswith("inverse") else base
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["flip", "phase", "flip inverse", "phase inverse"]),
+       gradings=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                         min_size=2, max_size=4),
+       data=st.data())
+def test_a_crossing_acts_as_its_padded_matrix(kind, gradings, data):
+    context = tuple(Space(f"S{i}", len(g), tuple(g)) for i, g in enumerate(gradings))
+    start = data.draw(st.integers(1, len(context) - 1), label="start")
+    cols = data.draw(st.integers(1, 3), label="cols")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    c = crossing_provider(kind).braid(context[start - 1], context[start])
+    assert isinstance(c, bm.Crossing)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(total_dim(context), cols)) + 1j * rng.normal(size=(total_dim(context), cols))
+    got = bm.apply_on_legs(c, x, context, start)
+    want = bm.embed_adjacent(c, context, start).matrix @ x
+    if kind.startswith("flip"):
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert legs_after(c, context, start) == bm.embed_adjacent(c, context, start).codomain
+
+
+def test_the_adjoint_of_a_crossing_is_a_crossing():
+    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+    for c in (bm.FlipBraiding().braid(a, b), bm.PhaseBraiding(3).braid(a, b)):
+        star = c.adjoint()
+        assert isinstance(star, bm.Crossing)
+        assert star.signature == LegSignature((b, a), (a, b))
+        np.testing.assert_array_equal(star.matrix, bm.adjoint(c).matrix)
+        np.testing.assert_array_equal(star.adjoint().matrix, c.matrix)
+
+
+def test_crossing_validates_its_phase_table():
+    a, b = Space("A", 2), Space("B", 3)
+    with pytest.raises(LegError, match="does not match"):
+        bm.crossing(a, b, np.ones((3, 2)))
+    with pytest.raises(LegError, match="modulus one"):
+        bm.crossing(a, b, np.full((2, 3), 0.5))
+    with pytest.raises(LegError, match="maps legs"):
+        bm.Crossing(LegSignature((a, b), (a, b)), np.eye(6))
+
+
+def test_explicit_crossings_take_the_gemm_path(monkeypatch):
+    """A Yetter-Drinfeld table, its inverse and a table entry copied from a flip
+    are dense operators; only flip and phase crossings reach the axis swap."""
+    provider, p, q = routing_category("yd")
+    table = bm.ExplicitBraiding()
+    table.register(bm.FlipBraiding().braid(p, q))
+    tensor_module = importlib.import_module("braidmu.tensor")
+    swaps = []
+    real_cross = tensor_module._cross
+    monkeypatch.setattr(tensor_module, "_cross",
+                        lambda *args: swaps.append(args[0]) or real_cross(*args))
+    dense = [provider.braid(p, q), provider.braid_inverse(q, p), provider.inverse().braid(p, q),
+             table.braid(p, q), table.braid_inverse(p, q)]
+    for c in dense:
+        assert not isinstance(c, bm.Crossing)
+        ctx = c.domain + (p,)
+        x = np.eye(total_dim(ctx), dtype=complex)
+        bm.apply_on_legs(c, x, ctx, 1)
+    assert swaps == []
+    flip = bm.FlipBraiding().braid(p, q)
+    bm.apply_on_legs(flip, np.eye(p.dim * q.dim, dtype=complex), (p, q), 1)
+    assert swaps == [flip]
