@@ -95,14 +95,13 @@ def cmd_generate(args) -> int:
         bundle.operators["W"] = mu.op
         bundle.groups[group.name] = group
     elif args.kind == "super":
-        dim = args.dim or 2
-        grading = tuple(i % 2 for i in range(dim))
-        spaces, _ = graded_category(2, {"L": (dim, grading)})
+        grading = tuple(i % 2 for i in range(args.dim))
+        spaces, _ = graded_category(2, {"L": (args.dim, grading)})
         bundle.spaces.update(spaces)
         bundle.braiding_kind = "phase"
         bundle.braiding_modulus = 2
     elif args.kind == "identity":
-        mu = identity_control(args.dim or 2)
+        mu = identity_control(args.dim)
         bundle.spaces[mu.space.id] = mu.space
         bundle.operators["F"] = mu.op
         bundle.braiding_kind = "explicit"
@@ -220,12 +219,21 @@ def cmd_eval(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type for integers >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for integers >= 0, such as seeds."""
+    return _int_at_least(text, 0)
 
 
 def positive_float(text: str) -> float:
@@ -244,8 +252,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("generate", help="write an example bundle")
     p.add_argument("kind", choices=["kac-takesaki", "super", "identity", "group-yd"])
     p.add_argument("--group", default="Zn")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--n", type=positive_int, default=None)
+    p.add_argument("--dim", type=positive_int, default=2)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -260,7 +268,7 @@ def main(argv=None) -> int:
     p.add_argument("--category", default="super", choices=["flip", "super", "phase"])
     p.add_argument("--dim", type=positive_int, default=2)
     p.add_argument("--modulus", type=positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--restarts", type=positive_int, default=8)
     p.add_argument("--max-iter", type=positive_int, default=200)
     p.add_argument("--target-residual", type=positive_float, default=1e-8)

@@ -14,14 +14,15 @@ from .spans import (Conjugation, CrossedProductExtension, OperatorSpan,
                     crossed_injections, crossed_product, equals,
                     is_relative_multiplier, kernel_of_linear_map, span_from_slices)
 from .tensor import (LegError, LegOperator, LegSignature, Space, _unitarity_residual,
-                     adjoint, apply_distant, compose, leg_product)
+                     Step, adjoint, apply_distant, compose, leg_product)
 
 __all__ = [
     "MultUnitary", "RegularityReport", "BialgebraCertificate", "Certificate",
     "pentagon_residual", "right_slice_span", "left_slice_span", "regularity_span",
     "opposite_regularity_span", "dual", "commutant_dimension", "classify_regularity",
     "comultiply", "podles_conditions", "coassociativity_residual", "multiplier_checks",
-    "routing_agreement", "full_certificate", "pentagon_defect", "check_record",
+    "routing_agreement", "full_certificate", "pentagon_words", "pentagon_defect",
+    "check_record",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -52,18 +53,29 @@ def _cinv(m: MultUnitary) -> LegOperator:
     return m.braiding.braid_inverse(m.space, m.space)
 
 
+def pentagon_words(f: LegOperator, c: LegOperator, cinv: LegOperator
+                   ) -> tuple[tuple[Space, ...], list[Step], list[Step]]:
+    """The braided Pentagon F23 F12 = F12 c12 F23 cinv12 F23 as two step lists.
+
+    Returns the three legs L (x) L (x) L and the left and right words as
+    :func:`~braidmu.tensor.leg_product` steps, the rightmost factor first.
+    :func:`pentagon_defect` multiplies them out and the solver pulls its
+    gradient back through the same steps.
+    """
+    legs = f.domain + f.domain[1:]
+    return legs, [(f, 1), (f, 2)], [(f, 2), (cinv, 1), (f, 2), (c, 1), (f, 1)]
+
+
 def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator) -> np.ndarray:
     """F23 F12 - F12 c12 F23 cinv12 F23 on L (x) L (x) L, from F, the braiding c
     and its inverse on L (x) L.
 
-    Both sides are leg products: each F acts by one reshape-matmul on two of
-    the three legs, and a flip or phase crossing by an axis swap, so no
-    n^3 x n^3 product is formed.
+    Both sides are leg products of :func:`pentagon_words`: each F acts by one
+    reshape-matmul on two of the three legs, and a flip or phase crossing by
+    an axis swap, so no n^3 x n^3 product is formed.
     """
-    legs = f.domain + f.domain[1:]
-    lhs = leg_product([(f, 1), (f, 2)], legs)
-    rhs = leg_product([(f, 2), (cinv, 1), (f, 2), (c, 1), (f, 1)], legs)
-    return lhs.matrix - rhs.matrix
+    legs, lhs, rhs = pentagon_words(f, c, cinv)
+    return leg_product(lhs, legs).matrix - leg_product(rhs, legs).matrix
 
 
 def pentagon_residual(m: MultUnitary) -> float:

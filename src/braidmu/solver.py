@@ -4,12 +4,13 @@ Candidates are parametrized as exp(i H) with H Hermitian in a constrained
 subspace, so every iterate sits exactly on the unitary manifold and the
 Pentagon residual is the only acceptance quantity.
 
-The exponential and its Frechet derivative both come from one ``eigh`` of H,
-and the gradient runs in reverse mode: one adjoint Frechet derivative per
-call, whatever the number of parameters.  Nothing here calls ``scipy.linalg``:
-numpy and scipy link separate OpenBLAS builds, each with its own thread pool,
-and alternating between two pools on the same cores costs milliseconds per
-switch, more than a whole small gradient.
+Each L-BFGS-B evaluation gives the objective and its gradient together: the
+exponential and its Frechet derivative both come from one ``eigh`` of H, and
+the gradient runs in reverse mode through the Pentagon's two words, then one
+adjoint Frechet derivative, whatever the number of parameters.  Nothing here
+calls ``scipy.linalg``: numpy and scipy link separate OpenBLAS builds, each
+with its own thread pool, and alternating between two pools on the same cores
+costs milliseconds per switch, more than a whole small gradient.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import spans
-from .multunitary import MultUnitary, full_certificate, pentagon_defect, pentagon_residual
-from .tensor import LegOperator, LegSignature, Space, tensor_space
+from .multunitary import (MultUnitary, full_certificate, pentagon_defect, pentagon_residual,
+                          pentagon_words)
+from .tensor import LegOperator, LegSignature, Space, Step, pullback, tensor_space
 
 __all__ = [
     "DegreePreservingConstraint", "CommutantConstraint", "SearchProblem",
@@ -100,10 +102,6 @@ class SearchProblem:
         self._sig = LegSignature((l, l), (l, l))
         self._c = self.braiding.braid(l, l)
         self._cinv = self.braiding.braid_inverse(l, l)
-        # the gradient's dense c12 and cinv12 on three legs
-        eye = np.eye(l.dim)
-        self._c12 = np.kron(self._c.matrix, eye)
-        self._cinv12 = np.kron(self._cinv.matrix, eye)
 
     def _feasible_basis(self) -> np.ndarray:
         square = tensor_space(self.space, self.space)
@@ -144,9 +142,13 @@ class SearchProblem:
     def unitary(self, params: np.ndarray) -> np.ndarray:
         return _exp_i(*np.linalg.eigh(self.hermitian(params)))
 
-    def defect(self, f: np.ndarray) -> np.ndarray:
-        """The Pentagon defect of the candidate matrix f."""
-        return pentagon_defect(LegOperator(self._sig, f), self._c, self._cinv)
+    def candidate(self, f: np.ndarray) -> LegOperator:
+        """The matrix f as an operator on L (x) L."""
+        return LegOperator(self._sig, f)
+
+    def defect(self, f: LegOperator) -> np.ndarray:
+        """The Pentagon defect of the candidate f."""
+        return pentagon_defect(f, self._c, self._cinv)
 
 
 def _exp_i(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -170,40 +172,37 @@ def expm_frechet(lam: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def residual_objective(problem: SearchProblem, params: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt norm of the Pentagon defect."""
-    p = problem.defect(problem.unitary(params))
+    """Squared Hilbert-Schmidt norm of the Pentagon defect: the value of
+    :func:`gradient` alone, for callers that difference it."""
+    p = problem.defect(problem.candidate(problem.unitary(params)))
     return float(np.vdot(p, p).real)
 
 
-def gradient(problem: SearchProblem, params: np.ndarray) -> np.ndarray:
-    """Exact gradient of the objective in reverse mode.
+def gradient(problem: SearchProblem, params: np.ndarray) -> tuple[float, np.ndarray]:
+    """The objective and its exact gradient, from one ``eigh`` and one defect.
 
-    The defect P is pulled back to G = dObj/dF (dObj = 2 Re <G, dF>), then
-    through one adjoint Frechet derivative of exp to K = dObj/dH, whose
-    Hilbert-Schmidt products with the parameter basis are the partials.
+    Reverse mode: the defect P is pulled back through both Pentagon words to
+    G = dObj/dF (dObj = 2 Re <G, dF>), then through one adjoint Frechet
+    derivative of exp to K = dObj/dH, whose Hilbert-Schmidt products with
+    the parameter basis are the partials.
     """
     lam, v = np.linalg.eigh(problem.hermitian(params))
-    f = _exp_i(lam, v)
+    f = problem.candidate(_exp_i(lam, v))
     p = problem.defect(f)
-    n = problem.space.dim
-    eye = np.eye(n)
-    f12, f23 = np.kron(f, eye), np.kron(eye, f)
-    c12, cinv12 = problem._c12, problem._cinv12
-    # P = F23 F12 - F12 c12 F23 cinv12 F23; each term X dF Y of dP pulls
-    # back to X* P Y* on the slot (12 or 23) that dF occupies
-    braided = c12 @ f23 @ cinv12
-    m12 = f23.conj().T @ p - p @ (braided @ f23).conj().T
-    m23 = (p @ f12.conj().T
-           - (f12 @ c12).conj().T @ p @ (cinv12 @ f23).conj().T
-           - (f12 @ braided).conj().T @ p)
-    # <M, dF (x) 1> and <M, 1 (x) dF> pair dF with M traced over leg 3 or leg 1
-    nn = n * n
-    g = (np.trace(m12.reshape(nn, n, nn, n), axis1=1, axis2=3)
-         + np.trace(m23.reshape(n, nn, n, nn), axis1=0, axis2=2))
+    legs, lhs, rhs = pentagon_words(f, problem._c, problem._cinv)
+    # P = lhs - rhs: every F of either word pulls P back, with the word's sign
+    g = _pulled_to(f, lhs, legs, p) - _pulled_to(f, rhs, legs, p)
     k = -expm_frechet(-lam, v, g)
     # 2 Re <K, B_a> for every basis element at once
-    return 2.0 * (problem._param_basis.reshape(problem.param_count, -1)
+    grad = 2.0 * (problem._param_basis.reshape(problem.param_count, -1)
                   @ k.conj().reshape(-1)).real
+    return float(np.vdot(p, p).real), grad
+
+
+def _pulled_to(f: LegOperator, steps: list[Step], legs: tuple[Space, ...], p: np.ndarray
+               ) -> np.ndarray:
+    """The sum of the cotangents of P at the steps of the word that apply f."""
+    return sum(g for (op, _), g in zip(steps, pullback(steps, legs, p)) if op is f)
 
 
 def scalar_orbit_distance(f: np.ndarray) -> float:
@@ -240,13 +239,11 @@ def search(problem: SearchProblem) -> list[SearchResult]:
             x0 = np.zeros(problem.param_count)
         else:
             x0 = rng.normal(scale=1.0, size=problem.param_count)
-        opt = minimize(lambda x: residual_objective(problem, x), x0,
-                       jac=lambda x: gradient(problem, x),
+        opt = minimize(lambda x: gradient(problem, x), x0, jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": problem.max_iter, "ftol": 1e-18, "gtol": 1e-14})
         f = problem.unitary(opt.x)
-        sig = LegSignature((problem.space, problem.space), (problem.space, problem.space))
-        mu = MultUnitary(problem.space, LegOperator(sig, f), problem.braiding)
+        mu = MultUnitary(problem.space, problem.candidate(f), problem.braiding)
         residual = pentagon_residual(mu)
         if residual >= problem.target_residual:
             continue

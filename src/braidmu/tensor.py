@@ -15,7 +15,10 @@ leg-notation product is a list of steps ``(op, start)``, run by
 for the DSL, the block crossings of :func:`braidmu.braiding.braid_steps`,
 crossed-product injections, conjugations, comultiplications and the
 Pentagon alike.  A factor on distant legs is the steps of
-:func:`route_steps`: the move crossings, the factor, the back crossings.  :func:`embed_adjacent` and :func:`compose` give the same
+:func:`route_steps`: the move crossings, the factor, the back crossings.
+:func:`pullback` runs a step list in reverse mode: it takes a cotangent of
+the product back to each step's factor, with the adjoint steps applied the
+same way.  :func:`embed_adjacent` and :func:`compose` give the same
 products densely, and the tests keep them as the oracle.
 """
 
@@ -29,7 +32,7 @@ import numpy as np
 __all__ = [
     "LegError", "Space", "LegSignature", "LegOperator", "Crossing", "crossing", "Vector",
     "Step", "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
-    "embed_adjacent", "apply_on_legs", "legs_after", "leg_product", "route_steps",
+    "embed_adjacent", "apply_on_legs", "legs_after", "leg_product", "pullback", "route_steps",
     "apply_distant", "extract_distant", "is_unitary",
 ]
 
@@ -93,9 +96,13 @@ class LegSignature:
         return total_dim(self.codomain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LegOperator:
-    """A complex matrix together with its leg signature."""
+    """A complex matrix together with its leg signature.
+
+    Operators compare and hash by identity, as a numpy matrix gives no
+    single truth value for ``==``.
+    """
 
     signature: LegSignature
     matrix: np.ndarray
@@ -125,7 +132,7 @@ class LegOperator:
         return LegOperator(sig, self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Crossing(LegOperator):
     """A crossing H (x) K -> K (x) H that sends e_i (x) e_j to phases[i, j] e_j (x) e_i.
 
@@ -184,7 +191,7 @@ def _cross(c: Crossing, x: np.ndarray, pre: int, rest: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vector:
     space: Space
     entries: np.ndarray
@@ -218,6 +225,9 @@ def tensor(x: LegOperator, y: LegOperator) -> LegOperator:
 
 
 def adjoint(x: LegOperator) -> LegOperator:
+    """The conjugate transpose; a :class:`Crossing` stays a crossing."""
+    if isinstance(x, Crossing):
+        return x.adjoint()
     return LegOperator(LegSignature(x.codomain, x.domain), x.matrix.conj().T)
 
 
@@ -312,6 +322,43 @@ def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
     first = embed_adjacent(op, context, start)
     m, legs = _run_steps(rest, first.matrix, first.codomain)
     return LegOperator(LegSignature(context, legs), m)
+
+
+def pullback(steps: Sequence[Step], context: Sequence[Space], cotangent: np.ndarray
+             ) -> list[np.ndarray]:
+    """The cotangent of each step's factor, for a cotangent P of the steps' product W.
+
+    Write W = After (1 (x) op (x) 1) Before around step j.  A change d(op)
+    of that factor changes W by After (1 (x) d(op) (x) 1) Before, so
+    <P, dW> = <G_j, d(op)> (Hilbert-Schmidt) with G_j the partial trace of
+    After* P Before* over the legs op does not touch.  Returns G_j, shaped
+    like op's matrix, for every step in order; a factor that occurs in
+    several steps gets one cotangent per occurrence.  Before runs the
+    steps forward on the identity, After* P the adjoint steps backward by
+    :func:`apply_on_legs`, so crossings stay axis swaps.
+    """
+    context = tuple(context)
+    legs = [context]
+    for op, start in steps:
+        legs.append(legs_after(op, legs[-1], start))
+    if cotangent.shape != (total_dim(legs[-1]), total_dim(context)):
+        raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
+                       f"product of the steps")
+    # Before of step j: the steps ahead of it applied to the identity
+    before = [np.eye(total_dim(context), dtype=complex)]
+    for (op, start), ctx in zip(steps[:-1], legs):
+        before.append(apply_on_legs(op, before[-1], ctx, start))
+    q, grads = cotangent, []
+    for j in reversed(range(len(steps))):
+        op, start = steps[j]
+        cod, dom = op.matrix.shape
+        pre = total_dim(legs[j][:start - 1])
+        # Q[pre, cod, post, col] conj(B[pre, dom, post, col]), summed over pre, post, col
+        qb, bb = q.reshape(pre, cod, -1), before[j].reshape(pre, dom, -1)
+        grads.append(np.matmul(qb, bb.conj().transpose(0, 2, 1)).sum(axis=0))
+        if j:  # After* P of step j - 1
+            q = apply_on_legs(adjoint(op), q, legs[j + 1], start)
+    return grads[::-1]
 
 
 def _route_providers(braiding, route: str):

@@ -229,12 +229,29 @@ def test_report_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("flags", [["--dim", "0"], ["--category", "phase", "--modulus", "0"]])
-def test_search_rejects_nonpositive_sizes_as_usage_errors(tmp_path, capsys, flags):
+@pytest.mark.parametrize("argv", [
+    ["search", "--dim", "0"],
+    ["search", "--category", "phase", "--modulus", "0"],
+    ["generate", "kac-takesaki", "--n", "0"],
+    ["generate", "identity", "--dim", "-1"],
+    ["generate", "super", "--dim", "0"],
+], ids=["search dim", "search modulus", "generate n", "generate identity dim",
+        "generate super dim"])
+def test_nonpositive_sizes_are_usage_errors(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        run(["search", *flags, "-o", str(tmp_path / "x.json")])
+        run([*argv, "-o", str(tmp_path / "x.json")])
     assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "must be at least 1" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_search_rejects_a_negative_seed_as_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--seed", "-1", "-o", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "error: argument --seed: must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_eval_rejects_use_lines(tmp_path, capsys):

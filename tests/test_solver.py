@@ -89,7 +89,7 @@ def test_gradient_matches_the_forward_mode_oracle(name):
         oracle = forward_mode_gradient(problem, theta)
         # relative, plus a roundoff floor for theta = 0 (the identity, an
         # exact solution), where both gradients vanish up to rounding
-        err = np.linalg.norm(bm.gradient(problem, theta) - oracle)
+        err = np.linalg.norm(bm.gradient(problem, theta)[1] - oracle)
         assert err <= 1e-12 * np.linalg.norm(oracle) + 1e-14, (scale, err)
 
 
@@ -148,7 +148,7 @@ def test_gradient_matches_finite_differences():
     step = 1e-6
     for trial in range(5):
         theta = rng.normal(size=problem.param_count)
-        grad = bm.gradient(problem, theta)
+        grad = bm.gradient(problem, theta)[1]
         fd = np.zeros_like(grad)
         for a in range(len(theta)):
             e = np.zeros_like(theta)
@@ -161,7 +161,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_vanishes_at_a_solution(z2):
     problem = flip_problem()
     theta = params_of(problem, z2.op.matrix)
-    assert np.linalg.norm(bm.gradient(problem, theta)) < 1e-8
+    assert np.linalg.norm(bm.gradient(problem, theta)[1]) < 1e-8
 
 
 def test_gradient_in_a_genuinely_braided_category():
@@ -173,7 +173,7 @@ def test_gradient_in_a_genuinely_braided_category():
                                seed=0)
     rng = np.random.default_rng(8)
     theta = rng.normal(size=problem.param_count)
-    grad = bm.gradient(problem, theta)
+    grad = bm.gradient(problem, theta)[1]
     step = 1e-6
     fd = np.zeros_like(grad)
     for a in range(len(theta)):
@@ -288,15 +288,50 @@ def test_scalar_orbit_distance():
 
 @pytest.mark.parametrize("name", ["flip d=2", "super d=2"])
 def test_gradient_builds_no_braiding_kron(monkeypatch, name):
-    """c12 and cinv12 are built once per problem; a gradient call pads only F."""
+    """A gradient call makes no np.kron call at all, braiding or F, and its
+    value is the objective bit for bit."""
     problem = oracle_problems()[name]()
-    eye = np.eye(problem.space.dim)
-    np.testing.assert_array_equal(problem._c12, np.kron(problem._c.matrix, eye))
-    np.testing.assert_array_equal(problem._cinv12, np.kron(problem._cinv.matrix, eye))
+    theta = np.random.default_rng(3).normal(size=problem.param_count)
+    objective = bm.residual_objective(problem, theta)
     padded = []
     real_kron = np.kron
     monkeypatch.setattr(np, "kron", lambda a, b: padded.append(a.shape) or real_kron(a, b))
-    theta = np.random.default_rng(3).normal(size=problem.param_count)
-    bm.gradient(problem, theta)
-    n = problem.space.dim
-    assert padded == [(n * n, n * n), (n, n)]
+    value, _ = bm.gradient(problem, theta)
+    assert padded == []
+    assert value == objective
+
+
+@pytest.mark.parametrize("name", ["flip d=2", "super d=4"])
+def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
+    """L-BFGS-B gets value and gradient from one call: one eigh and one defect
+    per evaluation, plus one eigh per restart for its final unitary."""
+    import braidmu.solver as solver
+    problem = oracle_problems()[name]()
+    # restart 0 starts at the exact identity solution, restart 1 at a random point
+    problem.restarts, problem.max_iter = 2, 30
+    counts = {"eigh": 0, "defect": 0, "objective": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    nfev = []
+    real_minimize = solver.minimize
+
+    def minimize(*args, **kwargs):
+        assert kwargs["jac"] is True
+        result = real_minimize(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(solver, "pentagon_defect", counted("defect", solver.pentagon_defect))
+    monkeypatch.setattr(solver, "residual_objective",
+                        counted("objective", solver.residual_objective))
+    monkeypatch.setattr(solver, "minimize", minimize)
+    bm.search(problem)
+    assert len(nfev) == problem.restarts and sum(nfev) > problem.restarts
+    assert counts == {"eigh": sum(nfev) + problem.restarts, "defect": sum(nfev),
+                      "objective": 0}

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
-from braidmu.tensor import leg_product, legs_after, total_dim
+from braidmu.tensor import leg_product, legs_after, pullback, route_steps, total_dim
 
 from conftest import random_unitary, routed_oracle, routing_category
 
@@ -487,3 +489,123 @@ def test_explicit_crossings_take_the_gemm_path(monkeypatch):
     flip = bm.FlipBraiding().braid(p, q)
     bm.apply_on_legs(flip, np.eye(p.dim * q.dim, dtype=complex), (p, q), 1)
     assert swaps == [flip]
+
+
+# ---------------------------------------------------------------- reverse mode
+
+
+def padded(op, context, start):
+    """1 (x) op (x) 1 on the legs ``start ..`` of the context, by np.kron."""
+    pre = total_dim(context[:start - 1])
+    post = total_dim(context[start - 1 + len(op.domain):])
+    return np.kron(np.eye(pre), np.kron(op.matrix, np.eye(post))), pre, post
+
+
+def test_pullback_matches_the_dense_kron_oracle():
+    """Each step's cotangent is the partial trace of After* P Before*, for a
+    word with a space-changing factor, a flip crossing, a dense explicit
+    (Yetter-Drinfeld) crossing and a factor routed past a leg."""
+    yd, p, q = routing_category("yd")
+    u = leg_op(random_unitary(6, 61), [p, q], [q, p])
+    w = leg_op(random_unitary(9, 62), [p, p])
+    context = (p, q, p)
+    steps = [(u, 1), (bm.FlipBraiding().braid(p, p), 2), (yd.braid(q, p), 1)]
+    legs = context
+    for op, start in steps:
+        legs = legs_after(op, legs, start)
+    assert legs == (p, q, p)
+    steps += route_steps(w, legs, (1, 3), "over", yd)
+    assert len(steps) == 6
+    assert isinstance(steps[1][0], bm.Crossing) and not isinstance(steps[2][0], bm.Crossing)
+    # dense factors and the legs each step starts from
+    factors, legs = [], context
+    for op, start in steps:
+        factors.append((*padded(op, legs, start), op))
+        legs = legs_after(op, legs, start)
+    rng = np.random.default_rng(63)
+    n_out, n_in = total_dim(legs), total_dim(context)
+    cot = rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in))
+    got = pullback(steps, context, cot)
+    assert len(got) == len(steps)
+    for j, (m, pre, post, op) in enumerate(factors):
+        before = np.eye(n_in)
+        for earlier in factors[:j]:
+            before = earlier[0] @ before
+        after = np.eye(m.shape[0])
+        for later in factors[j + 1:]:
+            after = later[0] @ after
+        full = after.conj().T @ cot @ before.conj().T
+        cod, dom = op.matrix.shape
+        want = np.einsum("icjidj->cd", full.reshape(pre, cod, post, pre, dom, post))
+        assert got[j].shape == op.matrix.shape
+        np.testing.assert_allclose(got[j], want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+
+
+def test_pullback_rejects_a_cotangent_of_the_wrong_shape():
+    w = leg_op(W_Z2, [L2, L2])
+    with pytest.raises(LegError, match="cotangent"):
+        pullback([(w, 1), (w, 2)], (L2, L2, L2), np.eye(4))
+
+
+def test_operators_compare_and_hash_by_identity(z2):
+    """Operators, and the records that hold them, give plain bools for == and
+    in, and hash; two operators with equal matrices are still two operators."""
+    flip = bm.FlipBraiding()
+    pairs = [(bm.identity((L2,)), bm.identity((L2,))),
+             (flip.braid(L2, L3), flip.braid(L2, L3)),
+             (bm.Vector(L2, [1, 0]), bm.Vector(L2, [1, 0])),
+             (z2, bm.kac_takesaki(bm.cyclic(2))),
+             (bm.SearchResult(z2, 0.0, 0, False), bm.SearchResult(bm.dual(z2), 0.0, 0, False))]
+    for x, y in pairs:
+        assert (x == x) is True and (x == y) is False and (x != y) is True
+        assert (x in [y]) is False and (x in [y, x]) is True
+        assert len({x, y, x}) == 2
+    # records compare their fields, so the same operator makes equal records
+    assert bm.SearchResult(z2, 0.0, 0, False) == bm.SearchResult(z2, 0.0, 0, False)
+
+
+# ---------------------------------------------------------------- invariants
+
+
+def references(name):
+    """(module, enclosing scope) of each use of ``name`` in the package source: a
+    bare name, an attribute (np.kron, numpy.kron) or an import; docstrings do
+    not count."""
+
+    def named(node):
+        if isinstance(node, ast.alias):
+            return name in (node.name, node.asname)
+        return getattr(node, "attr", None) == name or getattr(node, "id", None) == name
+
+    found = []
+    for path in sorted(Path(bm.__file__).parent.glob("*.py")):
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                if named(child):
+                    found.append((path.stem, ".".join(inner)))
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_only_the_linear_map_builders_call_kron():
+    """np.kron builds linear maps (the tensor product itself, the semi-direct
+    isometries, the commutant conditions); no factor is padded with it."""
+    uses = set(references("kron"))
+    assert ("tensor", "tensor") in uses and ("solver", "CommutantConstraint.conditions") in uses
+    stray = {u for u in uses if u[0] != "semidirect"} - {
+        ("tensor", "tensor"), ("solver", "CommutantConstraint.conditions")}
+    assert stray == set()
+
+
+def test_only_tensor_calls_embed_adjacent():
+    """Outside tensor, embed_adjacent is only re-exported by the package."""
+    uses = references("embed_adjacent")
+    assert ("tensor", "leg_product") in uses
+    assert {module for module, _ in uses} == {"tensor", "__init__"}
+    assert [u for u in uses if u[0] == "__init__"] == [("__init__", "")]
