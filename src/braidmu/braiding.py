@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import (Crossing, LegOperator, LegSignature, Space, Step, crossing, identity,
-                     leg_product, tensor_space)
+from .tensor import (Crossing, LegError, LegOperator, LegSignature, Space, Step, crossing,
+                     identity, leg_product, tensor_space)
 from . import spans
 
 __all__ = [
@@ -45,12 +45,17 @@ class BraidingProvider:
         """c_{H,K}^{-1}: K (x) H -> H (x) K.
 
         A :class:`~braidmu.tensor.Crossing` is inverted in closed form (swap
-        back, conjugate the phases); any other braiding by ``np.linalg.inv``.
+        back, conjugate the phases); any other braiding by ``np.linalg.inv``,
+        and a singular one raises :class:`~braidmu.tensor.LegError`.
         """
         c = self.braid(h, k)
         if isinstance(c, Crossing):
             return c.adjoint()
-        return LegOperator(LegSignature(c.codomain, c.domain), np.linalg.inv(c.matrix))
+        try:
+            inverse = np.linalg.inv(c.matrix)
+        except np.linalg.LinAlgError:
+            raise LegError(f"the braiding of ({h.id}, {k.id}) is singular") from None
+        return LegOperator(LegSignature(c.codomain, c.domain), inverse)
 
     def inverse(self) -> "BraidingProvider":
         """The reversed-category braiding (H, K) -> c_{K,H}^{-1}."""
@@ -98,12 +103,10 @@ class ExplicitBraiding(BraidingProvider):
 
     kind = "explicit"
 
-    def __init__(self, table: dict[tuple[str, str], LegOperator] | None = None):
+    def __init__(self):
         self._table: dict[tuple[str, str], LegOperator] = {}
-        for key, op in (table or {}).items():
-            self.register(op, key=key)
 
-    def register(self, op: LegOperator, key: tuple[str, str] | None = None) -> None:
+    def register(self, op: LegOperator) -> None:
         if len(op.domain) != 2 or len(op.codomain) != 2:
             raise ValueError("braiding entries must be two-leg operators")
         h, k = op.domain
@@ -113,7 +116,7 @@ class ExplicitBraiding(BraidingProvider):
         if isinstance(op, Crossing):
             # a table holds dense matrices, even one taken from a flip or phase braiding
             op = LegOperator(op.signature, op.matrix)
-        self._table[key or (h.id, k.id)] = op
+        self._table[(h.id, k.id)] = op
 
     def braid(self, h: Space, k: Space) -> LegOperator:
         try:
@@ -218,12 +221,12 @@ class BraidingRegularityReport:
     bi_regular: bool
 
 
-def braiding_regularity(provider: BraidingProvider, h: Space, k: Space,
-                        cutoff: float = spans.RANK_CUTOFF) -> BraidingRegularityReport:
+def braiding_regularity(provider: BraidingProvider, h: Space, k: Space
+                        ) -> BraidingRegularityReport:
     """Slice-span ranks of c_{H,K}; at finite dimension semi-regular == regular."""
     c = provider.braid(h, k)
-    right = spans.span_from_slices(c, "right", cutoff)
-    left = spans.span_from_slices(c, "left", cutoff)
+    right = spans.span_from_slices(c, "right")
+    left = spans.span_from_slices(c, "left")
     full = h.dim * k.dim
     regular = right.rank == full
     return BraidingRegularityReport(

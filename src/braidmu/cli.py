@@ -139,11 +139,12 @@ def cmd_analyze(args) -> int:
         print(f"error: no operator named {args.object!r} in the bundle", file=sys.stderr)
         return 2
     try:
-        mu = bundle.mult_unitary(args.object)
+        # the certificate raises LegError on a braiding it cannot use, a singular one
+        certificate = full_certificate(bundle.mult_unitary(args.object), args.tol)
     except (SchemaError, LegError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _report(args.file, full_certificate(mu, args.tol).checks(), args.tol)
+    report = _report(args.file, certificate.checks(), args.tol)
     text = _canonical_report(report)
     if args.report and not _write_report(args.report, text):
         return 2
@@ -195,10 +196,13 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        with open(args.statements, "r") as handle:
+        with open(args.statements, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.statements}: not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     try:
         results = run_statements(text, bundle.operators, bundle.spaces,

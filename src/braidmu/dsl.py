@@ -194,9 +194,9 @@ class _Parser:
         return Atom(name, tuple(legs), route)
 
 
-def parse(text: str, line: int = 1) -> Expr:
+def parse(text: str) -> Expr:
     """Parse one expression (no '==')."""
-    parser = _Parser(_tokenize(text, line), line)
+    parser = _Parser(_tokenize(text, 1), 1)
     expr = parser.parse_expr()
     parser.take("end")
     return expr

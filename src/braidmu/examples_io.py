@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_ACTION_TOL = 1e-12    # group action entries below it are zero; defects may reach 10x
 
 
 class SchemaError(ValueError):
@@ -87,10 +88,10 @@ class Bundle:
 # generators
 
 
-def kac_takesaki(group: FiniteGroup, space_id: str = "L") -> MultUnitary:
-    """W(d_g (x) d_h) = d_g (x) d_{gh} on C[G] (x) C[G], with the flip braiding."""
+def kac_takesaki(group: FiniteGroup) -> MultUnitary:
+    """W(d_g (x) d_h) = d_g (x) d_{gh} on C[G] (x) C[G] = L (x) L, with the flip braiding."""
     n = group.order
-    space = Space(space_id, n)
+    space = Space("L", n)
     w = np.zeros((n * n, n * n), dtype=complex)
     for g in range(n):
         for h in range(n):
@@ -108,8 +109,8 @@ def graded_category(modulus: int, dims_gradings: dict[str, tuple[int, tuple[int,
 
 
 def group_yd_module(group: FiniteGroup, grading: list[int], action: list[np.ndarray],
-                    mu: MultUnitary | None = None, space_id: str = "H",
-                    tol: float = 1e-12) -> tuple[YDModule, MultUnitary]:
+                    mu: MultUnitary | None = None, space_id: str = "H"
+                    ) -> tuple[YDModule, MultUnitary]:
     """Module over the Kac-Takesaki unitary of the group.
 
     ``grading`` assigns a group element to each basis vector of H; ``action``
@@ -128,7 +129,7 @@ def group_yd_module(group: FiniteGroup, grading: list[int], action: list[np.ndar
     for g, m in enumerate(mats):
         if m.shape != (d, d):
             raise ValueError(f"action matrix for element {g} has shape {m.shape}")
-        if np.linalg.norm(m @ m.conj().T - np.eye(d)) > tol * 10:
+        if np.linalg.norm(m @ m.conj().T - np.eye(d)) > _ACTION_TOL * 10:
             raise ValueError(f"action of element {g} is not unitary")
     for g in range(n):
         for h in range(n):
@@ -137,12 +138,12 @@ def group_yd_module(group: FiniteGroup, grading: list[int], action: list[np.ndar
                 if grading[j] != h:
                     continue
                 for i in range(d):
-                    if abs(mats[g][i, j]) > tol and grading[i] != target:
+                    if abs(mats[g][i, j]) > _ACTION_TOL and grading[i] != target:
                         raise GroupTableError(
                             f"action violates the compatibility g H_h <= H_(ghg^-1) "
                             f"at (g={g}, h={h})")
             prod = mats[g] @ mats[h]
-            if np.linalg.norm(prod - mats[group.mul(g, h)]) > tol * 10:
+            if np.linalg.norm(prod - mats[group.mul(g, h)]) > _ACTION_TOL * 10:
                 raise GroupTableError(f"action is not a homomorphism at (g={g}, h={h})")
     hspace = Space(space_id, d, tuple(grading))
     lspace = mu.space
@@ -158,14 +159,14 @@ def group_yd_module(group: FiniteGroup, grading: list[int], action: list[np.ndar
     return YDModule(hspace, corep, rep), mu
 
 
-def identity_control(dim: int, space_id: str = "L") -> MultUnitary:
-    """The identity operator with the degenerate identity braiding table.
+def identity_control(dim: int) -> MultUnitary:
+    """The identity operator on L (x) L with the degenerate identity braiding table.
 
     A non-braiding control input: its Pentagon residual vanishes while every
     regularity-flavoured quantity collapses, which exercises the failure
     paths of the certificates.
     """
-    space = Space(space_id, dim)
+    space = Space("L", dim)
     eye = np.eye(dim * dim, dtype=complex)
     sig = LegSignature((space, space), (space, space))
     table = ExplicitBraiding()
@@ -239,6 +240,11 @@ def _matrix_from_tree(tree, path: str) -> np.ndarray:
     return m
 
 
+def _is_json_int(node) -> bool:
+    """A JSON integer: json.loads gives ``int``, and ``bool`` is a subclass of it."""
+    return isinstance(node, int) and not isinstance(node, bool)
+
+
 def _expect(node, kind: type, path: str):
     """The node itself, when it is a JSON object (``dict``) or array (``list``)."""
     if not isinstance(node, kind):
@@ -295,11 +301,18 @@ def bundle_from_json(text: str) -> Bundle:
         path = f"/spaces/{sid}"
         if not isinstance(entry, dict) or "dim" not in entry:
             raise SchemaError(path, "expected an object with a 'dim' field")
+        if not _is_json_int(entry["dim"]):
+            raise SchemaError(path + "/dim", f"expected an integer, got {entry['dim']!r}")
         grading = entry.get("grading")
+        if grading is not None:
+            for i, degree in enumerate(_expect(grading, list, path)):
+                if not _is_json_int(degree):
+                    raise SchemaError(f"{path}/grading/{i}",
+                                      f"expected an integer, got {degree!r}")
         try:
-            bundle.spaces[sid] = Space(sid, int(entry["dim"]),
+            bundle.spaces[sid] = Space(sid, entry["dim"],
                                        tuple(grading) if grading is not None else None)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(path, str(exc)) from None
     braiding = _expect(tree.get("braiding", {"kind": "flip"}), dict, "/braiding")
     kind = braiding.get("kind")
@@ -308,7 +321,7 @@ def bundle_from_json(text: str) -> Bundle:
     bundle.braiding_kind = kind
     if kind == "phase":
         modulus = braiding.get("modulus")
-        if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
+        if not _is_json_int(modulus) or modulus < 1:
             raise SchemaError("/braiding/modulus",
                               f"phase braiding needs an integer modulus >= 1, got {modulus!r}")
         bundle.braiding_modulus = modulus
@@ -370,5 +383,10 @@ def save_bundle(bundle: Bundle, path: str) -> None:
 
 
 def load_bundle(path: str) -> Bundle:
-    with open(path, "r") as handle:
-        return bundle_from_json(handle.read())
+    """Read a UTF-8 bundle file; undecodable bytes are a :class:`SchemaError`."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("/", f"not UTF-8 text: {exc}") from None
+    return bundle_from_json(text)

@@ -84,24 +84,24 @@ def pentagon_residual(m: MultUnitary) -> float:
     return float(np.linalg.norm(pentagon_defect(m.op, c, _cinv(m))))
 
 
-def right_slice_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
+def right_slice_span(m: MultUnitary) -> OperatorSpan:
     """Span of right-leg slices of F; the convolution algebra on L."""
-    return span_from_slices(m.op, "right", cutoff)
+    return span_from_slices(m.op, "right")
 
 
-def left_slice_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
+def left_slice_span(m: MultUnitary) -> OperatorSpan:
     """Span of left-leg slices of F; the function-algebra counterpart."""
-    return span_from_slices(m.op, "left", cutoff)
+    return span_from_slices(m.op, "left")
 
 
-def regularity_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
+def regularity_span(m: MultUnitary) -> OperatorSpan:
     """Right-leg slices of c^{-1} F; full rank is the regularity condition."""
-    return span_from_slices(compose(_cinv(m), m.op), "right", cutoff)
+    return span_from_slices(compose(_cinv(m), m.op), "right")
 
 
-def opposite_regularity_span(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
+def opposite_regularity_span(m: MultUnitary) -> OperatorSpan:
     """Left-leg slices of c^{-1} F*; the 180-degree rotated regularity condition."""
-    return span_from_slices(compose(_cinv(m), adjoint(m.op)), "left", cutoff)
+    return span_from_slices(compose(_cinv(m), adjoint(m.op)), "left")
 
 
 def dual(m: MultUnitary) -> MultUnitary:
@@ -111,7 +111,7 @@ def dual(m: MultUnitary) -> MultUnitary:
     return MultUnitary(m.space, fhat, m.braiding.inverse())
 
 
-def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> int:
+def commutant_dimension(m: MultUnitary) -> int:
     """Dimension of {a : F (a (x) 1) F* = c (a (x) 1) c^{-1}}.
 
     Dimension one means only scalars qualify, which is exactly a trivial
@@ -137,9 +137,7 @@ def commutant_dimension(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> in
             rhs = leg_product([(cinv, 1), (unit, 1), (c, 1)], c.domain)
             cols.append((lhs.matrix - rhs.matrix).reshape(-1))
     t = np.array(cols).T
-    # the map is built from unit-scale conjugations, so anchor the cutoff there
-    kernel = kernel_of_linear_map(t, (m.space,), (m.space,), cutoff, scale=1.0)
-    return kernel.rank
+    return kernel_of_linear_map(t, (m.space,), (m.space,)).rank
 
 
 @dataclass(frozen=True)
@@ -158,15 +156,15 @@ class RegularityReport:
         return self.commutant_dim == 1
 
 
-def classify_regularity(m: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> RegularityReport:
+def classify_regularity(m: MultUnitary) -> RegularityReport:
     full = m.space.dim ** 2
-    rank_c = regularity_span(m, cutoff).rank
-    rank_d = opposite_regularity_span(m, cutoff).rank
+    rank_c = regularity_span(m).rank
+    rank_d = opposite_regularity_span(m).rank
     regular = rank_c == full
-    dual_rank_c = regularity_span(dual(m), cutoff).rank
+    dual_rank_c = regularity_span(dual(m)).rank
     return RegularityReport(
         rank_c=rank_c, rank_d=rank_d, full=full,
-        commutant_dim=commutant_dimension(m, cutoff),
+        commutant_dim=commutant_dimension(m),
         semi_regular=regular, regular=regular,
         bi_regular=regular and rank_d == full,
         dual_consistent=regular == (dual_rank_c == full))
@@ -365,30 +363,6 @@ class Certificate:
         ]
         return [check_record(name, kind, value, t, expected, self.wall_times.get(name, 0.0))
                 for name, kind, value, t, expected in rows]
-
-    def to_dict(self) -> dict:
-        r, b = self.regularity, self.bialgebra
-        return {
-            "unitarity_residual": self.unitarity_residual,
-            "pentagon_residual": self.pentagon_residual,
-            "braiding_hexagon_residual": self.braiding_hexagon_residual,
-            "routing_agreement_residual": self.routing_agreement_residual,
-            "tolerance": self.tolerance,
-            "regularity": {
-                "rank_c": r.rank_c, "rank_d": r.rank_d, "full": r.full,
-                "commutant_dim": r.commutant_dim,
-                "semi_regular": r.semi_regular, "regular": r.regular,
-                "bi_regular": r.bi_regular, "dual_consistent": r.dual_consistent,
-            },
-            "bialgebra": {
-                "podles_right": b.podles_right, "podles_left": b.podles_left,
-                "coassoc_residual": b.coassoc_residual,
-                "multiplier_ok": b.multiplier_ok,
-                "span_equality_ok": b.span_equality_ok,
-            },
-            "gates_passed": self.gates_passed,
-            "all_passed": self.all_passed,
-        }
 
 
 def routing_agreement(m: MultUnitary) -> float:

@@ -36,7 +36,7 @@ class FixedVectorSpace:
         return len(self.basis)
 
 
-def fixed_vectors(mu: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> FixedVectorSpace:
+def fixed_vectors(mu: MultUnitary) -> FixedVectorSpace:
     """Solutions of W (e (x) xi) = e (x) xi for every xi, via a stacked kernel."""
     k = mu.space.dim
     w = mu.op.matrix
@@ -46,7 +46,7 @@ def fixed_vectors(mu: MultUnitary, cutoff: float = spans.RANK_CUTOFF) -> FixedVe
         ket[j, 0] = 1.0
         blocks.append((w - np.eye(k * k)) @ np.kron(np.eye(k), ket))
     stacked = np.vstack(blocks)
-    vecs = spans.null_space(stacked, cutoff, scale=1.0)
+    vecs = spans.null_space(stacked)
     basis = tuple(Vector(mu.space, v) for v in vecs)
     return FixedVectorSpace(mu, basis)
 

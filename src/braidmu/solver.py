@@ -47,9 +47,6 @@ class DegreePreservingConstraint:
             deg = deg % self.modulus
         return (deg[:, None] == deg[None, :]).astype(float)
 
-    def project(self, space: Space, h: np.ndarray) -> np.ndarray:
-        return h * self.mask(space)
-
 
 class CommutantConstraint:
     """Restrict to Hermitian matrices commuting with every given operator."""
@@ -118,7 +115,7 @@ class SearchProblem:
                 # give a *-closed family of operators, so Hermitizing the
                 # projected generators stays inside the commutant
                 cond = c.conditions(dim)
-                ker = spans.null_space(cond, scale=1.0)
+                ker = spans.null_space(cond)
                 kept = [(ker.T @ (ker.conj() @ b.reshape(-1))).reshape(dim, dim)
                         for b in kept]
                 kept = [(b + b.conj().T) / 2 for b in kept]

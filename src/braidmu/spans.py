@@ -1,13 +1,15 @@
 """Closed linear spans of operator sets in the Hilbert-Schmidt geometry.
 
 Spans are stored as orthonormal bases of vectorized operators (row-major
-vectorization, matching the leg convention).  The numerical rank cutoff is
-relative: all spans here come from exact algebraic structures, so the
-singular spectrum is sharply bimodal.  Every SVD that needs no wide factor
-runs on the tall side of its matrix, the conjugate transpose of a wide one:
-the singular values are the same, and LAPACK factors the tall orientation
-several times faster.  Only the kernel of a wide map, which needs the full
-right factor, is taken from the wide orientation.
+vectorization, matching the leg convention).  Every rank is decided at the
+one relative cutoff :data:`RANK_CUTOFF`, which no caller sets; only check
+tolerances are set per call.  All spans here come from exact algebraic
+structures, so the singular spectrum is sharply bimodal.  Every SVD that
+needs no wide factor runs on the tall side of its matrix, the conjugate
+transpose of a wide one: the singular values are the same, and LAPACK
+factors the tall orientation several times faster.  Only the kernel of a
+wide map, which needs the full right factor, is taken from the wide
+orientation.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def _tall(m: np.ndarray) -> np.ndarray:
     return m.conj().T if m.shape[0] < m.shape[1] else m
 
 
-def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...],
-              cutoff: float) -> OperatorSpan:
+def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...]
+              ) -> OperatorSpan:
     """Orthonormal span of the rows (vectorized operators) by a rank-revealing SVD.
 
     Fewer rows than columns: the SVD runs on rows^H = V S U^H, whose leading
@@ -109,15 +111,15 @@ def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space
     """
     if rows.shape[0] < rows.shape[1]:
         u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
-        kept = u[:, :numerical_rank(s, cutoff)].conj().T
+        kept = u[:, :numerical_rank(s)].conj().T
     else:
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        kept = vh[:numerical_rank(s, cutoff)]
+        kept = vh[:numerical_rank(s)]
     basis = tuple(_unvec(v, domain, codomain) for v in kept)
     return OperatorSpan(domain, codomain, basis)
 
 
-def span_of(operators: Sequence[LegOperator], cutoff: float = RANK_CUTOFF) -> OperatorSpan:
+def span_of(operators: Sequence[LegOperator]) -> OperatorSpan:
     """Orthonormalize a list of operators with a rank-revealing SVD."""
     ops = list(operators)
     if not ops:
@@ -126,10 +128,10 @@ def span_of(operators: Sequence[LegOperator], cutoff: float = RANK_CUTOFF) -> Op
     for op in ops:
         if op.domain != domain or op.codomain != codomain:
             raise LegError("span_of: mixed signatures")
-    return _row_span(np.array([_vec(op) for op in ops]), domain, codomain, cutoff)
+    return _row_span(np.array([_vec(op) for op in ops]), domain, codomain)
 
 
-def span_from_slices(x: LegOperator, side: str, cutoff: float = RANK_CUTOFF) -> OperatorSpan:
+def span_from_slices(x: LegOperator, side: str) -> OperatorSpan:
     """Span of one-leg slices of a two-by-two leg operator.
 
     side "right": (id (x) <e_i|) x (id (x) |e_j>) over all basis pairs, an
@@ -148,7 +150,7 @@ def span_from_slices(x: LegOperator, side: str, cutoff: float = RANK_CUTOFF) -> 
         domain, codomain = (d2,), (c2,)
     else:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    return _row_span(slices, domain, codomain, cutoff)
+    return _row_span(slices, domain, codomain)
 
 
 def contains(span: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
@@ -181,10 +183,10 @@ def equals(s1: OperatorSpan, s2: OperatorSpan, tol: float = 1e-9) -> bool:
     return s1.rank == s2.rank and projector_distance(s1, s2) < tol
 
 
-def adjoint_span(s: OperatorSpan, cutoff: float = RANK_CUTOFF) -> OperatorSpan:
+def adjoint_span(s: OperatorSpan) -> OperatorSpan:
     if not s.basis:
         return OperatorSpan(s.codomain, s.domain, ())
-    return span_of([adjoint(b) for b in s.basis], cutoff)
+    return span_of([adjoint(b) for b in s.basis])
 
 
 def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> float:
@@ -229,12 +231,11 @@ def is_nondegenerate(s: OperatorSpan, tol: float = 1e-9) -> bool:
     return numerical_rank(sv, max(tol, RANK_CUTOFF)) == total_dim(s.codomain)
 
 
-def null_space(t: np.ndarray, cutoff: float = RANK_CUTOFF,
-               scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (rows) of the null space at the relative cutoff.
+def null_space(t: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the null space at :data:`RANK_CUTOFF`.
 
-    ``scale`` anchors the cutoff; pass 1.0 when the map is built from
-    unit-scale operators so an all-noise matrix counts as zero.
+    The cutoff is relative to ``max(s[0], 1.0)``: every map handed here is
+    built from unit-scale operators, so an all-noise matrix counts as zero.
     """
     t = np.asarray(t, dtype=complex)
     if t.size == 0 or not np.any(t):
@@ -245,15 +246,14 @@ def null_space(t: np.ndarray, cutoff: float = RANK_CUTOFF,
     _, s, vh = np.linalg.svd(t, full_matrices=t.shape[0] < t.shape[1])
     # t maps conj(vh[j]) to s_j u_j, so the kernel is spanned by the
     # conjugated trailing right-singular rows
-    return vh[numerical_rank(s, cutoff, scale):].conj()
+    return vh[numerical_rank(s, scale=1.0):].conj()
 
 
-def kernel_of_linear_map(t: np.ndarray, domain: Sequence[Space], codomain: Sequence[Space],
-                         cutoff: float = RANK_CUTOFF,
-                         scale: float | None = None) -> OperatorSpan:
+def kernel_of_linear_map(t: np.ndarray, domain: Sequence[Space],
+                         codomain: Sequence[Space]) -> OperatorSpan:
     """Kernel of an operator-valued linear map given on vectorized operators."""
     domain, codomain = tuple(domain), tuple(codomain)
-    vecs = null_space(t, cutoff, scale)
+    vecs = null_space(t)
     basis = tuple(_unvec(v, domain, codomain) for v in vecs)
     return OperatorSpan(domain, codomain, basis)
 
@@ -318,8 +318,7 @@ def _generator_stack(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.n
     return products.reshape(-1, n * n)
 
 
-def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
-                    cutoff: float = RANK_CUTOFF) -> OperatorSpan:
+def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str) -> OperatorSpan:
     """Orthonormal span of all products inj1(a) inj2(b) over the two bases.
 
     One injection of every variant pads (1 (x) b, or a (x) 1 for "bt"), so the
@@ -335,7 +334,7 @@ def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
         conj, pad = [alpha(a).matrix for a in s1.basis], s2
     gens = _generator_stack(np.array(conj), np.array([b.matrix for b in pad.basis]), pad_first)
     legs = s1.domain + s2.domain
-    return _row_span(gens, legs, legs, cutoff)
+    return _row_span(gens, legs, legs)
 
 
 def is_relative_multiplier(s: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
@@ -374,14 +373,14 @@ class Conjugation:
         return leg_product([(adjoint(self.v), 1), (a, start), (self.v, 1)], self.v.codomain)
 
 
-def _independent_columns(v: np.ndarray, cutoff: float
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _independent_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of the columns of v independent of the columns before them, and their thin QR.
 
     One Householder QR of v gives each column's distance from the span of the
-    columns before it as |R_jj|.  Column j is kept when that exceeds ``cutoff``
-    times its norm; an exactly zero column never is.  When every column is
-    kept that QR is returned, otherwise the QR of the kept columns.
+    columns before it as |R_jj|.  Column j is kept when that exceeds
+    :data:`RANK_CUTOFF` times its norm; an exactly zero column never is.
+    When every column is kept that QR is returned, otherwise the QR of the
+    kept columns.
 
     Unlike a greedy Gram-Schmidt pass, which measures each column against
     the kept columns only, R_jj measures it against every column before it,
@@ -397,13 +396,13 @@ def _independent_columns(v: np.ndarray, cutoff: float
     """
     q, r = np.linalg.qr(v)
     norms = np.linalg.norm(v, axis=0)
-    keep = np.flatnonzero((np.abs(np.diagonal(r)) > cutoff * norms) & (norms > 0))
+    keep = np.flatnonzero((np.abs(np.diagonal(r)) > RANK_CUTOFF * norms) & (norms > 0))
     if 0 < keep.size < v.shape[1]:
         q, r = np.linalg.qr(v[:, keep])
     return keep, q, r
 
 
-def _decompositions(gens: np.ndarray, cutoff: float) -> list[tuple]:
+def _decompositions(gens: np.ndarray) -> list[tuple]:
     """The forward and the reverse selection over the generator rows.
 
     Each is (v, q, r, rows): the selected generators as columns, their thin
@@ -413,7 +412,7 @@ def _decompositions(gens: np.ndarray, cutoff: float) -> list[tuple]:
     decompositions = []
     forward = np.arange(len(gens))
     for order, v in ((forward, gens.T), (forward[::-1], np.ascontiguousarray(gens[::-1]).T)):
-        keep, q, r = _independent_columns(v, cutoff)
+        keep, q, r = _independent_columns(v)
         if not keep.size:
             raise DecompositionError("crossed product has no nonzero generators")
         decompositions.append((v if keep.size == len(order) else v[:, keep], q, r,
@@ -462,8 +461,7 @@ class CrossedProductExtension:
     """
 
     def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
-                 f: Conjugation | None, g: Conjugation | None,
-                 cutoff: float = RANK_CUTOFF):
+                 f: Conjugation | None, g: Conjugation | None):
         alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
         t1 = f.target if f is not None else s1.domain
         t2 = g.target if g is not None else s2.domain
@@ -481,7 +479,7 @@ class CrossedProductExtension:
         rc, (rp, p, _) = len(conj_basis), self._pad.shape
         self._decompositions = _decompositions(
             _generator_stack(np.array([conj_inj(x).matrix for x in conj_basis]),
-                             self._pad, self._pad_first), cutoff)
+                             self._pad, self._pad_first))
         # the (conjugated, padded) factor index of every generator row
         outer, inner = np.divmod(np.arange(rc * rp), rc if self._pad_first else rp)
         self._factor = (inner, outer) if self._pad_first else (outer, inner)

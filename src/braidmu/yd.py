@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spans
 from .braiding import BraidingRegularityReport, ExplicitBraiding, braiding_regularity
 from .multunitary import MultUnitary, commutant_dimension
 from .spans import OperatorSpan, span_from_slices
@@ -221,10 +220,9 @@ def yd_braiding_regularity(m1: YDModule, m2: YDModule, mu: MultUnitary,
     return braiding_regularity(provider, m1.space, m2.space)
 
 
-def corep_slice_span(corep: Corep, mu: MultUnitary,
-                     cutoff: float = spans.RANK_CUTOFF) -> OperatorSpan:
+def corep_slice_span(corep: Corep, mu: MultUnitary) -> OperatorSpan:
     """Right slices of c^{-1}_{L,H} U, operators from H to L; full rank when the
     ambient data is regular."""
     h, l = corep.space, mu.space
     cinv = mu.braiding.braid_inverse(l, h)  # H (x) L -> L (x) H
-    return span_from_slices(compose(cinv, corep.op), "right", cutoff)
+    return span_from_slices(compose(cinv, corep.op), "right")

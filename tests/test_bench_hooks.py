@@ -1,5 +1,6 @@
 """The benchmark's tracer rebinds braidmu names; renaming one must fail here."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -16,6 +17,10 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     # dataclasses look the defining module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, tracer_module)
     spec.loader.exec_module(tracer_module)
+    # install looks every traced module up in sys.modules, and the package
+    # does not import all of them (braidmu.cli)
+    for module, *_ in tracer_module.TARGETS:
+        importlib.import_module(f"braidmu.{module}")
     pentagon, certify = mun.pentagon_residual, solver.full_certificate
     tracer = tracer_module.Tracer()
     tracer.install()

@@ -460,3 +460,32 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_a_usage_error(tmp_path, 
         run([command, *files, f"--tol={tol}"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "eval"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    bundle, stmt = tmp_path / "kt2.json", tmp_path / "s.stmt"
+    assert run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(bundle)]) == 0
+    stmt.write_text("context: L L\nW[1,2] == W[1,2]\n")
+    bad = bundle if command == "analyze" else stmt
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    files = [str(bundle)] if command == "analyze" else [str(stmt), str(bundle)]
+    capsys.readouterr()
+    assert run([command, *files]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "eval"])
+def test_a_singular_explicit_braiding_is_an_input_error(tmp_path, capsys, command):
+    bundle, stmt = tmp_path / "id.json", tmp_path / "s.stmt"
+    assert run(["generate", "identity", "--dim", "2", "-o", str(bundle)]) == 0
+    tree = read_json(str(bundle))
+    tree["braiding"]["pairs"][0]["matrix"] = [[[0.0, 0.0]] * 4] * 4
+    bundle.write_text(json.dumps(tree))
+    stmt.write_text("context: L L\nF[1,2] == cinv[1,2]\n")
+    argv = (["analyze", str(bundle), "--object", "F"] if command == "analyze"
+            else ["eval", str(stmt), str(bundle)])
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: the braiding of (L, L) is singular\n"

@@ -166,6 +166,23 @@ def test_phase_modulus_must_be_a_positive_integer(modulus):
     assert err.value.path == "/braiding/modulus"
 
 
+@pytest.mark.parametrize("space, path", [
+    ('{"dim":1e400}', "/spaces/L/dim"),
+    ('{"dim":2.9}', "/spaces/L/dim"),
+    ('{"dim":2.0}', "/spaces/L/dim"),
+    ('{"dim":true}', "/spaces/L/dim"),
+    ('{"dim":"2"}', "/spaces/L/dim"),
+    ('{"dim":2,"grading":[0,1e400]}', "/spaces/L/grading/1"),
+    ('{"dim":2,"grading":[1.5,0]}', "/spaces/L/grading/0"),
+    ('{"dim":2,"grading":[0,false]}', "/spaces/L/grading/1"),
+    ('{"dim":2,"grading":"01"}', "/spaces/L"),
+])
+def test_space_dims_and_gradings_must_be_json_integers(space, path):
+    with pytest.raises(SchemaError) as err:
+        bm.bundle_from_json(f'{{"version":1,"spaces":{{"L":{space}}}}}')
+    assert err.value.path == path
+
+
 def test_version_mismatch_is_reported():
     with pytest.raises(SchemaError) as err:
         bm.bundle_from_json('{"version":7,"spaces":{},"braiding":{"kind":"flip"},'

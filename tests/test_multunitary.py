@@ -104,7 +104,7 @@ def test_commutant_dimension_matches_commutant_of_regularity_span(z2, z3):
                 e[i, j] = 1
                 rows = [(e @ b.matrix - b.matrix @ e).reshape(-1) for b in c.basis]
                 cols.append(np.concatenate(rows) if rows else np.zeros(0))
-        commutant_dim = spans.null_space(np.array(cols).T, scale=1.0).shape[0]
+        commutant_dim = spans.null_space(np.array(cols).T).shape[0]
         assert bm.commutant_dimension(mu) == commutant_dim
 
 
@@ -231,9 +231,7 @@ def test_full_certificate_identity_control():
     cert = bm.full_certificate(bm.identity_control(2))
     assert cert.pentagon_ok and cert.unitary_ok
     assert not cert.regularity.regular
-    assert not cert.all_passed
-    d = cert.to_dict()
-    assert d["gates_passed"] and not d["all_passed"]
+    assert cert.gates_passed and not cert.all_passed
 
 
 def test_slice_algebra_properties(z2, z3, s3):
@@ -283,7 +281,7 @@ def _commutant_oracle(m):
             e[i, j] = 1.0
             pad = np.kron(e, np.eye(n))
             cols.append((f @ pad @ f.conj().T - c @ pad @ np.linalg.inv(c)).reshape(-1))
-    return spans.null_space(np.array(cols).T, scale=1.0).shape[0]
+    return spans.null_space(np.array(cols).T).shape[0]
 
 
 def test_commutant_dimension_matches_the_kron_transcription(z3):

@@ -339,7 +339,7 @@ def _low_rank(rows, cols, rank, seed):
     (1e-13 * _low_rank(8, 4, 4, 6), 1.0, 4),              # noise only, unit anchor
 ], ids=["tall", "tall-deficient", "square", "wide", "wide-rank-one", "zero", "noise"])
 def test_null_space_matches_the_full_svd(t, scale, kernel_dim):
-    kernel = spans.null_space(t, scale=scale)
+    kernel = spans.null_space(t)
     oracle = _full_svd_null_space(t, scale=scale)
     assert kernel.shape == oracle.shape == (kernel_dim, t.shape[1])
     # the kernels agree as subspaces: compare their orthogonal projectors
@@ -418,7 +418,7 @@ def test_qr_selection_keeps_the_greedy_gram_schmidt_columns(reverse):
                   1e-12 * b[5]]).T                   # tiny but independent: kept
     if reverse:
         v = v[:, ::-1]
-    keep, q, r = spans._independent_columns(v, spans.RANK_CUTOFF)
+    keep, q, r = spans._independent_columns(v)
     assert list(keep) == greedy_selection(v, spans.RANK_CUTOFF)
     assert list(keep) == ([0, 1, 2, 3, 4, 5] if reverse else [0, 2, 5, 6, 8, 10])
     np.testing.assert_allclose(q @ r, v[:, keep], rtol=0, atol=1e-12)
@@ -427,7 +427,7 @@ def test_qr_selection_keeps_the_greedy_gram_schmidt_columns(reverse):
 
 def test_qr_selection_reuses_the_qr_when_every_column_is_kept():
     v = _complex_normal(np.random.default_rng(42), 30, 6)
-    keep, q, r = spans._independent_columns(v, spans.RANK_CUTOFF)
+    keep, q, r = spans._independent_columns(v)
     assert list(keep) == list(range(6))
     q0, r0 = np.linalg.qr(v)
     assert np.array_equal(q, q0) and np.array_equal(r, r0)
@@ -473,7 +473,7 @@ def test_row_span_and_distance_match_the_wide_svd_oracle(legs, count, rank):
     (dom, cod), rng = legs, np.random.default_rng(43)
     ambient = dom.dim * cod.dim
     rows = _complex_normal(rng, count, rank) @ _complex_normal(rng, rank, ambient)
-    span = spans._row_span(rows, (dom,), (cod,), spans.RANK_CUTOFF)
+    span = spans._row_span(rows, (dom,), (cod,))
     oracle = _wide_svd_row_span(rows)
     got = span.stack()
     assert span.rank == len(oracle) == rank
@@ -482,8 +482,7 @@ def test_row_span_and_distance_match_the_wide_svd_oracle(legs, count, rank):
     # a span 1e-6 away and an unrelated one of the same rank
     for shift in (1e-6, 1.0):
         moved = rows + shift * _complex_normal(rng, count, ambient)
-        other = spans._row_span(_wide_svd_row_span(moved)[:rank], (dom,), (cod,),
-                                spans.RANK_CUTOFF)
+        other = spans._row_span(_wide_svd_row_span(moved)[:rank], (dom,), (cod,))
         assert abs(spans.projector_distance(span, other)
                    - _wide_svd_projector_distance(oracle, other.stack())) < 1e-12
 
