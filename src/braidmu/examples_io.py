@@ -357,10 +357,17 @@ def bundle_from_json(text: str) -> Bundle:
             raise SchemaError(path, str(exc)) from None
     for name, entry in _expect(tree.get("groups", {}), dict, "/groups").items():
         path = f"/groups/{name}"
+        identity = _expect(entry, dict, path).get("identity", 0)
+        if not _is_json_int(identity):
+            raise SchemaError(path + "/identity", f"expected an integer, got {identity!r}")
+        table = _expect(entry.get("table"), list, path + "/table")
+        for i, row in enumerate(table):
+            for j, x in enumerate(_expect(row, list, f"{path}/table/{i}")):
+                if not _is_json_int(x):
+                    raise SchemaError(f"{path}/table/{i}/{j}", f"expected an integer, got {x!r}")
         try:
-            bundle.groups[name] = FiniteGroup(name, tuple(tuple(r) for r in entry["table"]),
-                                              int(entry.get("identity", 0)))
-        except (ValueError, KeyError, TypeError) as exc:  # GroupTableError is a ValueError
+            bundle.groups[name] = FiniteGroup(name, tuple(tuple(r) for r in table), identity)
+        except GroupTableError as exc:
             raise SchemaError(path, str(exc)) from None
     return bundle
 

@@ -14,7 +14,7 @@ from .spans import (Conjugation, CrossedProductExtension, OperatorSpan,
                     crossed_injections, crossed_product, equals,
                     is_relative_multiplier, kernel_of_linear_map, span_from_slices)
 from .tensor import (LegError, LegOperator, LegSignature, Space, _unitarity_residual,
-                     Step, adjoint, apply_distant, compose, leg_product)
+                     Step, Tape, adjoint, apply_distant, compose, leg_product, record)
 
 __all__ = [
     "MultUnitary", "RegularityReport", "BialgebraCertificate", "Certificate",
@@ -58,24 +58,32 @@ def pentagon_words(f: LegOperator, c: LegOperator, cinv: LegOperator
     """The braided Pentagon F23 F12 = F12 c12 F23 cinv12 F23 as two step lists.
 
     Returns the three legs L (x) L (x) L and the left and right words as
-    :func:`~braidmu.tensor.leg_product` steps, the rightmost factor first.
+    :func:`~braidmu.tensor.record` steps, the rightmost factor first.
     :func:`pentagon_defect` multiplies them out and the solver pulls its
-    gradient back through the same steps.
+    gradient back through the same products.
     """
     legs = f.domain + f.domain[1:]
     return legs, [(f, 1), (f, 2)], [(f, 2), (cinv, 1), (f, 2), (c, 1), (f, 1)]
 
 
-def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator) -> np.ndarray:
+def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator,
+                    return_tapes: bool = False
+                    ) -> np.ndarray | tuple[np.ndarray, Tape, Tape]:
     """F23 F12 - F12 c12 F23 cinv12 F23 on L (x) L (x) L, from F, the braiding c
     and its inverse on L (x) L.
 
-    Both sides are leg products of :func:`pentagon_words`: each F acts by one
-    reshape-matmul on two of the three legs, and a flip or phase crossing by
-    an axis swap, so no n^3 x n^3 product is formed.
+    Both sides are recorded products of :func:`pentagon_words`: each F acts
+    by one reshape-matmul on two of the three legs, and a flip or phase
+    crossing by an axis swap, so no n^3 x n^3 product is formed.  With
+    ``return_tapes`` the result is (defect, left tape, right tape), and the
+    tapes keep every prefix product of their word, for the solver's gradient
+    to pull the defect back through; the certificate asks for none, as they
+    hold nine n^3 x n^3 matrices.
     """
     legs, lhs, rhs = pentagon_words(f, c, cinv)
-    return leg_product(lhs, legs).matrix - leg_product(rhs, legs).matrix
+    left, right = record(lhs, legs, return_tapes), record(rhs, legs, return_tapes)
+    p = left.product - right.product
+    return (p, left, right) if return_tapes else p
 
 
 def pentagon_residual(m: MultUnitary) -> float:

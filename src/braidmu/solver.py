@@ -6,11 +6,20 @@ Pentagon residual is the only acceptance quantity.
 
 Each L-BFGS-B evaluation gives the objective and its gradient together: the
 exponential and its Frechet derivative both come from one ``eigh`` of H, and
-the gradient runs in reverse mode through the Pentagon's two words, then one
-adjoint Frechet derivative, whatever the number of parameters.  Nothing here
-calls ``scipy.linalg``: numpy and scipy link separate OpenBLAS builds, each
-with its own thread pool, and alternating between two pools on the same cores
-costs milliseconds per switch, more than a whole small gradient.
+the gradient runs in reverse mode through the prefix products that the
+Pentagon defect's own forward pass kept, then one adjoint Frechet
+derivative, whatever the number of parameters.
+
+:func:`search` runs with every OpenBLAS in the process at one thread, and
+restores each build's thread count when it returns or raises; the setting is
+process-wide while it runs.  numpy and scipy bundle separate OpenBLAS builds,
+each with its own thread pool, and L-BFGS-B alternates small calls between
+the two on every evaluation, so the spinning workers of one pool take the
+cores the other needs: on a 2-core VM, a flip d=3 search (3 restarts of 20
+iterations) took 0.36 to 0.50 s with both pools at two threads and 0.02 s at
+one.  Certificates are faster with more threads (a KT Z8 certificate took
+1.0 s at two threads and 1.2 s at one), so the setting goes no wider than
+the search.  scipy is imported at the first search, not with the package.
 """
 
 from __future__ import annotations
@@ -18,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from . import spans
-from .multunitary import (MultUnitary, full_certificate, pentagon_defect, pentagon_residual,
-                          pentagon_words)
-from .tensor import LegOperator, LegSignature, Space, Step, pullback, tensor_space
+from . import _blas, spans
+# bound here for the benchmark's tracer (bench/tracer.py), which wraps it as the
+# solver's certification step; search gates its hits without the full certificate
+from .multunitary import (MultUnitary, full_certificate, pentagon_defect,  # noqa: F401
+                          pentagon_residual)
+from .tensor import LegOperator, LegSignature, Space, pullback, tensor_space
 
 __all__ = [
     "DegreePreservingConstraint", "CommutantConstraint", "SearchProblem",
@@ -59,6 +69,12 @@ class CommutantConstraint:
         rows = []
         eye = np.eye(dim)
         for m in self.operators:
+            # unit norm, so the null space's cutoff (anchored at 1) sees every
+            # operator at the same scale; a zero operator imposes nothing
+            norm = np.linalg.norm(m)
+            if norm == 0:
+                continue
+            m = m / norm
             rows.append(np.kron(eye, m.T) - np.kron(m, eye))
         return np.vstack(rows) if rows else np.zeros((0, dim * dim))
 
@@ -93,8 +109,10 @@ class SearchProblem:
     target_residual: float = 1e-8
 
     def __post_init__(self):
-        # (param_count, n^2, n^2): stacked Hermitian generators of H
+        # (param_count, n^2, n^2): stacked Hermitian generators of H, and the
+        # same array flattened to (param_count, n^4) for H and the partials
         self._param_basis = self._feasible_basis()
+        self._flat_basis = self._param_basis.reshape(len(self._param_basis), -1)
         l = self.space
         self._sig = LegSignature((l, l), (l, l))
         self._c = self.braiding.braid(l, l)
@@ -133,7 +151,8 @@ class SearchProblem:
         return len(self._param_basis)
 
     def hermitian(self, params: np.ndarray) -> np.ndarray:
-        h = np.tensordot(params, self._param_basis, axes=1)
+        n = self._param_basis.shape[1]
+        h = np.dot(params.reshape(1, -1), self._flat_basis).reshape(n, n)
         return (h + h.conj().T) / 2
 
     def unitary(self, params: np.ndarray) -> np.ndarray:
@@ -178,28 +197,22 @@ def residual_objective(problem: SearchProblem, params: np.ndarray) -> float:
 def gradient(problem: SearchProblem, params: np.ndarray) -> tuple[float, np.ndarray]:
     """The objective and its exact gradient, from one ``eigh`` and one defect.
 
-    Reverse mode: the defect P is pulled back through both Pentagon words to
-    G = dObj/dF (dObj = 2 Re <G, dF>), then through one adjoint Frechet
-    derivative of exp to K = dObj/dH, whose Hilbert-Schmidt products with
-    the parameter basis are the partials.
+    Reverse mode: the defect P is pulled back through the tapes of both
+    Pentagon words, which its forward pass kept, to G = dObj/dF
+    (dObj = 2 Re <G, dF>), then through one adjoint Frechet derivative of
+    exp to K = dObj/dH, whose Hilbert-Schmidt products with the parameter
+    basis are the partials.
     """
     lam, v = np.linalg.eigh(problem.hermitian(params))
     f = problem.candidate(_exp_i(lam, v))
-    p = problem.defect(f)
-    legs, lhs, rhs = pentagon_words(f, problem._c, problem._cinv)
-    # P = lhs - rhs: every F of either word pulls P back, with the word's sign
-    g = _pulled_to(f, lhs, legs, p) - _pulled_to(f, rhs, legs, p)
+    p, lhs, rhs = pentagon_defect(f, problem._c, problem._cinv, return_tapes=True)
+    # P = lhs - rhs: every F of either word pulls P back, with the word's sign;
+    # the cotangents are summed in step order
+    g = sum(pullback(lhs, p, f)) - sum(pullback(rhs, p, f))
     k = -expm_frechet(-lam, v, g)
     # 2 Re <K, B_a> for every basis element at once
-    grad = 2.0 * (problem._param_basis.reshape(problem.param_count, -1)
-                  @ k.conj().reshape(-1)).real
+    grad = 2.0 * (problem._flat_basis @ k.conj().reshape(-1)).real
     return float(np.vdot(p, p).real), grad
-
-
-def _pulled_to(f: LegOperator, steps: list[Step], legs: tuple[Space, ...], p: np.ndarray
-               ) -> np.ndarray:
-    """The sum of the cotangents of P at the steps of the word that apply f."""
-    return sum(g for (op, _), g in zip(steps, pullback(steps, legs, p)) if op is f)
 
 
 def scalar_orbit_distance(f: np.ndarray) -> float:
@@ -222,32 +235,46 @@ class SearchResult:
         return "trivial" if self.trivial else "nontrivial"
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first call, so importing
+    the package does not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def search(problem: SearchProblem) -> list[SearchResult]:
-    """Multi-restart descent; only certified unitaries are returned.
+    """Multi-restart descent; only unitaries that pass the hard gates are returned.
 
     Restart zero starts at the identity, the rest at seeded random points.
+    A restart is a hit when its Pentagon residual is below the target and
+    its unitarity residual below max(target, 1e-12): the hard gates of
+    :func:`~braidmu.multunitary.full_certificate` at that tolerance.
     Results are ordered by (residual, restart index), so a fixed seed yields
-    an identical list.
+    an identical list.  Every OpenBLAS runs at one thread meanwhile (see the
+    module docstring).
     """
+    import scipy.optimize  # noqa: F401  (maps scipy's OpenBLAS before the threads are set)
+
     rng = np.random.default_rng(problem.seed)
+    tol = max(problem.target_residual, 1e-12)
     results = []
-    for r in range(problem.restarts):
-        if r == 0:
-            x0 = np.zeros(problem.param_count)
-        else:
-            x0 = rng.normal(scale=1.0, size=problem.param_count)
-        opt = minimize(lambda x: gradient(problem, x), x0, jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": problem.max_iter, "ftol": 1e-18, "gtol": 1e-14})
-        f = problem.unitary(opt.x)
-        mu = MultUnitary(problem.space, problem.candidate(f), problem.braiding)
-        residual = pentagon_residual(mu)
-        if residual >= problem.target_residual:
-            continue
-        cert = full_certificate(mu, tol=max(problem.target_residual, 1e-12))
-        if not cert.gates_passed:
-            continue
-        results.append(SearchResult(mu=mu, residual=residual, restart=r,
-                                    trivial=scalar_orbit_distance(f) < TRIVIAL_ORBIT_TOL))
+    with _blas.one_thread():
+        for r in range(problem.restarts):
+            if r == 0:
+                x0 = np.zeros(problem.param_count)
+            else:
+                x0 = rng.normal(scale=1.0, size=problem.param_count)
+            opt = minimize(lambda x: gradient(problem, x), x0, jac=True,
+                           method="L-BFGS-B",
+                           options={"maxiter": problem.max_iter, "ftol": 1e-18,
+                                    "gtol": 1e-14})
+            f = problem.unitary(opt.x)
+            mu = MultUnitary(problem.space, problem.candidate(f), problem.braiding)
+            residual = pentagon_residual(mu)
+            # residual < target <= tol passes the certificate's Pentagon gate too
+            if residual >= problem.target_residual or not mu.unitarity_residual() < tol:
+                continue
+            results.append(SearchResult(mu=mu, residual=residual, restart=r,
+                                        trivial=scalar_orbit_distance(f) < TRIVIAL_ORBIT_TOL))
     results.sort(key=lambda s: (s.residual, s.restart))
     return results

@@ -11,15 +11,16 @@ one matmul and never forms the padded matrix.  A :class:`Crossing`, a
 permutation with phases such as a flip or phase braiding, acts with no
 matmul at all: an axis swap of the rows times its phase table.  A
 leg-notation product is a list of steps ``(op, start)``, run by
-:func:`leg_product`; this is the one way a factor is padded and multiplied,
-for the DSL, the block crossings of :func:`braidmu.braiding.braid_steps`,
-crossed-product injections, conjugations, comultiplications and the
-Pentagon alike.  A factor on distant legs is the steps of
-:func:`route_steps`: the move crossings, the factor, the back crossings.
-:func:`pullback` runs a step list in reverse mode: it takes a cotangent of
-the product back to each step's factor, with the adjoint steps applied the
-same way.  :func:`embed_adjacent` and :func:`compose` give the same
-products densely, and the tests keep them as the oracle.
+:func:`record` (which :func:`leg_product` wraps as an operator); this is the
+one way a factor is padded and multiplied, for the DSL, the block crossings
+of :func:`braidmu.braiding.braid_steps`, crossed-product injections,
+conjugations, comultiplications and the Pentagon alike.  A factor on
+distant legs is the steps of :func:`route_steps`: the move crossings, the
+factor, the back crossings.  :func:`pullback` runs a recorded :class:`Tape`
+in reverse mode: it takes a cotangent of the product back to each step's
+factor, through the prefix products the forward pass kept and the adjoint
+steps applied the same way.  :func:`embed_adjacent` and :func:`compose` give
+the same products densely, and the tests keep them as the oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 __all__ = [
     "LegError", "Space", "LegSignature", "LegOperator", "Crossing", "crossing", "Vector",
     "Step", "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
-    "embed_adjacent", "apply_on_legs", "legs_after", "leg_product", "pullback", "route_steps",
+    "embed_adjacent", "apply_on_legs", "legs_after", "Tape", "record", "leg_product",
+    "pullback", "route_steps",
     "apply_distant", "extract_distant", "is_unitary",
 ]
 
@@ -156,9 +158,18 @@ class Crossing(LegOperator):
             object.__setattr__(self, "phases", p)
 
     def adjoint(self) -> "Crossing":
-        """The adjoint, which is the inverse: swap back and conjugate the phases."""
-        h, k = self.domain
-        return crossing(k, h, None if self.phases is None else self.phases.conj().T)
+        """The adjoint, which is the inverse: swap back and conjugate the phases.
+
+        Built once, as the crossing is immutable; the adjoint's own adjoint
+        is this crossing.
+        """
+        star = self.__dict__.get("_adjoint")
+        if star is None:
+            h, k = self.domain
+            star = crossing(k, h, None if self.phases is None else self.phases.conj().T)
+            object.__setattr__(star, "_adjoint", self)
+            object.__setattr__(self, "_adjoint", star)
+        return star
 
 
 def crossing(h: Space, k: Space, phases: np.ndarray | None = None) -> Crossing:
@@ -309,53 +320,82 @@ def _run_steps(steps: Sequence[Step], x: np.ndarray, context: tuple[Space, ...]
     return x, context
 
 
-def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """A step list run forward from the identity, as :func:`record` leaves it.
+
+    ``legs[j]`` are the legs the rows carry before step j, the last entry
+    those of the product.  ``prefixes[j]`` is the product of the steps ahead
+    of step j, the identity first and the whole product last; a tape
+    recorded with ``keep=False`` holds the whole product alone.
+    """
+
+    steps: tuple[Step, ...]
+    legs: tuple[tuple[Space, ...], ...]
+    prefixes: tuple[np.ndarray, ...]
+
+    @property
+    def product(self) -> np.ndarray:
+        return self.prefixes[-1]
+
+
+def record(steps: Sequence[Step], context: Sequence[Space], keep: bool = True) -> Tape:
     """The product of leg-local steps on the context, the first step applied first.
 
     A step ``(op, start)`` acts on the legs ``start ..`` of the context as the
     earlier steps left it.  The first step's padded matrix starts the product
     (written once, never multiplied); every later step acts on it by
-    :func:`apply_on_legs`.
+    :func:`apply_on_legs`.  With ``keep``, every prefix product stays on the
+    tape for :func:`pullback`.
     """
     context = tuple(context)
     (op, start), *rest = steps
     first = embed_adjacent(op, context, start)
-    m, legs = _run_steps(rest, first.matrix, first.codomain)
-    return LegOperator(LegSignature(context, legs), m)
+    x, legs = first.matrix, [context, first.codomain]
+    prefixes = [np.eye(total_dim(context), dtype=complex), x] if keep else None
+    for op, start in rest:
+        x = apply_on_legs(op, x, legs[-1], start)
+        legs.append(legs_after(op, legs[-1], start))
+        if keep:
+            prefixes.append(x)
+    return Tape(tuple(steps), tuple(legs), tuple(prefixes) if keep else (x,))
 
 
-def pullback(steps: Sequence[Step], context: Sequence[Space], cotangent: np.ndarray
+def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
+    """The product of the steps on the context, by :func:`record`, as an operator."""
+    tape = record(steps, context, keep=False)
+    return LegOperator(LegSignature(tape.legs[0], tape.legs[-1]), tape.product)
+
+
+def pullback(tape: Tape, cotangent: np.ndarray, factor: LegOperator | None = None
              ) -> list[np.ndarray]:
-    """The cotangent of each step's factor, for a cotangent P of the steps' product W.
+    """The cotangents of the steps' factors, for a cotangent P of the tape's product W.
 
     Write W = After (1 (x) op (x) 1) Before around step j.  A change d(op)
     of that factor changes W by After (1 (x) d(op) (x) 1) Before, so
     <P, dW> = <G_j, d(op)> (Hilbert-Schmidt) with G_j the partial trace of
     After* P Before* over the legs op does not touch.  Returns G_j, shaped
-    like op's matrix, for every step in order; a factor that occurs in
-    several steps gets one cotangent per occurrence.  Before runs the
-    steps forward on the identity, After* P the adjoint steps backward by
+    like op's matrix, in step order, for every step whose factor is
+    ``factor`` (every step when None); a factor that occurs in several
+    steps gets one cotangent per occurrence.  Before is the tape's prefix
+    product; After* P runs the adjoint steps backward by
     :func:`apply_on_legs`, so crossings stay axis swaps.
     """
-    context = tuple(context)
-    legs = [context]
-    for op, start in steps:
-        legs.append(legs_after(op, legs[-1], start))
-    if cotangent.shape != (total_dim(legs[-1]), total_dim(context)):
+    steps, legs, before = tape.steps, tape.legs, tape.prefixes
+    if len(before) != len(steps) + 1:
+        raise LegError("pullback needs a tape that kept its prefix products")
+    if cotangent.shape != (total_dim(legs[-1]), total_dim(legs[0])):
         raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
                        f"product of the steps")
-    # Before of step j: the steps ahead of it applied to the identity
-    before = [np.eye(total_dim(context), dtype=complex)]
-    for (op, start), ctx in zip(steps[:-1], legs):
-        before.append(apply_on_legs(op, before[-1], ctx, start))
     q, grads = cotangent, []
     for j in reversed(range(len(steps))):
         op, start = steps[j]
-        cod, dom = op.matrix.shape
-        pre = total_dim(legs[j][:start - 1])
-        # Q[pre, cod, post, col] conj(B[pre, dom, post, col]), summed over pre, post, col
-        qb, bb = q.reshape(pre, cod, -1), before[j].reshape(pre, dom, -1)
-        grads.append(np.matmul(qb, bb.conj().transpose(0, 2, 1)).sum(axis=0))
+        if factor is None or op is factor:
+            cod, dom = op.matrix.shape
+            pre = total_dim(legs[j][:start - 1])
+            # Q[pre, cod, post, col] conj(B[pre, dom, post, col]), summed over pre, post, col
+            qb, bb = q.reshape(pre, cod, -1), before[j].reshape(pre, dom, -1)
+            grads.append(np.matmul(qb, bb.conj().transpose(0, 2, 1)).sum(axis=0))
         if j:  # After* P of step j - 1
             q = apply_on_legs(adjoint(op), q, legs[j + 1], start)
     return grads[::-1]

@@ -489,3 +489,24 @@ def test_a_singular_explicit_braiding_is_an_input_error(tmp_path, capsys, comman
     capsys.readouterr()
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: the braiding of (L, L) is singular\n"
+
+
+@pytest.mark.parametrize("field, value", [("identity", "1e400"), ("identity", "0.9"),
+                                          ("entry", "1.5")])
+def test_a_group_index_that_is_not_an_integer_is_an_input_error(tmp_path, capsys, field,
+                                                                value):
+    """1e400 was an OverflowError traceback and 0.9 was read silently as 0."""
+    bundle = tmp_path / "kt2.json"
+    assert run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(bundle)]) == 0
+    tree = read_json(str(bundle))
+    group = tree["groups"]["Z2"]
+    if field == "identity":
+        group["identity"] = "@"
+    else:
+        group["table"][1][1] = "@"
+    bundle.write_text(json.dumps(tree).replace('"@"', value))
+    capsys.readouterr()
+    assert run(["analyze", str(bundle)]) == 2
+    path = "/groups/Z2/identity" if field == "identity" else "/groups/Z2/table/1/1"
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err

@@ -183,6 +183,22 @@ def test_space_dims_and_gradings_must_be_json_integers(space, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("group, path", [
+    ('{"identity":0.9,"table":[[0,1],[1,0]]}', "/groups/Z2/identity"),
+    ('{"identity":1e400,"table":[[0,1],[1,0]]}', "/groups/Z2/identity"),
+    ('{"identity":false,"table":[[0,1],[1,0]]}', "/groups/Z2/identity"),
+    ('{"identity":0,"table":[[0,1],[1.5,0]]}', "/groups/Z2/table/1/0"),
+    ('{"identity":0,"table":[[0,1e400],[1,0]]}', "/groups/Z2/table/0/1"),
+    ('{"identity":0,"table":[[0,"1"],[1,0]]}', "/groups/Z2/table/0/1"),
+    ('{"identity":0,"table":[[0,1],1]}', "/groups/Z2/table/1"),
+    ('{"identity":0}', "/groups/Z2/table"),
+])
+def test_group_identities_and_tables_must_be_json_integers(group, path):
+    with pytest.raises(SchemaError) as err:
+        bm.bundle_from_json(f'{{"version":1,"groups":{{"Z2":{group}}}}}')
+    assert err.value.path == path
+
+
 def test_version_mismatch_is_reported():
     with pytest.raises(SchemaError) as err:
         bm.bundle_from_json('{"version":7,"spaces":{},"braiding":{"kind":"flip"},'
@@ -231,7 +247,7 @@ def test_non_finite_floats_are_refused(x):
     ('{"version":1,"braiding":{"kind":"explicit","pairs":{"a":1}}}', "/braiding/pairs"),
     ('{"version":1,"spaces":{"L":{"dim":1}},"braiding":{"kind":"explicit",'
      '"pairs":[{"first":"L","second":"L"}]}}', "/braiding/pairs/0/matrix"),
-    ('{"version":1,"groups":{"g":{"table":[[0]],"identity":"x"}}}', "/groups/g"),
+    ('{"version":1,"groups":{"g":{"table":[[0]],"identity":"x"}}}', "/groups/g/identity"),
     ('{"version":1,"spaces":{"L":{"dim":2}},"operators":{"W":{"domain":["L"],'
      '"codomain":["L"],"matrix":[[[1,0]],[[1,0],[0,0]]]}}}', "/operators/W/matrix"),
     ('{"version":1,"operators":{"W":[]}}', "/operators/W"),

@@ -1,3 +1,8 @@
+import importlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
@@ -91,6 +96,28 @@ def test_gradient_matches_the_forward_mode_oracle(name):
         # exact solution), where both gradients vanish up to rounding
         err = np.linalg.norm(bm.gradient(problem, theta)[1] - oracle)
         assert err <= 1e-12 * np.linalg.norm(oracle) + 1e-14, (scale, err)
+
+
+@pytest.mark.parametrize("name", list(oracle_problems()))
+def test_gradient_sums_the_f_cotangents_in_step_order(name):
+    """Bit for bit, the gradient is the unfiltered pullback of both tapes with
+    the cotangents of the F steps summed in step order, so selecting the F
+    steps changes no output bit."""
+    from braidmu.multunitary import pentagon_defect
+    from braidmu.solver import _exp_i
+    from braidmu.tensor import pullback
+    problem = oracle_problems()[name]()
+    rng = np.random.default_rng(17)
+    for scale in (1e-3, 1.0):
+        theta = scale * rng.normal(size=problem.param_count)
+        lam, v = np.linalg.eigh(problem.hermitian(theta))
+        f = problem.candidate(_exp_i(lam, v))
+        p, lhs, rhs = pentagon_defect(f, problem._c, problem._cinv, return_tapes=True)
+        g = (sum(x for (op, _), x in zip(lhs.steps, pullback(lhs, p)) if op is f)
+             - sum(x for (op, _), x in zip(rhs.steps, pullback(rhs, p)) if op is f))
+        k = -expm_frechet(-lam, v, g)
+        want = 2.0 * (problem._flat_basis @ k.conj().reshape(-1)).real
+        assert np.array_equal(bm.gradient(problem, theta)[1], want)
 
 
 @pytest.mark.parametrize("name", list(oracle_problems()))
@@ -211,6 +238,18 @@ def test_commutant_constraint_cuts_the_parameter_space():
         assert np.linalg.norm(b @ m - m @ b) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+def test_commutant_conditions_do_not_depend_on_the_operator_scale(scale):
+    """The null space's cutoff is anchored at unit scale, so the conditions
+    are built from unit-norm operators: diag(1, -1, 1, -1) commutes with an
+    8-dimensional space of 4 x 4 matrices at every scale."""
+    from braidmu.spans import null_space
+    op = scale * np.diag([1.0, -1.0, 1.0, -1.0])
+    assert len(null_space(bm.CommutantConstraint([op]).conditions(4))) == 8
+    # a zero operator imposes no condition
+    assert bm.CommutantConstraint([0 * op]).conditions(4).shape == (0, 16)
+
+
 def test_search_finds_the_identity_class():
     results = bm.search(flip_problem(restarts=3))
     assert results
@@ -303,19 +342,31 @@ def test_gradient_builds_no_braiding_kron(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["flip d=2", "super d=4"])
 def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
-    """L-BFGS-B gets value and gradient from one call: one eigh and one defect
-    per evaluation, plus one eigh per restart for its final unitary."""
+    """L-BFGS-B gets value and gradient from one call: per evaluation one eigh
+    and one recorded forward pass of each Pentagon word, whose tapes the
+    gradient pulls back through, and no second defect.  Each restart adds one
+    eigh for its final unitary and one untaped defect for its residual."""
+    import braidmu.multunitary as mun
     import braidmu.solver as solver
+    # the package's name "tensor" is the function tensor.tensor
+    tensor = importlib.import_module("braidmu.tensor")
     problem = oracle_problems()[name]()
     # restart 0 starts at the exact identity solution, restart 1 at a random point
     problem.restarts, problem.max_iter = 2, 30
-    counts = {"eigh": 0, "defect": 0, "objective": 0}
+    counts = {"eigh": 0, "defect": 0, "objective": 0, "pullback": 0}
+    words = {True: [], False: []}
 
     def counted(key, fn):
         def call(*args, **kwargs):
             counts[key] += 1
             return fn(*args, **kwargs)
         return call
+
+    real_record = tensor.record
+
+    def record(steps, context, keep=True):
+        words[keep].append(len(steps))
+        return real_record(steps, context, keep)
 
     nfev = []
     real_minimize = solver.minimize
@@ -328,10 +379,112 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(solver, "pentagon_defect", counted("defect", solver.pentagon_defect))
+    monkeypatch.setattr(solver, "pullback", counted("pullback", solver.pullback))
     monkeypatch.setattr(solver, "residual_objective",
                         counted("objective", solver.residual_objective))
+    # leg_product records through tensor's own binding
+    monkeypatch.setattr(mun, "record", record)
+    monkeypatch.setattr(tensor, "record", record)
     monkeypatch.setattr(solver, "minimize", minimize)
     bm.search(problem)
-    assert len(nfev) == problem.restarts and sum(nfev) > problem.restarts
-    assert counts == {"eigh": sum(nfev) + problem.restarts, "defect": sum(nfev),
-                      "objective": 0}
+    evaluations = sum(nfev)
+    assert len(nfev) == problem.restarts and evaluations > problem.restarts
+    assert counts == {"eigh": evaluations + problem.restarts, "defect": evaluations,
+                      "objective": 0, "pullback": 2 * evaluations}
+    # the left word (two steps) and the right word (five), once each
+    assert words[True] == [2, 5] * evaluations
+    assert words[False] == [2, 5] * problem.restarts
+
+
+def _thread_counts():
+    from braidmu import _blas
+    return [get() for get, _ in _blas._thread_controls()]
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_search_runs_blas_at_one_thread_and_restores_it(monkeypatch, fail):
+    import braidmu.solver as solver
+    problem = flip_problem(restarts=2, max_iter=5)
+    # scipy.linalg, imported above, has mapped scipy's OpenBLAS next to numpy's
+    before = _thread_counts()
+    inside = []
+    real_gradient = solver.gradient
+
+    def gradient(problem, params):
+        inside.append(_thread_counts())
+        if fail:
+            raise RuntimeError("objective failed")
+        return real_gradient(problem, params)
+
+    monkeypatch.setattr(solver, "gradient", gradient)
+    if fail:
+        with pytest.raises(RuntimeError, match="objective failed"):
+            bm.search(problem)
+    else:
+        bm.search(problem)
+    assert inside and all(counts == [1] * len(before) for counts in inside)
+    assert _thread_counts() == before
+
+
+def test_one_thread_sets_and_restores_every_build_found(monkeypatch):
+    from braidmu import _blas
+    threads = {"a": 4, "b": 2}
+    fakes = [(lambda k=k: threads[k], lambda n, k=k: threads.__setitem__(k, n))
+             for k in threads]
+    monkeypatch.setattr(_blas, "_thread_controls", lambda: fakes)
+    with pytest.raises(KeyError):
+        with _blas.one_thread():
+            assert threads == {"a": 1, "b": 1}
+            raise KeyError("body failed")
+    assert threads == {"a": 4, "b": 2}
+
+
+def test_one_thread_is_a_no_op_when_no_openblas_is_found(monkeypatch):
+    from braidmu import _blas
+    controls = _blas._thread_controls()
+    before = [get() for get, _ in controls]
+    monkeypatch.setattr(_blas, "_mapped_openblas", lambda: [])
+    assert _blas._thread_controls() == []
+    with _blas.one_thread():
+        assert [get() for get, _ in controls] == before
+    assert [get() for get, _ in controls] == before
+
+
+@pytest.mark.parametrize("name", ["flip d=2", "super d=2"])
+def test_search_gates_hits_as_the_full_certificate_does(monkeypatch, name):
+    """Oracle: a restart is a hit exactly when its Pentagon residual is below
+    the target and the full certificate's gates pass at max(target, 1e-12)."""
+    import braidmu.solver as solver
+    problem = oracle_problems()[name]()
+    problem.seed, problem.restarts, problem.max_iter = 5, 8, 25
+    ends = []
+    real_minimize = solver.minimize
+
+    def minimize(*args, **kwargs):
+        result = real_minimize(*args, **kwargs)
+        ends.append(result.x)
+        return result
+
+    monkeypatch.setattr(solver, "minimize", minimize)
+    hits = {res.restart for res in bm.search(problem)}
+    want = set()
+    for r, x in enumerate(ends):
+        mu = bm.MultUnitary(problem.space, problem.candidate(problem.unitary(x)),
+                            problem.braiding)
+        if bm.pentagon_residual(mu) >= problem.target_residual:
+            continue
+        if bm.full_certificate(mu, tol=max(problem.target_residual, 1e-12)).gates_passed:
+            want.add(r)
+    assert len(ends) == problem.restarts
+    assert 0 < len(want) < problem.restarts
+    assert hits == want
+
+
+def test_importing_the_package_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bm.__file__)))
+    code = ("import sys, braidmu, braidmu.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
-from braidmu.tensor import leg_product, legs_after, pullback, route_steps, total_dim
+from braidmu.tensor import leg_product, legs_after, pullback, record, route_steps, total_dim
 
 from conftest import random_unitary, routed_oracle, routing_category
 
@@ -454,7 +454,10 @@ def test_the_adjoint_of_a_crossing_is_a_crossing():
         assert isinstance(star, bm.Crossing)
         assert star.signature == LegSignature((b, a), (a, b))
         np.testing.assert_array_equal(star.matrix, bm.adjoint(c).matrix)
+        np.testing.assert_array_equal(star.matrix, c.matrix.conj().T)
         np.testing.assert_array_equal(star.adjoint().matrix, c.matrix)
+        # built once: the crossing is immutable, and the adjoint's adjoint is c
+        assert c.adjoint() is star and star.adjoint() is c
 
 
 def test_crossing_validates_its_phase_table():
@@ -525,8 +528,13 @@ def test_pullback_matches_the_dense_kron_oracle():
     rng = np.random.default_rng(63)
     n_out, n_in = total_dim(legs), total_dim(context)
     cot = rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in))
-    got = pullback(steps, context, cot)
+    tape = record(steps, context)
+    got = pullback(tape, cot)
     assert len(got) == len(steps)
+    # a factor selects the cotangents of its own steps, in step order
+    routed = [j for j, (op, _) in enumerate(steps) if op is w]
+    assert len(routed) == 1
+    np.testing.assert_array_equal(pullback(tape, cot, w)[0], got[routed[0]])
     for j, (m, pre, post, op) in enumerate(factors):
         before = np.eye(n_in)
         for earlier in factors[:j]:
@@ -544,7 +552,9 @@ def test_pullback_matches_the_dense_kron_oracle():
 def test_pullback_rejects_a_cotangent_of_the_wrong_shape():
     w = leg_op(W_Z2, [L2, L2])
     with pytest.raises(LegError, match="cotangent"):
-        pullback([(w, 1), (w, 2)], (L2, L2, L2), np.eye(4))
+        pullback(record([(w, 1), (w, 2)], (L2, L2, L2)), np.eye(4))
+    with pytest.raises(LegError, match="prefix products"):
+        pullback(record([(w, 1), (w, 2)], (L2, L2, L2), keep=False), np.eye(8))
 
 
 def test_operators_compare_and_hash_by_identity(z2):
@@ -606,6 +616,6 @@ def test_only_the_linear_map_builders_call_kron():
 def test_only_tensor_calls_embed_adjacent():
     """Outside tensor, embed_adjacent is only re-exported by the package."""
     uses = references("embed_adjacent")
-    assert ("tensor", "leg_product") in uses
+    assert ("tensor", "record") in uses
     assert {module for module, _ in uses} == {"tensor", "__init__"}
     assert [u for u in uses if u[0] == "__init__"] == [("__init__", "")]
