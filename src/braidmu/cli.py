@@ -63,11 +63,13 @@ def _write_report(path: str, text: str) -> bool:
     return True
 
 
-def _missing_directory(*paths: str | None) -> bool:
-    """Print an error and return True if a path's parent directory is missing."""
-    for path in paths:
-        if path is None:
-            continue
+def _unwritable(*paths: str | None) -> bool:
+    """Print an error and return True if an output path is a directory or its
+    parent directory is missing."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            print(f"error: {path} is a directory", file=sys.stderr)
+            return True
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             print(f"error: no such directory: {directory}", file=sys.stderr)
@@ -76,7 +78,7 @@ def _missing_directory(*paths: str | None) -> bool:
 
 
 def cmd_generate(args) -> int:
-    if _missing_directory(args.output):
+    if _unwritable(args.output):
         return 2
     bundle = Bundle()
     if args.kind == "kac-takesaki":
@@ -154,7 +156,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_search(args) -> int:
     # checked before the restarts run, so a bad path wastes no search
-    if _missing_directory(args.output, args.report):
+    if _unwritable(args.output, args.report):
         return 2
     # argparse restricts --category to these three
     modulus = {"flip": None, "super": 2, "phase": args.modulus}[args.category]

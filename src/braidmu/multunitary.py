@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spans
-from .spans import (Conjugation, CrossedProductExtension, OperatorSpan,
+from .spans import (Conjugation, CrossedProduct, CrossedProductExtension, OperatorSpan,
                     crossed_injections, crossed_product, equals,
                     is_relative_multiplier, kernel_of_linear_map, span_from_slices)
 from .tensor import (LegError, LegOperator, LegSignature, Space, _unitarity_residual,
@@ -182,7 +182,6 @@ def comultiply(m: MultUnitary, a: LegOperator, variant: str = "op") -> LegOperat
     """Conjugate a one-leg operator into a two-leg one.
 
     variant "op":    F* (1 (x) a) F
-    variant "std":   c (F* (1 (x) a) F) c^{-1}
     variant "right": F (a (x) 1) F*
     """
     if a.domain != (m.space,) or a.codomain != (m.space,):
@@ -190,9 +189,6 @@ def comultiply(m: MultUnitary, a: LegOperator, variant: str = "op") -> LegOperat
     f, fstar = m.op, adjoint(m.op)
     if variant == "op":
         steps = [(f, 1), (a, 2), (fstar, 1)]
-    elif variant == "std":
-        c = m.braiding.braid(m.space, m.space)
-        steps = [(_cinv(m), 1), (f, 1), (a, 2), (fstar, 1), (c, 1)]
     elif variant == "right":
         steps = [(fstar, 1), (a, 1), (f, 1)]
     else:
@@ -237,16 +233,16 @@ def coassociativity_residual(m: MultUnitary, variant: str = "op",
                              tol: float = DEFAULT_TOL) -> float:
     """Max deviation of (Delta x id) Delta from (id x Delta) Delta on the algebra basis.
 
-    Both extensions are evaluated by decompose-and-map on the crossed product,
-    with forward and reverse decompositions cross-checked per element.
+    Both extensions map one decomposition per element, forward and reverse,
+    over one shared crossed product, and cross-check the two halves.
     """
     alg, cp_variant, conj = _bialgebra_data(m, variant)
-    exts = [CrossedProductExtension(alg, alg, m.braiding, cp_variant, f, g)
-            for f, g in ((conj, None), (None, conj))]
+    cp = CrossedProduct(alg, alg, m.braiding, cp_variant)
+    exts = [CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
     worst = 0.0
     for a in alg.basis:
-        d = comultiply(m, a, variant)
-        left, right = (ext.apply(d, tol) for ext in exts)
+        folds = cp.decompose(comultiply(m, a, variant), tol)
+        left, right = (ext.apply(folds, tol) for ext in exts)
         worst = max(worst, float(np.linalg.norm(left.matrix - right.matrix)))
     return worst
 

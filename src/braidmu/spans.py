@@ -15,6 +15,7 @@ orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
     "equals", "projector_distance", "adjoint_span", "is_algebra",
     "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
     "kernel_of_linear_map", "crossed_injections", "crossed_product",
-    "is_relative_multiplier", "Conjugation", "CrossedProductExtension",
+    "is_relative_multiplier", "Conjugation", "CrossedProduct", "CrossedProductExtension",
     "DecompositionError",
 ]
 
@@ -318,23 +319,83 @@ def _generator_stack(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.n
     return products.reshape(-1, n * n)
 
 
-def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str) -> OperatorSpan:
-    """Orthonormal span of all products inj1(a) inj2(b) over the two bases.
+class CrossedProduct:
+    """The source side of a crossed product: its generators inj1(a_i) inj2(b_j),
+    their orthonormal span and their decompositions.
 
-    One injection of every variant pads (1 (x) b, or a (x) 1 for "bt"), so the
-    products are the padded products of :func:`_generator_stack`.
+    One injection of every variant pads (1 (x) b, or a (x) 1 for "bt") and the
+    other conjugates, so the generators are products T_k (1 (x) b_l), all from
+    one broadcast matmul.  The :attr:`span` and the :attr:`decompositions` are
+    built on first use, once for all the extensions that share them.
     """
-    alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
-    if not (s1.rank and s2.rank):
-        raise DecompositionError("crossed product has no nonzero generators")
-    pad_first = variant == "bt"
-    if pad_first:
-        conj, pad = [beta(b).matrix for b in s2.basis], s1
-    else:
-        conj, pad = [alpha(a).matrix for a in s1.basis], s2
-    gens = _generator_stack(np.array(conj), np.array([b.matrix for b in pad.basis]), pad_first)
-    legs = s1.domain + s2.domain
-    return _row_span(gens, legs, legs)
+
+    def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str):
+        alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
+        if not (s1.rank and s2.rank):
+            raise DecompositionError("crossed product has no nonzero generators")
+        self.s1, self.s2, self.provider, self.variant = s1, s2, provider, variant
+        self.legs = s1.domain + s2.domain
+        self.pad_first = variant == "bt"   # a (x) 1 pads and b is conjugated
+        (self.conjugated, inject), (self.padded, _) = self.orient((s1, alpha), (s2, beta))
+        self.pad = np.array([b.matrix for b in self.padded.basis])
+        conj = np.array([inject(x).matrix for x in self.conjugated.basis])
+        self.gens = _generator_stack(conj, self.pad, self.pad_first)
+
+    def orient(self, first, second) -> tuple:
+        """A pair given in factor order (s1 side, s2 side) as (conjugated, padded)."""
+        return (second, first) if self.pad_first else (first, second)
+
+    @cached_property
+    def span(self) -> OperatorSpan:
+        return _row_span(self.gens, self.legs, self.legs)
+
+    @cached_property
+    def decompositions(self) -> list[tuple]:
+        """The forward and the reverse selection over the generator rows, each
+        (v, q, r, rows): the selected generators as columns, their thin QR and
+        their row indices.  Only the reverse order copies the stack."""
+        decompositions = []
+        forward = np.arange(len(self.gens))
+        for order, v in ((forward, self.gens.T),
+                         (forward[::-1], np.ascontiguousarray(self.gens[::-1]).T)):
+            keep, q, r = _independent_columns(v)
+            if not keep.size:
+                raise DecompositionError("crossed product has no nonzero generators")
+            decompositions.append((v if keep.size == len(order) else v[:, keep], q, r,
+                                   order[keep]))
+        return decompositions
+
+    def decompose(self, x: LegOperator, tol: float) -> np.ndarray:
+        """x's coefficients c_kl under both decompositions, those of each
+        conjugated factor folded into one pad m_k = sum_l c_kl b_l: shape
+        (2, rc * p, p).  Raises :class:`DecompositionError` when x lies
+        outside the span of the generators.
+        """
+        if x.domain != self.legs or x.codomain != self.legs:
+            raise LegError("element signature does not match the crossed product")
+        vx = _vec(x)
+        scale = max(np.linalg.norm(vx), 1.0)
+        rp, p, _ = self.pad.shape
+        rc = self.conjugated.rank
+        folds = []
+        for v, q, r, picked in self.decompositions:
+            coeffs = np.linalg.solve(r, q.conj().T @ vx)
+            residual = np.linalg.norm(v @ coeffs - vx)
+            if residual > tol * scale:
+                raise DecompositionError(
+                    f"element lies outside the crossed product (residual {residual:.3e})")
+            # generator rows run over (k, l), or (l, k) pad first
+            c = np.zeros(rc * rp, dtype=complex)
+            c[picked] = coeffs
+            c = c.reshape(rp, rc).T.copy() if self.pad_first else c.reshape(rc, rp)
+            m = (c @ self.pad.reshape(rp, -1)).reshape(rc, p, p)   # folded pads m_k
+            folds.append((m.transpose(0, 2, 1) if self.pad_first else m).reshape(rc * p, p))
+        return np.stack(folds)
+
+
+def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str) -> OperatorSpan:
+    """Orthonormal span of all products inj1(a) inj2(b) over the two bases."""
+    return CrossedProduct(s1, s2, provider, variant).span
 
 
 def is_relative_multiplier(s: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
@@ -390,9 +451,9 @@ def _independent_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     direction: a later column nearly dependent itself, independent only
     along that direction, can be dropped where the greedy pass keeps it.
     The generators of an exact crossed product are dependent to rounding,
-    where both selections agree; if they ever differed, :meth:`apply` would
-    find the element outside the kept span and raise, not return a wrong
-    value.
+    where both selections agree; if they ever differed,
+    :meth:`CrossedProduct.decompose` would find the element outside the kept
+    span and raise, not return a wrong value.
     """
     q, r = np.linalg.qr(v)
     norms = np.linalg.norm(v, axis=0)
@@ -400,24 +461,6 @@ def _independent_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     if 0 < keep.size < v.shape[1]:
         q, r = np.linalg.qr(v[:, keep])
     return keep, q, r
-
-
-def _decompositions(gens: np.ndarray) -> list[tuple]:
-    """The forward and the reverse selection over the generator rows.
-
-    Each is (v, q, r, rows): the selected generators as columns, their thin
-    QR and their row indices.  The forward columns are a view of the stack,
-    so only the reverse order is copied.
-    """
-    decompositions = []
-    forward = np.arange(len(gens))
-    for order, v in ((forward, gens.T), (forward[::-1], np.ascontiguousarray(gens[::-1]).T)):
-        keep, q, r = _independent_columns(v)
-        if not keep.size:
-            raise DecompositionError("crossed product has no nonzero generators")
-        decompositions.append((v if keep.size == len(order) else v[:, keep], q, r,
-                               order[keep]))
-    return decompositions
 
 
 def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: bool) -> np.ndarray:
@@ -438,65 +481,40 @@ def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: boo
 class CrossedProductExtension:
     """Evaluates (f x g) on a crossed product by decompose-and-map.
 
-    One injection of every variant is an identity padding (1 (x) b, or a (x) 1
-    for "bt") and the other a conjugation, so each generator inj1(a_i) inj2(b_j)
-    is a product T_k (1 (x) b_l) of a conjugated factor and a padding.  All of
-    them come from one broadcast matmul.  Elements are decomposed over a
-    spanning subset of the generators, selected by one QR of the generator
-    stack in forward and once in reverse order (:func:`_independent_columns`);
-    each selected generator maps to inj1'(f(a_i)) inj2'(g(b_j)) on the target
-    legs.  :meth:`apply` evaluates both decompositions and raises
+    Each generator inj1(a_i) inj2(b_j) that :meth:`CrossedProduct.decompose`
+    selects maps to inj1'(f(a_i)) inj2'(g(b_j)) on the target legs (f or g
+    None is the identity).  :meth:`apply` maps both decompositions and raises
     :class:`DecompositionError` when they disagree, i.e. when the extension
     is not well defined on the element.
 
     Both injections and f, g are linear, so the mapped generators are never
-    formed.  The coefficients of one conjugated factor fold into a single
-    pad m_k = sum_l c_kl b_l, and the mapped conjugated factors T_k sit side
-    by side in one dense block, so sum_k T_k (1 (x) m_k) for both
-    decompositions is one GEMM of the block with the stacked folded pads, run
-    in row blocks to bound the BLAS workspace.  A pad-side conjugation
+    formed: the mapped conjugated factors T_k sit side by side in one dense
+    block, and sum_k T_k (1 (x) m_k) over the folded pads of both
+    decompositions is one GEMM of the block with the stacked pads, run in row
+    blocks to bound the BLAS workspace.  A pad-side conjugation
     m |-> V (1 (x) m) V* comes out of the sum: the block holds T_k (1 (x) V)
-    and the sum is multiplied by 1 (x) V* once, so the GEMM contracts over the
-    pad and not over its conjugated image.
+    and the sum is multiplied by 1 (x) V* once, so the GEMM contracts over
+    the pad and not over its conjugated image.
     """
 
-    def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str,
-                 f: Conjugation | None, g: Conjugation | None):
-        alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
-        t1 = f.target if f is not None else s1.domain
-        t2 = g.target if g is not None else s2.domain
-        alpha2, beta2 = crossed_injections(variant, provider, t1, t2)
-        self._pad_first = variant == "bt"
-        if self._pad_first:  # a (x) 1 pads, b is conjugated
-            conj_basis, conj_inj, conj_inj2, conj_map = s2.basis, beta, beta2, g
-            pad, pad_map = s1, f
-        else:                # 1 (x) b pads, a is conjugated
-            conj_basis, conj_inj, conj_inj2, conj_map = s1.basis, alpha, alpha2, f
-            pad, pad_map = s2, g
-        if not (s1.rank and s2.rank):
-            raise DecompositionError("crossed product has no nonzero generators")
-        self._pad = np.array([b.matrix for b in pad.basis])
-        rc, (rp, p, _) = len(conj_basis), self._pad.shape
-        self._decompositions = _decompositions(
-            _generator_stack(np.array([conj_inj(x).matrix for x in conj_basis]),
-                             self._pad, self._pad_first))
-        # the (conjugated, padded) factor index of every generator row
-        outer, inner = np.divmod(np.arange(rc * rp), rc if self._pad_first else rp)
-        self._factor = (inner, outer) if self._pad_first else (outer, inner)
-
-        self._v = (_pad_isometry(pad_map, pad.domain, self._pad_first)
+    def __init__(self, cp: CrossedProduct, f: Conjugation | None, g: Conjugation | None):
+        t1 = f.target if f is not None else cp.s1.domain
+        t2 = g.target if g is not None else cp.s2.domain
+        alpha2, beta2 = crossed_injections(cp.variant, cp.provider, t1, t2)
+        (conj_map, inject), (pad_map, _) = cp.orient((f, alpha2), (g, beta2))
+        self._pad_first = cp.pad_first
+        self._v = (_pad_isometry(pad_map, cp.padded.domain, self._pad_first)
                    if pad_map is not None else None)
-        self.source_domain = s1.domain + s2.domain
         self.target_domain = t1 + t2
         self._dim = total_dim(self.target_domain)
-        image = self._v.shape[0] if self._v is not None else p
-        width = self._v.shape[1] if self._v is not None else p
+        p = cp.pad.shape[-1]
+        image, width = self._v.shape if self._v is not None else (p, p)
         rows = self._dim * (self._dim // image) * (width // p)
         # column block k holds T_k (1 (x) V), reshaped so the pad is its last
         # axis; pad first, the transpose of (V* (x) 1) T_k with the pad leading
-        self._target = np.empty((rows, rc * p), dtype=complex)
-        for k, x in enumerate(conj_basis):
-            t = conj_inj2(conj_map.apply(x) if conj_map is not None else x).matrix
+        self._target = np.empty((rows, cp.conjugated.rank * p), dtype=complex)
+        for k, x in enumerate(cp.conjugated.basis):
+            t = inject(conj_map.apply(x) if conj_map is not None else x).matrix
             if self._pad_first:
                 if self._v is not None:
                     t = self._v.conj().T @ t.reshape(image, -1)
@@ -518,29 +536,12 @@ class CrossedProductExtension:
             y = y.copy() if self._v is None else y.reshape(-1, self._v.shape[1]) @ self._v.conj().T
         return y.reshape(self._dim, self._dim)
 
-    def apply(self, x: LegOperator, tol: float = 1e-9) -> LegOperator:
-        if x.domain != self.source_domain or x.codomain != self.source_domain:
-            raise LegError("element signature does not match the crossed product")
-        vx = _vec(x)
-        scale = max(np.linalg.norm(vx), 1.0)
-        rp, p, _ = self._pad.shape
-        rc = self._target.shape[1] // p
-        folds = []
-        for v, q, r, picked in self._decompositions:
-            coeffs = np.linalg.solve(r, q.conj().T @ vx)
-            residual = np.linalg.norm(v @ coeffs - vx)
-            if residual > tol * scale:
-                raise DecompositionError(
-                    f"element lies outside the crossed product (residual {residual:.3e})")
-            c = np.zeros((rc, rp), dtype=complex)
-            c[self._factor[0][picked], self._factor[1][picked]] = coeffs
-            m = (c @ self._pad.reshape(rp, -1)).reshape(rc, p, p)   # folded pads m_k
-            folds.append((m.transpose(0, 2, 1) if self._pad_first else m).reshape(rc * p, p))
+    def apply(self, folds: np.ndarray, tol: float = 1e-9) -> LegOperator:
+        """The image of the element whose :meth:`CrossedProduct.decompose` gave ``folds``."""
         # one GEMM of the block with both decompositions' folded pads
-        rhs = np.stack(folds)
-        out = np.empty((2, len(self._target), p), dtype=complex)
+        out = np.empty((2, len(self._target), folds.shape[-1]), dtype=complex)
         for i in range(0, out.shape[1], _GEMM_ROWS):
-            np.matmul(self._target[i:i + _GEMM_ROWS], rhs, out=out[:, i:i + _GEMM_ROWS])
+            np.matmul(self._target[i:i + _GEMM_ROWS], folds, out=out[:, i:i + _GEMM_ROWS])
         forward, reverse = self._unfold(out[0]), self._unfold(out[1])
         reverse -= forward
         dev = float(np.linalg.norm(reverse))

@@ -152,8 +152,8 @@ class Crossing(LegOperator):
             raise LegError("a crossing maps legs (H, K) to (K, H)")
         if self.phases is not None:
             p = _shaped(self.phases, *self.domain).copy()
-            if np.abs(np.abs(p) - 1.0).max() > 1e-12:
-                raise LegError("crossing phases must have modulus one")
+            if not np.abs(np.abs(p) - 1.0).max() <= 1e-12:    # NaN fails too
+                raise LegError("crossing phases must be finite with modulus one")
             p.setflags(write=False)
             object.__setattr__(self, "phases", p)
 

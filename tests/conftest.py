@@ -5,7 +5,7 @@ import pytest
 
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space, dsl, spans
-from braidmu.tensor import total_dim
+from braidmu.tensor import tensor, total_dim
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
 
@@ -99,12 +99,12 @@ def dense_braid_tensor(provider, left, right):
     if len(left) > 1:
         # c_{X (x) Y, Z} = (c_{X,Z} (x) id_Y) (id_X (x) c_{Y,Z})
         x, y = left[:1], left[1:]
-        first = bm.tensor(bm.identity(x), dense_braid_tensor(provider, y, right))
+        first = tensor(bm.identity(x), dense_braid_tensor(provider, y, right))
         second = bm.embed_adjacent(dense_braid_tensor(provider, x, right), first.codomain, 1)
         return bm.compose(second, first)
     # c_{X, Y (x) Z} = (id_Y (x) c_{X,Z}) (c_{X,Y} (x) id_Z)
     y, z = right[:1], right[1:]
-    first = bm.tensor(dense_braid_tensor(provider, left, y), bm.identity(z))
+    first = tensor(dense_braid_tensor(provider, left, y), bm.identity(z))
     second = bm.embed_adjacent(dense_braid_tensor(provider, left, z), first.codomain, 2)
     return bm.compose(second, first)
 

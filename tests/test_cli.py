@@ -291,6 +291,25 @@ def test_output_into_a_missing_directory_is_an_input_error(tmp_path, capsys, arg
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o"],
+    ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2", "-o"],
+    ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2", "-o", "found.json",
+     "--report"],
+], ids=["generate", "search", "search-report"])
+def test_output_naming_a_directory_is_an_input_error(tmp_path, capsys, argv, monkeypatch):
+    import braidmu.cli as cli
+    searched = []
+    monkeypatch.setattr(cli, "search", lambda problem: searched.append(problem) or [])
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "out"
+    target.mkdir()
+    assert run(argv + [str(target)]) == 2
+    assert f"error: {target} is a directory" in capsys.readouterr().err
+    assert not searched  # checked before any restart runs
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]  # no stray .tmp file
+
+
 def _analyze_edited_bundle(tmp_path, capsys, edit):
     """Exit code and stderr of analyze on a Z2 bundle whose JSON tree ``edit`` changed."""
     path = tmp_path / "w.json"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import braidmu as bm
 from braidmu import dsl
 from braidmu import LegOperator, LegSignature
+from braidmu.tensor import tensor
 
 from conftest import dense_evaluate, random_unitary, routing_category
 
@@ -124,7 +125,7 @@ def test_route_annotations_agree_for_morphisms(super_module):
 def test_evaluate_three_leg_contiguous_atom(z2):
     l = z2.space
     ctx = (l, l, l)
-    triple = bm.tensor(z2.op, bm.identity((l,)))
+    triple = tensor(z2.op, bm.identity((l,)))
     out = dsl.evaluate(dsl.parse("T[1,2,3]"), {"T": triple}, ctx, z2.braiding)
     np.testing.assert_allclose(out.matrix, triple.matrix)
 
@@ -272,19 +273,17 @@ def test_adjoints_and_context_changes_match_the_dense_oracle(kind, ids, text):
 def test_evaluate_pads_only_the_first_step(monkeypatch, z2):
     # the steps act on one running matrix: no identity seed, no composed
     # full-context products, and the only padded matrix is the product's start
-    import importlib
-
-    braiding = importlib.import_module("braidmu.braiding")
-    tensor = importlib.import_module("braidmu.tensor")  # braidmu.tensor is the function
+    import braidmu.braiding as braiding
+    import braidmu.tensor as tensor_module
 
     def forbidden(*args):
         raise AssertionError("dense product on the evaluate path")
 
-    monkeypatch.setattr(tensor, "compose", forbidden)
-    for module in (tensor, braiding):
+    monkeypatch.setattr(tensor_module, "compose", forbidden)
+    for module in (tensor_module, braiding):
         monkeypatch.setattr(module, "identity", forbidden)
-    real, padded = tensor.embed_adjacent, []
-    monkeypatch.setattr(tensor, "embed_adjacent",
+    real, padded = tensor_module.embed_adjacent, []
+    monkeypatch.setattr(tensor_module, "embed_adjacent",
                         lambda x, context, start: padded.append(x) or real(x, context, start))
     ctx = (z2.space,) * 3
     for text in ("W[2,3].W[1,2]", PENTAGON_RHS, "W[1,3]@under.W[1,2]^*"):

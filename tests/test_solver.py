@@ -1,4 +1,3 @@
-import importlib
 import os
 import subprocess
 import sys
@@ -348,8 +347,7 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     eigh for its final unitary and one untaped defect for its residual."""
     import braidmu.multunitary as mun
     import braidmu.solver as solver
-    # the package's name "tensor" is the function tensor.tensor
-    tensor = importlib.import_module("braidmu.tensor")
+    import braidmu.tensor as tensor
     problem = oracle_problems()[name]()
     # restart 0 starts at the exact identity solution, restart 1 at a random point
     problem.restarts, problem.max_iter = 2, 30

@@ -6,7 +6,7 @@ import pytest
 import braidmu as bm
 from braidmu import spans
 from braidmu import LegOperator, LegSignature, Space
-from braidmu.tensor import total_dim
+from braidmu.tensor import tensor, total_dim
 
 from braidmu import multunitary
 from conftest import (dense_braid_tensor, greedy_selection, loop_subset_residual,
@@ -63,8 +63,8 @@ def test_slice_span_is_basis_independent(z2):
     # leg spans the same space
     g = random_unitary(2, 4)
     gop = leg_op(g, [L2])
-    conjugated = bm.compose(bm.tensor(bm.identity((L2,)), bm.adjoint(gop)),
-                            bm.compose(z2.op, bm.tensor(bm.identity((L2,)), gop)))
+    conjugated = bm.compose(tensor(bm.identity((L2,)), bm.adjoint(gop)),
+                            bm.compose(z2.op, tensor(bm.identity((L2,)), gop)))
     s1 = spans.span_from_slices(z2.op, "right")
     s2 = spans.span_from_slices(conjugated, "right")
     assert spans.projector_distance(s1, s2) < 1e-9
@@ -148,7 +148,7 @@ def test_crossed_product_of_diagonals_under_flip(z2):
     diag = spans.span_from_slices(z2.op, "right")
     cp = spans.crossed_product(diag, diag, bm.FlipBraiding(), "hbt")
     assert cp.rank == 4
-    expected = spans.span_of([bm.tensor(a, b) for a in diag.basis for b in diag.basis])
+    expected = spans.span_of([tensor(a, b) for a in diag.basis for b in diag.basis])
     assert spans.equals(cp, expected, 1e-9)
 
 
@@ -162,7 +162,7 @@ def test_crossed_product_with_all_operators_is_the_tensor_product(z2):
     full = spans.span_of(units)
     for variant in ("hbt", "habt", "bt"):
         cp = spans.crossed_product(diag, full, bm.FlipBraiding(), variant)
-        expected = spans.span_of([bm.tensor(a, b) for a in diag.basis
+        expected = spans.span_of([tensor(a, b) for a in diag.basis
                                   for b in full.basis])
         assert spans.equals(cp, expected, 1e-9)
 
@@ -183,7 +183,7 @@ def test_crossed_product_collapse_in_a_braided_category():
             e[i, j] = 1
             units.append(leg_op(e, [b]))
     full = spans.span_of(units)
-    expected = spans.span_of([bm.tensor(x, y) for x in diag.basis for y in full.basis])
+    expected = spans.span_of([tensor(x, y) for x in diag.basis for y in full.basis])
     for variant in ("hbt", "habt", "bt"):
         cp = spans.crossed_product(diag, full, provider, variant)
         assert spans.equals(cp, expected, 1e-9)
@@ -193,7 +193,7 @@ def test_scalar_crossed_product_injects_second_factor(z2):
     scalars = spans.span_of([leg_op(np.eye(2), [L2])])
     diag = spans.span_from_slices(z2.op, "right")
     cp = spans.crossed_product(scalars, diag, bm.FlipBraiding(), "hbt")
-    expected = spans.span_of([bm.tensor(leg_op(np.eye(2), [L2]), b) for b in diag.basis])
+    expected = spans.span_of([tensor(leg_op(np.eye(2), [L2]), b) for b in diag.basis])
     assert spans.equals(cp, expected, 1e-9)
 
 
@@ -210,31 +210,34 @@ def test_relative_multiplier_membership(z2):
 
 def test_extension_with_identity_conjugators_is_identity(z2):
     diag = spans.span_from_slices(z2.op, "right")
-    cp = spans.crossed_product(diag, diag, bm.FlipBraiding(), "habt")
-    x = cp.basis[1]
-    ext = spans.CrossedProductExtension(diag, diag, bm.FlipBraiding(), "habt", None, None)
-    np.testing.assert_allclose(ext.apply(x).matrix, x.matrix, atol=1e-10)
+    cp = spans.CrossedProduct(diag, diag, bm.FlipBraiding(), "habt")
+    x = cp.span.basis[1]
+    ext = spans.CrossedProductExtension(cp, None, None)
+    np.testing.assert_allclose(ext.apply(cp.decompose(x, 1e-9)).matrix, x.matrix, atol=1e-10)
 
 
 def test_extension_rejects_elements_outside_the_span(z2):
     diag = spans.span_from_slices(z2.op, "right")
     outside = leg_op(bm.FlipBraiding().braid(L2, L2).matrix, [L2, L2])
-    ext = spans.CrossedProductExtension(diag, diag, bm.FlipBraiding(), "habt", None, None)
-    with pytest.raises(spans.DecompositionError):
-        ext.apply(outside)
+    cp = spans.CrossedProduct(diag, diag, bm.FlipBraiding(), "habt")
+    with pytest.raises(spans.DecompositionError, match="outside the crossed product"):
+        cp.decompose(outside, 1e-9)
+    with pytest.raises(bm.LegError, match="signature"):
+        cp.decompose(leg_op(np.eye(2), [L2]), 1e-9)
 
 
 def test_extension_compares_its_two_decompositions(z2):
     # relabel the reverse decomposition's generators, so that its mapped value
     # differs from the forward one while both still reproduce the element
     diag = spans.span_from_slices(z2.op, "right")
-    ext = spans.CrossedProductExtension(diag, diag, bm.FlipBraiding(), "habt", None, None)
-    x = spans.crossed_product(diag, diag, bm.FlipBraiding(), "habt").basis[1]
-    np.testing.assert_allclose(ext.apply(x).matrix, x.matrix, atol=1e-10)
-    v, q, r, rows = ext._decompositions[1]
-    ext._decompositions[1] = (v, q, r, rows[::-1])
+    cp = spans.CrossedProduct(diag, diag, bm.FlipBraiding(), "habt")
+    ext = spans.CrossedProductExtension(cp, None, None)
+    x = cp.span.basis[1]
+    np.testing.assert_allclose(ext.apply(cp.decompose(x, 1e-9)).matrix, x.matrix, atol=1e-10)
+    v, q, r, rows = cp.decompositions[1]
+    cp.decompositions[1] = (v, q, r, rows[::-1])
     with pytest.raises(spans.DecompositionError, match="depends on the decomposition"):
-        ext.apply(x)
+        ext.apply(cp.decompose(x, 1e-9))
 
 
 def test_cstar_closure_ladder(z2, z3):
@@ -370,6 +373,12 @@ def _mapped_product_extension(s1, s2, provider, variant, f, g, x):
     return sum(c * m for c, m in zip(coeffs, mapped))
 
 
+def _extend(s1, s2, provider, variant, f, g, x):
+    """(f x g) of x on the crossed product of s1 and s2."""
+    cp = spans.CrossedProduct(s1, s2, provider, variant)
+    return spans.CrossedProductExtension(cp, f, g).apply(cp.decompose(x, 1e-9))
+
+
 def _random_span(legs, count, seed):
     rng = np.random.default_rng(seed)
     d = total_dim(legs)
@@ -394,8 +403,7 @@ def test_extension_matches_the_mapped_product_oracle(kind, variant, f_on, g_on):
     x = sum(complex(*rng.normal(size=2)) * bm.compose(alpha(p), beta(q)).matrix
             for p in s1.basis for q in s2.basis)
     x = leg_op(x, [a, b])
-    ext = spans.CrossedProductExtension(s1, s2, provider, variant, f, g)
-    value = ext.apply(x)
+    value = _extend(s1, s2, provider, variant, f, g, x)
     expected = _mapped_product_extension(s1, s2, provider, variant, f, g, x)
     assert value.domain == value.codomain == (t if f_on else a,) + ((b, c) if g_on else (b,))
     np.testing.assert_allclose(value.matrix, expected, rtol=0, atol=1e-12)
@@ -437,17 +445,16 @@ def test_qr_selection_reuses_the_qr_when_every_column_is_kept():
 @pytest.mark.parametrize("variant", ["op", "right"])
 def test_extension_selects_the_greedy_generators(group, variant, request):
     m = request.getfixturevalue(group)
-    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    alg, cp_variant, _ = multunitary._bialgebra_data(m, variant)
     alpha, beta = spans.crossed_injections(cp_variant, m.braiding, alg.domain, alg.domain)
     gens = np.array([bm.compose(alpha(a), beta(b)).matrix.reshape(-1)
                      for a in alg.basis for b in alg.basis]).T
     backwards = np.arange(gens.shape[1])[::-1]
-    for f, g in ((conj, None), (None, conj)):
-        ext = spans.CrossedProductExtension(alg, alg, m.braiding, cp_variant, f, g)
-        forward, reverse = (picked for *_, picked in ext._decompositions)
-        assert list(forward) == greedy_selection(gens, spans.RANK_CUTOFF)
-        assert list(reverse) == list(backwards[greedy_selection(gens[:, backwards],
-                                                                spans.RANK_CUTOFF)])
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    forward, reverse = (picked for *_, picked in cp.decompositions)
+    assert list(forward) == greedy_selection(gens, spans.RANK_CUTOFF)
+    assert list(reverse) == list(backwards[greedy_selection(gens[:, backwards],
+                                                            spans.RANK_CUTOFF)])
 
 
 def _wide_svd_row_span(rows, cutoff=spans.RANK_CUTOFF):
@@ -532,7 +539,7 @@ def test_extension_pulls_out_the_pad_side_conjugation(kind, variant, side, isome
     x = leg_op(sum(complex(*rng.normal(size=2)) * bm.compose(alpha(p), beta(q)).matrix
                    for p in s1.basis for q in s2.basis), [a, b])
     for maps in ((f, g), (None, g), (f, None)):
-        value = spans.CrossedProductExtension(s1, s2, provider, variant, *maps).apply(x)
+        value = _extend(s1, s2, provider, variant, *maps, x)
         expected = _mapped_product_extension(s1, s2, provider, variant, *maps, x)
         np.testing.assert_allclose(value.matrix, expected, rtol=0, atol=1e-12)
 
@@ -542,12 +549,14 @@ def test_extension_matches_the_oracle_on_the_certified_configuration(z3, variant
     # coassociativity extends the crossed product by the comultiplication's
     # conjugation on either factor: F* on the left ("op"), F on the right ("right")
     alg, cp_variant, conj = multunitary._bialgebra_data(z3, variant)
+    cp = spans.CrossedProduct(alg, alg, z3.braiding, cp_variant)
     for f, g in ((conj, None), (None, conj)):
-        ext = spans.CrossedProductExtension(alg, alg, z3.braiding, cp_variant, f, g)
+        ext = spans.CrossedProductExtension(cp, f, g)
         for a in alg.basis:
             d = bm.comultiply(z3, a, variant)
             expected = _mapped_product_extension(alg, alg, z3.braiding, cp_variant, f, g, d)
-            np.testing.assert_allclose(ext.apply(d).matrix, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ext.apply(cp.decompose(d, 1e-9)).matrix, expected,
+                                       rtol=0, atol=1e-12)
 
 
 def test_extension_rejects_a_conjugation_that_does_not_hold_the_pad():
@@ -555,4 +564,5 @@ def test_extension_rejects_a_conjugation_that_does_not_hold_the_pad():
     s1, s2 = _random_span((a,), 2, 56), _random_span((b,), 2, 57)
     g = _conjugation_onto(a, "left", False, 58)     # holds A, but pads B
     with pytest.raises(bm.LegError, match="padding legs"):
-        spans.CrossedProductExtension(s1, s2, bm.FlipBraiding(), "habt", None, g)
+        spans.CrossedProductExtension(spans.CrossedProduct(s1, s2, bm.FlipBraiding(), "habt"),
+                                      None, g)

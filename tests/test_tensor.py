@@ -1,5 +1,5 @@
 import ast
-import importlib
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
-from braidmu.tensor import leg_product, legs_after, pullback, record, route_steps, total_dim
+import braidmu.tensor as tensor_module
+from braidmu.tensor import (leg_product, legs_after, pullback, record, route_steps, tensor,
+                            total_dim)
 
 from conftest import random_unitary, routed_oracle, routing_category
 
@@ -67,7 +69,7 @@ def test_compose_signature_mismatch():
 
 
 def test_tensor_of_identities():
-    out = bm.tensor(bm.identity((L2,)), bm.identity((L3,)))
+    out = tensor(bm.identity((L2,)), bm.identity((L3,)))
     np.testing.assert_allclose(out.matrix, np.eye(6))
     assert out.domain == (L2, L3)
 
@@ -75,13 +77,13 @@ def test_tensor_of_identities():
 def test_tensor_interchange_law():
     a = leg_op(random_unitary(2, 1), [L2])
     b = leg_op(random_unitary(3, 2), [L3])
-    left = bm.compose(bm.tensor(a, bm.identity((L3,))), bm.tensor(bm.identity((L2,)), b))
-    np.testing.assert_allclose(left.matrix, bm.tensor(a, b).matrix, atol=1e-14)
+    left = bm.compose(tensor(a, bm.identity((L3,))), tensor(bm.identity((L2,)), b))
+    np.testing.assert_allclose(left.matrix, tensor(a, b).matrix, atol=1e-14)
 
 
 def test_tensor_leg_count():
     w = leg_op(W_Z2, [L2, L2])
-    out = bm.tensor(w, bm.identity((L2,)))
+    out = tensor(w, bm.identity((L2,)))
     assert len(out.domain) == 3 and len(out.codomain) == 3
 
 
@@ -466,8 +468,20 @@ def test_crossing_validates_its_phase_table():
         bm.crossing(a, b, np.ones((3, 2)))
     with pytest.raises(LegError, match="modulus one"):
         bm.crossing(a, b, np.full((2, 3), 0.5))
+    for bad in (np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)):
+        phases = np.ones((2, 3), dtype=complex)
+        phases[1, 2] = bad
+        with pytest.raises(LegError, match="finite with modulus one"):
+            bm.crossing(a, b, phases)
     with pytest.raises(LegError, match="maps legs"):
         bm.Crossing(LegSignature((a, b), (a, b)), np.eye(6))
+
+
+def test_the_package_name_tensor_is_the_module():
+    # the kron helper stays in the module, where a plain import finds the module
+    import braidmu.tensor as imported
+    assert imported is tensor_module
+    assert isinstance(bm.tensor, types.ModuleType) and bm.tensor.tensor is tensor
 
 
 def test_explicit_crossings_take_the_gemm_path(monkeypatch):
@@ -476,7 +490,6 @@ def test_explicit_crossings_take_the_gemm_path(monkeypatch):
     provider, p, q = routing_category("yd")
     table = bm.ExplicitBraiding()
     table.register(bm.FlipBraiding().braid(p, q))
-    tensor_module = importlib.import_module("braidmu.tensor")
     swaps = []
     real_cross = tensor_module._cross
     monkeypatch.setattr(tensor_module, "_cross",

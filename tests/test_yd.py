@@ -3,6 +3,7 @@ import pytest
 
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space
+from braidmu.tensor import tensor
 
 from conftest import random_unitary, routed_oracle, routing_category
 
@@ -240,12 +241,12 @@ def test_residuals_commute_with_unitary_change_of_basis(super_module):
     g = random_unitary(2, 41)
     h2 = Space("H2", 2)
     gop = leg_op(g, [mod.space], [h2])
-    u2 = bm.compose(bm.tensor(gop, bm.identity((mu.space,))),
-                    bm.compose(mod.corep, bm.tensor(bm.adjoint(gop),
-                                                    bm.identity((mu.space,)))))
-    v2 = bm.compose(bm.tensor(bm.identity((mu.space,)), gop),
-                    bm.compose(mod.rep, bm.tensor(bm.identity((mu.space,)),
-                                                  bm.adjoint(gop))))
+    u2 = bm.compose(tensor(gop, bm.identity((mu.space,))),
+                    bm.compose(mod.corep, tensor(bm.adjoint(gop),
+                                                 bm.identity((mu.space,)))))
+    v2 = bm.compose(tensor(bm.identity((mu.space,)), gop),
+                    bm.compose(mod.rep, tensor(bm.identity((mu.space,)),
+                                               bm.adjoint(gop))))
     assert abs(bm.corep_residual(bm.Corep(h2, u2), mu)
                - bm.corep_residual(mod.as_corep(), mu)) < 1e-12
     assert abs(bm.rep_residual(bm.Rep(h2, v2), mu)
