@@ -17,11 +17,11 @@ from .spans import (Conjugation, DecompositionError, OperatorSpan, adjoint_span,
                     crossed_product, equals, is_algebra, is_nondegenerate,
                     is_relative_multiplier, is_star_closed, kernel_of_linear_map,
                     projector_distance, span_from_slices, span_of)
-from .multunitary import (BialgebraCertificate, Certificate, MultUnitary, RegularityReport,
-                          classify_regularity, coassociativity_residual, commutant_dimension,
-                          comultiply, dual, full_certificate, left_slice_span,
-                          multiplier_checks, opposite_regularity_span, pentagon_residual,
-                          podles_conditions, regularity_span, right_slice_span)
+from .multunitary import (Certificate, MultUnitary, RegularityReport, classify_regularity,
+                          coassociativity_residual, commutant_dimension, comultiply, dual,
+                          full_certificate, left_slice_span, multiplier_checks,
+                          opposite_regularity_span, pentagon_residual, podles_conditions,
+                          regularity_span, right_slice_span)
 from .yd import (Corep, ExtractionError, Rep, YDModule, corep_residual, corep_slice_span,
                  pairing_unitary, rep_residual, tensor_corep, tensor_rep, tensor_yd,
                  yd_braiding, yd_braiding_provider, yd_braiding_regularity, yd_residual)

@@ -64,9 +64,12 @@ def _write_report(path: str, text: str) -> bool:
 
 
 def _unwritable(*paths: str | None) -> bool:
-    """Print an error and return True if an output path is a directory or its
-    parent directory is missing."""
-    for path in filter(None, paths):
+    """Print an error and return True if an output path is empty or a
+    directory, or its parent directory is missing; None is no output."""
+    for path in (p for p in paths if p is not None):
+        if not path:
+            print("error: the output path is empty", file=sys.stderr)
+            return True
         if os.path.isdir(path):
             print(f"error: {path} is a directory", file=sys.stderr)
             return True
@@ -155,8 +158,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    # checked before the restarts run, so a bad path wastes no search
-    if _unwritable(args.output, args.report):
+    # checked before the restarts run; an empty --report means no report
+    if _unwritable(args.output, args.report or None):
         return 2
     # argparse restricts --category to these three
     modulus = {"flip": None, "super": 2, "phase": args.modulus}[args.category]

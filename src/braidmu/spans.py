@@ -320,7 +320,8 @@ def _generator_stack(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.n
 
 
 class CrossedProduct:
-    """The source side of a crossed product: its generators inj1(a_i) inj2(b_j),
+    """The source side of a crossed product: the injected bases, as :attr:`images`
+    (inj1(a_i) over s1, inj2(b_j) over s2), the generators inj1(a_i) inj2(b_j),
     their orthonormal span and their decompositions.
 
     One injection of every variant pads (1 (x) b, or a (x) 1 for "bt") and the
@@ -336,10 +337,10 @@ class CrossedProduct:
         self.s1, self.s2, self.provider, self.variant = s1, s2, provider, variant
         self.legs = s1.domain + s2.domain
         self.pad_first = variant == "bt"   # a (x) 1 pads and b is conjugated
-        (self.conjugated, inject), (self.padded, _) = self.orient((s1, alpha), (s2, beta))
+        self.images = (tuple(alpha(a) for a in s1.basis), tuple(beta(b) for b in s2.basis))
+        (self.conjugated, conj), (self.padded, _) = self.orient(*zip((s1, s2), self.images))
         self.pad = np.array([b.matrix for b in self.padded.basis])
-        conj = np.array([inject(x).matrix for x in self.conjugated.basis])
-        self.gens = _generator_stack(conj, self.pad, self.pad_first)
+        self.gens = _generator_stack(np.array([x.matrix for x in conj]), self.pad, self.pad_first)
 
     def orient(self, first, second) -> tuple:
         """A pair given in factor order (s1 side, s2 side) as (conjugated, padded)."""

@@ -213,6 +213,32 @@ def test_analyze_report_is_the_certificate_check_list(tmp_path, kind, tol):
     assert code == (0 if cert.all_passed else 1)
 
 
+# the certificate's checks in report order, with their kinds
+CERTIFICATE_CHECKS = [
+    ("unitarity", "residual"), ("pentagon", "residual"), ("braiding-hexagon", "residual"),
+    ("routing-agreement", "residual"), ("rank-c", "rank"), ("rank-d", "rank"),
+    ("commutant-dim", "rank"), ("regular", "flag"), ("bi-regular", "flag"),
+    ("dual-consistent", "flag"), ("podles-right", "flag"), ("podles-left", "flag"),
+    ("coassociativity", "residual"), ("multiplier", "flag"), ("sandwich-span", "flag"),
+]
+
+
+@pytest.mark.parametrize("kind", ["kac-takesaki", "identity"])
+def test_analyze_report_pins_the_check_list(tmp_path, kind):
+    out = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    extra, name, n = ((["--n", "3"], "W", 3) if kind == "kac-takesaki"
+                      else (["--dim", "2"], "F", 2))
+    assert run(["generate", kind, *extra, "-o", str(out)]) == 0
+    run(["analyze", str(out), "--object", name, "--tol", "1e-6", "--report", str(report)])
+    checks = read_json(str(report))["checks"]
+    assert [(c["name"], c["kind"]) for c in checks] == CERTIFICATE_CHECKS
+    expected = {"rank-c": n * n, "rank-d": n * n, "commutant-dim": 1}
+    for c in checks:
+        assert c.get("tol") == (1e-6 if c["kind"] == "residual" else None), c["name"]
+        assert c.get("expected") == expected.get(c["name"]), c["name"]
+
+
 def test_report_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
     bundle = tmp_path / "w.json"
     stmt = tmp_path / "s.stmt"
@@ -308,6 +334,35 @@ def test_output_naming_a_directory_is_an_input_error(tmp_path, capsys, argv, mon
     assert f"error: {target} is a directory" in capsys.readouterr().err
     assert not searched  # checked before any restart runs
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]  # no stray .tmp file
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "kac-takesaki", "--group", "Zn", "--n", "2"],
+    ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2"],
+    ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2", "--report", "r.json"],
+], ids=["generate", "search", "search-report"])
+def test_an_empty_output_path_is_an_input_error(tmp_path, capsys, argv, monkeypatch):
+    import braidmu.cli as cli
+    searched = []
+    monkeypatch.setattr(cli, "search", lambda problem: searched.append(problem) or [])
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["-o", ""]) == 2
+    assert capsys.readouterr().err == "error: the output path is empty\n"
+    assert not searched  # checked before any restart runs
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_empty_report_path_writes_no_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", "w.json"]) == 0
+    stmt = tmp_path / "s.stmt"
+    stmt.write_text("context: L L\nW[1,2] == W[1,2]\n")
+    for argv in (["analyze", "w.json"],
+                 ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2",
+                  "-o", "found.json"],
+                 ["eval", str(stmt), "w.json"]):
+        assert run(argv + ["--report", ""]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["found.json", "s.stmt", "w.json"]
 
 
 def _analyze_edited_bundle(tmp_path, capsys, edit):

@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,33 @@ def test_coassociativity_decomposes_each_element_once(group, variant, request, m
     assert len(decomposed) == len(set(map(id, decomposed))) == alg.rank
 
 
+@pytest.mark.parametrize("group", ["z3", "s3"])
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("check", ["podles_conditions", "multiplier_checks"])
+def test_bialgebra_checks_inject_each_basis_element_once(check, variant, group, request,
+                                                          monkeypatch):
+    # the check multiplies by the injected bases that its crossed product
+    # made, so each basis element goes through its injection once
+    m = request.getfixturevalue(group)
+    injected = []
+    real = spans.crossed_injections
+
+    def counted(*args):
+        alpha, beta = real(*args)
+        return (lambda x: injected.append(("inj1", x.matrix.tobytes())) or alpha(x),
+                lambda x: injected.append(("inj2", x.matrix.tobytes())) or beta(x))
+
+    # every braidmu module that binds the function gets the counting one
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("braidmu")]:
+        for key, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, key, counted)
+    assert getattr(bm, check)(m, variant) == (True, True)
+    # both slice algebras of a Kac-Takesaki unitary have dimension |G|
+    assert Counter(side for side, _ in injected) == {"inj1": m.space.dim, "inj2": m.space.dim}
+    assert len(set(injected)) == len(injected)
+
+
 def test_coassociativity_rejects_corrupted_operators(z2):
     # a random unitary has full spans, so the extension is well defined and
     # coassociativity fails by a large residual; the structured corruption
@@ -239,8 +269,8 @@ def test_full_certificate_group_examples(z2, z3):
 
 def test_full_certificate_identity_control():
     cert = bm.full_certificate(bm.identity_control(2))
-    assert cert.pentagon_ok and cert.unitary_ok
-    assert not cert.regularity.regular
+    assert cert.passed("pentagon") and cert.passed("unitarity")
+    assert not cert.passed("regular")
     assert cert.gates_passed and not cert.all_passed
 
 

@@ -277,7 +277,7 @@ def test_search_finds_nontrivial_flip_solutions():
     assert nontrivial
     cert = bm.full_certificate(nontrivial[0].mu, tol=1e-6)
     assert cert.gates_passed
-    assert cert.regularity.regular
+    assert cert.passed("regular")
 
 
 def test_search_is_deterministic():

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 import types
 from pathlib import Path
 
@@ -482,6 +484,20 @@ def test_the_package_name_tensor_is_the_module():
     import braidmu.tensor as imported
     assert imported is tensor_module
     assert isinstance(bm.tensor, types.ModuleType) and bm.tensor.tensor is tensor
+
+
+def test_every_exported_name_resolves():
+    # a stale export, such as a deleted class left in an __all__ or in the
+    # package's imports, is named here
+    for info in pkgutil.iter_modules(bm.__path__):
+        module = importlib.import_module(f"braidmu.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
+    for node in ast.walk(ast.parse(Path(bm.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module("." + (node.module or ""), "braidmu")
+            missing = [a.name for a in node.names if not hasattr(module, a.name)]
+            assert not missing, (node.module, missing)
 
 
 def test_explicit_crossings_take_the_gemm_path(monkeypatch):
