@@ -17,12 +17,14 @@ each atom is one step on its legs, or the three steps of a routed atom, and
 "^*" reverses the steps of its operand and takes the adjoint of each.  The
 steps act on one running matrix, so no padded factor is ever multiplied.
 
-Statement files are UTF-8 with one statement per line, "#" comments, and a
-header line "context: <space-id> ...".
+Statement files are UTF-8 with one statement per line, "#" comments, and
+exactly one header line "context: <space-id> ...", which sets the leg context
+of every statement in the file.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +34,7 @@ from .tensor import (LegError, LegOperator, Space, Step, adjoint, leg_product,
                      legs_after, route_steps)
 
 __all__ = [
-    "ParseError", "Atom", "Adj", "Seq", "Statement", "parse", "format_expr",
+    "ParseError", "Atom", "Adj", "Seq", "Statement", "Header", "parse", "format_expr",
     "evaluate", "StatementResult", "run_statements", "parse_statement_file",
 ]
 
@@ -72,6 +74,16 @@ class Statement:
     rhs: Expr | None
     text: str
     line: int
+
+
+@dataclass(frozen=True)
+class Header:
+    """The "context:" header: the space ids of the leg context, its line and
+    the column of each id."""
+
+    ids: tuple[str, ...]
+    line: int
+    columns: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +302,47 @@ class StatementResult:
     passed: bool
 
 
-def parse_statement_file(text: str) -> tuple[list[str], list[Statement]]:
-    """Returns the declared context ids and the parsed statements."""
-    context_ids: list[str] | None = None
+def parse_statement_file(text: str) -> tuple[Header, list[Statement]]:
+    """Returns the context header and the parsed statements.
+
+    A file has exactly one header; a second one is a :class:`ParseError` at
+    its own line, as it would silently replace the context of every
+    statement, those above it included.
+    """
+    header: Header | None = None
     statements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("context:"):
-            context_ids = line[len("context:"):].split()
+            start = code.index("context:")
+            if header is not None:
+                raise ParseError(f"a second 'context:' header (the first is on line "
+                                 f"{header.line})", lineno, start + 1)
+            start += len("context:")
+            ids = list(re.finditer(r"\S+", code[start:]))
+            header = Header(tuple(m.group() for m in ids), lineno,
+                            tuple(start + m.start() + 1 for m in ids))
             continue
         parser = _Parser(_tokenize(line, lineno), lineno)
         lhs, rhs = parser.parse_statement()
         statements.append(Statement(lhs, rhs, line, lineno))
-    if context_ids is None:
+    if header is None:
         raise ParseError("missing 'context:' header", 1, 1)
-    return context_ids, statements
+    return header, statements
 
 
 def run_statements(text: str, bindings: dict[str, LegOperator],
                    spaces: dict[str, Space], braiding=None,
                    tol: float = 1e-9) -> list[StatementResult]:
     """Evaluate every '==' statement; bare expressions only check evaluability."""
-    context_ids, statements = parse_statement_file(text)
-    try:
-        context = tuple(spaces[sid] for sid in context_ids)
-    except KeyError as exc:
-        raise ParseError(f"unknown space id {exc}", 1, 1) from None
+    header, statements = parse_statement_file(text)
+    for sid, column in zip(header.ids, header.columns):
+        if sid not in spaces:
+            raise ParseError(f"unknown space id {sid!r}", header.line, column)
+    context = tuple(spaces[sid] for sid in header.ids)
     results = []
     for stmt in statements:
         lhs = evaluate(stmt.lhs, bindings, context, braiding)

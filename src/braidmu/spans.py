@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import (LegError, LegOperator, LegSignature, Space, adjoint, compose,
+from .tensor import (LegError, LegOperator, LegSignature, Space, _run_steps, adjoint, compose,
                      leg_product, total_dim)
 
 __all__ = [
@@ -29,15 +29,16 @@ __all__ = [
     "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
     "kernel_of_linear_map", "crossed_injections", "crossed_product",
     "is_relative_multiplier", "Conjugation", "CrossedProduct", "CrossedProductExtension",
-    "DecompositionError",
+    "extension_blocks", "DecompositionError",
 ]
 
 RANK_CUTOFF = 1e-9
-# rows per GEMM call of the crossed-product extension: with OpenBLAS on two
-# threads, one call over the whole 32768-row target block of KT Z8 raised the
-# certify benchmark's peak RSS from 216 to 248 MB (this code, the row count
-# alone changed, the output array the same; three runs each)
-_GEMM_ROWS = 4096
+# bytes of one block of target lines of the crossed-product extensions.  At
+# KT Z8 a block of the coassociativity check holds four target rows, and the
+# check peaks at 19 MB (tracemalloc), in its crossed product and
+# decompositions; at KT Z6 it stays below the 4.5 MB of one dense block of
+# mapped factors, where a 4 MiB budget would not
+_BLOCK_BYTES = 3 << 20
 
 
 class DecompositionError(ValueError):
@@ -263,6 +264,25 @@ def kernel_of_linear_map(t: np.ndarray, domain: Sequence[Space],
 # crossed products
 
 
+def _injection_steps(variant: str, provider, legs1: Sequence[Space],
+                     legs2: Sequence[Space]) -> tuple[tuple, tuple]:
+    """The two injections of :func:`crossed_injections` as (before, start, after):
+    x |-> the steps before, x on the legs ``start ..``, the steps after."""
+    from .braiding import braid_steps
+
+    legs1, legs2 = tuple(legs1), tuple(legs2)
+    if variant == "hbt":
+        return ((braid_steps(provider.inverse(), legs1, legs2), len(legs2) + 1,
+                 braid_steps(provider, legs2, legs1)), ((), len(legs1) + 1, ()))
+    if variant == "habt":
+        return ((braid_steps(provider, legs1, legs2), len(legs2) + 1,
+                 braid_steps(provider.inverse(), legs2, legs1)), ((), len(legs1) + 1, ()))
+    if variant == "bt":
+        return (((), 1, ()), (braid_steps(provider, legs1, legs2), 1,
+                              braid_steps(provider.inverse(), legs2, legs1)))
+    raise ValueError(f"unknown crossed product variant {variant!r}")
+
+
 def crossed_injections(variant: str, provider, legs1: Sequence[Space],
                        legs2: Sequence[Space]) -> tuple[Callable, Callable]:
     """The two injections of a crossed product on legs1 (x) legs2.
@@ -277,30 +297,12 @@ def crossed_injections(variant: str, provider, legs1: Sequence[Space],
     expanding it through the hexagon identities makes it the inverse of the
     block braiding c.
     """
-    from .braiding import braid_steps
+    context = tuple(legs1) + tuple(legs2)
 
-    legs1, legs2 = tuple(legs1), tuple(legs2)
-    context = legs1 + legs2
-
-    def inject(start: int, before: Sequence = (), after: Sequence = ()) -> Callable:
-        """x on the legs ``start ..``, between the crossings before and after."""
+    def inject(before: Sequence, start: int, after: Sequence) -> Callable:
         return lambda x: leg_product([*before, (x, start), *after], context)
 
-    if variant == "hbt":
-        alpha = inject(len(legs2) + 1, braid_steps(provider.inverse(), legs1, legs2),
-                       braid_steps(provider, legs2, legs1))
-        beta = inject(len(legs1) + 1)
-    elif variant == "habt":
-        alpha = inject(len(legs2) + 1, braid_steps(provider, legs1, legs2),
-                       braid_steps(provider.inverse(), legs2, legs1))
-        beta = inject(len(legs1) + 1)
-    elif variant == "bt":
-        alpha = inject(1)
-        beta = inject(1, braid_steps(provider, legs1, legs2),
-                      braid_steps(provider.inverse(), legs2, legs1))
-    else:
-        raise ValueError(f"unknown crossed product variant {variant!r}")
-    return alpha, beta
+    return tuple(inject(*steps) for steps in _injection_steps(variant, provider, legs1, legs2))
 
 
 def _generator_stack(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.ndarray:
@@ -320,31 +322,47 @@ def _generator_stack(conj: np.ndarray, pad: np.ndarray, pad_first: bool) -> np.n
 
 
 class CrossedProduct:
-    """The source side of a crossed product: the injected bases, as :attr:`images`
-    (inj1(a_i) over s1, inj2(b_j) over s2), the generators inj1(a_i) inj2(b_j),
-    their orthonormal span and their decompositions.
+    """The source side of a crossed product: the generators inj1(a_i) inj2(b_j),
+    their orthonormal span and their decompositions, and the injected bases as
+    :attr:`images` (inj1(a_i) over s1, inj2(b_j) over s2).
 
     One injection of every variant pads (1 (x) b, or a (x) 1 for "bt") and the
     other conjugates, so the generators are products T_k (1 (x) b_l), all from
-    one broadcast matmul.  The :attr:`span` and the :attr:`decompositions` are
-    built on first use, once for all the extensions that share them.
+    one broadcast matmul.  Everything is built on first use, once for all the
+    extensions that share it.  The :attr:`images` are kept only when a caller
+    asks for them; the generator stack then reuses their conjugated side, and
+    otherwise injects that side itself and drops it once stacked.
     """
 
     def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str):
-        alpha, beta = crossed_injections(variant, provider, s1.domain, s2.domain)
+        self._injections = crossed_injections(variant, provider, s1.domain, s2.domain)
         if not (s1.rank and s2.rank):
             raise DecompositionError("crossed product has no nonzero generators")
         self.s1, self.s2, self.provider, self.variant = s1, s2, provider, variant
         self.legs = s1.domain + s2.domain
         self.pad_first = variant == "bt"   # a (x) 1 pads and b is conjugated
-        self.images = (tuple(alpha(a) for a in s1.basis), tuple(beta(b) for b in s2.basis))
-        (self.conjugated, conj), (self.padded, _) = self.orient(*zip((s1, s2), self.images))
+        self.conjugated, self.padded = self.orient(s1, s2)
         self.pad = np.array([b.matrix for b in self.padded.basis])
-        self.gens = _generator_stack(np.array([x.matrix for x in conj]), self.pad, self.pad_first)
 
     def orient(self, first, second) -> tuple:
         """A pair given in factor order (s1 side, s2 side) as (conjugated, padded)."""
         return (second, first) if self.pad_first else (first, second)
+
+    @cached_property
+    def images(self) -> tuple[tuple[LegOperator, ...], tuple[LegOperator, ...]]:
+        """inj1(a_i) over s1 and inj2(b_j) over s2."""
+        return tuple(tuple(map(inject, s.basis))
+                     for inject, s in zip(self._injections, (self.s1, self.s2)))
+
+    @cached_property
+    def gens(self) -> np.ndarray:
+        """The generators as rows of vectorized operators, in (i, j) order."""
+        if "images" in self.__dict__:
+            conj = self.orient(*self.images)[0]
+        else:
+            inject = self.orient(*self._injections)[0]
+            conj = (inject(x) for x in self.conjugated.basis)
+        return _generator_stack(np.array([x.matrix for x in conj]), self.pad, self.pad_first)
 
     @cached_property
     def span(self) -> OperatorSpan:
@@ -353,17 +371,15 @@ class CrossedProduct:
     @cached_property
     def decompositions(self) -> list[tuple]:
         """The forward and the reverse selection over the generator rows, each
-        (v, q, r, rows): the selected generators as columns, their thin QR and
-        their row indices.  Only the reverse order copies the stack."""
+        (q, r, rows): the thin QR of the selected generators as columns, and
+        their row indices.  Neither copies the stack."""
         decompositions = []
         forward = np.arange(len(self.gens))
-        for order, v in ((forward, self.gens.T),
-                         (forward[::-1], np.ascontiguousarray(self.gens[::-1]).T)):
+        for order, v in ((forward, self.gens.T), (forward[::-1], self.gens[::-1].T)):
             keep, q, r = _independent_columns(v)
             if not keep.size:
                 raise DecompositionError("crossed product has no nonzero generators")
-            decompositions.append((v if keep.size == len(order) else v[:, keep], q, r,
-                                   order[keep]))
+            decompositions.append((q, r, order[keep]))
         return decompositions
 
     def decompose(self, x: LegOperator, tol: float) -> np.ndarray:
@@ -379,15 +395,14 @@ class CrossedProduct:
         rp, p, _ = self.pad.shape
         rc = self.conjugated.rank
         folds = []
-        for v, q, r, picked in self.decompositions:
-            coeffs = np.linalg.solve(r, q.conj().T @ vx)
-            residual = np.linalg.norm(v @ coeffs - vx)
+        for q, r, picked in self.decompositions:
+            # generator rows run over (k, l), or (l, k) pad first
+            c = np.zeros(rc * rp, dtype=complex)
+            c[picked] = np.linalg.solve(r, q.conj().T @ vx)
+            residual = np.linalg.norm(self.gens.T @ c - vx)
             if residual > tol * scale:
                 raise DecompositionError(
                     f"element lies outside the crossed product (residual {residual:.3e})")
-            # generator rows run over (k, l), or (l, k) pad first
-            c = np.zeros(rc * rp, dtype=complex)
-            c[picked] = coeffs
             c = c.reshape(rp, rc).T.copy() if self.pad_first else c.reshape(rc, rp)
             m = (c @ self.pad.reshape(rp, -1)).reshape(rc, p, p)   # folded pads m_k
             folds.append((m.transpose(0, 2, 1) if self.pad_first else m).reshape(rc * p, p))
@@ -480,73 +495,119 @@ def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: boo
 
 
 class CrossedProductExtension:
-    """Evaluates (f x g) on a crossed product by decompose-and-map.
+    """Evaluates (f x g) on a crossed product by decompose-and-map, a block of
+    target lines at a time.
 
     Each generator inj1(a_i) inj2(b_j) that :meth:`CrossedProduct.decompose`
     selects maps to inj1'(f(a_i)) inj2'(g(b_j)) on the target legs (f or g
-    None is the identity).  :meth:`apply` maps both decompositions and raises
-    :class:`DecompositionError` when they disagree, i.e. when the extension
-    is not well defined on the element.
+    None is the identity).  Both injections and f, g are linear, so the mapped
+    generators are never formed: an element with folded pads m_k maps to
+    sum_k T_k (1 (x) m_k), or sum_k (m_k (x) 1) T_k pad first, where T_k is
+    the injected k-th mapped conjugated factor.  No T_k is kept either, only
+    the steps of its injection: the block crossings, the mapped factor and the
+    back crossings, the crossings shared by every k.
 
-    Both injections and f, g are linear, so the mapped generators are never
-    formed: the mapped conjugated factors T_k sit side by side in one dense
-    block, and sum_k T_k (1 (x) m_k) over the folded pads of both
-    decompositions is one GEMM of the block with the stacked pads, run in row
-    blocks to bound the BLAS workspace.  A pad-side conjugation
-    m |-> V (1 (x) m) V* comes out of the sum: the block holds T_k (1 (x) V)
-    and the sum is multiplied by 1 (x) V* once, so the GEMM contracts over
-    the pad and not over its conjugated image.
+    :meth:`apply` builds the rows of every T_k that a block of target rows
+    needs (columns, pad first) by running those steps on identity columns,
+    and maps the forward and the reverse decomposition of every element by
+    one GEMM of them with the stacked folded pads.  A pad-side conjugation
+    m |-> V (1 (x) m) V* comes out of the sum: the GEMM runs on T_k (1 (x) V)
+    and its output is multiplied by 1 (x) V*, so it contracts over the pad
+    and not over its conjugated image.
     """
 
     def __init__(self, cp: CrossedProduct, f: Conjugation | None, g: Conjugation | None):
         t1 = f.target if f is not None else cp.s1.domain
         t2 = g.target if g is not None else cp.s2.domain
-        alpha2, beta2 = crossed_injections(cp.variant, cp.provider, t1, t2)
-        (conj_map, inject), (pad_map, _) = cp.orient((f, alpha2), (g, beta2))
+        (conj_map, (before, start, after)), (pad_map, _) = cp.orient(
+            *zip((f, g), _injection_steps(cp.variant, cp.provider, t1, t2)))
         self._pad_first = cp.pad_first
         self._v = (_pad_isometry(pad_map, cp.padded.domain, self._pad_first)
                    if pad_map is not None else None)
+        self._vh = self._v.conj().T if self._v is not None else None
+        self._p = cp.pad.shape[-1]
         self.target_domain = t1 + t2
         self._dim = total_dim(self.target_domain)
-        p = cp.pad.shape[-1]
-        image, width = self._v.shape if self._v is not None else (p, p)
-        rows = self._dim * (self._dim // image) * (width // p)
-        # column block k holds T_k (1 (x) V), reshaped so the pad is its last
-        # axis; pad first, the transpose of (V* (x) 1) T_k with the pad leading
-        self._target = np.empty((rows, cp.conjugated.rank * p), dtype=complex)
-        for k, x in enumerate(cp.conjugated.basis):
-            t = inject(conj_map.apply(x) if conj_map is not None else x).matrix
-            if self._pad_first:
-                if self._v is not None:
-                    t = self._v.conj().T @ t.reshape(image, -1)
-                self._target[:, k * p:(k + 1) * p] = t.reshape(p, rows).T
-            else:
-                if self._v is not None:
-                    t = t.reshape(-1, image) @ self._v
-                self._target[:, k * p:(k + 1) * p] = t.reshape(rows, p)
+        factors = [conj_map.apply(x) if conj_map is not None else x for x in cp.conjugated.basis]
+        # pad first, the columns of T_k come from its steps; pad last, its
+        # rows are the conjugated columns of T_k*, from the adjoint steps run
+        # backward
+        if not self._pad_first:
+            before, after = ([(adjoint(op), at) for op, at in reversed(steps)]
+                             for steps in (after, before))
+            factors = [adjoint(x) for x in factors]
+        # the factor index leads the rows as one more leg once the factors
+        # have acted, so the crossings after them run once for every k
+        self._steps = (before, np.concatenate([x.matrix for x in factors]), start,
+                       [(op, at + 1) for op, at in after])
+        self._factor_leg = Space("k", cp.conjugated.rank)
 
-    def _unfold(self, half: np.ndarray) -> np.ndarray:
-        """The mapped element, in a new array, from its (rows, pad) slice of the
-        GEMM output, with V put back."""
+    def line_bytes(self, count: int) -> int:
+        """Bytes that :meth:`apply` holds at once per target line, for ``count``
+        elements: every T_k's line twice, or every element's two values three
+        times."""
+        return 16 * self._dim * max(2 * self._factor_leg.dim, 6 * count)
+
+    def _factor_lines(self, lo: int, hi: int) -> np.ndarray:
+        """The GEMM block of the target lines lo:hi, shape (lines, rc * p): the
+        rows of every T_k (1 (x) V), or its columns with V* (x) 1 pad first,
+        split so that the pad is the last axis."""
+        before, factors, start, after = self._steps
+        rc, p, b = self._factor_leg.dim, self._p, hi - lo
+        x = np.zeros((self._dim, b), dtype=complex)
+        x[lo:hi] = np.eye(b)
+        x, legs = _run_steps(before, x, self.target_domain)
+        # every factor by one GEMM, its legs leading, then the factor index
+        # leading and its legs back in place
+        pre, fd = total_dim(legs[:start - 1]), factors.shape[-1]
+        x = factors @ x.reshape(pre, fd, -1).transpose(1, 0, 2).reshape(fd, -1)
+        x = x.reshape(rc, fd, pre, -1).transpose(0, 2, 1, 3)
+        x = _run_steps(after, x.reshape(-1, b), (self._factor_leg,) + legs)[0]
         if self._pad_first:
-            y = half.T.reshape(-1, self._dim)       # sum_k (m_k (x) 1) (V* (x) 1) T_k
-            if self._v is not None:
-                y = self._v @ y.reshape(self._v.shape[1], -1)
-        else:
-            y = half.reshape(self._dim, -1)         # sum_k T_k (1 (x) V) (1 (x) m_k)
-            y = y.copy() if self._v is None else y.reshape(-1, self._v.shape[1]) @ self._v.conj().T
-        return y.reshape(self._dim, self._dim)
+            if self._v is not None:                         # (V* (x) 1) T_k
+                x = np.matmul(self._vh, x.reshape(rc, self._vh.shape[1], -1))
+            x = x.reshape(rc, p, -1, b).transpose(2, 3, 0, 1)
+            return np.ascontiguousarray(x).reshape(-1, rc * p)
+        if self._v is None:
+            x = x.reshape(rc, -1, p, b).transpose(3, 1, 0, 2)
+        else:                                               # (1 (x) V*) T_k* = (T_k (1 (x) V))*
+            image = self._vh.shape[1]
+            x = x.reshape(rc, -1, image, b).transpose(2, 0, 1, 3)       # the image legs leading
+            rest = x.shape[2]
+            x = (self._vh @ x.reshape(image, -1)).reshape(-1, p, rc, rest, b)
+            x = x.transpose(4, 3, 0, 2, 1)
+        return np.conjugate(x, out=np.empty(x.shape, dtype=complex)).reshape(-1, rc * p)
 
-    def apply(self, folds: np.ndarray, tol: float = 1e-9) -> LegOperator:
-        """The image of the element whose :meth:`CrossedProduct.decompose` gave ``folds``."""
-        # one GEMM of the block with both decompositions' folded pads
-        out = np.empty((2, len(self._target), folds.shape[-1]), dtype=complex)
-        for i in range(0, out.shape[1], _GEMM_ROWS):
-            np.matmul(self._target[i:i + _GEMM_ROWS], folds, out=out[:, i:i + _GEMM_ROWS])
-        forward, reverse = self._unfold(out[0]), self._unfold(out[1])
-        reverse -= forward
-        dev = float(np.linalg.norm(reverse))
-        if dev > tol * max(np.linalg.norm(forward), 1.0):
-            raise DecompositionError(
-                f"extension value depends on the decomposition (deviation {dev:.3e})")
-        return LegOperator(LegSignature(self.target_domain, self.target_domain), forward)
+    def apply(self, folds: np.ndarray, lines: slice) -> np.ndarray:
+        """Both mapped values of every element, on the target rows ``lines``.
+
+        ``folds`` stacks :meth:`CrossedProduct.decompose` of each element,
+        shape (elements, 2, rc * p, p).  Returns a new array of shape
+        (elements, 2, rows, dim): the rows ``lines`` of each element's image
+        under its forward and under its reverse decomposition.  Pad first,
+        ``lines`` are target columns and the shape is (elements, 2, dim, columns).
+        """
+        lo, hi, _ = lines.indices(self._dim)
+        count, p, b = len(folds), self._p, hi - lo
+        pads = folds.transpose(2, 0, 1, 3).reshape(-1, count * 2 * p)
+        out = self._factor_lines(lo, hi) @ pads
+        if self._pad_first:
+            # the columns of (m_k (x) 1) (V* (x) 1) T_k, pad leading, then V (x) 1
+            y = np.ascontiguousarray(out.reshape(-1, b, count, 2, p).transpose(2, 3, 4, 0, 1))
+            if self._v is not None:
+                y = self._v @ y.reshape(count * 2, self._v.shape[1], -1)
+            return y.reshape(count, 2, self._dim, b)
+        # the rows of T_k (1 (x) V) (1 (x) m_k), then 1 (x) V* on the right
+        y = np.ascontiguousarray(out.reshape(b, -1, count, 2, p).transpose(2, 3, 0, 1, 4))
+        if self._v is not None:
+            y = y.reshape(-1, self._v.shape[1]) @ self._vh
+        return y.reshape(count, 2, b, self._dim)
+
+
+def extension_blocks(exts: Sequence[CrossedProductExtension], count: int) -> list[slice]:
+    """Consecutive ranges of target lines, for applying every extension to
+    ``count`` elements a block at a time within :data:`_BLOCK_BYTES` (one line
+    at least)."""
+    dim = exts[0]._dim
+    step = max(1, _BLOCK_BYTES // sum(ext.line_bytes(count) for ext in exts))
+    return [slice(lo, min(lo + step, dim)) for lo in range(0, dim, step)]

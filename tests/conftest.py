@@ -183,3 +183,77 @@ def loop_subset_residual(candidates, span):
             continue
         worst = max(worst, float(np.linalg.norm(v - b.T @ (b.conj() @ v))) / n)
     return worst
+
+
+class DenseCrossedProductExtension:
+    """The crossed-product extension with every mapped conjugated factor held
+    in one dense block, as spans.CrossedProductExtension was first written.
+
+    Column block k of the target holds T_k (1 (x) V), reshaped so that the pad
+    is its last axis; pad first, the transpose of (V* (x) 1) T_k with the pad
+    leading.  :meth:`apply` maps one element by one GEMM of the whole block
+    with both of its decompositions' folded pads.
+    """
+
+    def __init__(self, cp, f, g):
+        t1 = f.target if f is not None else cp.s1.domain
+        t2 = g.target if g is not None else cp.s2.domain
+        alpha2, beta2 = spans.crossed_injections(cp.variant, cp.provider, t1, t2)
+        (conj_map, inject), (pad_map, _) = cp.orient((f, alpha2), (g, beta2))
+        self._pad_first = cp.pad_first
+        self._v = (spans._pad_isometry(pad_map, cp.padded.domain, self._pad_first)
+                   if pad_map is not None else None)
+        self.target_domain = t1 + t2
+        self._dim = total_dim(self.target_domain)
+        p = cp.pad.shape[-1]
+        image, width = self._v.shape if self._v is not None else (p, p)
+        rows = self._dim * (self._dim // image) * (width // p)
+        self._target = np.empty((rows, cp.conjugated.rank * p), dtype=complex)
+        for k, x in enumerate(cp.conjugated.basis):
+            t = inject(conj_map.apply(x) if conj_map is not None else x).matrix
+            if self._pad_first:
+                if self._v is not None:
+                    t = self._v.conj().T @ t.reshape(image, -1)
+                self._target[:, k * p:(k + 1) * p] = t.reshape(p, rows).T
+            else:
+                if self._v is not None:
+                    t = t.reshape(-1, image) @ self._v
+                self._target[:, k * p:(k + 1) * p] = t.reshape(rows, p)
+
+    def _unfold(self, half):
+        if self._pad_first:
+            y = half.T.reshape(-1, self._dim)
+            if self._v is not None:
+                y = self._v @ y.reshape(self._v.shape[1], -1)
+        else:
+            y = half.reshape(self._dim, -1)
+            y = y.copy() if self._v is None else y.reshape(-1, self._v.shape[1]) @ self._v.conj().T
+        return y.reshape(self._dim, self._dim)
+
+    def values(self, folds):
+        """The element's image under its forward and its reverse decomposition."""
+        out = np.matmul(self._target, folds)
+        return self._unfold(out[0]), self._unfold(out[1])
+
+    def apply(self, folds, tol=1e-9):
+        forward, reverse = self.values(folds)
+        dev = float(np.linalg.norm(reverse - forward))
+        if dev > tol * max(np.linalg.norm(forward), 1.0):
+            raise spans.DecompositionError(
+                f"extension value depends on the decomposition (deviation {dev:.3e})")
+        return LegOperator(LegSignature(self.target_domain, self.target_domain), forward)
+
+
+def dense_coassociativity_residual(m, variant="op", tol=1e-9):
+    """coassociativity_residual element by element, on the dense extension."""
+    from braidmu import multunitary
+
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    exts = [DenseCrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
+    worst = 0.0
+    for a in alg.basis:
+        folds = cp.decompose(bm.comultiply(m, a, variant), tol)
+        left, right = (ext.apply(folds, tol) for ext in exts)
+        worst = max(worst, float(np.linalg.norm(left.matrix - right.matrix)))
+    return worst

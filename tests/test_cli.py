@@ -280,6 +280,21 @@ def test_search_rejects_a_negative_seed_as_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("context: L L\nW[1,2] == W[1,2]\ncontext: L L L\n",
+     "line 3, column 1: a second 'context:' header (the first is on line 1)"),
+    ("# data\ncontext: L Q\nW[1,2] == W[1,2]\n", "line 2, column 12: unknown space id 'Q'"),
+])
+def test_eval_header_errors_are_input_errors_at_their_line(tmp_path, capsys, text, message):
+    data = tmp_path / "yd.json"
+    run(["generate", "group-yd", "-o", str(data)])
+    stmt = tmp_path / "header.stmt"
+    stmt.write_text(text)
+    capsys.readouterr()
+    assert run(["eval", str(stmt), str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_eval_rejects_use_lines(tmp_path, capsys):
     data = tmp_path / "yd.json"
     run(["generate", "group-yd", "-o", str(data)])

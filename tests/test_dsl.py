@@ -183,6 +183,35 @@ def test_run_statements_requires_context(z2):
                               {"L": z2.space}, z2.braiding)
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("context: L L\nW[1,2] == W[1,2]\ncontext: L L L\n", 3, 1),
+    ("# two legs\n  context: L L  # first\n\n   context: L L\nW[1,2]\n", 4, 4),
+    ("context: L L\ncontext: L L\n", 2, 1),
+])
+def test_a_second_context_header_is_a_parse_error(z2, text, line, column):
+    # the second header would silently set the context of every statement,
+    # those above it included
+    with pytest.raises(dsl.ParseError, match="second 'context:' header") as exc:
+        dsl.parse_statement_file(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    with pytest.raises(dsl.ParseError):
+        bm.dsl.run_statements(text, {"W": z2.op}, {"L": z2.space}, z2.braiding)
+
+
+def test_the_header_records_its_line_and_columns():
+    header, statements = dsl.parse_statement_file("# c\n\n  context: L  Mx L # legs\nW[1,2]\n")
+    assert header == dsl.Header(("L", "Mx", "L"), 3, (12, 15, 18))
+    assert [s.line for s in statements] == [4]
+
+
+@pytest.mark.parametrize("context, column", [("X L", 10), ("L  X", 13), ("L L Y", 14)])
+def test_an_unknown_space_id_points_at_the_header(z2, context, column):
+    text = f"# header\ncontext: {context}\nW[1,2] == W[1,2]\n"
+    with pytest.raises(dsl.ParseError, match="unknown space id") as exc:
+        bm.dsl.run_statements(text, {"W": z2.op}, {"L": z2.space}, z2.braiding)
+    assert (exc.value.line, exc.value.column) == (2, column)
+
+
 def test_corpus_files_evaluate_against_builtins(super_module):
     import importlib.resources as resources
 
@@ -228,8 +257,8 @@ def test_corpus_statements_match_the_dense_oracle(kind):
     braiding, spaces, bindings = _category(kind)
     corpus = resources.files("braidmu") / "corpus"
     for name in ("corep", "goodness", "pentagon", "rep", "yd"):
-        ids, statements = dsl.parse_statement_file((corpus / f"{name}.stmt").read_text())
-        context = tuple(spaces[i] for i in ids)
+        header, statements = dsl.parse_statement_file((corpus / f"{name}.stmt").read_text())
+        context = tuple(spaces[i] for i in header.ids)
         for stmt in statements:
             for side in (stmt.lhs, stmt.rhs):
                 _assert_matches_the_dense_oracle(side, bindings, context, braiding)

@@ -1,15 +1,17 @@
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import braidmu as bm
-from braidmu import spans
+from braidmu import multunitary, spans
 from braidmu import LegOperator, LegSignature, Space
 from braidmu.multunitary import pentagon_defect
 
-from conftest import dense_pentagon_defect, random_unitary, routing_category
+from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, random_unitary,
+                      routing_category)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -210,6 +212,44 @@ def test_coassociativity_decomposes_each_element_once(group, variant, request, m
     alg = bm.right_slice_span(m) if variant == "op" else bm.left_slice_span(m)
     assert len(stacks) == 1 and len(qrs) == 2
     assert len(decomposed) == len(set(map(id, decomposed))) == alg.rank
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("n", [6, 7])
+def test_coassociativity_peak_is_below_one_dense_target_block(n, variant):
+    # the extensions stream over blocks of target lines: the whole check, its
+    # crossed product and decompositions included, peaks below the bytes of
+    # the block of mapped factors that one extension once held densely
+    m = bm.kac_takesaki(bm.cyclic(n))
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    block = DenseCrossedProductExtension(cp, conj, None)._target.nbytes
+    assert block == n ** 7 * 16
+    del cp
+    tracemalloc.start()
+    try:
+        bm.coassociativity_residual(m, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block
+
+
+@pytest.mark.parametrize("group", ["z3", "s3"])
+@pytest.mark.parametrize("variant", ["op", "right"])
+def test_coassociativity_never_injects_the_images(group, variant, request, monkeypatch):
+    # coassociativity stacks the conjugated side without keeping it and never
+    # injects the padded side; the Podles and multiplier checks ask for both
+    m = request.getfixturevalue(group)
+    made = []
+    real = spans.CrossedProduct.__init__
+    monkeypatch.setattr(spans.CrossedProduct, "__init__",
+                        lambda cp, *args: made.append(cp) or real(cp, *args))
+    assert bm.coassociativity_residual(m, variant) < 1e-10
+    assert len(made) == 1 and "images" not in vars(made[0])
+    assert "gens" in vars(made[0])
+    bm.podles_conditions(m, variant)
+    assert "images" in vars(made[1])
 
 
 @pytest.mark.parametrize("group", ["z3", "s3"])

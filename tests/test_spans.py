@@ -9,7 +9,8 @@ from braidmu import LegOperator, LegSignature, Space
 from braidmu.tensor import tensor, total_dim
 
 from braidmu import multunitary
-from conftest import (dense_braid_tensor, greedy_selection, loop_subset_residual,
+from conftest import (DenseCrossedProductExtension, dense_braid_tensor,
+                      dense_coassociativity_residual, greedy_selection, loop_subset_residual,
                       random_unitary)
 
 L2 = Space("L", 2)
@@ -208,12 +209,25 @@ def test_relative_multiplier_membership(z2):
     assert not spans.is_relative_multiplier(diag, rand, 1e-6)
 
 
+def _values(ext, folds):
+    """The forward and the reverse mapped value of one element, with its folded pads."""
+    forward, reverse = ext.apply(folds[None], slice(None))[0]
+    return forward, reverse
+
+
+def _forward(ext, folds):
+    """The mapped value of one element, once its two decompositions agree to 1e-9."""
+    forward, reverse = _values(ext, folds)
+    assert np.linalg.norm(reverse - forward) <= 1e-9 * max(np.linalg.norm(forward), 1.0)
+    return forward
+
+
 def test_extension_with_identity_conjugators_is_identity(z2):
     diag = spans.span_from_slices(z2.op, "right")
     cp = spans.CrossedProduct(diag, diag, bm.FlipBraiding(), "habt")
     x = cp.span.basis[1]
     ext = spans.CrossedProductExtension(cp, None, None)
-    np.testing.assert_allclose(ext.apply(cp.decompose(x, 1e-9)).matrix, x.matrix, atol=1e-10)
+    np.testing.assert_allclose(_forward(ext, cp.decompose(x, 1e-9)), x.matrix, atol=1e-10)
 
 
 def test_extension_rejects_elements_outside_the_span(z2):
@@ -226,18 +240,54 @@ def test_extension_rejects_elements_outside_the_span(z2):
         cp.decompose(leg_op(np.eye(2), [L2]), 1e-9)
 
 
-def test_extension_compares_its_two_decompositions(z2):
-    # relabel the reverse decomposition's generators, so that its mapped value
-    # differs from the forward one while both still reproduce the element
+def test_extension_maps_each_decomposition_on_its_own(z2):
+    # a reverse decomposition that disagrees with the forward one maps to its
+    # own value: the caller compares the two
     diag = spans.span_from_slices(z2.op, "right")
     cp = spans.CrossedProduct(diag, diag, bm.FlipBraiding(), "habt")
     ext = spans.CrossedProductExtension(cp, None, None)
     x = cp.span.basis[1]
-    np.testing.assert_allclose(ext.apply(cp.decompose(x, 1e-9)).matrix, x.matrix, atol=1e-10)
-    v, q, r, rows = cp.decompositions[1]
-    cp.decompositions[1] = (v, q, r, rows[::-1])
-    with pytest.raises(spans.DecompositionError, match="depends on the decomposition"):
-        ext.apply(cp.decompose(x, 1e-9))
+    folds = cp.decompose(x, 1e-9)
+    for value in _values(ext, folds):
+        np.testing.assert_allclose(value, x.matrix, atol=1e-10)
+    folds[1] += folds[0]
+    forward, reverse = _values(ext, folds)
+    np.testing.assert_allclose(forward, x.matrix, atol=1e-10)
+    np.testing.assert_allclose(reverse, 2 * x.matrix, atol=1e-10)
+
+
+def _disagreeing_decompositions(monkeypatch, outside_at=None):
+    """Every decomposition's reverse folded pads doubled, so that the two
+    decompositions map to different values, and with ``outside_at`` every
+    element from that index on refused as outside the crossed product."""
+    decompose = spans.CrossedProduct.decompose
+    seen = []
+
+    def disagreeing(cp, x, tol):
+        seen.append(x)
+        if outside_at is not None and len(seen) > outside_at:
+            raise spans.DecompositionError("element lies outside the crossed product (test)")
+        folds = decompose(cp, x, tol)
+        folds[1] += folds[0]
+        return folds
+
+    monkeypatch.setattr(spans.CrossedProduct, "decompose", disagreeing)
+    return seen
+
+
+@pytest.mark.parametrize("outside_at, message", [
+    (None, "depends on the decomposition"),
+    (1, "depends on the decomposition"),     # the first element already disagrees
+    (0, "outside the crossed product"),      # no element was mapped
+])
+def test_coassociativity_raises_where_the_elementwise_check_raises(z3, monkeypatch,
+                                                                   outside_at, message):
+    seen = _disagreeing_decompositions(monkeypatch, outside_at)
+    with pytest.raises(spans.DecompositionError, match=message):
+        dense_coassociativity_residual(z3, "op")
+    seen.clear()
+    with pytest.raises(spans.DecompositionError, match=message):
+        bm.coassociativity_residual(z3, "op")
 
 
 def test_cstar_closure_ladder(z2, z3):
@@ -376,7 +426,8 @@ def _mapped_product_extension(s1, s2, provider, variant, f, g, x):
 def _extend(s1, s2, provider, variant, f, g, x):
     """(f x g) of x on the crossed product of s1 and s2."""
     cp = spans.CrossedProduct(s1, s2, provider, variant)
-    return spans.CrossedProductExtension(cp, f, g).apply(cp.decompose(x, 1e-9))
+    ext = spans.CrossedProductExtension(cp, f, g)
+    return leg_op(_forward(ext, cp.decompose(x, 1e-9)), ext.target_domain)
 
 
 def _random_span(legs, count, seed):
@@ -386,11 +437,9 @@ def _random_span(legs, count, seed):
                           for _ in range(count)])
 
 
-@pytest.mark.parametrize("kind", ["flip", "phase3"])
-@pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])
-@pytest.mark.parametrize("f_on", [False, True])
-@pytest.mark.parametrize("g_on", [False, True])
-def test_extension_matches_the_mapped_product_oracle(kind, variant, f_on, g_on):
+def _oracle_configuration(kind, variant, f_on, g_on, count=1):
+    """Spans on legs A and B, the maps f and g, and ``count`` random elements of
+    their crossed product."""
     a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
     c, t = Space("C", 2, (0, 2)), Space("T", 4, (0, 1, 2, 0))
     provider = bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)
@@ -400,13 +449,126 @@ def test_extension_matches_the_mapped_product_oracle(kind, variant, f_on, g_on):
     g = spans.Conjugation(leg_op(random_unitary(6, 34), [b, c]), "right") if g_on else None
     alpha, beta = spans.crossed_injections(variant, provider, s1.domain, s2.domain)
     rng = np.random.default_rng(35)
-    x = sum(complex(*rng.normal(size=2)) * bm.compose(alpha(p), beta(q)).matrix
-            for p in s1.basis for q in s2.basis)
-    x = leg_op(x, [a, b])
+    elements = [leg_op(sum(complex(*rng.normal(size=2)) * bm.compose(alpha(p), beta(q)).matrix
+                           for p in s1.basis for q in s2.basis), [a, b])
+                for _ in range(count)]
+    return s1, s2, provider, f, g, elements, (a, b, c, t)
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase3"])
+@pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])
+@pytest.mark.parametrize("f_on", [False, True])
+@pytest.mark.parametrize("g_on", [False, True])
+def test_extension_matches_the_mapped_product_oracle(kind, variant, f_on, g_on):
+    s1, s2, provider, f, g, (x,), (a, b, c, t) = _oracle_configuration(kind, variant, f_on,
+                                                                         g_on)
     value = _extend(s1, s2, provider, variant, f, g, x)
     expected = _mapped_product_extension(s1, s2, provider, variant, f, g, x)
     assert value.domain == value.codomain == (t if f_on else a,) + ((b, c) if g_on else (b,))
     np.testing.assert_allclose(value.matrix, expected, rtol=0, atol=1e-12)
+
+
+# target lines per block: one, a prime count that splits the target mid-matrix,
+# and more than the whole target
+BLOCKS = {"one-line": 1, "seven-lines": 7, "whole": 10 ** 6}
+
+
+def _streamed(ext, cp, folds, lines):
+    """apply over consecutive blocks of target lines, joined: (elements, 2, dim, dim)."""
+    dim = total_dim(ext.target_domain)
+    blocks = [ext.apply(folds, slice(lo, lo + lines)) for lo in range(0, dim, lines)]
+    return np.concatenate(blocks, axis=3 if cp.pad_first else 2)
+
+
+def _assert_streams_like_the_dense_block(cp, f, g, elements, lines):
+    folds = np.stack([cp.decompose(x, 1e-9) for x in elements])
+    dense = DenseCrossedProductExtension(cp, f, g)
+    got = _streamed(spans.CrossedProductExtension(cp, f, g), cp, folds, lines)
+    assert got.shape[:2] == (len(elements), 2)
+    for value, fold in zip(got, folds):
+        for half, expected in zip(value, dense.values(fold)):
+            np.testing.assert_allclose(half, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", ["flip", "phase3"])
+@pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])
+@pytest.mark.parametrize("maps", ["f", "g", "fg", "none"])
+def test_streamed_extension_matches_the_dense_block(kind, variant, maps, block):
+    s1, s2, provider, f, g, elements, _ = _oracle_configuration(kind, variant, "f" in maps,
+                                                                "g" in maps, count=3)
+    cp = spans.CrossedProduct(s1, s2, provider, variant)
+    _assert_streams_like_the_dense_block(cp, f, g, elements, BLOCKS[block])
+
+
+def _group_unitary(name):
+    return bm.kac_takesaki(bm.symmetric(3) if name == "s3" else bm.cyclic(int(name[1:])))
+
+
+GROUPS = ["z2", "z3", "z4", "z5", "z6", "s3"]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("group", GROUPS)
+def test_streamed_extension_matches_the_dense_block_on_kac_takesaki(group, variant, block):
+    # both extensions of the coassociativity check, on every comultiplied basis element
+    m = _group_unitary(group)
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    elements = [bm.comultiply(m, a, variant) for a in alg.basis]
+    for f, g in ((conj, None), (None, conj)):
+        _assert_streams_like_the_dense_block(cp, f, g, elements, BLOCKS[block])
+
+
+def _budget_lines(monkeypatch, lines):
+    """A byte budget of ``lines`` target lines per block; returns the block
+    lengths that coassociativity_residual walks."""
+    lengths = []
+    real = spans.extension_blocks
+
+    def blocks(exts, count):
+        per_line = sum(ext.line_bytes(count) for ext in exts)
+        monkeypatch.setattr(spans, "_BLOCK_BYTES", lines * per_line if lines > 1 else 1)
+        walked = real(exts, count)
+        lengths.append([s.stop - s.start for s in walked])
+        return walked
+
+    monkeypatch.setattr(spans, "extension_blocks", blocks)
+    return lengths
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("group", GROUPS)
+def test_coassociativity_streams_like_the_dense_extension(group, variant, block, monkeypatch):
+    m = _group_unitary(group)
+    expected = dense_coassociativity_residual(m, variant)
+    lengths = _budget_lines(monkeypatch, BLOCKS[block])
+    got = bm.coassociativity_residual(m, variant)
+    assert abs(got - expected) < 1e-13
+    (walked,) = lengths
+    assert sum(walked) == m.space.dim ** 3
+    assert set(walked[:-1]) <= {BLOCKS[block]} and walked[-1] <= BLOCKS[block]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_coassociativity_streams_like_the_dense_extension_off_the_theorem(z2, block,
+                                                                         monkeypatch):
+    # a random unitary has full spans and a large residual; the structured
+    # corruption's elements leave the crossed product
+    l = z2.space
+    rand = bm.MultUnitary(l, leg_op(random_unitary(4, 9), [l, l]), bm.FlipBraiding())
+    _budget_lines(monkeypatch, BLOCKS[block])
+    for variant in ("op", "right"):
+        expected = dense_coassociativity_residual(rand, variant)
+        assert expected > 1e-3
+        assert abs(bm.coassociativity_residual(rand, variant) - expected) <= 1e-12 * expected
+    corrupt = bm.MultUnitary(l, leg_op(z2.matrix @ np.kron(random_unitary(2, 77), np.eye(2)),
+                                       [l, l]), bm.FlipBraiding())
+    for run in (dense_coassociativity_residual, bm.coassociativity_residual):
+        with pytest.raises(spans.DecompositionError):
+            run(corrupt, "op")
 
 
 def _complex_normal(rng, *shape):
@@ -555,7 +717,7 @@ def test_extension_matches_the_oracle_on_the_certified_configuration(z3, variant
         for a in alg.basis:
             d = bm.comultiply(z3, a, variant)
             expected = _mapped_product_extension(alg, alg, z3.braiding, cp_variant, f, g, d)
-            np.testing.assert_allclose(ext.apply(cp.decompose(d, 1e-9)).matrix, expected,
+            np.testing.assert_allclose(_forward(ext, cp.decompose(d, 1e-9)), expected,
                                        rtol=0, atol=1e-12)
 
 
