@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .tensor import (Crossing, LegError, LegOperator, LegSignature, Space, Step, crossing,
-                     identity, leg_product, tensor_space)
+                     distance, identity, leg_product, tensor_space)
 from . import spans
 
 __all__ = [
@@ -197,17 +197,17 @@ def check_hexagons(provider: BraidingProvider, spaces: Sequence[Space]) -> dict:
 
 
 def check_naturality(provider: BraidingProvider, morphisms: Sequence[LegOperator]) -> dict:
-    """Max residual of c (f (x) g) = (g (x) f) c over all pairs from the list."""
+    """Max residual of c (f (x) g) = (g (x) f) c over all pairs from the list,
+    each the :func:`~braidmu.tensor.distance` of the two words."""
     if any(len(f.domain) != 1 or len(f.codomain) != 1 for f in morphisms):
         raise ValueError("naturality check expects single-leg morphisms")
     worst = 0.0
     for f in morphisms:
         for g in morphisms:
             legs = f.domain + g.domain
-            lhs = leg_product([(f, 1), (g, 2),
-                               (provider.braid(f.codomain[0], g.codomain[0]), 1)], legs)
-            rhs = leg_product([(provider.braid(*legs), 1), (g, 1), (f, 2)], legs)
-            worst = max(worst, float(np.linalg.norm(lhs.matrix - rhs.matrix)))
+            lhs = [(f, 1), (g, 2), (provider.braid(f.codomain[0], g.codomain[0]), 1)]
+            rhs = [(provider.braid(*legs), 1), (g, 1), (f, 2)]
+            worst = max(worst, distance(lhs, rhs, legs))
     return {"max_residual": worst, "pairs": len(morphisms) ** 2}
 
 

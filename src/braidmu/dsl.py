@@ -15,7 +15,9 @@ non-adjacent legs are routed with the annotated route (default "over").
 An expression compiles to the steps of :func:`braidmu.tensor.leg_product`:
 each atom is one step on its legs, or the three steps of a routed atom, and
 "^*" reverses the steps of its operand and takes the adjoint of each.  The
-steps act on one running matrix, so no padded factor is ever multiplied.
+steps act on one running matrix, so no padded factor is ever multiplied; a
+statement's residual streams both sides' steps over column blocks
+(:func:`braidmu.tensor.distance`), so neither side is formed whole.
 
 Statement files are UTF-8 with one statement per line, "#" comments, and
 exactly one header line "context: <space-id> ...", which sets the leg context
@@ -28,9 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .tensor import (LegError, LegOperator, Space, Step, adjoint, leg_product,
+from .tensor import (LegError, LegOperator, Space, Step, adjoint, distance, leg_product,
                      legs_after, route_steps)
 
 __all__ = [
@@ -337,7 +337,13 @@ def parse_statement_file(text: str) -> tuple[Header, list[Statement]]:
 def run_statements(text: str, bindings: dict[str, LegOperator],
                    spaces: dict[str, Space], braiding=None,
                    tol: float = 1e-9) -> list[StatementResult]:
-    """Evaluate every '==' statement; bare expressions only check evaluability."""
+    """Evaluate every '==' statement; bare expressions only check evaluability.
+
+    Both sides compile to steps, and their legs are compared, before any
+    product is formed.  The residual is the :func:`~braidmu.tensor.distance`
+    of the two step lists, streamed over column blocks; a bare expression is
+    compiled and checked by its steps alone, with no product at all.
+    """
     header, statements = parse_statement_file(text)
     for sid, column in zip(header.ids, header.columns):
         if sid not in spaces:
@@ -345,15 +351,15 @@ def run_statements(text: str, bindings: dict[str, LegOperator],
     context = tuple(spaces[sid] for sid in header.ids)
     results = []
     for stmt in statements:
-        lhs = evaluate(stmt.lhs, bindings, context, braiding)
+        lhs, lhs_legs = _steps(stmt.lhs, bindings, context, braiding)
         if stmt.rhs is None:
             results.append(StatementResult(stmt, None, True))
             continue
-        rhs = evaluate(stmt.rhs, bindings, context, braiding)
-        if lhs.codomain != rhs.codomain:
+        rhs, rhs_legs = _steps(stmt.rhs, bindings, context, braiding)
+        if lhs_legs != rhs_legs:
             raise LegError(
                 f"line {stmt.line}: the two sides of '==' end on different legs, "
-                f"{[s.id for s in lhs.codomain]} and {[s.id for s in rhs.codomain]}")
-        residual = float(np.linalg.norm(lhs.matrix - rhs.matrix))
+                f"{[s.id for s in lhs_legs]} and {[s.id for s in rhs_legs]}")
+        residual = distance(lhs, rhs, context)
         results.append(StatementResult(stmt, residual, residual < tol))
     return results

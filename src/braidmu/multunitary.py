@@ -14,7 +14,7 @@ from . import spans
 from .spans import (Conjugation, CrossedProduct, CrossedProductExtension, OperatorSpan,
                     equals, is_relative_multiplier, kernel_of_linear_map, span_from_slices)
 from .tensor import (LegError, LegOperator, LegSignature, Space, _unitarity_residual,
-                     Step, Tape, adjoint, apply_distant, compose, leg_product, record)
+                     Step, Tape, adjoint, compose, distance, leg_product, record, route_steps)
 
 __all__ = [
     "MultUnitary", "RegularityReport", "Certificate",
@@ -59,7 +59,8 @@ def pentagon_words(f: LegOperator, c: LegOperator, cinv: LegOperator
 
     Returns the three legs L (x) L (x) L and the left and right words as
     :func:`~braidmu.tensor.record` steps, the rightmost factor first.
-    :func:`pentagon_defect` multiplies them out and the solver pulls its
+    :func:`pentagon_residual` streams their distance;
+    :func:`pentagon_defect` multiplies them out, and the solver pulls its
     gradient back through the same products.
     """
     legs = f.domain + f.domain[1:]
@@ -87,9 +88,14 @@ def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator,
 
 
 def pentagon_residual(m: MultUnitary) -> float:
-    """Hilbert-Schmidt norm of F23 F12 - F12 c12 F23 cinv12 F23 on three legs."""
+    """Hilbert-Schmidt norm of F23 F12 - F12 c12 F23 cinv12 F23 on three legs.
+
+    The :func:`~braidmu.tensor.distance` of the two :func:`pentagon_words`,
+    streamed over column blocks: no n^3 x n^3 product or defect is formed.
+    """
     c = m.braiding.braid(m.space, m.space)
-    return float(np.linalg.norm(pentagon_defect(m.op, c, _cinv(m))))
+    legs, lhs, rhs = pentagon_words(m.op, c, _cinv(m))
+    return distance(lhs, rhs, legs)
 
 
 def right_slice_span(m: MultUnitary) -> OperatorSpan:
@@ -372,9 +378,9 @@ def routing_agreement(m: MultUnitary) -> float:
     separate the two senses even on morphisms.
     """
     ctx = (m.space,) * 3
-    over = apply_distant(m.op, ctx, (1, 3), "over", m.braiding)
-    under = apply_distant(m.op, ctx, (1, 3), "under", m.braiding)
-    return float(np.linalg.norm(over.matrix - under.matrix))
+    over, under = (route_steps(m.op, ctx, (1, 3), route, m.braiding)
+                   for route in ("over", "under"))
+    return distance(over, under, ctx)
 
 
 def full_certificate(m: MultUnitary, tol: float = DEFAULT_TOL) -> Certificate:

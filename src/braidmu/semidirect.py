@@ -9,8 +9,8 @@ import numpy as np
 from . import spans
 from .multunitary import MultUnitary, classify_regularity, pentagon_residual, regularity_span
 from .spans import equals, projector_distance, span_of
-from .tensor import (LegOperator, LegSignature, Vector, adjoint, leg_product,
-                     route_steps, tensor_space)
+from .tensor import (LegOperator, LegSignature, Space, Step, Vector, adjoint, distance,
+                     leg_product, route_steps, tensor_space)
 from .yd import YDModule
 
 __all__ = [
@@ -65,14 +65,14 @@ def fixed_vector_identity_residual(mu: MultUnitary, e: Vector) -> float:
 
 
 def _construction(w_mu: MultUnitary, module: YDModule, f_mu: MultUnitary,
-                  w_route: str, f_route: str) -> LegOperator:
-    """W13 U23 V*34 F24 V34 on legs (K, L, K, L), W and F routed as given."""
+                  w_route: str, f_route: str) -> tuple[tuple[Space, ...], list[Step]]:
+    """The legs (K, L, K, L) and the steps of W13 U23 V*34 F24 V34 on them, W and
+    F routed as given."""
     ctx = (w_mu.space, module.space, w_mu.space, module.space)
     amb = w_mu.braiding
     f24 = route_steps(f_mu.op, ctx, (2, 4), f_route, amb)
     w13 = route_steps(w_mu.op, ctx, (1, 3), w_route, amb)
-    return leg_product([(module.rep, 3), *f24, (adjoint(module.rep), 3),
-                        (module.corep, 2), *w13], ctx)
+    return ctx, [(module.rep, 3), *f24, (adjoint(module.rep), 3), (module.corep, 2), *w13]
 
 
 def semidirect_product(w_mu: MultUnitary, module: YDModule,
@@ -88,7 +88,8 @@ def semidirect_product(w_mu: MultUnitary, module: YDModule,
     if f_mu.space != module.space:
         raise ValueError("F must live on the module space")
     kl = tensor_space(w_mu.space, module.space)
-    op = _construction(w_mu, module, f_mu, "over", "under").with_legs((kl, kl), (kl, kl))
+    ctx, steps = _construction(w_mu, module, f_mu, "over", "under")
+    op = leg_product(steps, ctx).with_legs((kl, kl), (kl, kl))
     out = MultUnitary(kl, op, w_mu.braiding)
     res = pentagon_residual(out)
     if res > PENTAGON_GATE:
@@ -104,9 +105,9 @@ def routing_agreement_residual(w_mu: MultUnitary, module: YDModule,
     W, U, V and F are category morphisms, so swapping over and under at both
     braided sites must not change the matrix.
     """
-    default = _construction(w_mu, module, f_mu, "over", "under")
-    swapped = _construction(w_mu, module, f_mu, "under", "over")
-    return float(np.linalg.norm(default.matrix - swapped.matrix))
+    ctx, default = _construction(w_mu, module, f_mu, "over", "under")
+    _, swapped = _construction(w_mu, module, f_mu, "under", "over")
+    return distance(default, swapped, ctx)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import (LegError, LegOperator, LegSignature, Space, _run_steps, adjoint, compose,
-                     leg_product, total_dim)
+from .tensor import (_BLOCK_BYTES, LegError, LegOperator, LegSignature, Space, _run_steps,
+                     adjoint, compose, leg_product, total_dim)
 
 __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
@@ -33,12 +33,6 @@ __all__ = [
 ]
 
 RANK_CUTOFF = 1e-9
-# bytes of one block of target lines of the crossed-product extensions.  At
-# KT Z8 a block of the coassociativity check holds four target rows, and the
-# check peaks at 19 MB (tracemalloc), in its crossed product and
-# decompositions; at KT Z6 it stays below the 4.5 MB of one dense block of
-# mapped factors, where a 4 MiB budget would not
-_BLOCK_BYTES = 3 << 20
 
 
 class DecompositionError(ValueError):
@@ -165,7 +159,8 @@ def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
     """Spectral distance between the orthogonal projectors onto the two spans.
 
     Computed as the largest sine of a principal angle; 1.0 whenever the ranks
-    differ.
+    differ.  For equal ranks ||(1 - P2) P1|| = ||(1 - P1) P2||, so one
+    residual stack and one SVD give it.
     """
     if (s1.domain, s1.codomain) != (s2.domain, s2.codomain):
         raise LegError("projector_distance: signature mismatch")
@@ -175,10 +170,7 @@ def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
         return 0.0
     b1, b2 = s1.stack(), s2.stack()
     r12 = b1 - (b1 @ b2.conj().T) @ b2
-    r21 = b2 - (b2 @ b1.conj().T) @ b1
-    n12 = np.linalg.svd(_tall(r12), compute_uv=False)[0] if r12.size else 0.0
-    n21 = np.linalg.svd(_tall(r21), compute_uv=False)[0] if r21.size else 0.0
-    return float(max(n12, n21))
+    return float(np.linalg.svd(_tall(r12), compute_uv=False)[0])
 
 
 def equals(s1: OperatorSpan, s2: OperatorSpan, tol: float = 1e-9) -> bool:
@@ -398,7 +390,8 @@ class CrossedProduct:
         for q, r, picked in self.decompositions:
             # generator rows run over (k, l), or (l, k) pad first
             c = np.zeros(rc * rp, dtype=complex)
-            c[picked] = np.linalg.solve(r, q.conj().T @ vx)
+            # q* vx as the conjugate of q^T conj(vx): conjugates a vector, not q
+            c[picked] = np.linalg.solve(r, (q.T @ vx.conj()).conj())
             residual = np.linalg.norm(self.gens.T @ c - vx)
             if residual > tol * scale:
                 raise DecompositionError(

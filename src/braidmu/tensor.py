@@ -16,7 +16,12 @@ one way a factor is padded and multiplied, for the DSL, the block crossings
 of :func:`braidmu.braiding.braid_steps`, crossed-product injections,
 conjugations, comultiplications and the Pentagon alike.  A factor on
 distant legs is the steps of :func:`route_steps`: the move crossings, the
-factor, the back crossings.  :func:`pullback` runs a recorded :class:`Tape`
+factor, the back crossings.  A residual of two step lists, such as a DSL
+statement, the Pentagon, the routing agreement or a Yetter-Drinfeld
+identity, is their :func:`distance`: both words run over blocks of domain
+columns within the one byte budget :data:`_BLOCK_BYTES`, so memory is
+O(n^3 b) on three legs of dimension n, not the n^6 of a product.
+:func:`pullback` runs a recorded :class:`Tape`
 in reverse mode: it takes a cotangent of the product back to each step's
 factor, through the prefix products the forward pass kept and the adjoint
 steps applied the same way.  :func:`embed_adjacent` and :func:`compose` give
@@ -34,9 +39,18 @@ __all__ = [
     "LegError", "Space", "LegSignature", "LegOperator", "Crossing", "crossing", "Vector",
     "Step", "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
     "embed_adjacent", "apply_on_legs", "legs_after", "Tape", "record", "leg_product",
-    "pullback", "route_steps",
+    "pullback", "distance", "route_steps",
     "apply_distant", "extract_distant", "is_unitary",
 ]
+
+
+# bytes of one block of a streamed product: the domain columns of both words
+# in :func:`distance`, and the target lines of the crossed-product extensions
+# in :mod:`braidmu.spans`.  At KT Z8 a block of the coassociativity check holds
+# four target rows, and the check peaks at 19 MB (tracemalloc), in its crossed
+# product and decompositions; at KT Z6 it stays below the 4.5 MB of one dense
+# block of mapped factors, where a 4 MiB budget would not
+_BLOCK_BYTES = 3 << 20
 
 
 class LegError(ValueError):
@@ -275,6 +289,19 @@ def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegO
     return LegOperator(sig, m)
 
 
+def _padded_columns(x: LegOperator, context: tuple[Space, ...], start: int, lo: int,
+                    hi: int) -> np.ndarray:
+    """Columns ``lo:hi`` of :func:`embed_adjacent`'s padded matrix, written into
+    zeros: column (i, s, j), with s an index of x's domain, holds column s of
+    x in the rows (i, :, j)."""
+    pre, post = _placed(x, context, start)
+    (a, b), p, q = x.matrix.shape, total_dim(pre), total_dim(post)
+    out = np.zeros((p, a, q, hi - lo), dtype=complex)
+    i, s, j = np.unravel_index(np.arange(lo, hi), (p, b, q))
+    out[i, :, j, np.arange(hi - lo)] = x.matrix[:, s].T
+    return out.reshape(p * a * q, hi - lo)
+
+
 def legs_after(op: LegOperator, context: Sequence[Space], start: int) -> tuple[Space, ...]:
     """The context once op has acted on its legs ``start ..`` (1-based)."""
     pre, post = _placed(op, tuple(context), start)
@@ -365,6 +392,55 @@ def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
     """The product of the steps on the context, by :func:`record`, as an operator."""
     tape = record(steps, context, keep=False)
     return LegOperator(LegSignature(tape.legs[0], tape.legs[-1]), tape.product)
+
+
+def _word_legs(steps: Sequence[Step], context: tuple[Space, ...]) -> list[tuple[Space, ...]]:
+    """The legs the rows carry before each step, and those of the product last."""
+    legs = [context]
+    for op, start in steps:
+        legs.append(legs_after(op, legs[-1], start))
+    return legs
+
+
+def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space]) -> float:
+    """Hilbert-Schmidt norm of the difference of two step products on the same context.
+
+    Neither product is formed whole.  Both run over consecutive blocks of
+    domain columns, as many as fit in :data:`_BLOCK_BYTES` (one at least):
+    a block starts as the first step's padded columns, written into zeros,
+    and the later steps act on it by :func:`apply_on_legs`.  The squared
+    norms of the blocks' differences add up, so memory is one block per
+    side, not a product.
+    """
+    context = tuple(context)
+    words = [(tuple(steps), _word_legs(steps, context)) for steps in (lhs, rhs)]
+    (_, left_legs), (_, right_legs) = words
+    if left_legs[-1] != right_legs[-1]:
+        raise LegError(
+            f"the two products end on different legs, {[s.id for s in left_legs[-1]]} "
+            f"and {[s.id for s in right_legs[-1]]}")
+    rows = max(total_dim(legs) for _, word_legs in words for legs in word_legs)
+    cols = total_dim(context)
+    width = max(1, _BLOCK_BYTES // (16 * rows))
+    squares = 0.0
+    for lo in range(0, cols, width):
+        hi = min(lo + width, cols)
+        # the right block is run once the last block's difference is gone
+        diff = _run_block(*words[0], lo, hi)
+        diff -= _run_block(*words[1], lo, hi)
+        squares += np.vdot(diff, diff).real
+    return float(np.sqrt(squares))
+
+
+def _run_block(steps: tuple[Step, ...], legs: list[tuple[Space, ...]], lo: int, hi: int
+               ) -> np.ndarray:
+    """Columns ``lo:hi`` of the product of the steps, ``legs`` as :func:`_word_legs`
+    gives them."""
+    (op, start), *rest = steps
+    x = _padded_columns(op, legs[0], start, lo, hi)
+    for j, (op, start) in enumerate(rest, start=1):
+        x = apply_on_legs(op, x, legs[j], start)
+    return x
 
 
 def pullback(tape: Tape, cotangent: np.ndarray, factor: LegOperator | None = None

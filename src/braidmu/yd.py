@@ -3,7 +3,9 @@ derived braiding on the module category.
 
 Diagram transcriptions follow one fixed routing convention (documented at
 each residual); the trivial and finite-group instances pin them down in the
-test suite.
+test suite.  Each residual is the :func:`braidmu.tensor.distance` of its two
+words on three legs, streamed over column blocks, so no side is formed as an
+n^3 x n^3 matrix.
 """
 
 from __future__ import annotations
@@ -11,12 +13,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .braiding import BraidingRegularityReport, ExplicitBraiding, braiding_regularity
 from .multunitary import MultUnitary, commutant_dimension
 from .spans import OperatorSpan, span_from_slices
-from .tensor import (LegOperator, Space, Step, adjoint, compose, extract_distant,
+from .tensor import (LegOperator, Space, adjoint, compose, distance, extract_distant,
                      is_unitary, leg_product, route_steps, tensor_space)
 
 __all__ = [
@@ -57,37 +57,38 @@ class YDModule:
         return Rep(self.space, self.rep)
 
 
-def _distance(lhs: list[Step], rhs: list[Step], ctx: tuple[Space, ...]) -> float:
-    """Hilbert-Schmidt distance of two leg products on the same context."""
-    return float(np.linalg.norm(leg_product(lhs, ctx).matrix - leg_product(rhs, ctx).matrix))
-
-
 def corep_residual(corep: Corep, mu: MultUnitary) -> float:
-    """|| F23 U12 - U12 U13 F23 || on H (x) L (x) L, the over route on U13."""
+    """|| F23 U12 - U12 U13 F23 || on H (x) L (x) L, the over route on U13.
+
+    The :func:`~braidmu.tensor.distance` of the two words: neither side is
+    multiplied out whole.
+    """
     h, l = corep.space, mu.space
     ctx = (h, l, l)
     u13 = route_steps(corep.op, ctx, (1, 3), "over", mu.braiding)
-    return _distance([(corep.op, 1), (mu.op, 2)],
-                     [(mu.op, 2), *u13, (corep.op, 1)], ctx)
+    return distance([(corep.op, 1), (mu.op, 2)],
+                    [(mu.op, 2), *u13, (corep.op, 1)], ctx)
 
 
 def rep_residual(rep: Rep, mu: MultUnitary) -> float:
-    """|| V23 F12 - F12 V13 V23 || on L (x) L (x) H, the over route on V13."""
+    """|| V23 F12 - F12 V13 V23 || on L (x) L (x) H, the over route on V13,
+    streamed as :func:`corep_residual` is."""
     h, l = rep.space, mu.space
     ctx = (l, l, h)
     v13 = route_steps(rep.op, ctx, (1, 3), "over", mu.braiding)
-    return _distance([(mu.op, 1), (rep.op, 2)],
-                     [(rep.op, 2), *v13, (mu.op, 1)], ctx)
+    return distance([(mu.op, 1), (rep.op, 2)],
+                    [(rep.op, 2), *v13, (mu.op, 1)], ctx)
 
 
 def yd_residual(module: YDModule, mu: MultUnitary) -> float:
-    """|| V12 F13-over U23 - U23 F13-under V12 || on L (x) H (x) L."""
+    """|| V12 F13-over U23 - U23 F13-under V12 || on L (x) H (x) L, streamed
+    as :func:`corep_residual` is."""
     h, l = module.space, mu.space
     ctx = (l, h, l)
     f_over = route_steps(mu.op, ctx, (1, 3), "over", mu.braiding)
     f_under = route_steps(mu.op, ctx, (1, 3), "under", mu.braiding)
-    return _distance([(module.corep, 2), *f_over, (module.rep, 1)],
-                     [(module.rep, 1), *f_under, (module.corep, 2)], ctx)
+    return distance([(module.corep, 2), *f_over, (module.rep, 1)],
+                    [(module.rep, 1), *f_under, (module.corep, 2)], ctx)
 
 
 def _regroup_first_two(op: LegOperator, h12: Space) -> LegOperator:

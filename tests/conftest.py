@@ -65,6 +65,13 @@ def dense_pentagon_defect(f, c, cinv):
     return f23 @ f12 - f12 @ np.kron(c, eye) @ f23 @ np.kron(cinv, eye) @ f23
 
 
+def dense_distance(lhs, rhs, context):
+    """tensor.distance the dense way: both step products formed whole by
+    leg_product, then the Hilbert-Schmidt norm of their difference."""
+    return float(np.linalg.norm(bm.tensor.leg_product(lhs, context).matrix
+                                - bm.tensor.leg_product(rhs, context).matrix))
+
+
 def routed_oracle(x, context, positions, route, braiding):
     """apply_distant one crossing at a time: leg i slides right past each
     intermediate leg, x acts, then its first codomain leg slides back left,

@@ -230,6 +230,32 @@ def test_corpus_files_evaluate_against_builtins(super_module):
     assert checked == 5
 
 
+def test_corpus_statements_peak_below_one_dense_three_leg_matrix():
+    # both sides of a statement stream over column blocks: on the Z10 module
+    # each corpus file peaks below the 16 MB of one n^3 x n^3 matrix, where
+    # each side and their difference were once such a matrix
+    import importlib.resources as resources
+    import tracemalloc
+
+    n = 10
+    omega = np.exp(2j * np.pi / n)
+    mod, mu = bm.group_yd_module(bm.cyclic(n), list(range(n)),
+                                 [np.diag(omega ** (g * np.arange(n))) for g in range(n)])
+    spaces = {"L": mu.space, "H": mod.space}
+    bindings = {"W": mu.op, "U": mod.corep, "V": mod.rep, "a": bm.identity((mu.space,))}
+    corpus = resources.files("braidmu") / "corpus"
+    for name in ("corep", "goodness", "pentagon", "rep", "yd"):
+        text = (corpus / f"{name}.stmt").read_text()
+        tracemalloc.start()
+        try:
+            results = dsl.run_statements(text, bindings, spaces, mu.braiding)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results and all(res.passed for res in results), name
+        assert peak < n ** 6 * 16, (name, peak)
+
+
 CATEGORIES = ["flip", "phase3", "yd"]
 
 

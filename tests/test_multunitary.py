@@ -11,7 +11,7 @@ from braidmu import LegOperator, LegSignature, Space
 from braidmu.multunitary import pentagon_defect
 
 from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, random_unitary,
-                      routing_category)
+                      routed_oracle, routing_category)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -449,6 +449,36 @@ def test_pentagon_defect_matches_the_dense_oracle(name):
         want = dense_pentagon_defect(m.op.matrix, c.matrix, cinv.matrix)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert bm.pentagon_residual(m) == pytest.approx(float(np.linalg.norm(want)), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["phase3", "yd"])
+def test_routing_agreement_matches_the_dense_oracle(kind):
+    # a random F is no morphism of a braided category, so its two routes
+    # across the middle leg differ, by the norm of the two routed matrices
+    braiding, l, _ = routing_category(kind)
+    m = bm.MultUnitary(l, leg_op(random_unitary(l.dim ** 2, 81), [l, l]), braiding)
+    ctx = (l,) * 3
+    over, under = (routed_oracle(m.op, ctx, (1, 3), route, braiding)[0]
+                   for route in ("over", "under"))
+    want = float(np.linalg.norm(over - under))
+    assert want > 0.1
+    assert abs(multunitary.routing_agreement(m) - want) <= 1e-13 * want
+
+
+def test_pentagon_residual_peaks_below_one_dense_three_leg_matrix():
+    # the two Pentagon words stream over column blocks, so the residual at
+    # KT Z10 peaks below the 16 MB of one n^3 x n^3 matrix; each product and
+    # their difference were once such a matrix
+    n = 10
+    m = bm.kac_takesaki(bm.cyclic(n))
+    tracemalloc.start()
+    try:
+        residual = bm.pentagon_residual(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-12
+    assert peak < n ** 6 * 16
 
 
 @pytest.mark.parametrize("name, swaps", [("flip random F", 2), ("phase m=3 random F", 2),

@@ -4,7 +4,7 @@ import pytest
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space
 
-from conftest import random_unitary
+from conftest import random_unitary, routed_oracle, routing_category
 
 
 def leg_op(matrix, dom, cod=None):
@@ -90,6 +90,30 @@ def test_semidirect_full_pipeline(super_pipeline):
 def test_semidirect_routing_conventions_agree(super_pipeline):
     w, mod, f_mu = super_pipeline
     assert bm.routing_agreement_residual(w, mod, f_mu) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["phase3", "yd"])
+def test_routing_agreement_residual_matches_the_dense_oracle(kind):
+    # random W, U, V and F are no morphisms, so the two crossing conventions
+    # of the construction differ; each is multiplied out densely here
+    braiding, k, l = routing_category(kind)
+    w = bm.MultUnitary(k, leg_op(random_unitary(k.dim ** 2, 91), [k, k]), braiding)
+    f = bm.MultUnitary(l, leg_op(random_unitary(l.dim ** 2, 92), [l, l]), braiding)
+    u = leg_op(random_unitary(l.dim * k.dim, 93), [l, k])
+    v = leg_op(random_unitary(k.dim * l.dim, 94), [k, l])
+    ctx = (k, l, k, l)
+
+    def construction(w_route, f_route):
+        v34 = bm.embed_adjacent(v, ctx, 3).matrix
+        f24 = routed_oracle(f.op, ctx, (2, 4), f_route, braiding)[0]
+        u23 = bm.embed_adjacent(u, ctx, 2).matrix
+        w13 = routed_oracle(w.op, ctx, (1, 3), w_route, braiding)[0]
+        return w13 @ u23 @ v34.conj().T @ f24 @ v34
+
+    want = float(np.linalg.norm(construction("over", "under") - construction("under", "over")))
+    assert want > 0.1
+    got = bm.routing_agreement_residual(w, bm.YDModule(l, u, v), f)
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_semidirect_regularity_and_compression(super_pipeline):

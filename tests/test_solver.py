@@ -344,7 +344,8 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     """L-BFGS-B gets value and gradient from one call: per evaluation one eigh
     and one recorded forward pass of each Pentagon word, whose tapes the
     gradient pulls back through, and no second defect.  Each restart adds one
-    eigh for its final unitary and one untaped defect for its residual."""
+    eigh for its final unitary and one streamed distance of the two words for
+    its residual, which records no product."""
     import braidmu.multunitary as mun
     import braidmu.solver as solver
     import braidmu.tensor as tensor
@@ -360,11 +361,15 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
             return fn(*args, **kwargs)
         return call
 
-    real_record = tensor.record
+    real_record, real_distance, streamed = tensor.record, mun.distance, []
 
     def record(steps, context, keep=True):
         words[keep].append(len(steps))
         return real_record(steps, context, keep)
+
+    def distance(lhs, rhs, context):
+        streamed.append((len(lhs), len(rhs)))
+        return real_distance(lhs, rhs, context)
 
     nfev = []
     real_minimize = solver.minimize
@@ -383,6 +388,7 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     # leg_product records through tensor's own binding
     monkeypatch.setattr(mun, "record", record)
     monkeypatch.setattr(tensor, "record", record)
+    monkeypatch.setattr(mun, "distance", distance)
     monkeypatch.setattr(solver, "minimize", minimize)
     bm.search(problem)
     evaluations = sum(nfev)
@@ -391,7 +397,8 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
                       "objective": 0, "pullback": 2 * evaluations}
     # the left word (two steps) and the right word (five), once each
     assert words[True] == [2, 5] * evaluations
-    assert words[False] == [2, 5] * problem.restarts
+    assert words[False] == []
+    assert streamed == [(2, 5)] * problem.restarts
 
 
 def _thread_counts():

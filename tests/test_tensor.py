@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
 import braidmu.tensor as tensor_module
-from braidmu.tensor import (leg_product, legs_after, pullback, record, route_steps, tensor,
-                            total_dim)
+from braidmu.tensor import (distance, leg_product, legs_after, pullback, record, route_steps,
+                            tensor, total_dim)
 
-from conftest import random_unitary, routed_oracle, routing_category
+from conftest import dense_distance, random_unitary, routed_oracle, routing_category
 
 L2 = Space("L", 2)
 L3 = Space("M", 3)
@@ -601,6 +601,76 @@ def test_operators_compare_and_hash_by_identity(z2):
         assert len({x, y, x}) == 2
     # records compare their fields, so the same operator makes equal records
     assert bm.SearchResult(z2, 0.0, 0, False) == bm.SearchResult(z2, 0.0, 0, False)
+
+
+# ---------------------------------------------------------------- streamed distance
+
+
+def distance_words(kind):
+    """(context, lhs, rhs) triples in the category of ``kind``: a crossing
+    as the first step, two, three and four legs, words that end on other
+    legs than they start from, and routes over and under.  The two sides
+    always end in different random factors, so every distance is nonzero."""
+    braiding, a, b = routing_category(kind)
+    x, x2 = (leg_op(random_unitary(a.dim * b.dim, seed), [a, b]) for seed in (71, 72))
+    y, y2 = (leg_op(random_unitary(b.dim * a.dim, seed), [b, a]) for seed in (73, 76))
+    w, w2 = (leg_op(random_unitary(a.dim ** 2, seed), [a, a]) for seed in (74, 75))
+    cab = braiding.braid(a, b)
+
+    def routed(op, context, positions, route):
+        return route_steps(op, context, positions, route, braiding)
+
+    aba, abab, baab = (a, b, a), (a, b, a, b), (b, a, a, b)
+    return [
+        ((a, b), [(cab, 1), (y, 1)], [(x, 1), (cab, 1)]),
+        (aba, [*routed(w, aba, (1, 3), "over"), (x, 1)],
+         [*routed(w, aba, (1, 3), "under"), (x2, 1)]),
+        (aba, [(cab, 1), (y, 1), (w, 2)], [(x, 1), (cab, 1), (w2, 2)]),
+        (abab, [*routed(x, abab, (1, 4), "over"), (y, 2)],
+         [*routed(x, abab, (1, 4), "under"), (y2, 2)]),
+        (abab, [(cab, 1), *routed(x, baab, (2, 4), "over")],
+         [(cab, 1), *routed(x2, baab, (2, 4), "under")]),
+    ]
+
+
+@pytest.mark.parametrize("columns", [1, 7, None])
+@pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
+def test_distance_matches_the_dense_oracle(monkeypatch, kind, columns):
+    """Blocks of one column, of seven, and one block of every column give the
+    norm of the difference of the two products formed whole."""
+    words = distance_words(kind)
+    first = words[0][1][0][0]
+    assert isinstance(first, bm.Crossing) == (kind != "yd")
+    for context, lhs, rhs in words:
+        rows = total_dim(context)
+        budget = 16 * rows * (columns if columns else rows + 1)
+        monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", budget)
+        want = dense_distance(lhs, rhs, context)
+        assert want > 0.1
+        assert abs(distance(lhs, rhs, context) - want) <= 1e-13 * want
+
+
+def test_distance_forms_no_product(monkeypatch):
+    """Each block starts from the first step's padded columns: no padded
+    matrix, no recorded product and no identity columns."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense product on the distance path")
+
+    context, lhs, rhs = distance_words("phase3")[3]
+    want = dense_distance(lhs, rhs, context)
+    for name in ("embed_adjacent", "record", "leg_product", "identity"):
+        monkeypatch.setattr(tensor_module, name, forbidden)
+    monkeypatch.setattr(np, "eye", forbidden)
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 16 * total_dim(context) * 5)
+    assert abs(distance(lhs, rhs, context) - want) <= 1e-13 * want
+
+
+def test_distance_rejects_words_that_end_on_different_legs():
+    a, b = Space("A", 2), Space("B", 3)
+    cab = bm.FlipBraiding().braid(a, b)
+    x = leg_op(random_unitary(6, 77), [a, b])
+    with pytest.raises(LegError, match="end on different legs"):
+        distance([(cab, 1)], [(x, 1)], (a, b))
 
 
 # ---------------------------------------------------------------- invariants
