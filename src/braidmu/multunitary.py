@@ -73,13 +73,16 @@ def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator,
     """F23 F12 - F12 c12 F23 cinv12 F23 on L (x) L (x) L, from F, the braiding c
     and its inverse on L (x) L.
 
-    Both sides are recorded products of :func:`pentagon_words`: each F acts
-    by one reshape-matmul on two of the three legs, and a flip or phase
-    crossing by an axis swap, so no n^3 x n^3 product is formed.  With
-    ``return_tapes`` the result is (defect, left tape, right tape), and the
-    tapes keep every prefix product of their word, for the solver's gradient
-    to pull the defect back through; the certificate asks for none, as they
-    hold nine n^3 x n^3 matrices.
+    This serves the solver alone, for its value and its tapes.  Both sides
+    are recorded products of :func:`pentagon_words`, each F acting by one
+    reshape-matmul on two of the three legs and a flip or phase crossing by
+    an axis swap, and both dense n^3 x n^3 products and their difference
+    are formed.  With ``return_tapes`` the result is (defect, left tape,
+    right tape), and the tapes keep every prefix product of their word,
+    nine n^3 x n^3 matrices, for the solver's gradient to pull the defect
+    back through.  A caller that needs the residual alone takes
+    :func:`pentagon_residual`, which streams it by
+    :func:`~braidmu.tensor.distance`.
     """
     legs, lhs, rhs = pentagon_words(f, c, cinv)
     left, right = record(lhs, legs, return_tapes), record(rhs, legs, return_tapes)

@@ -273,27 +273,23 @@ def _placed(x: LegOperator, context: tuple[Space, ...], start: int
 def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegOperator:
     """Embed x on the contiguous legs ``start .. start+k-1`` (1-based) of the context.
 
-    The padded matrix 1 (x) x (x) 1 is written into zeros block by block,
-    which gives ``np.kron``'s entries without its multiplications.
+    The padded matrix 1 (x) x (x) 1 is all of :func:`_padded_columns`, which
+    gives ``np.kron``'s entries without its multiplications.
     """
     context = tuple(context)
     pre, post = _placed(x, context, start)
     m = x.matrix
     if pre or post:
-        (a, b), p, q = m.shape, total_dim(pre), total_dim(post)
-        padded = np.zeros((p, a, q, p, b, q), dtype=complex)
-        i, j = np.arange(p)[:, None], np.arange(q)
-        padded[i, :, j, i, :, j] = m
-        m = padded.reshape(p * a * q, p * b * q)
+        m = _padded_columns(x, context, start, 0, total_dim(context))
     sig = LegSignature(context, pre + x.codomain + post)
     return LegOperator(sig, m)
 
 
 def _padded_columns(x: LegOperator, context: tuple[Space, ...], start: int, lo: int,
                     hi: int) -> np.ndarray:
-    """Columns ``lo:hi`` of :func:`embed_adjacent`'s padded matrix, written into
-    zeros: column (i, s, j), with s an index of x's domain, holds column s of
-    x in the rows (i, :, j)."""
+    """Columns ``lo:hi`` of the padded matrix 1 (x) x (x) 1, written into zeros:
+    column (i, s, j), with s an index of x's domain, holds column s of x in
+    the rows (i, :, j)."""
     pre, post = _placed(x, context, start)
     (a, b), p, q = x.matrix.shape, total_dim(pre), total_dim(post)
     out = np.zeros((p, a, q, hi - lo), dtype=complex)
@@ -394,53 +390,44 @@ def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
     return LegOperator(LegSignature(tape.legs[0], tape.legs[-1]), tape.product)
 
 
-def _word_legs(steps: Sequence[Step], context: tuple[Space, ...]) -> list[tuple[Space, ...]]:
-    """The legs the rows carry before each step, and those of the product last."""
-    legs = [context]
-    for op, start in steps:
-        legs.append(legs_after(op, legs[-1], start))
-    return legs
-
-
 def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space]) -> float:
     """Hilbert-Schmidt norm of the difference of two step products on the same context.
 
     Neither product is formed whole.  Both run over consecutive blocks of
     domain columns, as many as fit in :data:`_BLOCK_BYTES` (one at least):
-    a block starts as the first step's padded columns, written into zeros,
-    and the later steps act on it by :func:`apply_on_legs`.  The squared
-    norms of the blocks' differences add up, so memory is one block per
-    side, not a product.
+    a block starts as the first step's :func:`_padded_columns`, and the
+    later steps act on it by :func:`_run_steps`.  The squared norms of the
+    blocks' differences add up, so memory is one block per side, not a
+    product.
     """
     context = tuple(context)
-    words = [(tuple(steps), _word_legs(steps, context)) for steps in (lhs, rhs)]
-    (_, left_legs), (_, right_legs) = words
-    if left_legs[-1] != right_legs[-1]:
+    ends, rows = [], total_dim(context)
+    for steps in (lhs, rhs):
+        legs = context
+        for op, start in steps:
+            legs = legs_after(op, legs, start)
+            rows = max(rows, total_dim(legs))
+        ends.append(legs)
+    if ends[0] != ends[1]:
         raise LegError(
-            f"the two products end on different legs, {[s.id for s in left_legs[-1]]} "
-            f"and {[s.id for s in right_legs[-1]]}")
-    rows = max(total_dim(legs) for _, word_legs in words for legs in word_legs)
+            f"the two products end on different legs, {[s.id for s in ends[0]]} "
+            f"and {[s.id for s in ends[1]]}")
     cols = total_dim(context)
     width = max(1, _BLOCK_BYTES // (16 * rows))
+
+    def block(steps: Sequence[Step], lo: int, hi: int) -> np.ndarray:
+        (op, start), *rest = steps
+        return _run_steps(rest, _padded_columns(op, context, start, lo, hi),
+                          legs_after(op, context, start))[0]
+
     squares = 0.0
     for lo in range(0, cols, width):
         hi = min(lo + width, cols)
         # the right block is run once the last block's difference is gone
-        diff = _run_block(*words[0], lo, hi)
-        diff -= _run_block(*words[1], lo, hi)
+        diff = block(lhs, lo, hi)
+        diff -= block(rhs, lo, hi)
         squares += np.vdot(diff, diff).real
     return float(np.sqrt(squares))
-
-
-def _run_block(steps: tuple[Step, ...], legs: list[tuple[Space, ...]], lo: int, hi: int
-               ) -> np.ndarray:
-    """Columns ``lo:hi`` of the product of the steps, ``legs`` as :func:`_word_legs`
-    gives them."""
-    (op, start), *rest = steps
-    x = _padded_columns(op, legs[0], start, lo, hi)
-    for j, (op, start) in enumerate(rest, start=1):
-        x = apply_on_legs(op, x, legs[j], start)
-    return x
 
 
 def pullback(tape: Tape, cotangent: np.ndarray, factor: LegOperator | None = None
