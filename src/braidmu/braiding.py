@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .tensor import (Crossing, LegError, LegOperator, LegSignature, Space, Step, crossing,
-                     distance, identity, leg_product, tensor_space)
+                     distance, leg_product, tensor_space)
 from . import spans
 
 __all__ = [
@@ -166,10 +166,7 @@ def braid_steps(provider: BraidingProvider, left: Sequence[Space],
 def braid_tensor(provider: BraidingProvider, left: Sequence[Space],
                  right: Sequence[Space]) -> LegOperator:
     """Braiding of leg blocks: the product of :func:`braid_steps`."""
-    left, right = tuple(left), tuple(right)
-    if not left or not right:
-        return identity(left + right)
-    return leg_product(braid_steps(provider, left, right), left + right)
+    return leg_product(braid_steps(provider, left, right), tuple(left) + tuple(right))
 
 
 def check_hexagons(provider: BraidingProvider, spaces: Sequence[Space]) -> dict:

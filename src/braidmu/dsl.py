@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 RESERVED = ("c", "cinv")
+# leg indices are ASCII digits; str.isdigit() also takes '²', which int()
+# rejects, and '٢', which int() reads as 2
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -112,9 +115,9 @@ def _tokenize(text: str, line: int) -> list[_Token]:
                 j += 1
             tokens.append(_Token("name", text[i:j], col))
             i = j
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], col))
             i = j

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -48,6 +49,11 @@ class MultUnitary:
     def unitarity_residual(self) -> float:
         return _unitarity_residual(self.op.matrix)
 
+    @cached_property
+    def commutant_dim(self) -> int:
+        """The :func:`commutant_dimension`, computed once on first use."""
+        return commutant_dimension(self)
+
 
 def _cinv(m: MultUnitary) -> LegOperator:
     return m.braiding.braid_inverse(m.space, m.space)
@@ -74,20 +80,21 @@ def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator,
     and its inverse on L (x) L.
 
     This serves the solver alone, for its value and its tapes.  Both sides
-    are recorded products of :func:`pentagon_words`, each F acting by one
+    are products of :func:`pentagon_words`, each F acting by one
     reshape-matmul on two of the three legs and a flip or phase crossing by
     an axis swap, and both dense n^3 x n^3 products and their difference
     are formed.  With ``return_tapes`` the result is (defect, left tape,
-    right tape), and the tapes keep every prefix product of their word,
-    nine n^3 x n^3 matrices, for the solver's gradient to pull the defect
-    back through.  A caller that needs the residual alone takes
+    right tape), and the recorded tapes keep every prefix product of their
+    word, nine n^3 x n^3 matrices, for the solver's gradient to pull the
+    defect back through.  A caller that needs the residual alone takes
     :func:`pentagon_residual`, which streams it by
     :func:`~braidmu.tensor.distance`.
     """
     legs, lhs, rhs = pentagon_words(f, c, cinv)
-    left, right = record(lhs, legs, return_tapes), record(rhs, legs, return_tapes)
-    p = left.product - right.product
-    return (p, left, right) if return_tapes else p
+    if not return_tapes:
+        return leg_product(lhs, legs).matrix - leg_product(rhs, legs).matrix
+    left, right = record(lhs, legs), record(rhs, legs)
+    return left.product - right.product, left, right
 
 
 def pentagon_residual(m: MultUnitary) -> float:
@@ -181,7 +188,7 @@ def classify_regularity(m: MultUnitary) -> RegularityReport:
     dual_rank_c = regularity_span(dual(m)).rank
     return RegularityReport(
         rank_c=rank_c, rank_d=rank_d, full=full,
-        commutant_dim=commutant_dimension(m),
+        commutant_dim=m.commutant_dim,
         semi_regular=regular, regular=regular,
         bi_regular=regular and rank_d == full,
         dual_consistent=regular == (dual_rank_c == full))

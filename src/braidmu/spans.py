@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import (_BLOCK_BYTES, LegError, LegOperator, LegSignature, Space, _run_steps,
-                     adjoint, compose, leg_product, total_dim)
+from .tensor import (_BLOCK_BYTES, LegError, LegOperator, LegSignature, Space, _columns,
+                     _run_steps, adjoint, compose, leg_product, total_dim)
 
 __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
@@ -501,7 +501,8 @@ class CrossedProductExtension:
     back crossings, the crossings shared by every k.
 
     :meth:`apply` builds the rows of every T_k that a block of target rows
-    needs (columns, pad first) by running those steps on identity columns,
+    needs (columns, pad first) by running those steps on the leading
+    crossings' columns of those lines (:func:`braidmu.tensor._columns`),
     and maps the forward and the reverse decomposition of every element by
     one GEMM of them with the stacked folded pads.  A pad-side conjugation
     m |-> V (1 (x) m) V* comes out of the sum: the GEMM runs on T_k (1 (x) V)
@@ -547,9 +548,7 @@ class CrossedProductExtension:
         split so that the pad is the last axis."""
         before, factors, start, after = self._steps
         rc, p, b = self._factor_leg.dim, self._p, hi - lo
-        x = np.zeros((self._dim, b), dtype=complex)
-        x[lo:hi] = np.eye(b)
-        x, legs = _run_steps(before, x, self.target_domain)
+        x, legs = _columns(before, self.target_domain, lo, hi)
         # every factor by one GEMM, its legs leading, then the factor index
         # leading and its legs back in place
         pre, fd = total_dim(legs[:start - 1]), factors.shape[-1]

@@ -10,27 +10,27 @@ A factor on a few legs of a longer context acts matrix-free:
 one matmul and never forms the padded matrix.  A :class:`Crossing`, a
 permutation with phases such as a flip or phase braiding, acts with no
 matmul at all: an axis swap of the rows times its phase table.  A
-leg-notation product is a list of steps ``(op, start)``, run by
-:func:`record` (which :func:`leg_product` wraps as an operator); this is the
-one way a factor is padded and multiplied, for the DSL, the block crossings
-of :func:`braidmu.braiding.braid_steps`, crossed-product injections,
-conjugations, comultiplications and the Pentagon alike.  A factor on
-distant legs is the steps of :func:`route_steps`: the move crossings, the
-factor, the back crossings.  A residual of two step lists, such as a DSL
-statement, the Pentagon, the routing agreement or a Yetter-Drinfeld
-identity, is their :func:`distance`: both words run over blocks of domain
-columns within the one byte budget :data:`_BLOCK_BYTES`, so memory is
-O(n^3 b) on three legs of dimension n, not the n^6 of a product.
-:func:`pullback` runs a recorded :class:`Tape`
-in reverse mode: it takes a cotangent of the product back to each step's
-factor, through the prefix products the forward pass kept and the adjoint
-steps applied the same way.  :func:`embed_adjacent` and :func:`compose` give
-the same products densely, and the tests keep them as the oracle.
+leg-notation product is a list of steps ``(op, start)``.  Every product
+starts in one runner, :func:`_columns`: a range of its columns, begun as the
+first step's padded columns (written once, never multiplied) and run by
+:func:`_run_steps`.  This is the one way a factor is padded and multiplied:
+:func:`leg_product` is all the columns, for the DSL, block crossings,
+injections, conjugations and comultiplications alike; :func:`distance` of
+two words (a DSL statement, the Pentagon, a routing agreement or a
+Yetter-Drinfeld identity) runs both over blocks of columns within the byte
+budget :data:`_BLOCK_BYTES`, so memory is O(n^3 b) on three legs of
+dimension n, not n^6; and :func:`record` keeps every prefix product on a
+:class:`Tape`, which :func:`pullback` runs in reverse mode, taking a
+cotangent of the product back to each step's factor.  A factor on distant
+legs is the steps of :func:`route_steps`: the move crossings, the factor,
+the back crossings.  :func:`embed_adjacent` (the one-step
+:func:`leg_product`) and :func:`compose` are the dense oracle of the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -271,18 +271,9 @@ def _placed(x: LegOperator, context: tuple[Space, ...], start: int
 
 
 def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegOperator:
-    """Embed x on the contiguous legs ``start .. start+k-1`` (1-based) of the context.
-
-    The padded matrix 1 (x) x (x) 1 is all of :func:`_padded_columns`, which
-    gives ``np.kron``'s entries without its multiplications.
-    """
-    context = tuple(context)
-    pre, post = _placed(x, context, start)
-    m = x.matrix
-    if pre or post:
-        m = _padded_columns(x, context, start, 0, total_dim(context))
-    sig = LegSignature(context, pre + x.codomain + post)
-    return LegOperator(sig, m)
+    """Embed x on the contiguous legs ``start .. start+k-1`` (1-based) of the context:
+    the padded matrix 1 (x) x (x) 1, the one-step :func:`leg_product`."""
+    return leg_product([(x, start)], context)
 
 
 def _padded_columns(x: LegOperator, context: tuple[Space, ...], start: int, lo: int,
@@ -343,14 +334,41 @@ def _run_steps(steps: Sequence[Step], x: np.ndarray, context: tuple[Space, ...]
     return x, context
 
 
+def _columns(steps: Sequence[Step], context: Sequence[Space], lo: int, hi: int
+             ) -> tuple[np.ndarray, tuple[Space, ...]]:
+    """Columns ``lo:hi`` of the product of the steps on the context, the first
+    step applied first, and the legs its rows carry.
+
+    This is where every product starts.  A step ``(op, start)`` acts on the
+    legs ``start ..`` of the context as the earlier steps left it.  The first
+    step's :func:`_padded_columns` start the product (written once, never
+    multiplied) and the later steps act on them by :func:`_run_steps`; no
+    steps give the identity's columns.
+    """
+    context = tuple(context)
+    if not steps:
+        x = np.zeros((total_dim(context), hi - lo), dtype=complex)
+        x[lo:hi] = np.eye(hi - lo)
+        return x, context
+    (op, start), *rest = steps
+    return _run_steps(rest, _padded_columns(op, context, start, lo, hi),
+                      legs_after(op, context, start))
+
+
+def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
+    """The product of the steps on the context, all of :func:`_columns`, as an operator."""
+    context = tuple(context)
+    x, legs = _columns(steps, context, 0, total_dim(context))
+    return LegOperator(LegSignature(context, legs), x)
+
+
 @dataclass(frozen=True, eq=False)
 class Tape:
     """A step list run forward from the identity, as :func:`record` leaves it.
 
     ``legs[j]`` are the legs the rows carry before step j, the last entry
     those of the product.  ``prefixes[j]`` is the product of the steps ahead
-    of step j, the identity first and the whole product last; a tape
-    recorded with ``keep=False`` holds the whole product alone.
+    of step j, the identity first and the whole product last.
     """
 
     steps: tuple[Step, ...]
@@ -362,43 +380,24 @@ class Tape:
         return self.prefixes[-1]
 
 
-def record(steps: Sequence[Step], context: Sequence[Space], keep: bool = True) -> Tape:
-    """The product of leg-local steps on the context, the first step applied first.
-
-    A step ``(op, start)`` acts on the legs ``start ..`` of the context as the
-    earlier steps left it.  The first step's padded matrix starts the product
-    (written once, never multiplied); every later step acts on it by
-    :func:`apply_on_legs`.  With ``keep``, every prefix product stays on the
-    tape for :func:`pullback`.
-    """
-    context = tuple(context)
-    (op, start), *rest = steps
-    first = embed_adjacent(op, context, start)
-    x, legs = first.matrix, [context, first.codomain]
-    prefixes = [np.eye(total_dim(context), dtype=complex), x] if keep else None
-    for op, start in rest:
-        x = apply_on_legs(op, x, legs[-1], start)
-        legs.append(legs_after(op, legs[-1], start))
-        if keep:
-            prefixes.append(x)
-    return Tape(tuple(steps), tuple(legs), tuple(prefixes) if keep else (x,))
-
-
-def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
-    """The product of the steps on the context, by :func:`record`, as an operator."""
-    tape = record(steps, context, keep=False)
-    return LegOperator(LegSignature(tape.legs[0], tape.legs[-1]), tape.product)
+def record(steps: Sequence[Step], context: Sequence[Space]) -> Tape:
+    """The product of a nonempty step list on the context, with every prefix
+    product kept for :func:`pullback`: the identity, the first step's
+    :func:`_columns`, then each later step run on the prefix before it."""
+    context, dim = tuple(context), total_dim(context)
+    runs = accumulate(steps[1:], lambda run, step: _run_steps([step], *run),
+                      initial=_columns(steps[:1], context, 0, dim))
+    prefixes, legs = zip(_columns((), context, 0, dim), *runs)
+    return Tape(tuple(steps), legs, prefixes)
 
 
 def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space]) -> float:
     """Hilbert-Schmidt norm of the difference of two step products on the same context.
 
     Neither product is formed whole.  Both run over consecutive blocks of
-    domain columns, as many as fit in :data:`_BLOCK_BYTES` (one at least):
-    a block starts as the first step's :func:`_padded_columns`, and the
-    later steps act on it by :func:`_run_steps`.  The squared norms of the
-    blocks' differences add up, so memory is one block per side, not a
-    product.
+    domain columns, as many as fit in :data:`_BLOCK_BYTES` (one at least),
+    each block by :func:`_columns`.  The squared norms of the blocks'
+    differences add up, so memory is one block per side, not a product.
     """
     context = tuple(context)
     ends, rows = [], total_dim(context)
@@ -414,18 +413,12 @@ def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space])
             f"and {[s.id for s in ends[1]]}")
     cols = total_dim(context)
     width = max(1, _BLOCK_BYTES // (16 * rows))
-
-    def block(steps: Sequence[Step], lo: int, hi: int) -> np.ndarray:
-        (op, start), *rest = steps
-        return _run_steps(rest, _padded_columns(op, context, start, lo, hi),
-                          legs_after(op, context, start))[0]
-
     squares = 0.0
     for lo in range(0, cols, width):
         hi = min(lo + width, cols)
         # the right block is run once the last block's difference is gone
-        diff = block(lhs, lo, hi)
-        diff -= block(rhs, lo, hi)
+        diff = _columns(lhs, context, lo, hi)[0]
+        diff -= _columns(rhs, context, lo, hi)[0]
         squares += np.vdot(diff, diff).real
     return float(np.sqrt(squares))
 
@@ -445,8 +438,6 @@ def pullback(tape: Tape, cotangent: np.ndarray, factor: LegOperator | None = Non
     :func:`apply_on_legs`, so crossings stay axis swaps.
     """
     steps, legs, before = tape.steps, tape.legs, tape.prefixes
-    if len(before) != len(steps) + 1:
-        raise LegError("pullback needs a tape that kept its prefix products")
     if cotangent.shape != (total_dim(legs[-1]), total_dim(legs[0])):
         raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
                        f"product of the steps")

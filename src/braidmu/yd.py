@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .braiding import BraidingRegularityReport, ExplicitBraiding, braiding_regularity
-from .multunitary import MultUnitary, commutant_dimension
+from .multunitary import MultUnitary
 from .spans import OperatorSpan, span_from_slices
 from .tensor import (LegOperator, Space, adjoint, compose, distance, extract_distant,
                      is_unitary, leg_product, route_steps, tensor_space)
@@ -149,22 +149,20 @@ def tensor_yd(m1: YDModule, m2: YDModule, mu: MultUnitary,
     return out
 
 
-def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary, tol: float = 1e-9, *,
-                    commutant_dim: int | None = None) -> LegOperator:
+def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary, tol: float = 1e-9
+                    ) -> LegOperator:
     """The unique unitary on H (x) K whose (1,3)-embedding is U*12 V23 U12 V*23.
 
     Requires a trivial commutant (dimension one); a violation is reported as
-    a warning since the extraction itself may still succeed.  A caller that
-    pairs many modules over one mu passes ``commutant_dimension(mu)`` as
-    ``commutant_dim``; it is computed here when omitted.
+    a warning since the extraction itself may still succeed.  The commutant
+    is ``mu.commutant_dim``, computed once per unitary however many modules
+    are paired over it.
     """
     h, k = corep.space, rep.space
     ctx = (h, mu.space, k)
     u, v = corep.op, rep.op
     rop = leg_product([(adjoint(v), 2), (u, 1), (v, 2), (adjoint(u), 1)], ctx)
-    if commutant_dim is None:
-        commutant_dim = commutant_dimension(mu)
-    if commutant_dim != 1:
+    if mu.commutant_dim != 1:
         warnings.warn("pairing_unitary: the commutant is not trivial, the "
                       "factorization may not be unique", stacklevel=2)
     z, residual = extract_distant(rop, ctx, (1, 3), "over", mu.braiding)
@@ -176,14 +174,12 @@ def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary, tol: float = 1e-9, 
     return z
 
 
-def yd_braiding(m1: YDModule, m2: YDModule, mu: MultUnitary, tol: float = 1e-9, *,
-                commutant_dim: int | None = None) -> LegOperator:
+def yd_braiding(m1: YDModule, m2: YDModule, mu: MultUnitary, tol: float = 1e-9
+                ) -> LegOperator:
     """The module-category braiding H (x) K -> K (x) H: inverse ambient braiding
-    composed with the rep-corep pairing (``commutant_dim`` as in
-    :func:`pairing_unitary`)."""
+    composed with the rep-corep pairing of :func:`pairing_unitary`."""
     h, k = m1.space, m2.space
-    pairing = pairing_unitary(m2.as_rep(), m1.as_corep(), mu, tol,
-                              commutant_dim=commutant_dim)
+    pairing = pairing_unitary(m2.as_rep(), m1.as_corep(), mu, tol)
     cinv = mu.braiding.braid_inverse(k, h)  # H (x) K -> K (x) H
     return compose(cinv, pairing)
 
@@ -193,8 +189,8 @@ def yd_braiding_provider(modules: list[YDModule], mu: MultUnitary,
     """Explicit braiding table over the given modules (and their pairwise tensors).
 
     Including tensor modules makes the hexagon identities checkable against
-    genuinely independent pairings.  The commutant of mu is computed once
-    for all the pairings.
+    genuinely independent pairings.  Every pairing reads the one commutant
+    of mu, ``mu.commutant_dim``.
     """
     objects = list(modules)
     if include_tensors:
@@ -203,12 +199,11 @@ def yd_braiding_provider(modules: list[YDModule], mu: MultUnitary,
                 objects.append(tensor_yd(a, b, mu, tol))
     provider = ExplicitBraiding()
     base_ids = {m.space.id for m in modules}
-    commutant_dim = commutant_dimension(mu)
     for a in objects:
         for b in objects:
             if a.space.id not in base_ids and b.space.id not in base_ids:
                 continue  # tensor-tensor pairs are not needed for hexagon checks
-            provider.register(yd_braiding(a, b, mu, tol, commutant_dim=commutant_dim))
+            provider.register(yd_braiding(a, b, mu, tol))
     return provider
 
 

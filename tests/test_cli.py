@@ -475,6 +475,21 @@ def test_eval_leg_errors_keep_their_messages(tmp_path, capsys, context, statemen
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
+def test_eval_reads_only_ascii_digits_as_leg_indices(tmp_path, capsys, digit):
+    # a superscript two is a digit to str.isdigit() that int() rejects, and an
+    # Arabic-Indic two one that int() reads as 2; both are parse errors
+    data = tmp_path / "w.json"
+    run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(data)])
+    stmt = tmp_path / "digits.stmt"
+    stmt.write_text(f"context: L L\nW[1,2] == W[1,{digit}]\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["eval", str(stmt), str(data)]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == f"error: line 2, column 15: unexpected character {digit!r}\n"
+
+
 def _analyze_in_a_process(tmp_path, matrix):
     """Exit code, stderr and report of ``braidmu analyze``, run as its own process,
     on a Z2 bundle whose W is replaced by ``matrix``."""

@@ -327,19 +327,17 @@ def test_adjoints_and_context_changes_match_the_dense_oracle(kind, ids, text):
 
 def test_evaluate_pads_only_the_first_step(monkeypatch, z2):
     # the steps act on one running matrix: no identity seed, no composed
-    # full-context products, and the only padded matrix is the product's start
-    import braidmu.braiding as braiding
+    # full-context products, and the only padded columns are the product's start
     import braidmu.tensor as tensor_module
 
     def forbidden(*args):
         raise AssertionError("dense product on the evaluate path")
 
-    monkeypatch.setattr(tensor_module, "compose", forbidden)
-    for module in (tensor_module, braiding):
-        monkeypatch.setattr(module, "identity", forbidden)
-    real, padded = tensor_module.embed_adjacent, []
-    monkeypatch.setattr(tensor_module, "embed_adjacent",
-                        lambda x, context, start: padded.append(x) or real(x, context, start))
+    for name in ("compose", "identity"):
+        monkeypatch.setattr(tensor_module, name, forbidden)
+    real, padded = tensor_module._padded_columns, []
+    monkeypatch.setattr(tensor_module, "_padded_columns",
+                        lambda x, *args: padded.append(x) or real(x, *args))
     ctx = (z2.space,) * 3
     for text in ("W[2,3].W[1,2]", PENTAGON_RHS, "W[1,3]@under.W[1,2]^*"):
         padded.clear()

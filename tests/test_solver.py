@@ -345,15 +345,18 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     and one recorded forward pass of each Pentagon word, whose tapes the
     gradient pulls back through, and no second defect.  Each restart adds one
     eigh for its final unitary and one streamed distance of the two words for
-    its residual, which records no product."""
+    its residual, which records no product.  No product starts anywhere else."""
     import braidmu.multunitary as mun
     import braidmu.solver as solver
+    import braidmu.spans as spans
     import braidmu.tensor as tensor
     problem = oracle_problems()[name]()
     # restart 0 starts at the exact identity solution, restart 1 at a random point
     problem.restarts, problem.max_iter = 2, 30
     counts = {"eigh": 0, "defect": 0, "objective": 0, "pullback": 0}
-    words = {True: [], False: []}
+    # step counts of the recorded words, and of the products started outside
+    # record and distance
+    words, untaped, inside = [], [], []
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -361,15 +364,25 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
             return fn(*args, **kwargs)
         return call
 
-    real_record, real_distance, streamed = tensor.record, mun.distance, []
+    streamed, real_columns = [], tensor._columns
 
-    def record(steps, context, keep=True):
-        words[keep].append(len(steps))
-        return real_record(steps, context, keep)
+    def within(fn, log, key):
+        def call(*args):
+            log.append(key(*args))
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
 
-    def distance(lhs, rhs, context):
-        streamed.append((len(lhs), len(rhs)))
-        return real_distance(lhs, rhs, context)
+    record = within(tensor.record, words, lambda steps, context: len(steps))
+    distance = within(mun.distance, streamed, lambda lhs, rhs, context: (len(lhs), len(rhs)))
+
+    def columns(steps, context, lo, hi):
+        if not inside:
+            untaped.append(len(steps))
+        return real_columns(steps, context, lo, hi)
 
     nfev = []
     real_minimize = solver.minimize
@@ -385,9 +398,11 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     monkeypatch.setattr(solver, "pullback", counted("pullback", solver.pullback))
     monkeypatch.setattr(solver, "residual_objective",
                         counted("objective", solver.residual_objective))
-    # leg_product records through tensor's own binding
+    # every product starts in tensor._columns, leg_product's included
     monkeypatch.setattr(mun, "record", record)
     monkeypatch.setattr(tensor, "record", record)
+    monkeypatch.setattr(tensor, "_columns", columns)
+    monkeypatch.setattr(spans, "_columns", columns)
     monkeypatch.setattr(mun, "distance", distance)
     monkeypatch.setattr(solver, "minimize", minimize)
     bm.search(problem)
@@ -396,8 +411,8 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     assert counts == {"eigh": evaluations + problem.restarts, "defect": evaluations,
                       "objective": 0, "pullback": 2 * evaluations}
     # the left word (two steps) and the right word (five), once each
-    assert words[True] == [2, 5] * evaluations
-    assert words[False] == []
+    assert words == [2, 5] * evaluations
+    assert untaped == []
     assert streamed == [(2, 5)] * problem.restarts
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import pkgutil
 import types
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
 import braidmu.tensor as tensor_module
+from braidmu.braiding import braid_tensor
 from braidmu.tensor import (distance, leg_product, legs_after, pullback, record, route_steps,
                             tensor, total_dim)
 
@@ -582,8 +584,6 @@ def test_pullback_rejects_a_cotangent_of_the_wrong_shape():
     w = leg_op(W_Z2, [L2, L2])
     with pytest.raises(LegError, match="cotangent"):
         pullback(record([(w, 1), (w, 2)], (L2, L2, L2)), np.eye(4))
-    with pytest.raises(LegError, match="prefix products"):
-        pullback(record([(w, 1), (w, 2)], (L2, L2, L2), keep=False), np.eye(8))
 
 
 def test_operators_compare_and_hash_by_identity(z2):
@@ -665,6 +665,38 @@ def test_distance_forms_no_product(monkeypatch):
     assert abs(distance(lhs, rhs, context) - want) <= 1e-13 * want
 
 
+def test_empty_products_are_the_identity():
+    a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
+    for context in ((a,), (a, b, a)):
+        got = leg_product([], context)
+        assert got.signature == LegSignature(context, context)
+        np.testing.assert_array_equal(got.matrix, np.eye(total_dim(context)))
+    for provider in (bm.FlipBraiding(), bm.PhaseBraiding(3), routing_category("yd")[0]):
+        for left, right in (((a, b), ()), ((), (b,)), ((), ())):
+            got = braid_tensor(provider, left, right)
+            assert got.signature == LegSignature(left + right, left + right)
+            np.testing.assert_array_equal(got.matrix, np.eye(total_dim(left + right)))
+
+
+@pytest.mark.parametrize("columns", [1, 7, None])
+@pytest.mark.parametrize("kind", ["phase3", "yd"])
+def test_column_blocks_are_the_columns_of_the_product(kind, columns):
+    """The runner's blocks of one column, of seven and of all columns are the
+    product's columns, for words whose first step is a crossing (phase) or an
+    explicit braiding (yd), and end on the product's legs."""
+    for context, lhs, rhs in distance_words(kind):
+        assert isinstance(lhs[0][0], bm.Crossing) == (kind != "yd")
+        for steps in (lhs, rhs):
+            whole = leg_product(steps, context)
+            cols = total_dim(context)
+            width = columns or cols
+            for lo in range(0, cols, width):
+                hi = min(lo + width, cols)
+                block, legs = tensor_module._columns(steps, context, lo, hi)
+                assert legs == whole.codomain
+                np.testing.assert_allclose(block, whole.matrix[:, lo:hi], rtol=0, atol=1e-14)
+
+
 def test_distance_rejects_words_that_end_on_different_legs():
     a, b = Space("A", 2), Space("B", 3)
     cab = bm.FlipBraiding().braid(a, b)
@@ -676,30 +708,40 @@ def test_distance_rejects_words_that_end_on_different_legs():
 # ---------------------------------------------------------------- invariants
 
 
+def _package_trees():
+    """The parsed source of each module of the package, by module name."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(bm.__file__).parent.glob("*.py"))}
+
+
+@functools.lru_cache(maxsize=None)
+def _name_uses():
+    """(module, enclosing scope, name) of every bare name, attribute and import
+    name in the package source."""
+    found = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.alias):
+                names = {child.name, child.asname}
+            else:
+                names = {getattr(child, "attr", None), getattr(child, "id", None)}
+            found.extend((module, ".".join(inner), n) for n in names - {None})
+            visit(module, child, inner)
+
+    for module, tree in _package_trees().items():
+        visit(module, tree, ())
+    return tuple(found)
+
+
 def references(name):
     """(module, enclosing scope) of each use of ``name`` in the package source: a
     bare name, an attribute (np.kron, numpy.kron) or an import; docstrings do
     not count."""
-
-    def named(node):
-        if isinstance(node, ast.alias):
-            return name in (node.name, node.asname)
-        return getattr(node, "attr", None) == name or getattr(node, "id", None) == name
-
-    found = []
-    for path in sorted(Path(bm.__file__).parent.glob("*.py")):
-
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                inner = scope
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    inner = scope + (child.name,)
-                if named(child):
-                    found.append((path.stem, ".".join(inner)))
-                visit(child, inner)
-
-        visit(ast.parse(path.read_text()), ())
-    return found
+    return [(module, scope) for module, scope, n in _name_uses() if n == name]
 
 
 def test_only_the_linear_map_builders_call_kron():
@@ -713,8 +755,66 @@ def test_only_the_linear_map_builders_call_kron():
 
 
 def test_only_tensor_calls_embed_adjacent():
-    """Outside tensor, embed_adjacent is only re-exported by the package."""
-    uses = references("embed_adjacent")
-    assert ("tensor", "record") in uses
-    assert {module for module, _ in uses} == {"tensor", "__init__"}
-    assert [u for u in uses if u[0] == "__init__"] == [("__init__", "")]
+    """Every product starts in tensor._columns: embed_adjacent is only
+    re-exported by the package, and no module starts one from identity
+    columns or from tensor.identity."""
+    assert references("embed_adjacent") == [("__init__", "")]
+    assert {u for u in references("_columns")} == {
+        ("tensor", "leg_product"), ("tensor", "record"), ("tensor", "distance"),
+        ("spans", ""), ("spans", "CrossedProductExtension._factor_lines")}
+    calculus = ("tensor", "braiding", "spans", "multunitary", "dsl", "yd")
+    assert [u for u in references("identity") if u[0] in calculus] == []
+    assert {u for u in references("eye") if u[0] in calculus} == {
+        ("tensor", "identity"), ("tensor", "_columns"), ("tensor", "_unitarity_residual"),
+        ("spans", "OperatorSpan.gram_residual"), ("spans", "null_space")}
+
+
+def test_only_the_runner_pads_a_first_step():
+    """_padded_columns has one caller, the runner that starts every product."""
+    assert references("_padded_columns") == [("tensor", "_columns")]
+
+
+# every function or class in a module's __all__ that nothing in the package
+# references but the package's re-export, with why it stays
+UNREFERENCED = {
+    "braiding.check_naturality": "ROADMAP item 3: report-path candidate, naturality",
+    "dsl.parse": "bound by bench/: the tracer's dsl.parse span",
+    "dsl.evaluate": "bound by bench/: the tracer's dsl.evaluate span; the tests' dense value",
+    "semidirect.fixed_vector_identity_residual": "ROADMAP items 3/13: report-path candidate",
+    "semidirect.routing_agreement_residual": "ROADMAP item 13: report-path candidate",
+    "semidirect.semidirect_regularity": "ROADMAP items 3/13: report-path candidate",
+    "solver.residual_objective": "bound by bench/: the tracer's solver.residual_objective span",
+    "spans.contains": "dense test oracle: span membership",
+    "spans.adjoint_span": "ROADMAP item 3: report-path candidate, the C*-conditions",
+    "spans.is_algebra": "ROADMAP item 3: report-path candidate, the C*-conditions",
+    "spans.is_star_closed": "ROADMAP item 3: report-path candidate, the C*-conditions",
+    "spans.is_nondegenerate": "ROADMAP item 3: report-path candidate, the C*-conditions",
+    "spans.crossed_product": "bound by bench/: the tracer's spans.crossed_product span",
+    "tensor.tensor": "bound by bench/: the tracer's tensor.tensor span; dense test oracle",
+    "tensor.embed_adjacent": "bound by bench/: the tracer's tensor.embed_adjacent span; "
+                             "dense test oracle",
+    "tensor.apply_distant": "bound by bench/: the tracer's tensor.apply_distant span; "
+                            "dense test oracle",
+    "yd.tensor_rep": "test oracle: the over route that _yd_tensor_rep must equal",
+    "yd.yd_braiding_provider": "bound by bench/: the legcalc workload and a tracer span",
+    "yd.yd_braiding_regularity": "ROADMAP items 3/13: report-path candidate",
+    "yd.corep_slice_span": "ROADMAP item 3: report-path candidate",
+}
+
+
+def test_every_exported_function_has_a_caller_or_a_reason():
+    """Aim 2 deletes code with no caller: a function or class that a module
+    exports and nothing in the package references joins UNREFERENCED with its
+    reason, or gets a caller, or goes; an entry that gains a caller or no
+    longer exists leaves UNREFERENCED."""
+    unreferenced = set()
+    for module, tree in _package_trees().items():
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        exported = next((node.value for node in tree.body if isinstance(node, ast.Assign)
+                         and [getattr(t, "id", None) for t in node.targets] == ["__all__"]), None)
+        for name in ast.literal_eval(exported) if exported and module != "__init__" else ():
+            if name in defined and all(m == "__init__" for m, _ in references(name)):
+                unreferenced.add(f"{module}.{name}")
+    assert unreferenced - UNREFERENCED.keys() == set(), "new names with no caller"
+    assert UNREFERENCED.keys() - unreferenced == set(), "entries with a caller or gone"

@@ -264,15 +264,18 @@ def test_residual_routes_agree_for_symmetric_braidings(super_module):
 
 
 def test_provider_computes_the_commutant_once(monkeypatch, super_module):
-    from braidmu import yd
+    from braidmu import multunitary
 
-    mod, mu = super_module
-    real, calls = yd.commutant_dimension, []
-    monkeypatch.setattr(yd, "commutant_dimension", lambda m: calls.append(m) or real(m))
+    mod, shared = super_module
+    # a fresh unitary: the session's one may hold its commutant already
+    mu = bm.MultUnitary(shared.space, shared.op, shared.braiding)
+    real, calls = multunitary.commutant_dimension, []
+    monkeypatch.setattr(multunitary, "commutant_dimension",
+                        lambda m: calls.append(m) or real(m))
     provider = bm.yd_braiding_provider([mod], mu)  # the module and its tensor square
-    assert len(calls) == 1 and len(list(provider.pairs())) == 3
+    assert calls == [mu] and len(list(provider.pairs())) == 3
     bm.pairing_unitary(mod.as_rep(), mod.as_corep(), mu)
-    assert len(calls) == 2
+    assert calls == [mu]
 
 
 @pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
