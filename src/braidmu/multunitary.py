@@ -15,7 +15,7 @@ from . import spans
 from .spans import (Conjugation, CrossedProduct, CrossedProductExtension, OperatorSpan,
                     equals, is_relative_multiplier, kernel_of_linear_map, span_from_slices)
 from .tensor import (LegError, LegOperator, LegSignature, Space, _unitarity_residual,
-                     Step, Tape, adjoint, compose, distance, leg_product, record, route_steps)
+                     Step, adjoint, compose, distance, leg_product, route_steps)
 
 __all__ = [
     "MultUnitary", "RegularityReport", "Certificate",
@@ -64,37 +64,28 @@ def pentagon_words(f: LegOperator, c: LegOperator, cinv: LegOperator
     """The braided Pentagon F23 F12 = F12 c12 F23 cinv12 F23 as two step lists.
 
     Returns the three legs L (x) L (x) L and the left and right words as
-    :func:`~braidmu.tensor.record` steps, the rightmost factor first.
+    :func:`~braidmu.tensor.leg_product` steps, the rightmost factor first.
     :func:`pentagon_residual` streams their distance;
-    :func:`pentagon_defect` multiplies them out, and the solver pulls its
-    gradient back through the same products.
+    :func:`pentagon_defect` multiplies them out, and the solver plans each
+    as a :class:`~braidmu.tensor.PlannedWord` with F as its slot.
     """
     legs = f.domain + f.domain[1:]
     return legs, [(f, 1), (f, 2)], [(f, 2), (cinv, 1), (f, 2), (c, 1), (f, 1)]
 
 
-def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator,
-                    return_tapes: bool = False
-                    ) -> np.ndarray | tuple[np.ndarray, Tape, Tape]:
+def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator) -> np.ndarray:
     """F23 F12 - F12 c12 F23 cinv12 F23 on L (x) L (x) L, from F, the braiding c
     and its inverse on L (x) L.
 
-    This serves the solver alone, for its value and its tapes.  Both sides
-    are products of :func:`pentagon_words`, each F acting by one
+    Both sides are products of :func:`pentagon_words`, each F acting by one
     reshape-matmul on two of the three legs and a flip or phase crossing by
     an axis swap, and both dense n^3 x n^3 products and their difference
-    are formed.  With ``return_tapes`` the result is (defect, left tape,
-    right tape), and the recorded tapes keep every prefix product of their
-    word, nine n^3 x n^3 matrices, for the solver's gradient to pull the
-    defect back through.  A caller that needs the residual alone takes
+    are formed.  A caller that needs the residual alone takes
     :func:`pentagon_residual`, which streams it by
     :func:`~braidmu.tensor.distance`.
     """
     legs, lhs, rhs = pentagon_words(f, c, cinv)
-    if not return_tapes:
-        return leg_product(lhs, legs).matrix - leg_product(rhs, legs).matrix
-    left, right = record(lhs, legs), record(rhs, legs)
-    return left.product - right.product, left, right
+    return leg_product(lhs, legs).matrix - leg_product(rhs, legs).matrix
 
 
 def pentagon_residual(m: MultUnitary) -> float:
@@ -435,10 +426,13 @@ def full_certificate(m: MultUnitary, tol: float = DEFAULT_TOL) -> Certificate:
             value = step()
         except failure:
             value = fallback
-        # a step that yields several records charges its time to the first
-        elapsed = time.perf_counter() - start
+        # a step that yields several records charges its time to the first,
+        # which the others name
+        elapsed, first = time.perf_counter() - start, rows[0][0]
         for (name, kind, expected), v in zip(rows, value if len(rows) > 1 else [value]):
             records.append(check_record(name, kind, v, tol if kind == "residual" else None,
                                         expected, elapsed))
+            if name != first:
+                records[-1]["timed_with"] = first
             elapsed = 0.0
     return Certificate(tuple(records), tol)

@@ -8,7 +8,9 @@ Each L-BFGS-B evaluation gives the objective and its gradient together: the
 exponential and its Frechet derivative both come from one ``eigh`` of H, and
 the gradient runs in reverse mode through the prefix products that the
 Pentagon defect's own forward pass kept, then one adjoint Frechet
-derivative, whatever the number of parameters.
+derivative, whatever the number of parameters.  A :class:`SearchProblem`
+plans its two Pentagon words once (:class:`~braidmu.tensor.PlannedWord`), so
+an evaluation runs only arithmetic: it places no leg and builds no operator.
 
 :func:`search` runs with every OpenBLAS in the process at one thread, and
 restores each build's thread count when it returns or raises; the setting is
@@ -32,8 +34,8 @@ from . import _blas, spans
 # bound here for the benchmark's tracer (bench/tracer.py), which wraps it as the
 # solver's certification step; search gates its hits without the full certificate
 from .multunitary import (MultUnitary, full_certificate, pentagon_defect,  # noqa: F401
-                          pentagon_residual)
-from .tensor import LegOperator, LegSignature, Space, pullback, tensor_space
+                          pentagon_residual, pentagon_words)
+from .tensor import LegOperator, LegSignature, PlannedWord, Space, identity, tensor_space
 
 __all__ = [
     "DegreePreservingConstraint", "CommutantConstraint", "SearchProblem",
@@ -117,6 +119,11 @@ class SearchProblem:
         self._sig = LegSignature((l, l), (l, l))
         self._c = self.braiding.braid(l, l)
         self._cinv = self.braiding.braid_inverse(l, l)
+        # the Pentagon's two words, planned once; slot stands in for F, whose
+        # matrix each gradient call supplies
+        slot = identity((l, l))
+        legs, *words = pentagon_words(slot, self._c, self._cinv)
+        self._words = tuple(PlannedWord(steps, legs, slot) for steps in words)
 
     def _feasible_basis(self) -> np.ndarray:
         square = tensor_space(self.space, self.space)
@@ -197,18 +204,23 @@ def residual_objective(problem: SearchProblem, params: np.ndarray) -> float:
 def gradient(problem: SearchProblem, params: np.ndarray) -> tuple[float, np.ndarray]:
     """The objective and its exact gradient, from one ``eigh`` and one defect.
 
-    Reverse mode: the defect P is pulled back through the tapes of both
-    Pentagon words, which its forward pass kept, to G = dObj/dF
+    Reverse mode: each of the problem's two planned Pentagon words runs
+    forward once from F, keeping its prefix products; their difference is
+    the defect P.  P is pulled back through both words to G = dObj/dF
     (dObj = 2 Re <G, dF>), then through one adjoint Frechet derivative of
     exp to K = dObj/dH, whose Hilbert-Schmidt products with the parameter
     basis are the partials.
     """
     lam, v = np.linalg.eigh(problem.hermitian(params))
-    f = problem.candidate(_exp_i(lam, v))
-    p, lhs, rhs = pentagon_defect(f, problem._c, problem._cinv, return_tapes=True)
+    f = _exp_i(lam, v)
+    lhs, rhs = problem._words
+    left, right = lhs.forward(f), rhs.forward(f)
+    p = left[-1] - right[-1]
     # P = lhs - rhs: every F of either word pulls P back, with the word's sign;
     # the cotangents are summed in step order
-    g = sum(pullback(lhs, p, f)) - sum(pullback(rhs, p, f))
+    # contiguous, as an adjoint LegOperator holds it, so the matmuls keep their bits
+    f_adjoint = np.ascontiguousarray(f.conj().T)
+    g = sum(lhs.pullback(left, p, f_adjoint)) - sum(rhs.pullback(right, p, f_adjoint))
     k = -expm_frechet(-lam, v, g)
     # 2 Re <K, B_a> for every basis element at once
     grad = 2.0 * (problem._flat_basis @ k.conj().reshape(-1)).real

@@ -19,9 +19,10 @@ injections, conjugations and comultiplications alike; :func:`distance` of
 two words (a DSL statement, the Pentagon, a routing agreement or a
 Yetter-Drinfeld identity) runs both over blocks of columns within the byte
 budget :data:`_BLOCK_BYTES`, so memory is O(n^3 b) on three legs of
-dimension n, not n^6; and :func:`record` keeps every prefix product on a
-:class:`Tape`, which :func:`pullback` runs in reverse mode, taking a
-cotangent of the product back to each step's factor.  A factor on distant
+dimension n, not n^6.  A :class:`PlannedWord` is a word planned once for
+reverse mode, whose slot factor takes a new matrix on every run: its forward
+pass keeps every prefix product, and its pullback takes a cotangent of the
+product back to the slot's steps.  A factor on distant
 legs is the steps of :func:`route_steps`: the move crossings, the factor,
 the back crossings.  :func:`embed_adjacent` (the one-step
 :func:`leg_product`) and :func:`compose` are the dense oracle of the tests.
@@ -30,7 +31,7 @@ the back crossings.  :func:`embed_adjacent` (the one-step
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +39,8 @@ import numpy as np
 __all__ = [
     "LegError", "Space", "LegSignature", "LegOperator", "Crossing", "crossing", "Vector",
     "Step", "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
-    "embed_adjacent", "apply_on_legs", "legs_after", "Tape", "record", "leg_product",
-    "pullback", "distance", "route_steps",
+    "embed_adjacent", "apply_on_legs", "legs_after", "leg_product", "distance",
+    "PlannedWord", "route_steps",
     "apply_distant", "extract_distant", "is_unitary",
 ]
 
@@ -185,6 +186,13 @@ class Crossing(LegOperator):
             object.__setattr__(self, "_adjoint", star)
         return star
 
+    @cached_property
+    def swap(self) -> tuple[int, int, np.ndarray | None]:
+        """dim H, dim K and the phases as a (K, H, 1) table (None for the flip),
+        which :func:`_cross` reads."""
+        h, k = (s.dim for s in self.domain)
+        return h, k, None if self.phases is None else self.phases.T[:, :, None]
+
 
 def crossing(h: Space, k: Space, phases: np.ndarray | None = None) -> Crossing:
     """The :class:`Crossing` H (x) K -> K (x) H with the given phase table."""
@@ -206,14 +214,22 @@ def _shaped(phases, h: Space, k: Space) -> np.ndarray:
 def _cross(c: Crossing, x: np.ndarray, pre: int, rest: int) -> np.ndarray:
     """(1 (x) c (x) 1) @ x for x viewed as (pre, H, K, rest): the axis swap to
     (pre, K, H, rest) times the phases, one pass over x."""
-    h, k = (s.dim for s in c.domain)
+    h, k, table = c.swap
     swapped = x.reshape(pre, h, k, rest).transpose(0, 2, 1, 3)
     out = np.empty((pre, k, h, rest), dtype=complex)
-    if c.phases is None:
+    if table is None:
         out[...] = swapped
     else:
-        np.multiply(swapped, c.phases.T[:, :, None], out=out)
+        np.multiply(swapped, table, out=out)
     return out
+
+
+def _step(a: Crossing | np.ndarray, x: np.ndarray, pre: int, rest: int) -> np.ndarray:
+    """One step on x viewed as (pre, a's domain, rest): a crossing's axis swap
+    by :func:`_cross`, or one matmul by the matrix a."""
+    if isinstance(a, Crossing):
+        return _cross(a, x, pre, rest)
+    return np.matmul(a, x.reshape(pre, a.shape[1], rest))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,17 +292,28 @@ def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegO
     return leg_product([(x, start)], context)
 
 
-def _padded_columns(x: LegOperator, context: tuple[Space, ...], start: int, lo: int,
-                    hi: int) -> np.ndarray:
-    """Columns ``lo:hi`` of the padded matrix 1 (x) x (x) 1, written into zeros:
-    column (i, s, j), with s an index of x's domain, holds column s of x in
-    the rows (i, :, j)."""
+def _padding(x: LegOperator, context: tuple[Space, ...], start: int, lo: int, hi: int):
+    """Where columns ``lo:hi`` of the padded matrix 1 (x) x (x) 1 hold x's
+    entries, for :func:`_scatter`: column (i, s, j), with s an index of x's
+    domain, holds column s of x in the rows (i, :, j)."""
     pre, post = _placed(x, context, start)
     (a, b), p, q = x.matrix.shape, total_dim(pre), total_dim(post)
-    out = np.zeros((p, a, q, hi - lo), dtype=complex)
     i, s, j = np.unravel_index(np.arange(lo, hi), (p, b, q))
-    out[i, :, j, np.arange(hi - lo)] = x.matrix[:, s].T
-    return out.reshape(p * a * q, hi - lo)
+    return (p, a, q, hi - lo), (i, slice(None), j, np.arange(hi - lo)), s
+
+
+def _scatter(m: np.ndarray, shape: tuple[int, ...], at: tuple, s: np.ndarray) -> np.ndarray:
+    """The padded columns of a :func:`_padding`, written into zeros from x's matrix m."""
+    out = np.zeros(shape, dtype=complex)
+    out[at] = m[:, s].T
+    p, a, q, n = shape
+    return out.reshape(p * a * q, n)
+
+
+def _padded_columns(x: LegOperator, context: tuple[Space, ...], start: int, lo: int,
+                    hi: int) -> np.ndarray:
+    """Columns ``lo:hi`` of the padded matrix 1 (x) x (x) 1, written into zeros."""
+    return _scatter(x.matrix, *_padding(x, context, start, lo, hi))
 
 
 def legs_after(op: LegOperator, context: Sequence[Space], start: int) -> tuple[Space, ...]:
@@ -311,11 +338,8 @@ def apply_on_legs(op: LegOperator, x: np.ndarray, context: Sequence[Space],
         raise LegError(f"a matrix of shape {x.shape} has no rows on a context of "
                        f"total dimension {total_dim(context)}")
     cols = x.shape[1]
-    if isinstance(op, Crossing):
-        out = _cross(op, x, total_dim(pre), total_dim(post) * cols)
-    else:
-        out = np.matmul(op.matrix, x.reshape(total_dim(pre), op.matrix.shape[1],
-                                             total_dim(post) * cols))
+    out = _step(op if isinstance(op, Crossing) else op.matrix, x, total_dim(pre),
+                total_dim(post) * cols)
     return out.reshape(-1, cols)
 
 
@@ -362,35 +386,6 @@ def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
     return LegOperator(LegSignature(context, legs), x)
 
 
-@dataclass(frozen=True, eq=False)
-class Tape:
-    """A step list run forward from the identity, as :func:`record` leaves it.
-
-    ``legs[j]`` are the legs the rows carry before step j, the last entry
-    those of the product.  ``prefixes[j]`` is the product of the steps ahead
-    of step j, the identity first and the whole product last.
-    """
-
-    steps: tuple[Step, ...]
-    legs: tuple[tuple[Space, ...], ...]
-    prefixes: tuple[np.ndarray, ...]
-
-    @property
-    def product(self) -> np.ndarray:
-        return self.prefixes[-1]
-
-
-def record(steps: Sequence[Step], context: Sequence[Space]) -> Tape:
-    """The product of a nonempty step list on the context, with every prefix
-    product kept for :func:`pullback`: the identity, the first step's
-    :func:`_columns`, then each later step run on the prefix before it."""
-    context, dim = tuple(context), total_dim(context)
-    runs = accumulate(steps[1:], lambda run, step: _run_steps([step], *run),
-                      initial=_columns(steps[:1], context, 0, dim))
-    prefixes, legs = zip(_columns((), context, 0, dim), *runs)
-    return Tape(tuple(steps), legs, prefixes)
-
-
 def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space]) -> float:
     """Hilbert-Schmidt norm of the difference of two step products on the same context.
 
@@ -423,36 +418,74 @@ def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space])
     return float(np.sqrt(squares))
 
 
-def pullback(tape: Tape, cotangent: np.ndarray, factor: LegOperator | None = None
-             ) -> list[np.ndarray]:
-    """The cotangents of the steps' factors, for a cotangent P of the tape's product W.
+class PlannedWord:
+    """A nonempty step list on a context, planned once for reverse mode: the
+    steps whose factor is ``slot`` take a new matrix on every run.
 
-    Write W = After (1 (x) op (x) 1) Before around step j.  A change d(op)
-    of that factor changes W by After (1 (x) d(op) (x) 1) Before, so
-    <P, dW> = <G_j, d(op)> (Hilbert-Schmidt) with G_j the partial trace of
-    After* P Before* over the legs op does not touch.  Returns G_j, shaped
-    like op's matrix, in step order, for every step whose factor is
-    ``factor`` (every step when None); a factor that occurs in several
-    steps gets one cotangent per occurrence.  Before is the tape's prefix
-    product; After* P runs the adjoint steps backward by
-    :func:`apply_on_legs`, so crossings stay axis swaps.
+    The plan keeps all else: the first step's padded-column scatter
+    (:func:`_padding`), each step's reshape dims, a crossing and its adjoint
+    (with their :attr:`Crossing.swap`), a fixed factor's matrix and its
+    adjoint's, and the identity, the first prefix.  :meth:`forward` and
+    :meth:`pullback` do the arithmetic of :func:`_columns` and
+    :func:`apply_on_legs` in the same order, so no bit changes.
     """
-    steps, legs, before = tape.steps, tape.legs, tape.prefixes
-    if cotangent.shape != (total_dim(legs[-1]), total_dim(legs[0])):
-        raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
-                       f"product of the steps")
-    q, grads = cotangent, []
-    for j in reversed(range(len(steps))):
-        op, start = steps[j]
-        if factor is None or op is factor:
-            cod, dom = op.matrix.shape
-            pre = total_dim(legs[j][:start - 1])
-            # Q[pre, cod, post, col] conj(B[pre, dom, post, col]), summed over pre, post, col
-            qb, bb = q.reshape(pre, cod, -1), before[j].reshape(pre, dom, -1)
-            grads.append(np.matmul(qb, bb.conj().transpose(0, 2, 1)).sum(axis=0))
-        if j:  # After* P of step j - 1
-            q = apply_on_legs(adjoint(op), q, legs[j + 1], start)
-    return grads[::-1]
+
+    def __init__(self, steps: Sequence[Step], context: Sequence[Space], slot: LegOperator):
+        legs, cols = tuple(context), total_dim(context)
+        (op, start), self._plan = steps[0], []
+        self._first = None if op is slot else op.matrix, _padding(op, legs, start, 0, cols)
+        self._identity = _columns((), legs, 0, cols)[0]
+        self._identity.setflags(write=False)
+        for op, start in steps:
+            pre, post = _placed(op, legs, start)
+            acts = [None, None] if op is slot else [
+                a if isinstance(a, Crossing) else a.matrix for a in (op, adjoint(op))]
+            self._plan.append((total_dim(pre), op.matrix.shape, total_dim(post) * cols, *acts))
+            legs = pre + op.codomain + post
+        self._shape = total_dim(legs), cols
+        # the conjugate identity, as the pullback of a first slot step reads it
+        pre, (_, dom), rest = self._plan[0][:3]
+        self._eye_h = self._identity.reshape(pre, dom, rest).conj()
+
+    def forward(self, f: np.ndarray) -> list[np.ndarray]:
+        """Every prefix product, with f as the slot's matrix: the identity, the
+        first step's padded columns, then each later step run on the prefix
+        before it, in the shape that step leaves, and the whole product last,
+        as a matrix."""
+        m, padding = self._first
+        x = _scatter(f if m is None else m, *padding)
+        prefixes = [self._identity, x]
+        for pre, _, rest, a, _ in self._plan[1:]:
+            x = _step(f if a is None else a, x, pre, rest)
+            prefixes.append(x)
+        prefixes[-1] = x.reshape(self._shape)
+        return prefixes
+
+    def pullback(self, prefixes: list[np.ndarray], cotangent: np.ndarray,
+                 f_adjoint: np.ndarray) -> list[np.ndarray]:
+        """The cotangents of the slot's steps, in step order, for a cotangent P
+        of the product W of :meth:`forward`'s prefixes; f_adjoint is the
+        adjoint of the slot's matrix.
+
+        Around a slot step j, W = After (1 (x) f (x) 1) Before, so
+        <P, dW> = <G_j, d(f)> (Hilbert-Schmidt) with G_j the partial trace of
+        After* P Before* over the legs f does not touch.  Before is the
+        prefix of step j; After* P runs the adjoint steps backward.
+        """
+        if cotangent.shape != self._shape:
+            raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
+                           f"product of the steps")
+        q, grads = cotangent, []
+        for j in reversed(range(len(self._plan))):
+            pre, (cod, dom), rest, a, back = self._plan[j]
+            if a is None:
+                # Q[pre, cod, post, col] conj(B[pre, dom, post, col]), summed over pre, post, col
+                qb = q.reshape(pre, cod, rest)
+                bb = self._eye_h if j == 0 else prefixes[j].reshape(pre, dom, rest).conj()
+                grads.append(np.add.reduce(np.matmul(qb, bb.transpose(0, 2, 1)), axis=0))
+            if j:  # After* P of step j - 1
+                q = np.matmul(f_adjoint, qb) if a is None else _step(back, q, pre, rest)
+        return grads[::-1]
 
 
 def _route_providers(braiding, route: str):

@@ -1,11 +1,15 @@
 import math
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space, dsl, spans
-from braidmu.tensor import tensor, total_dim
+from braidmu.tensor import (LegError, Step, _columns, _run_steps, adjoint, apply_on_legs, tensor,
+                            total_dim)
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
 
@@ -63,6 +67,61 @@ def dense_pentagon_defect(f, c, cinv):
     eye = np.eye(math.isqrt(f.shape[0]))
     f12, f23 = np.kron(f, eye), np.kron(eye, f)
     return f23 @ f12 - f12 @ np.kron(c, eye) @ f23 @ np.kron(cinv, eye) @ f23
+
+
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """A step list run forward from the identity, as :func:`record` leaves it.
+
+    ``legs[j]`` are the legs the rows carry before step j, the last entry
+    those of the product.  ``prefixes[j]`` is the product of the steps ahead
+    of step j, the identity first and the whole product last.
+    """
+
+    steps: tuple[Step, ...]
+    legs: tuple[tuple[Space, ...], ...]
+    prefixes: tuple[np.ndarray, ...]
+
+    @property
+    def product(self) -> np.ndarray:
+        return self.prefixes[-1]
+
+
+def record(steps: Sequence[Step], context: Sequence[Space]) -> Tape:
+    """The reference of tensor.PlannedWord.forward, step by step: the
+    product of a nonempty step list on the context, with every prefix
+    product kept for :func:`pullback`: the identity, the first step's
+    _columns, then each later step run on the prefix before it."""
+    context, dim = tuple(context), total_dim(context)
+    runs = accumulate(steps[1:], lambda run, step: _run_steps([step], *run),
+                      initial=_columns(steps[:1], context, 0, dim))
+    prefixes, legs = zip(_columns((), context, 0, dim), *runs)
+    return Tape(tuple(steps), legs, prefixes)
+
+
+def pullback(tape: Tape, cotangent: np.ndarray, factor=None) -> list[np.ndarray]:
+    """The reference of tensor.PlannedWord.pullback, which re-derives every
+    placement: the cotangents of the steps' factors, for a cotangent P of the
+    tape's product, in step order, for every step whose factor is ``factor``
+    (every step when None).  G_j is the partial trace of After* P Before*
+    over the legs op does not touch; After* P runs the adjoint steps backward
+    by apply_on_legs."""
+    steps, legs, before = tape.steps, tape.legs, tape.prefixes
+    if cotangent.shape != (total_dim(legs[-1]), total_dim(legs[0])):
+        raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
+                       f"product of the steps")
+    q, grads = cotangent, []
+    for j in reversed(range(len(steps))):
+        op, start = steps[j]
+        if factor is None or op is factor:
+            cod, dom = op.matrix.shape
+            pre = total_dim(legs[j][:start - 1])
+            # Q[pre, cod, post, col] conj(B[pre, dom, post, col]), summed over pre, post, col
+            qb, bb = q.reshape(pre, cod, -1), before[j].reshape(pre, dom, -1)
+            grads.append(np.matmul(qb, bb.conj().transpose(0, 2, 1)).sum(axis=0))
+        if j:  # After* P of step j - 1
+            q = apply_on_legs(adjoint(op), q, legs[j + 1], start)
+    return grads[::-1]
 
 
 def dense_distance(lhs, rhs, context):

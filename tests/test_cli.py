@@ -239,6 +239,33 @@ def test_analyze_report_pins_the_check_list(tmp_path, kind):
         assert c.get("expected") == expected.get(c["name"]), c["name"]
 
 
+@pytest.mark.parametrize("kind", ["kac-takesaki", "identity"])
+def test_every_untimed_record_names_the_record_timed_for_its_step(tmp_path, kind):
+    """A step that yields several records times the first; each later record
+    reads zero time and names that first record, which comes earlier and
+    carries the time itself."""
+    out = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    extra, name = (["--n", "3"], "W") if kind == "kac-takesaki" else (["--dim", "2"], "F")
+    assert run(["generate", kind, *extra, "-o", str(out)]) == 0
+    run(["analyze", str(out), "--object", name, "--report", str(report)])
+    checks = read_json(str(report))["checks"]
+    names = [c["name"] for c in checks]
+    shared = {c["name"]: c["timed_with"] for c in checks if "timed_with" in c}
+    assert shared == {
+        "rank-d": "rank-c", "commutant-dim": "rank-c", "regular": "rank-c",
+        "bi-regular": "rank-c", "dual-consistent": "rank-c",
+        "podles-left": "podles-right", "sandwich-span": "multiplier"}
+    for i, c in enumerate(checks):
+        if c["wall_time_s"] == 0.0:
+            first = names.index(c["timed_with"])
+            # the records of one step are consecutive
+            assert first < i and all(shared.get(n) == c["timed_with"] for n in names[first + 1:i])
+            assert "timed_with" not in checks[first]
+        else:
+            assert "timed_with" not in c
+
+
 def test_report_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
     bundle = tmp_path / "w.json"
     stmt = tmp_path / "s.stmt"

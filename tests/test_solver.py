@@ -11,7 +11,7 @@ import braidmu as bm
 from braidmu import Space
 from braidmu.solver import expm_frechet
 
-from conftest import dense_pentagon_defect, random_unitary
+from conftest import dense_pentagon_defect, pullback, random_unitary, record
 
 
 def flip_problem(dim=2, **kw):
@@ -97,26 +97,85 @@ def test_gradient_matches_the_forward_mode_oracle(name):
         assert err <= 1e-12 * np.linalg.norm(oracle) + 1e-14, (scale, err)
 
 
+def taped_gradient(problem, params, select_f_steps=False):
+    """The objective and its gradient the step-by-step way: F as an operator,
+    both Pentagon words recorded on a conftest Tape, the defect pulled back
+    through them by conftest.pullback, which re-derives every placement, and
+    the cotangents of the F steps summed in step order.  Those cotangents
+    come from pullback's factor filter, or with ``select_f_steps`` from the
+    unfiltered pullback of every step."""
+    from braidmu.multunitary import pentagon_words
+    from braidmu.solver import _exp_i
+    lam, v = np.linalg.eigh(problem.hermitian(params))
+    f = problem.candidate(_exp_i(lam, v))
+    legs, lhs, rhs = pentagon_words(f, problem._c, problem._cinv)
+    left, right = record(lhs, legs), record(rhs, legs)
+    p = left.product - right.product
+
+    def cotangents(tape):
+        if select_f_steps:
+            return [x for (op, _), x in zip(tape.steps, pullback(tape, p)) if op is f]
+        return pullback(tape, p, f)
+
+    g = sum(cotangents(left)) - sum(cotangents(right))
+    k = -expm_frechet(-lam, v, g)
+    return float(np.vdot(p, p).real), 2.0 * (problem._flat_basis @ k.conj().reshape(-1)).real
+
+
+@pytest.mark.parametrize("name", list(oracle_problems()))
+def test_gradient_is_the_taped_reference_bit_for_bit(name):
+    """The planned words do the arithmetic of the step-by-step tapes, in the
+    same order, so the value and every partial keep their bits."""
+    problem = oracle_problems()[name]()
+    rng = np.random.default_rng(19)
+    for scale in (0.0, 1e-3, 1.0):
+        theta = scale * rng.normal(size=problem.param_count)
+        value, grad = bm.gradient(problem, theta)
+        want_value, want_grad = taped_gradient(problem, theta)
+        assert value == want_value, scale
+        assert np.array_equal(grad, want_grad), scale
+
+
 @pytest.mark.parametrize("name", list(oracle_problems()))
 def test_gradient_sums_the_f_cotangents_in_step_order(name):
     """Bit for bit, the gradient is the unfiltered pullback of both tapes with
     the cotangents of the F steps summed in step order, so selecting the F
     steps changes no output bit."""
-    from braidmu.multunitary import pentagon_defect
-    from braidmu.solver import _exp_i
-    from braidmu.tensor import pullback
     problem = oracle_problems()[name]()
     rng = np.random.default_rng(17)
     for scale in (1e-3, 1.0):
         theta = scale * rng.normal(size=problem.param_count)
-        lam, v = np.linalg.eigh(problem.hermitian(theta))
-        f = problem.candidate(_exp_i(lam, v))
-        p, lhs, rhs = pentagon_defect(f, problem._c, problem._cinv, return_tapes=True)
-        g = (sum(x for (op, _), x in zip(lhs.steps, pullback(lhs, p)) if op is f)
-             - sum(x for (op, _), x in zip(rhs.steps, pullback(rhs, p)) if op is f))
-        k = -expm_frechet(-lam, v, g)
-        want = 2.0 * (problem._flat_basis @ k.conj().reshape(-1)).real
+        want = taped_gradient(problem, theta, select_f_steps=True)[1]
         assert np.array_equal(bm.gradient(problem, theta)[1], want)
+
+
+@pytest.mark.parametrize("name", list(oracle_problems()))
+def test_a_second_gradient_call_plans_nothing(monkeypatch, name):
+    """The problem plans its Pentagon words once: a gradient call after the
+    first builds no operator and places no leg, pads no column, builds no
+    identity and computes no scatter index."""
+    import braidmu.tensor as tensor
+    problem = oracle_problems()[name]()
+    theta = np.random.default_rng(23).normal(size=problem.param_count)
+    first = bm.gradient(problem, theta)
+    calls = []
+
+    def counted(owner, attr):
+        real = getattr(owner, attr)
+
+        def call(*args, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, call)
+
+    counted(tensor.LegOperator, "__post_init__")
+    for attr in ("_placed", "legs_after", "_padded_columns"):
+        counted(tensor, attr)
+    for attr in ("eye", "unravel_index"):
+        counted(np, attr)
+    second = bm.gradient(problem, theta)
+    assert calls == []
+    assert second[0] == first[0] and np.array_equal(second[1], first[1])
 
 
 @pytest.mark.parametrize("name", list(oracle_problems()))
@@ -342,10 +401,10 @@ def test_gradient_builds_no_braiding_kron(monkeypatch, name):
 @pytest.mark.parametrize("name", ["flip d=2", "super d=4"])
 def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     """L-BFGS-B gets value and gradient from one call: per evaluation one eigh
-    and one recorded forward pass of each Pentagon word, whose tapes the
-    gradient pulls back through, and no second defect.  Each restart adds one
-    eigh for its final unitary and one streamed distance of the two words for
-    its residual, which records no product.  No product starts anywhere else."""
+    and one forward run of each planned Pentagon word, which the gradient
+    pulls back through, and no untaped defect.  Each restart adds one eigh
+    for its final unitary and one streamed distance of the two words for its
+    residual.  No product starts anywhere else."""
     import braidmu.multunitary as mun
     import braidmu.solver as solver
     import braidmu.spans as spans
@@ -354,8 +413,8 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     # restart 0 starts at the exact identity solution, restart 1 at a random point
     problem.restarts, problem.max_iter = 2, 30
     counts = {"eigh": 0, "defect": 0, "objective": 0, "pullback": 0}
-    # step counts of the recorded words, and of the products started outside
-    # record and distance
+    # step counts of the words run forward, and of the products started
+    # outside distance
     words, untaped, inside = [], [], []
 
     def counted(key, fn):
@@ -376,7 +435,7 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
                 inside.pop()
         return call
 
-    record = within(tensor.record, words, lambda steps, context: len(steps))
+    forward = within(tensor.PlannedWord.forward, words, lambda word, f: len(word._plan))
     distance = within(mun.distance, streamed, lambda lhs, rhs, context: (len(lhs), len(rhs)))
 
     def columns(steps, context, lo, hi):
@@ -395,12 +454,12 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(solver, "pentagon_defect", counted("defect", solver.pentagon_defect))
-    monkeypatch.setattr(solver, "pullback", counted("pullback", solver.pullback))
+    monkeypatch.setattr(tensor.PlannedWord, "pullback",
+                        counted("pullback", tensor.PlannedWord.pullback))
     monkeypatch.setattr(solver, "residual_objective",
                         counted("objective", solver.residual_objective))
-    # every product starts in tensor._columns, leg_product's included
-    monkeypatch.setattr(mun, "record", record)
-    monkeypatch.setattr(tensor, "record", record)
+    monkeypatch.setattr(tensor.PlannedWord, "forward", forward)
+    # every other product starts in tensor._columns, leg_product's included
     monkeypatch.setattr(tensor, "_columns", columns)
     monkeypatch.setattr(spans, "_columns", columns)
     monkeypatch.setattr(mun, "distance", distance)
@@ -408,7 +467,7 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     bm.search(problem)
     evaluations = sum(nfev)
     assert len(nfev) == problem.restarts and evaluations > problem.restarts
-    assert counts == {"eigh": evaluations + problem.restarts, "defect": evaluations,
+    assert counts == {"eigh": evaluations + problem.restarts, "defect": 0,
                       "objective": 0, "pullback": 2 * evaluations}
     # the left word (two steps) and the right word (five), once each
     assert words == [2, 5] * evaluations

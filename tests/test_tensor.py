@@ -14,10 +14,11 @@ import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
 import braidmu.tensor as tensor_module
 from braidmu.braiding import braid_tensor
-from braidmu.tensor import (distance, leg_product, legs_after, pullback, record, route_steps,
-                            tensor, total_dim)
+from braidmu.tensor import (PlannedWord, distance, leg_product, legs_after, route_steps, tensor,
+                            total_dim)
 
-from conftest import dense_distance, random_unitary, routed_oracle, routing_category
+from conftest import (dense_distance, pullback, random_unitary, record, routed_oracle,
+                      routing_category)
 
 L2 = Space("L", 2)
 L3 = Space("M", 3)
@@ -535,6 +536,18 @@ def padded(op, context, start):
     return np.kron(np.eye(pre), np.kron(op.matrix, np.eye(post))), pre, post
 
 
+def slot_cotangents(steps, context, cot):
+    """Each step's cotangent, from the word planned with that step's factor as
+    its slot: the slot's cotangents come in step order, one per occurrence."""
+    got = []
+    for j, (op, _) in enumerate(steps):
+        word = PlannedWord(steps, context, op)
+        grads = word.pullback(word.forward(op.matrix), cot, bm.adjoint(op).matrix)
+        assert len(grads) == sum(other is op for other, _ in steps)
+        got.append(grads[sum(other is op for other, _ in steps[:j])])
+    return got
+
+
 def test_pullback_matches_the_dense_kron_oracle():
     """Each step's cotangent is the partial trace of After* P Before*, for a
     word with a space-changing factor, a flip crossing, a dense explicit
@@ -559,13 +572,12 @@ def test_pullback_matches_the_dense_kron_oracle():
     rng = np.random.default_rng(63)
     n_out, n_in = total_dim(legs), total_dim(context)
     cot = rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in))
-    tape = record(steps, context)
-    got = pullback(tape, cot)
+    got = slot_cotangents(steps, context, cot)
     assert len(got) == len(steps)
-    # a factor selects the cotangents of its own steps, in step order
+    # a slot's cotangents are the reference tape's for its own steps, bit for bit
     routed = [j for j, (op, _) in enumerate(steps) if op is w]
     assert len(routed) == 1
-    np.testing.assert_array_equal(pullback(tape, cot, w)[0], got[routed[0]])
+    np.testing.assert_array_equal(got[routed[0]], pullback(record(steps, context), cot)[routed[0]])
     for j, (m, pre, post, op) in enumerate(factors):
         before = np.eye(n_in)
         for earlier in factors[:j]:
@@ -582,8 +594,9 @@ def test_pullback_matches_the_dense_kron_oracle():
 
 def test_pullback_rejects_a_cotangent_of_the_wrong_shape():
     w = leg_op(W_Z2, [L2, L2])
+    word = PlannedWord([(w, 1), (w, 2)], (L2, L2, L2), w)
     with pytest.raises(LegError, match="cotangent"):
-        pullback(record([(w, 1), (w, 2)], (L2, L2, L2)), np.eye(4))
+        word.pullback(word.forward(w.matrix), np.eye(4), w.matrix.conj().T)
 
 
 def test_operators_compare_and_hash_by_identity(z2):
@@ -652,13 +665,13 @@ def test_distance_matches_the_dense_oracle(monkeypatch, kind, columns):
 
 def test_distance_forms_no_product(monkeypatch):
     """Each block starts from the first step's padded columns: no padded
-    matrix, no recorded product and no identity columns."""
+    matrix, no planned word and no identity columns."""
     def forbidden(*args, **kwargs):
         raise AssertionError("dense product on the distance path")
 
     context, lhs, rhs = distance_words("phase3")[3]
     want = dense_distance(lhs, rhs, context)
-    for name in ("embed_adjacent", "record", "leg_product", "identity"):
+    for name in ("embed_adjacent", "PlannedWord", "leg_product", "identity"):
         monkeypatch.setattr(tensor_module, name, forbidden)
     monkeypatch.setattr(np, "eye", forbidden)
     monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 16 * total_dim(context) * 5)
@@ -755,12 +768,13 @@ def test_only_the_linear_map_builders_call_kron():
 
 
 def test_only_tensor_calls_embed_adjacent():
-    """Every product starts in tensor._columns: embed_adjacent is only
-    re-exported by the package, and no module starts one from identity
-    columns or from tensor.identity."""
+    """Every product but a planned word's starts in tensor._columns (a
+    planned word's identity prefix is its empty product there):
+    embed_adjacent is only re-exported by the package, and no module starts
+    one from identity columns or from tensor.identity."""
     assert references("embed_adjacent") == [("__init__", "")]
     assert {u for u in references("_columns")} == {
-        ("tensor", "leg_product"), ("tensor", "record"), ("tensor", "distance"),
+        ("tensor", "leg_product"), ("tensor", "PlannedWord.__init__"), ("tensor", "distance"),
         ("spans", ""), ("spans", "CrossedProductExtension._factor_lines")}
     calculus = ("tensor", "braiding", "spans", "multunitary", "dsl", "yd")
     assert [u for u in references("identity") if u[0] in calculus] == []
@@ -770,8 +784,14 @@ def test_only_tensor_calls_embed_adjacent():
 
 
 def test_only_the_runner_pads_a_first_step():
-    """_padded_columns has one caller, the runner that starts every product."""
+    """_padded_columns has one caller, the runner that starts every product,
+    and _scatter writes every padded column: the runner's, and the planned
+    word's from the scatter it planned once."""
     assert references("_padded_columns") == [("tensor", "_columns")]
+    assert set(references("_scatter")) == {("tensor", "_padded_columns"),
+                                           ("tensor", "PlannedWord.forward")}
+    assert set(references("_padding")) == {("tensor", "_padded_columns"),
+                                           ("tensor", "PlannedWord.__init__")}
 
 
 # every function or class in a module's __all__ that nothing in the package
