@@ -30,8 +30,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .tensor import (LegError, LegOperator, Space, Step, adjoint, distance, leg_product,
-                     legs_after, route_steps)
+from .tensor import (LegError, LegOperator, PlannedWord, Space, Step, adjoint, distance,
+                     leg_product, route_steps)
 
 __all__ = [
     "ParseError", "Atom", "Adj", "Seq", "Statement", "Header", "parse", "format_expr",
@@ -282,9 +282,7 @@ def _steps(expr: Expr, bindings: dict[str, LegOperator], context: tuple[Space, .
             raise LegError("adjoint of a context-changing expression is not supported")
         return [(adjoint(op), start) for op, start in reversed(inner)], context
     steps = _atom_steps(expr, bindings, context, braiding)
-    for op, start in steps:
-        context = legs_after(op, context, start)
-    return steps, context
+    return steps, PlannedWord(steps, context).codomain
 
 
 def evaluate(expr: Expr, bindings: dict[str, LegOperator], context: Sequence[Space],

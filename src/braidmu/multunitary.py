@@ -1,5 +1,7 @@
 """Braided multiplicative unitaries: Pentagon residuals, slice algebras, duals,
-regularity classification, comultiplications, and bialgebra certificates."""
+regularity classification, comultiplications, and bialgebra certificates.
+The Pentagon has one implementation, its two words (:func:`pentagon_words`):
+the residual is their streamed distance; the solver plans them for its defect."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ __all__ = [
     "pentagon_residual", "right_slice_span", "left_slice_span", "regularity_span",
     "opposite_regularity_span", "dual", "commutant_dimension", "classify_regularity",
     "comultiply", "podles_conditions", "coassociativity_residual", "multiplier_checks",
-    "routing_agreement", "full_certificate", "pentagon_words", "pentagon_defect",
+    "routing_agreement", "full_certificate", "pentagon_words",
     "check_record",
 ]
 
@@ -65,27 +67,12 @@ def pentagon_words(f: LegOperator, c: LegOperator, cinv: LegOperator
 
     Returns the three legs L (x) L (x) L and the left and right words as
     :func:`~braidmu.tensor.leg_product` steps, the rightmost factor first.
-    :func:`pentagon_residual` streams their distance;
-    :func:`pentagon_defect` multiplies them out, and the solver plans each
-    as a :class:`~braidmu.tensor.PlannedWord` with F as its slot.
+    :func:`pentagon_residual` streams their distance, and the solver plans
+    each as a :class:`~braidmu.tensor.PlannedWord` with F as its slot, whose
+    forward pass gives the defect.
     """
     legs = f.domain + f.domain[1:]
     return legs, [(f, 1), (f, 2)], [(f, 2), (cinv, 1), (f, 2), (c, 1), (f, 1)]
-
-
-def pentagon_defect(f: LegOperator, c: LegOperator, cinv: LegOperator) -> np.ndarray:
-    """F23 F12 - F12 c12 F23 cinv12 F23 on L (x) L (x) L, from F, the braiding c
-    and its inverse on L (x) L.
-
-    Both sides are products of :func:`pentagon_words`, each F acting by one
-    reshape-matmul on two of the three legs and a flip or phase crossing by
-    an axis swap, and both dense n^3 x n^3 products and their difference
-    are formed.  A caller that needs the residual alone takes
-    :func:`pentagon_residual`, which streams it by
-    :func:`~braidmu.tensor.distance`.
-    """
-    legs, lhs, rhs = pentagon_words(f, c, cinv)
-    return leg_product(lhs, legs).matrix - leg_product(rhs, legs).matrix
 
 
 def pentagon_residual(m: MultUnitary) -> float:

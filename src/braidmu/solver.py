@@ -11,6 +11,7 @@ Pentagon defect's own forward pass kept, then one adjoint Frechet
 derivative, whatever the number of parameters.  A :class:`SearchProblem`
 plans its two Pentagon words once (:class:`~braidmu.tensor.PlannedWord`), so
 an evaluation runs only arithmetic: it places no leg and builds no operator.
+:func:`residual_objective`, the value alone, runs the same two words.
 
 :func:`search` runs with every OpenBLAS in the process at one thread, and
 restores each build's thread count when it returns or raises; the setting is
@@ -33,7 +34,7 @@ import numpy as np
 from . import _blas, spans
 # bound here for the benchmark's tracer (bench/tracer.py), which wraps it as the
 # solver's certification step; search gates its hits without the full certificate
-from .multunitary import (MultUnitary, full_certificate, pentagon_defect,  # noqa: F401
+from .multunitary import (MultUnitary, full_certificate,  # noqa: F401
                           pentagon_residual, pentagon_words)
 from .tensor import LegOperator, LegSignature, PlannedWord, Space, identity, tensor_space
 
@@ -169,10 +170,6 @@ class SearchProblem:
         """The matrix f as an operator on L (x) L."""
         return LegOperator(self._sig, f)
 
-    def defect(self, f: LegOperator) -> np.ndarray:
-        """The Pentagon defect of the candidate f."""
-        return pentagon_defect(f, self._c, self._cinv)
-
 
 def _exp_i(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(iH) for H = V diag(lam) V*."""
@@ -196,8 +193,12 @@ def expm_frechet(lam: np.ndarray, v: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def residual_objective(problem: SearchProblem, params: np.ndarray) -> float:
     """Squared Hilbert-Schmidt norm of the Pentagon defect: the value of
-    :func:`gradient` alone, for callers that difference it."""
-    p = problem.defect(problem.candidate(problem.unitary(params)))
+    :func:`gradient` alone, bit for bit, for callers that difference it.  The
+    defect is the last prefix of the left planned word's forward pass minus
+    the right word's."""
+    f = problem.unitary(params)
+    lhs, rhs = problem._words
+    p = lhs.forward(f)[-1] - rhs.forward(f)[-1]
     return float(np.vdot(p, p).real)
 
 

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import (_BLOCK_BYTES, LegError, LegOperator, LegSignature, Space, _columns,
-                     _run_steps, adjoint, compose, leg_product, total_dim)
+from .tensor import (_BLOCK_BYTES, LegError, LegOperator, LegSignature, PlannedWord, Space,
+                     adjoint, compose, leg_product, total_dim)
 
 __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
@@ -500,11 +500,15 @@ class CrossedProductExtension:
     the steps of its injection: the block crossings, the mapped factor and the
     back crossings, the crossings shared by every k.
 
-    :meth:`apply` builds the rows of every T_k that a block of target rows
-    needs (columns, pad first) by running those steps on the leading
-    crossings' columns of those lines (:func:`braidmu.tensor._columns`),
-    and maps the forward and the reverse decomposition of every element by
-    one GEMM of them with the stacked folded pads.  A pad-side conjugation
+    Both runs of crossings are placed once, when the extension is built,
+    each as a :class:`~braidmu.tensor.PlannedWord`: the leading crossings on
+    the target legs, and the trailing ones on the factor leg and the legs the
+    leading ones leave.  :meth:`apply` builds the rows of every T_k that a block of
+    target rows needs (columns, pad first): the leading word's columns of
+    those lines, every mapped factor on them by one GEMM, then the trailing
+    word run on the result.  It maps the forward and the reverse
+    decomposition of every element by one GEMM of those rows with the
+    stacked folded pads.  A pad-side conjugation
     m |-> V (1 (x) m) V* comes out of the sum: the GEMM runs on T_k (1 (x) V)
     and its output is multiplied by 1 (x) V*, so it contracts over the pad
     and not over its conjugated image.
@@ -530,11 +534,14 @@ class CrossedProductExtension:
             before, after = ([(adjoint(op), at) for op, at in reversed(steps)]
                              for steps in (after, before))
             factors = [adjoint(x) for x in factors]
+        self._before = PlannedWord(before, self.target_domain)
+        self._factors = np.concatenate([x.matrix for x in factors])
+        self._pre = total_dim(self._before.codomain[:start - 1])
         # the factor index leads the rows as one more leg once the factors
         # have acted, so the crossings after them run once for every k
-        self._steps = (before, np.concatenate([x.matrix for x in factors]), start,
-                       [(op, at + 1) for op, at in after])
         self._factor_leg = Space("k", cp.conjugated.rank)
+        self._after = PlannedWord([(op, at + 1) for op, at in after],
+                                  (self._factor_leg,) + self._before.codomain)
 
     def line_bytes(self, count: int) -> int:
         """Bytes that :meth:`apply` holds at once per target line, for ``count``
@@ -546,15 +553,14 @@ class CrossedProductExtension:
         """The GEMM block of the target lines lo:hi, shape (lines, rc * p): the
         rows of every T_k (1 (x) V), or its columns with V* (x) 1 pad first,
         split so that the pad is the last axis."""
-        before, factors, start, after = self._steps
-        rc, p, b = self._factor_leg.dim, self._p, hi - lo
-        x, legs = _columns(before, self.target_domain, lo, hi)
+        factors, pre = self._factors, self._pre
+        rc, p, b, fd = self._factor_leg.dim, self._p, hi - lo, factors.shape[-1]
+        x = self._before.columns(lo, hi)
         # every factor by one GEMM, its legs leading, then the factor index
         # leading and its legs back in place
-        pre, fd = total_dim(legs[:start - 1]), factors.shape[-1]
         x = factors @ x.reshape(pre, fd, -1).transpose(1, 0, 2).reshape(fd, -1)
         x = x.reshape(rc, fd, pre, -1).transpose(0, 2, 1, 3)
-        x = _run_steps(after, x.reshape(-1, b), (self._factor_leg,) + legs)[0]
+        x = self._after.run(x.reshape(-1, b))
         if self._pad_first:
             if self._v is not None:                         # (V* (x) 1) T_k
                 x = np.matmul(self._vh, x.reshape(rc, self._vh.shape[1], -1))

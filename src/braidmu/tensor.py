@@ -5,33 +5,33 @@ multi-index convention is fixed once and for all: the FIRST leg is the most
 significant index, for rows and columns alike, so tensoring two operators is
 exactly ``numpy.kron``.
 
-A factor on a few legs of a longer context acts matrix-free:
-:func:`apply_on_legs` left-multiplies by 1 (x) op (x) 1 with one reshape and
-one matmul and never forms the padded matrix.  A :class:`Crossing`, a
-permutation with phases such as a flip or phase braiding, acts with no
-matmul at all: an axis swap of the rows times its phase table.  A
-leg-notation product is a list of steps ``(op, start)``.  Every product
-starts in one runner, :func:`_columns`: a range of its columns, begun as the
-first step's padded columns (written once, never multiplied) and run by
-:func:`_run_steps`.  This is the one way a factor is padded and multiplied:
-:func:`leg_product` is all the columns, for the DSL, block crossings,
-injections, conjugations and comultiplications alike; :func:`distance` of
-two words (a DSL statement, the Pentagon, a routing agreement or a
-Yetter-Drinfeld identity) runs both over blocks of columns within the byte
-budget :data:`_BLOCK_BYTES`, so memory is O(n^3 b) on three legs of
-dimension n, not n^6.  A :class:`PlannedWord` is a word planned once for
-reverse mode, whose slot factor takes a new matrix on every run: its forward
-pass keeps every prefix product, and its pullback takes a cotangent of the
-product back to the slot's steps.  A factor on distant
-legs is the steps of :func:`route_steps`: the move crossings, the factor,
-the back crossings.  :func:`embed_adjacent` (the one-step
-:func:`leg_product`) and :func:`compose` are the dense oracle of the tests.
+A factor on a few legs of a longer context acts matrix-free: one reshape
+and one matmul left-multiply by 1 (x) op (x) 1, and the padded matrix is
+never formed.  A :class:`Crossing`, a permutation with phases such as a flip
+or phase braiding, acts with no matmul at all: an axis swap of the rows
+times its phase table.  A leg-notation product is a list of steps
+``(op, start)``, and one runner executes every such product: a
+:class:`PlannedWord` places its steps once and then runs only arithmetic.
+Its columns begin as the first step's padded columns (written once, never
+multiplied).  :func:`leg_product` is all the columns, for the DSL, block
+crossings, injections, conjugations and comultiplications alike;
+:func:`distance` of two words (a DSL statement, the Pentagon, a routing
+agreement or a Yetter-Drinfeld identity) runs both over blocks of columns
+within the byte budget :data:`_BLOCK_BYTES`, so memory is O(n^3 b) on three
+legs of dimension n, not n^6; :func:`apply_on_legs` is one step run on a
+given matrix.  A word with a slot factor takes a new matrix for it on every
+run, for reverse mode: its forward pass keeps every prefix product, and its
+pullback takes a cotangent of the product back to the slot's steps.  A
+factor on distant legs is the steps of :func:`route_steps`: the move
+crossings, the factor, the back crossings.  :func:`embed_adjacent` (the
+one-step :func:`leg_product`) and :func:`compose` are the dense oracle of
+the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 __all__ = [
     "LegError", "Space", "LegSignature", "LegOperator", "Crossing", "crossing", "Vector",
     "Step", "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
-    "embed_adjacent", "apply_on_legs", "legs_after", "leg_product", "distance",
+    "embed_adjacent", "apply_on_legs", "leg_product", "distance",
     "PlannedWord", "route_steps",
     "apply_distant", "extract_distant", "is_unitary",
 ]
@@ -211,12 +211,12 @@ def _shaped(phases, h: Space, k: Space) -> np.ndarray:
     return p
 
 
-def _cross(c: Crossing, x: np.ndarray, pre: int, rest: int) -> np.ndarray:
+def _cross(c: Crossing, x: np.ndarray, pre: int) -> np.ndarray:
     """(1 (x) c (x) 1) @ x for x viewed as (pre, H, K, rest): the axis swap to
     (pre, K, H, rest) times the phases, one pass over x."""
     h, k, table = c.swap
-    swapped = x.reshape(pre, h, k, rest).transpose(0, 2, 1, 3)
-    out = np.empty((pre, k, h, rest), dtype=complex)
+    swapped = x.reshape(pre, h, k, -1).transpose(0, 2, 1, 3)
+    out = np.empty(swapped.shape, dtype=complex)
     if table is None:
         out[...] = swapped
     else:
@@ -224,12 +224,12 @@ def _cross(c: Crossing, x: np.ndarray, pre: int, rest: int) -> np.ndarray:
     return out
 
 
-def _step(a: Crossing | np.ndarray, x: np.ndarray, pre: int, rest: int) -> np.ndarray:
+def _step(a: Crossing | np.ndarray, x: np.ndarray, pre: int) -> np.ndarray:
     """One step on x viewed as (pre, a's domain, rest): a crossing's axis swap
     by :func:`_cross`, or one matmul by the matrix a."""
     if isinstance(a, Crossing):
-        return _cross(a, x, pre, rest)
-    return np.matmul(a, x.reshape(pre, a.shape[1], rest))
+        return _cross(a, x, pre)
+    return np.matmul(a, x.reshape(pre, a.shape[1], -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,14 +292,14 @@ def embed_adjacent(x: LegOperator, context: Sequence[Space], start: int) -> LegO
     return leg_product([(x, start)], context)
 
 
-def _padding(x: LegOperator, context: tuple[Space, ...], start: int, lo: int, hi: int):
+def _padding(pre: int, shape: tuple[int, int], post: int, lo: int, hi: int):
     """Where columns ``lo:hi`` of the padded matrix 1 (x) x (x) 1 hold x's
-    entries, for :func:`_scatter`: column (i, s, j), with s an index of x's
-    domain, holds column s of x in the rows (i, :, j)."""
-    pre, post = _placed(x, context, start)
-    (a, b), p, q = x.matrix.shape, total_dim(pre), total_dim(post)
-    i, s, j = np.unravel_index(np.arange(lo, hi), (p, b, q))
-    return (p, a, q, hi - lo), (i, slice(None), j, np.arange(hi - lo)), s
+    entries, for :func:`_scatter`, from the dims of the legs before and after x
+    and x's shape: column (i, s, j), with s an index of x's domain, holds
+    column s of x in the rows (i, :, j)."""
+    a, b = shape
+    i, s, j = np.unravel_index(np.arange(lo, hi), (pre, b, post))
+    return (pre, a, post, hi - lo), (i, slice(None), j, np.arange(hi - lo)), s
 
 
 def _scatter(m: np.ndarray, shape: tuple[int, ...], at: tuple, s: np.ndarray) -> np.ndarray:
@@ -310,153 +310,99 @@ def _scatter(m: np.ndarray, shape: tuple[int, ...], at: tuple, s: np.ndarray) ->
     return out.reshape(p * a * q, n)
 
 
-def _padded_columns(x: LegOperator, context: tuple[Space, ...], start: int, lo: int,
-                    hi: int) -> np.ndarray:
-    """Columns ``lo:hi`` of the padded matrix 1 (x) x (x) 1, written into zeros."""
-    return _scatter(x.matrix, *_padding(x, context, start, lo, hi))
-
-
-def legs_after(op: LegOperator, context: Sequence[Space], start: int) -> tuple[Space, ...]:
-    """The context once op has acted on its legs ``start ..`` (1-based)."""
-    pre, post = _placed(op, tuple(context), start)
-    return pre + op.codomain + post
-
-
 def apply_on_legs(op: LegOperator, x: np.ndarray, context: Sequence[Space],
                   start: int) -> np.ndarray:
-    """(1 (x) op (x) 1) @ x, with op on the legs ``start ..`` (1-based) of the rows of x.
-
-    The rows of x carry the legs ``context``; its columns may be anything.  x
-    is viewed as (pre, op's domain, post * columns) blocks and multiplied by
-    op in one matmul, so the padded matrix is never formed; a
-    :class:`Crossing` swaps the two axes of its legs instead.  The rows of the
-    result carry :func:`legs_after`.
-    """
-    context = tuple(context)
-    pre, post = _placed(op, context, start)
-    if x.ndim != 2 or x.shape[0] != total_dim(context):
-        raise LegError(f"a matrix of shape {x.shape} has no rows on a context of "
-                       f"total dimension {total_dim(context)}")
-    cols = x.shape[1]
-    out = _step(op if isinstance(op, Crossing) else op.matrix, x, total_dim(pre),
-                total_dim(post) * cols)
-    return out.reshape(-1, cols)
+    """(1 (x) op (x) 1) @ x, with op on the legs ``start ..`` (1-based) of the
+    rows of x, which carry the legs ``context``: the one-step
+    :meth:`PlannedWord.run`, which never forms the padded matrix."""
+    return PlannedWord([(op, start)], context).run(x)
 
 
 Step = tuple[LegOperator, int]
 
 
-def _run_steps(steps: Sequence[Step], x: np.ndarray, context: tuple[Space, ...]
-               ) -> tuple[np.ndarray, tuple[Space, ...]]:
-    """Apply the steps in order to the rows of x, which carry the legs ``context``.
-
-    Returns the product and the legs its rows carry.
-    """
-    for op, start in steps:
-        x = apply_on_legs(op, x, context, start)
-        context = legs_after(op, context, start)
-    return x, context
-
-
-def _columns(steps: Sequence[Step], context: Sequence[Space], lo: int, hi: int
-             ) -> tuple[np.ndarray, tuple[Space, ...]]:
-    """Columns ``lo:hi`` of the product of the steps on the context, the first
-    step applied first, and the legs its rows carry.
-
-    This is where every product starts.  A step ``(op, start)`` acts on the
-    legs ``start ..`` of the context as the earlier steps left it.  The first
-    step's :func:`_padded_columns` start the product (written once, never
-    multiplied) and the later steps act on them by :func:`_run_steps`; no
-    steps give the identity's columns.
-    """
-    context = tuple(context)
-    if not steps:
-        x = np.zeros((total_dim(context), hi - lo), dtype=complex)
-        x[lo:hi] = np.eye(hi - lo)
-        return x, context
-    (op, start), *rest = steps
-    return _run_steps(rest, _padded_columns(op, context, start, lo, hi),
-                      legs_after(op, context, start))
-
-
-def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
-    """The product of the steps on the context, all of :func:`_columns`, as an operator."""
-    context = tuple(context)
-    x, legs = _columns(steps, context, 0, total_dim(context))
-    return LegOperator(LegSignature(context, legs), x)
-
-
-def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space]) -> float:
-    """Hilbert-Schmidt norm of the difference of two step products on the same context.
-
-    Neither product is formed whole.  Both run over consecutive blocks of
-    domain columns, as many as fit in :data:`_BLOCK_BYTES` (one at least),
-    each block by :func:`_columns`.  The squared norms of the blocks'
-    differences add up, so memory is one block per side, not a product.
-    """
-    context = tuple(context)
-    ends, rows = [], total_dim(context)
-    for steps in (lhs, rhs):
-        legs = context
-        for op, start in steps:
-            legs = legs_after(op, legs, start)
-            rows = max(rows, total_dim(legs))
-        ends.append(legs)
-    if ends[0] != ends[1]:
-        raise LegError(
-            f"the two products end on different legs, {[s.id for s in ends[0]]} "
-            f"and {[s.id for s in ends[1]]}")
-    cols = total_dim(context)
-    width = max(1, _BLOCK_BYTES // (16 * rows))
-    squares = 0.0
-    for lo in range(0, cols, width):
-        hi = min(lo + width, cols)
-        # the right block is run once the last block's difference is gone
-        diff = _columns(lhs, context, lo, hi)[0]
-        diff -= _columns(rhs, context, lo, hi)[0]
-        squares += np.vdot(diff, diff).real
-    return float(np.sqrt(squares))
+@lru_cache(maxsize=4)
+def _conjugate_identity(n: int) -> np.ndarray:
+    """The conjugate n x n identity, read-only, as the pullback of a first slot
+    step reads it: one array for every word on n columns."""
+    eye = np.eye(n, dtype=complex).conj()
+    eye.setflags(write=False)
+    return eye
 
 
 class PlannedWord:
-    """A nonempty step list on a context, planned once for reverse mode: the
-    steps whose factor is ``slot`` take a new matrix on every run.
+    """A step list on a context, placed once: the one runner of every product.
 
-    The plan keeps all else: the first step's padded-column scatter
-    (:func:`_padding`), each step's reshape dims, a crossing and its adjoint
-    (with their :attr:`Crossing.swap`), a fixed factor's matrix and its
-    adjoint's, and the identity, the first prefix.  :meth:`forward` and
-    :meth:`pullback` do the arithmetic of :func:`_columns` and
-    :func:`apply_on_legs` in the same order, so no bit changes.
+    A step ``(op, start)`` acts on the legs ``start ..`` (1-based) of the
+    context as the earlier steps left it, the first step first.
+    Construction places every step, the only call of :func:`_placed`, and
+    keeps its (pre, post) dims and its action: a :class:`Crossing`, which
+    acts by an axis swap, a matrix, which acts by one matmul, or the slot.
+    The steps whose factor is ``slot`` take a new matrix on every
+    :meth:`forward`.  ``codomain`` is the legs the product ends on, and
+    ``rows`` the most rows the context or any step reaches.
+
+    :meth:`columns` gives a range of the product's columns, begun as the
+    first step's padded columns (written once by :func:`_scatter`, never
+    multiplied); :meth:`run` applies the steps to a given matrix.  For
+    reverse mode, :meth:`forward` keeps every prefix product and
+    :meth:`pullback` takes a cotangent of the product back to the slot's
+    steps.
     """
 
-    def __init__(self, steps: Sequence[Step], context: Sequence[Space], slot: LegOperator):
-        legs, cols = tuple(context), total_dim(context)
-        (op, start), self._plan = steps[0], []
-        self._first = None if op is slot else op.matrix, _padding(op, legs, start, 0, cols)
-        self._identity = _columns((), legs, 0, cols)[0]
-        self._identity.setflags(write=False)
+    def __init__(self, steps: Sequence[Step], context: Sequence[Space],
+                 slot: LegOperator | None = None):
+        self.domain = legs = tuple(context)
+        self._cols = self.rows = total_dim(legs)
+        self._plan, self._back = [], None
         for op, start in steps:
             pre, post = _placed(op, legs, start)
-            acts = [None, None] if op is slot else [
-                a if isinstance(a, Crossing) else a.matrix for a in (op, adjoint(op))]
-            self._plan.append((total_dim(pre), op.matrix.shape, total_dim(post) * cols, *acts))
+            act = None if op is slot else op if isinstance(op, Crossing) else op.matrix
+            self._plan.append((total_dim(pre), op.matrix.shape, total_dim(post), act))
             legs = pre + op.codomain + post
-        self._shape = total_dim(legs), cols
-        # the conjugate identity, as the pullback of a first slot step reads it
-        pre, (_, dom), rest = self._plan[0][:3]
-        self._eye_h = self._identity.reshape(pre, dom, rest).conj()
+            self.rows = max(self.rows, total_dim(legs))
+        self.codomain = legs
+        self._shape = total_dim(legs), self._cols
+        # the matrix that the first step's padded columns hold (None for the slot)
+        self._first = steps[0][0].matrix if steps and steps[0][0] is not slot else None
+        if slot is not None:    # forward's padding of every column, pullback's identity
+            pre, (_, dom), *_ = self._plan[0]
+            self._scatter_at = _padding(*self._plan[0][:3], 0, self._cols)
+            self._eye_h = _conjugate_identity(self._cols).reshape(pre, dom, -1)
+
+    def _run_from(self, skip: int, x: np.ndarray) -> np.ndarray:
+        """The steps from step ``skip`` on, run on x, whose rows carry the legs
+        before that step; each prefix is dropped once the next is made."""
+        cols = x.shape[1]
+        for pre, _, _, a in self._plan[skip:]:
+            x = _step(a, x, pre)
+        return x.reshape(-1, cols)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Columns ``lo:hi`` of the product: the first step's padded columns,
+        then the later steps run on them.  No steps give the identity's."""
+        if not self._plan:
+            x = np.zeros((self._cols, hi - lo), dtype=complex)
+            x[lo:hi] = np.eye(hi - lo)
+            return x
+        return self._run_from(1, _scatter(self._first, *_padding(*self._plan[0][:3], lo, hi)))
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """The product times x, whose rows carry the context."""
+        if x.ndim != 2 or x.shape[0] != self._cols:
+            raise LegError(f"a matrix of shape {x.shape} has no rows on a context of "
+                           f"total dimension {self._cols}")
+        return self._run_from(0, x)
 
     def forward(self, f: np.ndarray) -> list[np.ndarray]:
-        """Every prefix product, with f as the slot's matrix: the identity, the
+        """Every prefix product, one per step, with f as the slot's matrix: the
         first step's padded columns, then each later step run on the prefix
         before it, in the shape that step leaves, and the whole product last,
         as a matrix."""
-        m, padding = self._first
-        x = _scatter(f if m is None else m, *padding)
-        prefixes = [self._identity, x]
-        for pre, _, rest, a, _ in self._plan[1:]:
-            x = _step(f if a is None else a, x, pre, rest)
+        x = _scatter(f if self._first is None else self._first, *self._scatter_at)
+        prefixes = [x]
+        for pre, _, _, a in self._plan[1:]:
+            x = _step(f if a is None else a, x, pre)
             prefixes.append(x)
         prefixes[-1] = x.reshape(self._shape)
         return prefixes
@@ -470,22 +416,61 @@ class PlannedWord:
         Around a slot step j, W = After (1 (x) f (x) 1) Before, so
         <P, dW> = <G_j, d(f)> (Hilbert-Schmidt) with G_j the partial trace of
         After* P Before* over the legs f does not touch.  Before is the
-        prefix of step j; After* P runs the adjoint steps backward.
+        prefix ahead of step j; After* P runs the adjoint steps backward, each
+        fixed step's adjoint built on the first pullback.
         """
         if cotangent.shape != self._shape:
             raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
                            f"product of the steps")
+        if self._back is None:
+            self._back = [a.adjoint() if isinstance(a, Crossing) else
+                          None if a is None else np.ascontiguousarray(a.conj().T)
+                          for *_, a in self._plan]
         q, grads = cotangent, []
         for j in reversed(range(len(self._plan))):
-            pre, (cod, dom), rest, a, back = self._plan[j]
+            pre, (cod, dom), _, a = self._plan[j]
             if a is None:
                 # Q[pre, cod, post, col] conj(B[pre, dom, post, col]), summed over pre, post, col
-                qb = q.reshape(pre, cod, rest)
-                bb = self._eye_h if j == 0 else prefixes[j].reshape(pre, dom, rest).conj()
+                qb = q.reshape(pre, cod, -1)
+                bb = self._eye_h if j == 0 else prefixes[j - 1].reshape(pre, dom, -1).conj()
                 grads.append(np.add.reduce(np.matmul(qb, bb.transpose(0, 2, 1)), axis=0))
             if j:  # After* P of step j - 1
-                q = np.matmul(f_adjoint, qb) if a is None else _step(back, q, pre, rest)
+                q = np.matmul(f_adjoint, qb) if a is None else _step(self._back[j], q, pre)
         return grads[::-1]
+
+
+def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
+    """The product of the steps on the context, all of
+    :meth:`PlannedWord.columns`, as an operator."""
+    word = PlannedWord(steps, context)
+    return LegOperator(LegSignature(word.domain, word.codomain),
+                       word.columns(0, total_dim(word.domain)))
+
+
+def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space]) -> float:
+    """Hilbert-Schmidt norm of the difference of two step products on the same context.
+
+    Neither product is formed whole.  Both words are placed once and run
+    over consecutive blocks of domain columns, as many as fit in
+    :data:`_BLOCK_BYTES` (one at least), each block by
+    :meth:`PlannedWord.columns`.  The squared norms of the blocks'
+    differences add up, so memory is one block per side, not a product.
+    """
+    left, right = (PlannedWord(steps, context) for steps in (lhs, rhs))
+    if left.codomain != right.codomain:
+        raise LegError(
+            f"the two products end on different legs, {[s.id for s in left.codomain]} "
+            f"and {[s.id for s in right.codomain]}")
+    cols = total_dim(left.domain)
+    width = max(1, _BLOCK_BYTES // (16 * max(left.rows, right.rows)))
+    squares = 0.0
+    for lo in range(0, cols, width):
+        hi = min(lo + width, cols)
+        # the right block is run once the last block's difference is gone
+        diff = left.columns(lo, hi)
+        diff -= right.columns(lo, hi)
+        squares += np.vdot(diff, diff).real
+    return float(np.sqrt(squares))
 
 
 def _route_providers(braiding, route: str):
@@ -595,8 +580,8 @@ def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[i
         # apply_distant(z) = Q* E(z) Q with the same unitary Q for every z, so
         # the least-squares problem is a partial trace of Q y Q* = Q (Q y*)*
         move, back = _route_crossings(context, positions, (a, b), route, braiding)
-        yp = _run_steps(move, yp, context)[0]
-        yp = _run_steps(move, yp.conj().T, context)[0].conj().T
+        word = PlannedWord(move, context)
+        yp = word.run(word.run(yp).conj().T).conj().T
     d_left = total_dim(context[:i - 1] + context[i:k - 1])
     d_mid = a.dim * b.dim
     d_right = total_dim(context[k:])

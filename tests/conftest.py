@@ -1,6 +1,5 @@
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -8,8 +7,7 @@ import pytest
 
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space, dsl, spans
-from braidmu.tensor import (LegError, Step, _columns, _run_steps, adjoint, apply_on_legs, tensor,
-                            total_dim)
+from braidmu.tensor import LegError, Step, adjoint, apply_on_legs, tensor, total_dim
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
 
@@ -87,16 +85,22 @@ class Tape:
         return self.prefixes[-1]
 
 
+def legs_after(op, context, start):
+    """The legs once op has acted on the legs ``start ..`` (1-based) of the context."""
+    return context[:start - 1] + op.codomain + context[start - 1 + len(op.domain):]
+
+
 def record(steps: Sequence[Step], context: Sequence[Space]) -> Tape:
-    """The reference of tensor.PlannedWord.forward, step by step: the
+    """The reference of tensor.PlannedWord.forward, one step at a time: the
     product of a nonempty step list on the context, with every prefix
-    product kept for :func:`pullback`: the identity, the first step's
-    _columns, then each later step run on the prefix before it."""
-    context, dim = tuple(context), total_dim(context)
-    runs = accumulate(steps[1:], lambda run, step: _run_steps([step], *run),
-                      initial=_columns(steps[:1], context, 0, dim))
-    prefixes, legs = zip(_columns((), context, 0, dim), *runs)
-    return Tape(tuple(steps), legs, prefixes)
+    product kept for :func:`pullback`: the identity, then each step run on
+    the prefix before it by apply_on_legs."""
+    legs = [tuple(context)]
+    prefixes = [np.eye(total_dim(context), dtype=complex)]
+    for op, start in steps:
+        prefixes.append(apply_on_legs(op, prefixes[-1], legs[-1], start))
+        legs.append(legs_after(op, legs[-1], start))
+    return Tape(tuple(steps), tuple(legs), tuple(prefixes))
 
 
 def pullback(tape: Tape, cotangent: np.ndarray, factor=None) -> list[np.ndarray]:

@@ -335,9 +335,10 @@ def test_evaluate_pads_only_the_first_step(monkeypatch, z2):
 
     for name in ("compose", "identity"):
         monkeypatch.setattr(tensor_module, name, forbidden)
-    real, padded = tensor_module._padded_columns, []
-    monkeypatch.setattr(tensor_module, "_padded_columns",
-                        lambda x, *args: padded.append(x) or real(x, *args))
+    monkeypatch.setattr(np, "eye", forbidden)
+    real, padded = tensor_module._scatter, []
+    monkeypatch.setattr(tensor_module, "_scatter",
+                        lambda m, *args: padded.append(m) or real(m, *args))
     ctx = (z2.space,) * 3
     for text in ("W[2,3].W[1,2]", PENTAGON_RHS, "W[1,3]@under.W[1,2]^*"):
         padded.clear()

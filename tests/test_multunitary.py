@@ -8,7 +8,8 @@ import pytest
 import braidmu as bm
 from braidmu import multunitary, spans
 from braidmu import LegOperator, LegSignature, Space
-from braidmu.multunitary import pentagon_defect
+from braidmu.multunitary import pentagon_words
+from braidmu.tensor import leg_product
 
 from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, random_unitary,
                       routed_oracle, routing_category)
@@ -445,7 +446,8 @@ def test_pentagon_defect_matches_the_dense_oracle(name):
     for m in cases:
         c = m.braiding.braid(m.space, m.space)
         cinv = m.braiding.braid_inverse(m.space, m.space)
-        got = pentagon_defect(m.op, c, cinv)
+        legs, lhs, rhs = pentagon_words(m.op, c, cinv)
+        got = leg_product(lhs, legs).matrix - leg_product(rhs, legs).matrix
         want = dense_pentagon_defect(m.op.matrix, c.matrix, cinv.matrix)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert bm.pentagon_residual(m) == pytest.approx(float(np.linalg.norm(want)), abs=1e-12)
@@ -499,5 +501,7 @@ def test_pentagon_crossings_take_the_crossing_path(monkeypatch, name, swaps):
 
     monkeypatch.setattr(tensor_module, "compose", forbidden)
     monkeypatch.setattr(np, "kron", forbidden)
-    pentagon_defect(m.op, c, cinv)
+    legs, lhs, rhs = pentagon_words(m.op, c, cinv)
+    leg_product(lhs, legs)
+    leg_product(rhs, legs)
     assert len(calls) == swaps

@@ -152,8 +152,8 @@ def test_gradient_sums_the_f_cotangents_in_step_order(name):
 @pytest.mark.parametrize("name", list(oracle_problems()))
 def test_a_second_gradient_call_plans_nothing(monkeypatch, name):
     """The problem plans its Pentagon words once: a gradient call after the
-    first builds no operator and places no leg, pads no column, builds no
-    identity and computes no scatter index."""
+    first builds no operator and places no leg, computes no padding or
+    scatter index, and builds no identity."""
     import braidmu.tensor as tensor
     problem = oracle_problems()[name]()
     theta = np.random.default_rng(23).normal(size=problem.param_count)
@@ -169,7 +169,7 @@ def test_a_second_gradient_call_plans_nothing(monkeypatch, name):
         monkeypatch.setattr(owner, attr, call)
 
     counted(tensor.LegOperator, "__post_init__")
-    for attr in ("_placed", "legs_after", "_padded_columns"):
+    for attr in ("_placed", "_padding", "_conjugate_identity"):
         counted(tensor, attr)
     for attr in ("eye", "unravel_index"):
         counted(np, attr)
@@ -402,19 +402,18 @@ def test_gradient_builds_no_braiding_kron(monkeypatch, name):
 def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     """L-BFGS-B gets value and gradient from one call: per evaluation one eigh
     and one forward run of each planned Pentagon word, which the gradient
-    pulls back through, and no untaped defect.  Each restart adds one eigh
-    for its final unitary and one streamed distance of the two words for its
-    residual.  No product starts anywhere else."""
+    pulls back through, and no residual_objective.  Each restart adds one
+    eigh for its final unitary and one streamed distance of the two words
+    for its residual.  No product runs anywhere else."""
     import braidmu.multunitary as mun
     import braidmu.solver as solver
-    import braidmu.spans as spans
     import braidmu.tensor as tensor
     problem = oracle_problems()[name]()
     # restart 0 starts at the exact identity solution, restart 1 at a random point
     problem.restarts, problem.max_iter = 2, 30
-    counts = {"eigh": 0, "defect": 0, "objective": 0, "pullback": 0}
-    # step counts of the words run forward, and of the products started
-    # outside distance
+    counts = {"eigh": 0, "objective": 0, "pullback": 0}
+    # step counts of the words run forward, and of the words run outside
+    # distance and forward
     words, untaped, inside = [], [], []
 
     def counted(key, fn):
@@ -423,7 +422,7 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
             return fn(*args, **kwargs)
         return call
 
-    streamed, real_columns = [], tensor._columns
+    streamed = []
 
     def within(fn, log, key):
         def call(*args):
@@ -438,10 +437,12 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
     forward = within(tensor.PlannedWord.forward, words, lambda word, f: len(word._plan))
     distance = within(mun.distance, streamed, lambda lhs, rhs, context: (len(lhs), len(rhs)))
 
-    def columns(steps, context, lo, hi):
-        if not inside:
-            untaped.append(len(steps))
-        return real_columns(steps, context, lo, hi)
+    def outside(fn):
+        def call(word, *args):
+            if not inside:
+                untaped.append(len(word._plan))
+            return fn(word, *args)
+        return call
 
     nfev = []
     real_minimize = solver.minimize
@@ -453,22 +454,21 @@ def test_search_runs_one_eigh_per_evaluation(monkeypatch, name):
         return result
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(solver, "pentagon_defect", counted("defect", solver.pentagon_defect))
     monkeypatch.setattr(tensor.PlannedWord, "pullback",
                         counted("pullback", tensor.PlannedWord.pullback))
     monkeypatch.setattr(solver, "residual_objective",
                         counted("objective", solver.residual_objective))
     monkeypatch.setattr(tensor.PlannedWord, "forward", forward)
-    # every other product starts in tensor._columns, leg_product's included
-    monkeypatch.setattr(tensor, "_columns", columns)
-    monkeypatch.setattr(spans, "_columns", columns)
+    # every other product runs by a word's columns or run, leg_product's included
+    for attr in ("columns", "run"):
+        monkeypatch.setattr(tensor.PlannedWord, attr, outside(getattr(tensor.PlannedWord, attr)))
     monkeypatch.setattr(mun, "distance", distance)
     monkeypatch.setattr(solver, "minimize", minimize)
     bm.search(problem)
     evaluations = sum(nfev)
     assert len(nfev) == problem.restarts and evaluations > problem.restarts
-    assert counts == {"eigh": evaluations + problem.restarts, "defect": 0,
-                      "objective": 0, "pullback": 2 * evaluations}
+    assert counts == {"eigh": evaluations + problem.restarts, "objective": 0,
+                      "pullback": 2 * evaluations}
     # the left word (two steps) and the right word (five), once each
     assert words == [2, 5] * evaluations
     assert untaped == []

@@ -490,6 +490,24 @@ def _assert_streams_like_the_dense_block(cp, f, g, elements, lines):
             np.testing.assert_allclose(half, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])
+@pytest.mark.parametrize("maps", ["fg", "none"])
+def test_extension_blocks_place_no_step(monkeypatch, variant, maps):
+    """The extension places its crossings once, when it is built: applying it
+    a line at a time over every block places no step."""
+    import braidmu.tensor as tensor_module
+    s1, s2, provider, f, g, elements, _ = _oracle_configuration("phase3", variant, "f" in maps,
+                                                                "g" in maps, count=2)
+    cp = spans.CrossedProduct(s1, s2, provider, variant)
+    folds = np.stack([cp.decompose(x, 1e-9) for x in elements])
+    ext = spans.CrossedProductExtension(cp, f, g)
+    placed, real = [], tensor_module._placed
+    monkeypatch.setattr(tensor_module, "_placed",
+                        lambda *args: placed.append(args[0]) or real(*args))
+    assert _streamed(ext, cp, folds, 1).shape[:2] == (2, 2)
+    assert placed == []
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("kind", ["flip", "phase3"])
 @pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])

@@ -14,10 +14,9 @@ import braidmu as bm
 from braidmu import LegError, LegOperator, LegSignature, Space
 import braidmu.tensor as tensor_module
 from braidmu.braiding import braid_tensor
-from braidmu.tensor import (PlannedWord, distance, leg_product, legs_after, route_steps, tensor,
-                            total_dim)
+from braidmu.tensor import PlannedWord, distance, leg_product, route_steps, tensor, total_dim
 
-from conftest import (dense_distance, pullback, random_unitary, record, routed_oracle,
+from conftest import (dense_distance, legs_after, pullback, random_unitary, record, routed_oracle,
                       routing_category)
 
 L2 = Space("L", 2)
@@ -392,7 +391,7 @@ def test_apply_on_legs_matches_the_embedded_product(dims, k, out_dims, cols, see
             dense = bm.embed_adjacent(op, context, start)
             got = bm.apply_on_legs(op, x, context, start)
             np.testing.assert_allclose(got, dense.matrix @ x, rtol=0, atol=1e-12)
-            assert legs_after(op, context, start) == dense.codomain
+            assert PlannedWord([(op, start)], context).codomain == dense.codomain
 
 
 def test_apply_on_legs_rejects_misplaced_operators():
@@ -451,7 +450,8 @@ def test_a_crossing_acts_as_its_padded_matrix(kind, gradings, data):
         np.testing.assert_array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-    assert legs_after(c, context, start) == bm.embed_adjacent(c, context, start).codomain
+    assert (PlannedWord([(c, start)], context).codomain
+            == bm.embed_adjacent(c, context, start).codomain)
 
 
 def test_the_adjoint_of_a_crossing_is_a_crossing():
@@ -599,6 +599,21 @@ def test_pullback_rejects_a_cotangent_of_the_wrong_shape():
         word.pullback(word.forward(w.matrix), np.eye(4), w.matrix.conj().T)
 
 
+def test_slot_words_share_one_conjugate_identity():
+    """A slot word's forward pass keeps one prefix per step, with no identity
+    first; the conjugate identity that a first slot step's pullback reads is
+    one read-only array, shared by the words on the same context."""
+    w = leg_op(W_Z2, [L2, L2])
+    c = bm.FlipBraiding().braid(L2, L2)
+    legs, *words = bm.multunitary.pentagon_words(w, c, c.adjoint())
+    lhs, rhs = (PlannedWord(steps, legs, w) for steps in words)
+    assert lhs._eye_h.base is rhs._eye_h.base and not lhs._eye_h.flags.writeable
+    for steps, word in zip(words, (lhs, rhs)):
+        prefixes = word.forward(W_Z2)
+        assert len(prefixes) == len(steps)
+        np.testing.assert_array_equal(prefixes[-1], leg_product(steps, legs).matrix)
+
+
 def test_operators_compare_and_hash_by_identity(z2):
     """Operators, and the records that hold them, give plain bools for == and
     in, and hash; two operators with equal matrices are still two operators."""
@@ -665,14 +680,17 @@ def test_distance_matches_the_dense_oracle(monkeypatch, kind, columns):
 
 def test_distance_forms_no_product(monkeypatch):
     """Each block starts from the first step's padded columns: no padded
-    matrix, no planned word and no identity columns."""
+    matrix, no slot word's forward pass, no run on a given matrix and no
+    identity columns."""
     def forbidden(*args, **kwargs):
         raise AssertionError("dense product on the distance path")
 
     context, lhs, rhs = distance_words("phase3")[3]
     want = dense_distance(lhs, rhs, context)
-    for name in ("embed_adjacent", "PlannedWord", "leg_product", "identity"):
+    for name in ("embed_adjacent", "leg_product", "identity", "apply_on_legs"):
         monkeypatch.setattr(tensor_module, name, forbidden)
+    for name in ("forward", "run"):
+        monkeypatch.setattr(PlannedWord, name, forbidden)
     monkeypatch.setattr(np, "eye", forbidden)
     monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 16 * total_dim(context) * 5)
     assert abs(distance(lhs, rhs, context) - want) <= 1e-13 * want
@@ -701,13 +719,26 @@ def test_column_blocks_are_the_columns_of_the_product(kind, columns):
         assert isinstance(lhs[0][0], bm.Crossing) == (kind != "yd")
         for steps in (lhs, rhs):
             whole = leg_product(steps, context)
+            word = PlannedWord(steps, context)
+            assert word.codomain == whole.codomain
             cols = total_dim(context)
             width = columns or cols
             for lo in range(0, cols, width):
                 hi = min(lo + width, cols)
-                block, legs = tensor_module._columns(steps, context, lo, hi)
-                assert legs == whole.codomain
-                np.testing.assert_allclose(block, whole.matrix[:, lo:hi], rtol=0, atol=1e-14)
+                np.testing.assert_allclose(word.columns(lo, hi), whole.matrix[:, lo:hi],
+                                           rtol=0, atol=1e-14)
+
+
+def test_distance_places_each_word_once(monkeypatch):
+    """At one column per block, distance places every step once, not once
+    per block."""
+    context, lhs, rhs = distance_words("phase3")[3]
+    placed, real = [], tensor_module._placed
+    monkeypatch.setattr(tensor_module, "_placed",
+                        lambda *args: placed.append(args[0]) or real(*args))
+    monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 1)
+    assert distance(lhs, rhs, context) > 0.1
+    assert len(placed) == len(lhs) + len(rhs)
 
 
 def test_distance_rejects_words_that_end_on_different_legs():
@@ -768,29 +799,31 @@ def test_only_the_linear_map_builders_call_kron():
 
 
 def test_only_tensor_calls_embed_adjacent():
-    """Every product but a planned word's starts in tensor._columns (a
-    planned word's identity prefix is its empty product there):
+    """Every product runs in a tensor.PlannedWord, which alone places steps:
     embed_adjacent is only re-exported by the package, and no module starts
-    one from identity columns or from tensor.identity."""
+    a product from tensor.identity or from identity columns but a word's
+    empty product and the shared identity a slot word's pullback reads."""
     assert references("embed_adjacent") == [("__init__", "")]
-    assert {u for u in references("_columns")} == {
-        ("tensor", "leg_product"), ("tensor", "PlannedWord.__init__"), ("tensor", "distance"),
-        ("spans", ""), ("spans", "CrossedProductExtension._factor_lines")}
+    assert references("_placed") == [("tensor", "PlannedWord.__init__")]
     calculus = ("tensor", "braiding", "spans", "multunitary", "dsl", "yd")
     assert [u for u in references("identity") if u[0] in calculus] == []
     assert {u for u in references("eye") if u[0] in calculus} == {
-        ("tensor", "identity"), ("tensor", "_columns"), ("tensor", "_unitarity_residual"),
+        ("tensor", "identity"), ("tensor", "PlannedWord.columns"),
+        ("tensor", "_conjugate_identity"), ("tensor", "_unitarity_residual"),
         ("spans", "OperatorSpan.gram_residual"), ("spans", "null_space")}
 
 
 def test_only_the_runner_pads_a_first_step():
-    """_padded_columns has one caller, the runner that starts every product,
-    and _scatter writes every padded column: the runner's, and the planned
-    word's from the scatter it planned once."""
-    assert references("_padded_columns") == [("tensor", "_columns")]
-    assert set(references("_scatter")) == {("tensor", "_padded_columns"),
+    """Only PlannedWord runs steps and pads a first step: _step is called by
+    its runs and its reverse mode alone, and _scatter writes every padded column,
+    for a range of columns or a slot word's forward pass, from _padding
+    indices."""
+    assert set(references("_step")) == {("tensor", "PlannedWord._run_from"),
+                                         ("tensor", "PlannedWord.forward"),
+                                         ("tensor", "PlannedWord.pullback")}
+    assert set(references("_scatter")) == {("tensor", "PlannedWord.columns"),
                                            ("tensor", "PlannedWord.forward")}
-    assert set(references("_padding")) == {("tensor", "_padded_columns"),
+    assert set(references("_padding")) == {("tensor", "PlannedWord.columns"),
                                            ("tensor", "PlannedWord.__init__")}
 
 
@@ -810,6 +843,7 @@ UNREFERENCED = {
     "spans.is_star_closed": "ROADMAP item 3: report-path candidate, the C*-conditions",
     "spans.is_nondegenerate": "ROADMAP item 3: report-path candidate, the C*-conditions",
     "spans.crossed_product": "bound by bench/: the tracer's spans.crossed_product span",
+    "tensor.apply_on_legs": "public one-step API; the tests' step reference",
     "tensor.tensor": "bound by bench/: the tracer's tensor.tensor span; dense test oracle",
     "tensor.embed_adjacent": "bound by bench/: the tracer's tensor.embed_adjacent span; "
                              "dense test oracle",
