@@ -236,8 +236,10 @@ def format_expr(expr: Expr) -> str:
 # evaluation
 
 
-def _atom_steps(atom: Atom, bindings: dict[str, LegOperator],
-                context: tuple[Space, ...], braiding) -> list[Step]:
+def _atom_steps(atom: Atom, bindings: dict[str, LegOperator], context: tuple[Space, ...],
+                braiding) -> tuple[list[Step], tuple[Space, ...]]:
+    """The steps of an atom and the context they leave, read off the atom:
+    its operator's codomain legs replace the legs it acts on."""
     if atom.name in RESERVED:
         if len(atom.legs) != 2 or atom.legs[1] != atom.legs[0] + 1:
             raise LegError(f"{atom.name} braids adjacent legs only, got {atom.legs}")
@@ -249,7 +251,7 @@ def _atom_steps(atom: Atom, bindings: dict[str, LegOperator],
             op = braiding.braid(a, b)
         else:
             op = braiding.braid_inverse(b, a)  # inverse of c_{B,A}, mapping A (x) B -> B (x) A
-        return [(op, i)]
+        return [(op, i)], context[:i - 1] + op.codomain + context[i + 1:]
     if atom.name not in bindings:
         raise LegError(f"unknown operator name {atom.name!r}")
     op = bindings[atom.name]
@@ -261,15 +263,24 @@ def _atom_steps(atom: Atom, bindings: dict[str, LegOperator],
         raise LegError(f"leg index out of range in {atom.name}{list(legs)}")
     contiguous = all(legs[j + 1] == legs[j] + 1 for j in range(k - 1))
     if contiguous:
-        return [(op, legs[0])]
+        i = legs[0]
+        if context[i - 1:i - 1 + k] != op.domain:
+            raise LegError(
+                f"domain legs {[s.id for s in op.domain]} of {atom.name} do not match context "
+                f"legs {[s.id for s in context[i - 1:i - 1 + k]]} at position {i}")
+        return [(op, i)], context[:i - 1] + op.codomain + context[i - 1 + k:]
     if k == 2 and legs[0] < legs[1]:
-        return route_steps(op, context, (legs[0], legs[1]), atom.route or "over", braiding)
+        i, j = legs
+        steps = route_steps(op, context, (i, j), atom.route or "over", braiding)
+        return steps, (context[:i - 1] + op.codomain[:1] + context[i:j - 1] + op.codomain[1:]
+                       + context[j:])
     raise LegError(f"unsupported leg pattern {list(legs)} for {atom.name}")
 
 
 def _steps(expr: Expr, bindings: dict[str, LegOperator], context: tuple[Space, ...],
            braiding) -> tuple[list[Step], tuple[Space, ...]]:
-    """The steps of expr in the order they act, and the context they leave."""
+    """The steps of expr in the order they act, and the context they leave.
+    Nothing is placed: a side's steps are placed once, by its word."""
     if isinstance(expr, Seq):
         steps: list[Step] = []
         for term in reversed(expr.terms):
@@ -281,8 +292,7 @@ def _steps(expr: Expr, bindings: dict[str, LegOperator], context: tuple[Space, .
         if out != context:
             raise LegError("adjoint of a context-changing expression is not supported")
         return [(adjoint(op), start) for op, start in reversed(inner)], context
-    steps = _atom_steps(expr, bindings, context, braiding)
-    return steps, PlannedWord(steps, context).codomain
+    return _atom_steps(expr, bindings, context, braiding)
 
 
 def evaluate(expr: Expr, bindings: dict[str, LegOperator], context: Sequence[Space],
@@ -340,10 +350,11 @@ def run_statements(text: str, bindings: dict[str, LegOperator],
                    tol: float = 1e-9) -> list[StatementResult]:
     """Evaluate every '==' statement; bare expressions only check evaluability.
 
-    Both sides compile to steps, and their legs are compared, before any
-    product is formed.  The residual is the :func:`~braidmu.tensor.distance`
-    of the two step lists, streamed over column blocks; a bare expression is
-    compiled and checked by its steps alone, with no product at all.
+    Each side compiles to steps, placed once as one
+    :class:`~braidmu.tensor.PlannedWord`, and the two words' legs are
+    compared before any product is formed.  The residual is the
+    :func:`~braidmu.tensor.distance` of the two words, streamed over column
+    blocks; a bare expression is compiled and placed, with no product at all.
     """
     header, statements = parse_statement_file(text)
     for sid, column in zip(header.ids, header.columns):
@@ -352,15 +363,15 @@ def run_statements(text: str, bindings: dict[str, LegOperator],
     context = tuple(spaces[sid] for sid in header.ids)
     results = []
     for stmt in statements:
-        lhs, lhs_legs = _steps(stmt.lhs, bindings, context, braiding)
+        left = PlannedWord(_steps(stmt.lhs, bindings, context, braiding)[0], context)
         if stmt.rhs is None:
             results.append(StatementResult(stmt, None, True))
             continue
-        rhs, rhs_legs = _steps(stmt.rhs, bindings, context, braiding)
-        if lhs_legs != rhs_legs:
+        right = PlannedWord(_steps(stmt.rhs, bindings, context, braiding)[0], context)
+        if left.codomain != right.codomain:
             raise LegError(
                 f"line {stmt.line}: the two sides of '==' end on different legs, "
-                f"{[s.id for s in lhs_legs]} and {[s.id for s in rhs_legs]}")
-        residual = distance(lhs, rhs, context)
+                f"{[s.id for s in left.codomain]} and {[s.id for s in right.codomain]}")
+        residual = distance(left, right, context)
         results.append(StatementResult(stmt, residual, residual < tol))
     return results

@@ -241,27 +241,31 @@ def coassociativity_residual(m: MultUnitary, variant: str = "op",
     """
     alg, cp_variant, conj = _bialgebra_data(m, variant)
     cp = CrossedProduct(alg, alg, m.braiding, cp_variant)
-    exts = [CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
     folds, outside = [], None
     try:
         for a in alg.basis:
             folds.append(cp.decompose(comultiply(m, a, variant), tol))
     except spans.DecompositionError as exc:
         outside = exc
+    # built once the decompositions' QR has run, so that they do not add to its peak
+    exts = [CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
     del cp   # frees the generator stack and its QR factors before the blocks
     # per element: ||forward||^2 and ||reverse - forward||^2 of either
     # extension, and ||left - right||^2 of the forward values
     sums = np.zeros((5, len(folds)))
     if folds:
         folds = np.stack(folds)
-        for lines in spans.extension_blocks(exts, len(folds)):
-            left, right = (ext.apply(folds, lines) for ext in exts)
+        folds.setflags(write=False)   # fixed, so the extensions keep rows they built
+        order = spans.extension_lines(exts)
+        for block in spans.extension_blocks(exts, len(folds)):
+            left, right = (ext.apply(folds, order[block]) for ext in exts)
             for i, y in enumerate((left, right)):
                 y[:, 1] -= y[:, 0]
                 sums[2 * i] += _squares(y[:, 0])
                 sums[2 * i + 1] += _squares(y[:, 1])
             left[:, 0] -= right[:, 0]
             sums[4] += _squares(left[:, 0])
+            del left, right   # the next block's values are made without these
     norms = np.sqrt(sums)
     # element by element, the left extension before the right one
     for value, dev in zip(norms[[0, 2]].T.ravel(), norms[[1, 3]].T.ravel()):

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import (_BLOCK_BYTES, LegError, LegOperator, LegSignature, PlannedWord, Space,
-                     adjoint, compose, leg_product, total_dim)
+from .tensor import (_BLOCK_BYTES, Crossing, LegError, LegOperator, LegSignature, PlannedWord,
+                     Space, adjoint, compose, leg_product, total_dim)
 
 __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
@@ -29,7 +29,7 @@ __all__ = [
     "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
     "kernel_of_linear_map", "crossed_injections", "crossed_product",
     "is_relative_multiplier", "Conjugation", "CrossedProduct", "CrossedProductExtension",
-    "extension_blocks", "DecompositionError",
+    "extension_lines", "extension_blocks", "DecompositionError",
 ]
 
 RANK_CUTOFF = 1e-9
@@ -487,6 +487,22 @@ def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: boo
     return v
 
 
+def _monomial(word: PlannedWord) -> tuple[np.ndarray, np.ndarray]:
+    """A word of crossings as the monomial matrix it is: for each basis vector
+    e_i of its context, the row that e_i lands on and its phase there.
+
+    The word is run on two columns, ones and the indices 0, 1, ...: crossings
+    only move entries and multiply them by unimodular phases, so the ones
+    column reads the phases in place and the modulus of the other the index
+    each row came from.
+    """
+    n = total_dim(word.domain)
+    y = word.run(np.stack([np.ones(n), np.arange(n)], axis=1).astype(complex))
+    rows = np.empty(n, dtype=np.intp)
+    rows[np.rint(np.abs(y[:, 1])).astype(np.intp)] = np.arange(n)
+    return rows, y[rows, 0]
+
+
 class CrossedProductExtension:
     """Evaluates (f x g) on a crossed product by decompose-and-map, a block of
     target lines at a time.
@@ -495,23 +511,32 @@ class CrossedProductExtension:
     selects maps to inj1'(f(a_i)) inj2'(g(b_j)) on the target legs (f or g
     None is the identity).  Both injections and f, g are linear, so the mapped
     generators are never formed: an element with folded pads m_k maps to
-    sum_k T_k (1 (x) m_k), or sum_k (m_k (x) 1) T_k pad first, where T_k is
-    the injected k-th mapped conjugated factor.  No T_k is kept either, only
-    the steps of its injection: the block crossings, the mapped factor and the
-    back crossings, the crossings shared by every k.
+    sum_k T_k (1 (x) R_k), or sum_k (R_k (x) 1) T_k pad first, where T_k is
+    the injected k-th mapped conjugated factor and R_k the mapped pad: m_k
+    itself, or V (1 (x) m_k) V* under a pad-side conjugation.  No T_k is kept
+    either, only the steps of its injection: the block crossings, the mapped
+    factor and the back crossings, the crossings shared by every k.
 
-    Both runs of crossings are placed once, when the extension is built,
-    each as a :class:`~braidmu.tensor.PlannedWord`: the leading crossings on
-    the target legs, and the trailing ones on the factor leg and the legs the
-    leading ones leave.  :meth:`apply` builds the rows of every T_k that a block of
-    target rows needs (columns, pad first): the leading word's columns of
-    those lines, every mapped factor on them by one GEMM, then the trailing
-    word run on the result.  It maps the forward and the reverse
-    decomposition of every element by one GEMM of those rows with the
-    stacked folded pads.  A pad-side conjugation
-    m |-> V (1 (x) m) V* comes out of the sum: the GEMM runs on T_k (1 (x) V)
-    and its output is multiplied by 1 (x) V*, so it contracts over the pad
-    and not over its conjugated image.
+    When every crossing is a :class:`~braidmu.tensor.Crossing` (flip and
+    phase braidings), both runs of crossings compile, when the extension is
+    built, into one gather.  Line j of T_k (a row, or a column pad first)
+    then holds the factor column f_j of the mapped factor, times phases, at
+    the image row img_j of the pad legs and one position per factor row on
+    the other legs.  :meth:`apply` contracts each line over the factor index
+    k alone, with row img_j of every R_k: O(n^8) on three legs of
+    dimension n, where the dense factor block took O(n^9).  It builds those
+    rows of R_k for the image rows its lines read, so memory stays one block.
+
+    An explicit (dense) crossing keeps the GEMM path: the leading crossings
+    are placed on the target legs and the trailing ones on the factor leg and
+    the legs the leading ones leave, each as a
+    :class:`~braidmu.tensor.PlannedWord`.  :meth:`_factor_lines` builds the
+    rows of every T_k that a block of target rows needs (columns, pad first)
+    from the leading word's columns, every mapped factor on them by one
+    GEMM and the trailing word run on the result, and one GEMM with the
+    stacked folded pads maps both decompositions of every element.  A
+    pad-side conjugation comes out of the sum there: the GEMM runs on
+    T_k (1 (x) V) and its output is multiplied by 1 (x) V*.
     """
 
     def __init__(self, cp: CrossedProduct, f: Conjugation | None, g: Conjugation | None):
@@ -520,12 +545,10 @@ class CrossedProductExtension:
         (conj_map, (before, start, after)), (pad_map, _) = cp.orient(
             *zip((f, g), _injection_steps(cp.variant, cp.provider, t1, t2)))
         self._pad_first = cp.pad_first
-        self._v = (_pad_isometry(pad_map, cp.padded.domain, self._pad_first)
-                   if pad_map is not None else None)
-        self._vh = self._v.conj().T if self._v is not None else None
         self._p = cp.pad.shape[-1]
         self.target_domain = t1 + t2
         self._dim = total_dim(self.target_domain)
+        self._rc = cp.conjugated.rank
         factors = [conj_map.apply(x) if conj_map is not None else x for x in cp.conjugated.basis]
         # pad first, the columns of T_k come from its steps; pad last, its
         # rows are the conjugated columns of T_k*, from the adjoint steps run
@@ -533,28 +556,89 @@ class CrossedProductExtension:
         if not self._pad_first:
             before, after = ([(adjoint(op), at) for op, at in reversed(steps)]
                              for steps in (after, before))
-            factors = [adjoint(x) for x in factors]
         self._before = PlannedWord(before, self.target_domain)
-        self._factors = np.concatenate([x.matrix for x in factors])
         self._pre = total_dim(self._before.codomain[:start - 1])
+        self._gathered = (all(isinstance(op, Crossing) for op, _ in (*before, *after))
+                          and self._compile_gather(after, factors, pad_map, cp.padded.domain))
+        if self._gathered:
+            return
+        self._factors = np.concatenate([x.matrix if self._pad_first else adjoint(x).matrix
+                                        for x in factors])
+        self._v = (_pad_isometry(pad_map, cp.padded.domain, self._pad_first)
+                   if pad_map is not None else None)
+        self._vh = self._v.conj().T if self._v is not None else None
         # the factor index leads the rows as one more leg once the factors
         # have acted, so the crossings after them run once for every k
-        self._factor_leg = Space("k", cp.conjugated.rank)
         self._after = PlannedWord([(op, at + 1) for op, at in after],
-                                  (self._factor_leg,) + self._before.codomain)
+                                  (Space("k", self._rc),) + self._before.codomain)
+
+    def _compile_gather(self, after: Sequence, factors: Sequence[LegOperator],
+                        pad_map: Conjugation | None, pad_legs: tuple[Space, ...]) -> bool:
+        """Compile the crossings around the factors into the gather of
+        :meth:`_gather_lines`; False, and nothing kept, when a line's image
+        row would depend on the factor row."""
+        dim, rc, fd = self._dim, self._rc, total_dim(factors[0].domain)
+        v = _pad_isometry(pad_map, pad_legs, False) if pad_map is not None else None
+        image = v.shape[0] if v is not None else self._p
+        # line j enters the factor at its column f_j, between the legs before
+        # and after it, with phase phi_j
+        into, phi = _monomial(self._before)
+        ahead, col, behind = np.unravel_index(into, (self._pre, fd, dim // (self._pre * fd)))
+        # factor row c of line j leaves at out(a_j, c, r_j) of the target,
+        # with phase psi; the rest of out is the image row
+        out, psi = _monomial(PlannedWord(after, self._before.codomain))
+        image_of = (out % image if not self._pad_first else out // fd).reshape(self._pre, fd, -1)
+        if dim != fd * image or np.any(image_of != image_of[:, :1]):
+            return False
+        self._img, self._col, self._image = image_of[ahead, 0, behind], col, image
+        # each target position: the factor row written there, and its phase
+        source = np.empty(dim, dtype=np.intp)
+        source[out] = np.arange(dim)
+        self._row_at = np.unravel_index(source, image_of.shape)[1]
+        self._phi, self._psi_at = phi, psi[source]
+        # the factor stack indexed [row, column, k]; pad last, T_k's rows are
+        # the conjugated columns of T_k*: X_k transposed, with conjugated phases
+        self._x = np.empty((fd, fd, rc), dtype=complex)
+        for k, x in enumerate(factors):
+            self._x[:, :, k] = x.matrix if self._pad_first else x.matrix.T
+        if not self._pad_first:
+            self._phi, self._psi_at = phi.conj(), self._psi_at.conj()
+        if np.all(self._phi == 1) and np.all(self._psi_at == 1):
+            self._phi = self._psi_at = None
+        # R_k's rows as rows of A (1 (x) F_k) A^H, for the pads F_k as folded:
+        # A = V with its legs (aux, pad), conjugated pad first, where the
+        # folds hold m_k^T and the rows are R_k's columns
+        self._a = None
+        if v is not None:
+            a = v if not self._pad_first else v.conj()
+            self._a = a.reshape(image, -1, self._p)
+            self._ah = np.ascontiguousarray(a.conj().T)
+            self._kept = None, None, None
+        return True
 
     def line_bytes(self, count: int) -> int:
         """Bytes that :meth:`apply` holds at once per target line, for ``count``
-        elements: every T_k's line twice, or every element's two values three
-        times."""
-        return 16 * self._dim * max(2 * self._factor_leg.dim, 6 * count)
+        elements.  The GEMM path holds every T_k's line twice, or every
+        element's two values three times.  The gather holds the values one
+        and a half times (its output, and a group's product as it is copied
+        in: three values for the pair of extensions that coassociativity
+        applies), the line's gathered factor entries, and its share of the
+        rows of R_k, held twice (the product with A and then with A^H): a row
+        per line, or per dim / image lines for the carrier of a pad-side
+        conjugation, whose lines :func:`extension_lines` groups by row."""
+        if not self._gathered:
+            return 16 * self._dim * max(2 * self._rc, 6 * count)
+        fd, image = self._dim // self._image, self._image
+        shared = self._dim // image if self._a is not None else 1
+        return 16 * (3 * count * self._dim + fd * self._rc
+                     + 2 * self._rc * 2 * count * image // shared)
 
     def _factor_lines(self, lo: int, hi: int) -> np.ndarray:
         """The GEMM block of the target lines lo:hi, shape (lines, rc * p): the
         rows of every T_k (1 (x) V), or its columns with V* (x) 1 pad first,
         split so that the pad is the last axis."""
         factors, pre = self._factors, self._pre
-        rc, p, b, fd = self._factor_leg.dim, self._p, hi - lo, factors.shape[-1]
+        rc, p, b, fd = self._rc, self._p, hi - lo, factors.shape[-1]
         x = self._before.columns(lo, hi)
         # every factor by one GEMM, its legs leading, then the factor index
         # leading and its legs back in place
@@ -576,16 +660,61 @@ class CrossedProductExtension:
             x = x.transpose(4, 3, 0, 2, 1)
         return np.conjugate(x, out=np.empty(x.shape, dtype=complex)).reshape(-1, rc * p)
 
-    def apply(self, folds: np.ndarray, lines: slice) -> np.ndarray:
+    def _gather_lines(self, lines: np.ndarray, img: np.ndarray) -> np.ndarray:
+        """Line j of every T_k at its image row img_j, shape (lines, fd, rc):
+        entry (j, rho, k) is the factor row written at the position rho of the
+        other legs, read at column f_j of the k-th factor, times its phases."""
+        fd = self._dim // self._image
+        img = img[:, None]
+        at = (np.arange(fd) * self._image + img if not self._pad_first
+              else img * fd + np.arange(fd))
+        x = self._x[self._row_at[at], self._col[lines][:, None]]
+        if self._phi is not None:
+            x *= self._phi[lines][:, None, None]
+            x *= self._psi_at[at][..., None]
+        return x
+
+    def _pad_rows(self, folds: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The image rows ``rows`` of every element's R_k under both
+        decompositions, shape (rows, rc, elements * 2 * image)."""
+        count, rc, p = len(folds), self._rc, self._p
+        pads = folds.reshape(count, 2, rc, p, p)
+        if self._a is None:
+            r = pads[:, :, :, rows].transpose(3, 2, 0, 1, 4)
+            return np.ascontiguousarray(r).reshape(len(rows), rc, -1)
+        # the lines come grouped by image row, so a block can share its first
+        # row with the last of the block before it: that row is kept for
+        # folds that cannot change, an array that owns its read-only data
+        kept_folds, kept_row, kept = self._kept
+        reuse = folds is kept_folds and rows[0] == kept_row
+        out = np.empty((len(rows), rc, count * 2 * self._image), dtype=complex)
+        if reuse:
+            out[0] = kept
+        if len(rows) > reuse:
+            # A_r (1 (x) F_k) for every row r, then A^H
+            z = np.tensordot(self._a[rows[int(reuse):]], pads, axes=([2], [3]))
+            z = np.ascontiguousarray(z.transpose(0, 4, 2, 3, 1, 5)).reshape(-1, self._ah.shape[0])
+            out[int(reuse):] = (z @ self._ah).reshape(-1, rc, out.shape[-1])
+        if folds.base is None and not folds.flags.writeable:
+            self._kept = folds, rows[-1], out[-1].copy()
+        return out
+
+    def apply(self, folds: np.ndarray, lines: slice | np.ndarray) -> np.ndarray:
         """Both mapped values of every element, on the target rows ``lines``.
 
         ``folds`` stacks :meth:`CrossedProduct.decompose` of each element,
-        shape (elements, 2, rc * p, p).  Returns a new array of shape
-        (elements, 2, rows, dim): the rows ``lines`` of each element's image
-        under its forward and under its reverse decomposition.  Pad first,
-        ``lines`` are target columns and the shape is (elements, 2, dim, columns).
+        shape (elements, 2, rc * p, p).  ``lines`` is a slice of target rows
+        or an array of them, consecutive ones on the GEMM path.  Returns a new array
+        of shape (elements, 2, rows, dim): the rows ``lines`` of each
+        element's image under its forward and under its reverse
+        decomposition.  Pad first, ``lines`` are target columns and the shape
+        is (elements, 2, dim, columns).
         """
-        lo, hi, _ = lines.indices(self._dim)
+        if self._gathered:
+            if isinstance(lines, slice):
+                lines = np.arange(*lines.indices(self._dim))
+            return self._gather_apply(folds, lines)
+        lo, hi = _line_range(lines, self._dim)
         count, p, b = len(folds), self._p, hi - lo
         pads = folds.transpose(2, 0, 1, 3).reshape(-1, count * 2 * p)
         out = self._factor_lines(lo, hi) @ pads
@@ -601,11 +730,61 @@ class CrossedProductExtension:
             y = y.reshape(-1, self._v.shape[1]) @ self._vh
         return y.reshape(count, 2, b, self._dim)
 
+    def _gather_apply(self, folds: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        """:meth:`apply` by the gather: the lines that read one image row
+        contract their gathered entries with that row of every R_k by one
+        GEMM."""
+        count, b, image = len(folds), len(lines), self._image
+        fd = self._dim // image
+        img = self._img[lines]
+        order = np.argsort(img, kind="stable")
+        rows = img[order]
+        starts = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1))
+        pad_rows = self._pad_rows(folds, rows[starts])
+        x = self._gather_lines(lines, img)
+        shape = (count, 2, b, fd, image) if not self._pad_first else (count, 2, image, fd, b)
+        out = np.empty(shape, dtype=complex)
+        for r, lo, hi in zip(pad_rows, starts, [*starts[1:], b]):
+            # a group is consecutive lines when the lines come grouped
+            first, last = order[lo], order[hi - 1]
+            group = slice(first, last + 1) if last - first == hi - lo - 1 else order[lo:hi]
+            y = (x[group].reshape(-1, self._rc) @ r).reshape(-1, fd, count, 2, image)
+            if self._pad_first:
+                out[..., group] = y.transpose(2, 3, 4, 1, 0)
+            else:
+                out[:, :, group] = y.transpose(2, 3, 0, 1, 4)
+        if self._pad_first:
+            return out.reshape(count, 2, self._dim, b)
+        return out.reshape(count, 2, b, self._dim)
+
+
+def _line_range(lines: slice | np.ndarray, dim: int) -> tuple[int, int]:
+    """The consecutive target lines ``lines`` as (lo, hi)."""
+    if isinstance(lines, slice):
+        return lines.indices(dim)[:2]
+    if np.any(np.diff(lines) != 1):
+        raise ValueError("the GEMM path of an extension takes consecutive target lines")
+    return int(lines[0]), int(lines[-1]) + 1
+
+
+def extension_lines(exts: Sequence[CrossedProductExtension]) -> np.ndarray:
+    """Every target line, in the order that the blocks of
+    :func:`extension_blocks` walk: grouped by the image row of the extension
+    that carries a pad-side conjugation, when every extension gathers, so
+    that a block's lines read few rows of its R_k; otherwise in order."""
+    carrier = [ext for ext in exts if ext._gathered and ext._a is not None]
+    if not carrier or not all(ext._gathered for ext in exts):
+        return np.arange(exts[0]._dim)
+    return np.argsort(carrier[0]._img, kind="stable")
+
 
 def extension_blocks(exts: Sequence[CrossedProductExtension], count: int) -> list[slice]:
-    """Consecutive ranges of target lines, for applying every extension to
-    ``count`` elements a block at a time within :data:`_BLOCK_BYTES` (one line
-    at least)."""
+    """Consecutive ranges of :func:`extension_lines`, for applying every
+    extension to ``count`` elements a block at a time within
+    :data:`_BLOCK_BYTES` (one line at least).  The budget counts each
+    extension's :meth:`~CrossedProductExtension.line_bytes`, its share of
+    the rows of R_k included; a block whose lines start or end inside an
+    image row builds that row too."""
     dim = exts[0]._dim
     step = max(1, _BLOCK_BYTES // sum(ext.line_bytes(count) for ext in exts))
     return [slice(lo, min(lo + step, dim)) for lo in range(0, dim, step)]

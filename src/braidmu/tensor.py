@@ -47,9 +47,10 @@ __all__ = [
 
 # bytes of one block of a streamed product: the domain columns of both words
 # in :func:`distance`, and the target lines of the crossed-product extensions
-# in :mod:`braidmu.spans`.  At KT Z8 a block of the coassociativity check holds
-# four target rows, and the check peaks at 19 MB (tracemalloc), in its crossed
-# product and decompositions; at KT Z6 it stays below the 4.5 MB of one dense
+# in :mod:`braidmu.spans` with the rows of the mapped pads that those lines
+# read.  At KT Z8 a block of the coassociativity check holds six target lines,
+# and the check peaks at 17.5 MB (tracemalloc), in its crossed product and
+# decompositions; at KT Z6 it peaks at 4.0 MB, below the 4.5 MB of one dense
 # block of mapped factors, where a 4 MiB budget would not
 _BLOCK_BYTES = 3 << 20
 
@@ -447,16 +448,21 @@ def leg_product(steps: Sequence[Step], context: Sequence[Space]) -> LegOperator:
                        word.columns(0, total_dim(word.domain)))
 
 
-def distance(lhs: Sequence[Step], rhs: Sequence[Step], context: Sequence[Space]) -> float:
+def distance(lhs: Sequence[Step] | PlannedWord, rhs: Sequence[Step] | PlannedWord,
+             context: Sequence[Space]) -> float:
     """Hilbert-Schmidt norm of the difference of two step products on the same context.
 
-    Neither product is formed whole.  Both words are placed once and run
-    over consecutive blocks of domain columns, as many as fit in
-    :data:`_BLOCK_BYTES` (one at least), each block by
-    :meth:`PlannedWord.columns`.  The squared norms of the blocks'
-    differences add up, so memory is one block per side, not a product.
+    Neither product is formed whole.  Both words are placed once (a side
+    given as a :class:`PlannedWord` already is) and run over consecutive
+    blocks of domain columns, as many as fit in :data:`_BLOCK_BYTES` (one at
+    least), each block by :meth:`PlannedWord.columns`.  The squared norms of
+    the blocks' differences add up, so memory is one block per side, not a
+    product.
     """
-    left, right = (PlannedWord(steps, context) for steps in (lhs, rhs))
+    left, right = (side if isinstance(side, PlannedWord) else PlannedWord(side, context)
+                   for side in (lhs, rhs))
+    if left.domain != tuple(context) or right.domain != tuple(context):
+        raise LegError("a word given to distance is placed on another context")
     if left.codomain != right.codomain:
         raise LegError(
             f"the two products end on different legs, {[s.id for s in left.codomain]} "

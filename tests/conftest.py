@@ -314,6 +314,29 @@ class DenseCrossedProductExtension:
         return LegOperator(LegSignature(self.target_domain, self.target_domain), forward)
 
 
+def graded_kac_takesaki():
+    """KT(Z2) (x) 1_H on L = L^2(Z2) (x) H under the super braiding.
+
+    H has degrees (0, 1) and the group part degree 0, so L is graded
+    (0, 1, 0, 1) and every crossing of L (x) L carries phases.  F acts as
+    KT(Z2) on the group indices and as the identity on the H indices.
+    """
+    kt = bm.kac_takesaki(bm.cyclic(2)).matrix
+    # rows and columns of kron(KT, 1) run over (g1, g2, a1, a2); F's over (g1, a1, g2, a2)
+    f = np.kron(kt, np.eye(4)).reshape([2] * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    space = Space("L", 4, (0, 1, 0, 1))
+    return bm.MultUnitary(space, LegOperator(LegSignature((space, space), (space, space)),
+                                             f.reshape(16, 16)), bm.PhaseBraiding(2))
+
+
+def gauge_conjugate(m, seed):
+    """(u (x) u) F (u (x) u)* for a random unitary u: a dense F, still a braided
+    multiplicative unitary under the flip."""
+    uu = np.kron(*[random_unitary(m.space.dim, seed)] * 2)
+    return bm.MultUnitary(m.space, LegOperator(m.op.signature, uu @ m.matrix @ uu.conj().T),
+                          m.braiding)
+
+
 def dense_coassociativity_residual(m, variant="op", tol=1e-9):
     """coassociativity_residual element by element, on the dense extension."""
     from braidmu import multunitary

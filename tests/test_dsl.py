@@ -230,6 +230,32 @@ def test_corpus_files_evaluate_against_builtins(super_module):
     assert checked == 5
 
 
+@pytest.mark.parametrize("name, steps", [("pentagon", 7), ("yd", 10)])
+def test_run_statements_places_each_step_once(super_module, monkeypatch, name, steps):
+    # each side compiles to one word, placed once, which distance then runs
+    import importlib.resources as resources
+    import braidmu.tensor as tensor_module
+
+    mod, mu = super_module
+    spaces = {"L": mu.space, "H": mod.space}
+    bindings = {"W": mu.op, "U": mod.corep, "V": mod.rep}
+    placed, real = [], tensor_module._placed
+    monkeypatch.setattr(tensor_module, "_placed",
+                        lambda *args: placed.append(args[0]) or real(*args))
+    text = (resources.files("braidmu") / "corpus" / f"{name}.stmt").read_text()
+    (result,) = dsl.run_statements(text, bindings, spaces, mu.braiding)
+    assert result.passed and len(placed) == steps
+
+
+def test_an_atom_on_legs_it_does_not_fit_is_a_leg_error(z2, super_space):
+    # the atom is checked against the context its term sees, before any word is placed
+    with pytest.raises(bm.LegError, match="do not match context legs"):
+        dsl.evaluate(dsl.parse("W[1,2]"), {"W": z2.op}, (z2.space, super_space), z2.braiding)
+    with pytest.raises(bm.LegError, match="do not match context legs"):
+        dsl.run_statements(statement_file("W[1,2]", "L S"), {"W": z2.op},
+                           {"L": z2.space, "S": super_space}, z2.braiding)
+
+
 def test_corpus_statements_peak_below_one_dense_three_leg_matrix():
     # both sides of a statement stream over column blocks: on the Z10 module
     # each corpus file peaks below the 16 MB of one n^3 x n^3 matrix, where

@@ -11,8 +11,8 @@ from braidmu import LegOperator, LegSignature, Space
 from braidmu.multunitary import pentagon_words
 from braidmu.tensor import leg_product
 
-from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, random_unitary,
-                      routed_oracle, routing_category)
+from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, graded_kac_takesaki,
+                      random_unitary, routed_oracle, routing_category)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -234,6 +234,38 @@ def test_coassociativity_peak_is_below_one_dense_target_block(n, variant):
     finally:
         tracemalloc.stop()
     assert peak < block
+
+
+def test_coassociativity_keeps_a_smaller_byte_budget(z2, monkeypatch):
+    # the rows of R_k are built for the blocks' lines inside the budget: at
+    # 64 KiB the blocks hold less than at the default, and nothing else moves
+    import braidmu.tensor as tensor_module
+
+    kt6, graded = bm.kac_takesaki(bm.cyclic(6)), graded_kac_takesaki()
+    real = spans.extension_blocks
+
+    def measured():
+        """Both residuals, and the peak of the kt6 check (the last) from its
+        first block on."""
+        with pytest.raises(spans.DecompositionError):
+            bm.coassociativity_residual(structured_corruption(z2), "op")
+        residuals = [bm.coassociativity_residual(m, "op") for m in (graded, kt6)]
+        return residuals, tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(spans, "extension_blocks",
+                        lambda *args: tracemalloc.reset_peak() or real(*args))
+    runs = []
+    for budget in (tensor_module._BLOCK_BYTES, 64 << 10):
+        monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(spans, "_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            runs.append(measured())
+        finally:
+            tracemalloc.stop()
+    (wide, wide_peak), (narrow, narrow_peak) = runs
+    np.testing.assert_allclose(narrow, wide, rtol=0, atol=1e-15)
+    assert narrow_peak < wide_peak / 2
 
 
 @pytest.mark.parametrize("group", ["z3", "s3"])

@@ -10,8 +10,8 @@ from braidmu.tensor import tensor, total_dim
 
 from braidmu import multunitary
 from conftest import (DenseCrossedProductExtension, dense_braid_tensor,
-                      dense_coassociativity_residual, greedy_selection, loop_subset_residual,
-                      random_unitary)
+                      dense_coassociativity_residual, gauge_conjugate, graded_kac_takesaki,
+                      greedy_selection, loop_subset_residual, random_unitary)
 
 L2 = Space("L", 2)
 
@@ -587,6 +587,122 @@ def test_coassociativity_streams_like_the_dense_extension_off_the_theorem(z2, bl
     for run in (dense_coassociativity_residual, bm.coassociativity_residual):
         with pytest.raises(spans.DecompositionError):
             run(corrupt, "op")
+
+
+def _gemm_extension(monkeypatch, cp, f, g):
+    """The extension of f x g on the GEMM path, as an explicit braiding takes it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spans.CrossedProductExtension, "_compile_gather", lambda *args: False)
+        return spans.CrossedProductExtension(cp, f, g)
+
+
+# the gathered path against the GEMM path: exact where F is a permutation and
+# the crossings are flips, to 1e-13 relative for a dense F or phases
+GATHER_INPUTS = {**{group: (lambda group=group: _group_unitary(group), True) for group in GROUPS},
+                 "gauge-s3": (lambda: gauge_conjugate(_group_unitary("s3"), 5), False),
+                 "graded-z2": (graded_kac_takesaki, False)}
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("name", GATHER_INPUTS)
+def test_gathered_extension_matches_the_gemm_path(name, variant, monkeypatch):
+    make, exact = GATHER_INPUTS[name]
+    m = make()
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
+    for f, g in ((conj, None), (None, conj)):
+        gathered, gemm = (spans.CrossedProductExtension(cp, f, g),
+                          _gemm_extension(monkeypatch, cp, f, g))
+        assert gathered._gathered and not gemm._gathered
+        # the super braiding's phases are -1 to rounding, so they stay
+        assert (gathered._phi is not None) == (name == "graded-z2")
+        for lo in range(0, m.space.dim ** 3, 7):
+            got, want = (ext.apply(folds, slice(lo, lo + 7)) for ext in (gathered, gemm))
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    expected = dense_coassociativity_residual(m, variant)
+    assert abs(bm.coassociativity_residual(m, variant) - expected) < 1e-13
+
+
+def test_the_graded_object_is_a_braided_multiplicative_unitary():
+    m = graded_kac_takesaki()
+    assert bm.pentagon_residual(m) == 0.0
+    assert m.braiding.braid(m.space, m.space).phases is not None
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase3"])
+@pytest.mark.parametrize("variant", ["hbt", "habt", "bt"])
+@pytest.mark.parametrize("maps", ["fg", "none"])
+def test_crossings_apply_by_the_gather(monkeypatch, kind, variant, maps):
+    """Flip and phase crossings compile into the gather: applying the
+    extension runs no GEMM block and no word."""
+    s1, s2, provider, f, g, elements, _ = _oracle_configuration(kind, variant, "f" in maps,
+                                                                "g" in maps, count=2)
+    cp = spans.CrossedProduct(s1, s2, provider, variant)
+    folds = np.stack([cp.decompose(x, 1e-9) for x in elements])
+    ext = spans.CrossedProductExtension(cp, f, g)
+
+    def forbidden(*args):
+        raise AssertionError("the gather ran a GEMM block or a word")
+
+    monkeypatch.setattr(spans.CrossedProductExtension, "_factor_lines", forbidden)
+    for name in ("columns", "run"):
+        monkeypatch.setattr(spans.PlannedWord, name, forbidden)
+    assert _streamed(ext, cp, folds, 1).shape[:2] == (2, 2)
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("frozen", [True, False])
+def test_each_image_row_is_built_once_for_fixed_folds(monkeypatch, variant, frozen):
+    # one line per block, in the order of extension_lines: a row of R_k is
+    # kept for the next block only while the folds cannot change
+    m = _group_unitary("z4")
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
+    folds.setflags(write=not frozen)
+    exts = [spans.CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
+    (carrier,) = [ext for ext in exts if ext._a is not None]
+    built, real = [], np.tensordot
+    monkeypatch.setattr(np, "tensordot", lambda a, *args, **kw: built.append(len(a)) or
+                        real(a, *args, **kw))
+    order = spans.extension_lines(exts)
+    for lo in range(len(order)):
+        carrier.apply(folds, order[lo:lo + 1])
+    assert sum(built) == (carrier._image if frozen else m.space.dim ** 3)
+
+
+def _explicit_flip_bundle():
+    """KT(Z3) from a bundle whose braiding is the flip as an explicit table."""
+    m = _group_unitary("z3")
+    bundle = bm.Bundle()
+    bundle.spaces["L"] = m.space
+    bundle.braiding_kind = "explicit"
+    bundle.braiding_pairs = [bm.FlipBraiding().braid(m.space, m.space)]
+    bundle.operators["W"] = m.op
+    return bm.bundle_from_json(bm.bundle_to_json(bundle)).mult_unitary("W")
+
+
+@pytest.mark.parametrize("make", [lambda: bm.identity_control(2), _explicit_flip_bundle],
+                         ids=["identity-control", "explicit-flip-bundle"])
+@pytest.mark.parametrize("variant", ["op", "right"])
+def test_explicit_tables_apply_by_gemm(monkeypatch, make, variant):
+    m = make()
+    built, blocks = [], []
+    real_init, real_lines = (spans.CrossedProductExtension.__init__,
+                             spans.CrossedProductExtension._factor_lines)
+    monkeypatch.setattr(spans.CrossedProductExtension, "__init__",
+                        lambda ext, *args: built.append(ext) or real_init(ext, *args))
+    monkeypatch.setattr(spans.CrossedProductExtension, "_factor_lines",
+                        lambda ext, *args: blocks.append(ext) or real_lines(ext, *args))
+    residual = bm.coassociativity_residual(m, variant)
+    assert len(built) == 2 and not any(ext._gathered for ext in built)
+    assert set(map(id, blocks)) == set(map(id, built))
+    if m.space.dim == 3:   # the same object under the flip, gathered
+        assert abs(residual - bm.coassociativity_residual(_group_unitary("z3"), variant)) < 1e-13
 
 
 def _complex_normal(rng, *shape):

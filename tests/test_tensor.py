@@ -739,6 +739,13 @@ def test_distance_places_each_word_once(monkeypatch):
     monkeypatch.setattr(tensor_module, "_BLOCK_BYTES", 1)
     assert distance(lhs, rhs, context) > 0.1
     assert len(placed) == len(lhs) + len(rhs)
+    # words placed by the caller are run as they are, and must sit on the context
+    left, right = PlannedWord(lhs, context), PlannedWord(rhs, context)
+    placed.clear()
+    assert distance(left, right, context) == distance(lhs, rhs, context)
+    assert len(placed) == len(lhs) + len(rhs)
+    with pytest.raises(bm.LegError, match="another context"):
+        distance(left, right, context[1:])
 
 
 def test_distance_rejects_words_that_end_on_different_legs():
