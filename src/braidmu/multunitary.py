@@ -232,12 +232,11 @@ def coassociativity_residual(m: MultUnitary, variant: str = "op",
     """Max deviation of (Delta x id) Delta from (id x Delta) Delta on the algebra basis.
 
     Both extensions share one crossed product, which decomposes each element
-    once, forward and reverse.  They then map every element a block of target
-    lines at a time (:func:`spans.extension_blocks`), so no mapped value is
-    held whole; each element's squared norms add up over the blocks.  An
-    extension whose two decompositions disagree is not well defined on the
-    element and raises :class:`spans.DecompositionError`, as does an element
-    outside the crossed product, whichever comes first in basis order.
+    once, forward and reverse; :func:`spans.compare_extensions` maps every
+    element by both and returns its squared norms.  An extension whose two
+    decompositions disagree is not well defined on the element and raises
+    :class:`spans.DecompositionError`, as does an element outside the
+    crossed product, whichever comes first in basis order.
     """
     alg, cp_variant, conj = _bialgebra_data(m, variant)
     cp = CrossedProduct(alg, alg, m.braiding, cp_variant)
@@ -247,26 +246,12 @@ def coassociativity_residual(m: MultUnitary, variant: str = "op",
             folds.append(cp.decompose(comultiply(m, a, variant), tol))
     except spans.DecompositionError as exc:
         outside = exc
+    if not folds:   # the first element already lies outside
+        raise outside
     # built once the decompositions' QR has run, so that they do not add to its peak
     exts = [CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
-    del cp   # frees the generator stack and its QR factors before the blocks
-    # per element: ||forward||^2 and ||reverse - forward||^2 of either
-    # extension, and ||left - right||^2 of the forward values
-    sums = np.zeros((5, len(folds)))
-    if folds:
-        folds = np.stack(folds)
-        folds.setflags(write=False)   # fixed, so the extensions keep rows they built
-        order = spans.extension_lines(exts)
-        for block in spans.extension_blocks(exts, len(folds)):
-            left, right = (ext.apply(folds, order[block]) for ext in exts)
-            for i, y in enumerate((left, right)):
-                y[:, 1] -= y[:, 0]
-                sums[2 * i] += _squares(y[:, 0])
-                sums[2 * i + 1] += _squares(y[:, 1])
-            left[:, 0] -= right[:, 0]
-            sums[4] += _squares(left[:, 0])
-            del left, right   # the next block's values are made without these
-    norms = np.sqrt(sums)
+    del cp   # frees the generator stack and its QR factors before the walk
+    norms = np.sqrt(spans.compare_extensions(*exts, np.stack(folds)))
     # element by element, the left extension before the right one
     for value, dev in zip(norms[[0, 2]].T.ravel(), norms[[1, 3]].T.ravel()):
         if dev > tol * max(value, 1.0):
@@ -274,13 +259,7 @@ def coassociativity_residual(m: MultUnitary, variant: str = "op",
                 f"extension value depends on the decomposition (deviation {dev:.3e})")
     if outside is not None:
         raise outside
-    return float(norms[4].max(initial=0.0))
-
-
-def _squares(y: np.ndarray) -> np.ndarray:
-    """Per element (leading axis), the sum of |y|^2 over its block of values."""
-    r = y.view(float)
-    return np.einsum("ijk,ijk->i", r, r)
+    return float(norms[4].max())
 
 
 def multiplier_checks(m: MultUnitary, variant: str = "op",

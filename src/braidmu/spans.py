@@ -29,7 +29,7 @@ __all__ = [
     "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
     "kernel_of_linear_map", "crossed_injections", "crossed_product",
     "is_relative_multiplier", "Conjugation", "CrossedProduct", "CrossedProductExtension",
-    "extension_lines", "extension_blocks", "DecompositionError",
+    "compare_extensions", "DecompositionError",
 ]
 
 RANK_CUTOFF = 1e-9
@@ -613,7 +613,6 @@ class CrossedProductExtension:
             a = v if not self._pad_first else v.conj()
             self._a = a.reshape(image, -1, self._p)
             self._ah = np.ascontiguousarray(a.conj().T)
-            self._kept = None, None, None
         return True
 
     def line_bytes(self, count: int) -> int:
@@ -625,7 +624,7 @@ class CrossedProductExtension:
         applies), the line's gathered factor entries, and its share of the
         rows of R_k, held twice (the product with A and then with A^H): a row
         per line, or per dim / image lines for the carrier of a pad-side
-        conjugation, whose lines :func:`extension_lines` groups by row."""
+        conjugation, whose lines :func:`_extension_lines` groups by row."""
         if not self._gathered:
             return 16 * self._dim * max(2 * self._rc, 6 * count)
         fd, image = self._dim // self._image, self._image
@@ -674,47 +673,49 @@ class CrossedProductExtension:
             x *= self._psi_at[at][..., None]
         return x
 
-    def _pad_rows(self, folds: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _pad_rows(self, folds: np.ndarray, rows: np.ndarray, kept: tuple | None
+                  ) -> tuple[np.ndarray, tuple | None]:
         """The image rows ``rows`` of every element's R_k under both
-        decompositions, shape (rows, rc, elements * 2 * image)."""
+        decompositions, shape (rows, rc, elements * 2 * image), and the last
+        of them as (row, values) under a pad-side conjugation: ``kept``, that
+        pair from the block before, stands in for the first row when it is
+        that row."""
         count, rc, p = len(folds), self._rc, self._p
         pads = folds.reshape(count, 2, rc, p, p)
         if self._a is None:
             r = pads[:, :, :, rows].transpose(3, 2, 0, 1, 4)
-            return np.ascontiguousarray(r).reshape(len(rows), rc, -1)
-        # the lines come grouped by image row, so a block can share its first
-        # row with the last of the block before it: that row is kept for
-        # folds that cannot change, an array that owns its read-only data
-        kept_folds, kept_row, kept = self._kept
-        reuse = folds is kept_folds and rows[0] == kept_row
+            return np.ascontiguousarray(r).reshape(len(rows), rc, -1), None
+        reuse = kept is not None and rows[0] == kept[0]
         out = np.empty((len(rows), rc, count * 2 * self._image), dtype=complex)
         if reuse:
-            out[0] = kept
+            out[0] = kept[1]
         if len(rows) > reuse:
             # A_r (1 (x) F_k) for every row r, then A^H
             z = np.tensordot(self._a[rows[int(reuse):]], pads, axes=([2], [3]))
             z = np.ascontiguousarray(z.transpose(0, 4, 2, 3, 1, 5)).reshape(-1, self._ah.shape[0])
             out[int(reuse):] = (z @ self._ah).reshape(-1, rc, out.shape[-1])
-        if folds.base is None and not folds.flags.writeable:
-            self._kept = folds, rows[-1], out[-1].copy()
-        return out
+        return out, (rows[-1], out[-1].copy())
 
-    def apply(self, folds: np.ndarray, lines: slice | np.ndarray) -> np.ndarray:
+    def apply(self, folds: np.ndarray, lines: np.ndarray, kept: tuple | None = None
+              ) -> tuple[np.ndarray, tuple | None]:
         """Both mapped values of every element, on the target rows ``lines``.
 
         ``folds`` stacks :meth:`CrossedProduct.decompose` of each element,
-        shape (elements, 2, rc * p, p).  ``lines`` is a slice of target rows
-        or an array of them, consecutive ones on the GEMM path.  Returns a new array
-        of shape (elements, 2, rows, dim): the rows ``lines`` of each
-        element's image under its forward and under its reverse
-        decomposition.  Pad first, ``lines`` are target columns and the shape
-        is (elements, 2, dim, columns).
+        shape (elements, 2, rc * p, p).  ``lines`` is an array of target
+        rows, consecutive ones on the GEMM path.  Returns a new array of shape
+        (elements, 2, rows, dim): the rows ``lines`` of each element's image
+        under its forward and under its reverse decomposition.  Pad first,
+        ``lines`` are target columns and the shape is (elements, 2, dim,
+        columns).  With the values comes the last image row of R_k that the
+        gather built under a pad-side conjugation, as (row, values), or None;
+        ``kept`` is that pair from the call before on the same folds, reused
+        when these lines start on its row.
         """
         if self._gathered:
-            if isinstance(lines, slice):
-                lines = np.arange(*lines.indices(self._dim))
-            return self._gather_apply(folds, lines)
-        lo, hi = _line_range(lines, self._dim)
+            return self._gather_apply(folds, lines, kept)
+        if np.any(np.diff(lines) != 1):
+            raise ValueError("the GEMM path of an extension takes consecutive target lines")
+        lo, hi = int(lines[0]), int(lines[-1]) + 1
         count, p, b = len(folds), self._p, hi - lo
         pads = folds.transpose(2, 0, 1, 3).reshape(-1, count * 2 * p)
         out = self._factor_lines(lo, hi) @ pads
@@ -723,14 +724,15 @@ class CrossedProductExtension:
             y = np.ascontiguousarray(out.reshape(-1, b, count, 2, p).transpose(2, 3, 4, 0, 1))
             if self._v is not None:
                 y = self._v @ y.reshape(count * 2, self._v.shape[1], -1)
-            return y.reshape(count, 2, self._dim, b)
+            return y.reshape(count, 2, self._dim, b), None
         # the rows of T_k (1 (x) V) (1 (x) m_k), then 1 (x) V* on the right
         y = np.ascontiguousarray(out.reshape(b, -1, count, 2, p).transpose(2, 3, 0, 1, 4))
         if self._v is not None:
             y = y.reshape(-1, self._v.shape[1]) @ self._vh
-        return y.reshape(count, 2, b, self._dim)
+        return y.reshape(count, 2, b, self._dim), None
 
-    def _gather_apply(self, folds: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    def _gather_apply(self, folds: np.ndarray, lines: np.ndarray, kept: tuple | None
+                      ) -> tuple[np.ndarray, tuple | None]:
         """:meth:`apply` by the gather: the lines that read one image row
         contract their gathered entries with that row of every R_k by one
         GEMM."""
@@ -740,7 +742,7 @@ class CrossedProductExtension:
         order = np.argsort(img, kind="stable")
         rows = img[order]
         starts = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1))
-        pad_rows = self._pad_rows(folds, rows[starts])
+        pad_rows, kept = self._pad_rows(folds, rows[starts], kept)
         x = self._gather_lines(lines, img)
         shape = (count, 2, b, fd, image) if not self._pad_first else (count, 2, image, fd, b)
         out = np.empty(shape, dtype=complex)
@@ -754,32 +756,23 @@ class CrossedProductExtension:
             else:
                 out[:, :, group] = y.transpose(2, 3, 0, 1, 4)
         if self._pad_first:
-            return out.reshape(count, 2, self._dim, b)
-        return out.reshape(count, 2, b, self._dim)
+            return out.reshape(count, 2, self._dim, b), kept
+        return out.reshape(count, 2, b, self._dim), kept
 
 
-def _line_range(lines: slice | np.ndarray, dim: int) -> tuple[int, int]:
-    """The consecutive target lines ``lines`` as (lo, hi)."""
-    if isinstance(lines, slice):
-        return lines.indices(dim)[:2]
-    if np.any(np.diff(lines) != 1):
-        raise ValueError("the GEMM path of an extension takes consecutive target lines")
-    return int(lines[0]), int(lines[-1]) + 1
-
-
-def extension_lines(exts: Sequence[CrossedProductExtension]) -> np.ndarray:
-    """Every target line, in the order that the blocks of
-    :func:`extension_blocks` walk: grouped by the image row of the extension
-    that carries a pad-side conjugation, when every extension gathers, so
-    that a block's lines read few rows of its R_k; otherwise in order."""
+def _extension_lines(exts: Sequence[CrossedProductExtension]) -> np.ndarray:
+    """Every target line, in the order that :func:`compare_extensions` walks:
+    grouped by the image row of the extension that carries a pad-side
+    conjugation, when every extension gathers, so that a block's lines read
+    few rows of its R_k; otherwise in order."""
     carrier = [ext for ext in exts if ext._gathered and ext._a is not None]
     if not carrier or not all(ext._gathered for ext in exts):
         return np.arange(exts[0]._dim)
     return np.argsort(carrier[0]._img, kind="stable")
 
 
-def extension_blocks(exts: Sequence[CrossedProductExtension], count: int) -> list[slice]:
-    """Consecutive ranges of :func:`extension_lines`, for applying every
+def _extension_blocks(exts: Sequence[CrossedProductExtension], count: int) -> list[slice]:
+    """Consecutive ranges of :func:`_extension_lines`, for applying every
     extension to ``count`` elements a block at a time within
     :data:`_BLOCK_BYTES` (one line at least).  The budget counts each
     extension's :meth:`~CrossedProductExtension.line_bytes`, its share of
@@ -788,3 +781,38 @@ def extension_blocks(exts: Sequence[CrossedProductExtension], count: int) -> lis
     dim = exts[0]._dim
     step = max(1, _BLOCK_BYTES // sum(ext.line_bytes(count) for ext in exts))
     return [slice(lo, min(lo + step, dim)) for lo in range(0, dim, step)]
+
+
+def compare_extensions(left: CrossedProductExtension, right: CrossedProductExtension,
+                       folds: np.ndarray) -> np.ndarray:
+    """The squared norms that compare two extensions on the same elements,
+    shape (5, elements): per element, ||L0||^2, ||L1 - L0||^2, ||R0||^2,
+    ||R1 - R0||^2 and ||L0 - R0||^2, for its values L under ``left`` and R
+    under ``right``, 0 from its forward and 1 from its reverse decomposition.
+
+    ``folds`` stacks :meth:`CrossedProduct.decompose` of each element.  The
+    walk maps every element a block of target lines at a time, so no value
+    is held whole: the lines in the order of :func:`_extension_lines`, in
+    the blocks of :func:`_extension_blocks`, each block handing the last row
+    of R_k it built to the next, so that each row is built once.
+    """
+    exts = (left, right)
+    sums = np.zeros((5, len(folds)))
+    order, kept = _extension_lines(exts), (None, None)
+    for block in _extension_blocks(exts, len(folds)):
+        values, kept = zip(*(ext.apply(folds, order[block], row)
+                             for ext, row in zip(exts, kept)))
+        for i, y in enumerate(values):
+            y[:, 1] -= y[:, 0]
+            sums[2 * i] += _squares(y[:, 0])
+            sums[2 * i + 1] += _squares(y[:, 1])
+        values[0][:, 0] -= values[1][:, 0]
+        sums[4] += _squares(values[0][:, 0])
+        del values, y   # the next block's values are made without these
+    return sums
+
+
+def _squares(y: np.ndarray) -> np.ndarray:
+    """Per element (leading axis), the sum of |y|^2 over its block of values."""
+    r = y.view(float)
+    return np.einsum("ijk,ijk->i", r, r)

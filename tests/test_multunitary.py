@@ -242,7 +242,7 @@ def test_coassociativity_keeps_a_smaller_byte_budget(z2, monkeypatch):
     import braidmu.tensor as tensor_module
 
     kt6, graded = bm.kac_takesaki(bm.cyclic(6)), graded_kac_takesaki()
-    real = spans.extension_blocks
+    real = spans._extension_blocks
 
     def measured():
         """Both residuals, and the peak of the kt6 check (the last) from its
@@ -252,7 +252,7 @@ def test_coassociativity_keeps_a_smaller_byte_budget(z2, monkeypatch):
         residuals = [bm.coassociativity_residual(m, "op") for m in (graded, kt6)]
         return residuals, tracemalloc.get_traced_memory()[1]
 
-    monkeypatch.setattr(spans, "extension_blocks",
+    monkeypatch.setattr(spans, "_extension_blocks",
                         lambda *args: tracemalloc.reset_peak() or real(*args))
     runs = []
     for budget in (tensor_module._BLOCK_BYTES, 64 << 10):

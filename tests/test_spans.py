@@ -211,7 +211,7 @@ def test_relative_multiplier_membership(z2):
 
 def _values(ext, folds):
     """The forward and the reverse mapped value of one element, with its folded pads."""
-    forward, reverse = ext.apply(folds[None], slice(None))[0]
+    forward, reverse = ext.apply(folds[None], np.arange(total_dim(ext.target_domain)))[0][0]
     return forward, reverse
 
 
@@ -476,7 +476,8 @@ BLOCKS = {"one-line": 1, "seven-lines": 7, "whole": 10 ** 6}
 def _streamed(ext, cp, folds, lines):
     """apply over consecutive blocks of target lines, joined: (elements, 2, dim, dim)."""
     dim = total_dim(ext.target_domain)
-    blocks = [ext.apply(folds, slice(lo, lo + lines)) for lo in range(0, dim, lines)]
+    blocks = [ext.apply(folds, np.arange(lo, min(lo + lines, dim)))[0]
+              for lo in range(0, dim, lines)]
     return np.concatenate(blocks, axis=3 if cp.pad_first else 2)
 
 
@@ -543,7 +544,7 @@ def _budget_lines(monkeypatch, lines):
     """A byte budget of ``lines`` target lines per block; returns the block
     lengths that coassociativity_residual walks."""
     lengths = []
-    real = spans.extension_blocks
+    real = spans._extension_blocks
 
     def blocks(exts, count):
         per_line = sum(ext.line_bytes(count) for ext in exts)
@@ -552,7 +553,7 @@ def _budget_lines(monkeypatch, lines):
         lengths.append([s.stop - s.start for s in walked])
         return walked
 
-    monkeypatch.setattr(spans, "extension_blocks", blocks)
+    monkeypatch.setattr(spans, "_extension_blocks", blocks)
     return lengths
 
 
@@ -618,7 +619,8 @@ def test_gathered_extension_matches_the_gemm_path(name, variant, monkeypatch):
         # the super braiding's phases are -1 to rounding, so they stay
         assert (gathered._phi is not None) == (name == "graded-z2")
         for lo in range(0, m.space.dim ** 3, 7):
-            got, want = (ext.apply(folds, slice(lo, lo + 7)) for ext in (gathered, gemm))
+            lines = np.arange(lo, min(lo + 7, m.space.dim ** 3))
+            got, want = (ext.apply(folds, lines)[0] for ext in (gathered, gemm))
             if exact:
                 assert np.array_equal(got, want)
             else:
@@ -654,25 +656,44 @@ def test_crossings_apply_by_the_gather(monkeypatch, kind, variant, maps):
     assert _streamed(ext, cp, folds, 1).shape[:2] == (2, 2)
 
 
-@pytest.mark.parametrize("variant", ["op", "right"])
-@pytest.mark.parametrize("frozen", [True, False])
-def test_each_image_row_is_built_once_for_fixed_folds(monkeypatch, variant, frozen):
-    # one line per block, in the order of extension_lines: a row of R_k is
-    # kept for the next block only while the folds cannot change
-    m = _group_unitary("z4")
+def _walked(m, variant):
+    """The two extensions of the coassociativity check and the folds of its
+    comultiplied basis elements."""
     alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
     cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
     folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
-    folds.setflags(write=not frozen)
-    exts = [spans.CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
+    return [spans.CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))], folds
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+def test_a_walk_builds_each_image_row_once(monkeypatch, variant):
+    # one line per block: the carrier of the pad-side conjugation builds each
+    # row of R_k once, handing a block's last row to the next
+    exts, folds = _walked(_group_unitary("z4"), variant)
     (carrier,) = [ext for ext in exts if ext._a is not None]
     built, real = [], np.tensordot
     monkeypatch.setattr(np, "tensordot", lambda a, *args, **kw: built.append(len(a)) or
                         real(a, *args, **kw))
-    order = spans.extension_lines(exts)
-    for lo in range(len(order)):
-        carrier.apply(folds, order[lo:lo + 1])
-    assert sum(built) == (carrier._image if frozen else m.space.dim ** 3)
+    monkeypatch.setattr(spans, "_BLOCK_BYTES", 1)
+    spans.compare_extensions(*exts, folds)
+    assert sum(built) == carrier._image
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+def test_walks_over_other_folds_share_no_row(monkeypatch, variant):
+    # the same extensions walk the elements, then the elements in reverse
+    # order, one line per block: each walk matches the dense check, so no
+    # row of R_k is carried from one walk into the next
+    space = Space("L", 3)
+    m = bm.MultUnitary(space, leg_op(random_unitary(9, 13), [space, space]), bm.FlipBraiding())
+    exts, folds = _walked(m, variant)
+    assert all(ext._gathered for ext in exts) and any(ext._a is not None for ext in exts)
+    expected = dense_coassociativity_residual(m, variant)
+    assert expected > 1e-3
+    monkeypatch.setattr(spans, "_BLOCK_BYTES", 1)
+    for walked in (folds, folds[::-1].copy()):
+        residual = np.sqrt(spans.compare_extensions(*exts, walked)[4]).max()
+        assert abs(residual - expected) <= 1e-12 * expected
 
 
 def _explicit_flip_bundle():

@@ -834,6 +834,27 @@ def test_only_the_runner_pads_a_first_step():
                                            ("tensor", "PlannedWord.__init__")}
 
 
+def test_only_spans_walks_the_extensions():
+    """spans owns the coassociativity walk: no other module reads a private
+    attribute or method of CrossedProductExtension, and multunitary calls no
+    extension helper, only compare_extensions."""
+    trees = _package_trees()
+    (cls,) = [node for node in trees["spans"].body
+              if isinstance(node, ast.ClassDef) and node.name == "CrossedProductExtension"]
+    private = {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+               and getattr(node.value, "id", None) == "self" and node.attr.startswith("_")}
+    private |= {node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_") and not node.name.endswith("__")}
+    assert {"_gathered", "_img", "_a", "_dim", "_pad_rows"} <= private
+    read = {(module, node.attr) for module, tree in trees.items() if module != "spans"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in private}
+    assert read == set()
+    assert [n for module, _, n in _name_uses() if module == "multunitary"
+            and n.lstrip("_").startswith("extension_")] == []
+    assert references("compare_extensions") == [("multunitary", "coassociativity_residual")]
+
+
 # every function or class in a module's __all__ that nothing in the package
 # references but the package's re-export, with why it stays
 UNREFERENCED = {
