@@ -794,25 +794,30 @@ def compare_extensions(left: CrossedProductExtension, right: CrossedProductExten
     walk maps every element a block of target lines at a time, so no value
     is held whole: the lines in the order of :func:`_extension_lines`, in
     the blocks of :func:`_extension_blocks`, each block handing the last row
-    of R_k it built to the next, so that each row is built once.
+    of R_k it built to the next, so that each row is built once.  Each line's
+    squares are kept and summed in line order once the walk ends, so the
+    blocks do not set the rounding.
     """
     exts = (left, right)
-    sums = np.zeros((5, len(folds)))
     order, kept = _extension_lines(exts), (None, None)
+    squares = np.empty((5, len(folds), len(order)))
     for block in _extension_blocks(exts, len(folds)):
-        values, kept = zip(*(ext.apply(folds, order[block], row)
-                             for ext, row in zip(exts, kept)))
+        lines = order[block]
+        values, kept = zip(*(ext.apply(folds, lines, row) for ext, row in zip(exts, kept)))
         for i, y in enumerate(values):
             y[:, 1] -= y[:, 0]
-            sums[2 * i] += _squares(y[:, 0])
-            sums[2 * i + 1] += _squares(y[:, 1])
+            squares[2 * i][:, lines] = _squares(y[:, 0], left._pad_first)
+            squares[2 * i + 1][:, lines] = _squares(y[:, 1], left._pad_first)
         values[0][:, 0] -= values[1][:, 0]
-        sums[4] += _squares(values[0][:, 0])
+        squares[4][:, lines] = _squares(values[0][:, 0], left._pad_first)
         del values, y   # the next block's values are made without these
-    return sums
+    return squares.sum(axis=-1)
 
 
-def _squares(y: np.ndarray) -> np.ndarray:
-    """Per element (leading axis), the sum of |y|^2 over its block of values."""
+def _squares(y: np.ndarray, pad_first: bool) -> np.ndarray:
+    """Per element and line, the sum of |y|^2 over the line, for y of shape
+    (elements, lines, dim), or (elements, dim, lines) pad first."""
     r = y.view(float)
-    return np.einsum("ijk,ijk->i", r, r)
+    if not pad_first:
+        return np.einsum("ijk,ijk->ij", r, r)
+    return np.einsum("ijk,ijk->ik", r, r).reshape(len(y), -1, 2).sum(axis=-1)
