@@ -624,7 +624,7 @@ class CrossedProductExtension:
         applies), the line's gathered factor entries, and its share of the
         rows of R_k, held twice (the product with A and then with A^H): a row
         per line, or per dim / image lines for the carrier of a pad-side
-        conjugation, whose lines :func:`_extension_lines` groups by row."""
+        conjugation, whose lines :func:`compare_extensions` groups by row."""
         if not self._gathered:
             return 16 * self._dim * max(2 * self._rc, 6 * count)
         fd, image = self._dim // self._image, self._image
@@ -760,19 +760,8 @@ class CrossedProductExtension:
         return out.reshape(count, 2, b, self._dim), kept
 
 
-def _extension_lines(exts: Sequence[CrossedProductExtension]) -> np.ndarray:
-    """Every target line, in the order that :func:`compare_extensions` walks:
-    grouped by the image row of the extension that carries a pad-side
-    conjugation, when every extension gathers, so that a block's lines read
-    few rows of its R_k; otherwise in order."""
-    carrier = [ext for ext in exts if ext._gathered and ext._a is not None]
-    if not carrier or not all(ext._gathered for ext in exts):
-        return np.arange(exts[0]._dim)
-    return np.argsort(carrier[0]._img, kind="stable")
-
-
 def _extension_blocks(exts: Sequence[CrossedProductExtension], count: int) -> list[slice]:
-    """Consecutive ranges of :func:`_extension_lines`, for applying every
+    """Consecutive ranges of the walk's line order, for applying every
     extension to ``count`` elements a block at a time within
     :data:`_BLOCK_BYTES` (one line at least).  The budget counts each
     extension's :meth:`~CrossedProductExtension.line_bytes`, its share of
@@ -792,15 +781,18 @@ def compare_extensions(left: CrossedProductExtension, right: CrossedProductExten
 
     ``folds`` stacks :meth:`CrossedProduct.decompose` of each element.  The
     walk maps every element a block of target lines at a time, so no value
-    is held whole: the lines in the order of :func:`_extension_lines`, in
-    the blocks of :func:`_extension_blocks`, each block handing the last row
-    of R_k it built to the next, so that each row is built once.  Each line's
-    squares are kept and summed in line order once the walk ends, so the
-    blocks do not set the rounding.
+    is held whole.  When both extensions gather, the lines are grouped by
+    the image row of the one that carries a pad-side conjugation, and each
+    block hands the last row of R_k it built to the next, so that each row
+    is built once.  Each line's squares are kept and summed in line order
+    once the walk ends, so the blocks (:func:`_extension_blocks`) do not set
+    the rounding.
     """
     exts = (left, right)
-    order, kept = _extension_lines(exts), (None, None)
-    squares = np.empty((5, len(folds), len(order)))
+    carrier = [ext for ext in exts if ext._gathered and ext._a is not None]
+    grouped = carrier and all(ext._gathered for ext in exts)
+    order = np.argsort(carrier[0]._img, kind="stable") if grouped else np.arange(left._dim)
+    squares, kept = np.empty((5, len(folds), len(order))), (None, None)
     for block in _extension_blocks(exts, len(folds)):
         lines = order[block]
         values, kept = zip(*(ext.apply(folds, lines, row) for ext, row in zip(exts, kept)))
