@@ -144,9 +144,11 @@ def cmd_analyze(args) -> int:
         print(f"error: no operator named {args.object!r} in the bundle", file=sys.stderr)
         return 2
     try:
-        # the certificate raises LegError on a braiding it cannot use, a singular one
+        # the certificate raises LegError on a braiding it cannot use, a singular
+        # one, and LinAlgError when entries too large to square leave an SVD
+        # without convergence
         certificate = full_certificate(bundle.mult_unitary(args.object), args.tol)
-    except (SchemaError, LegError) as exc:
+    except (SchemaError, LegError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = _report(args.file, certificate.checks(), args.tol)

@@ -518,8 +518,9 @@ def test_eval_reads_only_ascii_digits_as_leg_indices(tmp_path, capsys, digit):
 
 
 def _analyze_in_a_process(tmp_path, matrix):
-    """Exit code, stderr and report of ``braidmu analyze``, run as its own process,
-    on a Z2 bundle whose W is replaced by ``matrix``."""
+    """Exit code, stderr and report checks (None without a report) of ``braidmu
+    analyze``, run as its own process, on a Z2 bundle whose W is replaced by
+    ``matrix``."""
     path, report = tmp_path / "w.json", tmp_path / "r.json"
     run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(path)])
     bundle = bm.load_bundle(str(path))
@@ -528,7 +529,8 @@ def _analyze_in_a_process(tmp_path, matrix):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bm.__file__)))
     done = subprocess.run([sys.executable, "-m", "braidmu.cli", "analyze", str(path),
                            "--report", str(report)], capture_output=True, text=True, env=env)
-    checks = {c["name"]: c for c in read_json(str(report))["checks"]}
+    checks = ({c["name"]: c for c in read_json(str(report))["checks"]}
+              if report.exists() else None)
     return done.returncode, done.stderr, checks
 
 
@@ -543,6 +545,18 @@ def test_analyze_of_a_zero_matrix_fails_its_checks_without_a_traceback(tmp_path)
     # the extension raised, so coassociativity is infinite: a null value that says so
     assert checks["coassociativity"]["value"] is None
     assert checks["coassociativity"]["nonfinite"] == "inf"
+
+
+def test_analyze_of_entries_too_large_to_square_is_an_input_error(tmp_path):
+    # the entries are finite, so the schema accepts them, but their squares
+    # overflow and an SVD of the regularity check does not converge
+    kt = bm.kac_takesaki(bm.cyclic(2)).matrix
+    code, err, checks = _analyze_in_a_process(tmp_path, kt * 1e300)
+    assert code == 2
+    # numpy's overflow warnings come before it
+    assert err.splitlines()[-1] == "error: SVD did not converge"
+    assert "Traceback" not in err
+    assert checks is None
 
 
 def test_analyze_of_a_rank_one_matrix_keeps_its_report(tmp_path):
