@@ -525,7 +525,9 @@ class CrossedProductExtension:
     the other legs.  :meth:`apply` contracts each line over the factor index
     k alone, with row img_j of every R_k: O(n^8) on three legs of
     dimension n, where the dense factor block took O(n^9).  It builds those
-    rows of R_k for the image rows its lines read, so memory stays one block.
+    rows of R_k for the image rows its lines read, so memory stays one block;
+    the extension keeps no row between calls, and the walk of
+    :func:`compare_extensions` hands each block's last row to the next.
 
     An explicit (dense) crossing keeps the GEMM path: the leading crossings
     are placed on the target legs and the trailing ones on the factor leg and
