@@ -625,6 +625,8 @@ def test_gathered_extension_matches_the_gemm_path(name, variant, monkeypatch):
                 assert np.array_equal(got, want)
             else:
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        with pytest.raises(ValueError, match="consecutive"):
+            gemm.apply(folds, np.array([0, 2]))
     expected = dense_coassociativity_residual(m, variant)
     assert abs(bm.coassociativity_residual(m, variant) - expected) < 1e-13
 
