@@ -299,7 +299,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        # entries too large to square overflow to inf and nan; the reports record
+        # such values as non-finite, so numpy's warnings about them are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,10 @@ The JSON schema (version 1):
 Matrices are row-major with the first leg most significant; floats are
 emitted with 17 significant digits so serialization is canonical.  The
 writer emits strict JSON: a non-finite float is refused, and strings escape
-every control character.
+every control character.  ``_fmt_float`` is the one rule for a float's text.
+A matrix is written in one pass: its distinct values (by bit pattern) are
+formatted once each and its rows filled from one template.  The reader
+takes a matrix entry only as a JSON number, not ``true`` or ``false``.
 """
 
 from __future__ import annotations
@@ -186,8 +189,28 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _matrix_text(m: np.ndarray) -> str:
+    """A complex matrix as rows of ``[re, im]`` pairs, written in one pass.
+
+    Each distinct float is formatted once, distinct by bit pattern so that
+    ``0.0`` and ``-0.0`` stay apart, and each row is filled from one template.
+    """
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        # the first non-finite value, row-major and real part first, raises
+        _fmt_float(float(parts.flat[np.flatnonzero(~finite)[0]]))
+    bits, where = np.unique(parts.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([_fmt_float(x) for x in bits.view(float).tolist()], dtype=object)
+    row = "[" + ",".join(["[%s,%s]"] * m.shape[1]) + "]"
+    cells = texts[where].reshape(parts.shape).tolist()
+    return "[" + ",".join([row % tuple(values) for values in cells]) + "]"
+
+
 def _emit(node, out: list[str]) -> None:
-    if isinstance(node, dict):
+    if isinstance(node, np.ndarray):
+        out.append(_matrix_text(node))
+    elif isinstance(node, dict):
         out.append("{")
         for i, key in enumerate(node):
             if i:
@@ -224,20 +247,35 @@ def _canonical_json(tree) -> str:
     return "".join(out)
 
 
-def _matrix_tree(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _matrix_from_tree(tree, path: str) -> np.ndarray:
+def _matrix_from_tree(tree, path: str, may_hold_bools: bool) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in tree], dtype=complex)
     except (TypeError, IndexError, KeyError, ValueError):
         raise SchemaError(path, "matrix must be equal-length rows of [re, im] pairs") from None
     if m.ndim != 2:
         raise SchemaError(path, "matrix must be two-dimensional")
+    # complex() takes a bool as 0 or 1; the rows parsed, so every entry is a number
+    if may_hold_bools and any(type(x) is bool for row in tree for pair in row for x in pair):
+        raise SchemaError(path, "matrix entries must be numbers, not true or false")
     if not np.isfinite(m).all():
         raise SchemaError(path, "matrix entries must be finite")
     return m
+
+
+def _spells_a_bool(text: str) -> bool:
+    """Whether ``true`` or ``false`` occurs in ``text``.
+
+    No number holds a ``u`` or an ``f``, so stepping from one such letter to
+    the next jumps over a matrix in one ``find``, where a substring search
+    for the words walks through its text.
+    """
+    for word, letter, offset in (("true", "u", 2), ("false", "f", 0)):
+        i = text.find(letter)
+        while i >= 0:
+            if text.startswith(word, i - offset):
+                return True
+            i = text.find(letter, i + 1)
+    return False
 
 
 def _is_json_int(node) -> bool:
@@ -267,14 +305,14 @@ def bundle_to_json(bundle: Bundle) -> str:
     if bundle.braiding_kind == "explicit":
         braiding_tree["pairs"] = [
             {"first": op.domain[0].id, "second": op.domain[1].id,
-             "matrix": _matrix_tree(op.matrix)}
+             "matrix": op.matrix}
             for op in bundle.braiding_pairs]
     ops_tree = {}
     for name in sorted(bundle.operators):
         op = bundle.operators[name]
         ops_tree[name] = {"domain": [s.id for s in op.domain],
                           "codomain": [s.id for s in op.codomain],
-                          "matrix": _matrix_tree(op.matrix)}
+                          "matrix": op.matrix}
     groups_tree = {}
     for name in sorted(bundle.groups):
         g = bundle.groups[name]
@@ -292,6 +330,9 @@ def bundle_from_json(text: str) -> Bundle:
         raise SchemaError("/", f"not valid JSON: {exc}") from None
     if not isinstance(tree, dict):
         raise SchemaError("/", "top level must be an object")
+    # json.loads makes a bool only of the literals true and false, so a text
+    # without them needs no look at the type of each matrix entry
+    may_hold_bools = _spells_a_bool(text)
     version = tree.get("version")
     if version != SCHEMA_VERSION:
         raise SchemaError("/version", f"unsupported version {version!r}, "
@@ -334,7 +375,7 @@ def bundle_from_json(text: str) -> Bundle:
                 second = bundle.spaces[pair["second"]]
             except (KeyError, TypeError) as exc:
                 raise SchemaError(path, f"unknown space {exc}") from None
-            m = _matrix_from_tree(pair.get("matrix"), path + "/matrix")
+            m = _matrix_from_tree(pair.get("matrix"), path + "/matrix", may_hold_bools)
             sig = LegSignature((first, second), (second, first))
             try:
                 bundle.braiding_pairs.append(LegOperator(sig, m))
@@ -350,7 +391,7 @@ def bundle_from_json(text: str) -> Bundle:
                              for s in _expect(entry.get("codomain"), list, path + "/codomain"))
         except (KeyError, TypeError) as exc:  # TypeError: an unhashable leg id
             raise SchemaError(path, f"unknown space {exc}") from None
-        m = _matrix_from_tree(entry.get("matrix"), path + "/matrix")
+        m = _matrix_from_tree(entry.get("matrix"), path + "/matrix", may_hold_bools)
         try:
             bundle.operators[name] = LegOperator(LegSignature(domain, codomain), m)
         except ValueError as exc:

@@ -350,3 +350,10 @@ def dense_coassociativity_residual(m, variant="op", tol=1e-9):
         left, right = (ext.apply(folds, tol) for ext in exts)
         worst = max(worst, float(np.linalg.norm(left.matrix - right.matrix)))
     return worst
+
+
+def reference_matrix_tree(m):
+    """A matrix as nested ``[re, im]`` lists of Python floats, which
+    ``_canonical_json`` writes one float node at a time: the per-float
+    writer that the one-pass matrix writer replaces, kept as its oracle."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]

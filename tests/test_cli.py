@@ -432,6 +432,20 @@ def test_analyze_rejects_a_non_finite_matrix_entry(tmp_path, capsys):
     assert "/operators/W/matrix: matrix entries must be finite" in err
 
 
+def test_boolean_matrix_entries_are_input_errors(tmp_path, capsys):
+    def edit(tree):
+        for row in tree["operators"]["W"]["matrix"]:
+            for pair in row:
+                pair[:] = [bool(pair[0]), bool(pair[1])]
+    code, err = _analyze_edited_bundle(tmp_path, capsys, edit)
+    assert code == 2
+    assert "/operators/W/matrix: matrix entries must be numbers, not true or false" in err
+    stmt = tmp_path / "w.stmt"
+    stmt.write_text("context: L L\nW[1,2] == W[1,2]\n")
+    assert run(["eval", str(stmt), str(tmp_path / "w.json")]) == 2
+    assert "/operators/W/matrix" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [[1, 0, 5], "10", None, [1]],
                          ids=["three-numbers", "string", "null", "one-number"])
 def test_analyze_rejects_a_matrix_entry_that_is_not_a_pair(tmp_path, capsys, entry):
@@ -553,10 +567,20 @@ def test_analyze_of_entries_too_large_to_square_is_an_input_error(tmp_path):
     kt = bm.kac_takesaki(bm.cyclic(2)).matrix
     code, err, checks = _analyze_in_a_process(tmp_path, kt * 1e300)
     assert code == 2
-    # numpy's overflow warnings come before it
-    assert err.splitlines()[-1] == "error: SVD did not converge"
-    assert "Traceback" not in err
+    # numpy's overflow warnings are silenced: the error line is all of stderr
+    assert err == "error: SVD did not converge\n"
     assert checks is None
+
+
+def test_analyze_of_entries_that_overflow_keeps_its_report(tmp_path):
+    # squares of 1e100 overflow to inf, and their differences to nan, yet every
+    # SVD converges: the checks fail and record the values, without warnings
+    kt = bm.kac_takesaki(bm.cyclic(2)).matrix
+    code, err, checks = _analyze_in_a_process(tmp_path, kt * 1e100)
+    assert code == 1
+    assert err == ""
+    assert len(checks) == 15
+    assert checks["unitarity"]["pass"] is False
 
 
 def test_analyze_of_a_rank_one_matrix_keeps_its_report(tmp_path):

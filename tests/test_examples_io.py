@@ -1,10 +1,18 @@
 import json
+import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidmu as bm
-from braidmu import GroupTableError, SchemaError
+from braidmu import GroupTableError, SchemaError, examples_io
+from braidmu.examples_io import _canonical_json
+
+from conftest import reference_matrix_tree
 
 
 def test_cyclic_and_symmetric_groups_validate():
@@ -237,9 +245,86 @@ def test_floats_serialize_with_17_significant_digits():
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_floats_are_refused(x):
-    from braidmu.examples_io import _canonical_json
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite") as err:
         _canonical_json({"value": [1.0, x]})
+    message = str(err.value)
+    # a matrix names the same value, in the real part or in the imaginary part
+    for entry in (complex(x, 0.0), complex(0.0, x)):
+        with pytest.raises(ValueError) as in_matrix:
+            _canonical_json({"value": np.array([[1.0, 2.0], [3.0, entry]])})
+        assert str(in_matrix.value) == message
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (1, 2), (3, 2)])
+def test_a_matrix_names_its_first_non_finite_value(first, second):
+    # positions in row-major order with the real part first; nan sits at the
+    # first, inf at the second, as the per-float writer meets them
+    parts = np.ones(8)
+    parts[first], parts[second] = float("nan"), float("inf")
+    m = parts.reshape(2, 4).view(complex)
+    with pytest.raises(ValueError) as reference:
+        _canonical_json(reference_matrix_tree(m))
+    with pytest.raises(ValueError) as err:
+        _canonical_json(m)
+    assert str(err.value) == str(reference.value)
+    assert ("nan" in str(err.value)) == (first < second)
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+# values whose text sits on a boundary of the float rule or of its bit patterns
+_EDGE_FLOATS = [0.0, -0.0, 1e16, -1e16, 9999999999999998.0, 2.0 ** 53, 1e15 + 0.5,
+                5e-324, sys.float_info.max, 0.1]
+_ENTRIES = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                     st.integers(-2 ** 63, 2 ** 63 - 1).map(_float_of_bits)
+                     .filter(math.isfinite))
+
+
+@st.composite
+def _matrices(draw):
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    size = 2 * rows * cols
+    parts = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    return np.array(parts, dtype=float).reshape(rows, 2 * cols).view(complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_matrix_text_matches_the_per_float_writer(m):
+    text = _canonical_json(m)
+    assert text == _canonical_json(reference_matrix_tree(m))
+    rows, cols = m.shape
+    if rows and cols:
+        bundle = bm.Bundle(spaces={"R": bm.Space("R", rows), "C": bm.Space("C", cols)})
+        bundle.operators["M"] = bm.LegOperator(
+            bm.LegSignature((bundle.spaces["C"],), (bundle.spaces["R"],)), m)
+        loaded = bm.bundle_from_json(bm.bundle_to_json(bundle)).operators["M"].matrix
+        assert np.array_equal(loaded.view(np.int64), m.view(np.int64))
+
+
+def test_a_matrix_formats_each_distinct_float_once(monkeypatch):
+    # the Z12 Yetter-Drinfeld module bundle of the legcalc benchmark, seed 1
+    n, seed = 12, 1
+    degree = np.random.default_rng([seed, n]).permutation(n)
+    omega = np.exp(2j * np.pi / n)
+    module, mu = bm.group_yd_module(bm.cyclic(n), [int(j) for j in degree],
+                                    [np.diag(omega ** (g * degree)) for g in range(n)])
+    bundle = bm.Bundle(spaces={mu.space.id: mu.space, module.space.id: module.space})
+    bundle.operators.update(W=mu.op, U=module.corep, V=module.rep,
+                            a=bm.identity((mu.space,)))
+    bundle.groups[f"Z{n}"] = bm.cyclic(n)
+    calls = []
+    fmt_float = examples_io._fmt_float
+    monkeypatch.setattr(examples_io, "_fmt_float", lambda x: calls.append(x) or fmt_float(x))
+    bm.bundle_to_json(bundle)
+    # each matrix is written in one pass, formatting its distinct bit patterns
+    # once each: 104 calls here, against one per float (124,704) when every
+    # float was its own node
+    distinct = sum(len(np.unique(op.matrix.view(np.int64)))
+                   for op in bundle.operators.values())
+    assert len(calls) <= distinct
 
 
 @pytest.mark.parametrize("text, path", [
@@ -252,6 +337,14 @@ def test_non_finite_floats_are_refused(x):
      '"codomain":["L"],"matrix":[[[1,0]],[[1,0],[0,0]]]}}}', "/operators/W/matrix"),
     ('{"version":1,"operators":{"W":[]}}', "/operators/W"),
     ('{"version":1,"operators":{"W":{"domain":[[1]],"codomain":[]}}}', "/operators/W"),
+    # entries are JSON numbers; complex() would take true and false as 1 and 0
+    ('{"version":1,"spaces":{"L":{"dim":1}},"operators":{"W":{"domain":["L"],'
+     '"codomain":["L"],"matrix":[[[true,false]]]}}}', "/operators/W/matrix"),
+    ('{"version":1,"spaces":{"L":{"dim":1}},"operators":{"W":{"domain":["L"],'
+     '"codomain":["L"],"matrix":[[[1.0,false]]]}}}', "/operators/W/matrix"),
+    ('{"version":1,"spaces":{"L":{"dim":1}},"braiding":{"kind":"explicit",'
+     '"pairs":[{"first":"L","second":"L","matrix":[[[true,0.0]]]}]}}',
+     "/braiding/pairs/0/matrix"),
 ])
 def test_malformed_nodes_are_schema_errors(text, path):
     with pytest.raises(SchemaError) as err:
@@ -259,8 +352,22 @@ def test_malformed_nodes_are_schema_errors(text, path):
     assert err.value.path == path
 
 
+def test_names_that_spell_true_or_false_load_as_before():
+    # the text holds the word, so the loader looks at every entry's type
+    space = bm.Space("true", 1)
+    bundle = bm.Bundle(spaces={"true": space})
+    bundle.operators["false"] = bm.LegOperator(bm.LegSignature((space,), (space,)), np.eye(1))
+    loaded = bm.bundle_from_json(bm.bundle_to_json(bundle))
+    assert loaded.operators["false"].matrix.tolist() == [[1 + 0j]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet='truefalsF0.,[]"'))
+def test_the_scan_for_true_and_false_finds_the_words(text):
+    assert examples_io._spells_a_bool(text) == ("true" in text or "false" in text)
+
+
 def test_canonical_json_escapes_every_control_character():
-    from braidmu.examples_io import _canonical_json
     text = "".join(chr(i) for i in range(0x20)) + 'tab\there "quote" back\\slash é ∞'
     tree = {text: [text, {"k": text}], "plain": 'a"b\\c'}
     out = _canonical_json(tree)
