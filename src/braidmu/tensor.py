@@ -9,7 +9,11 @@ A factor on a few legs of a longer context acts matrix-free: one reshape
 and one matmul left-multiply by 1 (x) op (x) 1, and the padded matrix is
 never formed.  A :class:`Crossing`, a permutation with phases such as a flip
 or phase braiding, acts with no matmul at all: an axis swap of the rows
-times its phase table.  A leg-notation product is a list of steps
+times its phase table.  Nor does a signed permutation, a matrix with one
+entry 1, -1, i or -i in each row and column, such as a Kac-Takesaki unitary:
+it acts by a gather of the rows its entries select, times those entries,
+exactly the values of the matmul.  Dense matrices and monomials with other
+phases keep the matmul.  A leg-notation product is a list of steps
 ``(op, start)``, and one runner executes every such product: a
 :class:`PlannedWord` places its steps once and then runs only arithmetic.
 Its columns begin as the first step's padded columns (written once, never
@@ -134,6 +138,13 @@ class LegOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @cached_property
+    def gather(self) -> "Gather | None":
+        """The matrix as the :class:`Gather` it is when it is a signed
+        permutation, else None: found once per operator, and read by every
+        :class:`PlannedWord` that places it."""
+        return _signed_permutation(self.matrix)
+
     @property
     def domain(self) -> tuple[Space, ...]:
         return self.signature.domain
@@ -225,11 +236,65 @@ def _cross(c: Crossing, x: np.ndarray, pre: int) -> np.ndarray:
     return out
 
 
-def _step(a: Crossing | np.ndarray, x: np.ndarray, pre: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Gather:
+    """A signed permutation m, with m[r, source[r]] = coefficients[r] its one
+    nonzero entry in row r, each 1, -1, i or -i.  ``coefficients`` is an
+    (n, 1) column, or None when every entry is 1."""
+
+    source: np.ndarray
+    coefficients: np.ndarray | None
+
+    def adjoint(self) -> "Gather":
+        """m*, the inverse permutation with the conjugate entries."""
+        inverse = np.empty_like(self.source)
+        inverse[self.source] = np.arange(self.source.size)
+        c = self.coefficients
+        return Gather(inverse, None if c is None else c[inverse].conj())
+
+
+_UNITS = np.array([1, -1, 1j, -1j])
+
+
+def _signed_permutation(m: np.ndarray) -> Gather | None:
+    """m as a :class:`Gather` when it is square with exactly one nonzero in
+    each row and column, each exactly 1, -1, i or -i; else None.  O(n^2),
+    and a dense matrix leaves at the count of its nonzeros."""
+    n = m.shape[0]
+    nonzero = m != 0
+    if m.shape != (n, n) or np.count_nonzero(nonzero) != n:
+        return None
+    source = nonzero.argmax(axis=1)     # the column of each row's first nonzero
+    values = m[np.arange(n), source]
+    # n nonzeros, each row's a unit, so one per row; one per column as well
+    if (not (values[:, None] == _UNITS).any(axis=1).all()
+            or np.any(np.bincount(source, minlength=n) != 1)):
+        return None
+    return Gather(source, None if np.all(values == 1) else values[:, None])
+
+
+def _gather(g: Gather, x: np.ndarray, pre: int) -> np.ndarray:
+    """(1 (x) m (x) 1) @ x for the signed permutation m of g, x viewed as
+    (pre, n, rest): the rows ``source`` of x, times the coefficients, as a
+    new complex array.  Each value equals the matmul's, whose sum holds one
+    exact product by 1, -1, i or -i and zeros; only the sign of a zero may
+    differ, as it does between BLAS kernels.
+    """
+    out = np.take(x.reshape(pre, g.source.size, -1), g.source, axis=1)
+    out = out.astype(complex, copy=False)
+    if g.coefficients is not None:
+        out *= g.coefficients
+    return out
+
+
+def _step(a: Crossing | Gather | np.ndarray, x: np.ndarray, pre: int) -> np.ndarray:
     """One step on x viewed as (pre, a's domain, rest): a crossing's axis swap
-    by :func:`_cross`, or one matmul by the matrix a."""
+    by :func:`_cross`, a signed permutation's gather by :func:`_gather`, or
+    one matmul by the matrix a."""
     if isinstance(a, Crossing):
         return _cross(a, x, pre)
+    if isinstance(a, Gather):
+        return _gather(a, x, pre)
     return np.matmul(a, x.reshape(pre, a.shape[1], -1))
 
 
@@ -338,7 +403,9 @@ class PlannedWord:
     context as the earlier steps left it, the first step first.
     Construction places every step, the only call of :func:`_placed`, and
     keeps its (pre, post) dims and its action: a :class:`Crossing`, which
-    acts by an axis swap, a matrix, which acts by one matmul, or the slot.
+    acts by an axis swap, a signed permutation (:attr:`LegOperator.gather`),
+    which acts by a gather, any other matrix, which acts by one matmul, or
+    the slot.
     The steps whose factor is ``slot`` take a new matrix on every
     :meth:`forward`.  ``codomain`` is the legs the product ends on, and
     ``rows`` the most rows the context or any step reaches.
@@ -358,7 +425,8 @@ class PlannedWord:
         self._plan, self._back = [], None
         for op, start in steps:
             pre, post = _placed(op, legs, start)
-            act = None if op is slot else op if isinstance(op, Crossing) else op.matrix
+            act = (None if op is slot else op if isinstance(op, Crossing)
+                   else op.gather or op.matrix)
             self._plan.append((total_dim(pre), op.matrix.shape, total_dim(post), act))
             legs = pre + op.codomain + post
             self.rows = max(self.rows, total_dim(legs))
@@ -418,13 +486,15 @@ class PlannedWord:
         <P, dW> = <G_j, d(f)> (Hilbert-Schmidt) with G_j the partial trace of
         After* P Before* over the legs f does not touch.  Before is the
         prefix ahead of step j; After* P runs the adjoint steps backward, each
-        fixed step's adjoint built on the first pullback.
+        fixed step's adjoint built on the first pullback: a crossing's
+        adjoint crossing, a gather's inverse gather, or a matrix's conjugate
+        transpose.
         """
         if cotangent.shape != self._shape:
             raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
                            f"product of the steps")
         if self._back is None:
-            self._back = [a.adjoint() if isinstance(a, Crossing) else
+            self._back = [a.adjoint() if isinstance(a, (Crossing, Gather)) else
                           None if a is None else np.ascontiguousarray(a.conj().T)
                           for *_, a in self._plan]
         q, grads = cotangent, []

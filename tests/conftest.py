@@ -194,6 +194,16 @@ def routing_category(kind):
     return (bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)), a, b
 
 
+def zn_module(n, seed):
+    """The Z_n Yetter-Drinfeld module of the legcalc benchmark
+    (``bench/workloads.zn_module``): C[Z_n] with vector i of degree perm[i]
+    for a seeded permutation, acted on by pi(g) = diag(omega^(g perm))."""
+    degree = np.random.default_rng([seed, n]).permutation(n)
+    omega = np.exp(2j * np.pi / n)
+    return bm.group_yd_module(bm.cyclic(n), [int(j) for j in degree],
+                              [np.diag(omega ** (g * degree)) for g in range(n)])
+
+
 def dense_evaluate(expr, bindings, context, braiding):
     """dsl.evaluate the dense way: every factor padded to the running context by
     embed_adjacent (routed atoms one crossing at a time) and multiplied onto

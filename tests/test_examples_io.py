@@ -12,7 +12,7 @@ import braidmu as bm
 from braidmu import GroupTableError, SchemaError, examples_io
 from braidmu.examples_io import _canonical_json
 
-from conftest import reference_matrix_tree
+from conftest import reference_matrix_tree, zn_module
 
 
 def test_cyclic_and_symmetric_groups_validate():
@@ -306,11 +306,8 @@ def test_matrix_text_matches_the_per_float_writer(m):
 
 def test_a_matrix_formats_each_distinct_float_once(monkeypatch):
     # the Z12 Yetter-Drinfeld module bundle of the legcalc benchmark, seed 1
-    n, seed = 12, 1
-    degree = np.random.default_rng([seed, n]).permutation(n)
-    omega = np.exp(2j * np.pi / n)
-    module, mu = bm.group_yd_module(bm.cyclic(n), [int(j) for j in degree],
-                                    [np.diag(omega ** (g * degree)) for g in range(n)])
+    n = 12
+    module, mu = zn_module(n, 1)
     bundle = bm.Bundle(spaces={mu.space.id: mu.space, module.space.id: module.space})
     bundle.operators.update(W=mu.op, U=module.corep, V=module.rep,
                             a=bm.identity((mu.space,)))

@@ -1,9 +1,11 @@
 import ast
+import contextlib
 import functools
 import importlib
 import pkgutil
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from braidmu.braiding import braid_tensor
 from braidmu.tensor import PlannedWord, distance, leg_product, route_steps, tensor, total_dim
 
 from conftest import (dense_distance, legs_after, pullback, random_unitary, record, routed_oracle,
-                      routing_category)
+                      routing_category, zn_module)
 
 L2 = Space("L", 2)
 L3 = Space("M", 3)
@@ -503,27 +505,161 @@ def test_every_exported_name_resolves():
             assert not missing, (node.module, missing)
 
 
-def test_explicit_crossings_take_the_gemm_path(monkeypatch):
-    """A Yetter-Drinfeld table, its inverse and a table entry copied from a flip
-    are dense operators; only flip and phase crossings reach the axis swap."""
+def spy_actions(monkeypatch) -> dict[str, list]:
+    """The operands of every axis swap (``_cross``) and gather (``_gather``)
+    from here on, by name; a step that reaches neither is a matmul."""
+    seen = {"_cross": [], "_gather": []}
+    for name, calls in seen.items():
+        real = getattr(tensor_module, name)
+        monkeypatch.setattr(tensor_module, name,
+                            lambda a, *rest, real=real, calls=calls: calls.append(a) or real(a, *rest))
+    return seen
+
+
+def run_once(op):
+    """op on the leading legs of a context with one leg after it, on the identity."""
+    ctx = op.domain + (L2,)
+    return bm.apply_on_legs(op, np.eye(total_dim(ctx)), ctx, 1)
+
+
+def test_explicit_crossings_take_the_gather_or_the_gemm_path(monkeypatch):
+    """A Yetter-Drinfeld table and its inverse are dense operators, which take
+    the matmul; a table entry copied from a flip is a permutation matrix,
+    which takes the gather; only flip and phase crossings reach the axis
+    swap."""
     provider, p, q = routing_category("yd")
     table = bm.ExplicitBraiding()
     table.register(bm.FlipBraiding().braid(p, q))
-    swaps = []
-    real_cross = tensor_module._cross
-    monkeypatch.setattr(tensor_module, "_cross",
-                        lambda *args: swaps.append(args[0]) or real_cross(*args))
-    dense = [provider.braid(p, q), provider.braid_inverse(q, p), provider.inverse().braid(p, q),
-             table.braid(p, q), table.braid_inverse(p, q)]
-    for c in dense:
+    seen = spy_actions(monkeypatch)
+    yd = [provider.braid(p, q), provider.braid_inverse(q, p), provider.inverse().braid(p, q)]
+    copied = [table.braid(p, q), table.braid_inverse(p, q)]
+    for c in yd:
         assert not isinstance(c, bm.Crossing)
-        ctx = c.domain + (p,)
-        x = np.eye(total_dim(ctx), dtype=complex)
-        bm.apply_on_legs(c, x, ctx, 1)
-    assert swaps == []
+        run_once(c)
+    assert seen == {"_cross": [], "_gather": []}
+    for c in copied:
+        assert not isinstance(c, bm.Crossing)
+        run_once(c)
+    assert seen["_cross"] == [] and seen["_gather"] == [c.gather for c in copied]
     flip = bm.FlipBraiding().braid(p, q)
     bm.apply_on_legs(flip, np.eye(p.dim * q.dim, dtype=complex), (p, q), 1)
-    assert swaps == [flip]
+    assert seen["_cross"] == [flip] and len(seen["_gather"]) == 2
+
+
+def test_only_exact_signed_permutations_take_the_gather(monkeypatch):
+    """Phase monomials, dense unitaries, a near-permutation and an isometry
+    take the matmul; flip and phase crossings the axis swap; the Kac-Takesaki
+    W and the corepresentation U of a Yetter-Drinfeld module the gather."""
+    omega = np.exp(2j * np.pi / 3)
+    perm3 = np.eye(3)[[2, 0, 1]]
+    near = np.eye(4)[[1, 0, 3, 2]].astype(complex)
+    near[2, 3] = 1 - 2.0 ** -53
+    module, mu = zn_module(5, 1)
+    provider, p, q = routing_category("yd")
+    matmul = [leg_op(np.diag(omega ** np.arange(3)) @ perm3, [L3]),      # a Z3 phase monomial
+              module.rep,                                              # diag phases of Z5
+              provider.braid(p, q),                                    # a YD table
+              leg_op(random_unitary(4, 5), [L2, L2]),
+              leg_op(near, [L2, L2]),
+              leg_op(np.eye(3)[:, :2], [L2], [L3])]                    # an isometry
+    seen = spy_actions(monkeypatch)
+    for op in matmul:
+        assert op.gather is None
+        run_once(op)
+    assert seen == {"_cross": [], "_gather": []}
+    crossings = [bm.FlipBraiding().braid(L2, L3), bm.PhaseBraiding(3).braid(p, q)]
+    for c in crossings:
+        run_once(c)
+    assert seen == {"_cross": crossings, "_gather": []}
+    for op in (mu.op, module.corep):
+        run_once(op)
+    assert seen["_gather"] == [mu.op.gather, module.corep.gather]
+    assert all(g is not None for g in seen["_gather"])
+
+
+def test_an_operator_is_inspected_once(monkeypatch):
+    """The gather is found once per operator: a second word over the same
+    operator, and its pullback, inspect nothing."""
+    calls = []
+    real = tensor_module._signed_permutation
+    monkeypatch.setattr(tensor_module, "_signed_permutation",
+                        lambda m: calls.append(m) or real(m))
+    w = leg_op(W_Z2, [L2, L2])
+    f = leg_op(random_unitary(2, 7), [L2])
+    context = (L2, L2, L2)
+    for _ in range(2):
+        word = PlannedWord([(w, 1), (f, 3), (w, 2)], context, f)
+        word.pullback(word.forward(f.matrix), np.eye(8), f.matrix.conj().T)
+    assert len(calls) == 1 and calls[0] is w.matrix
+    assert w.gather is not None and f.gather is None
+    # only the cached property inspects a matrix, and only a step gathers
+    assert references("_signed_permutation") == [("tensor", "LegOperator.gather")]
+    assert references("_gather") == [("tensor", "_step")]
+
+
+@contextlib.contextmanager
+def matmul_only():
+    """Operators first placed inside take the matmul, as before gathers."""
+    with mock.patch.object(tensor_module, "_signed_permutation", lambda m: None):
+        yield
+
+
+def signed_permutation(rng, n, identity):
+    m = np.zeros((n, n), dtype=complex)
+    if identity:
+        m[np.arange(n), np.arange(n)] = 1
+    else:
+        m[np.arange(n), rng.permutation(n)] = rng.choice(np.array([1, -1, 1j, -1j]), n)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre_dims=st.lists(st.integers(2, 3), min_size=1, max_size=2),
+       dom_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       post_dims=st.lists(st.integers(1, 3), max_size=2),
+       cod_split=st.booleans(), identity=st.booleans(), cols=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_gathers_equal_the_matmul(pre_dims, dom_dims, post_dims, cod_split, identity, cols,
+                                  seed):
+    """run, columns, forward and pullback of words whose fixed steps are
+    signed permutations, onto codomain legs other than their domain legs and
+    back, equal the same words run by matmul exactly (assert_array_equal,
+    which takes -0.0 for 0.0), and are complex as the matmul's are."""
+    rng = np.random.default_rng(seed)
+    pre = tuple(Space(f"p{j}", d) for j, d in enumerate(pre_dims))
+    dom = tuple(Space(f"d{j}", d) for j, d in enumerate(dom_dims))
+    post = tuple(Space(f"q{j}", d) for j, d in enumerate(post_dims))
+    n = total_dim(dom)
+    # the same total dimension on other legs: one leg, or two where n splits
+    cod = ((Space("c0", 2), Space("c1", n // 2)) if cod_split and n % 2 == 0 and n > 2
+           else (Space("c", n),))
+    context, start = pre + dom + post, len(pre) + 1
+    matrices = signed_permutation(rng, n, identity), signed_permutation(rng, n, identity)
+    f_matrix = random_unitary(pre[0].dim, seed % 1000)
+
+    def words():
+        g, h = leg_op(matrices[0], dom, cod), leg_op(matrices[1], cod, dom)
+        f = leg_op(f_matrix, pre[:1])
+        fixed = PlannedWord([(g, start), (h, start)], context)
+        slot = PlannedWord([(g, start), (f, 1), (h, start), (f, 1)], context, f)
+        return g, h, f, fixed, slot
+
+    g, h, f, fixed, slot = words()
+    with matmul_only():
+        *_, fixed_mm, slot_mm = words()
+    assert g.gather is not None and h.gather is not None
+    x = rng.normal(size=(total_dim(context), cols))         # real; the products are complex
+    big = total_dim(context)
+    cot = rng.normal(size=(big, big)) + 1j * rng.normal(size=(big, big))
+    pairs = [(fixed.run(x), fixed_mm.run(x)),
+             (fixed.columns(1, big), fixed_mm.columns(1, big))]
+    prefixes, prefixes_mm = slot.forward(f.matrix), slot_mm.forward(f.matrix)
+    pairs += zip(prefixes, prefixes_mm)
+    pairs += zip(slot.pullback(prefixes, cot, f.matrix.conj().T),
+                 slot_mm.pullback(prefixes_mm, cot, f.matrix.conj().T))
+    for got, want in pairs:
+        assert got.dtype == want.dtype == complex
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------- reverse mode
