@@ -15,8 +15,19 @@ emitted with 17 significant digits so serialization is canonical.  The
 writer emits strict JSON: a non-finite float is refused, and strings escape
 every control character.  ``_fmt_float`` is the one rule for a float's text.
 A matrix is written in one pass: its distinct values (by bit pattern) are
-formatted once each and its rows filled from one template.  The reader
-takes a matrix entry only as a JSON number, not ``true`` or ``false``.
+formatted once each and its rows filled from one template.
+
+The reader reads each ``"matrix":`` value in the writer's form from the text
+itself: the brackets and commas left once the number characters are deleted
+must be the skeleton of rows of ``[re,im]`` pairs, each distinct entry is
+checked against the JSON number grammar and converted once, with json's
+meaning, and the array is filled by lookup.  json.loads reads the rest, in
+which each such matrix is a placeholder string that no string of the text
+holds.  A text in any doubt goes through json.loads whole, every matrix
+through :func:`_matrix_from_tree`, and either path gives the same bundle or
+the same :class:`SchemaError`.  A matrix entry is taken only as a JSON
+number, not ``true`` or ``false``, and an integer beyond the float range is
+an infinity, as its spelling ``1e400`` is.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
@@ -247,9 +259,24 @@ def _canonical_json(tree) -> str:
     return "".join(out)
 
 
+def _int_float(x: int) -> float:
+    """A JSON integer as complex() reads it: an integer beyond the float range
+    is an infinity, as its spelling ``1e400`` is."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _number(x):
+    """A node of a parsed matrix as complex() should read it."""
+    return _int_float(x) if type(x) is int else x
+
+
 def _matrix_from_tree(tree, path: str, may_hold_bools: bool) -> np.ndarray:
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in tree], dtype=complex)
+        m = np.array([[complex(_number(re), _number(im)) for re, im in row] for row in tree],
+                     dtype=complex)
     except (TypeError, IndexError, KeyError, ValueError):
         raise SchemaError(path, "matrix must be equal-length rows of [re, im] pairs") from None
     if m.ndim != 2:
@@ -257,9 +284,99 @@ def _matrix_from_tree(tree, path: str, may_hold_bools: bool) -> np.ndarray:
     # complex() takes a bool as 0 or 1; the rows parsed, so every entry is a number
     if may_hold_bools and any(type(x) is bool for row in tree for pair in row for x in pair):
         raise SchemaError(path, "matrix entries must be numbers, not true or false")
+    return _finite(m, path)
+
+
+def _finite(m: np.ndarray, path: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise SchemaError(path, "matrix entries must be finite")
     return m
+
+
+# the reader's matrices from their text: a JSON string token, a number in the
+# JSON grammar (ASCII digits only, as json's scanner reads them), the
+# characters a number is written with, and the placeholders' prefix
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+_NUMBER_CHARS = str.maketrans("", "", "0123456789+-.eE")
+_MARK = "<matrix>"
+
+
+def _matrix_of_text(text: str) -> np.ndarray | None:
+    """A matrix value in the writer's form, ``[[[re,im],..],..]`` with no
+    space, rows of equal length and every entry a JSON number, as the array
+    that json.loads and :func:`_matrix_from_tree` make of it; else None.
+
+    The brackets and commas left once the number characters are deleted
+    must be the skeleton of such a matrix.  The entries are what lies
+    between the brackets of each pair; a number character anywhere else
+    keeps a bracket in an entry, which the JSON number grammar refuses.
+    Each distinct entry is checked and converted once, with json's meaning:
+    an integer is a Python int, read as :func:`_int_float` reads it,
+    anything else a float.
+    """
+    skeleton = text.translate(_NUMBER_CHARS)
+    cols = skeleton.find("]]") // 4      # the first row is "[" + 4 cols - 1 chars + "]"
+    rows = (len(skeleton) - 1) // (4 * cols + 2) if cols > 0 else 0
+    row = "[" + ",".join(["[,]"] * cols) + "]"
+    if (rows < 1 or skeleton != "[" + ",".join([row] * rows) + "]"
+            or not (text.startswith("[[[") and text.endswith("]]]"))):
+        return None
+    entries = text[3:-3].replace("]],[[", ",").replace("],[", ",").split(",")
+    distinct = dict.fromkeys(entries)
+    values = np.empty(len(distinct))
+    for k, entry in enumerate(distinct):
+        number = _NUMBER.fullmatch(entry)
+        if number is None:
+            return None
+        try:
+            values[k] = (float(entry) if number.group(1) or number.group(2)
+                         else _int_float(int(entry)))
+        except ValueError:      # an integer of more than 4,300 digits, which int() refuses
+            return None
+        distinct[entry] = k
+    at = np.fromiter(map(distinct.__getitem__, entries), dtype=np.intp, count=len(entries))
+    return values[at].view(complex).reshape(rows, cols)
+
+
+def _lift_matrices(text: str) -> tuple[str, dict[str, np.ndarray]] | None:
+    """The text with each ``"matrix":`` value in the writer's form replaced
+    by a placeholder string, and the placeholders' matrices; None when a
+    placeholder could be mistaken for a string of the text, or a string does
+    not end or decode, which json.loads of the whole text then reports.
+
+    The walk goes from string token to string token, as json's scanner
+    reads them, so a key is told from the same letters inside a string.  A
+    matrix value not in the writer's form stays in the text.  The
+    placeholders begin with :data:`_MARK`, which no string of the text holds,
+    escaped or not.
+    """
+    if _MARK in text:
+        return None
+    pieces, matrices, done = [], {}, 0
+    i = text.find('"')
+    while i >= 0:
+        token = _STRING.match(text, i)
+        if token is None:       # an unterminated string, which json.loads reports
+            return None
+        end = token.end()
+        if "\\" in token.group():
+            try:
+                if _MARK in json.loads(token.group()):
+                    return None
+            except ValueError:
+                return None
+        elif token.group() == '"matrix"' and text.startswith(":[[[", end):
+            stop = text.find("]]]", end) + 3
+            m = _matrix_of_text(text[end + 1:stop]) if stop > 2 else None
+            if m is not None:
+                key = f"{_MARK}{len(matrices)}"
+                matrices[key] = m
+                pieces += [text[done:end + 1], f'"{key}"']
+                done = end = stop
+        i = text.find('"', end)
+    pieces.append(text[done:])
+    return "".join(pieces), matrices
 
 
 def _spells_a_bool(text: str) -> bool:
@@ -324,15 +441,44 @@ def bundle_to_json(bundle: Bundle) -> str:
 
 
 def bundle_from_json(text: str) -> Bundle:
+    """The bundle a text holds, or a :class:`SchemaError` at the first fault.
+
+    The matrices in the writer's form are read from their text by
+    :func:`_lift_matrices`, and json.loads reads the rest.  When the rest is
+    not valid JSON, nor is the text, and json.loads of the whole text, with
+    every matrix read by :func:`_matrix_from_tree`, gives the error and its
+    position in the text.
+    """
+    lifted = _lift_matrices(text)
+    if lifted is not None:
+        rest, matrices = lifted
+        try:
+            tree = json.loads(rest)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            return _bundle_from_tree(tree, rest, matrices)
     try:
         tree = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:    # ValueError: an int of 4300+ digits
         raise SchemaError("/", f"not valid JSON: {exc}") from None
+    return _bundle_from_tree(tree, text, {})
+
+
+def _bundle_from_tree(tree, text: str, matrices: dict[str, np.ndarray]) -> Bundle:
+    """The bundle of a parsed text, whose lifted matrices (by placeholder)
+    are ``matrices``."""
     if not isinstance(tree, dict):
         raise SchemaError("/", "top level must be an object")
     # json.loads makes a bool only of the literals true and false, so a text
     # without them needs no look at the type of each matrix entry
     may_hold_bools = _spells_a_bool(text)
+
+    def matrix(node, path: str) -> np.ndarray:
+        if type(node) is str and node in matrices:
+            return _finite(matrices[node], path)
+        return _matrix_from_tree(node, path, may_hold_bools)
+
     version = tree.get("version")
     if version != SCHEMA_VERSION:
         raise SchemaError("/version", f"unsupported version {version!r}, "
@@ -365,6 +511,9 @@ def bundle_from_json(text: str) -> Bundle:
         if not _is_json_int(modulus) or modulus < 1:
             raise SchemaError("/braiding/modulus",
                               f"phase braiding needs an integer modulus >= 1, got {modulus!r}")
+        if math.isinf(_int_float(modulus)):     # the phase exp(2 pi i / m) needs m as a float
+            raise SchemaError("/braiding/modulus", f"phase braiding needs a modulus below "
+                                                   f"2**1024, got {len(str(modulus))} digits")
         bundle.braiding_modulus = modulus
     if kind == "explicit":
         for idx, pair in enumerate(_expect(braiding.get("pairs", []), list, "/braiding/pairs")):
@@ -375,7 +524,7 @@ def bundle_from_json(text: str) -> Bundle:
                 second = bundle.spaces[pair["second"]]
             except (KeyError, TypeError) as exc:
                 raise SchemaError(path, f"unknown space {exc}") from None
-            m = _matrix_from_tree(pair.get("matrix"), path + "/matrix", may_hold_bools)
+            m = matrix(pair.get("matrix"), path + "/matrix")
             sig = LegSignature((first, second), (second, first))
             try:
                 bundle.braiding_pairs.append(LegOperator(sig, m))
@@ -391,7 +540,7 @@ def bundle_from_json(text: str) -> Bundle:
                              for s in _expect(entry.get("codomain"), list, path + "/codomain"))
         except (KeyError, TypeError) as exc:  # TypeError: an unhashable leg id
             raise SchemaError(path, f"unknown space {exc}") from None
-        m = _matrix_from_tree(entry.get("matrix"), path + "/matrix", may_hold_bools)
+        m = matrix(entry.get("matrix"), path + "/matrix")
         try:
             bundle.operators[name] = LegOperator(LegSignature(domain, codomain), m)
         except ValueError as exc:

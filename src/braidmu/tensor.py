@@ -27,7 +27,11 @@ given matrix.  A word with a slot factor takes a new matrix for it on every
 run, for reverse mode: its forward pass keeps every prefix product, and its
 pullback takes a cotangent of the product back to the slot's steps.  A
 factor on distant legs is the steps of :func:`route_steps`: the move
-crossings, the factor, the back crossings.  :func:`embed_adjacent` (the
+crossings, the factor, the back crossings.  :func:`extract_distant` fits such
+a factor to a step list, streamed as :func:`distance` is: its partial trace
+adds up blocks of columns of one word, the move crossings' adjoints, the
+steps and the move crossings, and its residual is a :func:`distance`.
+:func:`embed_adjacent` (the
 one-step :func:`leg_product`) and :func:`compose` are the dense oracle of
 the tests.
 """
@@ -633,41 +637,69 @@ def apply_distant(x: LegOperator, context: Sequence[Space], positions: tuple[int
     return leg_product(route_steps(x, context, positions, route, braiding), context)
 
 
-def extract_distant(y: LegOperator, context: Sequence[Space], positions: tuple[int, int],
-                    route: str = "over", braiding=None) -> tuple[LegOperator, float]:
+def extract_distant(y: LegOperator | Sequence[Step], context: Sequence[Space],
+                    positions: tuple[int, int], route: str = "over", braiding=None
+                    ) -> tuple[LegOperator, float]:
     """Best two-leg factor z at legs (i, k) with y ~ apply_distant(z, ...).
 
-    Least squares in the Hilbert-Schmidt metric: conjugate y back along the
+    y is a step list on the context, as :func:`distance` takes, or an
+    operator on the whole context, the one-step word ``[(y, 1)]``.  Least
+    squares in the Hilbert-Schmidt metric: conjugate y back along the
     braiding route and partial-trace over the remaining legs.  Returns the
     minimiser and the residual norm; a residual above the caller's tolerance
     means y does not factor through legs (i, k).
+
+    Neither y nor its conjugate is formed whole: the partial trace adds up
+    blocks of columns of one :class:`PlannedWord`, as :func:`distance` runs
+    them, and the residual is the :func:`distance` of y from the routed fit.
     """
     i, k = positions
     context = tuple(context)
     _check_positions(positions, len(context))
-    if y.domain != context or y.codomain != context:
+    if isinstance(y, LegOperator):
+        if y.domain != context or y.codomain != context:
+            raise LegError("extract_distant expects an endomorphism of the full context")
+        y = [(y, 1)]
+    steps = list(y)
+    target = PlannedWord(steps, context)
+    if target.codomain != context:
         raise LegError("extract_distant expects an endomorphism of the full context")
     a, b = context[i - 1], context[k - 1]
-    yp = y.matrix
-    routed = k > i + 1
-    if routed:
+    move = back = []
+    if k > i + 1:
         if braiding is None:
             raise LegError("extract_distant with intermediate legs needs a braiding")
-        # apply_distant(z) = Q* E(z) Q with the same unitary Q for every z, so
-        # the least-squares problem is a partial trace of Q y Q* = Q (Q y*)*
         move, back = _route_crossings(context, positions, (a, b), route, braiding)
-        word = PlannedWord(move, context)
-        yp = word.run(word.run(yp).conj().T).conj().T
-    d_left = total_dim(context[:i - 1] + context[i:k - 1])
-    d_mid = a.dim * b.dim
-    d_right = total_dim(context[k:])
-    t = yp.reshape(d_left, d_mid, d_right, d_left, d_mid, d_right)
-    z = np.einsum("aibajb->ij", t) / (d_left * d_right)
-    zop = LegOperator(LegSignature((a, b), (a, b)), z)
+    # apply_distant(z) = Q* E(z) Q with the same unitary Q (the move) for every
+    # z, so the least-squares z is a partial trace of Q y Q*: on the moved legs,
+    # the move's adjoint steps backward, each at its own start, then y, then Q
+    moved = context[:i - 1] + context[i:k - 1] + (a,) + context[k - 1:]
+    word = PlannedWord([*((adjoint(op), start) for op, start in reversed(move)), *steps,
+                        *move], moved)
+    left, mid, right = total_dim(moved[:k - 2]), a.dim * b.dim, total_dim(context[k:])
+    z = np.zeros((mid, mid), dtype=complex)
+    # whole groups of 8 columns: a BLAS kernel takes columns in tiles of a few,
+    # so each block's tiles fall where a run of all the columns puts them, and
+    # z has the bits of the unblocked product's partial trace
+    width = max(1, _BLOCK_BYTES // (16 * word.rows) // 8 * 8)
+    for lo in range(0, left * mid * right, width):
+        hi = min(lo + width, left * mid * right)
+        block = word.columns(lo, hi).reshape(left, mid, right, hi - lo)
+        # column (l, j, r) adds its rows (l, :, r) to column j of z; for each
+        # (l, r), the block's columns j_lo .. j_hi - 1 go at once, so every
+        # entry of z takes its terms in column order, as the dense trace did
+        for l in range(lo // (mid * right), (hi - 1) // (mid * right) + 1):
+            for r in range(right):
+                first = l * mid * right + r - lo       # column (l, 0, r) in the block
+                j_lo = max(0, -(first // right))
+                j_hi = min(mid, -((first - (hi - lo)) // right))
+                if j_lo < j_hi:
+                    z[:, j_lo:j_hi] += block[l, :, r, first + j_lo * right:
+                                             first + j_hi * right:right]
+    zop = LegOperator(LegSignature((a, b), (a, b)), z / (left * right))
     # the residual goes through the crossings themselves, not their unitarity:
     # explicit braiding tables are not validated as unitary
-    fit = leg_product(_routed(zop, k, move, back) if routed else [(zop, i)], context)
-    return zop, float(np.linalg.norm(y.matrix - fit.matrix))
+    return zop, distance(target, _routed(zop, k, move, back) if move else [(zop, i)], context)
 
 
 def _unitarity_residual(m: np.ndarray) -> float:

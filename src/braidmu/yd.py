@@ -5,7 +5,8 @@ Diagram transcriptions follow one fixed routing convention (documented at
 each residual); the trivial and finite-group instances pin them down in the
 test suite.  Each residual is the :func:`braidmu.tensor.distance` of its two
 words on three legs, streamed over column blocks, so no side is formed as an
-n^3 x n^3 matrix.
+n^3 x n^3 matrix; so is the pairing, the streamed
+:func:`braidmu.tensor.extract_distant` of the steps of U*12 V23 U12 V*23.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def tensor_yd(m1: YDModule, m2: YDModule, mu: MultUnitary,
 
 def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary, tol: float = 1e-9
                     ) -> LegOperator:
-    """The unique unitary on H (x) K whose (1,3)-embedding is U*12 V23 U12 V*23.
+    """The unique unitary on H (x) K whose (1,3)-embedding is U*12 V23 U12 V*23,
+    extracted from the product's four steps, never formed as a matrix.
 
     Requires a trivial commutant (dimension one); a violation is reported as
     a warning since the extraction itself may still succeed.  The commutant
@@ -161,11 +163,11 @@ def pairing_unitary(rep: Rep, corep: Corep, mu: MultUnitary, tol: float = 1e-9
     h, k = corep.space, rep.space
     ctx = (h, mu.space, k)
     u, v = corep.op, rep.op
-    rop = leg_product([(adjoint(v), 2), (u, 1), (v, 2), (adjoint(u), 1)], ctx)
     if mu.commutant_dim != 1:
         warnings.warn("pairing_unitary: the commutant is not trivial, the "
                       "factorization may not be unique", stacklevel=2)
-    z, residual = extract_distant(rop, ctx, (1, 3), "over", mu.braiding)
+    z, residual = extract_distant([(adjoint(v), 2), (u, 1), (v, 2), (adjoint(u), 1)],
+                                  ctx, (1, 3), "over", mu.braiding)
     if residual > tol:
         raise ExtractionError(
             f"pairing does not factor through the outer legs (residual {residual:.3e})")

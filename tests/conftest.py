@@ -4,6 +4,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space, dsl, spans
@@ -367,3 +368,79 @@ def reference_matrix_tree(m):
     ``_canonical_json`` writes one float node at a time: the per-float
     writer that the one-pass matrix writer replaces, kept as its oracle."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def dense_extract_distant(y, context, positions, route="over", braiding=None):
+    """tensor.extract_distant the dense way, as it was first written: y (an
+    operator on the whole context) conjugated back along the route as one
+    matrix, partial-traced by einsum, and the residual the norm of y minus
+    the routed fit formed whole."""
+    from braidmu.tensor import PlannedWord, _route_crossings, _routed, leg_product
+
+    i, k = positions
+    context = tuple(context)
+    a, b = context[i - 1], context[k - 1]
+    yp = y.matrix
+    routed = k > i + 1
+    if routed:
+        # apply_distant(z) = Q* E(z) Q with the same unitary Q for every z, so
+        # the least-squares problem is a partial trace of Q y Q* = Q (Q y*)*
+        move, back = _route_crossings(context, positions, (a, b), route, braiding)
+        word = PlannedWord(move, context)
+        yp = word.run(word.run(yp).conj().T).conj().T
+    d_left = total_dim(context[:i - 1] + context[i:k - 1])
+    d_mid = a.dim * b.dim
+    d_right = total_dim(context[k:])
+    t = yp.reshape(d_left, d_mid, d_right, d_left, d_mid, d_right)
+    z = np.einsum("aibajb->ij", t) / (d_left * d_right)
+    zop = LegOperator(LegSignature((a, b), (a, b)), z)
+    fit = leg_product(_routed(zop, k, move, back) if routed else [(zop, i)], context)
+    return zop, float(np.linalg.norm(y.matrix - fit.matrix))
+
+
+def kac_takesaki_text(group):
+    """The bundle text that ``braidmu generate kac-takesaki`` writes for the group."""
+    mu = bm.kac_takesaki(group)
+    bundle = bm.Bundle(spaces={mu.space.id: mu.space}, operators={"W": mu.op})
+    bundle.groups[group.name] = group
+    return bm.bundle_to_json(bundle)
+
+
+# what a bundle's text must survive: numbers outside the JSON grammar or the
+# float range, the literals, a NUL raw and escaped, whitespace and JSON's own
+# punctuation
+MUTATION_TOKENS = ("nan", "inf", "+1", "1.", ".5", "01", "-0", "1e400", "1" + "0" * 400,
+                   "true", "\\u0000", "\x00", " ", "\n", "\t", ",", "[", "]", "{", "}", '"',
+                   ":", "0", "1", "-", ".", "e", "")
+
+
+def matrix_spans(text):
+    """The (start, stop) spans of the ``"matrix":`` values of a bundle text
+    in the writer's form."""
+    spans, i = [], text.find('"matrix":')
+    while i >= 0:
+        start = i + len('"matrix":')
+        spans.append((start, text.index("]]]", start) + 3))
+        i = text.find('"matrix":', spans[-1][1])
+    return spans
+
+
+@st.composite
+def mutated_texts(draw, text):
+    """The text after one to three edits, each in a matrix span or anywhere:
+    up to three characters deleted, and a token of MUTATION_TOKENS inserted
+    in their place."""
+    spans = matrix_spans(text)
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = draw(st.sampled_from(spans)) if draw(st.booleans()) else (0, len(text))
+        at = draw(st.integers(lo, hi))
+        text = (text[:at] + draw(st.sampled_from(MUTATION_TOKENS))
+                + text[at + draw(st.integers(0, 3)):])
+    return text
+
+
+# the two inputs of a KT Z2 text that were OverflowError tracebacks: a matrix
+# entry that is a 401-digit integer, and a phase modulus of 401 digits
+HUGE_ENTRY_TEXT = kac_takesaki_text(bm.cyclic(2)).replace("[[[1.0,", "[[[1" + "0" * 400 + ",", 1)
+HUGE_MODULUS_TEXT = kac_takesaki_text(bm.cyclic(2)).replace(
+    '{"kind":"flip"}', '{"kind":"phase","modulus":1' + "0" * 400 + "}")

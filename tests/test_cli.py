@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 import braidmu as bm
 from braidmu.cli import main
+
+from conftest import HUGE_ENTRY_TEXT, HUGE_MODULUS_TEXT, kac_takesaki_text, mutated_texts
 
 
 def run(args):
@@ -679,3 +684,48 @@ def test_a_group_index_that_is_not_an_integer_is_an_input_error(tmp_path, capsys
     path = "/groups/Z2/identity" if field == "identity" else "/groups/Z2/table/1/1"
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
+
+
+@pytest.mark.parametrize("text", [HUGE_ENTRY_TEXT, HUGE_MODULUS_TEXT],
+                         ids=["matrix-entry", "phase-modulus"])
+@pytest.mark.parametrize("command", ["analyze", "eval"])
+def test_an_integer_beyond_the_float_range_is_an_input_error(tmp_path, capsys, command, text):
+    """Both were OverflowError tracebacks: a matrix entry of 401 digits in
+    complex(), and a phase modulus of 401 digits in PhaseBraiding."""
+    bundle = tmp_path / "kt2.json"
+    bundle.write_text(text)
+    argv = ["analyze", str(bundle)] if command == "analyze" else [
+        "eval", corpus_path("pentagon.stmt"), str(bundle)]
+    assert run(argv) == 2
+    path = "/operators/W/matrix" if text == HUGE_ENTRY_TEXT else "/braiding/modulus"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def _main_on(argv):
+    """Exit code, stdout and stderr of braidmu.cli.main, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_texts(kac_takesaki_text(bm.cyclic(2))))
+@example(text=HUGE_ENTRY_TEXT)
+@example(text=HUGE_MODULUS_TEXT)
+def test_any_mutated_bundle_gets_a_documented_exit_code(tmp_path, text):
+    # an exception out of main is the traceback a process would print; the
+    # file is rewritten for every example
+    bundle = tmp_path / "mutated.json"
+    bundle.write_text(text, encoding="utf-8")
+    code, out, err = _main_on(["analyze", str(bundle)])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert not json.loads(out)["pass"]
+        assert any(not check["pass"] for check in json.loads(out)["checks"])
+    code, out, err = _main_on(["eval", corpus_path("pentagon.stmt"), str(bundle)])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert any(line.startswith("[FAIL]") for line in out.splitlines())

@@ -1,18 +1,21 @@
+import contextlib
 import json
 import math
 import struct
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu import GroupTableError, SchemaError, examples_io
 from braidmu.examples_io import _canonical_json
 
-from conftest import reference_matrix_tree, zn_module
+from conftest import (HUGE_ENTRY_TEXT, HUGE_MODULUS_TEXT, kac_takesaki_text, mutated_texts,
+                      reference_matrix_tree, zn_module)
 
 
 def test_cyclic_and_symmetric_groups_validate():
@@ -372,3 +375,153 @@ def test_canonical_json_escapes_every_control_character():
     assert json.loads(out) == tree
     # quotes and backslashes are written as before
     assert _canonical_json({"a\\b": 'x"y'}) == '{"a\\\\b":"x\\"y"}'
+
+
+def _fallback():
+    """The reader with no matrix read from its text: json.loads of the whole
+    text and every matrix by _matrix_from_tree, the fast path's oracle."""
+    return mock.patch.object(examples_io, "_lift_matrices", lambda text: None)
+
+
+def _outcome(text):
+    """The bundle a text loads to, by the bits of its matrices, or its SchemaError."""
+    try:
+        bundle = bm.bundle_from_json(text)
+    except SchemaError as exc:
+        return "error", exc.path, str(exc)
+
+    def op(x):
+        return ([s.id for s in x.domain], [s.id for s in x.codomain],
+                x.matrix.view(np.int64).tobytes())
+
+    return ("bundle", bundle.spaces, bundle.braiding_kind, bundle.braiding_modulus,
+            [op(x) for x in bundle.braiding_pairs],
+            {name: op(x) for name, x in bundle.operators.items()}, bundle.groups)
+
+
+def _module_bundle(n):
+    module, mu = zn_module(n, 1)
+    return bm.Bundle(spaces={mu.space.id: mu.space, module.space.id: module.space},
+                     operators={"W": mu.op, "U": module.corep, "V": module.rep})
+
+
+def _escaped_names_bundle():
+    odd = bm.Space('a"b\\c\t\u00e9 true', 2, (0, 1))
+    return bm.Bundle(spaces={odd.id: odd}, braiding_kind="phase", braiding_modulus=2,
+                     operators={"false\\": bm.PhaseBraiding(2).braid(odd, odd)})
+
+
+_CONTROL = bm.identity_control(2)
+# bundles as the writer leaves them: KT, a module with phases, an explicit
+# braiding (a table and an operator), and names that need escapes or spell
+# true and false
+_WRITTEN = {
+    "kt-s3": lambda: bm.bundle_from_json(kac_takesaki_text(bm.symmetric(3))),
+    "module-z12": lambda: _module_bundle(12),
+    "explicit": lambda: bm.Bundle(
+        spaces={"L": _CONTROL.space}, braiding_kind="explicit",
+        braiding_pairs=[_CONTROL.braiding.braid(_CONTROL.space, _CONTROL.space)],
+        operators={"F": _CONTROL.op}),
+    "escaped-names": _escaped_names_bundle,
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITTEN))
+def test_every_written_bundle_reads_its_matrices_from_the_text(name):
+    bundle = _WRITTEN[name]()
+    text = bm.bundle_to_json(bundle)
+    rest, matrices = examples_io._lift_matrices(text)
+    assert len(matrices) == len(bundle.operators) + len(bundle.braiding_pairs)
+    assert "[[[" not in rest
+    loaded = _outcome(text)
+    with _fallback():
+        assert _outcome(text) == loaded
+    assert bm.bundle_to_json(bm.bundle_from_json(text)) == text
+
+
+@pytest.mark.parametrize("text", [HUGE_ENTRY_TEXT, HUGE_ENTRY_TEXT.replace("[[[1", "[[[-1"),
+                                  HUGE_ENTRY_TEXT.replace("[[[1", "[[[ 1"),
+                                  HUGE_ENTRY_TEXT.replace(",0.0],", ",-1" + "0" * 400 + "],", 1)],
+                         ids=["writer-form", "negative", "spaced", "imaginary"])
+def test_an_integer_beyond_the_float_range_is_not_a_finite_entry(text):
+    """It was an OverflowError in complex(); now it reads as 1e400 does, on
+    both paths (a space before it keeps the matrix off the fast path)."""
+    for reader in (contextlib.nullcontext(), _fallback()):
+        with reader, pytest.raises(SchemaError) as err:
+            bm.bundle_from_json(text)
+        assert (err.value.path, str(err.value)) == (
+            "/operators/W/matrix", "/operators/W/matrix: matrix entries must be finite")
+
+
+def test_a_modulus_beyond_the_float_range_is_a_schema_error():
+    # it was an OverflowError in PhaseBraiding, once the provider was built
+    with pytest.raises(SchemaError) as err:
+        bm.bundle_from_json(HUGE_MODULUS_TEXT)
+    assert err.value.path == "/braiding/modulus"
+    assert "401 digits" in str(err.value)
+    largest = HUGE_MODULUS_TEXT.replace("1" + "0" * 400, str(2 ** 1024 - 1))
+    assert bm.bundle_from_json(largest.replace(str(2 ** 1024 - 1), str(2 ** 1023))
+                               ).braiding_modulus == 2 ** 1023
+    with pytest.raises(SchemaError, match="beyond|below"):
+        bm.bundle_from_json(largest.replace(str(2 ** 1024 - 1), str(2 ** 1024)))
+
+
+@pytest.mark.parametrize("text", ['{"version":1,"x":1' + "0" * 5000 + "}", "[" * 100000],
+                         ids=["int-beyond-int", "nested-too-deep"])
+def test_texts_json_reads_with_no_decode_error_are_schema_errors(text):
+    # json.loads raised ValueError and RecursionError for these, not a JSONDecodeError
+    with pytest.raises(SchemaError) as err:
+        bm.bundle_from_json(text)
+    assert err.value.path == "/" and "not valid JSON" in str(err.value)
+
+
+_BASE_TEXTS = [kac_takesaki_text(bm.cyclic(2)), bm.bundle_to_json(_WRITTEN["explicit"]())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BASE_TEXTS).flatmap(mutated_texts))
+@example(HUGE_ENTRY_TEXT)
+@example(HUGE_MODULUS_TEXT)
+@example(_BASE_TEXTS[0].replace("[0.0,0.0]]", "[0.0,0.0]01]", 1))   # not 0.001
+def test_the_reader_matches_its_fallback_on_any_text(text):
+    # the same bundle, bit for bit, or the same SchemaError, with json's
+    # decode position in the text
+    expected = None
+    with _fallback():
+        expected = _outcome(text)
+    assert _outcome(text) == expected
+
+
+# JSON numbers, with their sign, integer, fraction and exponent parts drawn
+# apart, and spellings that JSON's grammar refuses
+_NUMBER_TEXTS = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,20})?([eE][-+]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.sampled_from(["-0", "-0.0", "0", "1" + "0" * 400, "-1" + "0" * 400, "9007199254740993",
+                     "01", "+1", "1.", ".5", "-", "1e", "nan", "Infinity", "1_0", "١"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_NUMBER_TEXTS, min_size=8, max_size=8))
+@example(["-0", "0", "0.0", "-0.0", "1", "1.0", "1e0", "10E-1"])
+def test_the_reader_converts_each_spelling_as_json_does(entries):
+    # a 2 x 2 matrix in the writer's form, whatever its entries' spelling
+    text = ('{"version":1,"spaces":{"L":{"dim":2}},"operators":{"W":{"domain":["L"],'
+            '"codomain":["L"],"matrix":[[[%s,%s],[%s,%s]],[[%s,%s],[%s,%s]]]}}}' % tuple(entries))
+    with _fallback():
+        expected = _outcome(text)
+    assert _outcome(text) == expected
+
+
+@pytest.mark.parametrize("spelling", ["<matrix>0", "\\u003cmatrix>0", "\\u003Cmatrix\\u003e0"])
+def test_a_string_spelling_a_placeholder_is_no_matrix(spelling):
+    # W's matrix is a string, escaped or not, equal to the placeholder that the
+    # reader would give X's matrix: it stays the malformed node it is
+    text = ('{"version":1,"spaces":{"L":{"dim":1}},"operators":{'
+            '"W":{"domain":["L"],"codomain":["L"],"matrix":"%s"},'
+            '"X":{"domain":["L"],"codomain":["L"],"matrix":[[[1.0,0.0]]]}}}' % spelling)
+    for reader in (contextlib.nullcontext(), _fallback()):
+        with reader, pytest.raises(SchemaError) as err:
+            bm.bundle_from_json(text)
+        assert str(err.value) == ("/operators/W/matrix: matrix must be equal-length rows "
+                                  "of [re, im] pairs")

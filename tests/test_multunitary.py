@@ -11,8 +11,8 @@ from braidmu import LegOperator, LegSignature, Space
 from braidmu.multunitary import pentagon_words
 from braidmu.tensor import leg_product
 
-from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, graded_kac_takesaki,
-                      random_unitary, routed_oracle, routing_category)
+from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, gauge_conjugate,
+                      graded_kac_takesaki, random_unitary, routed_oracle, routing_category)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -339,6 +339,28 @@ def test_full_certificate_group_examples(z2, z3):
     for mu in (z2, z3):
         cert = bm.full_certificate(mu)
         assert cert.gates_passed and cert.all_passed
+
+
+@pytest.mark.parametrize("group", [bm.symmetric(3), bm.cyclic(4)], ids=["S3", "Z4"])
+def test_the_certificate_of_a_dense_gauge_conjugate_is_kac_takesakis(group):
+    # (u (x) u) F (u (x) u)* is dense, so every step runs the matmul path, where
+    # KT's signed permutations run the gather: the verdicts, ranks and commutant
+    # must not move, and the residuals are rounding only
+    kt = bm.kac_takesaki(group)
+    n = group.order
+    # a dense product of inner dimension n^2 errs by about n^2 eps relative, and
+    # a unitary on L (x) L (x) L has Hilbert-Schmidt norm n^(3/2); 10 covers
+    # the few factors on each side of a residual
+    bound = 10 * n ** 3.5 * np.finfo(float).eps
+    expected = bm.full_certificate(kt).checks()
+    got = bm.full_certificate(gauge_conjugate(kt, 5)).checks()
+    assert [c["name"] for c in got] == [c["name"] for c in expected]
+    for record, reference in zip(got, expected):
+        assert record["pass"] == reference["pass"], record["name"]
+        if record["kind"] == "residual":
+            assert record["value"] < bound, record["name"]
+        else:
+            assert record["value"] == reference["value"], record["name"]
 
 
 def test_full_certificate_identity_control():

@@ -18,8 +18,8 @@ import braidmu.tensor as tensor_module
 from braidmu.braiding import braid_tensor
 from braidmu.tensor import PlannedWord, distance, leg_product, route_steps, tensor, total_dim
 
-from conftest import (dense_distance, legs_after, pullback, random_unitary, record, routed_oracle,
-                      routing_category, zn_module)
+from conftest import (dense_distance, dense_extract_distant, legs_after, pullback, random_unitary,
+                      record, routed_oracle, routing_category, zn_module)
 
 L2 = Space("L", 2)
 L3 = Space("M", 3)
@@ -372,6 +372,71 @@ def test_extract_distant_rejects_positions_out_of_range(positions):
     ctx = (L2, L2, L2)
     with pytest.raises(LegError, match=r"positions .* out of range for a 3-leg context"):
         bm.extract_distant(bm.identity(ctx), ctx, positions, "over", bm.FlipBraiding())
+
+
+def _extraction_cases():
+    """Every extract_distant case of the tests above, as (y, context,
+    positions, route, braiding): the round trips, the wrong route, trailing
+    legs, two intermediate legs, the identity, a factor that does not
+    factor, and the routing categories' operators over both routes."""
+    flip, l3 = bm.FlipBraiding(), Space("L", 3, (0, 1, 2))
+    under = bm.apply_distant(leg_op(random_unitary(9, 7), [l3, l3]), (l3,) * 3, (1, 3),
+                             "under", bm.PhaseBraiding(3))
+    cases = {
+        "round-trip": (bm.apply_distant(leg_op(random_unitary(4, 3), [L2, L2]), (L2, L3, L2),
+                                        (1, 3), "over", flip), (L2, L3, L2), (1, 3), "over", flip),
+        "under": (under, (l3,) * 3, (1, 3), "under", bm.PhaseBraiding(3)),
+        "wrong-route": (under, (l3,) * 3, (1, 3), "over", bm.PhaseBraiding(3)),
+        "trailing-legs": (bm.apply_distant(leg_op(random_unitary(4, 6), [L2, L2]),
+                                           (L2, L3, L2, L3), (1, 3), "over", flip),
+                          (L2, L3, L2, L3), (1, 3), "over", flip),
+        "two-between": (bm.apply_distant(leg_op(random_unitary(4, 9), [L2, L2]),
+                                         (L2, L3, L3, L2), (1, 4), "over", flip),
+                        (L2, L3, L3, L2), (1, 4), "over", flip),
+        "identity": (bm.identity((L2, L3, L2)), (L2, L3, L2), (1, 3), "over", flip),
+        "nonfactorizable": (bm.embed_adjacent(leg_op(W_Z2, [L2, L2]), (L2,) * 3, 1), (L2,) * 3,
+                            (1, 3), "over", flip),
+    }
+    rng = np.random.default_rng(11)
+    for kind in ("flip", "phase3", "yd"):
+        braiding, a, b = routing_category(kind)
+        for context, positions in (((a, b, b), (1, 3)), ((b, a, b, a, b), (2, 5)),
+                                   ((a, b, a, b, b, a), (1, 5)), ((b, a, b), (2, 3))):
+            dom = (context[positions[0] - 1], context[positions[1] - 1])
+            d = total_dim(dom)
+            x = leg_op(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), dom)
+            for route in ("over", "under"):
+                y = leg_op(bm.apply_distant(x, context, positions, route, braiding).matrix,
+                           context)
+                cases[f"{kind}-{len(context)}-legs-{route}"] = (y, context, positions, route,
+                                                                braiding)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_extraction_cases()))
+def test_extract_distant_matches_the_dense_oracle(name):
+    # the streamed partial trace adds each entry's terms in the oracle's order
+    y, context, positions, route, braiding = _extraction_cases()[name]
+    z, residual = bm.extract_distant(y, context, positions, route, braiding)
+    z_dense, residual_dense = dense_extract_distant(y, context, positions, route, braiding)
+    np.testing.assert_allclose(z.matrix, z_dense.matrix, rtol=0, atol=1e-14)
+    assert residual == pytest.approx(residual_dense, rel=1e-12, abs=1e-13)
+
+
+def test_extract_distant_takes_a_step_list_as_its_product():
+    braiding, a, b = routing_category("yd")
+    context = (a, b, a)
+    rng = np.random.default_rng(5)
+    steps = [(leg_op(random_unitary(a.dim * b.dim, 1), [a, b]), 1),
+             (leg_op(rng.normal(size=(6, 6)) + 0j, [b, a]), 2)]
+    z, residual = bm.extract_distant(steps, context, (1, 3), "over", braiding)
+    z_op, residual_op = bm.extract_distant(leg_product(steps, context), context, (1, 3),
+                                           "over", braiding)
+    np.testing.assert_allclose(z.matrix, z_op.matrix, rtol=0, atol=1e-13)
+    assert residual == pytest.approx(residual_op, rel=1e-12)
+    # a word that ends on other legs is no endomorphism of the context
+    with pytest.raises(LegError, match="endomorphism of the full context"):
+        bm.extract_distant([(braiding.braid(a, b), 1)], context, (1, 3), "over", braiding)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space
-from braidmu.tensor import tensor
+from braidmu.tensor import adjoint, leg_product, tensor
 
-from conftest import random_unitary, routed_oracle, routing_category
+from conftest import (dense_extract_distant, random_unitary, routed_oracle, routing_category,
+                      zn_module)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -309,3 +312,38 @@ def test_residuals_match_the_dense_oracle(kind):
                       (bm.yd_residual(module, mu), yd)):
         assert want > 0.1
         assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pairings_match_the_dense_extraction(n):
+    # the oracle forms U*12 V23 U12 V*23 whole and extracts it densely; the
+    # pairings of the hexagon check pair the tensor square with the module
+    module, mu = zn_module(n, 1)
+    square = bm.tensor_yd(module, module, mu)
+    for first, second in ((square, module), (module, square), (module, module)):
+        rep, corep = second.as_rep(), first.as_corep()
+        ctx = (corep.space, mu.space, rep.space)
+        steps = [(adjoint(rep.op), 2), (corep.op, 1), (rep.op, 2), (adjoint(corep.op), 1)]
+        z_dense, residual_dense = dense_extract_distant(leg_product(steps, ctx), ctx, (1, 3),
+                                                        "over", mu.braiding)
+        z = bm.pairing_unitary(rep, corep, mu)
+        _, residual = bm.extract_distant(steps, ctx, (1, 3), "over", mu.braiding)
+        np.testing.assert_allclose(z.matrix, z_dense.matrix, rtol=0, atol=1e-14)
+        assert abs(residual - residual_dense) < 1e-13
+
+
+def test_a_pairing_forms_no_three_leg_matrix():
+    # the Z6 tensor square pairs with the module on H (x) L (x) K, of dimension
+    # 36 * 6 * 6 = 1296: one dense matrix there takes 1296^2 * 16 B = 25.6 MiB,
+    # and the dense extraction peaked at 106 MiB
+    module, mu = zn_module(6, 1)
+    square = bm.tensor_yd(module, module, mu)
+    assert mu.commutant_dim == 1      # computed before the trace starts
+    tracemalloc.start()
+    try:
+        braiding = bm.yd_braiding(square, module, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert braiding.matrix.shape == (216, 216)
+    assert peak < 1296 ** 2 * 16
