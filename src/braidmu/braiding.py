@@ -3,9 +3,10 @@
 A provider assigns to every supported ordered pair of spaces (H, K) a unitary
 c_{H,K}: H (x) K -> K (x) H.  The flip and phase braidings, and their
 inverse providers, return :class:`~braidmu.tensor.Crossing` values: a
-permutation with phases, which the leg calculus applies as an axis swap;
-explicit tables stay dense.  A braiding of leg blocks is the list of adjacent
-crossings of :func:`braid_steps`, multiplied by :func:`braidmu.tensor.leg_product`.
+permutation with phases, which the leg calculus applies as a gather built
+from its phase table; explicit tables stay dense.  A braiding of leg blocks
+is the list of adjacent crossings of :func:`braid_steps`, multiplied by
+:func:`braidmu.tensor.leg_product`.
 Hexagon checks compare the provider's braiding of a genuine tensor-product
 space against that product, so they are non-vacuous for every provider kind.
 """
@@ -77,7 +78,8 @@ class FlipBraiding(BraidingProvider):
 class PhaseBraiding(BraidingProvider):
     """c(h (x) k) = q^(deg h * deg k) k (x) h with q = exp(2 pi i / modulus).
 
-    Requires graded spaces on both sides.
+    Requires graded spaces on both sides.  The exponent is reduced modulo
+    the modulus as a Python int first, so any degree gives a phase.
     """
 
     kind = "phase"
@@ -91,7 +93,8 @@ class PhaseBraiding(BraidingProvider):
     def braid(self, h: Space, k: Space) -> Crossing:
         if not self.supports(h, k):
             raise UnsupportedPairError(f"phase braiding needs gradings on ({h.id}, {k.id})")
-        phases = np.array([[self.q ** (dh * dk) for dk in k.grading] for dh in h.grading])
+        m = self.modulus
+        phases = np.array([[self.q ** ((dh * dk) % m) for dk in k.grading] for dh in h.grading])
         return crossing(h, k, phases)
 
     def supports(self, h: Space, k: Space) -> bool:

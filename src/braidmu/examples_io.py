@@ -273,7 +273,7 @@ def _number(x):
     return _int_float(x) if type(x) is int else x
 
 
-def _matrix_from_tree(tree, path: str, may_hold_bools: bool) -> np.ndarray:
+def _matrix_from_tree(tree, path: str) -> np.ndarray:
     try:
         m = np.array([[complex(_number(re), _number(im)) for re, im in row] for row in tree],
                      dtype=complex)
@@ -282,7 +282,7 @@ def _matrix_from_tree(tree, path: str, may_hold_bools: bool) -> np.ndarray:
     if m.ndim != 2:
         raise SchemaError(path, "matrix must be two-dimensional")
     # complex() takes a bool as 0 or 1; the rows parsed, so every entry is a number
-    if may_hold_bools and any(type(x) is bool for row in tree for pair in row for x in pair):
+    if any(type(x) is bool for row in tree for pair in row for x in pair):
         raise SchemaError(path, "matrix entries must be numbers, not true or false")
     return _finite(m, path)
 
@@ -379,22 +379,6 @@ def _lift_matrices(text: str) -> tuple[str, dict[str, np.ndarray]] | None:
     return "".join(pieces), matrices
 
 
-def _spells_a_bool(text: str) -> bool:
-    """Whether ``true`` or ``false`` occurs in ``text``.
-
-    No number holds a ``u`` or an ``f``, so stepping from one such letter to
-    the next jumps over a matrix in one ``find``, where a substring search
-    for the words walks through its text.
-    """
-    for word, letter, offset in (("true", "u", 2), ("false", "f", 0)):
-        i = text.find(letter)
-        while i >= 0:
-            if text.startswith(word, i - offset):
-                return True
-            i = text.find(letter, i + 1)
-    return False
-
-
 def _is_json_int(node) -> bool:
     """A JSON integer: json.loads gives ``int``, and ``bool`` is a subclass of it."""
     return isinstance(node, int) and not isinstance(node, bool)
@@ -457,27 +441,24 @@ def bundle_from_json(text: str) -> Bundle:
         except (ValueError, RecursionError):
             pass
         else:
-            return _bundle_from_tree(tree, rest, matrices)
+            return _bundle_from_tree(tree, matrices)
     try:
         tree = json.loads(text)
     except (ValueError, RecursionError) as exc:    # ValueError: an int of 4300+ digits
         raise SchemaError("/", f"not valid JSON: {exc}") from None
-    return _bundle_from_tree(tree, text, {})
+    return _bundle_from_tree(tree, {})
 
 
-def _bundle_from_tree(tree, text: str, matrices: dict[str, np.ndarray]) -> Bundle:
+def _bundle_from_tree(tree, matrices: dict[str, np.ndarray]) -> Bundle:
     """The bundle of a parsed text, whose lifted matrices (by placeholder)
     are ``matrices``."""
     if not isinstance(tree, dict):
         raise SchemaError("/", "top level must be an object")
-    # json.loads makes a bool only of the literals true and false, so a text
-    # without them needs no look at the type of each matrix entry
-    may_hold_bools = _spells_a_bool(text)
 
     def matrix(node, path: str) -> np.ndarray:
         if type(node) is str and node in matrices:
             return _finite(matrices[node], path)
-        return _matrix_from_tree(node, path, may_hold_bools)
+        return _matrix_from_tree(node, path)
 
     version = tree.get("version")
     if version != SCHEMA_VERSION:

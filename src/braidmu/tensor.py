@@ -7,15 +7,15 @@ exactly ``numpy.kron``.
 
 A factor on a few legs of a longer context acts matrix-free: one reshape
 and one matmul left-multiply by 1 (x) op (x) 1, and the padded matrix is
-never formed.  A :class:`Crossing`, a permutation with phases such as a flip
-or phase braiding, acts with no matmul at all: an axis swap of the rows
-times its phase table.  Nor does a signed permutation, a matrix with one
-entry 1, -1, i or -i in each row and column, such as a Kac-Takesaki unitary:
-it acts by a gather of the rows its entries select, times those entries,
-exactly the values of the matmul.  Dense matrices and monomials with other
-phases keep the matmul.  A leg-notation product is a list of steps
-``(op, start)``, and one runner executes every such product: a
-:class:`PlannedWord` places its steps once and then runs only arithmetic.
+never formed.  A permutation with phases acts with no matmul at all, as a
+:class:`Gather` of the rows it selects times its phases: a
+:class:`Crossing` (a flip or phase braiding) always, from its phase table,
+and a dense signed permutation, a matrix with one entry 1, -1, i or -i in
+each row and column such as a Kac-Takesaki unitary, exactly the values of
+the matmul.  Dense matrices and dense monomials with other phases keep the
+matmul, so a step is a gather or a matmul.  A leg-notation product is a
+list of steps ``(op, start)``, and one runner executes every such product:
+a :class:`PlannedWord` places its steps once and then runs only arithmetic.
 Its columns begin as the first step's padded columns (written once, never
 multiplied).  :func:`leg_product` is all the columns, for the DSL, block
 crossings, injections, conjugations and comultiplications alike;
@@ -170,9 +170,8 @@ class Crossing(LegOperator):
     """A crossing H (x) K -> K (x) H that sends e_i (x) e_j to phases[i, j] e_j (x) e_i.
 
     ``phases`` is the dim H x dim K table of unimodular phases, or None for
-    the flip.  ``matrix`` is the dense value; :func:`apply_on_legs` acts by
-    an axis swap and a phase multiply instead.  Build one with
-    :func:`crossing`.
+    the flip.  ``matrix`` is the dense value; a step acts by :attr:`gather`,
+    built from the phase table, instead.  Build one with :func:`crossing`.
     """
 
     phases: np.ndarray | None = None
@@ -203,11 +202,13 @@ class Crossing(LegOperator):
         return star
 
     @cached_property
-    def swap(self) -> tuple[int, int, np.ndarray | None]:
-        """dim H, dim K and the phases as a (K, H, 1) table (None for the flip),
-        which :func:`_cross` reads."""
+    def gather(self) -> "Gather":
+        """The crossing as a :class:`Gather`, in O(hk) from the phase table:
+        row j*h + i of K (x) H reads row i*k + j of H (x) K times
+        phases[i, j]."""
         h, k = (s.dim for s in self.domain)
-        return h, k, None if self.phases is None else self.phases.T[:, :, None]
+        source = (np.arange(h) * k + np.arange(k)[:, None]).reshape(-1)
+        return Gather(source, None if self.phases is None else self.phases.T.reshape(-1, 1))
 
 
 def crossing(h: Space, k: Space, phases: np.ndarray | None = None) -> Crossing:
@@ -227,24 +228,13 @@ def _shaped(phases, h: Space, k: Space) -> np.ndarray:
     return p
 
 
-def _cross(c: Crossing, x: np.ndarray, pre: int) -> np.ndarray:
-    """(1 (x) c (x) 1) @ x for x viewed as (pre, H, K, rest): the axis swap to
-    (pre, K, H, rest) times the phases, one pass over x."""
-    h, k, table = c.swap
-    swapped = x.reshape(pre, h, k, -1).transpose(0, 2, 1, 3)
-    out = np.empty(swapped.shape, dtype=complex)
-    if table is None:
-        out[...] = swapped
-    else:
-        np.multiply(swapped, table, out=out)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Gather:
-    """A signed permutation m, with m[r, source[r]] = coefficients[r] its one
-    nonzero entry in row r, each 1, -1, i or -i.  ``coefficients`` is an
-    (n, 1) column, or None when every entry is 1."""
+    """A permutation with phases m, with m[r, source[r]] = coefficients[r]
+    its one nonzero entry in row r, each unimodular: 1, -1, i or -i when read
+    from a dense matrix, any phase from a :class:`Crossing`'s table.
+    ``coefficients`` is an (n, 1) column, or None when every entry is 1.
+    It is one of the runner's two step kinds, with the matmul."""
 
     source: np.ndarray
     coefficients: np.ndarray | None
@@ -278,25 +268,22 @@ def _signed_permutation(m: np.ndarray) -> Gather | None:
 
 
 def _gather(g: Gather, x: np.ndarray, pre: int) -> np.ndarray:
-    """(1 (x) m (x) 1) @ x for the signed permutation m of g, x viewed as
+    """(1 (x) m (x) 1) @ x for the permutation with phases m of g, x viewed as
     (pre, n, rest): the rows ``source`` of x, times the coefficients, as a
-    new complex array.  Each value equals the matmul's, whose sum holds one
-    exact product by 1, -1, i or -i and zeros; only the sign of a zero may
-    differ, as it does between BLAS kernels.
+    new complex array.  For a signed permutation each value equals the
+    matmul's, whose sum holds one exact product by 1, -1, i or -i and zeros;
+    only the sign of a zero may differ, as it does between BLAS kernels.
     """
-    out = np.take(x.reshape(pre, g.source.size, -1), g.source, axis=1)
+    out = x.reshape(pre, g.source.size, -1).take(g.source, axis=1)
     out = out.astype(complex, copy=False)
     if g.coefficients is not None:
         out *= g.coefficients
     return out
 
 
-def _step(a: Crossing | Gather | np.ndarray, x: np.ndarray, pre: int) -> np.ndarray:
-    """One step on x viewed as (pre, a's domain, rest): a crossing's axis swap
-    by :func:`_cross`, a signed permutation's gather by :func:`_gather`, or
-    one matmul by the matrix a."""
-    if isinstance(a, Crossing):
-        return _cross(a, x, pre)
+def _step(a: Gather | np.ndarray, x: np.ndarray, pre: int) -> np.ndarray:
+    """One step on x viewed as (pre, a's domain, rest): a gather by
+    :func:`_gather`, or one matmul by the matrix a."""
     if isinstance(a, Gather):
         return _gather(a, x, pre)
     return np.matmul(a, x.reshape(pre, a.shape[1], -1))
@@ -406,10 +393,10 @@ class PlannedWord:
     A step ``(op, start)`` acts on the legs ``start ..`` (1-based) of the
     context as the earlier steps left it, the first step first.
     Construction places every step, the only call of :func:`_placed`, and
-    keeps its (pre, post) dims and its action: a :class:`Crossing`, which
-    acts by an axis swap, a signed permutation (:attr:`LegOperator.gather`),
-    which acts by a gather, any other matrix, which acts by one matmul, or
-    the slot.
+    keeps its (pre, post) dims and its action: a permutation with phases
+    (:attr:`LegOperator.gather`, every :class:`Crossing` and each dense
+    signed permutation), which acts by a gather, any other matrix, which
+    acts by one matmul, or the slot.
     The steps whose factor is ``slot`` take a new matrix on every
     :meth:`forward`.  ``codomain`` is the legs the product ends on, and
     ``rows`` the most rows the context or any step reaches.
@@ -429,8 +416,7 @@ class PlannedWord:
         self._plan, self._back = [], None
         for op, start in steps:
             pre, post = _placed(op, legs, start)
-            act = (None if op is slot else op if isinstance(op, Crossing)
-                   else op.gather or op.matrix)
+            act = None if op is slot else op.gather or op.matrix
             self._plan.append((total_dim(pre), op.matrix.shape, total_dim(post), act))
             legs = pre + op.codomain + post
             self.rows = max(self.rows, total_dim(legs))
@@ -490,15 +476,14 @@ class PlannedWord:
         <P, dW> = <G_j, d(f)> (Hilbert-Schmidt) with G_j the partial trace of
         After* P Before* over the legs f does not touch.  Before is the
         prefix ahead of step j; After* P runs the adjoint steps backward, each
-        fixed step's adjoint built on the first pullback: a crossing's
-        adjoint crossing, a gather's inverse gather, or a matrix's conjugate
-        transpose.
+        fixed step's adjoint built on the first pullback: a gather's inverse
+        gather, or a matrix's conjugate transpose.
         """
         if cotangent.shape != self._shape:
             raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
                            f"product of the steps")
         if self._back is None:
-            self._back = [a.adjoint() if isinstance(a, (Crossing, Gather)) else
+            self._back = [a.adjoint() if isinstance(a, Gather) else
                           None if a is None else np.ascontiguousarray(a.conj().T)
                           for *_, a in self._plan]
         q, grads = cotangent, []

@@ -406,6 +406,18 @@ def kac_takesaki_text(group):
     return bm.bundle_to_json(bundle)
 
 
+def super_kac_takesaki_text(shift=0):
+    """The bundle text of KT(Z2) on L = C^2 graded (0, 1 + shift) under the
+    super braiding (phase, modulus 2), a braided multiplicative unitary
+    there; an even shift changes no phase."""
+    space = Space("L", 2, (0, 1 + shift))
+    w = LegOperator(LegSignature((space, space), (space, space)),
+                    bm.kac_takesaki(bm.cyclic(2)).matrix)
+    bundle = bm.Bundle(spaces={"L": space}, operators={"W": w})
+    bundle.braiding_kind, bundle.braiding_modulus = "phase", 2
+    return bm.bundle_to_json(bundle)
+
+
 # what a bundle's text must survive: numbers outside the JSON grammar or the
 # float range, the literals, a NUL raw and escaped, whitespace and JSON's own
 # punctuation
@@ -444,3 +456,6 @@ def mutated_texts(draw, text):
 HUGE_ENTRY_TEXT = kac_takesaki_text(bm.cyclic(2)).replace("[[[1.0,", "[[[1" + "0" * 400 + ",", 1)
 HUGE_MODULUS_TEXT = kac_takesaki_text(bm.cyclic(2)).replace(
     '{"kind":"flip"}', '{"kind":"phase","modulus":1' + "0" * 400 + "}")
+# a super bundle whose odd degree is 10**400 + 1, once an OverflowError
+# traceback in the phase braiding's exponent
+HUGE_DEGREE_TEXT = super_kac_takesaki_text(10 ** 400)

@@ -32,6 +32,16 @@ def test_phase_super_braiding_signs():
     np.testing.assert_allclose(c.matrix, expected)
 
 
+def test_phase_exponents_are_reduced_before_the_power():
+    # the raw product 10**17 + 1 lost its low bits in the float power: the
+    # phase came out -0.530 - 0.848i where q**1 is -1
+    h, k = bm.Space("H", 1, (1,)), bm.Space("K", 1, (10 ** 17 + 1,))
+    for modulus in (2, 3, 7):
+        braiding = bm.PhaseBraiding(modulus)
+        want = braiding.q ** ((10 ** 17 + 1) % modulus)
+        assert braiding.braid(h, k).phases.tobytes() == np.array([[want]]).tobytes()
+
+
 def test_phase_requires_gradings():
     with pytest.raises(UnsupportedPairError):
         bm.PhaseBraiding(2).braid(H2, SUPER)

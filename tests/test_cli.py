@@ -8,11 +8,13 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import braidmu as bm
 from braidmu.cli import main
 
-from conftest import HUGE_ENTRY_TEXT, HUGE_MODULUS_TEXT, kac_takesaki_text, mutated_texts
+from conftest import (HUGE_DEGREE_TEXT, HUGE_ENTRY_TEXT, HUGE_MODULUS_TEXT, kac_takesaki_text,
+                      mutated_texts, super_kac_takesaki_text)
 
 
 def run(args):
@@ -702,6 +704,27 @@ def test_an_integer_beyond_the_float_range_is_an_input_error(tmp_path, capsys, c
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+def test_an_even_shift_of_the_odd_degrees_changes_no_super_phase(tmp_path):
+    """Degrees 1 and 10**400 + 1 are both odd: the same phase table, bit for
+    bit, and the same analyze records.  The exponent was once taken on the
+    raw degrees, an OverflowError traceback for this text."""
+    reports, tables = [], []
+    for shift in (0, 10 ** 400):
+        bundle = tmp_path / f"super_{shift > 0}.json"
+        bundle.write_text(super_kac_takesaki_text(shift))
+        loaded = bm.load_bundle(str(bundle))
+        space = loaded.spaces["L"]
+        assert space.grading == (0, 1 + shift)
+        tables.append(loaded.provider().braid(space, space).phases.tobytes())
+        code, out, err = _main_on(["analyze", str(bundle)])
+        assert code == 0 and err == ""
+        checks = json.loads(out)["checks"]
+        for check in checks:
+            del check["wall_time_s"]
+        reports.append(checks)
+    assert tables[0] == tables[1] and reports[0] == reports[1]
+
+
 def _main_on(argv):
     """Exit code, stdout and stderr of braidmu.cli.main, run in this process."""
     out, err = io.StringIO(), io.StringIO()
@@ -712,12 +735,15 @@ def _main_on(argv):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=mutated_texts(kac_takesaki_text(bm.cyclic(2))))
+@given(text=st.sampled_from([kac_takesaki_text(bm.cyclic(2)), super_kac_takesaki_text()])
+       .flatmap(mutated_texts))
 @example(text=HUGE_ENTRY_TEXT)
 @example(text=HUGE_MODULUS_TEXT)
+@example(text=HUGE_DEGREE_TEXT)
 def test_any_mutated_bundle_gets_a_documented_exit_code(tmp_path, text):
     # an exception out of main is the traceback a process would print; the
-    # file is rewritten for every example
+    # file is rewritten for every example; the super bundle's edits reach its
+    # grading and modulus
     bundle = tmp_path / "mutated.json"
     bundle.write_text(text, encoding="utf-8")
     code, out, err = _main_on(["analyze", str(bundle)])

@@ -353,18 +353,11 @@ def test_malformed_nodes_are_schema_errors(text, path):
 
 
 def test_names_that_spell_true_or_false_load_as_before():
-    # the text holds the word, so the loader looks at every entry's type
     space = bm.Space("true", 1)
     bundle = bm.Bundle(spaces={"true": space})
     bundle.operators["false"] = bm.LegOperator(bm.LegSignature((space,), (space,)), np.eye(1))
     loaded = bm.bundle_from_json(bm.bundle_to_json(bundle))
     assert loaded.operators["false"].matrix.tolist() == [[1 + 0j]]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.text(alphabet='truefalsF0.,[]"'))
-def test_the_scan_for_true_and_false_finds_the_words(text):
-    assert examples_io._spells_a_bool(text) == ("true" in text or "false" in text)
 
 
 def test_canonical_json_escapes_every_control_character():

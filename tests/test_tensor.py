@@ -570,14 +570,13 @@ def test_every_exported_name_resolves():
             assert not missing, (node.module, missing)
 
 
-def spy_actions(monkeypatch) -> dict[str, list]:
-    """The operands of every axis swap (``_cross``) and gather (``_gather``)
-    from here on, by name; a step that reaches neither is a matmul."""
-    seen = {"_cross": [], "_gather": []}
-    for name, calls in seen.items():
-        real = getattr(tensor_module, name)
-        monkeypatch.setattr(tensor_module, name,
-                            lambda a, *rest, real=real, calls=calls: calls.append(a) or real(a, *rest))
+def spy_gathers(monkeypatch) -> list:
+    """The operand of every gather (``_gather``) from here on; a step that
+    reaches none is a matmul, and a crossing's step is ``c.gather``."""
+    seen = []
+    real = tensor_module._gather
+    monkeypatch.setattr(tensor_module, "_gather",
+                        lambda g, *rest: seen.append(g) or real(g, *rest))
     return seen
 
 
@@ -590,31 +589,32 @@ def run_once(op):
 def test_explicit_crossings_take_the_gather_or_the_gemm_path(monkeypatch):
     """A Yetter-Drinfeld table and its inverse are dense operators, which take
     the matmul; a table entry copied from a flip is a permutation matrix,
-    which takes the gather; only flip and phase crossings reach the axis
-    swap."""
+    which takes the gather it is read as; a flip crossing takes its own
+    gather."""
     provider, p, q = routing_category("yd")
     table = bm.ExplicitBraiding()
     table.register(bm.FlipBraiding().braid(p, q))
-    seen = spy_actions(monkeypatch)
+    seen = spy_gathers(monkeypatch)
     yd = [provider.braid(p, q), provider.braid_inverse(q, p), provider.inverse().braid(p, q)]
     copied = [table.braid(p, q), table.braid_inverse(p, q)]
     for c in yd:
         assert not isinstance(c, bm.Crossing)
         run_once(c)
-    assert seen == {"_cross": [], "_gather": []}
+    assert seen == []
     for c in copied:
         assert not isinstance(c, bm.Crossing)
         run_once(c)
-    assert seen["_cross"] == [] and seen["_gather"] == [c.gather for c in copied]
+    assert seen == [c.gather for c in copied]
     flip = bm.FlipBraiding().braid(p, q)
     bm.apply_on_legs(flip, np.eye(p.dim * q.dim, dtype=complex), (p, q), 1)
-    assert seen["_cross"] == [flip] and len(seen["_gather"]) == 2
+    assert seen == [*(c.gather for c in copied), flip.gather]
 
 
 def test_only_exact_signed_permutations_take_the_gather(monkeypatch):
     """Phase monomials, dense unitaries, a near-permutation and an isometry
-    take the matmul; flip and phase crossings the axis swap; the Kac-Takesaki
-    W and the corepresentation U of a Yetter-Drinfeld module the gather."""
+    take the matmul; flip and phase crossings their own gathers; the
+    Kac-Takesaki W and the corepresentation U of a Yetter-Drinfeld module
+    the gather they are read as."""
     omega = np.exp(2j * np.pi / 3)
     perm3 = np.eye(3)[[2, 0, 1]]
     near = np.eye(4)[[1, 0, 3, 2]].astype(complex)
@@ -627,19 +627,57 @@ def test_only_exact_signed_permutations_take_the_gather(monkeypatch):
               leg_op(random_unitary(4, 5), [L2, L2]),
               leg_op(near, [L2, L2]),
               leg_op(np.eye(3)[:, :2], [L2], [L3])]                    # an isometry
-    seen = spy_actions(monkeypatch)
+    seen = spy_gathers(monkeypatch)
     for op in matmul:
         assert op.gather is None
         run_once(op)
-    assert seen == {"_cross": [], "_gather": []}
+    assert seen == []
     crossings = [bm.FlipBraiding().braid(L2, L3), bm.PhaseBraiding(3).braid(p, q)]
     for c in crossings:
         run_once(c)
-    assert seen == {"_cross": crossings, "_gather": []}
+    assert seen == [c.gather for c in crossings]
     for op in (mu.op, module.corep):
         run_once(op)
-    assert seen["_gather"] == [mu.op.gather, module.corep.gather]
-    assert all(g is not None for g in seen["_gather"])
+    assert seen[2:] == [mu.op.gather, module.corep.gather]
+    assert all(g is not None for g in seen)
+
+
+def bits(a: np.ndarray) -> bytes:
+    """The bytes of an array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 1)], ids=["h=k", "h<k", "h>k"])
+@pytest.mark.parametrize("kind", ["flip", "phase", "flip inverse", "phase inverse"])
+def test_a_crossing_runs_as_its_own_gather(monkeypatch, kind, dims):
+    """A crossing's step is the gather built from its phase table: its
+    values are the axis swap's bit for bit, its adjoint crossing's gather is
+    its gather's adjoint, and its dense matrix is never inspected."""
+    inspected = []
+    real = tensor_module._signed_permutation
+    monkeypatch.setattr(tensor_module, "_signed_permutation",
+                        lambda m: inspected.append(m) or real(m))
+    h, k = dims
+    a, b = Space("A", h, tuple(range(1, h + 1))), Space("B", k, tuple(range(2, k + 2)))
+    context = (Space("P", 2, (0, 1)), a, b, Space("Q", 3, (0, 1, 2)))
+    c = crossing_provider(kind).braid(a, b)
+    assert isinstance(c, bm.Crossing) and (c.phases is None) == kind.startswith("flip")
+    rng = np.random.default_rng(h * 10 + k)
+    x = rng.normal(size=(total_dim(context), 4)) + 1j * rng.normal(size=(total_dim(context), 4))
+    # the oracle: the rows (pre, H, K, rest) swapped to (pre, K, H, rest),
+    # times the phase of each (i, j) at its new place (j, i)
+    want = x.reshape(2, h, k, -1).transpose(0, 2, 1, 3)
+    if c.phases is not None:
+        want = want * c.phases.T[:, :, None]
+    got = bm.apply_on_legs(c, x, context, 2)
+    assert got.dtype == complex and bits(got) == bits(want.reshape(got.shape))
+    star, g = c.adjoint().gather, c.gather.adjoint()
+    assert bits(star.source) == bits(g.source)
+    assert (star.coefficients is None and g.coefficients is None
+            or bits(star.coefficients) == bits(g.coefficients))
+    back = bm.apply_on_legs(c.adjoint(), got, legs_after(c, context, 2), 2)
+    np.testing.assert_allclose(back, x, rtol=0, atol=1e-14)
+    assert inspected == []
 
 
 def test_an_operator_is_inspected_once(monkeypatch):
@@ -992,8 +1030,10 @@ def _name_uses():
 def references(name):
     """(module, enclosing scope) of each use of ``name`` in the package source: a
     bare name, an attribute (np.kron, numpy.kron) or an import; docstrings do
-    not count."""
-    return [(module, scope) for module, scope, n in _name_uses() if n == name]
+    not count, nor do uses inside a scope of that name, such as a function's
+    recursive calls."""
+    return [(module, scope) for module, scope, n in _name_uses()
+            if n == name and name not in scope.split(".")]
 
 
 def test_only_the_linear_map_builders_call_kron():
@@ -1062,6 +1102,7 @@ UNREFERENCED = {
     "braiding.check_naturality": "ROADMAP item 3: report-path candidate, naturality",
     "dsl.parse": "bound by bench/: the tracer's dsl.parse span",
     "dsl.evaluate": "bound by bench/: the tracer's dsl.evaluate span; the tests' dense value",
+    "dsl.format_expr": "acceptance criterion 10: the parse round trip of every corpus side",
     "semidirect.fixed_vector_identity_residual": "ROADMAP items 3/13: report-path candidate",
     "semidirect.routing_agreement_residual": "ROADMAP item 13: report-path candidate",
     "semidirect.semidirect_regularity": "ROADMAP items 3/13: report-path candidate",
