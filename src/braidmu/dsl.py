@@ -16,8 +16,9 @@ An expression compiles to the steps of :func:`braidmu.tensor.leg_product`:
 each atom is one step on its legs, or the three steps of a routed atom, and
 "^*" reverses the steps of its operand and takes the adjoint of each.  The
 steps act on one running matrix, so no padded factor is ever multiplied; a
-statement's residual streams both sides' steps over column blocks
-(:func:`braidmu.tensor.distance`), so neither side is formed whole.
+statement's residual streams both sides' steps over column blocks, or
+reads two words of monomials in closed form (:func:`braidmu.tensor.distance`),
+so neither side is formed whole.
 
 Statement files are UTF-8 with one statement per line, "#" comments, and
 exactly one header line "context: <space-id> ...", which sets the leg context
@@ -354,7 +355,8 @@ def run_statements(text: str, bindings: dict[str, LegOperator],
     :class:`~braidmu.tensor.PlannedWord`, and the two words' legs are
     compared before any product is formed.  The residual is the
     :func:`~braidmu.tensor.distance` of the two words, streamed over column
-    blocks; a bare expression is compiled and placed, with no product at all.
+    blocks or, for two words of monomials, closed-form; a bare expression is
+    compiled and placed, with no product at all.
     """
     header, statements = parse_statement_file(text)
     for sid, column in zip(header.ids, header.columns):

@@ -79,7 +79,8 @@ def pentagon_residual(m: MultUnitary) -> float:
     """Hilbert-Schmidt norm of F23 F12 - F12 c12 F23 cinv12 F23 on three legs.
 
     The :func:`~braidmu.tensor.distance` of the two :func:`pentagon_words`,
-    streamed over column blocks: no n^3 x n^3 product or defect is formed.
+    streamed over column blocks, or closed-form when F and the crossings are
+    monomials: no n^3 x n^3 product or defect is formed.
     """
     c = m.braiding.braid(m.space, m.space)
     legs, lhs, rhs = pentagon_words(m.op, c, _cinv(m))

@@ -487,20 +487,14 @@ def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: boo
     return v
 
 
-def _monomial(word: PlannedWord) -> tuple[np.ndarray, np.ndarray]:
+def _landing(word: PlannedWord) -> tuple[np.ndarray, np.ndarray]:
     """A word of crossings as the monomial matrix it is: for each basis vector
-    e_i of its context, the row that e_i lands on and its phase there.
-
-    The word is run on two columns, ones and the indices 0, 1, ...: crossings
-    only move entries and multiply them by unimodular phases, so the ones
-    column reads the phases in place and the modulus of the other the index
-    each row came from.
-    """
-    n = total_dim(word.domain)
-    y = word.run(np.stack([np.ones(n), np.arange(n)], axis=1).astype(complex))
-    rows = np.empty(n, dtype=np.intp)
-    rows[np.rint(np.abs(y[:, 1])).astype(np.intp)] = np.arange(n)
-    return rows, y[rows, 0]
+    e_i of its context, the row that e_i lands on and its phase there, read
+    from the word's gather (:attr:`~braidmu.tensor.PlannedWord.gather`)."""
+    g = word.gather
+    rows = g.adjoint().source
+    return rows, (np.ones(rows.size, dtype=complex) if g.coefficients is None
+                  else g.coefficients[rows, 0])
 
 
 class CrossedProductExtension:
@@ -584,11 +578,11 @@ class CrossedProductExtension:
         image = v.shape[0] if v is not None else self._p
         # line j enters the factor at its column f_j, between the legs before
         # and after it, with phase phi_j
-        into, phi = _monomial(self._before)
+        into, phi = _landing(self._before)
         ahead, col, behind = np.unravel_index(into, (self._pre, fd, dim // (self._pre * fd)))
         # factor row c of line j leaves at out(a_j, c, r_j) of the target,
         # with phase psi; the rest of out is the image row
-        out, psi = _monomial(PlannedWord(after, self._before.codomain))
+        out, psi = _landing(PlannedWord(after, self._before.codomain))
         image_of = (out % image if not self._pad_first else out // fd).reshape(self._pre, fd, -1)
         if dim != fd * image or np.any(image_of != image_of[:, :1]):
             return False

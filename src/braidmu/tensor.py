@@ -7,23 +7,26 @@ exactly ``numpy.kron``.
 
 A factor on a few legs of a longer context acts matrix-free: one reshape
 and one matmul left-multiply by 1 (x) op (x) 1, and the padded matrix is
-never formed.  A permutation with phases acts with no matmul at all, as a
-:class:`Gather` of the rows it selects times its phases: a
-:class:`Crossing` (a flip or phase braiding) always, from its phase table,
-and a dense signed permutation, a matrix with one entry 1, -1, i or -i in
-each row and column such as a Kac-Takesaki unitary, exactly the values of
-the matmul.  Dense matrices and dense monomials with other phases keep the
+never formed.  A monomial, a matrix with one nonzero entry of any value in
+each row and column, acts with no matmul at all, as a :class:`Gather` of
+the rows it selects times its entries: a :class:`Crossing` (a flip or phase
+braiding) from its phase table, and any dense monomial, such as a
+Kac-Takesaki unitary, a module's diagonal phase representation or a
+Yetter-Drinfeld table, as it is read once.  Other matrices keep the
 matmul, so a step is a gather or a matmul.  A leg-notation product is a
 list of steps ``(op, start)``, and one runner executes every such product:
 a :class:`PlannedWord` places its steps once and then runs only arithmetic.
 Its columns begin as the first step's padded columns (written once, never
 multiplied).  :func:`leg_product` is all the columns, for the DSL, block
-crossings, injections, conjugations and comultiplications alike;
+crossings, injections, conjugations and comultiplications alike.  A word
+with no slot whose steps are all gathers is also one gather of all its rows
+(:attr:`PlannedWord.gather`), composed when it is placed.
 :func:`distance` of two words (a DSL statement, the Pentagon, a routing
-agreement or a Yetter-Drinfeld identity) runs both over blocks of columns
-within the byte budget :data:`_BLOCK_BYTES`, so memory is O(n^3 b) on three
-legs of dimension n, not n^6; :func:`apply_on_legs` is one step run on a
-given matrix.  A word with a slot factor takes a new matrix for it on every
+agreement or a Yetter-Drinfeld identity) is closed-form in O(n^3) on three
+legs of dimension n when both are such gathers; otherwise it runs both over
+blocks of columns within the byte budget :data:`_BLOCK_BYTES`, so memory is
+O(n^3 b), not n^6.  :func:`apply_on_legs` is one step run on a given
+matrix.  A word with a slot factor takes a new matrix for it on every
 run, for reverse mode: its forward pass keeps every prefix product, and its
 pullback takes a cotangent of the product back to the slot's steps.  A
 factor on distant legs is the steps of :func:`route_steps`: the move
@@ -144,10 +147,11 @@ class LegOperator:
 
     @cached_property
     def gather(self) -> "Gather | None":
-        """The matrix as the :class:`Gather` it is when it is a signed
-        permutation, else None: found once per operator, and read by every
-        :class:`PlannedWord` that places it."""
-        return _signed_permutation(self.matrix)
+        """The matrix as the :class:`Gather` it is when it is a monomial, one
+        nonzero entry of any value in each row and column, else None: found
+        once per operator, and read by every :class:`PlannedWord` that
+        places it."""
+        return _monomial(self.matrix)
 
     @property
     def domain(self) -> tuple[Space, ...]:
@@ -230,55 +234,79 @@ def _shaped(phases, h: Space, k: Space) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Gather:
-    """A permutation with phases m, with m[r, source[r]] = coefficients[r]
-    its one nonzero entry in row r, each unimodular: 1, -1, i or -i when read
-    from a dense matrix, any phase from a :class:`Crossing`'s table.
-    ``coefficients`` is an (n, 1) column, or None when every entry is 1.
-    It is one of the runner's two step kinds, with the matmul."""
+    """A monomial matrix m, with m[r, source[r]] = coefficients[r] its one
+    nonzero entry in row r: any nonzero value when read from a dense matrix,
+    a unimodular phase from a :class:`Crossing`'s table.  ``coefficients``
+    is an (n, 1) column, or None when every entry is 1.  It is one of the
+    runner's two step kinds, with the matmul, and a word of gathers alone is
+    one gather too (:attr:`PlannedWord.gather`)."""
 
     source: np.ndarray
     coefficients: np.ndarray | None
 
     def adjoint(self) -> "Gather":
-        """m*, the inverse permutation with the conjugate entries."""
+        """m*, the inverse permutation with the conjugate entries: the
+        conjugate transpose, which is the inverse of m only when every entry
+        is unimodular."""
         inverse = np.empty_like(self.source)
         inverse[self.source] = np.arange(self.source.size)
         c = self.coefficients
         return Gather(inverse, None if c is None else c[inverse].conj())
 
 
-_UNITS = np.array([1, -1, 1j, -1j])
-
-
-def _signed_permutation(m: np.ndarray) -> Gather | None:
+def _monomial(m: np.ndarray) -> Gather | None:
     """m as a :class:`Gather` when it is square with exactly one nonzero in
-    each row and column, each exactly 1, -1, i or -i; else None.  O(n^2),
-    and a dense matrix leaves at the count of its nonzeros."""
+    each row and column, whatever its values (NaN and inf count as
+    nonzero); else None.  O(n^2), and a dense matrix leaves at the count of
+    its nonzeros."""
     n = m.shape[0]
     nonzero = m != 0
     if m.shape != (n, n) or np.count_nonzero(nonzero) != n:
         return None
     source = nonzero.argmax(axis=1)     # the column of each row's first nonzero
-    values = m[np.arange(n), source]
-    # n nonzeros, each row's a unit, so one per row; one per column as well
-    if (not (values[:, None] == _UNITS).any(axis=1).all()
+    # n nonzeros, none in an empty row, so one per row; one per column as well
+    if (not nonzero[np.arange(n), source].all()
             or np.any(np.bincount(source, minlength=n) != 1)):
         return None
+    values = m[np.arange(n), source]
     return Gather(source, None if np.all(values == 1) else values[:, None])
 
 
 def _gather(g: Gather, x: np.ndarray, pre: int) -> np.ndarray:
-    """(1 (x) m (x) 1) @ x for the permutation with phases m of g, x viewed as
-    (pre, n, rest): the rows ``source`` of x, times the coefficients, as a
-    new complex array.  For a signed permutation each value equals the
-    matmul's, whose sum holds one exact product by 1, -1, i or -i and zeros;
-    only the sign of a zero may differ, as it does between BLAS kernels.
+    """(1 (x) m (x) 1) @ x for the monomial m of g, x viewed as (pre, n,
+    rest): the rows ``source`` of x, times the coefficients, as a new
+    complex array.  Each value is one complex product, where the matmul's
+    sum holds that product and zeros: equal to it for a coefficient 1, -1, i
+    or -i up to the sign of a zero, and within the rounding of a product,
+    numpy's against BLAS's, for any other.
     """
     out = x.reshape(pre, g.source.size, -1).take(g.source, axis=1)
     out = out.astype(complex, copy=False)
     if g.coefficients is not None:
         out *= g.coefficients
     return out
+
+
+def _word_gather(plan: list, rows: int) -> Gather:
+    """The product of a plan whose steps are all gathers as one
+    :class:`Gather` on its ``rows`` rows, in O(rows * steps): each step
+    spread over the legs before and after it, 1 (x) m (x) 1, then read after
+    the steps before it (source ``a.source[b.source]`` for b after a).  The
+    coefficients multiply in the runner's order, the earlier steps' product
+    times the step's, though numpy may round a product here and in the
+    runner's blocks differently.  No steps give the identity gather."""
+    source, c = np.arange(rows), None
+    for pre, _, post, g in plan:
+        n = g.source.size
+        step = (((np.arange(pre)[:, None] * n + g.source)[:, :, None] * post
+                 + np.arange(post)).reshape(-1))
+        source = source[step]
+        if c is not None:
+            c = c[step]
+        if g.coefficients is not None:
+            spread = np.broadcast_to(g.coefficients.reshape(1, n, 1), (pre, n, post)).reshape(-1)
+            c = spread.copy() if c is None else c * spread
+    return Gather(source, None if c is None else c[:, None])
 
 
 def _step(a: Gather | np.ndarray, x: np.ndarray, pre: int) -> np.ndarray:
@@ -393,13 +421,16 @@ class PlannedWord:
     A step ``(op, start)`` acts on the legs ``start ..`` (1-based) of the
     context as the earlier steps left it, the first step first.
     Construction places every step, the only call of :func:`_placed`, and
-    keeps its (pre, post) dims and its action: a permutation with phases
+    keeps its (pre, post) dims and its action: a monomial
     (:attr:`LegOperator.gather`, every :class:`Crossing` and each dense
-    signed permutation), which acts by a gather, any other matrix, which
-    acts by one matmul, or the slot.
+    matrix with one nonzero in each row and column), which acts by a gather,
+    any other matrix, which acts by one matmul, or the slot.
     The steps whose factor is ``slot`` take a new matrix on every
     :meth:`forward`.  ``codomain`` is the legs the product ends on, and
-    ``rows`` the most rows the context or any step reaches.
+    ``rows`` the most rows the context or any step reaches.  ``gather`` is
+    the whole product as one :class:`Gather` when there is no slot and every
+    step is a gather (:func:`_word_gather`, composed here once), else None;
+    :func:`distance` reads it in closed form.
 
     :meth:`columns` gives a range of the product's columns, begun as the
     first step's padded columns (written once by :func:`_scatter`, never
@@ -422,6 +453,8 @@ class PlannedWord:
             self.rows = max(self.rows, total_dim(legs))
         self.codomain = legs
         self._shape = total_dim(legs), self._cols
+        self.gather = (_word_gather(self._plan, self._cols) if slot is None
+                       and all(isinstance(a, Gather) for *_, a in self._plan) else None)
         # the matrix that the first step's padded columns hold (None for the slot)
         self._first = steps[0][0].matrix if steps and steps[0][0] is not slot else None
         if slot is not None:    # forward's padding of every column, pullback's identity
@@ -476,8 +509,8 @@ class PlannedWord:
         <P, dW> = <G_j, d(f)> (Hilbert-Schmidt) with G_j the partial trace of
         After* P Before* over the legs f does not touch.  Before is the
         prefix ahead of step j; After* P runs the adjoint steps backward, each
-        fixed step's adjoint built on the first pullback: a gather's inverse
-        gather, or a matrix's conjugate transpose.
+        fixed step's adjoint built on the first pullback: a gather's
+        :meth:`Gather.adjoint`, or a matrix's conjugate transpose.
         """
         if cotangent.shape != self._shape:
             raise LegError(f"a cotangent of shape {cotangent.shape} does not match the "
@@ -512,11 +545,13 @@ def distance(lhs: Sequence[Step] | PlannedWord, rhs: Sequence[Step] | PlannedWor
     """Hilbert-Schmidt norm of the difference of two step products on the same context.
 
     Neither product is formed whole.  Both words are placed once (a side
-    given as a :class:`PlannedWord` already is) and run over consecutive
-    blocks of domain columns, as many as fit in :data:`_BLOCK_BYTES` (one at
-    least), each block by :meth:`PlannedWord.columns`.  The squared norms of
-    the blocks' differences add up, so memory is one block per side, not a
-    product.
+    given as a :class:`PlannedWord` already is).  When both are gathers
+    (:attr:`PlannedWord.gather`, words of monomials alone) the norm is
+    closed-form, by :func:`_gather_distance`, in O(rows).  Otherwise both
+    run over consecutive blocks of domain columns, as many as fit in
+    :data:`_BLOCK_BYTES` (one at least), each block by
+    :meth:`PlannedWord.columns`.  The squared norms of the blocks'
+    differences add up, so memory is one block per side, not a product.
     """
     left, right = (side if isinstance(side, PlannedWord) else PlannedWord(side, context)
                    for side in (lhs, rhs))
@@ -526,6 +561,8 @@ def distance(lhs: Sequence[Step] | PlannedWord, rhs: Sequence[Step] | PlannedWor
         raise LegError(
             f"the two products end on different legs, {[s.id for s in left.codomain]} "
             f"and {[s.id for s in right.codomain]}")
+    if left.gather is not None and right.gather is not None:
+        return _gather_distance(left.gather, right.gather)
     cols = total_dim(left.domain)
     width = max(1, _BLOCK_BYTES // (16 * max(left.rows, right.rows)))
     squares = 0.0
@@ -536,6 +573,18 @@ def distance(lhs: Sequence[Step] | PlannedWord, rhs: Sequence[Step] | PlannedWor
         diff -= right.columns(lo, hi)
         squares += np.vdot(diff, diff).real
     return float(np.sqrt(squares))
+
+
+def _gather_distance(a: Gather, b: Gather) -> float:
+    """The Hilbert-Schmidt norm of a - b for two gathers on the same rows:
+    row r of a - b holds ca_r - cb_r where both read the same column, and
+    ca_r and -cb_r in two columns where they do not.  No column is formed;
+    a non-finite entry gives a non-finite norm."""
+    ca, cb = (np.ones(g.source.size) if g.coefficients is None else g.coefficients[:, 0]
+              for g in (a, b))
+    same = a.source == b.source
+    terms = (ca[same] - cb[same], ca[~same], cb[~same])
+    return float(np.sqrt(sum(np.sum(t.real ** 2 + t.imag ** 2) for t in terms)))
 
 
 def _route_providers(braiding, route: str):

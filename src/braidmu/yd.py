@@ -4,9 +4,10 @@ derived braiding on the module category.
 Diagram transcriptions follow one fixed routing convention (documented at
 each residual); the trivial and finite-group instances pin them down in the
 test suite.  Each residual is the :func:`braidmu.tensor.distance` of its two
-words on three legs, streamed over column blocks, so no side is formed as an
-n^3 x n^3 matrix; so is the pairing, the streamed
-:func:`braidmu.tensor.extract_distant` of the steps of U*12 V23 U12 V*23.
+words on three legs, streamed over column blocks (closed-form for words of
+monomials), so no side is formed as an n^3 x n^3 matrix; so is the pairing,
+the streamed :func:`braidmu.tensor.extract_distant` of the steps of
+U*12 V23 U12 V*23.
 """
 
 from __future__ import annotations

@@ -587,59 +587,73 @@ def run_once(op):
 
 
 def test_explicit_crossings_take_the_gather_or_the_gemm_path(monkeypatch):
-    """A Yetter-Drinfeld table and its inverse are dense operators, which take
-    the matmul; a table entry copied from a flip is a permutation matrix,
-    which takes the gather it is read as; a flip crossing takes its own
-    gather."""
+    """A Yetter-Drinfeld table entry and its inverses are phase monomials, and
+    a table entry copied from a flip a permutation matrix: each is a dense
+    operator that takes the gather it is read as.  A flip crossing takes its
+    own gather, and a dense table entry the matmul."""
     provider, p, q = routing_category("yd")
     table = bm.ExplicitBraiding()
     table.register(bm.FlipBraiding().braid(p, q))
+    table.register(leg_op(random_unitary(6, 78), [q, p], [p, q]))
     seen = spy_gathers(monkeypatch)
     yd = [provider.braid(p, q), provider.braid_inverse(q, p), provider.inverse().braid(p, q)]
     copied = [table.braid(p, q), table.braid_inverse(p, q)]
-    for c in yd:
+    for c in (*yd, *copied):
         assert not isinstance(c, bm.Crossing)
         run_once(c)
-    assert seen == []
-    for c in copied:
-        assert not isinstance(c, bm.Crossing)
-        run_once(c)
-    assert seen == [c.gather for c in copied]
+    assert seen == [c.gather for c in (*yd, *copied)] and None not in seen
+    assert all(c.gather.coefficients is not None for c in yd)
+    dense = table.braid(q, p)
+    run_once(dense)
+    assert dense.gather is None and len(seen) == 5
     flip = bm.FlipBraiding().braid(p, q)
     bm.apply_on_legs(flip, np.eye(p.dim * q.dim, dtype=complex), (p, q), 1)
-    assert seen == [*(c.gather for c in copied), flip.gather]
+    assert seen[5:] == [flip.gather]
 
 
-def test_only_exact_signed_permutations_take_the_gather(monkeypatch):
-    """Phase monomials, dense unitaries, a near-permutation and an isometry
-    take the matmul; flip and phase crossings their own gathers; the
-    Kac-Takesaki W and the corepresentation U of a Yetter-Drinfeld module
-    the gather they are read as."""
+def test_only_monomials_take_the_gather(monkeypatch):
+    """A square matrix with one nonzero in each row and column takes the
+    gather it is read as, whatever its entries: a Z3 phase monomial, the
+    diagonal phase rep V of a Z5 module, a Yetter-Drinfeld table, a
+    near-permutation with an entry 1 - 2^-53, the Kac-Takesaki W and the
+    corepresentation U of the module.  A dense unitary, an isometry and a
+    matrix with two nonzeros in one row take the matmul; flip and phase
+    crossings their own gathers."""
     omega = np.exp(2j * np.pi / 3)
     perm3 = np.eye(3)[[2, 0, 1]]
     near = np.eye(4)[[1, 0, 3, 2]].astype(complex)
     near[2, 3] = 1 - 2.0 ** -53
+    # three nonzeros, and each row's first nonzero in another column, but
+    # row 0 is empty and row 1 holds two
+    two_in_a_row = np.array([[0, 0, 0], [0, 1, 1], [0, 0, 1]], dtype=complex)
     module, mu = zn_module(5, 1)
     provider, p, q = routing_category("yd")
-    matmul = [leg_op(np.diag(omega ** np.arange(3)) @ perm3, [L3]),      # a Z3 phase monomial
-              module.rep,                                              # diag phases of Z5
-              provider.braid(p, q),                                    # a YD table
-              leg_op(random_unitary(4, 5), [L2, L2]),
-              leg_op(near, [L2, L2]),
-              leg_op(np.eye(3)[:, :2], [L2], [L3])]                    # an isometry
+    monomials = [leg_op(np.diag(omega ** np.arange(3)) @ perm3, [L3]),   # a Z3 phase monomial
+                 module.rep,                                           # diag phases of Z5
+                 provider.braid(p, q),                                 # a YD table
+                 leg_op(near, [L2, L2]),
+                 mu.op, module.corep]
+    matmul = [leg_op(random_unitary(4, 5), [L2, L2]),
+              leg_op(np.eye(3)[:, :2], [L2], [L3]),                     # an isometry
+              leg_op(two_in_a_row, [L3])]
     seen = spy_gathers(monkeypatch)
     for op in matmul:
         assert op.gather is None
         run_once(op)
     assert seen == []
+    for op in monomials:
+        run_once(op)
+    assert seen == [op.gather for op in monomials] and None not in seen
+    # each coefficient is the entry it was read from
+    for op in monomials:
+        g = op.gather
+        want = op.matrix[np.arange(g.source.size), g.source]
+        np.testing.assert_array_equal(want, 1 if g.coefficients is None else g.coefficients[:, 0])
+    assert monomials[3].gather.coefficients[2, 0] == 1 - 2.0 ** -53
     crossings = [bm.FlipBraiding().braid(L2, L3), bm.PhaseBraiding(3).braid(p, q)]
     for c in crossings:
         run_once(c)
-    assert seen == [c.gather for c in crossings]
-    for op in (mu.op, module.corep):
-        run_once(op)
-    assert seen[2:] == [mu.op.gather, module.corep.gather]
-    assert all(g is not None for g in seen)
+    assert seen[len(monomials):] == [c.gather for c in crossings]
 
 
 def bits(a: np.ndarray) -> bytes:
@@ -654,9 +668,8 @@ def test_a_crossing_runs_as_its_own_gather(monkeypatch, kind, dims):
     values are the axis swap's bit for bit, its adjoint crossing's gather is
     its gather's adjoint, and its dense matrix is never inspected."""
     inspected = []
-    real = tensor_module._signed_permutation
-    monkeypatch.setattr(tensor_module, "_signed_permutation",
-                        lambda m: inspected.append(m) or real(m))
+    real = tensor_module._monomial
+    monkeypatch.setattr(tensor_module, "_monomial", lambda m: inspected.append(m) or real(m))
     h, k = dims
     a, b = Space("A", h, tuple(range(1, h + 1))), Space("B", k, tuple(range(2, k + 2)))
     context = (Space("P", 2, (0, 1)), a, b, Space("Q", 3, (0, 1, 2)))
@@ -684,9 +697,8 @@ def test_an_operator_is_inspected_once(monkeypatch):
     """The gather is found once per operator: a second word over the same
     operator, and its pullback, inspect nothing."""
     calls = []
-    real = tensor_module._signed_permutation
-    monkeypatch.setattr(tensor_module, "_signed_permutation",
-                        lambda m: calls.append(m) or real(m))
+    real = tensor_module._monomial
+    monkeypatch.setattr(tensor_module, "_monomial", lambda m: calls.append(m) or real(m))
     w = leg_op(W_Z2, [L2, L2])
     f = leg_op(random_unitary(2, 7), [L2])
     context = (L2, L2, L2)
@@ -696,14 +708,14 @@ def test_an_operator_is_inspected_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is w.matrix
     assert w.gather is not None and f.gather is None
     # only the cached property inspects a matrix, and only a step gathers
-    assert references("_signed_permutation") == [("tensor", "LegOperator.gather")]
+    assert references("_monomial") == [("tensor", "LegOperator.gather")]
     assert references("_gather") == [("tensor", "_step")]
 
 
 @contextlib.contextmanager
 def matmul_only():
     """Operators first placed inside take the matmul, as before gathers."""
-    with mock.patch.object(tensor_module, "_signed_permutation", lambda m: None):
+    with mock.patch.object(tensor_module, "_monomial", lambda m: None):
         yield
 
 
@@ -725,9 +737,10 @@ def signed_permutation(rng, n, identity):
 def test_gathers_equal_the_matmul(pre_dims, dom_dims, post_dims, cod_split, identity, cols,
                                   seed):
     """run, columns, forward and pullback of words whose fixed steps are
-    signed permutations, onto codomain legs other than their domain legs and
-    back, equal the same words run by matmul exactly (assert_array_equal,
-    which takes -0.0 for 0.0), and are complex as the matmul's are."""
+    signed permutations (entries 1, -1, i or -i), onto codomain legs other
+    than their domain legs and back, equal the same words run by matmul
+    exactly (assert_array_equal, which takes -0.0 for 0.0), and are complex
+    as the matmul's are."""
     rng = np.random.default_rng(seed)
     pre = tuple(Space(f"p{j}", d) for j, d in enumerate(pre_dims))
     dom = tuple(Space(f"d{j}", d) for j, d in enumerate(dom_dims))
@@ -763,6 +776,63 @@ def test_gathers_equal_the_matmul(pre_dims, dom_dims, post_dims, cod_split, iden
     for got, want in pairs:
         assert got.dtype == want.dtype == complex
         np.testing.assert_array_equal(got, want)
+
+
+EPS = np.finfo(float).eps / 2          # the unit roundoff u
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), the bound of k roundings."""
+    return k * EPS / (1 - k * EPS)
+
+
+def monomial_matrix(rng, n, values):
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(n), rng.permutation(n)] = values
+    return m
+
+
+def general_values(rng, n):
+    """Nonzero complex values of moduli from e^-3 to e^3."""
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(rng.uniform(-3, 3, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre_dims=st.lists(st.integers(1, 3), max_size=2),
+       dom_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       post_dims=st.lists(st.integers(1, 3), max_size=2), cols=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_gathers_of_any_entries_match_the_matmul(pre_dims, dom_dims, post_dims, cols, seed):
+    """run and columns of a word of two monomials with general nonzero
+    complex entries agree with the same word run by matmul to the rounding of
+    their complex products, where the bits may differ: numpy's product and
+    BLAS's each err by at most sqrt(2) gamma_2 |c||x| (Higham, Lemma 3.5),
+    so one product step differs by 2 sqrt(2) gamma_2 |c||x| per entry, and
+    k chained steps by 2 ((1 + sqrt(2) gamma_2)^k - 1) |c||x|."""
+    rng = np.random.default_rng(seed)
+    pre, dom, post = ([Space(f"{tag}{j}", d) for j, d in enumerate(dims)]
+                      for tag, dims in (("p", pre_dims), ("d", dom_dims), ("q", post_dims)))
+    context, start, n = (*pre, *dom, *post), len(pre) + 1, total_dim(dom)
+    matrices = [monomial_matrix(rng, n, general_values(rng, n)) for _ in range(2)]
+
+    def word(ms):
+        return PlannedWord([(leg_op(ms[0], dom), start), (leg_op(ms[1], dom), start)], context)
+
+    fixed = word(matrices)
+    with matmul_only():
+        fixed_mm = word(matrices)
+    size = word([np.abs(m) for m in matrices])      # |c| along each entry's path
+    assert fixed.gather is not None and fixed_mm.gather is None
+    big = total_dim(context)
+    x = rng.normal(size=(big, cols)) + 1j * rng.normal(size=(big, cols))
+    step = 2 ** 0.5 * gamma(2)
+    lo = big // 2
+    # run multiplies twice; columns scatter the first step's entries, exactly
+    for got, want, bound, products in [
+            (fixed.run(x), fixed_mm.run(x), size.run(np.abs(x)), 2),
+            (fixed.columns(lo, big), fixed_mm.columns(lo, big), size.columns(lo, big), 1)]:
+        assert got.dtype == want.dtype == complex
+        assert np.all(np.abs(got - want) <= 2 * ((1 + step) ** products - 1) * bound)
 
 
 # ---------------------------------------------------------------- reverse mode
@@ -993,6 +1063,157 @@ def test_distance_rejects_words_that_end_on_different_legs():
     x = leg_op(random_unitary(6, 77), [a, b])
     with pytest.raises(LegError, match="end on different legs"):
         distance([(cab, 1)], [(x, 1)], (a, b))
+
+
+TWELFTH_ROOTS = np.exp(2j * np.pi * np.arange(12) / 12)
+
+
+def monomial_values(rng, family, n):
+    """n monomial entries: units, 12th roots of unity or general values."""
+    if family == "units":
+        return rng.choice(np.array([1, -1, 1j, -1j]), n)
+    if family == "12th roots":
+        return TWELFTH_ROOTS[rng.integers(0, 12, n)]
+    return general_values(rng, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       family=st.sampled_from(["units", "12th roots", "general"]),
+       tail=st.sampled_from(["endomorphism", "round trip", "none"]),
+       swap=st.booleans(), data=st.data())
+def test_the_closed_form_distance_matches_the_dense_oracle(dims, family, tail, swap, data):
+    """Words of monomials, flip and phase crossings (and their inverses) on
+    graded legs of unequal dimensions, the empty word among them: the right
+    word is the left one with nothing, a step and its inverse (an equal
+    product), or one more monomial (an unequal one) inserted.  Both words
+    are gathers, and their closed-form distance is the norm of the two
+    products formed whole.
+
+    Each entry of a word of s steps is a chain of s - 1 complex products, the
+    earlier steps' value times the step's, on both paths; numpy may round
+    each product differently in the composition and in the runner's blocks,
+    by sqrt(2) gamma_2 (Higham, Lemma 3.5) each, so the two sides' entries
+    differ by at most e_s = 2 ((1 + sqrt(2) gamma_2)^(s - 1) - 1) relative,
+    p = e_s ||lhs|| + e_t ||rhs|| in norm.  The closed form's terms are the
+    oracle's nonzero differences, and the two sum at most 4 rows real
+    squares and take a square root: gamma_(4 rows + 2) relative."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    context = tuple(Space(f"S{i}", d, tuple(range(d))) for i, d in enumerate(dims))
+
+    def monomial(legs, start):
+        dom = legs[start - 1:start - 1 + data.draw(st.integers(1, min(2, len(legs) - start + 1)))]
+        n = total_dim(dom)
+        return leg_op(monomial_matrix(rng, n, monomial_values(rng, family, n)), dom)
+
+    def step(legs):
+        kinds = ["monomial", "flip", "phase"] if len(legs) > 1 else ["monomial"]
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "monomial":
+            start = data.draw(st.integers(1, len(legs)))
+            return monomial(legs, start), start
+        start = data.draw(st.integers(1, len(legs) - 1))
+        provider = crossing_provider(kind if data.draw(st.booleans()) else f"{kind} inverse")
+        return provider.braid(legs[start - 1], legs[start]), start
+
+    lhs, legs, at_legs = [], context, []
+    for _ in range(data.draw(st.integers(0, 4))):
+        at_legs.append(legs)
+        op, start = step(legs)
+        lhs.append((op, start))
+        legs = legs_after(op, legs, start)
+    at_legs.append(legs)
+    at = data.draw(st.integers(0, len(lhs)))
+    inserted = []
+    if tail == "round trip":
+        op, start = step(at_legs[at])
+        if isinstance(op, bm.Crossing):
+            back = op.adjoint()
+        else:
+            inverse = np.linalg.inv(op.matrix)     # a monomial: the reciprocal entries
+            assert np.count_nonzero(inverse) == inverse.shape[0]
+            back = leg_op(inverse, op.domain)
+        inserted = [(op, start), (back, start)]
+    elif tail == "endomorphism":
+        start = data.draw(st.integers(1, len(at_legs[at])))
+        inserted = [(monomial(at_legs[at], start), start)]
+    rhs = [*lhs[:at], *inserted, *lhs[at:]]
+    if swap:
+        lhs, rhs = rhs, lhs
+    left, right = PlannedWord(lhs, context), PlannedWord(rhs, context)
+    assert left.gather is not None and right.gather is not None
+    want = dense_distance(lhs, rhs, context)
+    got = distance(left, right, context)
+    products = sum(2 * ((1 + 2 ** 0.5 * gamma(2)) ** max(len(steps) - 1, 0) - 1)
+                   * np.linalg.norm(leg_product(steps, context).matrix) for steps in (lhs, rhs))
+    sums = gamma(4 * total_dim(context) + 2)
+    assert abs(got - want) <= sums * (want + products) + products
+
+
+def test_monomial_words_take_the_closed_form(monkeypatch, tmp_path, capsys):
+    """The Kac-Takesaki Z3 Pentagon residual and routing agreement, and eval
+    of pentagon.stmt on a Z5 module bundle, run no column block and no
+    gather step: every word is one gather, composed when it is placed, and
+    its distance is closed-form.  A dense F, a gauge conjugate of KT Z3,
+    still runs blocks.  Two words placed once compose nothing more when
+    their distance is taken again."""
+    import importlib.resources as resources
+
+    from conftest import gauge_conjugate
+    from braidmu.cli import main
+
+    blocks, composed = [], []
+    seen = spy_gathers(monkeypatch)
+    real_columns, real_compose = PlannedWord.columns, tensor_module._word_gather
+    monkeypatch.setattr(PlannedWord, "columns",
+                        lambda self, lo, hi: blocks.append(lo) or real_columns(self, lo, hi))
+    monkeypatch.setattr(tensor_module, "_word_gather",
+                        lambda *args: composed.append(args) or real_compose(*args))
+    kt = bm.kac_takesaki(bm.cyclic(3))
+    assert bm.pentagon_residual(kt) == 0.0 and bm.multunitary.routing_agreement(kt) == 0.0
+    module, mu = zn_module(5, 1)
+    bundle = bm.Bundle()
+    bundle.spaces.update({mu.space.id: mu.space, module.space.id: module.space})
+    bundle.operators.update(W=mu.op, U=module.corep, V=module.rep)
+    bundle.groups["Z5"] = bm.cyclic(5)
+    bm.save_bundle(bundle, str(tmp_path / "z5.json"))
+    stmt = resources.files("braidmu") / "corpus" / "pentagon.stmt"
+    assert main(["eval", str(stmt), str(tmp_path / "z5.json")]) == 0
+    assert "[pass]" in capsys.readouterr().out
+    assert blocks == [] and seen == [] and composed
+    assert bm.pentagon_residual(gauge_conjugate(kt, 5)) < 1e-12
+    assert blocks
+    c = bm.FlipBraiding().braid(kt.space, kt.space)
+    legs, *words = bm.multunitary.pentagon_words(kt.op, c, c)
+    left, right = (PlannedWord(steps, legs) for steps in words)
+    composed.clear()
+    assert distance(left, right, legs) == distance(left, right, legs) == 0.0
+    assert composed == []
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_monomial_entry_fails_the_pentagon(entry):
+    """A Python-built Kac-Takesaki Z3 with one entry NaN or infinite is still
+    a monomial, and so a gather; its Pentagon residual is non-finite in
+    closed form (the flip) and over blocks (a dense explicit braiding), and
+    the Pentagon record fails."""
+    kt = bm.kac_takesaki(bm.cyclic(3))
+    m = kt.matrix.copy()
+    m[4, np.flatnonzero(m[4])[0]] = entry
+    op = LegOperator(kt.op.signature, m)
+    assert op.gather is not None
+    table = bm.ExplicitBraiding()
+    table.register(leg_op(random_unitary(9, 79), [kt.space] * 2))
+    for braiding, closed in ((kt.braiding, True), (table, False)):
+        c = braiding.braid(kt.space, kt.space)
+        legs, *words = bm.multunitary.pentagon_words(
+            op, c, braiding.braid_inverse(kt.space, kt.space))
+        with np.errstate(invalid="ignore", over="ignore"):      # inf - inf, inf * 0
+            assert all(PlannedWord(w, legs).gather is not None for w in words) == closed
+            residual = bm.pentagon_residual(bm.MultUnitary(kt.space, op, braiding))
+        assert not np.isfinite(residual)
+        record = bm.multunitary.check_record("pentagon", "residual", residual, 1e-9)
+        assert record["pass"] is False and record["nonfinite"] in ("nan", "inf")
 
 
 # ---------------------------------------------------------------- invariants
