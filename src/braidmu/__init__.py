@@ -7,9 +7,9 @@ and a small leg-notation language.
 
 __version__ = "0.1.0"
 
-from .tensor import (Crossing, LegError, LegOperator, LegSignature, Space, Vector, adjoint,
-                     apply_distant, apply_on_legs, compose, crossing, embed_adjacent,
-                     extract_distant, identity, is_unitary, tensor_space)
+from .tensor import (LegError, LegOperator, LegSignature, Space, Vector, adjoint, apply_distant,
+                     apply_on_legs, compose, crossing, embed_adjacent, extract_distant,
+                     identity, is_unitary, tensor_space)
 from .braiding import (BraidingProvider, BraidingRegularityReport, ExplicitBraiding,
                        FlipBraiding, InverseBraiding, PhaseBraiding, UnsupportedPairError,
                        braiding_regularity, check_hexagons, check_naturality)

@@ -1,12 +1,15 @@
 """Braiding providers for concrete categories, plus axiom and regularity checks.
 
 A provider assigns to every supported ordered pair of spaces (H, K) a unitary
-c_{H,K}: H (x) K -> K (x) H.  The flip and phase braidings, and their
-inverse providers, return :class:`~braidmu.tensor.Crossing` values: a
-permutation with phases, which the leg calculus applies as a gather built
-from its phase table; explicit tables stay dense.  A braiding of leg blocks
-is the list of adjacent crossings of :func:`braid_steps`, multiplied by
-:func:`braidmu.tensor.leg_product`.
+c_{H,K}: H (x) K -> K (x) H, and its inverse c_{H,K}^{-1}: each provider
+owns that inverse.  The flip and phase braidings return
+:func:`~braidmu.tensor.crossing` values, permutations with phases, and
+invert them in closed form: swap back and conjugate the phases.  The
+inverse provider's inverse is its base braiding itself; only an explicit
+table is inverted numerically.  Any monomial, a crossing or an explicit
+table alike, is applied by the leg calculus as a gather.  A braiding of
+leg blocks is the list of adjacent crossings of :func:`braid_steps`,
+multiplied by :func:`braidmu.tensor.leg_product`.
 Hexagon checks compare the provider's braiding of a genuine tensor-product
 space against that product, so they are non-vacuous for every provider kind.
 """
@@ -18,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tensor import (Crossing, LegError, LegOperator, LegSignature, Space, Step, crossing,
-                     distance, leg_product, tensor_space)
+from .tensor import (LegError, LegOperator, LegSignature, Space, Step, crossing, distance,
+                     leg_product, tensor_space)
 from . import spans
 
 __all__ = [
@@ -43,15 +46,11 @@ class BraidingProvider:
         raise NotImplementedError
 
     def braid_inverse(self, h: Space, k: Space) -> LegOperator:
-        """c_{H,K}^{-1}: K (x) H -> H (x) K.
-
-        A :class:`~braidmu.tensor.Crossing` is inverted in closed form (swap
-        back, conjugate the phases); any other braiding by ``np.linalg.inv``,
-        and a singular one raises :class:`~braidmu.tensor.LegError`.
+        """c_{H,K}^{-1}: K (x) H -> H (x) K, by ``np.linalg.inv``; a singular
+        braiding raises :class:`~braidmu.tensor.LegError`.  Providers that
+        know their inverse in closed form override this.
         """
         c = self.braid(h, k)
-        if isinstance(c, Crossing):
-            return c.adjoint()
         try:
             inverse = np.linalg.inv(c.matrix)
         except np.linalg.LinAlgError:
@@ -68,8 +67,11 @@ class FlipBraiding(BraidingProvider):
 
     kind = "flip"
 
-    def braid(self, h: Space, k: Space) -> Crossing:
+    def braid(self, h: Space, k: Space) -> LegOperator:
         return crossing(h, k)
+
+    def braid_inverse(self, h: Space, k: Space) -> LegOperator:
+        return crossing(k, h)
 
     def supports(self, h: Space, k: Space) -> bool:
         return True
@@ -90,12 +92,19 @@ class PhaseBraiding(BraidingProvider):
         self.modulus = int(modulus)
         self.q = np.exp(2j * np.pi / self.modulus)
 
-    def braid(self, h: Space, k: Space) -> Crossing:
+    def _phases(self, h: Space, k: Space) -> np.ndarray:
+        """The table q^(deg h * deg k) of c_{H,K}."""
         if not self.supports(h, k):
             raise UnsupportedPairError(f"phase braiding needs gradings on ({h.id}, {k.id})")
         m = self.modulus
-        phases = np.array([[self.q ** ((dh * dk) % m) for dk in k.grading] for dh in h.grading])
-        return crossing(h, k, phases)
+        return np.array([[self.q ** ((dh * dk) % m) for dk in k.grading] for dh in h.grading])
+
+    def braid(self, h: Space, k: Space) -> LegOperator:
+        return crossing(h, k, self._phases(h, k))
+
+    def braid_inverse(self, h: Space, k: Space) -> LegOperator:
+        """Swap back and conjugate the phases: c_{H,K}^{-1} = c_{H,K}*."""
+        return crossing(k, h, self._phases(h, k).conj().T)
 
     def supports(self, h: Space, k: Space) -> bool:
         return h.grading is not None and k.grading is not None
@@ -116,9 +125,6 @@ class ExplicitBraiding(BraidingProvider):
         if op.codomain != (k, h):
             raise ValueError(f"braiding entry for ({h.id}, {k.id}) must have codomain "
                              f"({k.id}, {h.id})")
-        if isinstance(op, Crossing):
-            # a table holds dense matrices, even one taken from a flip or phase braiding
-            op = LegOperator(op.signature, op.matrix)
         self._table[(h.id, k.id)] = op
 
     def braid(self, h: Space, k: Space) -> LegOperator:
@@ -144,6 +150,10 @@ class InverseBraiding(BraidingProvider):
 
     def braid(self, h: Space, k: Space) -> LegOperator:
         return self.base.braid_inverse(k, h)
+
+    def braid_inverse(self, h: Space, k: Space) -> LegOperator:
+        """The base braiding c_{K,H} itself, never inverted twice."""
+        return self.base.braid(k, h)
 
     def supports(self, h: Space, k: Space) -> bool:
         return self.base.supports(k, h)

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import (_BLOCK_BYTES, Crossing, LegError, LegOperator, LegSignature, PlannedWord,
-                     Space, adjoint, compose, leg_product, total_dim)
+from .tensor import (_BLOCK_BYTES, LegError, LegOperator, LegSignature, PlannedWord, Space,
+                     adjoint, compose, leg_product, total_dim)
 
 __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
@@ -511,28 +511,32 @@ class CrossedProductExtension:
     either, only the steps of its injection: the block crossings, the mapped
     factor and the back crossings, the crossings shared by every k.
 
-    When every crossing is a :class:`~braidmu.tensor.Crossing` (flip and
-    phase braidings), both runs of crossings compile, when the extension is
-    built, into one gather.  Line j of T_k (a row, or a column pad first)
-    then holds the factor column f_j of the mapped factor, times phases, at
-    the image row img_j of the pad legs and one position per factor row on
-    the other legs.  :meth:`apply` contracts each line over the factor index
-    k alone, with row img_j of every R_k: O(n^8) on three legs of
-    dimension n, where the dense factor block took O(n^9).  It builds those
-    rows of R_k for the image rows its lines read, so memory stays one block;
-    the extension keeps no row between calls, and the walk of
+    When every crossing is a monomial (its
+    :attr:`~braidmu.tensor.LegOperator.gather`: a flip or phase crossing,
+    or an explicit table such as a Yetter-Drinfeld braiding or a written-out
+    flip), both runs of crossings compile, when the extension is built, into
+    one gather, unless a line's image row would depend on the factor row.
+    Line j of T_k (a row, or a column pad first) then holds the factor
+    column f_j of the mapped factor, times the crossings' entries, at the
+    image row img_j of the pad legs and one position per factor row on the
+    other legs.  :meth:`apply` contracts each line over the factor index k
+    alone, with row img_j of every R_k: O(n^8) on three legs of dimension
+    n, where the dense factor block took O(n^9).  It builds those rows of
+    R_k for the image rows its lines read, so memory stays one block; the
+    extension keeps no row between calls, and the walk of
     :func:`compare_extensions` hands each block's last row to the next.
 
-    An explicit (dense) crossing keeps the GEMM path: the leading crossings
-    are placed on the target legs and the trailing ones on the factor leg and
-    the legs the leading ones leave, each as a
-    :class:`~braidmu.tensor.PlannedWord`.  :meth:`_factor_lines` builds the
-    rows of every T_k that a block of target rows needs (columns, pad first)
-    from the leading word's columns, every mapped factor on them by one
-    GEMM and the trailing word run on the result, and one GEMM with the
-    stacked folded pads maps both decompositions of every element.  A
-    pad-side conjugation comes out of the sum there: the GEMM runs on
-    T_k (1 (x) V) and its output is multiplied by 1 (x) V*.
+    Any other extension keeps the GEMM path, the reference that the gather
+    is tested against: the leading crossings are placed on the target legs
+    and the trailing ones on the factor leg and the legs the leading ones
+    leave, each as a :class:`~braidmu.tensor.PlannedWord`.
+    :meth:`_factor_lines` builds the rows of every T_k that a block of
+    target rows needs (columns, pad first) from the leading word's columns,
+    every mapped factor on them by one GEMM and the trailing word run on
+    the result, and one GEMM with the stacked folded pads maps both
+    decompositions of every element.  A pad-side conjugation comes out of
+    the sum there: the GEMM runs on T_k (1 (x) V) and its output is
+    multiplied by 1 (x) V*.
     """
 
     def __init__(self, cp: CrossedProduct, f: Conjugation | None, g: Conjugation | None):
@@ -554,8 +558,7 @@ class CrossedProductExtension:
                              for steps in (after, before))
         self._before = PlannedWord(before, self.target_domain)
         self._pre = total_dim(self._before.codomain[:start - 1])
-        self._gathered = (all(isinstance(op, Crossing) for op, _ in (*before, *after))
-                          and self._compile_gather(after, factors, pad_map, cp.padded.domain))
+        self._gathered = self._compile_gather(after, factors, pad_map, cp.padded.domain)
         if self._gathered:
             return
         self._factors = np.concatenate([x.matrix if self._pad_first else adjoint(x).matrix
@@ -571,8 +574,11 @@ class CrossedProductExtension:
     def _compile_gather(self, after: Sequence, factors: Sequence[LegOperator],
                         pad_map: Conjugation | None, pad_legs: tuple[Space, ...]) -> bool:
         """Compile the crossings around the factors into the gather of
-        :meth:`_gather_lines`; False, and nothing kept, when a line's image
-        row would depend on the factor row."""
+        :meth:`_gather_lines`; False, and nothing kept, when a crossing is no
+        monomial or a line's image row would depend on the factor row."""
+        trailing = PlannedWord(after, self._before.codomain)
+        if self._before.gather is None or trailing.gather is None:
+            return False
         dim, rc, fd = self._dim, self._rc, total_dim(factors[0].domain)
         v = _pad_isometry(pad_map, pad_legs, False) if pad_map is not None else None
         image = v.shape[0] if v is not None else self._p
@@ -582,7 +588,7 @@ class CrossedProductExtension:
         ahead, col, behind = np.unravel_index(into, (self._pre, fd, dim // (self._pre * fd)))
         # factor row c of line j leaves at out(a_j, c, r_j) of the target,
         # with phase psi; the rest of out is the image row
-        out, psi = _landing(PlannedWord(after, self._before.codomain))
+        out, psi = _landing(trailing)
         image_of = (out % image if not self._pad_first else out // fd).reshape(self._pre, fd, -1)
         if dim != fd * image or np.any(image_of != image_of[:, :1]):
             return False

@@ -8,11 +8,11 @@ exactly ``numpy.kron``.
 A factor on a few legs of a longer context acts matrix-free: one reshape
 and one matmul left-multiply by 1 (x) op (x) 1, and the padded matrix is
 never formed.  A monomial, a matrix with one nonzero entry of any value in
-each row and column, acts with no matmul at all, as a :class:`Gather` of
-the rows it selects times its entries: a :class:`Crossing` (a flip or phase
-braiding) from its phase table, and any dense monomial, such as a
-Kac-Takesaki unitary, a module's diagonal phase representation or a
-Yetter-Drinfeld table, as it is read once.  Other matrices keep the
+each row and column, acts with no matmul at all, as the :class:`Gather` of
+the rows it selects times its entries, read from its matrix once
+(:attr:`LegOperator.gather`): a :func:`crossing` (a flip or phase
+braiding), a Kac-Takesaki unitary, a module's diagonal phase
+representation or a Yetter-Drinfeld table alike.  Other matrices keep the
 matmul, so a step is a gather or a matmul.  A leg-notation product is a
 list of steps ``(op, start)``, and one runner executes every such product:
 a :class:`PlannedWord` places its steps once and then runs only arithmetic.
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "LegError", "Space", "LegSignature", "LegOperator", "Crossing", "crossing", "Vector",
+    "LegError", "Space", "LegSignature", "LegOperator", "crossing", "Vector",
     "Step", "tensor_space", "total_dim", "identity", "compose", "tensor", "adjoint",
     "embed_adjacent", "apply_on_legs", "leg_product", "distance",
     "PlannedWord", "route_steps",
@@ -169,77 +169,33 @@ class LegOperator:
         return LegOperator(sig, self.matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class Crossing(LegOperator):
-    """A crossing H (x) K -> K (x) H that sends e_i (x) e_j to phases[i, j] e_j (x) e_i.
-
-    ``phases`` is the dim H x dim K table of unimodular phases, or None for
-    the flip.  ``matrix`` is the dense value; a step acts by :attr:`gather`,
-    built from the phase table, instead.  Build one with :func:`crossing`.
-    """
-
-    phases: np.ndarray | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.domain) != 2 or self.codomain != self.domain[::-1]:
-            raise LegError("a crossing maps legs (H, K) to (K, H)")
-        if self.phases is not None:
-            p = _shaped(self.phases, *self.domain).copy()
-            if not np.abs(np.abs(p) - 1.0).max() <= 1e-12:    # NaN fails too
-                raise LegError("crossing phases must be finite with modulus one")
-            p.setflags(write=False)
-            object.__setattr__(self, "phases", p)
-
-    def adjoint(self) -> "Crossing":
-        """The adjoint, which is the inverse: swap back and conjugate the phases.
-
-        Built once, as the crossing is immutable; the adjoint's own adjoint
-        is this crossing.
-        """
-        star = self.__dict__.get("_adjoint")
-        if star is None:
-            h, k = self.domain
-            star = crossing(k, h, None if self.phases is None else self.phases.conj().T)
-            object.__setattr__(star, "_adjoint", self)
-            object.__setattr__(self, "_adjoint", star)
-        return star
-
-    @cached_property
-    def gather(self) -> "Gather":
-        """The crossing as a :class:`Gather`, in O(hk) from the phase table:
-        row j*h + i of K (x) H reads row i*k + j of H (x) K times
-        phases[i, j]."""
-        h, k = (s.dim for s in self.domain)
-        source = (np.arange(h) * k + np.arange(k)[:, None]).reshape(-1)
-        return Gather(source, None if self.phases is None else self.phases.T.reshape(-1, 1))
-
-
-def crossing(h: Space, k: Space, phases: np.ndarray | None = None) -> Crossing:
-    """The :class:`Crossing` H (x) K -> K (x) H with the given phase table."""
-    if phases is not None:
-        phases = _shaped(phases, h, k)
+def crossing(h: Space, k: Space, phases: np.ndarray | None = None) -> LegOperator:
+    """The crossing H (x) K -> K (x) H that sends e_i (x) e_j to
+    phases[i, j] e_j (x) e_i: ``phases`` is the dim H x dim K table of
+    unimodular phases, or None for the flip.  A monomial, so a step runs it
+    as its :attr:`~LegOperator.gather`."""
     i, j = np.divmod(np.arange(h.dim * k.dim), k.dim)
+    values = 1.0
+    if phases is not None:
+        p = np.asarray(phases, dtype=complex)
+        if p.shape != (h.dim, k.dim):
+            raise LegError(f"phase table of shape {p.shape} does not match the legs")
+        if not np.abs(np.abs(p) - 1.0).max() <= 1e-12:    # NaN fails too
+            raise LegError("crossing phases must be finite with modulus one")
+        values = p[i, j]
     m = np.zeros((k.dim * h.dim, h.dim * k.dim), dtype=complex)
-    m[j * h.dim + i, i * k.dim + j] = 1.0 if phases is None else phases[i, j]
-    return Crossing(LegSignature((h, k), (k, h)), m, phases)
-
-
-def _shaped(phases, h: Space, k: Space) -> np.ndarray:
-    p = np.asarray(phases, dtype=complex)
-    if p.shape != (h.dim, k.dim):
-        raise LegError(f"phase table of shape {p.shape} does not match the legs")
-    return p
+    m[j * h.dim + i, i * k.dim + j] = values
+    return LegOperator(LegSignature((h, k), (k, h)), m)
 
 
 @dataclass(frozen=True, eq=False)
 class Gather:
     """A monomial matrix m, with m[r, source[r]] = coefficients[r] its one
-    nonzero entry in row r: any nonzero value when read from a dense matrix,
-    a unimodular phase from a :class:`Crossing`'s table.  ``coefficients``
-    is an (n, 1) column, or None when every entry is 1.  It is one of the
-    runner's two step kinds, with the matmul, and a word of gathers alone is
-    one gather too (:attr:`PlannedWord.gather`)."""
+    nonzero entry in row r, of any value (a unimodular phase for a
+    :func:`crossing`).  ``coefficients`` is an (n, 1) column, or None when
+    every entry is 1.  It is one of the runner's two step kinds, with the
+    matmul, and a word of gathers alone is one gather too
+    (:attr:`PlannedWord.gather`)."""
 
     source: np.ndarray
     coefficients: np.ndarray | None
@@ -351,9 +307,7 @@ def tensor(x: LegOperator, y: LegOperator) -> LegOperator:
 
 
 def adjoint(x: LegOperator) -> LegOperator:
-    """The conjugate transpose; a :class:`Crossing` stays a crossing."""
-    if isinstance(x, Crossing):
-        return x.adjoint()
+    """The conjugate transpose."""
     return LegOperator(LegSignature(x.codomain, x.domain), x.matrix.conj().T)
 
 
@@ -422,8 +376,8 @@ class PlannedWord:
     context as the earlier steps left it, the first step first.
     Construction places every step, the only call of :func:`_placed`, and
     keeps its (pre, post) dims and its action: a monomial
-    (:attr:`LegOperator.gather`, every :class:`Crossing` and each dense
-    matrix with one nonzero in each row and column), which acts by a gather,
+    (:attr:`LegOperator.gather`, each matrix with one nonzero in each row
+    and column, every :func:`crossing` among them), which acts by a gather,
     any other matrix, which acts by one matmul, or the slot.
     The steps whose factor is ``slot`` take a new matrix on every
     :meth:`forward`.  ``codomain`` is the legs the product ends on, and

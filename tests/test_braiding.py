@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import braidmu as bm
 from braidmu import LegOperator, LegSignature, Space, UnsupportedPairError
 from braidmu.braiding import braid_steps, braid_tensor
 
-from conftest import dense_braid_tensor, routing_category
+from conftest import dense_braid_tensor, routing_category, zn_module
 
 H2 = Space("H", 2)
 K3 = Space("K", 3)
@@ -39,7 +42,7 @@ def test_phase_exponents_are_reduced_before_the_power():
     for modulus in (2, 3, 7):
         braiding = bm.PhaseBraiding(modulus)
         want = braiding.q ** ((10 ** 17 + 1) % modulus)
-        assert braiding.braid(h, k).phases.tobytes() == np.array([[want]]).tobytes()
+        assert braiding.braid(h, k).matrix.tobytes() == np.array([[want]]).tobytes()
 
 
 def test_phase_requires_gradings():
@@ -244,7 +247,7 @@ def test_braid_inverse_is_the_closed_form_of_np_linalg_inv(kind):
     for h in GRADED:
         for k in GRADED:
             c, cinv = provider.braid(h, k), provider.braid_inverse(h, k)
-            assert isinstance(cinv, bm.Crossing)
+            assert type(cinv) is LegOperator
             assert cinv.signature == LegSignature((k, h), (h, k))
             expected = np.linalg.inv(c.matrix)
             if kind.startswith("flip"):
@@ -252,16 +255,46 @@ def test_braid_inverse_is_the_closed_form_of_np_linalg_inv(kind):
             else:
                 np.testing.assert_allclose(cinv.matrix, expected, rtol=0, atol=1e-15)
             # the inverse of the inverse is the crossing itself, bit for bit
-            np.testing.assert_array_equal(cinv.adjoint().matrix, c.matrix)
+            np.testing.assert_array_equal(bm.adjoint(cinv).matrix, c.matrix)
+            again = provider.inverse().braid_inverse(k, h)
+            assert again.matrix.tobytes() == c.matrix.tobytes()
 
 
 def test_inverse_provider_crossings_are_the_base_crossings_reversed():
-    for base in (bm.FlipBraiding(), bm.PhaseBraiding(3)):
+    """Bit for bit, for flip and phase crossings and for the explicit
+    Yetter-Drinfeld tables of Z3, Z5 and Z6 modules, whose inverse provider
+    must not invert the table twice."""
+    cases = [(base, GRADED) for base in (bm.FlipBraiding(), bm.PhaseBraiding(3))]
+    for n in (3, 5, 6):
+        module, mu = zn_module(n, 7)
+        cases.append((bm.yd_braiding_provider([module], mu), [module.space]))
+    for base, spaces in cases:
         inv = base.inverse()
-        for h in GRADED:
-            for k in GRADED:
-                np.testing.assert_array_equal(inv.braid_inverse(h, k).matrix,
-                                              base.braid(k, h).matrix)
+        for h in spaces:
+            for k in spaces:
+                got, want = inv.braid_inverse(h, k), base.braid(k, h)
+                assert got.signature == want.signature
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["flip", "phase", "flip inverse", "phase inverse"])
+def test_no_crossing_lives_in_a_reference_cycle(kind):
+    """A crossing and its inverse, gather read, die with their last
+    reference: with the cycle collector off, nothing else holds them."""
+    base = bm.FlipBraiding() if kind.startswith("flip") else bm.PhaseBraiding(3)
+    provider = base.inverse() if kind.endswith("inverse") else base
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (provider.braid, provider.braid_inverse):
+            c = make(GRADED[1], GRADED[2])
+            assert c.gather is not None
+            ref = weakref.ref(c)
+            del c
+            assert ref() is None, make
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_phase_crossing_matrix_is_the_swap_with_phases():
@@ -273,13 +306,14 @@ def test_phase_crossing_matrix_is_the_swap_with_phases():
         for j in range(k.dim):
             m[j * h.dim + i, i * k.dim + j] = q ** (h.grading[i] * k.grading[j])
     np.testing.assert_array_equal(c.matrix, m)
-    np.testing.assert_array_equal(c.phases, [[q ** (a * b) for b in k.grading]
-                                             for a in h.grading])
+    # row j * dim h + i of the gather reads phases[i, j]
+    np.testing.assert_array_equal(c.gather.coefficients.reshape(k.dim, h.dim).T,
+                                  [[q ** (a * b) for b in k.grading] for a in h.grading])
 
 
 def test_explicit_table_entries_are_dense():
     table = bm.ExplicitBraiding()
     table.register(bm.FlipBraiding().braid(H2, K3))
     entry = table.braid(H2, K3)
-    assert not isinstance(entry, bm.Crossing)
+    assert type(entry) is LegOperator
     np.testing.assert_array_equal(entry.matrix, bm.FlipBraiding().braid(H2, K3).matrix)

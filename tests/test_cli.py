@@ -715,7 +715,7 @@ def test_an_even_shift_of_the_odd_degrees_changes_no_super_phase(tmp_path):
         loaded = bm.load_bundle(str(bundle))
         space = loaded.spaces["L"]
         assert space.grading == (0, 1 + shift)
-        tables.append(loaded.provider().braid(space, space).phases.tobytes())
+        tables.append(loaded.provider().braid(space, space).matrix.tobytes())
         code, out, err = _main_on(["analyze", str(bundle)])
         assert code == 0 and err == ""
         checks = json.loads(out)["checks"]

@@ -591,17 +591,32 @@ def test_coassociativity_streams_like_the_dense_extension_off_the_theorem(z2, bl
 
 
 def _gemm_extension(monkeypatch, cp, f, g):
-    """The extension of f x g on the GEMM path, as an explicit braiding takes it."""
+    """The extension of f x g on the GEMM path, as a dense braiding takes it."""
     with monkeypatch.context() as patch:
         patch.setattr(spans.CrossedProductExtension, "_compile_gather", lambda *args: False)
         return spans.CrossedProductExtension(cp, f, g)
 
 
+def _explicit_bundle(m):
+    """m with its braiding written out as an explicit table, read back from
+    a bundle's text."""
+    bundle = bm.Bundle()
+    bundle.spaces["L"] = m.space
+    bundle.braiding_kind = "explicit"
+    bundle.braiding_pairs = [m.braiding.braid(m.space, m.space)]
+    bundle.operators["W"] = m.op
+    return bm.bundle_from_json(bm.bundle_to_json(bundle)).mult_unitary("W")
+
+
 # the gathered path against the GEMM path: exact where F is a permutation and
-# the crossings are flips, to 1e-13 relative for a dense F or phases
+# the crossings are flips, to 1e-13 relative for a dense F or phases; a
+# braiding written out as an explicit monomial table is gathered too
 GATHER_INPUTS = {**{group: (lambda group=group: _group_unitary(group), True) for group in GROUPS},
                  "gauge-s3": (lambda: gauge_conjugate(_group_unitary("s3"), 5), False),
-                 "graded-z2": (graded_kac_takesaki, False)}
+                 "graded-z2": (graded_kac_takesaki, False),
+                 "explicit-flip-z3": (lambda: _explicit_bundle(_group_unitary("z3")), True),
+                 "explicit-flip-s3": (lambda: _explicit_bundle(_group_unitary("s3")), True),
+                 "explicit-graded-z2": (lambda: _explicit_bundle(graded_kac_takesaki()), False)}
 
 
 @pytest.mark.parametrize("variant", ["op", "right"])
@@ -609,6 +624,7 @@ GATHER_INPUTS = {**{group: (lambda group=group: _group_unitary(group), True) for
 def test_gathered_extension_matches_the_gemm_path(name, variant, monkeypatch):
     make, exact = GATHER_INPUTS[name]
     m = make()
+    assert (m.braiding.kind == "explicit") == name.startswith("explicit")
     alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
     cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
     folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
@@ -617,7 +633,7 @@ def test_gathered_extension_matches_the_gemm_path(name, variant, monkeypatch):
                           _gemm_extension(monkeypatch, cp, f, g))
         assert gathered._gathered and not gemm._gathered
         # the super braiding's phases are -1 to rounding, so they stay
-        assert (gathered._phi is not None) == (name == "graded-z2")
+        assert (gathered._phi is not None) == name.endswith("graded-z2")
         for lo in range(0, m.space.dim ** 3, 7):
             lines = np.arange(lo, min(lo + 7, m.space.dim ** 3))
             got, want = (ext.apply(folds, lines)[0] for ext in (gathered, gemm))
@@ -634,7 +650,7 @@ def test_gathered_extension_matches_the_gemm_path(name, variant, monkeypatch):
 def test_the_graded_object_is_a_braided_multiplicative_unitary():
     m = graded_kac_takesaki()
     assert bm.pentagon_residual(m) == 0.0
-    assert m.braiding.braid(m.space, m.space).phases is not None
+    assert m.braiding.braid(m.space, m.space).gather.coefficients is not None
 
 
 @pytest.mark.parametrize("kind", ["flip", "phase3"])
@@ -698,21 +714,26 @@ def test_walks_over_other_folds_share_no_row(monkeypatch, variant):
         assert abs(residual - expected) <= 1e-12 * expected
 
 
-def _explicit_flip_bundle():
-    """KT(Z3) from a bundle whose braiding is the flip as an explicit table."""
-    m = _group_unitary("z3")
-    bundle = bm.Bundle()
-    bundle.spaces["L"] = m.space
-    bundle.braiding_kind = "explicit"
-    bundle.braiding_pairs = [bm.FlipBraiding().braid(m.space, m.space)]
-    bundle.operators["W"] = m.op
-    return bm.bundle_from_json(bm.bundle_to_json(bundle)).mult_unitary("W")
+def _dense_graded():
+    """The graded object with F and its phase braiding c alike conjugated by
+    u (x) u, for a unitary u that mixes degrees: a dense explicit table."""
+    m = graded_kac_takesaki()
+    uu = np.kron(*[random_unitary(m.space.dim, 3)] * 2)
+    c = m.braiding.braid(m.space, m.space)
+    table = bm.ExplicitBraiding()
+    table.register(LegOperator(c.signature, uu @ c.matrix @ uu.conj().T))
+    assert table.braid(m.space, m.space).gather is None
+    return bm.MultUnitary(m.space, LegOperator(m.op.signature, uu @ m.matrix @ uu.conj().T),
+                          table)
 
 
-@pytest.mark.parametrize("make", [lambda: bm.identity_control(2), _explicit_flip_bundle],
-                         ids=["identity-control", "explicit-flip-bundle"])
+@pytest.mark.parametrize("make", [lambda: bm.identity_control(2), _dense_graded],
+                         ids=["identity-control", "dense-graded"])
 @pytest.mark.parametrize("variant", ["op", "right"])
 def test_explicit_tables_apply_by_gemm(monkeypatch, make, variant):
+    """The identity control's table is a monomial, but a line's image row
+    would depend on the factor row, so the gather is refused; a dense table
+    has no gather at all.  Both extensions run GEMM blocks."""
     m = make()
     built, blocks = [], []
     real_init, real_lines = (spans.CrossedProductExtension.__init__,
@@ -724,8 +745,12 @@ def test_explicit_tables_apply_by_gemm(monkeypatch, make, variant):
     residual = bm.coassociativity_residual(m, variant)
     assert len(built) == 2 and not any(ext._gathered for ext in built)
     assert set(map(id, blocks)) == set(map(id, built))
-    if m.space.dim == 3:   # the same object under the flip, gathered
-        assert abs(residual - bm.coassociativity_residual(_group_unitary("z3"), variant)) < 1e-13
+    if m.braiding.braid(m.space, m.space).gather is None:
+        # the same object in another basis: conjugating F and c by u (x) u
+        # rounds their entries at about 1e-15, and the residual, 1e-15 for
+        # the graded object, moves by a few 1e-15 at most (6e-15 read)
+        graded = bm.coassociativity_residual(graded_kac_takesaki(), variant)
+        assert abs(residual - graded) < 1e-13
 
 
 def _complex_normal(rng, *shape):

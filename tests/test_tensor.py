@@ -508,7 +508,7 @@ def test_a_crossing_acts_as_its_padded_matrix(kind, gradings, data):
     cols = data.draw(st.integers(1, 3), label="cols")
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
     c = crossing_provider(kind).braid(context[start - 1], context[start])
-    assert isinstance(c, bm.Crossing)
+    assert type(c) is LegOperator and c.gather is not None
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(total_dim(context), cols)) + 1j * rng.normal(size=(total_dim(context), cols))
     got = bm.apply_on_legs(c, x, context, start)
@@ -522,20 +522,24 @@ def test_a_crossing_acts_as_its_padded_matrix(kind, gradings, data):
 
 
 def test_the_adjoint_of_a_crossing_is_a_crossing():
+    """The adjoint of a flip or phase crossing is the crossing of the swapped
+    legs with the conjugate phases, which the provider's closed-form inverse
+    builds; the inverse provider's inverse is the base crossing again."""
     a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
-    for c in (bm.FlipBraiding().braid(a, b), bm.PhaseBraiding(3).braid(a, b)):
-        star = c.adjoint()
-        assert isinstance(star, bm.Crossing)
+    for provider in (bm.FlipBraiding(), bm.PhaseBraiding(3)):
+        c, star = provider.braid(a, b), provider.braid_inverse(a, b)
+        assert type(star) is LegOperator
         assert star.signature == LegSignature((b, a), (a, b))
         np.testing.assert_array_equal(star.matrix, bm.adjoint(c).matrix)
         np.testing.assert_array_equal(star.matrix, c.matrix.conj().T)
-        np.testing.assert_array_equal(star.adjoint().matrix, c.matrix)
-        # built once: the crossing is immutable, and the adjoint's adjoint is c
-        assert c.adjoint() is star and star.adjoint() is c
+        np.testing.assert_array_equal(bm.adjoint(star).matrix, c.matrix)
+        again = provider.inverse().braid_inverse(b, a)
+        assert bits(again.matrix) == bits(c.matrix) and again.signature == c.signature
 
 
 def test_crossing_validates_its_phase_table():
     a, b = Space("A", 2), Space("B", 3)
+    assert bm.crossing(a, b).signature == LegSignature((a, b), (b, a))
     with pytest.raises(LegError, match="does not match"):
         bm.crossing(a, b, np.ones((3, 2)))
     with pytest.raises(LegError, match="modulus one"):
@@ -545,8 +549,6 @@ def test_crossing_validates_its_phase_table():
         phases[1, 2] = bad
         with pytest.raises(LegError, match="finite with modulus one"):
             bm.crossing(a, b, phases)
-    with pytest.raises(LegError, match="maps legs"):
-        bm.Crossing(LegSignature((a, b), (a, b)), np.eye(6))
 
 
 def test_the_package_name_tensor_is_the_module():
@@ -588,7 +590,7 @@ def run_once(op):
 
 def test_explicit_crossings_take_the_gather_or_the_gemm_path(monkeypatch):
     """A Yetter-Drinfeld table entry and its inverses are phase monomials, and
-    a table entry copied from a flip a permutation matrix: each is a dense
+    a table entry copied from a flip a permutation matrix: each is a plain
     operator that takes the gather it is read as.  A flip crossing takes its
     own gather, and a dense table entry the matmul."""
     provider, p, q = routing_category("yd")
@@ -599,7 +601,7 @@ def test_explicit_crossings_take_the_gather_or_the_gemm_path(monkeypatch):
     yd = [provider.braid(p, q), provider.braid_inverse(q, p), provider.inverse().braid(p, q)]
     copied = [table.braid(p, q), table.braid_inverse(p, q)]
     for c in (*yd, *copied):
-        assert not isinstance(c, bm.Crossing)
+        assert type(c) is LegOperator
         run_once(c)
     assert seen == [c.gather for c in (*yd, *copied)] and None not in seen
     assert all(c.gather.coefficients is not None for c in yd)
@@ -664,33 +666,47 @@ def bits(a: np.ndarray) -> bytes:
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 1)], ids=["h=k", "h<k", "h>k"])
 @pytest.mark.parametrize("kind", ["flip", "phase", "flip inverse", "phase inverse"])
 def test_a_crossing_runs_as_its_own_gather(monkeypatch, kind, dims):
-    """A crossing's step is the gather built from its phase table: its
-    values are the axis swap's bit for bit, its adjoint crossing's gather is
-    its gather's adjoint, and its dense matrix is never inspected."""
+    """A crossing's step is the gather read once from its matrix, whose
+    entries are the provider's phase table: its values are the axis swap's
+    bit for bit, and the provider's inverse crossing's gather is its
+    gather's adjoint."""
     inspected = []
     real = tensor_module._monomial
     monkeypatch.setattr(tensor_module, "_monomial", lambda m: inspected.append(m) or real(m))
     h, k = dims
     a, b = Space("A", h, tuple(range(1, h + 1))), Space("B", k, tuple(range(2, k + 2)))
     context = (Space("P", 2, (0, 1)), a, b, Space("Q", 3, (0, 1, 2)))
-    c = crossing_provider(kind).braid(a, b)
-    assert isinstance(c, bm.Crossing) and (c.phases is None) == kind.startswith("flip")
+    provider = crossing_provider(kind)
+    c, inverse = provider.braid(a, b), provider.braid_inverse(a, b)
+    # c sends e_i (x) e_j to phases[i, j] e_j (x) e_i; the inverse provider's
+    # c is the base's c_{B,A} inverted, so its table is the base's conjugated
+    phases = np.einsum("jiij->ij", c.matrix.reshape(k, h, h, k))
+    assert np.count_nonzero(c.matrix) == h * k
+    if kind.startswith("flip"):
+        assert np.all(phases == 1)
+    else:
+        q = bm.PhaseBraiding(3).q
+        table = np.array([[q ** ((da * db) % 3) for db in b.grading] for da in a.grading])
+        assert bits(phases) == bits(table.conj() if kind.endswith("inverse") else table)
     rng = np.random.default_rng(h * 10 + k)
     x = rng.normal(size=(total_dim(context), 4)) + 1j * rng.normal(size=(total_dim(context), 4))
     # the oracle: the rows (pre, H, K, rest) swapped to (pre, K, H, rest),
     # times the phase of each (i, j) at its new place (j, i)
     want = x.reshape(2, h, k, -1).transpose(0, 2, 1, 3)
-    if c.phases is not None:
-        want = want * c.phases.T[:, :, None]
+    if not kind.startswith("flip"):
+        want = want * phases.T[:, :, None]
     got = bm.apply_on_legs(c, x, context, 2)
     assert got.dtype == complex and bits(got) == bits(want.reshape(got.shape))
-    star, g = c.adjoint().gather, c.gather.adjoint()
+    assert (c.gather.coefficients is None) == kind.startswith("flip")
+    star, g = inverse.gather, c.gather.adjoint()
     assert bits(star.source) == bits(g.source)
     assert (star.coefficients is None and g.coefficients is None
             or bits(star.coefficients) == bits(g.coefficients))
-    back = bm.apply_on_legs(c.adjoint(), got, legs_after(c, context, 2), 2)
+    back = bm.apply_on_legs(inverse, got, legs_after(c, context, 2), 2)
     np.testing.assert_allclose(back, x, rtol=0, atol=1e-14)
-    assert inspected == []
+    # each matrix is read once, however often it runs
+    assert bits(bm.apply_on_legs(c, x, context, 2)) == bits(got)
+    assert len(inspected) == 2
 
 
 def test_an_operator_is_inspected_once(monkeypatch):
@@ -872,7 +888,8 @@ def test_pullback_matches_the_dense_kron_oracle():
     assert legs == (p, q, p)
     steps += route_steps(w, legs, (1, 3), "over", yd)
     assert len(steps) == 6
-    assert isinstance(steps[1][0], bm.Crossing) and not isinstance(steps[2][0], bm.Crossing)
+    # a flip crossing, then an entry of the explicit table
+    assert steps[1][0].gather.coefficients is None and yd.kind == "explicit"
     # dense factors and the legs each step starts from
     factors, legs = [], context
     for op, start in steps:
@@ -913,8 +930,9 @@ def test_slot_words_share_one_conjugate_identity():
     first; the conjugate identity that a first slot step's pullback reads is
     one read-only array, shared by the words on the same context."""
     w = leg_op(W_Z2, [L2, L2])
-    c = bm.FlipBraiding().braid(L2, L2)
-    legs, *words = bm.multunitary.pentagon_words(w, c, c.adjoint())
+    flip = bm.FlipBraiding()
+    legs, *words = bm.multunitary.pentagon_words(w, flip.braid(L2, L2),
+                                                 flip.braid_inverse(L2, L2))
     lhs, rhs = (PlannedWord(steps, legs, w) for steps in words)
     assert lhs._eye_h.base is rhs._eye_h.base and not lhs._eye_h.flags.writeable
     for steps, word in zip(words, (lhs, rhs)):
@@ -970,14 +988,19 @@ def distance_words(kind):
     ]
 
 
+PROVIDER_KINDS = {"flip": "flip", "phase3": "phase", "yd": "explicit"}
+
+
 @pytest.mark.parametrize("columns", [1, 7, None])
 @pytest.mark.parametrize("kind", ["flip", "phase3", "yd"])
 def test_distance_matches_the_dense_oracle(monkeypatch, kind, columns):
     """Blocks of one column, of seven, and one block of every column give the
     norm of the difference of the two products formed whole."""
     words = distance_words(kind)
-    first = words[0][1][0][0]
-    assert isinstance(first, bm.Crossing) == (kind != "yd")
+    # a flip or phase crossing, or an entry of the explicit table, leads the words
+    braiding, a, b = routing_category(kind)
+    assert braiding.kind == PROVIDER_KINDS[kind]
+    assert bits(words[0][1][0][0].matrix) == bits(braiding.braid(a, b).matrix)
     for context, lhs, rhs in words:
         rows = total_dim(context)
         budget = 16 * rows * (columns if columns else rows + 1)
@@ -1024,8 +1047,9 @@ def test_column_blocks_are_the_columns_of_the_product(kind, columns):
     """The runner's blocks of one column, of seven and of all columns are the
     product's columns, for words whose first step is a crossing (phase) or an
     explicit braiding (yd), and end on the product's legs."""
+    assert routing_category(kind)[0].kind == PROVIDER_KINDS[kind]
     for context, lhs, rhs in distance_words(kind):
-        assert isinstance(lhs[0][0], bm.Crossing) == (kind != "yd")
+        assert lhs[0][0].gather is not None
         for steps in (lhs, rhs):
             whole = leg_product(steps, context)
             word = PlannedWord(steps, context)
@@ -1111,24 +1135,24 @@ def test_the_closed_form_distance_matches_the_dense_oracle(dims, family, tail, s
         kind = data.draw(st.sampled_from(kinds))
         if kind == "monomial":
             start = data.draw(st.integers(1, len(legs)))
-            return monomial(legs, start), start
+            return monomial(legs, start), start, None
         start = data.draw(st.integers(1, len(legs) - 1))
         provider = crossing_provider(kind if data.draw(st.booleans()) else f"{kind} inverse")
-        return provider.braid(legs[start - 1], legs[start]), start
+        return provider.braid(legs[start - 1], legs[start]), start, provider
 
     lhs, legs, at_legs = [], context, []
     for _ in range(data.draw(st.integers(0, 4))):
         at_legs.append(legs)
-        op, start = step(legs)
+        op, start, _ = step(legs)
         lhs.append((op, start))
         legs = legs_after(op, legs, start)
     at_legs.append(legs)
     at = data.draw(st.integers(0, len(lhs)))
     inserted = []
     if tail == "round trip":
-        op, start = step(at_legs[at])
-        if isinstance(op, bm.Crossing):
-            back = op.adjoint()
+        op, start, provider = step(at_legs[at])
+        if provider is not None:
+            back = provider.braid_inverse(*op.domain)
         else:
             inverse = np.linalg.inv(op.matrix)     # a monomial: the reciprocal entries
             assert np.count_nonzero(inverse) == inverse.shape[0]
