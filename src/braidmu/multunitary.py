@@ -15,8 +15,8 @@ import numpy as np
 
 from . import spans
 from .spans import (Conjugation, CrossedProduct, CrossedProductExtension, OperatorSpan,
-                    equals, is_relative_multiplier, kernel_of_linear_map, span_from_slices)
-from .tensor import (LegError, LegOperator, LegSignature, Space, _unitarity_residual,
+                    equals, is_relative_multiplier, span_from_slices)
+from .tensor import (Gather, LegError, LegOperator, LegSignature, Space, _unitarity_residual,
                      Step, adjoint, compose, distance, leg_product, route_steps)
 
 __all__ = [
@@ -120,16 +120,23 @@ def commutant_dimension(m: MultUnitary) -> int:
     Dimension one means only scalars qualify, which is exactly a trivial
     commutant for the regularity span.  The map's column for a matrix unit e
     is ``comultiply(m, e, "right")`` minus the leg product c (e (x) 1) c^{-1}.
+    When F, c and c^{-1} are monomials (their gathers) the map's entries are
+    read off them in closed form, 2 n^3 of them, and no column is formed.
 
-    The map is tall (n^4 x n^2), so :func:`spans.null_space` takes its kernel
-    from a thin SVD: vh is then n^2 x n^2, already the whole right-singular
-    basis, and the n^4 x n^4 left factor is never built.  Only a wide map,
-    with fewer rows than columns (such as the solver's constraints), needs
-    the full vh, since its kernel is larger than its singular spectrum.
+    :func:`spans.kernel_dimension` splits the map's n^2 columns by the rows
+    they share and sums each component's kernel: the column count less the
+    component's rank, every rank against the one anchor of
+    :func:`spans.null_space`.  A map with one component, such as that of a
+    dense F, takes :func:`spans.null_space` on the whole map: it is tall
+    (n^4 x n^2), so the kernel comes from a thin SVD, and the n^4 x n^4 left
+    factor is never built.
     """
     n = m.space.dim
     c = m.braiding.braid(m.space, m.space)
     cinv = _cinv(m)
+    if m.op.gather is not None and c.gather is not None and cinv.gather is not None:
+        return spans.kernel_dimension(_commutant_entries(m.op.gather, c.gather, cinv.gather, n),
+                                      (n ** 4, n ** 2))
     cols = []
     for i in range(n):
         for j in range(n):
@@ -139,8 +146,36 @@ def commutant_dimension(m: MultUnitary) -> int:
             lhs = comultiply(m, unit, "right")
             rhs = leg_product([(cinv, 1), (unit, 1), (c, 1)], c.domain)
             cols.append((lhs.matrix - rhs.matrix).reshape(-1))
-    t = np.array(cols).T
-    return kernel_of_linear_map(t, (m.space,), (m.space,)).rank
+    return spans.kernel_dimension(np.array(cols).T)
+
+
+def _commutant_entries(f: Gather, c: Gather, cinv: Gather, n: int) -> tuple:
+    """The entries (rows, cols, values) of the commutant map for monomial F,
+    c and c^{-1}, equal ones summed and zero sums dropped.
+
+    (e_ij (x) 1) is the sum over k of |ik><jk|.  A monomial sends |s> to its
+    entry in column s times |r>, r the row holding that entry (its
+    adjoint's source), so F |ik><jk| F* puts f_ik conj(f_jk) at (r_ik, r_jk),
+    and c |ik><jk| c^{-1} puts c_ik d_jk at (r_ik, source_d[jk]), for
+    c^{-1}'s entry d_jk in row jk.  Row (a, b) of the map is a * n^2 + b;
+    column e_ij is i * n + j.
+    """
+    def landing(g: Gather) -> tuple[np.ndarray, np.ndarray]:
+        back = g.adjoint()
+        return back.source, (np.ones(n * n) if back.coefficients is None
+                             else back.coefficients[:, 0].conj())
+
+    i, j, k = (x.ravel() for x in np.indices((n, n, n)))
+    ik, jk, col = i * n + k, j * n + k, i * n + j
+    (fr, fv), (cr, cv) = landing(f), landing(c)
+    d = np.ones(n * n) if cinv.coefficients is None else cinv.coefficients[:, 0]
+    rows = np.concatenate((fr[ik] * n * n + fr[jk], cr[ik] * n * n + cinv.source[jk]))
+    values = np.concatenate((fv[ik] * fv[jk].conj(), -cv[ik] * d[jk]))
+    key, at = np.unique(rows * (n * n) + np.tile(col, 2), return_inverse=True)
+    summed = np.zeros(key.size, dtype=complex)
+    np.add.at(summed, at, values)
+    live = summed != 0
+    return key[live] // (n * n), key[live] % (n * n), summed[live]
 
 
 @dataclass(frozen=True)

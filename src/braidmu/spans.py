@@ -3,13 +3,28 @@
 Spans are stored as orthonormal bases of vectorized operators (row-major
 vectorization, matching the leg convention).  Every rank is decided at the
 one relative cutoff :data:`RANK_CUTOFF`, which no caller sets; only check
-tolerances are set per call.  All spans here come from exact algebraic
-structures, so the singular spectrum is sharply bimodal.  Every SVD that
-needs no wide factor runs on the tall side of its matrix, the conjugate
-transpose of a wide one: the singular values are the same, and LAPACK
-factors the tall orientation several times faster.  Only the kernel of a
-wide map, which needs the full right factor, is taken from the wide
-orientation.
+tolerances are set per call.
+
+Every decision here (a span's rank and basis, a projector distance, a
+subset residual, the generators a crossed product keeps, a kernel
+dimension) first splits its stack by support (:class:`_Split`): two rows
+are joined when they share a nonzero column.  Rows in different components
+are orthogonal, and so are the subspaces they span, so each decision is
+the dense routine run on each component's block, batched over blocks of
+one shape, and no SVD, QR or product runs on a whole stack that splits.
+The components share one anchor: a rank counts the singular values above
+:data:`RANK_CUTOFF` times the largest singular value over every component
+(at least 1.0 for a kernel, as :func:`null_space` takes it), and a
+projector distance is the largest over the components.  A span that split
+keeps its basis as its components' blocks (:attr:`OperatorSpan.parts`).
+A stack with one component, such as the generators of a dense F, takes
+the dense routine on the whole matrix, bit for bit.
+
+Every SVD that needs no wide factor runs on the tall side of its matrix,
+the conjugate transpose of a wide one: the singular values are the same,
+and LAPACK factors the tall orientation several times faster.  Only the
+kernel of a wide map, which needs the full right factor, is taken from the
+wide orientation.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
     "equals", "projector_distance", "adjoint_span", "is_algebra",
     "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
-    "kernel_of_linear_map", "crossed_injections", "crossed_product",
+    "kernel_of_linear_map", "kernel_dimension", "crossed_injections", "crossed_product",
     "is_relative_multiplier", "Conjugation", "CrossedProduct", "CrossedProductExtension",
     "compare_extensions", "DecompositionError",
 ]
@@ -39,17 +54,32 @@ class DecompositionError(ValueError):
     """An element could not be decomposed over the crossed-product generators."""
 
 
-@dataclass(frozen=True)
 class OperatorSpan:
-    """An orthonormal basis of a subspace of operators between two leg lists."""
+    """An orthonormal basis of a subspace of operators between two leg lists.
 
-    domain: tuple[Space, ...]
-    codomain: tuple[Space, ...]
-    basis: tuple[LegOperator, ...]
+    A span that :func:`_row_span` split by support holds its basis as
+    ``parts``, one triple per batch of components of one shape: the basis
+    indices (G, k), the columns (G, c) of the vectorized operators that the
+    component covers, and its k basis rows on those columns (G, k, c).  Its
+    :attr:`basis` and :meth:`stack` are built from them on first use; the
+    decisions here read the parts alone.  Any other span holds its basis.
+    """
+
+    def __init__(self, domain: Sequence[Space], codomain: Sequence[Space],
+                 basis: Sequence[LegOperator] = (), parts: tuple | None = None):
+        self.domain, self.codomain, self.parts = tuple(domain), tuple(codomain), parts
+        if parts is None:
+            self.__dict__["basis"] = tuple(basis)
+
+    @cached_property
+    def basis(self) -> tuple[LegOperator, ...]:
+        return tuple(_unvec(v, self.domain, self.codomain) for v in self.stack())
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        if self.parts is None:
+            return len(self.basis)
+        return sum(index.size for index, _, _ in self.parts)
 
     @property
     def ambient_dim(self) -> int:
@@ -57,13 +87,161 @@ class OperatorSpan:
 
     def stack(self) -> np.ndarray:
         """Basis as rows of vectorized operators, shape (rank, ambient_dim)."""
+        if self.parts is not None:
+            out = np.zeros((self.rank, self.ambient_dim), dtype=complex)
+            for index, cols, vecs in self.parts:
+                out[index[:, :, None], cols[:, None, :]] = vecs
+            return out
         if not self.basis:
             return np.zeros((0, self.ambient_dim), dtype=complex)
         return np.array([b.matrix.reshape(-1) for b in self.basis])
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The parts as (basis index, column, value) triples, every column of
+        a component listed for each of its basis rows."""
+        shaped = [(np.broadcast_to(index[:, :, None], vecs.shape),
+                   np.broadcast_to(cols[:, None, :], vecs.shape), vecs)
+                  for index, cols, vecs in self.parts]
+        return tuple(np.concatenate([x[i].ravel() for x in shaped]) for i in range(3))
+
     def gram_residual(self) -> float:
         b = self.stack()
         return float(np.linalg.norm(b @ b.conj().T - np.eye(self.rank)))
+
+
+# ---------------------------------------------------------------------------
+# support components
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The components of one shape: their ids (G,), their items (G, r) and
+    columns (G, c), each ascending, and how many of a component's items come
+    before the split's ``first`` (all of them when no ``first`` is given)."""
+
+    comps: np.ndarray
+    items: np.ndarray
+    cols: np.ndarray
+    head: int
+
+
+class _Split:
+    """``count`` items grouped by support component, from the entries
+    (items[e], cols[e]) of their sparsity pattern: two items are joined when
+    they share a column, and a component is all the items that a chain of
+    such joins reaches.  An item with no entry belongs to no component.
+
+    The components are numbered by their first item, found by union-find
+    in numpy: each column links its items to its first one, the larger root
+    of each link is hooked under the smaller, and the paths are compressed,
+    until no link joins two roots.  :attr:`groups` batches the components
+    by shape (with ``first``, also by how many of their items come before
+    it, so that a block's leading rows are the first set's), and
+    :meth:`blocks` scatters values given per entry into one (G, r, c) block
+    per group.
+    """
+
+    def __init__(self, items: np.ndarray, cols: np.ndarray, count: int,
+                 first: int | None = None):
+        self.groups, self.count = [], 0
+        if not items.size:
+            return
+        ucols, col_at = np.unique(cols, return_inverse=True)
+        head = np.full(ucols.size, count)
+        np.minimum.at(head, col_at, items)
+        u, v = items, head[col_at]
+        u, v = u[u != v], v[u != v]
+        parent = np.arange(count)
+        while u.size:
+            a, b = parent[u], parent[v]
+            joined = a != b
+            if not joined.any():
+                break
+            u, v, a, b = u[joined], v[joined], a[joined], b[joined]
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                up = parent[parent]
+                if np.array_equal(up, parent):
+                    break
+                parent = up
+        present = np.zeros(count, dtype=bool)
+        present[items] = True
+        member = np.flatnonzero(present)
+        # each root is its component's first item, so numbering the roots in
+        # order numbers the components by their first items
+        roots = member[parent[member] == member]
+        self.count = n = roots.size
+        labels = np.full(count, -1)
+        labels[roots] = np.arange(n)
+        label = labels[member] = labels[parent[member]]
+        # items in component order, ascending within one, and each one's place
+        runs = member[np.argsort(label, kind="stable")]
+        rows = np.bincount(label, minlength=n)
+        row_start = np.cumsum(rows) - rows
+        place = np.empty(count, dtype=np.intp)
+        place[runs] = np.arange(runs.size) - row_start[labels[runs]]
+        # the columns of each component, ascending, and each entry's place there
+        entry_label = labels[items]
+        pairs, pair_at = np.unique(entry_label * ucols.size + col_at, return_inverse=True)
+        pair_cols = ucols[pairs % ucols.size]
+        widths = np.bincount(pairs // ucols.size, minlength=n)
+        col_start = np.cumsum(widths) - widths
+        heads = rows if first is None else np.bincount(label[member < first], minlength=n)
+        # the distinct shapes numbered in lexicographic order, each component's in kind
+        shape = np.stack([rows, heads, widths])
+        order = np.lexsort(shape[::-1])
+        kind = np.empty(n, dtype=np.intp)
+        changed = np.any(np.diff(shape[:, order]) != 0, axis=0)
+        kind[order] = np.cumsum(np.concatenate(([0], changed)))
+        at = np.empty(n, dtype=np.intp)
+        for k in range(kind[order[-1]] + 1):
+            comps = np.flatnonzero(kind == k)
+            r, h, c = rows[comps[0]], heads[comps[0]], widths[comps[0]]
+            at[comps] = np.arange(comps.size)
+            self.groups.append(_Group(comps, runs[row_start[comps][:, None] + np.arange(r)],
+                                      pair_cols[col_start[comps][:, None] + np.arange(c)],
+                                      int(h)))
+        self._kind, self._at = kind[entry_label], at[entry_label]
+        self._row, self._col = place[items], pair_at - col_start[entry_label]
+
+    def blocks(self, values: np.ndarray) -> list[np.ndarray]:
+        """The entries' values scattered into one zero-filled (G, r, c) block per group."""
+        out = []
+        for k, g in enumerate(self.groups):
+            block = np.zeros(g.items.shape + (g.cols.shape[1],), dtype=complex)
+            sel = self._kind == k
+            block[self._at[sel], self._row[sel], self._col[sel]] = values[sel]
+            out.append(block)
+        return out
+
+
+def _split_stack(rows: np.ndarray) -> tuple[_Split, list[np.ndarray]] | None:
+    """The rows of a stack split by support, by :func:`_split_entries`.  A
+    row with every column nonzero joins every other nonzero row, so a dense
+    stack is seen without listing its entries."""
+    nonzero = rows != 0
+    if rows.size and nonzero.sum(axis=1).max() == rows.shape[1]:
+        return None
+    items, cols = np.nonzero(nonzero)
+    return _split_entries(items, cols, rows[items, cols], rows.shape[0])
+
+
+def _split_entries(items: np.ndarray, cols: np.ndarray, values: np.ndarray, count: int,
+                   span: OperatorSpan | None = None
+                   ) -> tuple[_Split, list[np.ndarray]] | None:
+    """``count`` items given by their entries, split by support, with their
+    blocks; None when they form at most one component, so that the caller
+    runs its dense routine on the whole stack.  The basis rows of a ``span``
+    held as parts join them, numbered after them, and each block's leading
+    rows are the given items'."""
+    first = None
+    if span is not None:
+        more = span.entries()
+        items, cols, values = (np.concatenate((x, y)) for x, y in
+                               zip((items, cols, values), (more[0] + count, *more[1:])))
+        first, count = count, count + span.rank
+    split = _Split(items, cols, count, first)
+    return (split, split.blocks(values)) if split.count > 1 else None
 
 
 def _vec(op: LegOperator) -> np.ndarray:
@@ -91,11 +269,12 @@ def numerical_rank(s: np.ndarray, cutoff: float = RANK_CUTOFF,
 
 def _tall(m: np.ndarray) -> np.ndarray:
     """m, or its conjugate transpose when m is wide: the same singular values.
+    On a batch (G, r, c), each matrix of it.
 
     A 64 x 4096 complex SVD took 2.8 times as long as the SVD of its
     conjugate transpose on a 2-core VM with OpenBLAS.
     """
-    return m.conj().T if m.shape[0] < m.shape[1] else m
+    return m.conj().swapaxes(-1, -2) if m.shape[-2] < m.shape[-1] else m
 
 
 def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...]
@@ -104,15 +283,42 @@ def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space
 
     Fewer rows than columns: the SVD runs on rows^H = V S U^H, whose leading
     left singular vectors are the conjugated right singular rows of ``rows``.
+    Rows that split by support take that SVD on each component's block, and
+    each component keeps its singular values above the cutoff times the
+    largest over all of them; the span holds the kept rows as its parts,
+    numbered in component order.
     """
-    if rows.shape[0] < rows.shape[1]:
-        u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
-        kept = u[:, :numerical_rank(s)].conj().T
-    else:
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        kept = vh[:numerical_rank(s)]
-    basis = tuple(_unvec(v, domain, codomain) for v in kept)
-    return OperatorSpan(domain, codomain, basis)
+    split = _split_stack(rows)
+    if split is None:
+        if rows.shape[0] < rows.shape[1]:
+            u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
+            kept = u[:, :numerical_rank(s)].conj().T
+        else:
+            _, s, vh = np.linalg.svd(rows, full_matrices=False)
+            kept = vh[:numerical_rank(s)]
+        basis = tuple(_unvec(v, domain, codomain) for v in kept)
+        return OperatorSpan(domain, codomain, basis)
+    split, blocks = split
+    factors = []
+    for g, block in zip(split.groups, blocks):
+        if block.shape[1] < block.shape[2]:
+            u, s, _ = np.linalg.svd(block.conj().swapaxes(1, 2), full_matrices=False)
+            factors.append((s, u.conj().swapaxes(1, 2)))
+        else:
+            factors.append(np.linalg.svd(block, full_matrices=False)[1:])
+    anchor = max(s[:, 0].max() for s, _ in factors)
+    ranks = np.zeros(split.count, dtype=np.intp)
+    for g, (s, _) in zip(split.groups, factors):
+        ranks[g.comps] = np.sum(s > RANK_CUTOFF * anchor, axis=1) if anchor > 0 else 0
+    offsets = np.cumsum(ranks) - ranks
+    parts = []
+    for g, (_, vecs) in zip(split.groups, factors):
+        for k in np.unique(ranks[g.comps]):
+            kept = ranks[g.comps] == k
+            if k:
+                parts.append((offsets[g.comps[kept]][:, None] + np.arange(k), g.cols[kept],
+                              vecs[kept, :k]))
+    return OperatorSpan(domain, codomain, parts=tuple(parts))
 
 
 def span_of(operators: Sequence[LegOperator]) -> OperatorSpan:
@@ -160,7 +366,9 @@ def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
 
     Computed as the largest sine of a principal angle; 1.0 whenever the ranks
     differ.  For equal ranks ||(1 - P2) P1|| = ||(1 - P1) P2||, so one
-    residual stack and one SVD give it.
+    residual stack and one SVD give it.  Two spans held as parts split
+    together by support: the distance is the largest over the components,
+    1.0 in one whose ranks differ.
     """
     if (s1.domain, s1.codomain) != (s2.domain, s2.codomain):
         raise LegError("projector_distance: signature mismatch")
@@ -168,9 +376,21 @@ def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
         return 1.0
     if s1.rank == 0:
         return 0.0
-    b1, b2 = s1.stack(), s2.stack()
-    r12 = b1 - (b1 @ b2.conj().T) @ b2
-    return float(np.linalg.svd(_tall(r12), compute_uv=False)[0])
+    split = None
+    if s1.parts is not None and s2.parts is not None:
+        split = _split_entries(*s1.entries(), s1.rank, s2)
+    if split is None:
+        b1, b2 = s1.stack(), s2.stack()
+        r12 = b1 - (b1 @ b2.conj().T) @ b2
+        return float(np.linalg.svd(_tall(r12), compute_uv=False)[0])
+    worst = 0.0
+    for g, block in zip(split[0].groups, split[1]):
+        if 2 * g.head != block.shape[1]:
+            return 1.0
+        b1, b2 = block[:, :g.head], block[:, g.head:]
+        r12 = b1 - (b1 @ b2.conj().swapaxes(1, 2)) @ b2
+        worst = max(worst, np.linalg.svd(_tall(r12), compute_uv=False)[:, 0].max())
+    return float(worst)
 
 
 def equals(s1: OperatorSpan, s2: OperatorSpan, tol: float = 1e-9) -> bool:
@@ -184,10 +404,12 @@ def adjoint_span(s: OperatorSpan) -> OperatorSpan:
 
 
 def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> float:
-    """Largest relative distance of a candidate from the span (zero ones skipped)."""
+    """Largest relative distance of a candidate from the span (zero ones skipped).
+
+    Against a span held as parts, the candidates are their entries
+    (:func:`_entry_residual`)."""
     if not candidates:
         return 0.0
-    b = span.stack()
     v = np.array([_vec(op) for op in candidates])
     norms = np.linalg.norm(v, axis=1)
     # numerically zero candidates at the working scale are trivially contained
@@ -196,10 +418,40 @@ def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> f
         return 0.0
     if not live.all():
         v, norms = v[live], norms[live]
+    if span.parts is None:
+        return _dense_residual(v, norms, span.stack())
+    items, cols = np.nonzero(v)
+    return _entry_residual(items, cols, v[items, cols], norms, span)
+
+
+def _dense_residual(v: np.ndarray, norms: np.ndarray, b: np.ndarray) -> float:
+    """The largest residual norm of a row of v off the rows of b, over its norm."""
     # rows of b are vdot-orthonormal, so the projection of the rows of v is
     # (v b^H) b; v is a fresh stack, so it takes the residual in place
     v -= (v @ b.conj().T) @ b
     return float(np.max(np.linalg.norm(v, axis=1) / norms))
+
+
+def _entry_residual(items: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                    norms: np.ndarray, span: OperatorSpan) -> float:
+    """:func:`_subset_residual` of candidates given by their entries and
+    norms, each norm above the cutoff, against a span held as parts.  The
+    two split together by support: a candidate lies in one component, and
+    its distance is from the span's rows there.  One component takes the
+    dense residual of the whole stack."""
+    count = len(norms)
+    split = _split_entries(items, cols, values, count, span)
+    if split is None:
+        v = np.zeros((count, span.ambient_dim), dtype=complex)
+        v[items, cols] = values
+        return _dense_residual(v, norms, span.stack())
+    worst = 0.0
+    for g, block in zip(split[0].groups, split[1]):
+        if g.head:
+            x, b = block[:, :g.head], block[:, g.head:]
+            x -= (x @ b.conj().swapaxes(1, 2)) @ b
+            worst = max(worst, np.max(np.linalg.norm(x, axis=2) / norms[g.items[:, :g.head]]))
+    return float(worst)
 
 
 def is_algebra(s: OperatorSpan, tol: float = 1e-9) -> bool:
@@ -250,6 +502,32 @@ def kernel_of_linear_map(t: np.ndarray, domain: Sequence[Space],
     vecs = null_space(t)
     basis = tuple(_unvec(v, domain, codomain) for v in vecs)
     return OperatorSpan(domain, codomain, basis)
+
+
+def kernel_dimension(t: np.ndarray | tuple, shape: tuple[int, int] | None = None) -> int:
+    """Dimension of the kernel of the map t, a matrix or its entries
+    (rows, cols, values) with ``shape``, at :data:`RANK_CUTOFF`.
+
+    The columns of t split by support: two are joined when they share a
+    nonzero row.  The kernel is the direct sum of the components' kernels,
+    so its dimension is the column count less each component's rank,
+    counted as :func:`null_space` counts it, against ``max(s, 1.0)`` for
+    the largest singular value s over every component.  One component
+    takes :func:`null_space` on the whole matrix.
+    """
+    if isinstance(t, tuple):
+        rows, cols, values = t
+        split = _split_entries(cols, rows, values, shape[1])
+    else:
+        shape, split = t.shape, _split_stack(t.T)
+    if split is None:
+        if isinstance(t, tuple):
+            t = np.zeros(shape, dtype=complex)
+            t[rows, cols] = values
+        return len(null_space(t))
+    spectra = [np.linalg.svd(_tall(block), compute_uv=False) for block in split[1]]
+    anchor = max(1.0, max(s[:, 0].max() for s in spectra))
+    return shape[1] - sum(int(np.sum(s > RANK_CUTOFF * anchor)) for s in spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +640,17 @@ class CrossedProduct:
 
     @cached_property
     def decompositions(self) -> list[tuple]:
-        """The forward and the reverse selection over the generator rows, each
-        (q, r, rows): the thin QR of the selected generators as columns, and
-        their row indices.  Neither copies the stack."""
-        decompositions = []
-        forward = np.arange(len(self.gens))
-        for order, v in ((forward, self.gens.T), (forward[::-1], self.gens[::-1].T)):
-            keep, q, r = _independent_columns(v)
-            if not keep.size:
-                raise DecompositionError("crossed product has no nonzero generators")
-            decompositions.append((q, r, order[keep]))
-        return decompositions
+        """The forward and the reverse selection over the generator rows, as
+        :func:`_selections` makes them."""
+        return _selections(self.gens)
 
     def decompose(self, x: LegOperator, tol: float) -> np.ndarray:
         """x's coefficients c_kl under both decompositions, those of each
         conjugated factor folded into one pad m_k = sum_l c_kl b_l: shape
         (2, rc * p, p).  Raises :class:`DecompositionError` when x lies
-        outside the span of the generators.
+        outside the span of the generators.  Split generators solve each
+        component's batch on x's entries there; x's residual adds the
+        components' and its norm off their columns.
         """
         if x.domain != self.legs or x.codomain != self.legs:
             raise LegError("element signature does not match the crossed product")
@@ -387,12 +659,24 @@ class CrossedProduct:
         rp, p, _ = self.pad.shape
         rc = self.conjugated.rank
         folds = []
-        for q, r, picked in self.decompositions:
+        for factors, picked in self.decompositions:
             # generator rows run over (k, l), or (l, k) pad first
             c = np.zeros(rc * rp, dtype=complex)
-            # q* vx as the conjugate of q^T conj(vx): conjugates a vector, not q
-            c[picked] = np.linalg.solve(r, (q.T @ vx.conj()).conj())
-            residual = np.linalg.norm(self.gens.T @ c - vx)
+            if isinstance(factors, _Selected):
+                off = vx[factors.outside]
+                squares = np.vdot(off, off).real
+                for cols, rows, v, q, r in factors.batches:
+                    xc = vx[cols]
+                    c[rows] = coef = np.linalg.solve(
+                        r, (q.swapaxes(1, 2) @ xc.conj()[..., None]).conj())[..., 0]
+                    fit = (v @ coef[..., None])[..., 0] - xc
+                    squares += np.vdot(fit, fit).real
+                residual = np.sqrt(squares)
+            else:
+                q, r = factors
+                # q* vx as the conjugate of q^T conj(vx): conjugates a vector, not q
+                c[picked] = np.linalg.solve(r, (q.T @ vx.conj()).conj())
+                residual = np.linalg.norm(self.gens.T @ c - vx)
             if residual > tol * scale:
                 raise DecompositionError(
                     f"element lies outside the crossed product (residual {residual:.3e})")
@@ -408,11 +692,42 @@ def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str) 
 
 
 def is_relative_multiplier(s: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
-    """x b and b x stay in the span for every basis element b."""
+    """x b and b x stay in the span for every basis element b.
+
+    For a span held as parts and a monomial x (its gather), x b and b x
+    are b's entries moved, row by row or column by column, and scaled:
+    :func:`_multiplier_residual` reads them off the parts, and no product
+    is formed."""
     if s.domain != s.codomain:
         raise LegError("is_relative_multiplier expects an endomorphism span")
-    moved = [compose(x, b) for b in s.basis] + [compose(b, x) for b in s.basis]
-    return _subset_residual(moved, s) < tol
+    return _multiplier_residual(s, x) < tol
+
+
+def _multiplier_residual(s: OperatorSpan, x: LegOperator) -> float:
+    """The :func:`_subset_residual` of every x b and b x."""
+    g = x.gather
+    if s.parts is None or g is None:
+        moved = [compose(x, b) for b in s.basis] + [compose(b, x) for b in s.basis]
+        return _subset_residual(moved, s)
+    n = total_dim(s.domain)
+    index, cols, values = s.entries()
+    row, col = np.divmod(cols, n)
+    # x b holds b's row source[r] in row r, times x's entry there; b x holds
+    # b's column k in column source[k], times x's entry in row k
+    inverse = g.adjoint().source
+    entry = np.ones(n) if g.coefficients is None else g.coefficients[:, 0]
+    items = np.concatenate((index, index + s.rank))
+    moved = np.concatenate((inverse[row] * n + col, cols - col + g.source[col]))
+    values = np.concatenate((entry[inverse[row]] * values, values * entry[col]))
+    norms = np.sqrt(np.bincount(items, np.abs(values) ** 2, minlength=2 * s.rank))
+    # numerically zero candidates at the working scale are trivially contained
+    live = norms > RANK_CUTOFF * norms.max()
+    if not live.any():
+        return 0.0
+    # the live candidates renumbered, as the dense path drops the others
+    renumber = np.cumsum(live) - 1
+    kept = live[items]
+    return _entry_residual(renumber[items[kept]], moved[kept], values[kept], norms[live], s)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +785,74 @@ def _independent_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     if 0 < keep.size < v.shape[1]:
         q, r = np.linalg.qr(v[:, keep])
     return keep, q, r
+
+
+@dataclass(frozen=True)
+class _Selected:
+    """The generators one order keeps, on split support: per batch of
+    components that keep k of their generators, (columns (G, c), kept
+    generator rows (G, k), the kept generators as columns (G, c, k) and
+    their thin QR factors), and the columns no generator touches."""
+
+    batches: tuple
+    outside: np.ndarray
+
+
+def _selections(gens: np.ndarray) -> list[tuple]:
+    """The forward and the reverse selection over the rows of ``gens``, each
+    (factors, rows): the kept generators' factors and their row indices, in
+    the order's sequence.
+
+    One component: the factors are (q, r), the thin QR of the selected
+    generators as columns, by :func:`_independent_columns` on views of the
+    stack.  Split by
+    support, each component selects by the same |R_jj| test on its own
+    block: generators in other components are orthogonal to it, so they
+    would not move that test.  Its generators are then columns of a block
+    on its c columns, padded with zero rows to square when it has more
+    generators than columns, so that R has a diagonal entry for each; the
+    factors are a :class:`_Selected`.
+    """
+    forward = np.arange(len(gens))
+    split = _split_stack(gens)
+    selections = []
+    if split is None:
+        for order, v in ((forward, gens.T), (forward[::-1], gens[::-1].T)):
+            keep, q, r = _independent_columns(v)
+            if not keep.size:
+                raise DecompositionError("crossed product has no nonzero generators")
+            selections.append(((q, r), order[keep]))
+        return selections
+    split, blocks = split
+    outside = np.ones(gens.shape[1], dtype=bool)
+    for g in split.groups:
+        outside[g.cols] = False
+    for step in (1, -1):
+        batches = []
+        for g, block in zip(split.groups, blocks):
+            items, v = g.items[:, ::step], block.swapaxes(1, 2)[:, :, ::step]
+            width, count = v.shape[1:]
+            padded = v if width >= count else np.concatenate(
+                (v, np.zeros((len(v), count - width, count), dtype=complex)), axis=1)
+            q, r = np.linalg.qr(padded)
+            norms = np.linalg.norm(v, axis=1)
+            keep = (np.abs(np.diagonal(r, axis1=1, axis2=2)) > RANK_CUTOFF * norms) & (norms > 0)
+            kept = keep.sum(axis=1)
+            for k in np.unique(kept[kept > 0]):
+                sel = kept == k
+                at = np.nonzero(keep[sel])[1].reshape(-1, k)
+                if k == count <= width:
+                    vk, qk, rk = v[sel], q[sel], r[sel]
+                else:
+                    vk = np.take_along_axis(v[sel], at[:, None, :], axis=2)
+                    qk, rk = np.linalg.qr(vk)
+                batches.append((g.cols[sel], np.take_along_axis(items[sel], at, axis=1),
+                                vk, qk, rk))
+        if not batches:
+            raise DecompositionError("crossed product has no nonzero generators")
+        rows = np.sort(np.concatenate([b[1].ravel() for b in batches]))[::step]
+        selections.append((_Selected(tuple(batches), outside), rows))
+    return selections
 
 
 def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: bool) -> np.ndarray:

@@ -32,8 +32,9 @@ pullback takes a cotangent of the product back to the slot's steps.  A
 factor on distant legs is the steps of :func:`route_steps`: the move
 crossings, the factor, the back crossings.  :func:`extract_distant` fits such
 a factor to a step list, streamed as :func:`distance` is: its partial trace
-adds up blocks of columns of one word, the move crossings' adjoints, the
-steps and the move crossings, and its residual is a :func:`distance`.
+is read off the gather of one word, the move crossings' adjoints, the steps
+and the move crossings, when that word is a gather, and otherwise adds up
+blocks of its columns; its residual is a :func:`distance`.
 :func:`embed_adjacent` (the
 one-step :func:`leg_product`) and :func:`compose` are the dense oracle of
 the tests.
@@ -637,9 +638,11 @@ def extract_distant(y: LegOperator | Sequence[Step], context: Sequence[Space],
     minimiser and the residual norm; a residual above the caller's tolerance
     means y does not factor through legs (i, k).
 
-    Neither y nor its conjugate is formed whole: the partial trace adds up
-    blocks of columns of one :class:`PlannedWord`, as :func:`distance` runs
-    them, and the residual is the :func:`distance` of y from the routed fit.
+    Neither y nor its conjugate is formed whole: the partial trace reads the
+    word's gather when all its steps are gathers (:func:`_gather_trace`),
+    and otherwise adds up blocks of columns of one :class:`PlannedWord`, as
+    :func:`distance` runs them; the residual is the :func:`distance` of y
+    from the routed fit.
     """
     i, k = positions
     context = tuple(context)
@@ -665,6 +668,31 @@ def extract_distant(y: LegOperator | Sequence[Step], context: Sequence[Space],
     word = PlannedWord([*((adjoint(op), start) for op, start in reversed(move)), *steps,
                         *move], moved)
     left, mid, right = total_dim(moved[:k - 2]), a.dim * b.dim, total_dim(context[k:])
+    if word.gather is not None:
+        z = _gather_trace(word.gather, left, mid, right)
+    else:
+        z = _blocked_trace(word, left, mid, right)
+    zop = LegOperator(LegSignature((a, b), (a, b)), z / (left * right))
+    # the residual goes through the crossings themselves, not their unitarity:
+    # explicit braiding tables are not validated as unitary
+    return zop, distance(target, _routed(zop, k, move, back) if move else [(zop, i)], context)
+
+
+def _gather_trace(g: Gather, left: int, mid: int, right: int) -> np.ndarray:
+    """The partial trace over the outer legs of a gather on rows (left, mid,
+    right): row (l, i, r) adds its entry to z[i, j] when it reads column
+    (l, j, r), so in O(rows), with no column formed."""
+    l, i, r = np.unravel_index(np.arange(g.source.size), (left, mid, right))
+    l2, j, r2 = np.unravel_index(g.source, (left, mid, right))
+    on = (l == l2) & (r == r2)
+    z = np.zeros((mid, mid), dtype=complex)
+    np.add.at(z, (i[on], j[on]), 1.0 if g.coefficients is None else g.coefficients[on, 0])
+    return z
+
+
+def _blocked_trace(word: PlannedWord, left: int, mid: int, right: int) -> np.ndarray:
+    """The partial trace over the outer legs of a word on rows (left, mid,
+    right), added up over blocks of its columns."""
     z = np.zeros((mid, mid), dtype=complex)
     # whole groups of 8 columns: a BLAS kernel takes columns in tiles of a few,
     # so each block's tiles fall where a run of all the columns puts them, and
@@ -684,10 +712,7 @@ def extract_distant(y: LegOperator | Sequence[Step], context: Sequence[Space],
                 if j_lo < j_hi:
                     z[:, j_lo:j_hi] += block[l, :, r, first + j_lo * right:
                                              first + j_hi * right:right]
-    zop = LegOperator(LegSignature((a, b), (a, b)), z / (left * right))
-    # the residual goes through the crossings themselves, not their unitarity:
-    # explicit braiding tables are not validated as unitary
-    return zop, distance(target, _routed(zop, k, move, back) if move else [(zop, i)], context)
+    return z
 
 
 def _unitarity_residual(m: np.ndarray) -> float:

@@ -755,3 +755,85 @@ def test_any_mutated_bundle_gets_a_documented_exit_code(tmp_path, text):
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 1:
         assert any(line.startswith("[FAIL]") for line in out.splitlines())
+
+
+def test_analyze_imports_no_scipy(tmp_path):
+    # scipy is the solver's alone: importing it would add tens of MB to
+    # every certificate's peak RSS
+    bundle = tmp_path / "kt3.json"
+    bundle.write_text(kac_takesaki_text(bm.cyclic(3)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bm.__file__)))
+    script = ("import contextlib, io, sys\n"
+              "from braidmu.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main(['analyze', {str(bundle)!r}])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert done.stderr == "" and done.stdout == "0 []\n"
+
+
+# every token of the argv mutations: the bases' own, other flags and
+# subcommand words, values out of range or of the wrong type, and paths.
+# No integer token exceeds 2, and search is capped in its base, so that no
+# draw asks for a large space, many restarts or a long run
+ARGV_TOKENS = ["analyze", "eval", "generate", "search", "kac-takesaki", "super", "identity",
+               "group-yd", "--group", "Zn", "S3", "Q8", "--n", "--dim", "--object", "W", "U",
+               "--tol", "--report", "--category", "flip", "phase", "--modulus", "--seed",
+               "--restarts", "--max-iter", "--target-residual", "-o", "--output", "--help",
+               "-h", "--", "-", "", "0", "1", "2", "-1", "1e-9", "0.5", "nan", "inf", "-inf",
+               "1e400", "x", "é", "--tol=0", "--n=2", "out.json", ".",
+               "missing.json", "/nonexistent/dir/out.json"]
+
+
+@st.composite
+def mutated_argvs(draw, bases):
+    """A base argv after one to three edits: a token deleted, inserted,
+    replaced or swapped with the next one."""
+    argv = list(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["delete", "insert", "replace", "swap"]))
+        at = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(ARGV_TOKENS))
+        if edit == "insert":
+            argv.insert(at, token)
+        elif at < len(argv):
+            if edit == "delete":
+                del argv[at]
+            elif edit == "replace":
+                argv[at] = token
+            elif at + 1 < len(argv):
+                argv[at], argv[at + 1] = argv[at + 1], argv[at]
+    return argv
+
+
+_ARGV_BASES = [
+    ["analyze", "kt2.json", "--tol", "1e-9", "--report", "report.json"],
+    ["analyze", "kt2.json", "--object", "W"],
+    ["eval", corpus_path("pentagon.stmt"), "kt2.json", "--tol", "1e-9", "--report", "r.json"],
+    ["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", "generated.json"],
+    ["generate", "super", "--dim", "2", "-o", "generated.json"],
+    ["search", "--category", "flip", "--dim", "2", "--restarts", "1", "--max-iter", "2",
+     "-o", "found.json"],
+]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=mutated_argvs(_ARGV_BASES))
+@example(argv=["analyze", "missing.json"])
+@example(argv=["generate", "kac-takesaki", "--n", "2", "-o", "/nonexistent/dir/out.json"])
+@example(argv=["analyze", "kt2.json", "--tol", "nan"])
+@example(argv=["--help"])
+@example(argv=[])
+def test_any_mutated_argv_gets_a_documented_exit_code(tmp_path, monkeypatch, argv):
+    # argparse exits by SystemExit, 0 for help and 2 for a bad flag, as the
+    # process would; any other exception is the traceback a process prints.
+    # Relative paths land in a scratch directory that holds a KT Z2 bundle
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kt2.json").write_text(kac_takesaki_text(bm.cyclic(2)))
+    try:
+        code, out, err = _main_on(argv)
+    except SystemExit as exc:
+        code, err = exc.code, ""
+    assert code in (0, 1, 2) and "Traceback" not in err

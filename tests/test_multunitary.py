@@ -12,7 +12,8 @@ from braidmu.multunitary import pentagon_words
 from braidmu.tensor import leg_product
 
 from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, gauge_conjugate,
-                      graded_kac_takesaki, random_unitary, routed_oracle, routing_category)
+                      graded_kac_takesaki, random_unitary, routed_oracle, routing_category,
+                      zn_module)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -198,21 +199,46 @@ def test_coassociativity(z2, z3):
 @pytest.mark.parametrize("group", ["z3", "s3"])
 @pytest.mark.parametrize("variant", ["op", "right"])
 def test_coassociativity_decomposes_each_element_once(group, variant, request, monkeypatch):
-    # both extensions share one crossed product: one generator stack, one QR
-    # of it per order, and one decomposition per comultiplied element
-    m = request.getfixturevalue(group)
+    # both extensions share one crossed product: one generator stack and one
+    # decomposition per comultiplied element.  A dense gauge conjugate's
+    # generators are one component, with one QR of the whole stack per
+    # order; KT's split by support, and each QR runs on the blocks of one
+    # batch of components, never on the stack
     stacks, qrs, decomposed = [], [], []
     real_stack, real_qr = spans._generator_stack, np.linalg.qr
     real_decompose = spans.CrossedProduct.decompose
     monkeypatch.setattr(spans, "_generator_stack",
-                        lambda *args: stacks.append(args) or real_stack(*args))
+                        lambda *args: stacks.append(real_stack(*args)) or stacks[-1])
     monkeypatch.setattr(np.linalg, "qr", lambda v: qrs.append(v.shape) or real_qr(v))
     monkeypatch.setattr(spans.CrossedProduct, "decompose",
                         lambda cp, x, tol: decomposed.append(x) or real_decompose(cp, x, tol))
-    assert bm.coassociativity_residual(m, variant) < 1e-10
-    alg = bm.right_slice_span(m) if variant == "op" else bm.left_slice_span(m)
-    assert len(stacks) == 1 and len(qrs) == 2
-    assert len(decomposed) == len(set(map(id, decomposed))) == alg.rank
+    kt = request.getfixturevalue(group)
+    for m in (gauge_conjugate(kt, 5), kt):
+        stacks.clear(), qrs.clear(), decomposed.clear()
+        assert bm.coassociativity_residual(m, variant) < 1e-10
+        alg = bm.right_slice_span(m) if variant == "op" else bm.left_slice_span(m)
+        assert len(stacks) == 1
+        assert len(decomposed) == len(set(map(id, decomposed))) == alg.rank
+        if m is kt:
+            assert len(qrs) >= 2 and all(max(shape[1:]) < stacks[0].shape[1] for shape in qrs)
+        else:
+            assert qrs == [stacks[0].shape[::-1]] * 2
+
+
+def test_a_kac_takesaki_certificate_factors_no_whole_stack(monkeypatch):
+    # every rank, span and decomposition of KT Z4 runs on blocks of its
+    # components: no SVD or QR of its certificate has a side of n^4 = 256;
+    # the dense gauge conjugate's run on whole stacks
+    z4, shapes = bm.kac_takesaki(bm.cyclic(4)), []
+    for name in ("svd", "qr"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, real=real, **kw:
+                            shapes.append(a.shape) or real(a, *args, **kw))
+    assert bm.full_certificate(z4).all_passed
+    assert shapes and max(max(s[-2:]) for s in shapes) < 256
+    shapes.clear()
+    assert bm.full_certificate(gauge_conjugate(z4, 5)).all_passed
+    assert max(max(s[-2:]) for s in shapes) >= 256
 
 
 @pytest.mark.parametrize("variant", ["op", "right"])
@@ -563,3 +589,65 @@ def test_pentagon_crossings_take_the_crossing_path(monkeypatch, name, crossing_s
     leg_product(rhs, legs)
     crossings = [x.gather for x in (c, cinv)]
     assert len([g for g in calls if any(g is x for x in crossings)]) == crossing_steps
+
+
+def _relabelled(m, seed):
+    """(p (x) p) F (p (x) p)* for a random permutation p: the same object on
+    renamed basis vectors, still monomial."""
+    p = np.eye(m.space.dim)[np.random.default_rng(seed).permutation(m.space.dim)]
+    pp = np.kron(p, p)
+    return bm.MultUnitary(m.space, LegOperator(m.op.signature, pp @ m.matrix @ pp.T),
+                          m.braiding)
+
+
+def _semidirect(n):
+    module, w = zn_module(n, 7)
+    provider = bm.yd_braiding_provider([module], w, include_tensors=False)
+    f = bm.MultUnitary(module.space, bm.identity((module.space, module.space)), provider)
+    return bm.semidirect_product(w, module, f)
+
+
+_CORPUS = {
+    **{f"Z{n}": lambda n=n: bm.kac_takesaki(bm.cyclic(n)) for n in range(2, 9)},
+    "S3": lambda: bm.kac_takesaki(bm.symmetric(3)),
+    "relabelled-Z8": lambda: _relabelled(bm.kac_takesaki(bm.cyclic(8)), 81),
+    "relabelled-S3": lambda: _relabelled(bm.kac_takesaki(bm.symmetric(3)), 82),
+    "graded": graded_kac_takesaki,
+    "yd-Z3": lambda: zn_module(3, 7)[1],
+    "semidirect-Z2": lambda: _semidirect(2),
+    "semidirect-Z3": lambda: _semidirect(3),
+    "gauge-Z4": lambda: gauge_conjugate(bm.kac_takesaki(bm.cyclic(4)), 5),
+    "gauge-S3": lambda: gauge_conjugate(bm.kac_takesaki(bm.symmetric(3)), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_CORPUS))
+def test_the_split_certificate_is_the_whole_matrix_one(name, monkeypatch):
+    # with the support split turned off every decision runs its dense routine
+    # on the whole stack: the split must give the same flags, ranks and
+    # commutant, and residuals within 1e-13 (the coassociativity residuals
+    # moved by 6e-15 at most, KT S3's 5.8e-15 reading 0.0 split); a dense F
+    # is one component either way, so its records are equal bit for bit
+    m = _CORPUS[name]()
+    got = bm.full_certificate(m).checks()
+    monkeypatch.setattr(spans, "_split_entries", lambda *args: None)
+    whole = bm.full_certificate(m).checks()
+    for record, reference in zip(got, whole):
+        del record["wall_time_s"], reference["wall_time_s"]
+        if record["kind"] == "residual" and not name.startswith("gauge"):
+            assert abs(record.pop("value") - reference.pop("value")) < 1e-13, record["name"]
+        assert record == reference
+    assert all(record["pass"] for record in got)
+
+
+@pytest.mark.parametrize("name", ["graded", "semidirect-Z3", "relabelled-S3"])
+def test_the_commutant_read_off_the_gathers_matches_the_kron_transcription(name):
+    # monomials with phases, on renamed bases: the map's entries come from
+    # the gathers of F, c and c^{-1}, and its kernel from the components
+    m = _CORPUS[name]()
+    c = m.braiding.braid(m.space, m.space)
+    assert m.op.gather is not None and c.gather is not None
+    assert m.braiding.braid_inverse(m.space, m.space).gather is not None
+    assert bm.commutant_dimension(m) == _commutant_oracle(m) == 1
+    assert bm.commutant_dimension(bm.identity_control(3)) == _commutant_oracle(
+        bm.identity_control(3)) == 9

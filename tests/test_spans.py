@@ -910,3 +910,202 @@ def test_extension_rejects_a_conjugation_that_does_not_hold_the_pad():
     with pytest.raises(bm.LegError, match="padding legs"):
         spans.CrossedProductExtension(spans.CrossedProduct(s1, s2, bm.FlipBraiding(), "habt"),
                                       None, g)
+
+
+# ---------------------------------------------------------------- support split
+
+
+def _whole_row_span(rows):
+    """spans._row_span's rows as they were before the support split: one SVD
+    of the whole stack, on its tall side."""
+    if rows.shape[0] < rows.shape[1]:
+        u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
+        return u[:, :spans.numerical_rank(s)].conj().T
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[:spans.numerical_rank(s)]
+
+
+def _whole(span):
+    """The same basis held whole, so that every decision takes its dense routine."""
+    return spans.OperatorSpan(span.domain, span.codomain, span.basis)
+
+
+# (columns, rank, rows) of each block; 40 - 29 columns stay zero
+_BLOCKS = [(1, 1, 3), (3, 2, 4), (5, 5, 2), (6, 3, 6), (8, 1, 1), (6, 4, 4)]
+_RANK = sum(min(width, rank, count) for width, rank, count in _BLOCKS)
+
+
+def _disjoint_stack(seed, blocks=_BLOCKS, ambient=40, shift=0.0):
+    """Random low-rank blocks on disjoint column sets of a shuffled ambient,
+    with two zero rows, duplicates of two rows and the rows shuffled.  The
+    same seed gives the same supports and row order; ``shift`` moves each
+    block's row space by noise of that size, keeping its rank."""
+    rng, noise = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    cols, at, rows = rng.permutation(ambient), 0, []
+    for width, rank, count in blocks:
+        block = np.zeros((count, ambient), dtype=complex)
+        right = _complex_normal(rng, rank, width)
+        right += shift * _complex_normal(noise, rank, width)
+        block[:, cols[at:at + width]] = _complex_normal(rng, count, rank) @ right
+        rows.append(block)
+        at += width
+    stack = np.vstack(rows + [np.zeros((2, ambient))])
+    return np.vstack([stack, stack[[0, 4]]])[rng.permutation(len(stack) + 2)]
+
+
+_A, _B = Space("A", 5), Space("B", 8)
+
+
+def _projector(b):
+    return b.T @ b.conj()
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_row_span_splits_like_the_whole_matrix(seed):
+    rows = _disjoint_stack(seed)
+    span = spans._row_span(rows, (_A,), (_B,))
+    whole = _whole_row_span(rows)
+    assert span.parts is not None
+    assert span.rank == len(whole) == _RANK
+    got = span.stack()
+    np.testing.assert_allclose(_projector(got), _projector(whole), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got @ got.conj().T, np.eye(span.rank), rtol=0, atol=1e-12)
+    assert [b.matrix.tobytes() for b in span.basis] == [r.tobytes() for r in got]
+
+
+def test_a_component_below_the_global_cutoff_is_dropped():
+    # one component's singular values all lie below 1e-9 of the other's
+    # largest: the shared anchor drops them, as the whole matrix does, where
+    # an anchor of their own would keep them
+    rng = np.random.default_rng(64)
+    rows = np.zeros((5, 8), dtype=complex)
+    for at, sigma in ((0, (1.0, 0.5)), (2, (1e-11, 5e-12))):
+        u = np.linalg.qr(_complex_normal(rng, 2, 2))[0]
+        vh = np.linalg.qr(_complex_normal(rng, 4, 2))[0].conj().T
+        rows[at:at + 2, 2 * at:2 * at + 4] = u @ np.diag(sigma) @ vh
+    a = Space("A", 8)
+    assert len(_whole_row_span(rows[2:4, 4:])) == 2
+    span = spans._row_span(rows, (a,), (Space("B", 1),))
+    assert span.parts is not None and span.rank == len(_whole_row_span(rows)) == 2
+    assert not np.any(span.stack()[:, 4:])
+    t = rows.T
+    assert spans.kernel_dimension(t) == len(spans.null_space(t)) == 3
+    # a kernel's anchor is at least 1.0: the small component, at 1e-6 and
+    # above 1e-9, is dropped only against the large one's 1e4
+    big = rows.copy()
+    big[:2] *= 1e4
+    big[2:4] *= 1e5
+    assert len(spans.null_space(big[2:4].T)) == 0
+    assert spans.kernel_dimension(big.T) == len(spans.null_space(big.T)) == 3
+
+
+def test_one_component_takes_the_whole_matrix_routine():
+    # a dense stack, and a sparse one whose rows chain into one component:
+    # the same bytes as the routine before the split, and no parts
+    rng = np.random.default_rng(65)
+    dense = _complex_normal(rng, 6, 12)
+    chain = np.zeros((6, 12), dtype=complex)
+    for i in range(6):
+        chain[i, i:i + 2] = _complex_normal(rng, 2)
+    for rows in (dense, chain, dense.T.copy(), chain.T.copy()):
+        dom, cod = Space("A", rows.shape[1]), Space("B", 1)
+        span = spans._row_span(rows, (dom,), (cod,))
+        assert span.parts is None
+        assert span.stack().tobytes() == _whole_row_span(rows).tobytes()
+        t = rows.T
+        assert spans.kernel_dimension(t) == len(spans.null_space(t))
+
+
+@pytest.mark.parametrize("seed", [66, 67])
+def test_projector_distance_splits_like_the_whole_matrix(seed):
+    span = spans._row_span(_disjoint_stack(seed), (_A,), (_B,))
+    near = spans._row_span(_disjoint_stack(seed, shift=1e-6), (_A,), (_B,))
+    # the same total rank, shared out otherwise between two components
+    blocks = [(w, r + (i == 1) - (i == 3), c) for i, (w, r, c) in enumerate(_BLOCKS)]
+    moved = spans._row_span(_disjoint_stack(seed, blocks), (_A,), (_B,))
+    other = spans._row_span(_disjoint_stack(seed + 10), (_A,), (_B,))
+    assert moved.rank == other.rank == span.rank
+    for s2 in (span, near, moved, other):
+        assert s2.parts is not None
+        got = spans.projector_distance(span, s2)
+        assert abs(got - spans.projector_distance(_whole(span), _whole(s2))) < 1e-12
+        assert spans.equals(span, s2) == (s2 is span)
+    assert 1e-8 < spans.projector_distance(span, near) < 1e-4
+    assert spans.projector_distance(span, moved) == 1.0
+
+
+def test_subset_residual_splits_like_the_whole_matrix():
+    rows = _disjoint_stack(68)
+    span = spans._row_span(rows, (_A,), (_B,))
+    rng = np.random.default_rng(69)
+    members = [leg_op(rng.normal() * rows[i].reshape(8, 5), [_A], [_B]) for i in range(4)]
+    strays = [leg_op(np.where(rows[i] != 0, _complex_normal(rng, 40), 0).reshape(8, 5),
+                     [_A], [_B]) for i in range(3)]
+    outside = np.zeros(40, dtype=complex)
+    outside[np.flatnonzero(~rows.any(axis=0))[:2]] = 1.0
+    zeros = [leg_op(np.zeros((8, 5)), [_A], [_B]), leg_op(1e-12 * members[0].matrix, [_A], [_B])]
+    for candidates in (members, members + zeros, strays + members,
+                       members + [leg_op(outside.reshape(8, 5), [_A], [_B])], zeros):
+        got = spans._subset_residual(candidates, span)
+        expected = loop_subset_residual(candidates, _whole(span))
+        assert abs(got - expected) <= 1e-12 * max(expected, 1.0)
+    assert spans._subset_residual(members + zeros, span) < 1e-12
+    assert spans._subset_residual(strays, span) > 0.1
+
+
+@pytest.mark.parametrize("seed", [70, 71])
+def test_selections_split_like_the_whole_matrix(seed):
+    gens = _disjoint_stack(seed)
+    (forward, picked), (reverse, back) = spans._selections(gens)
+    assert isinstance(forward, spans._Selected) and isinstance(reverse, spans._Selected)
+    order = np.arange(len(gens))[::-1]
+    assert list(picked) == list(spans._independent_columns(gens.T)[0])
+    assert list(back) == list(order[spans._independent_columns(gens[::-1].T)[0]])
+    assert list(picked) == greedy_selection(gens.T, spans.RANK_CUTOFF)
+    for selected in (forward, reverse):
+        assert not np.any(gens[:, selected.outside])
+        for cols, kept, v, q, r in selected.batches:
+            np.testing.assert_array_equal(v, np.swapaxes(gens[kept[:, :, None],
+                                                              cols[:, None, :]], 1, 2))
+            np.testing.assert_allclose(q @ r, v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q.conj().swapaxes(1, 2) @ q,
+                                       np.broadcast_to(np.eye(q.shape[2]), r.shape),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [72, 73])
+def test_kernel_dimension_splits_like_the_whole_matrix(seed):
+    t = _disjoint_stack(seed).T
+    rows, cols = np.nonzero(t)
+    expected = len(spans.null_space(t))
+    assert expected == t.shape[1] - _RANK
+    assert spans.kernel_dimension(t) == expected
+    assert spans.kernel_dimension((rows, cols, t[rows, cols]), t.shape) == expected
+    # a map at the scale of rounding counts as zero against the anchor 1.0
+    assert spans.kernel_dimension(1e-12 * t) == len(spans.null_space(1e-12 * t)) == t.shape[1]
+
+
+def _monomial(n, seed):
+    rng = np.random.default_rng(seed)
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(n), rng.permutation(n)] = np.exp(2j * np.pi * rng.random(n))
+    return m
+
+
+@pytest.mark.parametrize("group", ["z3", "s3"])
+def test_relative_multiplier_reads_a_monomial_off_the_parts(group, request):
+    # x b and b x read off the parts and x's gather, against the products
+    # formed densely: F is a multiplier of the crossed product, a random
+    # monomial is not
+    m = request.getfixturevalue(group)
+    slices = multunitary.right_slice_span
+    target = spans.CrossedProduct(slices(m), slices(multunitary.dual(m)), m.braiding,
+                                  "hbt").span
+    assert target.parts is not None
+    legs = m.op.domain
+    for x, inside in ((m.op, True), (leg_op(_monomial(m.op.matrix.shape[0], 74), legs), False)):
+        assert x.gather is not None
+        got = spans._multiplier_residual(target, x)
+        expected = spans._multiplier_residual(_whole(target), x)
+        assert abs(got - expected) < 1e-12
+        assert (got < 1e-12) == inside

@@ -347,3 +347,27 @@ def test_a_pairing_forms_no_three_leg_matrix():
         tracemalloc.stop()
     assert braiding.matrix.shape == (216, 216)
     assert peak < 1296 ** 2 * 16
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_pairing_reads_its_partial_trace_off_the_gather(n, monkeypatch):
+    # every step of the pairing's word is a monomial, so its partial trace
+    # is read off the word's gather, with no block of columns; the oracle
+    # forms the word whole and traces it by einsum
+    from braidmu import tensor as tensor_module
+
+    def blocked(*args):
+        raise AssertionError("a word of gathers ran the blocked trace")
+
+    module, mu = zn_module(n, 2)
+    square = bm.tensor_yd(module, module, mu)
+    monkeypatch.setattr(tensor_module, "_blocked_trace", blocked)
+    for first, second in ((square, module), (module, module)):
+        rep, corep = second.as_rep(), first.as_corep()
+        ctx = (corep.space, mu.space, rep.space)
+        steps = [(adjoint(rep.op), 2), (corep.op, 1), (rep.op, 2), (adjoint(corep.op), 1)]
+        z, residual = bm.extract_distant(steps, ctx, (1, 3), "over", mu.braiding)
+        z_dense, residual_dense = dense_extract_distant(leg_product(steps, ctx), ctx, (1, 3),
+                                                        "over", mu.braiding)
+        np.testing.assert_allclose(z.matrix, z_dense.matrix, rtol=0, atol=1e-14)
+        assert abs(residual - residual_dense) < 1e-13
