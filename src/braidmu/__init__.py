@@ -15,8 +15,8 @@ from .braiding import (BraidingProvider, BraidingRegularityReport, ExplicitBraid
                        braiding_regularity, check_hexagons, check_naturality)
 from .spans import (Conjugation, DecompositionError, OperatorSpan, adjoint_span, contains,
                     crossed_product, equals, is_algebra, is_nondegenerate,
-                    is_relative_multiplier, is_star_closed, kernel_of_linear_map,
-                    projector_distance, span_from_slices, span_of)
+                    is_relative_multiplier, is_star_closed, projector_distance,
+                    span_from_slices, span_of)
 from .multunitary import (Certificate, MultUnitary, RegularityReport, classify_regularity,
                           coassociativity_residual, commutant_dimension, comultiply, dual,
                           full_certificate, left_slice_span, multiplier_checks,

@@ -127,9 +127,8 @@ def commutant_dimension(m: MultUnitary) -> int:
     they share and sums each component's kernel: the column count less the
     component's rank, every rank against the one anchor of
     :func:`spans.null_space`.  A map with one component, such as that of a
-    dense F, takes :func:`spans.null_space` on the whole map: it is tall
-    (n^4 x n^2), so the kernel comes from a thin SVD, and the n^4 x n^4 left
-    factor is never built.
+    dense F, is one block: its rank comes from the singular values of the
+    tall n^4 x n^2 map alone, and no singular vector is built.
     """
     n = m.space.dim
     c = m.braiding.braid(m.space, m.space)

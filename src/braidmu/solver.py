@@ -151,7 +151,7 @@ class SearchProblem:
         vecs = np.array([b.reshape(-1) for b in kept])
         real = np.hstack([vecs.real, vecs.imag])
         u, s, vh = np.linalg.svd(real, full_matrices=False)
-        vh = vh[:spans.numerical_rank(s)]
+        vh = vh[:spans.numerical_rank(s, s[0])]
         return (vh[:, :dim * dim] + 1j * vh[:, dim * dim:]).reshape(-1, dim, dim)
 
     @property

@@ -2,23 +2,23 @@
 
 Spans are stored as orthonormal bases of vectorized operators (row-major
 vectorization, matching the leg convention).  Every rank is decided at the
-one relative cutoff :data:`RANK_CUTOFF`, which no caller sets; only check
-tolerances are set per call.
+one relative cutoff :data:`RANK_CUTOFF`, by :func:`numerical_rank`, which no
+caller sets; only check tolerances are set per call.
 
 Every decision here (a span's rank and basis, a projector distance, a
 subset residual, the generators a crossed product keeps, a kernel
 dimension) first splits its stack by support (:class:`_Split`): two rows
 are joined when they share a nonzero column.  Rows in different components
 are orthogonal, and so are the subspaces they span, so each decision is
-the dense routine run on each component's block, batched over blocks of
-one shape, and no SVD, QR or product runs on a whole stack that splits.
+one routine run on each component's block, batched over blocks of one
+shape, and no SVD, QR or product runs on a whole stack that splits.  A
+stack with at most one component, such as the generators of a dense F, is
+one block of every row and column: the stack itself, batched as one.
 The components share one anchor: a rank counts the singular values above
 :data:`RANK_CUTOFF` times the largest singular value over every component
 (at least 1.0 for a kernel, as :func:`null_space` takes it), and a
-projector distance is the largest over the components.  A span that split
-keeps its basis as its components' blocks (:attr:`OperatorSpan.parts`).
-A stack with one component, such as the generators of a dense F, takes
-the dense routine on the whole matrix, bit for bit.
+projector distance is the largest over the components.  A span keeps its
+basis as its components' blocks (:attr:`OperatorSpan.parts`).
 
 Every SVD that needs no wide factor runs on the tall side of its matrix,
 the conjugate transpose of a wide one: the singular values are the same,
@@ -42,7 +42,7 @@ __all__ = [
     "RANK_CUTOFF", "OperatorSpan", "span_of", "span_from_slices", "contains",
     "equals", "projector_distance", "adjoint_span", "is_algebra",
     "is_star_closed", "is_nondegenerate", "numerical_rank", "null_space",
-    "kernel_of_linear_map", "kernel_dimension", "crossed_injections", "crossed_product",
+    "kernel_dimension", "crossed_injections", "crossed_product",
     "is_relative_multiplier", "Conjugation", "CrossedProduct", "CrossedProductExtension",
     "compare_extensions", "DecompositionError",
 ]
@@ -57,44 +57,46 @@ class DecompositionError(ValueError):
 class OperatorSpan:
     """An orthonormal basis of a subspace of operators between two leg lists.
 
-    A span that :func:`_row_span` split by support holds its basis as
-    ``parts``, one triple per batch of components of one shape: the basis
-    indices (G, k), the columns (G, c) of the vectorized operators that the
-    component covers, and its k basis rows on those columns (G, k, c).  Its
-    :attr:`basis` and :meth:`stack` are built from them on first use; the
-    decisions here read the parts alone.  Any other span holds its basis.
+    The basis is held as ``parts``, as :func:`_row_span` makes them: one
+    triple per batch of support components of one shape, the basis indices
+    (G, k), the columns (G, c) of the vectorized operators that the
+    component covers, and its k basis rows on those columns (G, k, c).  A
+    span whose rows did not split holds one part on every column
+    (:attr:`whole`), and a span of rank zero holds none.  Its :attr:`basis`
+    and :meth:`stack` are built from the parts on first use; the decisions
+    here read the parts alone.
     """
 
-    def __init__(self, domain: Sequence[Space], codomain: Sequence[Space],
-                 basis: Sequence[LegOperator] = (), parts: tuple | None = None):
-        self.domain, self.codomain, self.parts = tuple(domain), tuple(codomain), parts
-        if parts is None:
-            self.__dict__["basis"] = tuple(basis)
+    def __init__(self, domain: Sequence[Space], codomain: Sequence[Space], parts: tuple = ()):
+        self.domain, self.codomain, self.parts = tuple(domain), tuple(codomain), tuple(parts)
 
     @cached_property
     def basis(self) -> tuple[LegOperator, ...]:
-        return tuple(_unvec(v, self.domain, self.codomain) for v in self.stack())
+        sig = LegSignature(self.domain, self.codomain)
+        return tuple(LegOperator(sig, v.reshape(sig.cod_dim, sig.dom_dim)) for v in self.stack())
 
     @property
     def rank(self) -> int:
-        if self.parts is None:
-            return len(self.basis)
         return sum(index.size for index, _, _ in self.parts)
 
     @property
     def ambient_dim(self) -> int:
         return total_dim(self.domain) * total_dim(self.codomain)
 
+    @property
+    def whole(self) -> bool:
+        """One part on every column: the rows the span was made from did not split."""
+        return len(self.parts) == 1 and self.parts[0][1].shape[1] == self.ambient_dim
+
     def stack(self) -> np.ndarray:
-        """Basis as rows of vectorized operators, shape (rank, ambient_dim)."""
-        if self.parts is not None:
-            out = np.zeros((self.rank, self.ambient_dim), dtype=complex)
-            for index, cols, vecs in self.parts:
-                out[index[:, :, None], cols[:, None, :]] = vecs
-            return out
-        if not self.basis:
-            return np.zeros((0, self.ambient_dim), dtype=complex)
-        return np.array([b.matrix.reshape(-1) for b in self.basis])
+        """Basis as rows of vectorized operators, shape (rank, ambient_dim);
+        a whole span's is its one part, shared, not a copy."""
+        if self.whole:
+            return self.parts[0][2][0]
+        out = np.zeros((self.rank, self.ambient_dim), dtype=complex)
+        for index, cols, vecs in self.parts:
+            out[index[:, :, None], cols[:, None, :]] = vecs
+        return out
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The parts as (basis index, column, value) triples, every column of
@@ -102,7 +104,8 @@ class OperatorSpan:
         shaped = [(np.broadcast_to(index[:, :, None], vecs.shape),
                    np.broadcast_to(cols[:, None, :], vecs.shape), vecs)
                   for index, cols, vecs in self.parts]
-        return tuple(np.concatenate([x[i].ravel() for x in shaped]) for i in range(3))
+        return tuple(np.concatenate([np.empty(0, dtype)] + [x[i].ravel() for x in shaped])
+                     for i, dtype in enumerate((np.intp, np.intp, complex)))
 
     def gram_residual(self) -> float:
         b = self.stack()
@@ -215,56 +218,62 @@ class _Split:
         return out
 
 
-def _split_stack(rows: np.ndarray) -> tuple[_Split, list[np.ndarray]] | None:
-    """The rows of a stack split by support, by :func:`_split_entries`.  A
-    row with every column nonzero joins every other nonzero row, so a dense
-    stack is seen without listing its entries."""
-    nonzero = rows != 0
-    if rows.size and nonzero.sum(axis=1).max() == rows.shape[1]:
-        return None
-    items, cols = np.nonzero(nonzero)
-    return _split_entries(items, cols, rows[items, cols], rows.shape[0])
+def _split(first: np.ndarray | tuple, span: OperatorSpan | None = None
+           ) -> tuple[list[_Group], list]:
+    """Items split by support (:class:`_Split`): the groups, and per group
+    its block.  The items are a stack (count, width) or its entries (items,
+    cols, values, (count, width)).  The basis rows of a ``span`` join them,
+    numbered after them, and each group's block is then a pair: the items'
+    rows (G, h, c) and the span's rows (G, k, c).
 
-
-def _split_entries(items: np.ndarray, cols: np.ndarray, values: np.ndarray, count: int,
-                   span: OperatorSpan | None = None
-                   ) -> tuple[_Split, list[np.ndarray]] | None:
-    """``count`` items given by their entries, split by support, with their
-    blocks; None when they form at most one component, so that the caller
-    runs its dense routine on the whole stack.  The basis rows of a ``span``
-    held as parts join them, numbered after them, and each block's leading
-    rows are the given items'."""
-    first = None
-    if span is not None:
-        more = span.entries()
-        items, cols, values = (np.concatenate((x, y)) for x, y in
-                               zip((items, cols, values), (more[0] + count, *more[1:])))
-        first, count = count, count + span.rank
-    split = _Split(items, cols, count, first)
-    return (split, split.blocks(values)) if split.count > 1 else None
-
-
-def _vec(op: LegOperator) -> np.ndarray:
-    return op.matrix.reshape(-1)
-
-
-def _unvec(v: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...]) -> LegOperator:
-    sig = LegSignature(domain, codomain)
-    return LegOperator(sig, v.reshape(sig.cod_dim, sig.dom_dim))
-
-
-def numerical_rank(s: np.ndarray, cutoff: float = RANK_CUTOFF,
-                   scale: float | None = None) -> int:
-    """Number of singular values above ``cutoff`` times the anchor.
-
-    ``s`` is sorted descending, as numpy's SVD returns it.  The anchor is
-    ``s[0]``, or ``max(s[0], scale)`` when a scale is given; a spectrum with
-    no positive anchor has rank zero.
+    Items of at most one component are one component of every row and
+    column, in one group, whose block is the stack itself, or the entries
+    scattered into it, and the span's stack.  A row with every column
+    nonzero joins every other nonzero row, and a whole span every row, so
+    neither is listed by its entries.
     """
-    if not s.size:
-        return 0
-    anchor = max(s[0], scale) if scale is not None else s[0]
-    return int(np.sum(s > cutoff * anchor)) if anchor > 0 else 0
+    if isinstance(first, tuple):
+        items, cols, values, (count, width) = first
+        stack = None
+    else:
+        stack, (count, width) = first, first.shape
+    rank = span.rank if span is not None else 0
+    whole = span is not None and span.whole
+    if stack is not None and not whole:
+        nonzero = stack != 0
+        whole = stack.size and nonzero.sum(axis=1).max() == width
+        if not whole:
+            items, cols = np.nonzero(nonzero)
+            values = stack[items, cols]
+    if not whole:
+        joined = items, cols, values
+        if span is not None:
+            more = span.entries()
+            joined = [np.concatenate((x, y)) for x, y in zip(joined, (more[0] + count, *more[1:]))]
+        split = _Split(joined[0], joined[1], count + rank, None if span is None else count)
+        if split.count > 1:
+            blocks = split.blocks(joined[2])
+            if span is not None:
+                blocks = [(b[:, :g.head], b[:, g.head:]) for g, b in zip(split.groups, blocks)]
+            return split.groups, blocks
+    if stack is None:
+        stack = np.zeros((count, width), dtype=complex)
+        stack[items, cols] = values
+    block = stack[None] if span is None else (stack[None], span.stack()[None])
+    group = _Group(np.zeros(1, dtype=np.intp), np.arange(count + rank)[None],
+                   np.arange(width)[None], count)
+    return [group], [block]
+
+
+def numerical_rank(s: np.ndarray, anchor: float, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+    """Number of singular values above ``cutoff`` times ``anchor``, along
+    the last axis of ``s``: one count per spectrum of a batch.
+
+    The caller gives the anchor, at least every value of ``s``: the largest
+    singular value over every spectrum that one decision reads, or at least
+    1.0 for a kernel.  A spectrum of zeros at anchor zero has rank zero.
+    """
+    return np.sum(s > cutoff * anchor, axis=-1)
 
 
 def _tall(m: np.ndarray) -> np.ndarray:
@@ -279,46 +288,40 @@ def _tall(m: np.ndarray) -> np.ndarray:
 
 def _row_span(rows: np.ndarray, domain: tuple[Space, ...], codomain: tuple[Space, ...]
               ) -> OperatorSpan:
-    """Orthonormal span of the rows (vectorized operators) by a rank-revealing SVD.
+    """Orthonormal span of the rows (vectorized operators) by a rank-revealing
+    SVD of each support component's block (:func:`_split`), batched
+    over the blocks of one shape; rows that do not split are one block.
 
-    Fewer rows than columns: the SVD runs on rows^H = V S U^H, whose leading
-    left singular vectors are the conjugated right singular rows of ``rows``.
-    Rows that split by support take that SVD on each component's block, and
-    each component keeps its singular values above the cutoff times the
-    largest over all of them; the span holds the kept rows as its parts,
-    numbered in component order.
+    A block of fewer rows than columns takes the SVD of its conjugate
+    transpose B^H = V S U^H, whose leading left singular vectors are the
+    conjugated right singular rows of B.  Each component keeps its singular
+    values above the cutoff times the largest over all of them; the span
+    holds the kept rows as its parts, numbered in component order.
     """
-    split = _split_stack(rows)
-    if split is None:
-        if rows.shape[0] < rows.shape[1]:
-            u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
-            kept = u[:, :numerical_rank(s)].conj().T
-        else:
-            _, s, vh = np.linalg.svd(rows, full_matrices=False)
-            kept = vh[:numerical_rank(s)]
-        basis = tuple(_unvec(v, domain, codomain) for v in kept)
-        return OperatorSpan(domain, codomain, basis)
-    split, blocks = split
+    groups, blocks = _split(rows)
+    # per block, its spectra, its singular rows and how a kept one is copied
+    # out: a wide block's are the left singular vectors of B^H, conjugated
     factors = []
-    for g, block in zip(split.groups, blocks):
+    for block in blocks:
         if block.shape[1] < block.shape[2]:
             u, s, _ = np.linalg.svd(block.conj().swapaxes(1, 2), full_matrices=False)
-            factors.append((s, u.conj().swapaxes(1, 2)))
+            factors.append((s, u.swapaxes(1, 2), np.conjugate))
         else:
-            factors.append(np.linalg.svd(block, full_matrices=False)[1:])
-    anchor = max(s[:, 0].max() for s, _ in factors)
-    ranks = np.zeros(split.count, dtype=np.intp)
-    for g, (s, _) in zip(split.groups, factors):
-        ranks[g.comps] = np.sum(s > RANK_CUTOFF * anchor, axis=1) if anchor > 0 else 0
+            factors.append((*np.linalg.svd(block, full_matrices=False)[1:], np.positive))
+    anchor = max(s.max(initial=0.0) for s, _, _ in factors)
+    ranks = np.zeros(sum(g.comps.size for g in groups), dtype=np.intp)
+    for g, (s, _, _) in zip(groups, factors):
+        ranks[g.comps] = numerical_rank(s, anchor)
     offsets = np.cumsum(ranks) - ranks
     parts = []
-    for g, (_, vecs) in zip(split.groups, factors):
-        for k in np.unique(ranks[g.comps]):
+    for g, (_, vecs, copy) in zip(groups, factors):
+        for k in sorted(set(ranks[g.comps].tolist())):
             kept = ranks[g.comps] == k
             if k:
+                out = np.empty((kept.sum(), k, vecs.shape[2]), dtype=complex)
                 parts.append((offsets[g.comps[kept]][:, None] + np.arange(k), g.cols[kept],
-                              vecs[kept, :k]))
-    return OperatorSpan(domain, codomain, parts=tuple(parts))
+                              copy(vecs[kept, :k], out=out)))
+    return OperatorSpan(domain, codomain, tuple(parts))
 
 
 def span_of(operators: Sequence[LegOperator]) -> OperatorSpan:
@@ -330,7 +333,7 @@ def span_of(operators: Sequence[LegOperator]) -> OperatorSpan:
     for op in ops:
         if op.domain != domain or op.codomain != codomain:
             raise LegError("span_of: mixed signatures")
-    return _row_span(np.array([_vec(op) for op in ops]), domain, codomain)
+    return _row_span(np.array([op.matrix.reshape(-1) for op in ops]), domain, codomain)
 
 
 def span_from_slices(x: LegOperator, side: str) -> OperatorSpan:
@@ -366,9 +369,10 @@ def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
 
     Computed as the largest sine of a principal angle; 1.0 whenever the ranks
     differ.  For equal ranks ||(1 - P2) P1|| = ||(1 - P1) P2||, so one
-    residual stack and one SVD give it.  Two spans held as parts split
-    together by support: the distance is the largest over the components,
-    1.0 in one whose ranks differ.
+    residual stack and one SVD give it.  The two spans split together by
+    support (:func:`_split`): the distance is the largest over the
+    components, 1.0 in one whose ranks differ.  A whole s1 is one block
+    with s2, and neither's entries are listed.
     """
     if (s1.domain, s1.codomain) != (s2.domain, s2.codomain):
         raise LegError("projector_distance: signature mismatch")
@@ -376,18 +380,14 @@ def projector_distance(s1: OperatorSpan, s2: OperatorSpan) -> float:
         return 1.0
     if s1.rank == 0:
         return 0.0
-    split = None
-    if s1.parts is not None and s2.parts is not None:
-        split = _split_entries(*s1.entries(), s1.rank, s2)
-    if split is None:
-        b1, b2 = s1.stack(), s2.stack()
-        r12 = b1 - (b1 @ b2.conj().T) @ b2
-        return float(np.linalg.svd(_tall(r12), compute_uv=False)[0])
+    if s1.whole:
+        pairs = [(s1.stack()[None], s2.stack()[None])]
+    else:
+        pairs = _split((*s1.entries(), (s1.rank, s1.ambient_dim)), s2)[1]
     worst = 0.0
-    for g, block in zip(split[0].groups, split[1]):
-        if 2 * g.head != block.shape[1]:
+    for b1, b2 in pairs:
+        if b1.shape[1] != b2.shape[1]:
             return 1.0
-        b1, b2 = block[:, :g.head], block[:, g.head:]
         r12 = b1 - (b1 @ b2.conj().swapaxes(1, 2)) @ b2
         worst = max(worst, np.linalg.svd(_tall(r12), compute_uv=False)[:, 0].max())
     return float(worst)
@@ -398,19 +398,17 @@ def equals(s1: OperatorSpan, s2: OperatorSpan, tol: float = 1e-9) -> bool:
 
 
 def adjoint_span(s: OperatorSpan) -> OperatorSpan:
-    if not s.basis:
-        return OperatorSpan(s.codomain, s.domain, ())
+    if not s.rank:
+        return OperatorSpan(s.codomain, s.domain)
     return span_of([adjoint(b) for b in s.basis])
 
 
 def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> float:
-    """Largest relative distance of a candidate from the span (zero ones skipped).
-
-    Against a span held as parts, the candidates are their entries
-    (:func:`_entry_residual`)."""
+    """Largest relative distance of a candidate from the span (zero ones
+    skipped), by :func:`_residual` on the candidates' stack."""
     if not candidates:
         return 0.0
-    v = np.array([_vec(op) for op in candidates])
+    v = np.array([op.matrix.reshape(-1) for op in candidates])
     norms = np.linalg.norm(v, axis=1)
     # numerically zero candidates at the working scale are trivially contained
     live = norms > RANK_CUTOFF * norms.max()
@@ -418,37 +416,21 @@ def _subset_residual(candidates: Sequence[LegOperator], span: OperatorSpan) -> f
         return 0.0
     if not live.all():
         v, norms = v[live], norms[live]
-    if span.parts is None:
-        return _dense_residual(v, norms, span.stack())
-    items, cols = np.nonzero(v)
-    return _entry_residual(items, cols, v[items, cols], norms, span)
+    return _residual(v, norms, span)
 
 
-def _dense_residual(v: np.ndarray, norms: np.ndarray, b: np.ndarray) -> float:
-    """The largest residual norm of a row of v off the rows of b, over its norm."""
-    # rows of b are vdot-orthonormal, so the projection of the rows of v is
-    # (v b^H) b; v is a fresh stack, so it takes the residual in place
-    v -= (v @ b.conj().T) @ b
-    return float(np.max(np.linalg.norm(v, axis=1) / norms))
-
-
-def _entry_residual(items: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                    norms: np.ndarray, span: OperatorSpan) -> float:
-    """:func:`_subset_residual` of candidates given by their entries and
-    norms, each norm above the cutoff, against a span held as parts.  The
-    two split together by support: a candidate lies in one component, and
-    its distance is from the span's rows there.  One component takes the
-    dense residual of the whole stack."""
-    count = len(norms)
-    split = _split_entries(items, cols, values, count, span)
-    if split is None:
-        v = np.zeros((count, span.ambient_dim), dtype=complex)
-        v[items, cols] = values
-        return _dense_residual(v, norms, span.stack())
+def _residual(candidates: np.ndarray | tuple, norms: np.ndarray, span: OperatorSpan) -> float:
+    """:func:`_subset_residual` of candidates given as a fresh stack or by
+    their entries (items, cols, values, shape), with their norms, each above
+    the cutoff.  The candidates and the span's rows split together by
+    support (:func:`_split`): a candidate lies in one component, and
+    its distance is from the span's rows there."""
     worst = 0.0
-    for g, block in zip(split[0].groups, split[1]):
+    for g, (x, b) in zip(*_split(candidates, span)):
         if g.head:
-            x, b = block[:, :g.head], block[:, g.head:]
+            # the span's rows are vdot-orthonormal, so the projection of the
+            # candidates x is (x b^H) b; x is fresh, so it takes the residual
+            # in place
             x -= (x @ b.conj().swapaxes(1, 2)) @ b
             worst = max(worst, np.max(np.linalg.norm(x, axis=2) / norms[g.items[:, :g.head]]))
     return float(worst)
@@ -470,11 +452,11 @@ def is_star_closed(s: OperatorSpan, tol: float = 1e-9) -> bool:
 
 def is_nondegenerate(s: OperatorSpan, tol: float = 1e-9) -> bool:
     """The vectors {x v} over basis operators x and basis vectors v fill the space."""
-    if not s.basis:
+    if not s.rank:
         return False
     cols = np.hstack([b.matrix for b in s.basis])
     sv = np.linalg.svd(_tall(cols), compute_uv=False)
-    return numerical_rank(sv, max(tol, RANK_CUTOFF)) == total_dim(s.codomain)
+    return numerical_rank(sv, sv[0], max(tol, RANK_CUTOFF)) == total_dim(s.codomain)
 
 
 def null_space(t: np.ndarray) -> np.ndarray:
@@ -492,16 +474,7 @@ def null_space(t: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(t, full_matrices=t.shape[0] < t.shape[1])
     # t maps conj(vh[j]) to s_j u_j, so the kernel is spanned by the
     # conjugated trailing right-singular rows
-    return vh[numerical_rank(s, scale=1.0):].conj()
-
-
-def kernel_of_linear_map(t: np.ndarray, domain: Sequence[Space],
-                         codomain: Sequence[Space]) -> OperatorSpan:
-    """Kernel of an operator-valued linear map given on vectorized operators."""
-    domain, codomain = tuple(domain), tuple(codomain)
-    vecs = null_space(t)
-    basis = tuple(_unvec(v, domain, codomain) for v in vecs)
-    return OperatorSpan(domain, codomain, basis)
+    return vh[numerical_rank(s, max(s[0], 1.0)):].conj()
 
 
 def kernel_dimension(t: np.ndarray | tuple, shape: tuple[int, int] | None = None) -> int:
@@ -509,25 +482,21 @@ def kernel_dimension(t: np.ndarray | tuple, shape: tuple[int, int] | None = None
     (rows, cols, values) with ``shape``, at :data:`RANK_CUTOFF`.
 
     The columns of t split by support: two are joined when they share a
-    nonzero row.  The kernel is the direct sum of the components' kernels,
-    so its dimension is the column count less each component's rank,
-    counted as :func:`null_space` counts it, against ``max(s, 1.0)`` for
-    the largest singular value s over every component.  One component
-    takes :func:`null_space` on the whole matrix.
+    nonzero row, and columns that do not split are one block.  The kernel
+    is the direct sum of the components' kernels, so its dimension is the
+    column count less each component's rank, counted against ``max(s,
+    1.0)`` for the largest singular value s over every component, the
+    anchor of :func:`null_space`.  A rank needs only singular values, taken
+    from the tall side of each block.
     """
     if isinstance(t, tuple):
         rows, cols, values = t
-        split = _split_entries(cols, rows, values, shape[1])
+        _, blocks = _split((cols, rows, values, shape[::-1]))
     else:
-        shape, split = t.shape, _split_stack(t.T)
-    if split is None:
-        if isinstance(t, tuple):
-            t = np.zeros(shape, dtype=complex)
-            t[rows, cols] = values
-        return len(null_space(t))
-    spectra = [np.linalg.svd(_tall(block), compute_uv=False) for block in split[1]]
-    anchor = max(1.0, max(s[:, 0].max() for s in spectra))
-    return shape[1] - sum(int(np.sum(s > RANK_CUTOFF * anchor)) for s in spectra)
+        shape, (_, blocks) = t.shape, _split(t.T)
+    spectra = [np.linalg.svd(_tall(block), compute_uv=False) for block in blocks]
+    anchor = max(1.0, max(s.max(initial=0.0) for s in spectra))
+    return shape[1] - int(sum(numerical_rank(s, anchor).sum() for s in spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -648,35 +617,30 @@ class CrossedProduct:
         """x's coefficients c_kl under both decompositions, those of each
         conjugated factor folded into one pad m_k = sum_l c_kl b_l: shape
         (2, rc * p, p).  Raises :class:`DecompositionError` when x lies
-        outside the span of the generators.  Split generators solve each
-        component's batch on x's entries there; x's residual adds the
-        components' and its norm off their columns.
+        outside the span of the generators.  Each batch of components that
+        :func:`_selections` made solves on x's entries there; x's residual
+        adds the components' and its norm off their columns.
         """
         if x.domain != self.legs or x.codomain != self.legs:
             raise LegError("element signature does not match the crossed product")
-        vx = _vec(x)
+        vx = x.matrix.reshape(-1)
         scale = max(np.linalg.norm(vx), 1.0)
         rp, p, _ = self.pad.shape
         rc = self.conjugated.rank
         folds = []
-        for factors, picked in self.decompositions:
+        for selected, _ in self.decompositions:
             # generator rows run over (k, l), or (l, k) pad first
             c = np.zeros(rc * rp, dtype=complex)
-            if isinstance(factors, _Selected):
-                off = vx[factors.outside]
-                squares = np.vdot(off, off).real
-                for cols, rows, v, q, r in factors.batches:
-                    xc = vx[cols]
-                    c[rows] = coef = np.linalg.solve(
-                        r, (q.swapaxes(1, 2) @ xc.conj()[..., None]).conj())[..., 0]
-                    fit = (v @ coef[..., None])[..., 0] - xc
-                    squares += np.vdot(fit, fit).real
-                residual = np.sqrt(squares)
-            else:
-                q, r = factors
-                # q* vx as the conjugate of q^T conj(vx): conjugates a vector, not q
-                c[picked] = np.linalg.solve(r, (q.T @ vx.conj()).conj())
-                residual = np.linalg.norm(self.gens.T @ c - vx)
+            off = vx[selected.outside]
+            squares = np.vdot(off, off).real
+            for cols, rows, v, q, r in selected.batches:
+                xc = vx[cols]
+                # q* x as the conjugate of q^T conj(x): conjugates a vector, not q
+                c[rows] = coef = np.linalg.solve(
+                    r, (q.swapaxes(1, 2) @ xc.conj()[..., None]).conj())[..., 0]
+                fit = (v @ coef[..., None])[..., 0] - xc
+                squares += np.vdot(fit, fit).real
+            residual = np.sqrt(squares)
             if residual > tol * scale:
                 raise DecompositionError(
                     f"element lies outside the crossed product (residual {residual:.3e})")
@@ -694,10 +658,9 @@ def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str) 
 def is_relative_multiplier(s: OperatorSpan, x: LegOperator, tol: float = 1e-9) -> bool:
     """x b and b x stay in the span for every basis element b.
 
-    For a span held as parts and a monomial x (its gather), x b and b x
-    are b's entries moved, row by row or column by column, and scaled:
-    :func:`_multiplier_residual` reads them off the parts, and no product
-    is formed."""
+    For a monomial x (its gather), x b and b x are b's entries moved, row
+    by row or column by column, and scaled: :func:`_multiplier_residual`
+    reads them off the parts, and no product is formed."""
     if s.domain != s.codomain:
         raise LegError("is_relative_multiplier expects an endomorphism span")
     return _multiplier_residual(s, x) < tol
@@ -706,7 +669,7 @@ def is_relative_multiplier(s: OperatorSpan, x: LegOperator, tol: float = 1e-9) -
 def _multiplier_residual(s: OperatorSpan, x: LegOperator) -> float:
     """The :func:`_subset_residual` of every x b and b x."""
     g = x.gather
-    if s.parts is None or g is None:
+    if g is None:
         moved = [compose(x, b) for b in s.basis] + [compose(b, x) for b in s.basis]
         return _subset_residual(moved, s)
     n = total_dim(s.domain)
@@ -721,13 +684,14 @@ def _multiplier_residual(s: OperatorSpan, x: LegOperator) -> float:
     values = np.concatenate((entry[inverse[row]] * values, values * entry[col]))
     norms = np.sqrt(np.bincount(items, np.abs(values) ** 2, minlength=2 * s.rank))
     # numerically zero candidates at the working scale are trivially contained
-    live = norms > RANK_CUTOFF * norms.max()
+    live = norms > RANK_CUTOFF * norms.max(initial=0.0)
     if not live.any():
         return 0.0
-    # the live candidates renumbered, as the dense path drops the others
+    # the live candidates renumbered, as _subset_residual drops the others
     renumber = np.cumsum(live) - 1
     kept = live[items]
-    return _entry_residual(renumber[items[kept]], moved[kept], values[kept], norms[live], s)
+    shape = (live.sum(), s.ambient_dim)
+    return _residual((renumber[items[kept]], moved[kept], values[kept], shape), norms[live], s)
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +722,33 @@ class Conjugation:
         return leg_product([(adjoint(self.v), 1), (a, start), (self.v, 1)], self.v.codomain)
 
 
-def _independent_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the columns of v independent of the columns before them, and their thin QR.
+@dataclass(frozen=True)
+class _Selected:
+    """The generators one order keeps: per batch of support components that
+    keep k of their generators, (columns (G, c), kept generator rows (G, k),
+    the kept generators as columns (G, c, k) and their thin QR factors), and
+    the columns no generator touches."""
 
-    One Householder QR of v gives each column's distance from the span of the
-    columns before it as |R_jj|.  Column j is kept when that exceeds
-    :data:`RANK_CUTOFF` times its norm; an exactly zero column never is.
-    When every column is kept that QR is returned, otherwise the QR of the
-    kept columns.
+    batches: tuple
+    outside: np.ndarray
+
+
+def _selections(gens: np.ndarray) -> list[tuple]:
+    """The forward and the reverse selection over the rows of ``gens``, each
+    (factors, rows): a :class:`_Selected` and the kept generators' row
+    indices, in the order's sequence.
+
+    Each support component of the generators (:func:`_split`; a
+    stack that does not split is one block) selects on its own block:
+    generators in other components are orthogonal to it, so they would not
+    move its test.  Its generators are the columns of a block on its c
+    columns, padded with zero rows to square when it has more generators
+    than columns, so that R has a diagonal entry for each, and the blocks
+    of one shape take one batched QR.  That Householder QR gives each
+    column's distance from the span of the columns before it as |R_jj|.
+    Column j is kept when that exceeds :data:`RANK_CUTOFF` times its norm;
+    an exactly zero column never is.  When a component keeps every column
+    that QR is kept, otherwise the QR of the kept columns.
 
     Unlike a greedy Gram-Schmidt pass, which measures each column against
     the kept columns only, R_jj measures it against every column before it,
@@ -779,57 +762,14 @@ def _independent_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     :meth:`CrossedProduct.decompose` would find the element outside the kept
     span and raise, not return a wrong value.
     """
-    q, r = np.linalg.qr(v)
-    norms = np.linalg.norm(v, axis=0)
-    keep = np.flatnonzero((np.abs(np.diagonal(r)) > RANK_CUTOFF * norms) & (norms > 0))
-    if 0 < keep.size < v.shape[1]:
-        q, r = np.linalg.qr(v[:, keep])
-    return keep, q, r
-
-
-@dataclass(frozen=True)
-class _Selected:
-    """The generators one order keeps, on split support: per batch of
-    components that keep k of their generators, (columns (G, c), kept
-    generator rows (G, k), the kept generators as columns (G, c, k) and
-    their thin QR factors), and the columns no generator touches."""
-
-    batches: tuple
-    outside: np.ndarray
-
-
-def _selections(gens: np.ndarray) -> list[tuple]:
-    """The forward and the reverse selection over the rows of ``gens``, each
-    (factors, rows): the kept generators' factors and their row indices, in
-    the order's sequence.
-
-    One component: the factors are (q, r), the thin QR of the selected
-    generators as columns, by :func:`_independent_columns` on views of the
-    stack.  Split by
-    support, each component selects by the same |R_jj| test on its own
-    block: generators in other components are orthogonal to it, so they
-    would not move that test.  Its generators are then columns of a block
-    on its c columns, padded with zero rows to square when it has more
-    generators than columns, so that R has a diagonal entry for each; the
-    factors are a :class:`_Selected`.
-    """
-    forward = np.arange(len(gens))
-    split = _split_stack(gens)
-    selections = []
-    if split is None:
-        for order, v in ((forward, gens.T), (forward[::-1], gens[::-1].T)):
-            keep, q, r = _independent_columns(v)
-            if not keep.size:
-                raise DecompositionError("crossed product has no nonzero generators")
-            selections.append(((q, r), order[keep]))
-        return selections
-    split, blocks = split
+    groups, blocks = _split(gens)
     outside = np.ones(gens.shape[1], dtype=bool)
-    for g in split.groups:
+    for g in groups:
         outside[g.cols] = False
+    selections = []
     for step in (1, -1):
         batches = []
-        for g, block in zip(split.groups, blocks):
+        for g, block in zip(groups, blocks):
             items, v = g.items[:, ::step], block.swapaxes(1, 2)[:, :, ::step]
             width, count = v.shape[1:]
             padded = v if width >= count else np.concatenate(
@@ -838,11 +778,11 @@ def _selections(gens: np.ndarray) -> list[tuple]:
             norms = np.linalg.norm(v, axis=1)
             keep = (np.abs(np.diagonal(r, axis1=1, axis2=2)) > RANK_CUTOFF * norms) & (norms > 0)
             kept = keep.sum(axis=1)
-            for k in np.unique(kept[kept > 0]):
+            for k in sorted(set(kept[kept > 0].tolist())):
                 sel = kept == k
                 at = np.nonzero(keep[sel])[1].reshape(-1, k)
                 if k == count <= width:
-                    vk, qk, rk = v[sel], q[sel], r[sel]
+                    vk, qk, rk = (v, q, r) if sel.all() else (v[sel], q[sel], r[sel])
                 else:
                     vk = np.take_along_axis(v[sel], at[:, None, :], axis=2)
                     qk, rk = np.linalg.qr(vk)

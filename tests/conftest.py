@@ -252,6 +252,21 @@ def greedy_selection(v, cutoff):
     return selected
 
 
+def independent_columns(v):
+    """spans._selections on one whole block, as the 2-D routine it replaces:
+    the indices of the columns of v independent of the columns before them,
+    and their thin QR.  One QR of v gives each column's distance from the
+    columns before it as |R_jj|; column j is kept when that exceeds the
+    cutoff times its norm, and an exactly zero column never is.  When every
+    column is kept that QR is returned, otherwise the QR of the kept ones."""
+    q, r = np.linalg.qr(v)
+    norms = np.linalg.norm(v, axis=0)
+    keep = np.flatnonzero((np.abs(np.diagonal(r)) > spans.RANK_CUTOFF * norms) & (norms > 0))
+    if 0 < keep.size < v.shape[1]:
+        q, r = np.linalg.qr(v[:, keep])
+    return keep, q, r
+
+
 def loop_subset_residual(candidates, span):
     """spans._subset_residual one candidate at a time, as it was first written."""
     b = span.stack()

@@ -202,8 +202,8 @@ def test_coassociativity_decomposes_each_element_once(group, variant, request, m
     # both extensions share one crossed product: one generator stack and one
     # decomposition per comultiplied element.  A dense gauge conjugate's
     # generators are one component, with one QR of the whole stack per
-    # order; KT's split by support, and each QR runs on the blocks of one
-    # batch of components, never on the stack
+    # order, a batch of one; KT's split by support, and each QR runs on the
+    # blocks of one batch of components, never on the stack
     stacks, qrs, decomposed = [], [], []
     real_stack, real_qr = spans._generator_stack, np.linalg.qr
     real_decompose = spans.CrossedProduct.decompose
@@ -222,7 +222,7 @@ def test_coassociativity_decomposes_each_element_once(group, variant, request, m
         if m is kt:
             assert len(qrs) >= 2 and all(max(shape[1:]) < stacks[0].shape[1] for shape in qrs)
         else:
-            assert qrs == [stacks[0].shape[::-1]] * 2
+            assert qrs == [(1, *stacks[0].shape[::-1])] * 2
 
 
 def test_a_kac_takesaki_certificate_factors_no_whole_stack(monkeypatch):
@@ -623,14 +623,22 @@ _CORPUS = {
 
 @pytest.mark.parametrize("name", list(_CORPUS))
 def test_the_split_certificate_is_the_whole_matrix_one(name, monkeypatch):
-    # with the support split turned off every decision runs its dense routine
-    # on the whole stack: the split must give the same flags, ranks and
-    # commutant, and residuals within 1e-13 (the coassociativity residuals
-    # moved by 6e-15 at most, KT S3's 5.8e-15 reading 0.0 split); a dense F
-    # is one component either way, so its records are equal bit for bit
+    # with every stack seen as one component, every decision runs on one
+    # block of every row and column: the split must give the same flags,
+    # ranks and commutant, and residuals within 1e-13 (the coassociativity
+    # residuals moved by 6e-15 at most, KT S3's 5.8e-15 reading 0.0 split);
+    # a dense F is one component either way, so its records are equal bit
+    # for bit
     m = _CORPUS[name]()
     got = bm.full_certificate(m).checks()
-    monkeypatch.setattr(spans, "_split_entries", lambda *args: None)
+
+    class Unsplit(spans._Split):
+        """A split that reads no entry, so finds no component to split by."""
+
+        def __init__(self, items, cols, count, first=None):
+            super().__init__(items[:0], cols[:0], count, first)
+
+    monkeypatch.setattr(spans, "_Split", Unsplit)
     whole = bm.full_certificate(m).checks()
     for record, reference in zip(got, whole):
         del record["wall_time_s"], reference["wall_time_s"]

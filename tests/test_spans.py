@@ -11,7 +11,8 @@ from braidmu.tensor import tensor, total_dim
 from braidmu import multunitary
 from conftest import (DenseCrossedProductExtension, dense_braid_tensor,
                       dense_coassociativity_residual, gauge_conjugate, graded_kac_takesaki,
-                      greedy_selection, loop_subset_residual, random_unitary)
+                      greedy_selection, independent_columns, loop_subset_residual,
+                      random_unitary)
 
 L2 = Space("L", 2)
 
@@ -123,13 +124,6 @@ def test_algebra_star_nondegenerate_flags(z2):
     assert not spans.is_nondegenerate(empty)
 
 
-def test_kernel_of_linear_map_extremes():
-    full = spans.kernel_of_linear_map(np.zeros((4, 4)), (L2,), (L2,))
-    assert full.rank == 4
-    zero = spans.kernel_of_linear_map(np.eye(4), (L2,), (L2,))
-    assert zero.rank == 0
-
-
 def test_goodness_map_kernel_is_scalar_for_z2(z2):
     # build the defining linear map column by column and solve independently
     f = z2.op.matrix
@@ -140,9 +134,11 @@ def test_goodness_map_kernel_is_scalar_for_z2(z2):
         e[i, j] = 1
         cols.append((f @ np.kron(e, np.eye(2)) @ f.conj().T
                      - c @ np.kron(e, np.eye(2)) @ np.linalg.inv(c)).reshape(-1))
-    kernel = spans.kernel_of_linear_map(np.array(cols).T, (L2,), (L2,))
-    assert kernel.rank == 1
-    assert spans.contains(kernel, leg_op(np.eye(2), [L2]), 1e-9)
+    t = np.array(cols).T
+    kernel = spans.null_space(t)
+    assert len(kernel) == spans.kernel_dimension(t) == 1
+    # the kernel is the scalars: the identity's vector, up to a phase
+    assert abs(abs(np.vdot(kernel[0], np.eye(2).reshape(-1))) - np.sqrt(2)) < 1e-9
 
 
 def test_crossed_product_of_diagonals_under_flip(z2):
@@ -372,7 +368,8 @@ def _full_svd_null_space(t, cutoff=spans.RANK_CUTOFF, scale=None):
     if t.size == 0 or not np.any(t):
         return np.eye(t.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(t, full_matrices=True)
-    return vh[spans.numerical_rank(s, cutoff, scale):].conj()
+    anchor = s[0] if scale is None else max(s[0], scale)
+    return vh[spans.numerical_rank(s, anchor, cutoff):].conj()
 
 
 def _low_rank(rows, cols, rank, seed):
@@ -770,19 +767,23 @@ def test_qr_selection_keeps_the_greedy_gram_schmidt_columns(reverse):
                   1e-12 * b[5]]).T                   # tiny but independent: kept
     if reverse:
         v = v[:, ::-1]
-    keep, q, r = spans._independent_columns(v)
-    assert list(keep) == greedy_selection(v, spans.RANK_CUTOFF)
+    # the columns of v are generators of one component: one whole block
+    (selected, keep), _ = spans._selections(v.T)
+    ((cols, kept, _, q, r),) = selected.batches
+    assert list(cols[0]) == list(range(40)) and not selected.outside.any()
+    assert list(keep) == list(kept[0]) == greedy_selection(v, spans.RANK_CUTOFF)
     assert list(keep) == ([0, 1, 2, 3, 4, 5] if reverse else [0, 2, 5, 6, 8, 10])
-    np.testing.assert_allclose(q @ r, v[:, keep], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(len(keep)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q[0] @ r[0], v[:, keep], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q[0].conj().T @ q[0], np.eye(len(keep)), rtol=0, atol=1e-12)
 
 
 def test_qr_selection_reuses_the_qr_when_every_column_is_kept():
     v = _complex_normal(np.random.default_rng(42), 30, 6)
-    keep, q, r = spans._independent_columns(v)
+    (selected, keep), _ = spans._selections(v.T)
+    ((_, _, _, q, r),) = selected.batches
     assert list(keep) == list(range(6))
     q0, r0 = np.linalg.qr(v)
-    assert np.array_equal(q, q0) and np.array_equal(r, r0)
+    assert np.array_equal(q[0], q0) and np.array_equal(r[0], r0)
 
 
 @pytest.mark.parametrize("group", ["z3", "s3"])
@@ -804,7 +805,7 @@ def test_extension_selects_the_greedy_generators(group, variant, request):
 def _wide_svd_row_span(rows, cutoff=spans.RANK_CUTOFF):
     """The row span from the SVD of the rows as given, whatever their orientation."""
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[:spans.numerical_rank(s, cutoff)]
+    return vh[:spans.numerical_rank(s, s[0], cutoff)]
 
 
 def _wide_svd_projector_distance(b1, b2):
@@ -920,14 +921,16 @@ def _whole_row_span(rows):
     of the whole stack, on its tall side."""
     if rows.shape[0] < rows.shape[1]:
         u, s, _ = np.linalg.svd(rows.conj().T, full_matrices=False)
-        return u[:, :spans.numerical_rank(s)].conj().T
+        return u[:, :spans.numerical_rank(s, s[0])].conj().T
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[:spans.numerical_rank(s)]
+    return vh[:spans.numerical_rank(s, s[0])]
 
 
 def _whole(span):
-    """The same basis held whole, so that every decision takes its dense routine."""
-    return spans.OperatorSpan(span.domain, span.codomain, span.basis)
+    """The same basis held as one whole part, so that every decision with it
+    runs on one block of every row and column."""
+    part = (np.arange(span.rank)[None], np.arange(span.ambient_dim)[None], span.stack()[None])
+    return spans.OperatorSpan(span.domain, span.codomain, (part,))
 
 
 # (columns, rank, rows) of each block; 40 - 29 columns stay zero
@@ -965,7 +968,7 @@ def test_row_span_splits_like_the_whole_matrix(seed):
     rows = _disjoint_stack(seed)
     span = spans._row_span(rows, (_A,), (_B,))
     whole = _whole_row_span(rows)
-    assert span.parts is not None
+    assert not span.whole
     assert span.rank == len(whole) == _RANK
     got = span.stack()
     np.testing.assert_allclose(_projector(got), _projector(whole), rtol=0, atol=1e-12)
@@ -986,7 +989,7 @@ def test_a_component_below_the_global_cutoff_is_dropped():
     a = Space("A", 8)
     assert len(_whole_row_span(rows[2:4, 4:])) == 2
     span = spans._row_span(rows, (a,), (Space("B", 1),))
-    assert span.parts is not None and span.rank == len(_whole_row_span(rows)) == 2
+    assert not span.whole and span.rank == len(_whole_row_span(rows)) == 2
     assert not np.any(span.stack()[:, 4:])
     t = rows.T
     assert spans.kernel_dimension(t) == len(spans.null_space(t)) == 3
@@ -999,9 +1002,42 @@ def test_a_component_below_the_global_cutoff_is_dropped():
     assert spans.kernel_dimension(big.T) == len(spans.null_space(big.T)) == 3
 
 
+def _whole_distance(b1, b2):
+    """spans.projector_distance of two equal-rank stacks as the 2-D routine
+    before the split computed it."""
+    r12 = b1 - (b1 @ b2.conj().T) @ b2
+    return float(np.linalg.svd(spans._tall(r12), compute_uv=False)[0])
+
+
+def _whole_residual(v, b):
+    """spans._subset_residual of the nonzero rows of v as the 2-D routine
+    before the split computed it."""
+    norms = np.linalg.norm(v, axis=1)
+    v = v - (v @ b.conj().T) @ b
+    return float(np.max(np.linalg.norm(v, axis=1) / norms))
+
+
+def _whole_folds(cp, x):
+    """CrossedProduct.decompose as the 2-D routine before the split: each
+    order's selection by one QR of the whole generator stack, x solved on it."""
+    vx = x.matrix.reshape(-1)
+    rp, p, _ = cp.pad.shape
+    rc = cp.conjugated.rank
+    order, folds = np.arange(len(cp.gens)), []
+    for picked, v in ((order, cp.gens.T), (order[::-1], cp.gens[::-1].T)):
+        keep, q, r = independent_columns(v)
+        c = np.zeros(rc * rp, dtype=complex)
+        c[picked[keep]] = np.linalg.solve(r, (q.T @ vx.conj()).conj())
+        c = c.reshape(rp, rc).T.copy() if cp.pad_first else c.reshape(rc, rp)
+        m = (c @ cp.pad.reshape(rp, -1)).reshape(rc, p, p)
+        folds.append((m.transpose(0, 2, 1) if cp.pad_first else m).reshape(rc * p, p))
+    return np.stack(folds)
+
+
 def test_one_component_takes_the_whole_matrix_routine():
     # a dense stack, and a sparse one whose rows chain into one component:
-    # the same bytes as the routine before the split, and no parts
+    # one whole part, and every decision the same bytes as the 2-D routine
+    # before the split, run on the one block of every row and column
     rng = np.random.default_rng(65)
     dense = _complex_normal(rng, 6, 12)
     chain = np.zeros((6, 12), dtype=complex)
@@ -1010,10 +1046,43 @@ def test_one_component_takes_the_whole_matrix_routine():
     for rows in (dense, chain, dense.T.copy(), chain.T.copy()):
         dom, cod = Space("A", rows.shape[1]), Space("B", 1)
         span = spans._row_span(rows, (dom,), (cod,))
-        assert span.parts is None
-        assert span.stack().tobytes() == _whole_row_span(rows).tobytes()
+        assert span.whole and len(span.parts) == 1
+        b = span.stack()
+        assert b.tobytes() == _whole_row_span(rows).tobytes()
+        # a whole span nearby, and a split one of the same rank on two halves
+        near = spans._row_span(rows + 1e-6 * _complex_normal(rng, *rows.shape), (dom,), (cod,))
+        half = rows.shape[1] // 2
+        halves = np.zeros((6, rows.shape[1]), dtype=complex)
+        halves[:3, :half], halves[3:, half:] = (_complex_normal(rng, 3, half),
+                                                _complex_normal(rng, 3, rows.shape[1] - half))
+        split = spans._row_span(halves, (dom,), (cod,))
+        assert near.whole and not split.whole and split.rank == span.rank == 6
+        for s1, s2 in ((span, near), (span, split), (split, span)):
+            assert spans.projector_distance(s1, s2) == _whole_distance(s1.stack(), s2.stack())
+        v = _complex_normal(rng, 3, rows.shape[1])
+        v[0] = rows[0]
+        candidates = [leg_op(x.reshape(1, -1), [dom], [cod]) for x in v]
+        assert spans._subset_residual(candidates, span) == _whole_residual(v, b)
         t = rows.T
         assert spans.kernel_dimension(t) == len(spans.null_space(t))
+    # as generators: the 2-D routine took no more of them than columns
+    for rows in (dense, chain):
+        order = np.arange(len(rows))
+        for (selected, picked), (at, v) in zip(spans._selections(rows),
+                                               ((order, rows.T), (order[::-1], rows[::-1].T))):
+            keep, q, r = independent_columns(v)
+            ((_, kept, _, qk, rk),) = selected.batches
+            assert list(picked) == list(kept[0]) == list(at[keep])
+            assert qk[0].tobytes() == q.tobytes() and rk[0].tobytes() == r.tobytes()
+    # a dense F's crossed product: its generators are one block, and both
+    # decompositions of every element are the 2-D routine's, bit for bit
+    m = gauge_conjugate(bm.kac_takesaki(bm.cyclic(3)), 5)
+    alg, cp_variant, _ = multunitary._bialgebra_data(m, "op")
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    assert cp.span.whole
+    for a in alg.basis:
+        x = bm.comultiply(m, a, "op")
+        assert cp.decompose(x, 1e-9).tobytes() == _whole_folds(cp, x).tobytes()
 
 
 @pytest.mark.parametrize("seed", [66, 67])
@@ -1026,7 +1095,7 @@ def test_projector_distance_splits_like_the_whole_matrix(seed):
     other = spans._row_span(_disjoint_stack(seed + 10), (_A,), (_B,))
     assert moved.rank == other.rank == span.rank
     for s2 in (span, near, moved, other):
-        assert s2.parts is not None
+        assert not s2.whole
         got = spans.projector_distance(span, s2)
         assert abs(got - spans.projector_distance(_whole(span), _whole(s2))) < 1e-12
         assert spans.equals(span, s2) == (s2 is span)
@@ -1059,8 +1128,8 @@ def test_selections_split_like_the_whole_matrix(seed):
     (forward, picked), (reverse, back) = spans._selections(gens)
     assert isinstance(forward, spans._Selected) and isinstance(reverse, spans._Selected)
     order = np.arange(len(gens))[::-1]
-    assert list(picked) == list(spans._independent_columns(gens.T)[0])
-    assert list(back) == list(order[spans._independent_columns(gens[::-1].T)[0]])
+    assert list(picked) == list(independent_columns(gens.T)[0])
+    assert list(back) == list(order[independent_columns(gens[::-1].T)[0]])
     assert list(picked) == greedy_selection(gens.T, spans.RANK_CUTOFF)
     for selected in (forward, reverse):
         assert not np.any(gens[:, selected.outside])
@@ -1101,11 +1170,49 @@ def test_relative_multiplier_reads_a_monomial_off_the_parts(group, request):
     slices = multunitary.right_slice_span
     target = spans.CrossedProduct(slices(m), slices(multunitary.dual(m)), m.braiding,
                                   "hbt").span
-    assert target.parts is not None
+    assert not target.whole
     legs = m.op.domain
     for x, inside in ((m.op, True), (leg_op(_monomial(m.op.matrix.shape[0], 74), legs), False)):
         assert x.gather is not None
-        got = spans._multiplier_residual(target, x)
-        expected = spans._multiplier_residual(_whole(target), x)
-        assert abs(got - expected) < 1e-12
-        assert (got < 1e-12) == inside
+        moved = ([bm.compose(x, b) for b in target.basis]
+                 + [bm.compose(b, x) for b in target.basis])
+        expected = loop_subset_residual(moved, target)
+        for span in (target, _whole(target)):
+            got = spans._multiplier_residual(span, x)
+            assert abs(got - expected) < 1e-12
+            assert (got < 1e-12) == inside
+
+
+# ---------------------------------------------------------------- rank zero
+
+_EMPTY = spans.OperatorSpan((L2,), (L2,), ())
+_FLIP = np.array([[0, 1j], [1, 0]])      # a monomial with a phase
+
+
+def test_an_empty_span_contains_only_zero():
+    assert [len(x) for x in _EMPTY.entries()] == [0, 0, 0]
+    assert _EMPTY.stack().shape == (0, 4) and _EMPTY.basis == ()
+    assert not spans.contains(_EMPTY, leg_op(_FLIP, [L2]))
+    assert spans.contains(_EMPTY, leg_op(np.zeros((2, 2)), [L2]))
+
+
+def test_an_empty_span_equals_only_an_empty_span():
+    adjoint = spans.adjoint_span(_EMPTY)
+    assert adjoint.rank == 0 and not adjoint.parts
+    assert spans.equals(_EMPTY, adjoint) and spans.equals(_EMPTY, _EMPTY)
+    assert not spans.equals(_EMPTY, spans.span_of([leg_op(_FLIP, [L2])]))
+
+
+def test_an_empty_span_is_at_distance_one_from_any_other():
+    full = spans.span_of([leg_op(_FLIP, [L2])])
+    assert spans.projector_distance(_EMPTY, spans.adjoint_span(_EMPTY)) == 0.0
+    assert spans.projector_distance(_EMPTY, full) == spans.projector_distance(full, _EMPTY) == 1.0
+
+
+def test_every_operator_is_a_multiplier_of_an_empty_span():
+    # no basis element, so no product leaves the span: a monomial, read off
+    # the parts, and a dense operator, multiplied out
+    x = leg_op(_FLIP, [L2])
+    assert x.gather is not None
+    assert spans.is_relative_multiplier(_EMPTY, x)
+    assert spans.is_relative_multiplier(_EMPTY, leg_op(random_unitary(2, 76), [L2]))

@@ -1358,7 +1358,6 @@ UNREFERENCED = {
     "spans.is_star_closed": "ROADMAP item 3: report-path candidate, the C*-conditions",
     "spans.is_nondegenerate": "ROADMAP item 3: report-path candidate, the C*-conditions",
     "spans.crossed_product": "bound by bench/: the tracer's spans.crossed_product span",
-    "spans.kernel_of_linear_map": "public API: a kernel as a span; kernel_dimension counts it",
     "tensor.apply_on_legs": "public one-step API; the tests' step reference",
     "tensor.tensor": "bound by bench/: the tracer's tensor.tensor span; dense test oracle",
     "tensor.embed_adjacent": "bound by bench/: the tracer's tensor.embed_adjacent span; "
