@@ -80,8 +80,23 @@ def _unwritable(*paths: str | None) -> bool:
     return False
 
 
+def _beyond_memory(nbytes: int, what: str) -> bool:
+    """Print an error and return True when ``what``, whose largest array takes
+    ``nbytes``, reckoned from the size flags before anything is built, would
+    not fit in the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        print(f"error: {what} needs more than the {memory / 2 ** 30:.1f} GiB of physical "
+              "memory", file=sys.stderr)
+    return nbytes > memory
+
+
 def cmd_generate(args) -> int:
-    if _unwritable(args.output):
+    # the largest array: the complex operator on L (x) L, or a super grading
+    zn = args.kind == "kac-takesaki" and args.group.lower() == "zn"
+    nbytes = {"identity": 16 * args.dim ** 4, "super": 8 * args.dim}.get(
+        args.kind, 16 * (args.n or 0) ** 4 if zn else 0)
+    if _unwritable(args.output) or _beyond_memory(nbytes, f"the {args.kind} bundle at this size"):
         return 2
     bundle = Bundle()
     if args.kind == "kac-takesaki":
@@ -160,8 +175,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    # checked before the restarts run; an empty --report means no report
-    if _unwritable(args.output, args.report or None):
+    # checked before the restarts run; an empty --report means no report.  The
+    # largest array is the parameter basis, d^4 complex d^2 x d^2 matrices
+    # held twice while they are stacked
+    if (_unwritable(args.output, args.report or None)
+            or _beyond_memory(32 * args.dim ** 8, "a search at this dimension")):
         return 2
     # argparse restricts --category to these three
     modulus = {"flip": None, "super": 2, "phase": args.modulus}[args.category]

@@ -14,6 +14,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import spans
+from .braiding import ExplicitBraiding
 from .spans import (Conjugation, CrossedProduct, CrossedProductExtension, OperatorSpan,
                     equals, is_relative_multiplier, span_from_slices)
 from .tensor import (Gather, LegError, LegOperator, LegSignature, Space, _unitarity_residual,
@@ -153,23 +154,18 @@ def _commutant_entries(f: Gather, c: Gather, cinv: Gather, n: int) -> tuple:
     c and c^{-1}, equal ones summed and zero sums dropped.
 
     (e_ij (x) 1) is the sum over k of |ik><jk|.  A monomial sends |s> to its
-    entry in column s times |r>, r the row holding that entry (its
-    adjoint's source), so F |ik><jk| F* puts f_ik conj(f_jk) at (r_ik, r_jk),
-    and c |ik><jk| c^{-1} puts c_ik d_jk at (r_ik, source_d[jk]), for
-    c^{-1}'s entry d_jk in row jk.  Row (a, b) of the map is a * n^2 + b;
-    column e_ij is i * n + j.
+    entry in column s times |r>, r the row holding that entry (where column
+    s lands, :meth:`~braidmu.tensor.Gather.entries`), so F |ik><jk| F* puts
+    f_ik conj(f_jk) at (r_ik, r_jk), and c |ik><jk| c^{-1} puts c_ik d_jk at
+    (r_ik, source_d[jk]), for c^{-1}'s entry d_jk in row jk.  Row (a, b) of
+    the map is a * n^2 + b; column e_ij is i * n + j.
     """
-    def landing(g: Gather) -> tuple[np.ndarray, np.ndarray]:
-        back = g.adjoint()
-        return back.source, (np.ones(n * n) if back.coefficients is None
-                             else back.coefficients[:, 0].conj())
-
     i, j, k = (x.ravel() for x in np.indices((n, n, n)))
     ik, jk, col = i * n + k, j * n + k, i * n + j
-    (fr, fv), (cr, cv) = landing(f), landing(c)
-    d = np.ones(n * n) if cinv.coefficients is None else cinv.coefficients[:, 0]
+    # the rows that columns ik and jk land on, with their entries there
+    (fv, fr), (cv, cr), (d, _) = f.entries(), c.entries(), cinv.entries()
     rows = np.concatenate((fr[ik] * n * n + fr[jk], cr[ik] * n * n + cinv.source[jk]))
-    values = np.concatenate((fv[ik] * fv[jk].conj(), -cv[ik] * d[jk]))
+    values = np.concatenate((fv[fr[ik]] * fv[fr[jk]].conj(), -cv[cr[ik]] * d[jk]))
     key, at = np.unique(rows * (n * n) + np.tile(col, 2), return_inverse=True)
     summed = np.zeros(key.size, dtype=complex)
     np.add.at(summed, at, values)
@@ -232,6 +228,18 @@ def comultiply(m: MultUnitary, a: LegOperator, variant: str = "op") -> LegOperat
     return _variant(variant)[2](m.op).apply(a)
 
 
+def _rotated(m: MultUnitary) -> MultUnitary:
+    """F turned by 180 degrees, S F^T S on L (x) L, under the explicit
+    braiding S (c^{-1})^T S.  S, the flip, acts as an index permutation, so
+    the turn rounds nothing."""
+    n = m.space.dim
+    flip = np.arange(n * n).reshape(n, n).T.ravel()
+    f, cinv = (x.matrix.T[flip][:, flip] for x in (m.op, _cinv(m)))
+    braiding = ExplicitBraiding()
+    braiding.register(LegOperator(m.op.signature, cinv))
+    return MultUnitary(m.space, LegOperator(m.op.signature, f), braiding)
+
+
 def _bialgebra_data(m: MultUnitary, variant: str):
     """Algebra span, crossed-product variant and comultiplication for a side.
 
@@ -270,7 +278,16 @@ def coassociativity_residual(m: MultUnitary, variant: str = "op",
     decompositions disagree is not well defined on the element and raises
     :class:`spans.DecompositionError`, as does an element outside the
     crossed product, whichever comes first in basis order.
+
+    Variant "right" is exactly the "op" check of F turned by 180 degrees
+    (:func:`_rotated`): the turn x |-> S x^T S is a linear anti-automorphism
+    that keeps every Hilbert-Schmidt norm, and carries F (a (x) 1) F*, the
+    left slice algebra and the "bt" crossed product of c to the "op"
+    comultiplication, the right slice algebra and the "habt" crossed product
+    of the turned F and braiding.
     """
+    if variant == "right":
+        m, variant = _rotated(m), "op"
     alg, cp_variant, conj = _bialgebra_data(m, variant)
     cp = CrossedProduct(alg, alg, m.braiding, cp_variant)
     folds, outside = [], None

@@ -571,6 +571,11 @@ class CrossedProduct:
     extensions that share it.  The :attr:`images` are kept only when a caller
     asks for them; the generator stack then reuses their conjugated side, and
     otherwise injects that side itself and drops it once stacked.
+
+    A "bt" product, whose pad comes first, gives its :attr:`images`,
+    :attr:`gens` and :attr:`span` only: it is the 180-degree turn of a
+    "habt" product (see :func:`braidmu.multunitary.coassociativity_residual`),
+    so it is neither decomposed nor extended.
     """
 
     def __init__(self, s1: OperatorSpan, s2: OperatorSpan, provider, variant: str):
@@ -617,10 +622,12 @@ class CrossedProduct:
         """x's coefficients c_kl under both decompositions, those of each
         conjugated factor folded into one pad m_k = sum_l c_kl b_l: shape
         (2, rc * p, p).  Raises :class:`DecompositionError` when x lies
-        outside the span of the generators.  Each batch of components that
-        :func:`_selections` made solves on x's entries there; x's residual
-        adds the components' and its norm off their columns.
+        outside the span of the generators, and ValueError on a "bt"
+        product, whose turn is decomposed instead.  Each batch of components
+        that :func:`_selections` made solves on x's entries there; x's
+        residual adds the components' and its norm off their columns.
         """
+        _refuse_turned(self)
         if x.domain != self.legs or x.codomain != self.legs:
             raise LegError("element signature does not match the crossed product")
         vx = x.matrix.reshape(-1)
@@ -629,7 +636,7 @@ class CrossedProduct:
         rc = self.conjugated.rank
         folds = []
         for selected, _ in self.decompositions:
-            # generator rows run over (k, l), or (l, k) pad first
+            # generator rows run over (k, l)
             c = np.zeros(rc * rp, dtype=complex)
             off = vx[selected.outside]
             squares = np.vdot(off, off).real
@@ -644,10 +651,17 @@ class CrossedProduct:
             if residual > tol * scale:
                 raise DecompositionError(
                     f"element lies outside the crossed product (residual {residual:.3e})")
-            c = c.reshape(rp, rc).T.copy() if self.pad_first else c.reshape(rc, rp)
-            m = (c @ self.pad.reshape(rp, -1)).reshape(rc, p, p)   # folded pads m_k
-            folds.append((m.transpose(0, 2, 1) if self.pad_first else m).reshape(rc * p, p))
+            # the folded pads m_k
+            folds.append((c.reshape(rc, rp) @ self.pad.reshape(rp, -1)).reshape(rc * p, p))
         return np.stack(folds)
+
+
+def _refuse_turned(cp: CrossedProduct) -> None:
+    """Raise ValueError on a "bt" product, the one whose pad comes first."""
+    if cp.pad_first:
+        raise ValueError('a "bt" crossed product is neither decomposed nor extended: turn it '
+                         'by 180 degrees into the "habt" product of the turned braiding, as '
+                         'coassociativity_residual does for variant "right"')
 
 
 def crossed_product(s1: OperatorSpan, s2: OperatorSpan, provider, variant: str) -> OperatorSpan:
@@ -677,8 +691,7 @@ def _multiplier_residual(s: OperatorSpan, x: LegOperator) -> float:
     row, col = np.divmod(cols, n)
     # x b holds b's row source[r] in row r, times x's entry there; b x holds
     # b's column k in column source[k], times x's entry in row k
-    inverse = g.adjoint().source
-    entry = np.ones(n) if g.coefficients is None else g.coefficients[:, 0]
+    entry, inverse = g.entries()
     items = np.concatenate((index, index + s.rank))
     moved = np.concatenate((inverse[row] * n + col, cols - col + g.source[col]))
     values = np.concatenate((entry[inverse[row]] * values, values * entry[col]))
@@ -795,149 +808,123 @@ def _selections(gens: np.ndarray) -> list[tuple]:
     return selections
 
 
-def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...], pad_first: bool) -> np.ndarray:
-    """The matrix of V with its domain legs ordered (aux, pad), or (pad, aux) when
-    ``pad_first``, so that the pad sits where the padded product contracts it."""
+def _pad_isometry(conj: Conjugation, pad_legs: tuple[Space, ...]) -> np.ndarray:
+    """The matrix of V with its domain legs ordered (aux, pad), so that the pad
+    sits where the padded product T_k (1 (x) b) contracts it."""
     legs, n = conj.v.domain, len(pad_legs)
     if (legs[len(legs) - n:] if conj.side == "left" else legs[:n]) != pad_legs:
         raise LegError("the conjugation's domain does not hold the padding legs "
                        f"on its {conj.side} side")
     v = conj.v.matrix
-    p = total_dim(pad_legs)
-    if (conj.side == "left") == pad_first:      # swap the aux and pad legs
-        split = (-1, p) if conj.side == "left" else (p, -1)
-        v = v.reshape(v.shape[0], *split).transpose(0, 2, 1).reshape(v.shape[0], -1)
+    if conj.side == "right":      # swap the pad and aux legs
+        v = v.reshape(v.shape[0], total_dim(pad_legs), -1).transpose(0, 2, 1)
+        v = v.reshape(v.shape[0], -1)
     return v
-
-
-def _landing(word: PlannedWord) -> tuple[np.ndarray, np.ndarray]:
-    """A word of crossings as the monomial matrix it is: for each basis vector
-    e_i of its context, the row that e_i lands on and its phase there, read
-    from the word's gather (:attr:`~braidmu.tensor.PlannedWord.gather`)."""
-    g = word.gather
-    rows = g.adjoint().source
-    return rows, (np.ones(rows.size, dtype=complex) if g.coefficients is None
-                  else g.coefficients[rows, 0])
 
 
 class CrossedProductExtension:
     """Evaluates (f x g) on a crossed product by decompose-and-map, a block of
-    target lines at a time.
+    target rows at a time.
 
     Each generator inj1(a_i) inj2(b_j) that :meth:`CrossedProduct.decompose`
     selects maps to inj1'(f(a_i)) inj2'(g(b_j)) on the target legs (f or g
     None is the identity).  Both injections and f, g are linear, so the mapped
     generators are never formed: an element with folded pads m_k maps to
-    sum_k T_k (1 (x) R_k), or sum_k (R_k (x) 1) T_k pad first, where T_k is
-    the injected k-th mapped conjugated factor and R_k the mapped pad: m_k
-    itself, or V (1 (x) m_k) V* under a pad-side conjugation.  No T_k is kept
-    either, only the steps of its injection: the block crossings, the mapped
-    factor and the back crossings, the crossings shared by every k.
+    sum_k T_k (1 (x) R_k), where T_k is the injected k-th mapped conjugated
+    factor and R_k the mapped pad: m_k itself, or V (1 (x) m_k) V* under a
+    pad-side conjugation.  No T_k is kept either, only the steps of its
+    injection: the block crossings, the mapped factor and the back
+    crossings, the crossings shared by every k.  A "bt" product, whose pad
+    comes first, is refused with a ValueError: its 180-degree turn is a
+    "habt" product, which is extended instead
+    (:func:`braidmu.multunitary.coassociativity_residual`).
 
     When every crossing is a monomial (its
     :attr:`~braidmu.tensor.LegOperator.gather`: a flip or phase crossing,
     or an explicit table such as a Yetter-Drinfeld braiding or a written-out
     flip), both runs of crossings compile, when the extension is built, into
     one gather, unless a line's image row would depend on the factor row.
-    Line j of T_k (a row, or a column pad first) then holds the factor
-    column f_j of the mapped factor, times the crossings' entries, at the
-    image row img_j of the pad legs and one position per factor row on the
-    other legs.  :meth:`apply` contracts each line over the factor index k
-    alone, with row img_j of every R_k: O(n^8) on three legs of dimension
-    n, where the dense factor block took O(n^9).  It builds those rows of
-    R_k for the image rows its lines read, so memory stays one block; the
-    extension keeps no row between calls, and the walk of
-    :func:`compare_extensions` hands each block's last row to the next.
+    Row j of T_k then holds the factor column f_j of the mapped factor,
+    times the crossings' entries, at the image row img_j of the pad legs
+    and one position per factor row on the other legs.  :meth:`apply`
+    contracts each row over the factor index k alone, with row img_j of
+    every R_k: O(n^8) on three legs of dimension n, where the dense factor
+    block took O(n^9).  It builds those rows of R_k for the image rows its
+    lines read, so memory stays one block; the extension keeps no row
+    between calls, and the walk of :func:`compare_extensions` hands each
+    block's last row to the next.
 
     Any other extension keeps the GEMM path, the reference that the gather
     is tested against: the leading crossings are placed on the target legs
     and the trailing ones on the factor leg and the legs the leading ones
     leave, each as a :class:`~braidmu.tensor.PlannedWord`.
     :meth:`_factor_lines` builds the rows of every T_k that a block of
-    target rows needs (columns, pad first) from the leading word's columns,
-    every mapped factor on them by one GEMM and the trailing word run on
-    the result, and one GEMM with the stacked folded pads maps both
-    decompositions of every element.  A pad-side conjugation comes out of
-    the sum there: the GEMM runs on T_k (1 (x) V) and its output is
-    multiplied by 1 (x) V*.
+    target rows needs from the leading word's columns, every mapped factor
+    on them by one GEMM and the trailing word run on the result, and one
+    GEMM with the stacked folded pads maps both decompositions of every
+    element.  A pad-side conjugation comes out of the sum there: the GEMM
+    runs on T_k (1 (x) V) and its output is multiplied by 1 (x) V*.
     """
 
     def __init__(self, cp: CrossedProduct, f: Conjugation | None, g: Conjugation | None):
+        _refuse_turned(cp)
         t1 = f.target if f is not None else cp.s1.domain
         t2 = g.target if g is not None else cp.s2.domain
-        (conj_map, (before, start, after)), (pad_map, _) = cp.orient(
-            *zip((f, g), _injection_steps(cp.variant, cp.provider, t1, t2)))
-        self._pad_first = cp.pad_first
+        (before, start, after), _ = _injection_steps(cp.variant, cp.provider, t1, t2)
         self._p = cp.pad.shape[-1]
         self.target_domain = t1 + t2
         self._dim = total_dim(self.target_domain)
         self._rc = cp.conjugated.rank
-        factors = [conj_map.apply(x) if conj_map is not None else x for x in cp.conjugated.basis]
-        # pad first, the columns of T_k come from its steps; pad last, its
-        # rows are the conjugated columns of T_k*, from the adjoint steps run
-        # backward
-        if not self._pad_first:
-            before, after = ([(adjoint(op), at) for op, at in reversed(steps)]
-                             for steps in (after, before))
+        factors = [f.apply(x) if f is not None else x for x in cp.conjugated.basis]
+        # the rows of T_k are the conjugated columns of T_k*, from the adjoint
+        # steps run backward
+        before, after = ([(adjoint(op), at) for op, at in reversed(steps)]
+                         for steps in (after, before))
         self._before = PlannedWord(before, self.target_domain)
         self._pre = total_dim(self._before.codomain[:start - 1])
-        self._gathered = self._compile_gather(after, factors, pad_map, cp.padded.domain)
+        v = _pad_isometry(g, cp.padded.domain) if g is not None else None
+        self._vh = np.ascontiguousarray(v.conj().T) if v is not None else None
+        self._gathered = self._compile_gather(after, factors, v)
         if self._gathered:
             return
-        self._factors = np.concatenate([x.matrix if self._pad_first else adjoint(x).matrix
-                                        for x in factors])
-        self._v = (_pad_isometry(pad_map, cp.padded.domain, self._pad_first)
-                   if pad_map is not None else None)
-        self._vh = self._v.conj().T if self._v is not None else None
+        self._factors = np.concatenate([adjoint(x).matrix for x in factors])
         # the factor index leads the rows as one more leg once the factors
         # have acted, so the crossings after them run once for every k
         self._after = PlannedWord([(op, at + 1) for op, at in after],
                                   (Space("k", self._rc),) + self._before.codomain)
 
     def _compile_gather(self, after: Sequence, factors: Sequence[LegOperator],
-                        pad_map: Conjugation | None, pad_legs: tuple[Space, ...]) -> bool:
+                        v: np.ndarray | None) -> bool:
         """Compile the crossings around the factors into the gather of
-        :meth:`_gather_lines`; False, and nothing kept, when a crossing is no
-        monomial or a line's image row would depend on the factor row."""
+        :meth:`_gather_lines`, for the pad-side isometry V (None without
+        one); False, and nothing kept, when a crossing is no monomial or a
+        line's image row would depend on the factor row."""
         trailing = PlannedWord(after, self._before.codomain)
         if self._before.gather is None or trailing.gather is None:
             return False
-        dim, rc, fd = self._dim, self._rc, total_dim(factors[0].domain)
-        v = _pad_isometry(pad_map, pad_legs, False) if pad_map is not None else None
+        dim, fd = self._dim, total_dim(factors[0].domain)
         image = v.shape[0] if v is not None else self._p
         # line j enters the factor at its column f_j, between the legs before
         # and after it, with phase phi_j
-        into, phi = _landing(self._before)
+        phi, into = self._before.gather.entries()
         ahead, col, behind = np.unravel_index(into, (self._pre, fd, dim // (self._pre * fd)))
         # factor row c of line j leaves at out(a_j, c, r_j) of the target,
         # with phase psi; the rest of out is the image row
-        out, psi = _landing(trailing)
-        image_of = (out % image if not self._pad_first else out // fd).reshape(self._pre, fd, -1)
+        psi, out = trailing.gather.entries()
+        image_of = (out % image).reshape(self._pre, fd, -1)
         if dim != fd * image or np.any(image_of != image_of[:, :1]):
             return False
         self._img, self._col, self._image = image_of[ahead, 0, behind], col, image
-        # each target position: the factor row written there, and its phase
-        source = np.empty(dim, dtype=np.intp)
-        source[out] = np.arange(dim)
-        self._row_at = np.unravel_index(source, image_of.shape)[1]
-        self._phi, self._psi_at = phi, psi[source]
-        # the factor stack indexed [row, column, k]; pad last, T_k's rows are
-        # the conjugated columns of T_k*: X_k transposed, with conjugated phases
-        self._x = np.empty((fd, fd, rc), dtype=complex)
-        for k, x in enumerate(factors):
-            self._x[:, :, k] = x.matrix if self._pad_first else x.matrix.T
-        if not self._pad_first:
-            self._phi, self._psi_at = phi.conj(), self._psi_at.conj()
+        # each target position: the factor row written there, and its phase;
+        # T_k's rows are the conjugated columns of T_k*, so the factors are
+        # stacked transposed, [row, column, k], and the phases conjugated
+        self._row_at = np.unravel_index(trailing.gather.source, image_of.shape)[1]
+        self._phi, self._psi_at = phi[into].conj(), psi.conj()
+        self._x = np.stack([x.matrix.T for x in factors], axis=-1).astype(complex, copy=False)
         if np.all(self._phi == 1) and np.all(self._psi_at == 1):
             self._phi = self._psi_at = None
-        # R_k's rows as rows of A (1 (x) F_k) A^H, for the pads F_k as folded:
-        # A = V with its legs (aux, pad), conjugated pad first, where the
-        # folds hold m_k^T and the rows are R_k's columns
-        self._a = None
-        if v is not None:
-            a = v if not self._pad_first else v.conj()
-            self._a = a.reshape(image, -1, self._p)
-            self._ah = np.ascontiguousarray(a.conj().T)
+        # R_k's rows as rows of V (1 (x) F_k) V^H, for the pads F_k as folded
+        self._a = v.reshape(image, -1, self._p) if v is not None else None
         return True
 
     def line_bytes(self, count: int) -> int:
@@ -958,9 +945,10 @@ class CrossedProductExtension:
                      + 2 * self._rc * 2 * count * image // shared)
 
     def _factor_lines(self, lo: int, hi: int) -> np.ndarray:
-        """The GEMM block of the target lines lo:hi, shape (lines, rc * p): the
-        rows of every T_k (1 (x) V), or its columns with V* (x) 1 pad first,
-        split so that the pad is the last axis."""
+        """The GEMM block of the target rows lo:hi, shape (rows, rc * p): the
+        rows of every T_k (1 (x) V), split so that the pad is the last axis.
+        They are the conjugated columns of (1 (x) V*) T_k*, which the adjoint
+        steps build."""
         factors, pre = self._factors, self._pre
         rc, p, b, fd = self._rc, self._p, hi - lo, factors.shape[-1]
         x = self._before.columns(lo, hi)
@@ -969,12 +957,7 @@ class CrossedProductExtension:
         x = factors @ x.reshape(pre, fd, -1).transpose(1, 0, 2).reshape(fd, -1)
         x = x.reshape(rc, fd, pre, -1).transpose(0, 2, 1, 3)
         x = self._after.run(x.reshape(-1, b))
-        if self._pad_first:
-            if self._v is not None:                         # (V* (x) 1) T_k
-                x = np.matmul(self._vh, x.reshape(rc, self._vh.shape[1], -1))
-            x = x.reshape(rc, p, -1, b).transpose(2, 3, 0, 1)
-            return np.ascontiguousarray(x).reshape(-1, rc * p)
-        if self._v is None:
+        if self._vh is None:
             x = x.reshape(rc, -1, p, b).transpose(3, 1, 0, 2)
         else:                                               # (1 (x) V*) T_k* = (T_k (1 (x) V))*
             image = self._vh.shape[1]
@@ -985,13 +968,11 @@ class CrossedProductExtension:
         return np.conjugate(x, out=np.empty(x.shape, dtype=complex)).reshape(-1, rc * p)
 
     def _gather_lines(self, lines: np.ndarray, img: np.ndarray) -> np.ndarray:
-        """Line j of every T_k at its image row img_j, shape (lines, fd, rc):
+        """Row j of every T_k at its image row img_j, shape (lines, fd, rc):
         entry (j, rho, k) is the factor row written at the position rho of the
         other legs, read at column f_j of the k-th factor, times its phases."""
         fd = self._dim // self._image
-        img = img[:, None]
-        at = (np.arange(fd) * self._image + img if not self._pad_first
-              else img * fd + np.arange(fd))
+        at = np.arange(fd) * self._image + img[:, None]
         x = self._x[self._row_at[at], self._col[lines][:, None]]
         if self._phi is not None:
             x *= self._phi[lines][:, None, None]
@@ -1017,8 +998,8 @@ class CrossedProductExtension:
         if len(rows) > reuse:
             # A_r (1 (x) F_k) for every row r, then A^H
             z = np.tensordot(self._a[rows[int(reuse):]], pads, axes=([2], [3]))
-            z = np.ascontiguousarray(z.transpose(0, 4, 2, 3, 1, 5)).reshape(-1, self._ah.shape[0])
-            out[int(reuse):] = (z @ self._ah).reshape(-1, rc, out.shape[-1])
+            z = np.ascontiguousarray(z.transpose(0, 4, 2, 3, 1, 5)).reshape(-1, self._vh.shape[0])
+            out[int(reuse):] = (z @ self._vh).reshape(-1, rc, out.shape[-1])
         return out, (rows[-1], out[-1].copy())
 
     def apply(self, folds: np.ndarray, lines: np.ndarray, kept: tuple | None = None
@@ -1029,12 +1010,11 @@ class CrossedProductExtension:
         shape (elements, 2, rc * p, p).  ``lines`` is an array of target
         rows, consecutive ones on the GEMM path.  Returns a new array of shape
         (elements, 2, rows, dim): the rows ``lines`` of each element's image
-        under its forward and under its reverse decomposition.  Pad first,
-        ``lines`` are target columns and the shape is (elements, 2, dim,
-        columns).  With the values comes the last image row of R_k that the
-        gather built under a pad-side conjugation, as (row, values), or None;
-        ``kept`` is that pair from the call before on the same folds, reused
-        when these lines start on its row.
+        under its forward and under its reverse decomposition.  With the
+        values comes the last image row of R_k that the gather built under a
+        pad-side conjugation, as (row, values), or None; ``kept`` is that
+        pair from the call before on the same folds, reused when these lines
+        start on its row.
         """
         if self._gathered:
             return self._gather_apply(folds, lines, kept)
@@ -1044,16 +1024,10 @@ class CrossedProductExtension:
         count, p, b = len(folds), self._p, hi - lo
         pads = folds.transpose(2, 0, 1, 3).reshape(-1, count * 2 * p)
         out = self._factor_lines(lo, hi) @ pads
-        if self._pad_first:
-            # the columns of (m_k (x) 1) (V* (x) 1) T_k, pad leading, then V (x) 1
-            y = np.ascontiguousarray(out.reshape(-1, b, count, 2, p).transpose(2, 3, 4, 0, 1))
-            if self._v is not None:
-                y = self._v @ y.reshape(count * 2, self._v.shape[1], -1)
-            return y.reshape(count, 2, self._dim, b), None
         # the rows of T_k (1 (x) V) (1 (x) m_k), then 1 (x) V* on the right
         y = np.ascontiguousarray(out.reshape(b, -1, count, 2, p).transpose(2, 3, 0, 1, 4))
-        if self._v is not None:
-            y = y.reshape(-1, self._v.shape[1]) @ self._vh
+        if self._vh is not None:
+            y = y.reshape(-1, self._vh.shape[0]) @ self._vh
         return y.reshape(count, 2, b, self._dim), None
 
     def _gather_apply(self, folds: np.ndarray, lines: np.ndarray, kept: tuple | None
@@ -1069,19 +1043,13 @@ class CrossedProductExtension:
         starts = np.concatenate(([0], np.flatnonzero(rows[1:] != rows[:-1]) + 1))
         pad_rows, kept = self._pad_rows(folds, rows[starts], kept)
         x = self._gather_lines(lines, img)
-        shape = (count, 2, b, fd, image) if not self._pad_first else (count, 2, image, fd, b)
-        out = np.empty(shape, dtype=complex)
+        out = np.empty((count, 2, b, fd, image), dtype=complex)
         for r, lo, hi in zip(pad_rows, starts, [*starts[1:], b]):
             # a group is consecutive lines when the lines come grouped
             first, last = order[lo], order[hi - 1]
             group = slice(first, last + 1) if last - first == hi - lo - 1 else order[lo:hi]
             y = (x[group].reshape(-1, self._rc) @ r).reshape(-1, fd, count, 2, image)
-            if self._pad_first:
-                out[..., group] = y.transpose(2, 3, 4, 1, 0)
-            else:
-                out[:, :, group] = y.transpose(2, 3, 0, 1, 4)
-        if self._pad_first:
-            return out.reshape(count, 2, self._dim, b), kept
+            out[:, :, group] = y.transpose(2, 3, 0, 1, 4)
         return out.reshape(count, 2, b, self._dim), kept
 
 
@@ -1105,8 +1073,9 @@ def compare_extensions(left: CrossedProductExtension, right: CrossedProductExten
     under ``right``, 0 from its forward and 1 from its reverse decomposition.
 
     ``folds`` stacks :meth:`CrossedProduct.decompose` of each element.  The
-    walk maps every element a block of target lines at a time, so no value
-    is held whole.  When both extensions gather, the lines are grouped by
+    walk maps every element a block of target lines, which are target rows,
+    at a time, so no value is held whole; a "bt" product is compared as
+    its 180-degree turn (:func:`braidmu.multunitary.coassociativity_residual`).  When both extensions gather, the lines are grouped by
     the image row of the one that carries a pad-side conjugation, and each
     block hands the last row of R_k it built to the next, so that each row
     is built once.  Each line's squares are kept and summed in line order
@@ -1123,18 +1092,16 @@ def compare_extensions(left: CrossedProductExtension, right: CrossedProductExten
         values, kept = zip(*(ext.apply(folds, lines, row) for ext, row in zip(exts, kept)))
         for i, y in enumerate(values):
             y[:, 1] -= y[:, 0]
-            squares[2 * i][:, lines] = _squares(y[:, 0], left._pad_first)
-            squares[2 * i + 1][:, lines] = _squares(y[:, 1], left._pad_first)
+            squares[2 * i][:, lines] = _squares(y[:, 0])
+            squares[2 * i + 1][:, lines] = _squares(y[:, 1])
         values[0][:, 0] -= values[1][:, 0]
-        squares[4][:, lines] = _squares(values[0][:, 0], left._pad_first)
+        squares[4][:, lines] = _squares(values[0][:, 0])
         del values, y   # the next block's values are made without these
     return squares.sum(axis=-1)
 
 
-def _squares(y: np.ndarray, pad_first: bool) -> np.ndarray:
-    """Per element and line, the sum of |y|^2 over the line, for y of shape
-    (elements, lines, dim), or (elements, dim, lines) pad first."""
+def _squares(y: np.ndarray) -> np.ndarray:
+    """Per element and target row, the sum of |y|^2 over the row, for y of
+    shape (elements, rows, dim)."""
     r = y.view(float)
-    if not pad_first:
-        return np.einsum("ijk,ijk->ij", r, r)
-    return np.einsum("ijk,ijk->ik", r, r).reshape(len(y), -1, 2).sum(axis=-1)
+    return np.einsum("ijk,ijk->ij", r, r)

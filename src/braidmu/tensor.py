@@ -201,13 +201,20 @@ class Gather:
     source: np.ndarray
     coefficients: np.ndarray | None
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, landing): values[r] = m[r, source[r]], row r's entry (ones
+        when there are no coefficients), and landing[s] the row that holds
+        column s's entry, the inverse permutation of ``source``."""
+        landing = np.empty_like(self.source)
+        landing[self.source] = np.arange(self.source.size)
+        c = self.coefficients
+        return (np.ones(self.source.size) if c is None else c[:, 0]), landing
+
     def adjoint(self) -> "Gather":
         """m*, the inverse permutation with the conjugate entries: the
         conjugate transpose, which is the inverse of m only when every entry
         is unimodular."""
-        inverse = np.empty_like(self.source)
-        inverse[self.source] = np.arange(self.source.size)
-        c = self.coefficients
+        (_, inverse), c = self.entries(), self.coefficients
         return Gather(inverse, None if c is None else c[inverse].conj())
 
 
@@ -535,8 +542,7 @@ def _gather_distance(a: Gather, b: Gather) -> float:
     row r of a - b holds ca_r - cb_r where both read the same column, and
     ca_r and -cb_r in two columns where they do not.  No column is formed;
     a non-finite entry gives a non-finite norm."""
-    ca, cb = (np.ones(g.source.size) if g.coefficients is None else g.coefficients[:, 0]
-              for g in (a, b))
+    (ca, _), (cb, _) = a.entries(), b.entries()
     same = a.source == b.source
     terms = (ca[same] - cb[same], ca[~same], cb[~same])
     return float(np.sqrt(sum(np.sum(t.real ** 2 + t.imag ** 2) for t in terms)))
@@ -686,7 +692,7 @@ def _gather_trace(g: Gather, left: int, mid: int, right: int) -> np.ndarray:
     l2, j, r2 = np.unravel_index(g.source, (left, mid, right))
     on = (l == l2) & (r == r2)
     z = np.zeros((mid, mid), dtype=complex)
-    np.add.at(z, (i[on], j[on]), 1.0 if g.coefficients is None else g.coefficients[on, 0])
+    np.add.at(z, (i[on], j[on]), g.entries()[0][on])
     return z
 
 

@@ -281,9 +281,63 @@ def loop_subset_residual(candidates, span):
     return worst
 
 
+def turned(x):
+    """x turned by 180 degrees: transposed, with the legs of both sides
+    reversed.  The turn reverses products and keeps every norm."""
+    dom, cod = x.domain, x.codomain
+    n, m = len(dom), len(cod)
+    t = x.matrix.T.reshape([s.dim for s in dom + cod])
+    t = t.transpose([*range(n - 1, -1, -1), *range(n + m - 1, n - 1, -1)])
+    return LegOperator(LegSignature(cod[::-1], dom[::-1]),
+                       t.reshape(total_dim(dom), total_dim(cod)))
+
+
+def pad_isometry(conj, pad_legs, pad_first):
+    """The matrix of V with its domain legs ordered (aux, pad), or (pad, aux)
+    when ``pad_first``: the oracle's own copy of spans._pad_isometry, which
+    takes the pad last only, so that the oracle extends a "bt" product
+    unturned."""
+    legs, n = conj.v.domain, len(pad_legs)
+    if (legs[len(legs) - n:] if conj.side == "left" else legs[:n]) != pad_legs:
+        raise LegError("the conjugation's domain does not hold the padding legs")
+    v = conj.v.matrix
+    p = total_dim(pad_legs)
+    if (conj.side == "left") == pad_first:      # swap the aux and pad legs
+        split = (-1, p) if conj.side == "left" else (p, -1)
+        v = v.reshape(v.shape[0], *split).transpose(0, 2, 1).reshape(v.shape[0], -1)
+    return v
+
+
+def oracle_folds(cp, x, tol=1e-9):
+    """CrossedProduct.decompose in either orientation: x solved by least
+    squares on the generator rows that each order keeps.  Pad first ("bt"),
+    which spans refuses, the generator rows run over (l, k) and each folded
+    pad is stored transposed, as DenseCrossedProductExtension reads it."""
+    if not cp.pad_first:
+        return cp.decompose(x, tol)
+    vx = x.matrix.reshape(-1)
+    rp, p, _ = cp.pad.shape
+    rc = cp.conjugated.rank
+    folds = []
+    for _, rows in cp.decompositions:
+        kept = cp.gens[rows].T
+        coef = np.linalg.lstsq(kept, vx, rcond=None)[0]
+        residual = np.linalg.norm(kept @ coef - vx)
+        if residual > tol * max(np.linalg.norm(vx), 1.0):
+            raise spans.DecompositionError(
+                f"element lies outside the crossed product (residual {residual:.3e})")
+        c = np.zeros(rc * rp, dtype=complex)
+        c[rows] = coef
+        m = (c.reshape(rp, rc).T @ cp.pad.reshape(rp, -1)).reshape(rc, p, p)
+        folds.append(m.transpose(0, 2, 1).reshape(rc * p, p))
+    return np.stack(folds)
+
+
 class DenseCrossedProductExtension:
     """The crossed-product extension with every mapped conjugated factor held
     in one dense block, as spans.CrossedProductExtension was first written.
+    It keeps both orientations, so it is also the unturned oracle of a "bt"
+    product, whose folds :func:`oracle_folds` gives.
 
     Column block k of the target holds T_k (1 (x) V), reshaped so that the pad
     is its last axis; pad first, the transpose of (V* (x) 1) T_k with the pad
@@ -297,7 +351,7 @@ class DenseCrossedProductExtension:
         alpha2, beta2 = spans.crossed_injections(cp.variant, cp.provider, t1, t2)
         (conj_map, inject), (pad_map, _) = cp.orient((f, alpha2), (g, beta2))
         self._pad_first = cp.pad_first
-        self._v = (spans._pad_isometry(pad_map, cp.padded.domain, self._pad_first)
+        self._v = (pad_isometry(pad_map, cp.padded.domain, self._pad_first)
                    if pad_map is not None else None)
         self.target_domain = t1 + t2
         self._dim = total_dim(self.target_domain)
@@ -364,7 +418,8 @@ def gauge_conjugate(m, seed):
 
 
 def dense_coassociativity_residual(m, variant="op", tol=1e-9):
-    """coassociativity_residual element by element, on the dense extension."""
+    """coassociativity_residual element by element, on the dense extension,
+    with variant "right" on its own "bt" crossed product, unturned."""
     from braidmu import multunitary
 
     alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
@@ -372,7 +427,7 @@ def dense_coassociativity_residual(m, variant="op", tol=1e-9):
     exts = [DenseCrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))]
     worst = 0.0
     for a in alg.basis:
-        folds = cp.decompose(bm.comultiply(m, a, variant), tol)
+        folds = oracle_folds(cp, bm.comultiply(m, a, variant), tol)
         left, right = (ext.apply(folds, tol) for ext in exts)
         worst = max(worst, float(np.linalg.norm(left.matrix - right.matrix)))
     return worst

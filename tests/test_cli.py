@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -304,6 +305,26 @@ def test_nonpositive_sizes_are_usage_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: argument" in err and "must be at least 1" in err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["search", "--dim", str(10 ** 21)], "a search at this dimension"),
+    (["search", "--category", "flip", "--dim", str(10 ** 21)], "a search at this dimension"),
+    (["search", "--category", "super", "--dim", str(10 ** 12)], "a search at this dimension"),
+    (["generate", "identity", "--dim", "100000"], "the identity bundle"),
+    (["generate", "kac-takesaki", "--group", "Zn", "--n", "100000"], "the kac-takesaki bundle"),
+    (["generate", "super", "--dim", str(10 ** 20)], "the super bundle"),
+], ids=["search", "search flip", "search super", "generate identity", "generate kac-takesaki",
+        "generate super"])
+def test_sizes_beyond_any_memory_are_input_errors(tmp_path, capsys, argv, what):
+    # each array is reckoned from the flags before anything is built: no
+    # grading, group table, space or matrix of that size is made
+    start = time.perf_counter()
+    assert run([*argv, "-o", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what}") and "GiB of physical memory" in err
+    assert "Traceback" not in err and not (tmp_path / "x.json").exists()
 
 
 def test_search_rejects_a_negative_seed_as_a_usage_error(tmp_path, capsys):

@@ -155,6 +155,22 @@ def test_run_statements_pass_and_fail(z2):
     assert not results[0].passed and results[0].residual > 0.1
 
 
+def test_a_bare_expression_is_only_compiled(z2, monkeypatch):
+    # a statement without '==' records no residual and passes once its
+    # atoms compile; no distance is taken for it, and an unknown name in it
+    # still fails
+    distances = []
+    real = dsl.distance
+    monkeypatch.setattr(dsl, "distance", lambda *args: distances.append(args) or real(*args))
+    text = statement_file(f"{PENTAGON_RHS}\nW[1,2] == W[1,2]")
+    bare, equation = bm.dsl.run_statements(text, {"W": z2.op}, {"L": z2.space}, z2.braiding)
+    assert bare.statement.rhs is None and (bare.residual, bare.passed) == (None, True)
+    assert (equation.residual, equation.passed) == (0.0, True) and len(distances) == 1
+    with pytest.raises(bm.LegError, match="unknown operator name 'X'"):
+        bm.dsl.run_statements(statement_file("X[1,2]"), {"W": z2.op}, {"L": z2.space},
+                              z2.braiding)
+
+
 def test_distant_atom_routes_across_two_legs(z3):
     text = statement_file("W[1,4] == cinv[3,4].W[1,3].c[3,4]", "L L L L")
     (res,) = bm.dsl.run_statements(text, {"W": z3.op}, {"L": z3.space}, z3.braiding)

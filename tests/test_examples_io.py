@@ -518,3 +518,24 @@ def test_a_string_spelling_a_placeholder_is_no_matrix(spelling):
             bm.bundle_from_json(text)
         assert str(err.value) == ("/operators/W/matrix: matrix must be equal-length rows "
                                   "of [re, im] pairs")
+
+
+def test_an_entry_past_the_integer_digit_limit_is_a_schema_error_at_the_root():
+    # int() refuses an integer of more than 4,300 digits: the matrix is left
+    # in the text, and json.loads of the whole text reports it at "/"
+    text = kac_takesaki_text(bm.cyclic(2)).replace("[[[1.0,", "[[[1" + "0" * 5000 + ",", 1)
+    rest, matrices = examples_io._lift_matrices(text)
+    assert matrices == {} and rest == text
+    with pytest.raises(SchemaError, match="4300 digits") as exc:
+        bm.bundle_from_json(text)
+    assert exc.value.path == "/"
+
+
+def test_a_string_with_a_refused_escape_is_a_schema_error_at_the_root():
+    # json refuses the escape \q: the matrices are not lifted, and json.loads
+    # of the whole text reports the escape at "/"
+    text = kac_takesaki_text(bm.cyclic(2)).replace('"L"', '"L\\q"', 1)
+    assert '"L\\q"' in text and examples_io._lift_matrices(text) is None
+    with pytest.raises(SchemaError, match="Invalid .escape") as exc:
+        bm.bundle_from_json(text)
+    assert exc.value.path == "/"

@@ -11,9 +11,9 @@ from braidmu import LegOperator, LegSignature, Space
 from braidmu.multunitary import pentagon_words
 from braidmu.tensor import leg_product
 
-from conftest import (DenseCrossedProductExtension, dense_pentagon_defect, gauge_conjugate,
-                      graded_kac_takesaki, random_unitary, routed_oracle, routing_category,
-                      zn_module)
+from conftest import (DenseCrossedProductExtension, dense_coassociativity_residual,
+                      dense_pentagon_defect, gauge_conjugate, graded_kac_takesaki, random_unitary,
+                      routed_oracle, routing_category, turned, zn_module)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -194,6 +194,54 @@ def test_coassociativity(z2, z3):
     assert bm.coassociativity_residual(z3, "op") < 1e-10
     assert bm.coassociativity_residual(z2, "right") < 1e-10
     assert bm.coassociativity_residual(bm.identity_control(2), "op") < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_right_check_is_the_op_check_of_the_turned_unitary(d):
+    # a random F under the phase braiding: the turn is S F^T S under the
+    # explicit braiding S (c^{-1})^T S, bit for bit, and its "op" residual
+    # is the unturned "bt" residual of the dense oracle; turned with the
+    # inverse of that braiding, the residual moves at the second digit
+    space = Space("L", d, tuple(range(d)))
+    m = bm.MultUnitary(space, leg_op(random_unitary(d * d, 20 + d), [space, space]),
+                       bm.PhaseBraiding(3))
+    rotated = multunitary._rotated(m)
+    assert np.array_equal(rotated.matrix, turned(m.op).matrix)
+    assert np.array_equal(rotated.braiding.braid(space, space).matrix,
+                          turned(m.braiding.braid_inverse(space, space)).matrix)
+    expected = dense_coassociativity_residual(m, "right")
+    assert expected > 1.0
+    assert abs(bm.coassociativity_residual(m, "right") - expected) <= 1e-12 * expected
+    assert abs(bm.coassociativity_residual(rotated, "op") - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_controlled_unitary_leaves_both_crossed_products(d):
+    # sum_i e_ii (x) U_i under the phase braiding: every comultiplied element
+    # lies outside the crossed product, turned or not
+    space = Space("L", d, tuple(range(d)))
+    f = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        f[i * d:(i + 1) * d, i * d:(i + 1) * d] = random_unitary(d, 40 + i)
+    m = bm.MultUnitary(space, leg_op(f, [space, space]), bm.PhaseBraiding(3))
+    for run in (dense_coassociativity_residual, bm.coassociativity_residual):
+        for variant in ("op", "right"):
+            with pytest.raises(spans.DecompositionError, match="outside"):
+                run(m, variant)
+
+
+def test_a_later_element_outside_is_raised_after_the_walk(z2, monkeypatch):
+    # turned, the corruption's first comultiplied element decomposes and its
+    # second does not: the walk maps the first, then the second's error is
+    # raised, where a residual of the first alone would be returned
+    walked, real = [], spans.compare_extensions
+    monkeypatch.setattr(spans, "compare_extensions",
+                        lambda *args: walked.append(len(args[2])) or real(*args))
+    with pytest.raises(spans.DecompositionError, match="outside the crossed product"):
+        bm.coassociativity_residual(structured_corruption(z2), "right")
+    assert walked == [1]
+    with pytest.raises(spans.DecompositionError, match="outside the crossed product"):
+        dense_coassociativity_residual(structured_corruption(z2), "right")
 
 
 @pytest.mark.parametrize("group", ["z3", "s3"])

@@ -6,13 +6,13 @@ import pytest
 import braidmu as bm
 from braidmu import spans
 from braidmu import LegOperator, LegSignature, Space
-from braidmu.tensor import tensor, total_dim
+from braidmu.tensor import adjoint, tensor, total_dim
 
 from braidmu import multunitary
 from conftest import (DenseCrossedProductExtension, dense_braid_tensor,
                       dense_coassociativity_residual, gauge_conjugate, graded_kac_takesaki,
                       greedy_selection, independent_columns, loop_subset_residual,
-                      random_unitary)
+                      oracle_folds, random_unitary, turned)
 
 L2 = Space("L", 2)
 
@@ -400,6 +400,50 @@ def test_null_space_matches_the_full_svd(t, scale, kernel_dim):
         assert np.linalg.norm(t @ kernel.T) < 1e-12 * max(np.linalg.norm(t), 1.0)
 
 
+def _turned_configuration(s1, s2, provider, f, g, elements):
+    """The "habt" configuration whose extension is the 180-degree turn of
+    the "bt" one: the spans swap sides turned, f and g likewise, each
+    conjugation by the turn of V* on the other side, and the braiding
+    becomes the table c'_{X,Y} = turn(c_{Y,X}^{-1}) on every leg involved."""
+    legs = s1.domain + s2.domain
+    for h in (f, g):
+        legs += h.v.domain + h.v.codomain if h is not None else ()
+    spaces = {space.id: space for space in legs}.values()
+    table = bm.ExplicitBraiding()
+    for x, y in itertools.product(spaces, repeat=2):
+        table.register(turned(provider.braid_inverse(y, x)))
+
+    def conj(h):
+        if h is None:
+            return None
+        return spans.Conjugation(turned(adjoint(h.v)), "right" if h.side == "left" else "left")
+
+    def span(s):
+        return spans.span_of([turned(x) for x in s.basis])
+
+    return span(s2), span(s1), table, conj(g), conj(f), [turned(x) for x in elements]
+
+
+def _built(s1, s2, provider, variant, f, g, elements):
+    """The extension (f x g) of a crossed product, the folds of ``elements``
+    and a map that puts its streamed values on the product's legs.  A "bt"
+    product, which spans decomposes and extends only as its 180-degree
+    turn, is built as that "habt" product, whose values the map turns back."""
+    if variant != "bt":
+        cp = spans.CrossedProduct(s1, s2, provider, variant)
+        folds = np.stack([cp.decompose(x, 1e-9) for x in elements])
+        return spans.CrossedProductExtension(cp, f, g), folds, lambda y: y
+    t1, t2, table, tf, tg, xs = _turned_configuration(s1, s2, provider, f, g, elements)
+    ext, folds, _ = _built(t1, t2, table, "habt", tf, tg, xs)
+
+    def back(y):
+        legs = ext.target_domain
+        flat = [turned(leg_op(x, legs)).matrix for x in y.reshape(-1, *y.shape[-2:])]
+        return np.reshape(flat, y.shape)
+
+    return ext, folds, back
+
+
 def _mapped_product_extension(s1, s2, provider, variant, f, g, x):
     """(f x g)(x) with every generator mapped as a dense product inj1'(f a) inj2'(g b)."""
     alpha, beta = spans.crossed_injections(variant, provider, s1.domain, s2.domain)
@@ -421,10 +465,11 @@ def _mapped_product_extension(s1, s2, provider, variant, f, g, x):
 
 
 def _extend(s1, s2, provider, variant, f, g, x):
-    """(f x g) of x on the crossed product of s1 and s2."""
-    cp = spans.CrossedProduct(s1, s2, provider, variant)
-    ext = spans.CrossedProductExtension(cp, f, g)
-    return leg_op(_forward(ext, cp.decompose(x, 1e-9)), ext.target_domain)
+    """(f x g) of x on the crossed product of s1 and s2; a "bt" product by
+    the extension of its 180-degree turn, turned back (:func:`_built`)."""
+    ext, (folds,), back = _built(s1, s2, provider, variant, f, g, [x])
+    legs = ext.target_domain if variant != "bt" else ext.target_domain[::-1]
+    return leg_op(back(_forward(ext, folds)), legs)
 
 
 def _random_span(legs, count, seed):
@@ -470,21 +515,23 @@ def test_extension_matches_the_mapped_product_oracle(kind, variant, f_on, g_on):
 BLOCKS = {"one-line": 1, "seven-lines": 7, "whole": 10 ** 6}
 
 
-def _streamed(ext, cp, folds, lines):
+def _streamed(ext, folds, lines):
     """apply over consecutive blocks of target lines, joined: (elements, 2, dim, dim)."""
     dim = total_dim(ext.target_domain)
     blocks = [ext.apply(folds, np.arange(lo, min(lo + lines, dim)))[0]
               for lo in range(0, dim, lines)]
-    return np.concatenate(blocks, axis=3 if cp.pad_first else 2)
+    return np.concatenate(blocks, axis=2)
 
 
-def _assert_streams_like_the_dense_block(cp, f, g, elements, lines):
-    folds = np.stack([cp.decompose(x, 1e-9) for x in elements])
-    dense = DenseCrossedProductExtension(cp, f, g)
-    got = _streamed(spans.CrossedProductExtension(cp, f, g), cp, folds, lines)
+def _assert_streams_like_the_dense_block(s1, s2, provider, variant, f, g, elements, lines):
+    # the dense block extends a "bt" product unturned
+    ext, folds, back = _built(s1, s2, provider, variant, f, g, elements)
+    got = back(_streamed(ext, folds, lines))
     assert got.shape[:2] == (len(elements), 2)
-    for value, fold in zip(got, folds):
-        for half, expected in zip(value, dense.values(fold)):
+    cp = spans.CrossedProduct(s1, s2, provider, variant)
+    dense = DenseCrossedProductExtension(cp, f, g)
+    for value, x in zip(got, elements):
+        for half, expected in zip(value, dense.values(oracle_folds(cp, x))):
             np.testing.assert_allclose(half, expected, rtol=0, atol=1e-12)
 
 
@@ -496,13 +543,11 @@ def test_extension_blocks_place_no_step(monkeypatch, variant, maps):
     import braidmu.tensor as tensor_module
     s1, s2, provider, f, g, elements, _ = _oracle_configuration("phase3", variant, "f" in maps,
                                                                 "g" in maps, count=2)
-    cp = spans.CrossedProduct(s1, s2, provider, variant)
-    folds = np.stack([cp.decompose(x, 1e-9) for x in elements])
-    ext = spans.CrossedProductExtension(cp, f, g)
+    ext, folds, _ = _built(s1, s2, provider, variant, f, g, elements)
     placed, real = [], tensor_module._placed
     monkeypatch.setattr(tensor_module, "_placed",
                         lambda *args: placed.append(args[0]) or real(*args))
-    assert _streamed(ext, cp, folds, 1).shape[:2] == (2, 2)
+    assert _streamed(ext, folds, 1).shape[:2] == (2, 2)
     assert placed == []
 
 
@@ -513,8 +558,14 @@ def test_extension_blocks_place_no_step(monkeypatch, variant, maps):
 def test_streamed_extension_matches_the_dense_block(kind, variant, maps, block):
     s1, s2, provider, f, g, elements, _ = _oracle_configuration(kind, variant, "f" in maps,
                                                                 "g" in maps, count=3)
-    cp = spans.CrossedProduct(s1, s2, provider, variant)
-    _assert_streams_like_the_dense_block(cp, f, g, elements, BLOCKS[block])
+    _assert_streams_like_the_dense_block(s1, s2, provider, variant, f, g, elements,
+                                         BLOCKS[block])
+
+
+def _checked(m, variant):
+    """The unitary and variant whose extensions coassociativity_residual
+    runs: variant "right" is the "op" check of the 180-degree turn."""
+    return (multunitary._rotated(m), "op") if variant == "right" else (m, variant)
 
 
 def _group_unitary(name):
@@ -529,12 +580,12 @@ GROUPS = ["z2", "z3", "z4", "z5", "z6", "s3"]
 @pytest.mark.parametrize("group", GROUPS)
 def test_streamed_extension_matches_the_dense_block_on_kac_takesaki(group, variant, block):
     # both extensions of the coassociativity check, on every comultiplied basis element
-    m = _group_unitary(group)
+    m, variant = _checked(_group_unitary(group), variant)
     alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
-    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
     elements = [bm.comultiply(m, a, variant) for a in alg.basis]
     for f, g in ((conj, None), (None, conj)):
-        _assert_streams_like_the_dense_block(cp, f, g, elements, BLOCKS[block])
+        _assert_streams_like_the_dense_block(alg, alg, m.braiding, cp_variant, f, g, elements,
+                                             BLOCKS[block])
 
 
 def _budget_lines(monkeypatch, lines):
@@ -622,9 +673,11 @@ def test_gathered_extension_matches_the_gemm_path(name, variant, monkeypatch):
     make, exact = GATHER_INPUTS[name]
     m = make()
     assert (m.braiding.kind == "explicit") == name.startswith("explicit")
-    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
-    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
-    folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
+    checked, checked_variant = _checked(m, variant)
+    alg, cp_variant, conj = multunitary._bialgebra_data(checked, checked_variant)
+    cp = spans.CrossedProduct(alg, alg, checked.braiding, cp_variant)
+    folds = np.stack([cp.decompose(bm.comultiply(checked, a, checked_variant), 1e-9)
+                      for a in alg.basis])
     for f, g in ((conj, None), (None, conj)):
         gathered, gemm = (spans.CrossedProductExtension(cp, f, g),
                           _gemm_extension(monkeypatch, cp, f, g))
@@ -658,9 +711,7 @@ def test_crossings_apply_by_the_gather(monkeypatch, kind, variant, maps):
     extension runs no GEMM block and no word."""
     s1, s2, provider, f, g, elements, _ = _oracle_configuration(kind, variant, "f" in maps,
                                                                 "g" in maps, count=2)
-    cp = spans.CrossedProduct(s1, s2, provider, variant)
-    folds = np.stack([cp.decompose(x, 1e-9) for x in elements])
-    ext = spans.CrossedProductExtension(cp, f, g)
+    ext, folds, _ = _built(s1, s2, provider, variant, f, g, elements)
 
     def forbidden(*args):
         raise AssertionError("the gather ran a GEMM block or a word")
@@ -668,12 +719,13 @@ def test_crossings_apply_by_the_gather(monkeypatch, kind, variant, maps):
     monkeypatch.setattr(spans.CrossedProductExtension, "_factor_lines", forbidden)
     for name in ("columns", "run"):
         monkeypatch.setattr(spans.PlannedWord, name, forbidden)
-    assert _streamed(ext, cp, folds, 1).shape[:2] == (2, 2)
+    assert _streamed(ext, folds, 1).shape[:2] == (2, 2)
 
 
 def _walked(m, variant):
     """The two extensions of the coassociativity check and the folds of its
     comultiplied basis elements."""
+    m, variant = _checked(m, variant)
     alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
     cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
     folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
@@ -872,8 +924,8 @@ def _conjugation_onto(source, side, isometry, seed):
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("isometry", [False, True], ids=["unitary", "isometry"])
 def test_extension_pulls_out_the_pad_side_conjugation(kind, variant, side, isometry):
-    # f and g both map, so the padded factor (b for hbt/habt, a for bt) is conjugated
-    # on the given side, by a square or a space-changing V
+    # f and g both map, so the padded factor (b for hbt/habt, a for bt) is
+    # conjugated on the given side, by a square or a space-changing V
     a, b = Space("A", 2, (0, 1)), Space("B", 3, (0, 1, 2))
     provider = bm.FlipBraiding() if kind == "flip" else bm.PhaseBraiding(3)
     s1, s2 = _random_span((a,), 2, 51), _random_span((b,), 3, 52)
@@ -892,14 +944,16 @@ def test_extension_pulls_out_the_pad_side_conjugation(kind, variant, side, isome
 @pytest.mark.parametrize("variant", ["op", "right"])
 def test_extension_matches_the_oracle_on_the_certified_configuration(z3, variant):
     # coassociativity extends the crossed product by the comultiplication's
-    # conjugation on either factor: F* on the left ("op"), F on the right ("right")
-    alg, cp_variant, conj = multunitary._bialgebra_data(z3, variant)
-    cp = spans.CrossedProduct(alg, alg, z3.braiding, cp_variant)
+    # conjugation on either factor: F* on the left, for "op" and for the
+    # "op" check of the turned unitary that "right" runs
+    m, variant = _checked(z3, variant)
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
     for f, g in ((conj, None), (None, conj)):
         ext = spans.CrossedProductExtension(cp, f, g)
         for a in alg.basis:
-            d = bm.comultiply(z3, a, variant)
-            expected = _mapped_product_extension(alg, alg, z3.braiding, cp_variant, f, g, d)
+            d = bm.comultiply(m, a, variant)
+            expected = _mapped_product_extension(alg, alg, m.braiding, cp_variant, f, g, d)
             np.testing.assert_allclose(_forward(ext, cp.decompose(d, 1e-9)), expected,
                                        rtol=0, atol=1e-12)
 
@@ -911,6 +965,24 @@ def test_extension_rejects_a_conjugation_that_does_not_hold_the_pad():
     with pytest.raises(bm.LegError, match="padding legs"):
         spans.CrossedProductExtension(spans.CrossedProduct(s1, s2, bm.FlipBraiding(), "habt"),
                                       None, g)
+
+
+def test_a_bt_product_is_neither_decomposed_nor_extended():
+    # a "bt" product keeps its images, generators and span, which the
+    # right-variant Podles and multiplier checks read; it is decomposed and
+    # extended only as its 180-degree turn, so both refuse, and not with a
+    # DecompositionError, which a certificate would record as a failed check
+    s1, s2, provider, f, g, (x,), _ = _oracle_configuration("phase3", "bt", True, True)
+    cp = spans.CrossedProduct(s1, s2, provider, "bt")
+    assert [len(images) for images in cp.images] == [2, 2] and cp.gens.shape == (4, 36)
+    assert cp.span.rank == 4 and spans.contains(cp.span, x)
+    with pytest.raises(ValueError, match="turn it by 180 degrees") as refused:
+        cp.decompose(x, 1e-9)
+    assert type(refused.value) is ValueError
+    for maps in ((f, g), (None, None)):
+        with pytest.raises(ValueError, match="turn it by 180 degrees") as refused:
+            spans.CrossedProductExtension(cp, *maps)
+        assert type(refused.value) is ValueError
 
 
 # ---------------------------------------------------------------- support split
@@ -1028,9 +1100,7 @@ def _whole_folds(cp, x):
         keep, q, r = independent_columns(v)
         c = np.zeros(rc * rp, dtype=complex)
         c[picked[keep]] = np.linalg.solve(r, (q.T @ vx.conj()).conj())
-        c = c.reshape(rp, rc).T.copy() if cp.pad_first else c.reshape(rc, rp)
-        m = (c @ cp.pad.reshape(rp, -1)).reshape(rc, p, p)
-        folds.append((m.transpose(0, 2, 1) if cp.pad_first else m).reshape(rc * p, p))
+        folds.append((c.reshape(rc, rp) @ cp.pad.reshape(rp, -1)).reshape(rc * p, p))
     return np.stack(folds)
 
 

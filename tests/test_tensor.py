@@ -1341,6 +1341,31 @@ def test_only_spans_walks_the_extensions():
     assert references("compare_extensions") == [("multunitary", "coassociativity_residual")]
 
 
+def test_the_extension_has_one_orientation():
+    """A "bt" crossed product is the 180-degree turn of a "habt" one, so the
+    extension knows one orientation: the extension, the walk and their
+    helpers neither take nor read pad_first, which only the crossed
+    product's generator stack and its refusal read; only CrossedProduct
+    orients a pair, and only coassociativity_residual turns a unitary."""
+    oriented = {"CrossedProductExtension", "compare_extensions", "_squares", "_pad_isometry"}
+    nodes = [node for node in _package_trees()["spans"].body
+             if getattr(node, "name", None) in oriented]
+    assert len(nodes) == len(oriented)
+    for node in nodes:
+        # parameters, bare names and attributes alike
+        names = {getattr(x, "arg", None) or getattr(x, "id", None) or getattr(x, "attr", None)
+                 for x in ast.walk(node)}
+        assert "pad_first" not in names, node.name
+    assert set(references("pad_first")) == {
+        ("spans", scope) for scope in ("_generator_stack", "CrossedProduct.__init__",
+                                       "CrossedProduct.orient", "CrossedProduct.gens",
+                                       "_refuse_turned")}
+    orients = references("orient")
+    assert orients and {(module, scope.split(".")[0]) for module, scope in orients} == {
+        ("spans", "CrossedProduct")}
+    assert references("_rotated") == [("multunitary", "coassociativity_residual")]
+
+
 # every function or class in a module's __all__ that nothing in the package
 # references but the package's re-export, with why it stays
 UNREFERENCED = {
