@@ -851,8 +851,17 @@ class CrossedProductExtension:
     every R_k: O(n^8) on three legs of dimension n, where the dense factor
     block took O(n^9).  It builds those rows of R_k for the image rows its
     lines read, so memory stays one block; the extension keeps no row
-    between calls, and the walk of :func:`compare_extensions` hands each
-    block's last row to the next.
+    between calls, and the blocked walk of :func:`compare_extensions` hands
+    each block's last row to the next.
+
+    The same compiled gather gives both operands of that contraction as
+    entries, keyed by (image row, k), with nothing more compiled: the
+    nonzeros of a line of every T_k (:meth:`_line_entries`) and of every
+    element's R_k (:meth:`_pad_entries`).  For a monomial F, whose pad-side
+    V is a permutation with phases, both are sparse, and the entry walk of
+    :func:`compare_extensions` joins them on their keys: at KT Z8 it forms
+    2,048 products from 1,024 line entries, where the GEMMs multiply 67 M
+    entries that are almost all zero.
 
     Any other extension keeps the GEMM path, the reference that the gather
     is tested against: the leading crossings are placed on the target legs
@@ -936,7 +945,7 @@ class CrossedProductExtension:
         applies), the line's gathered factor entries, and its share of the
         rows of R_k, held twice (the product with A and then with A^H): a row
         per line, or per dim / image lines for the carrier of a pad-side
-        conjugation, whose lines :func:`compare_extensions` groups by row."""
+        conjugation, whose lines :func:`_blocked_walk` groups by row."""
         if not self._gathered:
             return 16 * self._dim * max(2 * self._rc, 6 * count)
         fd, image = self._dim // self._image, self._image
@@ -1001,6 +1010,75 @@ class CrossedProductExtension:
             z = np.ascontiguousarray(z.transpose(0, 4, 2, 3, 1, 5)).reshape(-1, self._vh.shape[0])
             out[int(reuse):] = (z @ self._vh).reshape(-1, rc, out.shape[-1])
         return out, (rows[-1], out[-1].copy())
+
+    def _pad_entries(self, folds: np.ndarray) -> tuple | None:
+        """Every element's R_k under both decompositions as entries (key,
+        element * 2 + decomposition, column, value), keyed by (image row, k)
+        as row * rc + k; None off the gather path, or when a column of the
+        pad-side isometry V holds more than one entry.
+
+        R_k is the folded pad m_k, or V (1 (x) m_k) V^H: with column (a, q)
+        of V landing on row w(a, q), each entry (q, s) of m_k lands at (w(a,
+        q), w(a, s)) for every aux index a, times V's entry in column (a, q)
+        and then the conjugate of V's in column (a, s), as the GEMMs of
+        :meth:`_pad_rows` take them."""
+        if not self._gathered:
+            return None
+        rc, p = self._rc, self._p
+        pads = folds.reshape(-1, rc, p, p)
+        element, k, row, col = at = np.nonzero(pads)
+        value = pads[at]
+        if self._a is not None:
+            if np.any(np.count_nonzero(self._a, axis=0) != 1):
+                return None
+            # per column (a, q), its row and entry; m_k's entries once per a
+            lands = np.argmax(self._a != 0, axis=0)
+            phase = np.take_along_axis(self._a, lands[None], 0)[0]
+            value = (phase[:, row] * value * phase[:, col].conj()).ravel()
+            row, col = lands[:, row].ravel(), lands[:, col].ravel()
+            element, k = np.tile(element, len(lands)), np.tile(k, len(lands))
+        return row * rc + k, element, col, value
+
+    @cached_property
+    def _factor_entries(self) -> tuple[np.ndarray, ...]:
+        """The nonzeros (r, c, k) of the factor stack by column c: each
+        column's first entry and entry count, and every entry's r, k and
+        value; and per factor row r and image row i, at r * image + i, the
+        position rho of the other legs where row r is written on row i."""
+        at = np.nonzero(self._x.transpose(1, 0, 2))
+        counts = np.bincount(at[0], minlength=self._x.shape[1])
+        positions = np.arange(self._dim)
+        rho = np.empty(self._dim, dtype=np.intp)
+        rho[self._row_at * self._image + positions % self._image] = positions // self._image
+        return (np.cumsum(counts) - counts, counts, at[1], at[2], self._x[at[1], at[0], at[2]],
+                rho)
+
+    def _line_products(self, pad_keys: np.ndarray) -> np.ndarray:
+        """Per target line, how many entries and products the entry walk
+        forms for it: line j's factor entries in column f_j, and for each k
+        those of k times R's entries keyed (img_j, k)."""
+        per_key = np.bincount(pad_keys, minlength=self._image * self._rc)
+        entries = np.count_nonzero(self._x, axis=0)
+        counts = entries @ (per_key.reshape(self._image, -1).T + 1)
+        return counts[self._col, self._img]
+
+    def _line_entries(self, lines: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Row j of every T_k, for each line j of ``lines``, as entries (j,
+        position rho, key, value), line by line: each nonzero (r, f_j, k) of
+        the factor stack, at the position rho of the other legs whose factor
+        row is r on the image row img_j, keyed img_j * rc + k, times its
+        phases as :meth:`_gather_lines` takes them."""
+        image = self._image
+        first, counts, rows, ks, values, rho_of = self._factor_entries
+        line, at = _expand(first[self._col[lines]], counts[self._col[lines]])
+        line, img = lines[line], self._img[lines][line]
+        rho = rho_of[rows[at] * image + img]
+        x = values[at]
+        if self._phi is not None:
+            # not in place: numpy multiplies a one-entry array in place
+            # without the fused rounding of its vector loop
+            x = x * self._phi[line] * self._psi_at[rho * image + img]
+        return line, rho, img * self._rc + ks[at], x
 
     def apply(self, folds: np.ndarray, lines: np.ndarray, kept: tuple | None = None
               ) -> tuple[np.ndarray, tuple | None]:
@@ -1072,20 +1150,42 @@ def compare_extensions(left: CrossedProductExtension, right: CrossedProductExten
     ||R1 - R0||^2 and ||L0 - R0||^2, for its values L under ``left`` and R
     under ``right``, 0 from its forward and 1 from its reverse decomposition.
 
-    ``folds`` stacks :meth:`CrossedProduct.decompose` of each element.  The
-    walk maps every element a block of target lines, which are target rows,
-    at a time, so no value is held whole; a "bt" product is compared as
-    its 180-degree turn (:func:`braidmu.multunitary.coassociativity_residual`).  When both extensions gather, the lines are grouped by
-    the image row of the one that carries a pad-side conjugation, and each
-    block hands the last row of R_k it built to the next, so that each row
-    is built once.  Each line's squares are kept and summed in line order
-    once the walk ends, so the blocks (:func:`_extension_blocks`) do not set
-    the rounding.
+    ``folds`` stacks :meth:`CrossedProduct.decompose` of each element.  A
+    "bt" product is compared as its 180-degree turn
+    (:func:`braidmu.multunitary.coassociativity_residual`).  Every walk maps
+    the elements a block of target lines, which are target rows, at a time,
+    within :data:`_BLOCK_BYTES`, so no value is held whole.  Each line's
+    squares are kept and summed in line order once the walk ends, so the
+    blocks do not set the rounding.
+
+    When both extensions gather and every pad-side isometry has one entry
+    per column, as a monomial F's does, their operands read as entries
+    (:meth:`~CrossedProductExtension._pad_entries`).  The walk then joins
+    them (:func:`_entry_walk`) when the line entries and products it forms,
+    counted from the entries per key before any product is formed, are
+    fewer than the multiplies of the blocked walk (:func:`_blocked_walk`).
+    A dense F keeps the blocked walk, as does any extension off the gather
+    path.
     """
     exts = (left, right)
+    pads = [ext._pad_entries(folds) for ext in exts]
+    if all(pad is not None for pad in pads):
+        products = sum(ext._line_products(pad[0]) for ext, pad in zip(exts, pads))
+        # the gather's GEMMs: every line of every T_k against every row of R_k
+        if products.sum() < sum(ext._dim ** 2 * ext._rc * 2 * len(folds) for ext in exts):
+            return _entry_walk(exts, pads, products, len(folds))
+    return _blocked_walk(exts, folds)
+
+
+def _blocked_walk(exts: Sequence[CrossedProductExtension], folds: np.ndarray) -> np.ndarray:
+    """:func:`compare_extensions` by :meth:`CrossedProductExtension.apply`,
+    over the blocks of :func:`_extension_blocks`.  When both extensions
+    gather, the lines are grouped by the image row of the one that carries a
+    pad-side conjugation, and each block hands the last row of R_k it built
+    to the next, so that each row is built once."""
     carrier = [ext for ext in exts if ext._gathered and ext._a is not None]
     grouped = carrier and all(ext._gathered for ext in exts)
-    order = np.argsort(carrier[0]._img, kind="stable") if grouped else np.arange(left._dim)
+    order = np.argsort(carrier[0]._img, kind="stable") if grouped else np.arange(exts[0]._dim)
     squares, kept = np.empty((5, len(folds), len(order))), (None, None)
     for block in _extension_blocks(exts, len(folds)):
         lines = order[block]
@@ -1097,6 +1197,75 @@ def compare_extensions(left: CrossedProductExtension, right: CrossedProductExten
         values[0][:, 0] -= values[1][:, 0]
         squares[4][:, lines] = _squares(values[0][:, 0])
         del values, y   # the next block's values are made without these
+    return squares.sum(axis=-1)
+
+
+def _expand(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of a join: for each i, the indices first[i] .. first[i] +
+    counts[i] - 1 in turn, with i beside each."""
+    which = np.repeat(np.arange(counts.size), counts)
+    return which, np.arange(which.size) + (first - (np.cumsum(counts) - counts))[which]
+
+
+def _entry_blocks(products: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive ranges (lo, hi) of target lines for :func:`_entry_walk`,
+    each of whole lines, one at least, whose ``products`` (per line) stay
+    within :data:`_BLOCK_BYTES`.  A product holds at most twelve arrays of
+    16 bytes or less at once: the pair of the join, its target entry, lane
+    and value, and the sorted, numbered and summed copies of those."""
+    total, step = np.cumsum(products), max(1, _BLOCK_BYTES // (16 * 12))
+    blocks, lo = [], 0
+    while lo < len(products):
+        hi = int(np.searchsorted(total, step + (total[lo - 1] if lo else 0), side="right"))
+        blocks.append((lo, max(lo + 1, hi)))
+        lo = blocks[-1][1]
+    return blocks
+
+
+def _entry_walk(exts: Sequence[CrossedProductExtension], pads: Sequence[tuple],
+                products: np.ndarray, count: int) -> np.ndarray:
+    """:func:`compare_extensions` by joining each extension's line entries
+    (:meth:`~CrossedProductExtension._line_entries`) with its R entries
+    (``pads``) on their key, a block of consecutive lines at a time.
+
+    A block holds whole lines, as many as keep its ``products`` (per line,
+    both extensions') within :data:`_BLOCK_BYTES`, one line at least.  Each
+    product x r lands on its element, decomposition, line and position; the
+    products of one target entry, over k, are summed in key order, and the
+    five squares are taken per entry and summed per line in position
+    order."""
+    dim = exts[0]._dim
+    # R's entries in key order, and each key's first and count
+    joins = []
+    for ext, (keys, *_) in zip(exts, pads):
+        order = np.argsort(keys, kind="stable")
+        counts = np.bincount(keys, minlength=ext._image * ext._rc)
+        joins.append((order, np.cumsum(counts) - counts, counts))
+    squares = np.zeros((5, count, dim))
+    for lo, hi in _entry_blocks(products):
+        entries, lanes, values = [], [], []
+        for i, (ext, (_, element, col, r), (order, first, counts)) in enumerate(
+                zip(exts, pads, joins)):
+            line, rho, key, x = ext._line_entries(np.arange(lo, hi))
+            which, at = _expand(first[key], counts[key])
+            at = order[at]
+            entries.append(((element[at] // 2 * dim + line[which]) * dim
+                            + rho[which] * ext._image + col[at]))
+            lanes.append(2 * i + element[at] % 2)
+            values.append(x[which] * r[at])
+        slots, slot = np.unique(np.concatenate(entries), return_inverse=True)
+        slot = slot * 4 + np.concatenate(lanes)
+        values = np.concatenate(values)
+        sums = np.empty((slots.size, 4), dtype=complex)
+        sums.real = np.bincount(slot, values.real, sums.size).reshape(-1, 4)
+        sums.imag = np.bincount(slot, values.imag, sums.size).reshape(-1, 4)
+        l0, l1, r0, r1 = sums.T
+        # each entry's line within the block, element by element
+        row = slots // dim
+        row = row // dim * (hi - lo) + row % dim - lo
+        for q, y in enumerate((l0, l1 - l0, r0, r1 - r0, l0 - r0)):
+            squares[q][:, lo:hi] = np.bincount(row, y.real * y.real + y.imag * y.imag,
+                                               count * (hi - lo)).reshape(count, -1)
     return squares.sum(axis=-1)
 
 

@@ -417,6 +417,26 @@ def gauge_conjugate(m, seed):
                           m.braiding)
 
 
+def walked_extensions(m, variant):
+    """The two extensions of the coassociativity check and the folds of its
+    comultiplied basis elements; variant "right" is the "op" check of the
+    180-degree turn, as coassociativity_residual runs it."""
+    from braidmu import multunitary
+
+    if variant == "right":
+        m, variant = multunitary._rotated(m), "op"
+    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
+    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
+    folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
+    return [spans.CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))], folds
+
+
+def blocked_walk_only(monkeypatch):
+    """Send every coassociativity walk down the blocked walk, the entry
+    walk's oracle: no extension's operands read as entries, as for a dense F."""
+    monkeypatch.setattr(spans.CrossedProductExtension, "_pad_entries", lambda *args: None)
+
+
 def dense_coassociativity_residual(m, variant="op", tol=1e-9):
     """coassociativity_residual element by element, on the dense extension,
     with variant "right" on its own "bt" crossed product, unturned."""

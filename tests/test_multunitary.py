@@ -1,6 +1,9 @@
+import functools
+import importlib.util
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from braidmu import LegOperator, LegSignature, Space
 from braidmu.multunitary import pentagon_words
 from braidmu.tensor import leg_product
 
-from conftest import (DenseCrossedProductExtension, dense_coassociativity_residual,
-                      dense_pentagon_defect, gauge_conjugate, graded_kac_takesaki, random_unitary,
-                      routed_oracle, routing_category, turned, zn_module)
+from conftest import (DenseCrossedProductExtension, blocked_walk_only,
+                      dense_coassociativity_residual, dense_pentagon_defect, gauge_conjugate,
+                      graded_kac_takesaki, random_unitary, routed_oracle, routing_category, turned,
+                      walked_extensions, zn_module)
 
 
 def leg_op(matrix, dom, cod=None):
@@ -215,15 +219,20 @@ def test_the_right_check_is_the_op_check_of_the_turned_unitary(d):
     assert abs(bm.coassociativity_residual(rotated, "op") - expected) <= 1e-12 * expected
 
 
+def _no_entry_walk(*args):
+    raise AssertionError("the entry walk ran")
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_a_controlled_unitary_leaves_both_crossed_products(d):
+def test_a_controlled_unitary_leaves_both_crossed_products(d, monkeypatch):
     # sum_i e_ii (x) U_i under the phase braiding: every comultiplied element
-    # lies outside the crossed product, turned or not
+    # lies outside the crossed product, turned or not, so nothing is walked
     space = Space("L", d, tuple(range(d)))
     f = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         f[i * d:(i + 1) * d, i * d:(i + 1) * d] = random_unitary(d, 40 + i)
     m = bm.MultUnitary(space, leg_op(f, [space, space]), bm.PhaseBraiding(3))
+    monkeypatch.setattr(spans, "_entry_walk", _no_entry_walk)
     for run in (dense_coassociativity_residual, bm.coassociativity_residual):
         for variant in ("op", "right"):
             with pytest.raises(spans.DecompositionError, match="outside"):
@@ -233,8 +242,10 @@ def test_a_controlled_unitary_leaves_both_crossed_products(d):
 def test_a_later_element_outside_is_raised_after_the_walk(z2, monkeypatch):
     # turned, the corruption's first comultiplied element decomposes and its
     # second does not: the walk maps the first, then the second's error is
-    # raised, where a residual of the first alone would be returned
+    # raised, where a residual of the first alone would be returned; its F is
+    # dense, so that walk is the blocked one
     walked, real = [], spans.compare_extensions
+    monkeypatch.setattr(spans, "_entry_walk", _no_entry_walk)
     monkeypatch.setattr(spans, "compare_extensions",
                         lambda *args: walked.append(len(args[2])) or real(*args))
     with pytest.raises(spans.DecompositionError, match="outside the crossed product"):
@@ -311,10 +322,13 @@ def test_coassociativity_peak_is_below_one_dense_target_block(n, variant):
 
 
 def test_coassociativity_keeps_a_smaller_byte_budget(z2, monkeypatch):
-    # the rows of R_k are built for the blocks' lines inside the budget: at
-    # 64 KiB the blocks hold less than at the default, and nothing else moves,
-    # not even the residuals' last bits
+    # on the blocked walk, which KT's and the graded object's operands would
+    # skip by reading as entries, the rows of R_k are built for the blocks'
+    # lines inside the budget: at 64 KiB the blocks hold less than at the
+    # default, and nothing else moves, not even the residuals' last bits
     import braidmu.tensor as tensor_module
+
+    blocked_walk_only(monkeypatch)
 
     kt6, graded = bm.kac_takesaki(bm.cyclic(6)), graded_kac_takesaki()
     real = spans._extension_blocks
@@ -694,6 +708,92 @@ def test_the_split_certificate_is_the_whole_matrix_one(name, monkeypatch):
             assert abs(record.pop("value") - reference.pop("value")) < 1e-13, record["name"]
         assert record == reference
     assert all(record["pass"] for record in got)
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_workloads():
+    """bench/workloads.py, which builds the benchmark's certify inputs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_input(group):
+    """KT of the group as the certify workload relabels it at seed 12345."""
+    workloads = _bench_workloads()
+    return bm.kac_takesaki(workloads.relabeled(group, workloads.permutation(12345, group.order)))
+
+
+def _phase_graded(m):
+    graded = graded_kac_takesaki()
+    return bm.MultUnitary(graded.space, graded.op, bm.PhaseBraiding(m))
+
+
+# every monomial object of the corpus: its coassociativity operands read as entries
+_ENTRY_CORPUS = {
+    **{name: _CORPUS[name] for name in [f"Z{n}" for n in range(2, 9)] + ["S3"]},
+    **{f"benchmark-{g.name}": lambda g=g: _benchmark_input(g)
+       for g in (bm.cyclic(5), bm.cyclic(8), bm.symmetric(3))},
+    **{f"graded-phase{m}": lambda m=m: _phase_graded(m) for m in (2, 3, 4)},
+    **{name: _CORPUS[name] for name in ("semidirect-Z2", "semidirect-Z3", "yd-Z3")},
+}
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("name", list(_ENTRY_CORPUS))
+def test_the_entry_walk_is_the_blocked_walk(name, variant, monkeypatch):
+    # the join gives the blocked walk's five norms bit for bit.  Semidirect
+    # Z3's folds hold rounding-sized coefficients, and where several k meet
+    # on one entry the GEMM sums their products in another order: its
+    # deviation norms read 0.0 against up to 1.4e-66, within (n^3 eps)^2 of
+    # the element's squared norm for the target dimension n^3; its values'
+    # and the comparison's norms are equal bit for bit
+    exts, folds = walked_extensions(_ENTRY_CORPUS[name](), variant)
+    walks, real = [], spans._entry_walk
+    monkeypatch.setattr(spans, "_entry_walk", lambda *args: walks.append(args) or real(*args))
+    got = spans.compare_extensions(*exts, folds)
+    want = spans._blocked_walk(exts, folds)
+    assert len(walks) == 1
+    if name == "semidirect-Z3":
+        bound = (exts[0]._dim * np.finfo(float).eps) ** 2 * want[[0, 2]].max(axis=0)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.array_equal(got[[0, 2, 4]], want[[0, 2, 4]])
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_the_entry_walk_raises_a_deviation_before_a_later_element_outside(monkeypatch):
+    # KT Z3 with its second element's reverse decomposition moved on one
+    # entry and its third element outside: the walk maps the first two, and
+    # the deviation is raised before the deferred outside, with the blocked
+    # walk's message
+    kt, real = bm.kac_takesaki(bm.cyclic(3)), spans.CrossedProduct.decompose
+    seen, walks = [], []
+
+    def decompose(cp, x, tol):
+        seen.append(x)
+        if len(seen) % 3 == 0:
+            raise spans.DecompositionError("element lies outside the crossed product (planted)")
+        folds = real(cp, x, tol)
+        if len(seen) % 3 == 2:
+            folds[1][tuple(np.argwhere(folds[1])[0])] *= 2
+        return folds
+
+    monkeypatch.setattr(spans.CrossedProduct, "decompose", decompose)
+    entry_walk = spans._entry_walk
+    monkeypatch.setattr(spans, "_entry_walk", lambda *args: walks.append(args) or entry_walk(*args))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(spans.DecompositionError, match="depends on the decomposition") as error:
+            bm.coassociativity_residual(kt, "op")
+        messages.append(str(error.value))
+        blocked_walk_only(monkeypatch)
+    assert [count for *_, count in walks] == [2]
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("name", ["graded", "semidirect-Z3", "relabelled-S3"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from braidmu import LegOperator, LegSignature, Space
 from braidmu.tensor import adjoint, tensor, total_dim
 
 from braidmu import multunitary
-from conftest import (DenseCrossedProductExtension, dense_braid_tensor,
+from conftest import (DenseCrossedProductExtension, blocked_walk_only, dense_braid_tensor,
                       dense_coassociativity_residual, gauge_conjugate, graded_kac_takesaki,
                       greedy_selection, independent_columns, loop_subset_residual,
-                      oracle_folds, random_unitary, turned)
+                      oracle_folds, random_unitary, turned, walked_extensions)
 
 L2 = Space("L", 2)
 
@@ -609,6 +610,8 @@ def _budget_lines(monkeypatch, lines):
 @pytest.mark.parametrize("variant", ["op", "right"])
 @pytest.mark.parametrize("group", GROUPS)
 def test_coassociativity_streams_like_the_dense_extension(group, variant, block, monkeypatch):
+    # the blocked walk, which KT's operands would skip by reading as entries
+    blocked_walk_only(monkeypatch)
     m = _group_unitary(group)
     expected = dense_coassociativity_residual(m, variant)
     lengths = _budget_lines(monkeypatch, BLOCKS[block])
@@ -722,21 +725,12 @@ def test_crossings_apply_by_the_gather(monkeypatch, kind, variant, maps):
     assert _streamed(ext, folds, 1).shape[:2] == (2, 2)
 
 
-def _walked(m, variant):
-    """The two extensions of the coassociativity check and the folds of its
-    comultiplied basis elements."""
-    m, variant = _checked(m, variant)
-    alg, cp_variant, conj = multunitary._bialgebra_data(m, variant)
-    cp = spans.CrossedProduct(alg, alg, m.braiding, cp_variant)
-    folds = np.stack([cp.decompose(bm.comultiply(m, a, variant), 1e-9) for a in alg.basis])
-    return [spans.CrossedProductExtension(cp, f, g) for f, g in ((conj, None), (None, conj))], folds
-
-
 @pytest.mark.parametrize("variant", ["op", "right"])
 def test_a_walk_builds_each_image_row_once(monkeypatch, variant):
     # one line per block: the carrier of the pad-side conjugation builds each
-    # row of R_k once, handing a block's last row to the next
-    exts, folds = _walked(_group_unitary("z4"), variant)
+    # row of R_k once on the blocked walk, handing a block's last row to the next
+    blocked_walk_only(monkeypatch)
+    exts, folds = walked_extensions(_group_unitary("z4"), variant)
     (carrier,) = [ext for ext in exts if ext._a is not None]
     built, real = [], np.tensordot
     monkeypatch.setattr(np, "tensordot", lambda a, *args, **kw: built.append(len(a)) or
@@ -746,6 +740,80 @@ def test_a_walk_builds_each_image_row_once(monkeypatch, variant):
     assert sum(built) == carrier._image
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a walk ran that this object does not take")
+
+
+@pytest.mark.parametrize("group", ["z4", "z8"])
+def test_monomial_coassociativity_walks_on_entries(group, monkeypatch):
+    # KT's operands read as entries: the check passes with every step of the
+    # blocked walk forbidden, and its walk peaks below one block
+    m = _group_unitary(group)
+    for name in ("_gather_apply", "_pad_rows", "_factor_lines"):
+        monkeypatch.setattr(spans.CrossedProductExtension, name, _forbidden)
+    for variant in ("op", "right"):
+        assert bm.coassociativity_residual(m, variant) < 1e-12
+    exts, folds = walked_extensions(m, "op")
+    tracemalloc.start()
+    try:
+        spans.compare_extensions(*exts, folds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spans._BLOCK_BYTES
+
+
+# objects whose operands do not read as entries, and the step of the walk
+# they keep: a dense F's pad-side isometry has full columns, so its gathered
+# extensions take the blocked walk; a dense table, and the identity
+# control's, whose image rows depend on the factor row, take the GEMM path
+KEPT_WALKS = {"gauge-z4": (lambda: gauge_conjugate(_group_unitary("z4"), 5), "_gather_apply"),
+              "gauge-s3": (lambda: gauge_conjugate(_group_unitary("s3"), 5), "_gather_apply"),
+              "dense-graded": (lambda: _dense_graded(), "_factor_lines"),
+              "identity-2": (lambda: bm.identity_control(2), "_factor_lines"),
+              "identity-3": (lambda: bm.identity_control(3), "_factor_lines")}
+
+
+@pytest.mark.parametrize("variant", ["op", "right"])
+@pytest.mark.parametrize("name", KEPT_WALKS)
+def test_dense_and_ungathered_extensions_keep_their_walks(name, variant, monkeypatch):
+    make, step = KEPT_WALKS[name]
+    ran, real = [], getattr(spans.CrossedProductExtension, step)
+    monkeypatch.setattr(spans, "_entry_walk", _forbidden)
+    monkeypatch.setattr(spans.CrossedProductExtension, step,
+                        lambda ext, *args: ran.append(ext) or real(ext, *args))
+    assert bm.coassociativity_residual(make(), variant) < 1e-10
+    assert len(set(map(id, ran))) == 2
+
+
+@pytest.mark.parametrize("name", ["z4", "s3", "graded"])
+def test_entry_blocks_hold_whole_lines_within_the_budget(name, monkeypatch):
+    # the counts of entries and products per line are those the join forms,
+    # and blocks of one line, or of several within a smaller budget, give the
+    # whole walk's norms bit for bit
+    m = graded_kac_takesaki() if name == "graded" else _group_unitary(name)
+    exts, folds = walked_extensions(m, "op")
+    pads = [ext._pad_entries(folds) for ext in exts]
+    products = 0
+    for ext, (keys, *_) in zip(exts, pads):
+        line, _, key, _ = ext._line_entries(np.arange(ext._dim))
+        formed = np.bincount(line, np.bincount(keys, minlength=ext._image * ext._rc)[key] + 1,
+                             ext._dim)
+        assert np.array_equal(ext._line_products(keys), formed)
+        products = products + formed
+    assert spans._entry_blocks(products) == [(0, len(products))]
+    whole = spans.compare_extensions(*exts, folds)
+    for lines in (1, 7):
+        budget = 16 * 12 * int(np.sort(products)[-lines:].sum())
+        monkeypatch.setattr(spans, "_BLOCK_BYTES", budget if lines > 1 else 1)
+        blocks = spans._entry_blocks(products)
+        assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(products) and len(blocks) > 1
+        assert all(hi - lo == 1 or products[lo:hi].sum() <= budget // (16 * 12)
+                   for lo, hi in blocks)
+        assert np.array_equal(spans.compare_extensions(*exts, folds), whole)
+
+
 @pytest.mark.parametrize("variant", ["op", "right"])
 def test_walks_over_other_folds_share_no_row(monkeypatch, variant):
     # the same extensions walk the elements, then the elements in reverse
@@ -753,7 +821,7 @@ def test_walks_over_other_folds_share_no_row(monkeypatch, variant):
     # row of R_k is carried from one walk into the next
     space = Space("L", 3)
     m = bm.MultUnitary(space, leg_op(random_unitary(9, 13), [space, space]), bm.FlipBraiding())
-    exts, folds = _walked(m, variant)
+    exts, folds = walked_extensions(m, variant)
     assert all(ext._gathered for ext in exts) and any(ext._a is not None for ext in exts)
     expected = dense_coassociativity_residual(m, variant)
     assert expected > 1e-3

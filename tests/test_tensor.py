@@ -1347,7 +1347,8 @@ def test_the_extension_has_one_orientation():
     helpers neither take nor read pad_first, which only the crossed
     product's generator stack and its refusal read; only CrossedProduct
     orients a pair, and only coassociativity_residual turns a unitary."""
-    oriented = {"CrossedProductExtension", "compare_extensions", "_squares", "_pad_isometry"}
+    oriented = {"CrossedProductExtension", "compare_extensions", "_blocked_walk", "_entry_walk",
+                "_entry_blocks", "_expand", "_squares", "_pad_isometry"}
     nodes = [node for node in _package_trees()["spans"].body
              if getattr(node, "name", None) in oriented]
     assert len(nodes) == len(oriented)
