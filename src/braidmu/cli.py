@@ -150,6 +150,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # checked before the bundle loads; an empty --report means no report
+    if _unwritable(args.report or None):
+        return 2
     try:
         bundle = load_bundle(args.file)
     except (SchemaError, OSError) as exc:
@@ -215,6 +218,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # checked before the bundle loads; an empty --report means no report
+    if _unwritable(args.report or None):
+        return 2
     try:
         bundle = load_bundle(args.data)
     except (SchemaError, OSError) as exc:

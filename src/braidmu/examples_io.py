@@ -19,15 +19,17 @@ formatted once each and its rows filled from one template.
 
 The reader reads each ``"matrix":`` value in the writer's form from the text
 itself: the brackets and commas left once the number characters are deleted
-must be the skeleton of rows of ``[re,im]`` pairs, each distinct entry is
-checked against the JSON number grammar and converted once, with json's
-meaning, and the array is filled by lookup.  json.loads reads the rest, in
-which each such matrix is a placeholder string that no string of the text
-holds.  A text in any doubt goes through json.loads whole, every matrix
-through :func:`_matrix_from_tree`, and either path gives the same bundle or
-the same :class:`SchemaError`.  A matrix entry is taken only as a JSON
-number, not ``true`` or ``false``, and an integer beyond the float range is
-an infinity, as its spelling ``1e400`` is.
+must be the skeleton of rows of ``[re,im]`` pairs, and the entries are found
+by byte position between them.  An entry spelled ``0.0`` needs no conversion:
+it stays a zero of the array.  Each other distinct entry is checked against
+the JSON number grammar and converted once, with json's meaning, and the
+array is filled by lookup.  json.loads reads the rest, in which each such
+matrix is a placeholder string that no string of the text holds.  A text
+in any doubt goes through json.loads whole, every matrix through
+:func:`_matrix_from_tree`, and either path gives the same bundle or the
+same :class:`SchemaError`.  A matrix entry is taken only as a JSON number,
+not ``true`` or ``false``, and an integer beyond the float range is an
+infinity, as its spelling ``1e400`` is.
 """
 
 from __future__ import annotations
@@ -295,11 +297,13 @@ def _finite(m: np.ndarray, path: str) -> np.ndarray:
 
 # the reader's matrices from their text: a JSON string token, a number in the
 # JSON grammar (ASCII digits only, as json's scanner reads them), the
-# characters a number is written with, and the placeholders' prefix
+# characters a number is written with, the placeholders' prefix, and the
+# bytes of a matrix's separators and of its entry 0.0
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
 _NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
-_NUMBER_CHARS = str.maketrans("", "", "0123456789+-.eE")
+_NUMBER_CHARS = b"0123456789+-.eE"
 _MARK = "<matrix>"
+_OPEN, _COMMA, _CLOSE, _ZERO, _POINT = b"[,]0."
 
 
 def _matrix_of_text(text: str) -> np.ndarray | None:
@@ -307,36 +311,57 @@ def _matrix_of_text(text: str) -> np.ndarray | None:
     space, rows of equal length and every entry a JSON number, as the array
     that json.loads and :func:`_matrix_from_tree` make of it; else None.
 
-    The brackets and commas left once the number characters are deleted
-    must be the skeleton of such a matrix.  The entries are what lies
-    between the brackets of each pair; a number character anywhere else
-    keeps a bracket in an entry, which the JSON number grammar refuses.
-    Each distinct entry is checked and converted once, with json's meaning:
-    an integer is a Python int, read as :func:`_int_float` reads it,
-    anything else a float.
+    The text's ASCII bytes (a text with any other character is None), once
+    the number characters are deleted, must be the skeleton of such a
+    matrix.  Its entries are found by byte position: a real part lies
+    between a ``[`` and the ``,`` after it, an imaginary part between that
+    ``,`` and the ``]``, and together they must hold every number character.
+    An entry spelled ``0.0``, the writer's +0.0, stays a zero of the array
+    and is never made a string.  Each other distinct entry is checked and
+    converted once, with json's meaning: an integer is a Python int, read as
+    :func:`_int_float` reads it, anything else a float.
     """
-    skeleton = text.translate(_NUMBER_CHARS)
-    cols = skeleton.find("]]") // 4      # the first row is "[" + 4 cols - 1 chars + "]"
-    rows = (len(skeleton) - 1) // (4 * cols + 2) if cols > 0 else 0
-    row = "[" + ",".join(["[,]"] * cols) + "]"
-    if (rows < 1 or skeleton != "[" + ",".join([row] * rows) + "]"
-            or not (text.startswith("[[[") and text.endswith("]]]"))):
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
         return None
-    entries = text[3:-3].replace("]],[[", ",").replace("],[", ",").split(",")
+    skeleton = raw.translate(None, _NUMBER_CHARS)
+    cols = skeleton.find(b"]]") // 4    # the first row is "[" + 4 cols - 1 chars + "]"
+    rows = (len(skeleton) - 1) // (4 * cols + 2) if cols > 0 else 0
+    row = b"[" + b",".join([b"[,]"] * cols) + b"]"
+    if rows < 1 or skeleton != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero((codes == _OPEN) | (codes == _COMMA) | (codes == _CLOSE))
+    # the skeleton is the byte at each of seps; its gaps "[," and ",]" are the
+    # 2 rows cols entries, and a number character in any other gap is refused
+    kinds = np.frombuffer(skeleton, dtype=np.uint8)
+    gaps = np.flatnonzero(((kinds[:-1] == _OPEN) & (kinds[1:] == _COMMA))
+                          | ((kinds[:-1] == _COMMA) & (kinds[1:] == _CLOSE)))
+    starts, stops = seps[gaps] + 1, seps[gaps + 1]
+    lengths = stops - starts
+    if lengths.sum() != codes.size - seps.size:
+        return None
+    # three "]" follow the last entry, so starts + 2 stays in the text
+    zero = ((lengths == 3) & (codes[starts] == _ZERO) & (codes[starts + 1] == _POINT)
+            & (codes[starts + 2] == _ZERO))
+    kept = np.flatnonzero(~zero)
+    entries = [text[i:j] for i, j in zip(starts[kept].tolist(), stops[kept].tolist())]
     distinct = dict.fromkeys(entries)
-    values = np.empty(len(distinct))
+    values = [0.0] * len(distinct)
     for k, entry in enumerate(distinct):
         number = _NUMBER.fullmatch(entry)
         if number is None:
             return None
-        try:
-            values[k] = (float(entry) if number.group(1) or number.group(2)
-                         else _int_float(int(entry)))
+        try:    # lastindex: a fraction or an exponent, which json reads as a float
+            values[k] = float(entry) if number.lastindex else _int_float(int(entry))
         except ValueError:      # an integer of more than 4,300 digits, which int() refuses
             return None
         distinct[entry] = k
     at = np.fromiter(map(distinct.__getitem__, entries), dtype=np.intp, count=len(entries))
-    return values[at].view(complex).reshape(rows, cols)
+    parts = np.zeros(2 * rows * cols)
+    parts[kept] = np.array(values, dtype=float)[at]
+    return parts.view(complex).reshape(rows, cols)
 
 
 def _lift_matrices(text: str) -> tuple[str, dict[str, np.ndarray]] | None:

@@ -460,6 +460,42 @@ def reference_matrix_tree(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
+# the characters a JSON number is written with, deleted from a matrix text
+_NUMBER_CHARS = str.maketrans("", "", "0123456789+-.eE")
+
+
+def split_matrix_of_text(text):
+    """examples_io._matrix_of_text as it was first written, on strings: the
+    skeleton checked by str.translate, the entries split off at every
+    bracket and comma, each distinct spelling checked and converted once,
+    and the array filled by lookup.  Every entry, 0.0 too, is a string.  The
+    oracle of the reader that finds the entries by byte position."""
+    from braidmu.examples_io import _NUMBER, _int_float
+
+    skeleton = text.translate(_NUMBER_CHARS)
+    cols = skeleton.find("]]") // 4
+    rows = (len(skeleton) - 1) // (4 * cols + 2) if cols > 0 else 0
+    row = "[" + ",".join(["[,]"] * cols) + "]"
+    if (rows < 1 or skeleton != "[" + ",".join([row] * rows) + "]"
+            or not (text.startswith("[[[") and text.endswith("]]]"))):
+        return None
+    entries = text[3:-3].replace("]],[[", ",").replace("],[", ",").split(",")
+    distinct = dict.fromkeys(entries)
+    values = np.empty(len(distinct))
+    for k, entry in enumerate(distinct):
+        number = _NUMBER.fullmatch(entry)
+        if number is None:
+            return None
+        try:
+            values[k] = (float(entry) if number.group(1) or number.group(2)
+                         else _int_float(int(entry)))
+        except ValueError:
+            return None
+        distinct[entry] = k
+    at = np.fromiter(map(distinct.__getitem__, entries), dtype=np.intp, count=len(entries))
+    return values[at].view(complex).reshape(rows, cols)
+
+
 def dense_extract_distant(y, context, positions, route="over", braiding=None):
     """tensor.extract_distant the dense way, as it was first written: y (an
     operator on the whole context) conjugated back along the route as one

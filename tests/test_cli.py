@@ -156,11 +156,13 @@ def corpus_path(name):
     return str(resources.files("braidmu") / "corpus" / name)
 
 
+CORPUS = ("pentagon.stmt", "corep.stmt", "rep.stmt", "yd.stmt", "goodness.stmt")
+
+
 def test_eval_statement_corpus(tmp_path):
     data = tmp_path / "yd.json"
     assert run(["generate", "group-yd", "-o", str(data)]) == 0
-    for name in ("pentagon.stmt", "corep.stmt", "rep.stmt", "yd.stmt",
-                 "goodness.stmt"):
+    for name in CORPUS:
         assert run(["eval", corpus_path(name), str(data)]) == 0
 
 
@@ -274,11 +276,19 @@ def test_every_untimed_record_names_the_record_timed_for_its_step(tmp_path, kind
             assert "timed_with" not in c
 
 
-def test_report_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+def test_report_into_a_missing_directory_is_an_input_error(tmp_path, capsys, monkeypatch):
+    import braidmu.cli as cli
     bundle = tmp_path / "w.json"
     stmt = tmp_path / "s.stmt"
     stmt.write_text("context: L L\nW[1,2] == W[1,2]\n")
     run(["generate", "kac-takesaki", "--group", "Zn", "--n", "2", "-o", str(bundle)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before it checked its report path")
+
+    # checked before any work: the error names the directory, not a temporary file
+    for name in ("full_certificate", "search", "run_statements"):
+        monkeypatch.setattr(cli, name, refuse)
     missing = str(tmp_path / "missing" / "r.json")
     for argv in (["analyze", str(bundle)],
                  ["search", "--dim", "2", "--restarts", "1", "--max-iter", "2",
@@ -286,7 +296,7 @@ def test_report_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
                  ["eval", str(stmt), str(bundle)]):
         capsys.readouterr()
         assert run(argv + ["--report", missing]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: no such directory: {tmp_path / 'missing'}\n"
     assert not (tmp_path / "missing").exists()
 
 
@@ -780,18 +790,24 @@ def test_any_mutated_bundle_gets_a_documented_exit_code(tmp_path, text):
 
 def test_analyze_imports_no_scipy(tmp_path):
     # scipy is the solver's alone: importing it would add tens of MB to
-    # every certificate's peak RSS
-    bundle = tmp_path / "kt3.json"
+    # every certificate's peak RSS.  numpy.ma (which np.unique without
+    # return_inverse imports) costs about 10 ms and 1.3 MB per process, so
+    # neither a certificate nor an eval of the corpus on a module imports it
+    bundle, module = tmp_path / "kt3.json", tmp_path / "yd.json"
     bundle.write_text(kac_takesaki_text(bm.cyclic(3)))
+    assert run(["generate", "group-yd", "-o", str(module)]) == 0
+    argvs = [["analyze", str(bundle)]] + [["eval", corpus_path(name), str(module)]
+                                          for name in CORPUS]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bm.__file__)))
     script = ("import contextlib, io, sys\n"
               "from braidmu.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              f"    code = main(['analyze', {str(bundle)!r}])\n"
-              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              f"    codes = [main(argv) for argv in {argvs!r}]\n"
+              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+              "                    or m.split('.')[:2] == ['numpy', 'ma']))\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
-    assert done.stderr == "" and done.stdout == "0 []\n"
+    assert done.stderr == "" and done.stdout == f"{[0] * len(argvs)} []\n"
 
 
 # every token of the argv mutations: the bases' own, other flags and

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 import struct
 import sys
 from unittest import mock
@@ -14,8 +15,9 @@ import braidmu as bm
 from braidmu import GroupTableError, SchemaError, examples_io
 from braidmu.examples_io import _canonical_json
 
-from conftest import (HUGE_ENTRY_TEXT, HUGE_MODULUS_TEXT, kac_takesaki_text, mutated_texts,
-                      reference_matrix_tree, zn_module)
+from conftest import (HUGE_ENTRY_TEXT, HUGE_MODULUS_TEXT, gauge_conjugate, kac_takesaki_text,
+                      matrix_spans, mutated_texts, reference_matrix_tree, split_matrix_of_text,
+                      zn_module)
 
 
 def test_cyclic_and_symmetric_groups_validate():
@@ -404,13 +406,19 @@ def _escaped_names_bundle():
                      operators={"false\\": bm.PhaseBraiding(2).braid(odd, odd)})
 
 
+def _dense_bundle(n, seed):
+    m = gauge_conjugate(bm.kac_takesaki(bm.cyclic(n)), seed)
+    return bm.Bundle(spaces={m.space.id: m.space}, operators={"W": m.op})
+
+
 _CONTROL = bm.identity_control(2)
-# bundles as the writer leaves them: KT, a module with phases, an explicit
-# braiding (a table and an operator), and names that need escapes or spell
-# true and false
+# bundles as the writer leaves them: KT, a module with phases, a gauge
+# conjugate with no zero entry, an explicit braiding (a table and an
+# operator), and names that need escapes or spell true and false
 _WRITTEN = {
     "kt-s3": lambda: bm.bundle_from_json(kac_takesaki_text(bm.symmetric(3))),
     "module-z12": lambda: _module_bundle(12),
+    "gauge-kt-z4": lambda: _dense_bundle(4, 5),
     "explicit": lambda: bm.Bundle(
         spaces={"L": _CONTROL.space}, braiding_kind="explicit",
         braiding_pairs=[_CONTROL.braiding.braid(_CONTROL.space, _CONTROL.space)],
@@ -504,6 +512,75 @@ def test_the_reader_converts_each_spelling_as_json_does(entries):
     with _fallback():
         expected = _outcome(text)
     assert _outcome(text) == expected
+
+
+def test_a_matrix_checks_each_distinct_spelling_but_0_0_once(monkeypatch):
+    # the Z12 module bundle of the legcalc benchmark: 124,416 entries, all
+    # but a few hundred spelled 0.0, which is never checked nor made a string
+    text = bm.bundle_to_json(_module_bundle(12))
+    checked = []
+    number = examples_io._NUMBER
+
+    class Counted:
+        def fullmatch(self, entry):
+            checked.append(entry)
+            return number.fullmatch(entry)
+
+    monkeypatch.setattr(examples_io, "_NUMBER", Counted())
+    bm.bundle_from_json(text)
+    distinct = [set(re.split(r"[][,]+", text[i:j])) - {"", "0.0"} for i, j in matrix_spans(text)]
+    assert sorted(checked) == sorted(s for spellings in distinct for s in spellings)
+
+
+# spellings an exact test for 0.0 could take for it; only 0.0 itself is
+# left unconverted
+_ZERO_LOOKALIKES = st.sampled_from(["0.0", "-0.0", "0.00", "00", "0", "0.0e0", "0.0.0", ".0"])
+_MUTATIONS = ("none", "digit after ]", "digit before [", "empty entry", "three numbers",
+              "short row", "trailing ]", "non-ASCII digit")
+
+
+@st.composite
+def _matrix_texts(draw):
+    """A matrix of up to 4 x 4 in the writer's form, its entries JSON
+    numbers, spellings JSON refuses or look-alikes of 0.0, after one
+    structural mutation of _MUTATIONS."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(_NUMBER_TEXTS, _ZERO_LOOKALIKES)
+    pairs = [[[draw(entry), draw(entry)] for _ in range(cols)] for _ in range(rows)]
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    if mutation == "empty entry":
+        pairs[r][c][draw(st.integers(0, 1))] = ""
+    elif mutation == "three numbers":
+        pairs[r][c].append(draw(entry))
+    elif mutation == "short row":
+        del pairs[r][-1]
+    elif mutation == "non-ASCII digit":
+        pairs[r][c][0] += "\u0661"      # ARABIC-INDIC DIGIT ONE
+    text = "[%s]" % ",".join("[%s]" % ",".join("[%s]" % ",".join(p) for p in row)
+                             for row in pairs)
+    if mutation == "trailing ]":
+        text += "]"
+    elif mutation in ("digit after ]", "digit before ["):
+        bracket = mutation[-1]
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == bracket]))
+        at += bracket == "]"
+        text = text[:at] + draw(st.sampled_from("0123456789")) + text[at:]
+    return text
+
+
+def _bits(m):
+    return None if m is None else (m.shape, m.view(np.int64).tobytes())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_matrix_texts())
+@example("[[[0.0,-0.0],[0.00,0]],[[0.0e0,0.0],[-0,1]]]")
+@example("[[[1.0,0.0]5,[0.0,1.0]]]")
+@example("5[[[0.0,0.0]]]")
+def test_the_reader_finds_the_entries_the_split_reader_does(text):
+    # the same bits or the same None as the string-splitting reader
+    assert _bits(examples_io._matrix_of_text(text)) == _bits(split_matrix_of_text(text))
 
 
 @pytest.mark.parametrize("spelling", ["<matrix>0", "\\u003cmatrix>0", "\\u003Cmatrix\\u003e0"])
